@@ -17,7 +17,7 @@ from __future__ import annotations
 from conftest import print_banner
 
 from repro.bench import render_table
-from repro.ltqp import EngineConfig, LinkTraversalEngine
+from repro.ltqp import EngineConfig, LinkTraversalEngine, TraversalPolicy
 from repro.ltqp.adaptive import AdaptivePipeline
 from repro.ltqp.pipeline import compile_pipeline, total_work
 from repro.net import NoLatency
@@ -114,11 +114,11 @@ def test_adaptive_engine_end_to_end(benchmark, universe):
 
     def run_both():
         static_engine = LinkTraversalEngine(universe.client(latency=NoLatency()))
-        static = static_engine.execute_sync(query.text, seeds=query.seeds)
+        static = static_engine.query(query.text, seeds=query.seeds).run_sync()
         adaptive_engine = LinkTraversalEngine(
-            universe.client(latency=NoLatency()), config=EngineConfig(adaptive=True)
+            universe.client(latency=NoLatency()), config=EngineConfig(traversal=TraversalPolicy(adaptive=True))
         )
-        adaptive = adaptive_engine.execute_sync(query.text, seeds=query.seeds)
+        adaptive = adaptive_engine.query(query.text, seeds=query.seeds).run_sync()
         return static, adaptive
 
     static, adaptive = benchmark.pedantic(run_both, rounds=1, iterations=1)

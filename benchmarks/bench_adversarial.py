@@ -146,7 +146,8 @@ def measure_hostile_containment(universe) -> dict:
             universe,
             query,
             EngineConfig(
-                network=_no_retry_network(), max_documents=UNHARDENED_BACKSTOP
+                network=_no_retry_network(),
+                traversal=TraversalPolicy(max_documents=UNHARDENED_BACKSTOP),
             ),
             list(deployment.lures),
         )

@@ -52,7 +52,7 @@ def test_fig3_result_shape(benchmark, universe):
     from repro.ltqp import LinkTraversalEngine  # noqa: F401 (docs cross-ref)
 
     engine = universe.fast_engine()
-    execution = engine.execute_sync(query.text, seeds=query.seeds)
+    execution = engine.query(query.text, seeds=query.seeds).run_sync()
     for binding in execution.bindings:
         assert Variable("forumId") in binding
         title = binding[Variable("forumTitle")].value

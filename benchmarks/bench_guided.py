@@ -43,7 +43,7 @@ from pathlib import Path
 
 from conftest import BENCH_SCALE, BENCH_SEED, print_banner
 
-from repro.ltqp import EngineConfig, LinkTraversalEngine
+from repro.ltqp import EngineConfig, LinkTraversalEngine, TraversalPolicy
 from repro.ltqp.guided import SubwebSpecification
 from repro.net import NoLatency
 from repro.obs import TickClock, Tracer
@@ -81,7 +81,7 @@ def build_hinted_universe():
 
 def _run(universe, query, **config_kwargs):
     engine = LinkTraversalEngine(
-        universe.client(latency=NoLatency()), config=EngineConfig(**config_kwargs)
+        universe.client(latency=NoLatency()), config=EngineConfig(traversal=TraversalPolicy(**config_kwargs))
     )
     tracer = Tracer(clock=TickClock())
     return engine.query(query.text, seeds=query.seeds, tracer=tracer).run_sync()

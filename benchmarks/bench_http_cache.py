@@ -30,11 +30,11 @@ def test_warm_cache_run_matches_and_saves_transfer(benchmark, universe):
         cold_client = HttpClient(
             universe.internet, latency=latency, log=cold_log, cache=cache
         )
-        cold = LinkTraversalEngine(cold_client).execute_sync(query.text, seeds=query.seeds)
+        cold = LinkTraversalEngine(cold_client).query(query.text, seeds=query.seeds).run_sync()
         warm_client = HttpClient(
             universe.internet, latency=latency, log=warm_log, cache=cache
         )
-        warm = LinkTraversalEngine(warm_client).execute_sync(query.text, seeds=query.seeds)
+        warm = LinkTraversalEngine(warm_client).query(query.text, seeds=query.seeds).run_sync()
         return cold, warm, cold_log, warm_log
 
     cold, warm, cold_log, warm_log = benchmark.pedantic(run_twice, rounds=1, iterations=1)

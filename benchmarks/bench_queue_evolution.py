@@ -16,17 +16,17 @@ from __future__ import annotations
 from conftest import print_banner
 
 from repro.bench import queue_sparkline, render_table
-from repro.ltqp import LinkTraversalEngine, PriorityLinkQueue
+from repro.ltqp import EngineConfig, LinkTraversalEngine, TraversalPolicy
 from repro.net import NoLatency
 from repro.solidbench import discover_query
 
 
-def run_with_queue(universe, query, queue_factory):
+def run_with_queue(universe, query, queue_policy):
     engine = LinkTraversalEngine(
-        universe.client(latency=NoLatency()), queue_factory=queue_factory
+        universe.client(latency=NoLatency()),
+        config=EngineConfig(traversal=TraversalPolicy(queue_policy=queue_policy)),
     )
-    execution = engine.execute_sync(query.text, seeds=query.seeds)
-    return execution
+    return engine.query(query.text, seeds=query.seeds).run_sync()
 
 
 def queue_profile(execution):
@@ -44,11 +44,9 @@ def test_queue_evolution_single_vs_multi_pod(benchmark, universe):
     multi_query = discover_query(universe, 8, 4)
 
     def run_both():
-        from repro.ltqp import FifoLinkQueue
-
         return (
-            run_with_queue(universe, single_query, FifoLinkQueue),
-            run_with_queue(universe, multi_query, FifoLinkQueue),
+            run_with_queue(universe, single_query, "fifo"),
+            run_with_queue(universe, multi_query, "fifo"),
         )
 
     single, multi = benchmark.pedantic(run_both, rounds=1, iterations=1)
@@ -80,12 +78,9 @@ def test_queue_disciplines_preserve_answers(benchmark, universe):
     query = discover_query(universe, 2, 1)
 
     def run_all():
-        from repro.ltqp import FifoLinkQueue, LifoLinkQueue
-
         return {
-            "fifo": run_with_queue(universe, query, FifoLinkQueue),
-            "lifo": run_with_queue(universe, query, LifoLinkQueue),
-            "priority": run_with_queue(universe, query, PriorityLinkQueue),
+            policy: run_with_queue(universe, query, policy)
+            for policy in ("fifo", "lifo", "priority")
         }
 
     executions = benchmark.pedantic(run_all, rounds=1, iterations=1)

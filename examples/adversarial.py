@@ -27,13 +27,12 @@ from repro.solidbench.adversary import (
 )
 
 
-def run(universe, query, lures=(), traversal=None, max_documents=0, benign_seeds=True):
+def run(universe, query, lures=(), traversal=None, benign_seeds=True):
     engine = universe.engine(
         latency=NoLatency(),
         config=EngineConfig(
             network=NetworkPolicy(retry=RetryPolicy.disabled(), max_link_requeues=0),
             traversal=traversal if traversal is not None else TraversalPolicy(),
-            max_documents=max_documents,
         ),
     )
     seeds = (list(query.seeds) if benign_seeds else []) + list(lures)
@@ -65,8 +64,11 @@ def main() -> None:
         # Unhardened, the trap spins until the global document budget
         # saves the run; hardened, each hostile origin gets 8 documents.
         naive_lured = run(
-            universe, query, lures=deployment.lures, max_documents=300,
+            universe,
+            query,
             benign_seeds=False,
+            lures=deployment.lures,
+            traversal=TraversalPolicy(max_documents=300),
         )
         naive_cost = deployment.total_requests()
         hardened_lured = run(

@@ -14,6 +14,7 @@ Run:  python examples/custom_extractor.py
 from repro.ltqp import (
     LdpContainerExtractor,
     LinkExtractor,
+    LinkProvenance,
     MatchIriExtractor,
     StorageExtractor,
     TypeIndexExtractor,
@@ -35,13 +36,14 @@ class FriendExtractor(LinkExtractor):
     def __init__(self, max_friends: int = 10) -> None:
         self._budget = max_friends
 
-    def extract(self, document_url, triples, context):
+    def discover(self, document_url, triples, context):
+        provenance = LinkProvenance(extractor=self.name, predicate=SNVOC.knows.value)
         for triple in triples:
             if self._budget <= 0:
                 return
             if triple.predicate == SNVOC.knows and isinstance(triple.object, NamedNode):
                 self._budget -= 1
-                yield triple.object.value
+                yield triple.object.value, provenance
 
 
 def run(universe, query, extractors, label):

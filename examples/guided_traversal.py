@@ -19,7 +19,7 @@ skipped link).
 Run:  python examples/guided_traversal.py
 """
 
-from repro.ltqp import EngineConfig
+from repro.ltqp import EngineConfig, TraversalPolicy
 from repro.ltqp.guided import SubwebRule, SubwebSpecification
 from repro.net import NoLatency
 from repro.rdf.namespaces import SNVOC
@@ -42,7 +42,7 @@ def declared_spec() -> SubwebSpecification:
 
 
 def run(universe, query, **config_kwargs):
-    engine = universe.engine(latency=NoLatency(), config=EngineConfig(**config_kwargs))
+    engine = universe.engine(latency=NoLatency(), config=EngineConfig(traversal=TraversalPolicy(**config_kwargs)))
     return engine.query(query.text, seeds=query.seeds).run_sync()
 
 

@@ -15,6 +15,7 @@ import re
 from collections import Counter
 
 from repro.bench import build_waterfall, render_waterfall
+from repro.obs import Tracer
 from repro.solidbench import SolidBenchConfig, build_universe, discover_query
 
 
@@ -26,7 +27,8 @@ def main() -> None:
     print(f"seed person: {person.name} ({query.seeds[0]})\n")
 
     engine = universe.engine()
-    result = engine.query(query.text, seeds=query.seeds).run_sync()
+    tracer = Tracer()
+    result = engine.query(query.text, seeds=query.seeds, tracer=tracer).run_sync()
 
     # Which pods did traversal reach, starting from one WebID?
     pods = Counter()
@@ -54,7 +56,7 @@ def main() -> None:
               f"traversal finished: {result.stats.total_time:.3f}s")
 
     print("\nResource waterfall (cf. paper Fig. 5):")
-    print(render_waterfall(build_waterfall(engine.client.log), max_rows=20))
+    print(render_waterfall(build_waterfall(tracer), max_rows=20))
 
 
 if __name__ == "__main__":

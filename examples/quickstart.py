@@ -9,6 +9,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro.bench import render_waterfall, build_waterfall
+from repro.obs import Tracer
 from repro.solidbench import SolidBenchConfig, build_universe, discover_query
 
 
@@ -24,8 +25,10 @@ def main() -> None:
     print(query.text)
 
     # 3. Execute by link traversal, starting from the person's WebID.
+    #    The tracer records the span tree the waterfall is drawn from.
     engine = universe.engine()
-    result = engine.query(query.text, seeds=query.seeds).run_sync()
+    tracer = Tracer()
+    result = engine.query(query.text, seeds=query.seeds, tracer=tracer).run_sync()
 
     # 4. Results streamed in while traversal was still running.
     for timed in result.results[:5]:
@@ -37,7 +40,7 @@ def main() -> None:
 
     # 5. The resource waterfall (paper Fig. 4): what was fetched, when,
     #    and which document's links led there.
-    print(render_waterfall(build_waterfall(engine.client.log), max_rows=15))
+    print(render_waterfall(build_waterfall(tracer), max_rows=15))
 
 
 if __name__ == "__main__":

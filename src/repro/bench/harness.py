@@ -1,8 +1,8 @@
 """The benchmark harness: run Discover queries, collect the paper's metrics.
 
 One :func:`run_query` call = one demo-scenario execution: traversal +
-streaming query over the simulated pods, with the request log captured for
-waterfall analysis and the oracle answer computed for completeness
+streaming query over the simulated pods, traced so the waterfall can be
+built from the span tree, and the oracle answer computed for completeness
 checking.  :func:`run_suite` drives whole query suites (bench E6/E7).
 """
 
@@ -15,14 +15,13 @@ from typing import Iterable, Optional, Sequence
 from ..ltqp.engine import EngineConfig, LinkTraversalEngine
 from ..ltqp.extractors import LinkExtractor
 from ..net.latency import LatencyModel, NoLatency
-from ..net.log import RequestLog
-from ..obs import Metrics, Tracer
+from ..obs import Tracer
 from ..sparql.bindings import Binding
 from ..sparql.eval import SnapshotEvaluator
 from ..sparql.parser import parse_query
 from ..solidbench.queries import NamedQuery
 from ..solidbench.universe import SolidBenchUniverse
-from .waterfall import Waterfall, build_waterfall, build_waterfall_from_trace
+from .waterfall import Waterfall, build_waterfall
 
 __all__ = ["QueryRunReport", "run_query", "run_suite", "oracle_bindings"]
 
@@ -44,10 +43,8 @@ class QueryRunReport:
     waterfall: Waterfall
     streaming: bool
     result_times: list[float] = field(default_factory=list)
-    #: The span tree recorded for this run (``trace=True`` only).
+    #: The span tree recorded for this run (the waterfall's source).
     trace: Optional[Tracer] = None
-    #: Counters/gauges/histograms collected for this run (``trace=True`` only).
-    metrics: Optional[Metrics] = None
 
     def row(self) -> dict:
         """A flat dict for table rendering."""
@@ -82,26 +79,18 @@ def run_query(
     latency: Optional[LatencyModel] = None,
     check_oracle: bool = True,
     auth_headers: Optional[dict[str, str]] = None,
-    trace: bool = False,
 ) -> QueryRunReport:
     """Execute one Discover query by link traversal and measure it.
 
-    With ``trace=True`` the run records a full span tree plus metrics,
-    returned on the report, and the waterfall is built from trace events
-    (identical rows, plus cache provenance and the first-result marker).
+    Every run is traced: the report's waterfall is built from the span
+    tree, which is returned on the report as ``trace``.
     """
-    log = RequestLog()
-    client = universe.client(
-        latency=latency if latency is not None else NoLatency(), log=log
-    )
+    client = universe.client(latency=latency if latency is not None else NoLatency())
     engine = LinkTraversalEngine(
         client, extractors=extractors, config=engine_config, auth_headers=auth_headers
     )
-    tracer = Tracer() if trace else None
-    metrics = Metrics() if trace else None
-    execution = engine.query(
-        query.text, seeds=query.seeds, tracer=tracer, metrics=metrics
-    ).run_sync()
+    tracer = Tracer()
+    execution = engine.query(query.text, seeds=query.seeds, tracer=tracer).run_sync()
     stats = execution.stats
 
     oracle_count: Optional[int] = None
@@ -122,13 +111,10 @@ def run_query(
         documents_failed=stats.documents_failed,
         links_queued=stats.links_queued,
         links_by_extractor=dict(stats.links_by_extractor),
-        waterfall=(
-            build_waterfall_from_trace(tracer) if tracer is not None else build_waterfall(log)
-        ),
+        waterfall=build_waterfall(tracer),
         streaming=stats.streaming,
         result_times=[timed.elapsed for timed in execution.results],
         trace=tracer,
-        metrics=metrics,
     )
 
 

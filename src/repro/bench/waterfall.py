@@ -4,16 +4,10 @@ The demo shows Chrome's Network tab while queries run: each HTTP request as
 a bar, offset by start time, with dependency structure visible (requests
 that needed a prior document's links start after it).
 
-Two builders produce the same :class:`Waterfall`:
-
-* :func:`build_waterfall_from_trace` — the primary path since the
-  observability layer landed: rows come from the ``attempt`` spans a
-  :class:`~repro.obs.trace.Tracer` records (one per HTTP attempt,
-  mirroring the request log 1:1), which additionally carry cache-hit
-  provenance and the ``first-result`` instant for the Fig. 4 marker.
-* :func:`build_waterfall` — the legacy builder over the client's
-  :class:`~repro.net.log.RequestLog`, kept for callers that run without
-  tracing enabled.
+:func:`build_waterfall` derives the rows from the ``attempt`` spans a
+:class:`~repro.obs.trace.Tracer` records (one per HTTP attempt, mirroring
+the request log 1:1), which also carry cache-hit provenance and the
+``first-result`` instant for the Fig. 4 marker.
 """
 
 from __future__ import annotations
@@ -21,13 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..net.log import RequestLog, RequestRecord
-
 __all__ = [
     "WaterfallRow",
     "Waterfall",
     "build_waterfall",
-    "build_waterfall_from_trace",
     "render_waterfall",
 ]
 
@@ -68,7 +59,7 @@ class Waterfall:
     origins: int
     total_bytes: int
     retries: int = 0
-    #: Cache-served rows (trace-built waterfalls only; 0 otherwise).
+    #: Rows served from the HTTP cache without touching the network.
     cache_hits: int = 0
     #: Seconds from the first request to the first streamed result, when
     #: the trace recorded a ``first-result`` instant.
@@ -139,49 +130,13 @@ def _max_parallelism(intervals: list[tuple[float, float]]) -> int:
     return peak
 
 
-def build_waterfall(log: RequestLog) -> Waterfall:
-    """Derive waterfall rows and shape metrics from a request log."""
-    records = sorted(log.records, key=lambda r: r.started_at)
-    if not records:
-        return Waterfall([], 0.0, 0, 0, 0, 0, 0)
-    retries = sum(1 for record in records if record.attempt > 1)
-    origin_time = records[0].started_at
-    depths = log.dependency_depths()
-    rows = [
-        WaterfallRow(
-            url=record.url,
-            short_name=_short_name(record.url),
-            status=record.status,
-            start=record.started_at - origin_time,
-            end=record.finished_at - origin_time,
-            size=record.response_size,
-            depth=depths.get(record.url, 0),
-            parent_url=record.parent_url,
-            attempt=record.attempt,
-        )
-        for record in records
-    ]
-    total = max(row.end for row in rows)
-    return Waterfall(
-        rows=rows,
-        total_duration=total,
-        request_count=len(rows),
-        max_depth=log.max_depth(),
-        max_parallelism=log.max_parallelism(),
-        origins=len(log.origins()),
-        total_bytes=log.total_bytes(),
-        retries=retries,
-    )
-
-
-def build_waterfall_from_trace(tracer) -> Waterfall:
+def build_waterfall(tracer) -> Waterfall:
     """Derive the waterfall from a query execution's span tree.
 
     Every HTTP attempt is an ``attempt`` span under a ``fetch`` span, so
-    rows match :func:`build_waterfall` one-for-one — plus cache-hit
-    provenance (``from_cache``) and the streamed ``first-result`` instant
-    that the request log cannot see.  Depth comes from the enclosing
-    ``dereference`` span's link depth.
+    there is one row per request — with cache-hit provenance
+    (``from_cache``) and the streamed ``first-result`` instant.  Depth
+    comes from the enclosing ``dereference`` span's link depth.
     """
     spans = tracer.spans
     by_id = {span.span_id: span for span in spans}
@@ -255,8 +210,7 @@ def render_waterfall(
 ) -> str:
     """ASCII rendering in the spirit of the browser Network tab.
 
-    ``show_via`` adds the link-provenance column (trace-built waterfalls
-    only; the request log carries no provenance).  Off by default so the
+    ``show_via`` adds the link-provenance column.  Off by default so the
     classic layout — and its golden renderings — stay stable.
     """
     if not waterfall.rows:

@@ -37,9 +37,9 @@ from typing import Optional
 
 import json
 
-from .bench.waterfall import build_waterfall_from_trace, render_waterfall
+from .bench.waterfall import build_waterfall, render_waterfall
 from .obs import Metrics, Tracer, render_trace_summary, write_chrome_trace
-from .ltqp.engine import EngineConfig, LinkTraversalEngine
+from .ltqp.engine import EngineConfig, LinkTraversalEngine, TraversalPolicy
 from .net.faults import FaultPlan
 from .net.latency import NoLatency, SeededJitterLatency
 from .net.resilience import NetworkPolicy
@@ -467,7 +467,9 @@ def watch_main(argv: Optional[list[str]] = None) -> int:
     return asyncio.run(run())
 
 
-def _engine_config(args, **extra) -> EngineConfig:
+def _engine_config(
+    args, network: Optional[NetworkPolicy] = None, **traversal
+) -> EngineConfig:
     """An :class:`EngineConfig` carrying the shared hardening flags.
 
     ``--max-doc-bytes`` installs the same bound on both sides of the
@@ -475,14 +477,19 @@ def _engine_config(args, **extra) -> EngineConfig:
     (``max_response_bytes``) and the dereferencer refuses oversized
     bodies arriving from cache or store (``max_parse_bytes``).
     """
-    config = EngineConfig(**extra)
-    config.max_depth = getattr(args, "max_depth", 0)
-    config.max_origin_derefs = getattr(args, "max_origin_derefs", 0)
-    config.subweb = getattr(args, "subweb", None)
+    config = EngineConfig(
+        traversal=TraversalPolicy(
+            max_depth=getattr(args, "max_depth", 0),
+            max_origin_derefs=getattr(args, "max_origin_derefs", 0),
+            subweb=getattr(args, "subweb", None),
+            **traversal,
+        ),
+        network=network if network is not None else NetworkPolicy(),
+    )
     doc_bytes = getattr(args, "max_doc_bytes", 0)
     if doc_bytes:
-        config.max_response_bytes = doc_bytes
-        config.max_parse_bytes = doc_bytes
+        config.network.max_response_bytes = doc_bytes
+        config.traversal.max_parse_bytes = doc_bytes
     return config
 
 
@@ -678,7 +685,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     def emit_observability() -> None:
         if tracer is not None and args.waterfall:
             print(
-                render_waterfall(build_waterfall_from_trace(tracer), show_via=True),
+                render_waterfall(build_waterfall(tracer), show_via=True),
                 file=sys.stderr,
             )
         if tracer is not None and args.trace:

@@ -42,12 +42,9 @@ from .guided import (
 from .links import (
     EXTRACTOR_RANK,
     FairLinkQueue,
-    FifoLinkQueue,
-    LifoLinkQueue,
     Link,
     LinkProvenance,
     LinkQueue,
-    PriorityLinkQueue,
     QUEUE_POLICIES,
     QueuePolicyContext,
     QueueSample,
@@ -84,9 +81,6 @@ __all__ = [
     "Link",
     "LinkProvenance",
     "LinkQueue",
-    "FifoLinkQueue",
-    "LifoLinkQueue",
-    "PriorityLinkQueue",
     "FairLinkQueue",
     "GuidedLinkQueue",
     "QUEUE_POLICIES",

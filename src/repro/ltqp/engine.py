@@ -29,8 +29,7 @@ held-back output in one O(result) finalize pass at traversal quiescence.
 Configuration is split by layer: :class:`TraversalPolicy` bounds the
 crawl (depth, documents, duration, results), while
 :class:`~repro.net.resilience.NetworkPolicy` governs fault handling
-(timeouts, retries, circuit breakers).  :class:`EngineConfig` nests both
-and keeps accepting the historical flat keyword arguments.
+(timeouts, retries, circuit breakers).  :class:`EngineConfig` nests both.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import AsyncIterator, Iterable, Optional, Union as TypingUnion
 
@@ -106,15 +104,14 @@ class TraversalPolicy:
     #: ``0`` disables.
     max_parse_bytes: int = 0
     lenient: bool = True
-    follow_unknown_origins: bool = True
     adaptive: bool = False
     #: Link-queue discipline: ``"fifo"`` (breadth-first, the paper's
     #: default), ``"lifo"`` (depth-first), ``"priority"`` (shallow +
-    #: Solid-metadata links first; see
-    #: :class:`~repro.ltqp.links.PriorityLinkQueue`), ``"fair"``
-    #: (round-robin across origins), or ``"guided"`` (provenance/hint
-    #: scoring with result-contribution feedback; see
-    #: :class:`~repro.ltqp.guided.GuidedLinkQueue`).  An explicit
+    #: Solid-metadata links first), ``"fair"`` (round-robin across
+    #: origins), or ``"guided"`` (provenance/hint scoring with
+    #: result-contribution feedback; see
+    #: :class:`~repro.ltqp.guided.GuidedLinkQueue`) — the registry is
+    #: :data:`~repro.ltqp.links.QUEUE_POLICIES`.  An explicit
     #: ``queue_factory`` passed to the engine overrides this.
     queue_policy: str = "fifo"
     #: Subweb specification governing source selection (DESIGN.md §4g):
@@ -137,10 +134,6 @@ class TraversalPolicy:
     #: flushes it (seconds; ``0`` disables the timer).  Quiescence always
     #: flushes regardless.
     advance_flush_interval: float = 0.02
-
-
-_TRAVERSAL_FIELDS = frozenset(f.name for f in dataclasses.fields(TraversalPolicy))
-_NETWORK_FIELDS = frozenset(f.name for f in dataclasses.fields(NetworkPolicy))
 
 
 def _origin_of(url: str) -> str:
@@ -197,62 +190,20 @@ class _OriginBudgets:
             self._bytes[origin] = self._bytes.get(origin, 0) + count
 
 
+@dataclass(slots=True)
 class EngineConfig:
     """Tunables for one engine instance, split into two nested policies.
 
     ``traversal`` (a :class:`TraversalPolicy`) bounds the crawl;
     ``network`` (a :class:`~repro.net.resilience.NetworkPolicy`) governs
-    timeouts, retries, and circuit breaking.  For backwards compatibility
-    every field of either policy is also accepted as a flat keyword
-    argument and readable/writable as a flat attribute::
+    timeouts, retries, and circuit breaking::
 
-        EngineConfig(max_depth=2, request_timeout=1.0)
         EngineConfig(traversal=TraversalPolicy(max_depth=2))
-        config.worker_count          # reads config.traversal.worker_count
+        config.traversal.worker_count
     """
 
-    __slots__ = ("network", "traversal")
-
-    def __init__(
-        self,
-        network: Optional[NetworkPolicy] = None,
-        traversal: Optional[TraversalPolicy] = None,
-        **flat,
-    ) -> None:
-        object.__setattr__(self, "network", network if network is not None else NetworkPolicy())
-        object.__setattr__(
-            self, "traversal", traversal if traversal is not None else TraversalPolicy()
-        )
-        for name, value in flat.items():
-            if name not in _TRAVERSAL_FIELDS and name not in _NETWORK_FIELDS:
-                raise TypeError(f"EngineConfig got an unknown knob {name!r}")
-            setattr(self, name, value)
-
-    def __getattr__(self, name: str):
-        # Only reached when normal lookup fails — i.e. for flat names.
-        if name in _TRAVERSAL_FIELDS:
-            return getattr(object.__getattribute__(self, "traversal"), name)
-        if name in _NETWORK_FIELDS:
-            return getattr(object.__getattribute__(self, "network"), name)
-        raise AttributeError(f"EngineConfig has no knob {name!r}")
-
-    def __setattr__(self, name: str, value) -> None:
-        if name in ("network", "traversal"):
-            object.__setattr__(self, name, value)
-        elif name in _TRAVERSAL_FIELDS:
-            setattr(self.traversal, name, value)
-        elif name in _NETWORK_FIELDS:
-            setattr(self.network, name, value)
-        else:
-            raise AttributeError(f"EngineConfig has no knob {name!r}")
-
-    def __repr__(self) -> str:
-        return f"EngineConfig(traversal={self.traversal!r}, network={self.network!r})"
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, EngineConfig):
-            return NotImplemented
-        return self.traversal == other.traversal and self.network == other.network
+    traversal: TraversalPolicy = field(default_factory=TraversalPolicy)
+    network: NetworkPolicy = field(default_factory=NetworkPolicy)
 
 
 @dataclass(slots=True)
@@ -467,8 +418,7 @@ class LinkTraversalEngine:
     ) -> QueryExecution:
         """Begin a query execution and return its :class:`QueryExecution`.
 
-        The single entry point replacing ``execute``/``stream``/
-        ``execute_sync``: iterate the handle to stream, ``await
+        The single entry point: iterate the handle to stream, ``await
         .gather()`` (or ``.run_sync()``) to collect everything, ``await
         .cancel()`` to stop early — ``.stats`` is live throughout.
 
@@ -501,49 +451,6 @@ class LinkTraversalEngine:
             traversal=traversal,
             live=live,
         )
-
-    # -- deprecated entry points (kept as thin wrappers) ----------------
-
-    async def execute(
-        self,
-        query: TypingUnion[str, Query],
-        seeds: Optional[Iterable[str]] = None,
-    ) -> ExecutionResult:
-        """Deprecated: use ``await engine.query(...).gather()``."""
-        warnings.warn(
-            "LinkTraversalEngine.execute() is deprecated; use engine.query(...).gather()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        execution = self.query(query, seeds=seeds)
-        await execution.gather()
-        return execution.result
-
-    def stream(
-        self,
-        query: TypingUnion[str, Query],
-        seeds: Optional[Iterable[str]] = None,
-    ) -> AsyncIterator[Binding]:
-        """Deprecated: use ``async for binding in engine.query(...)``."""
-        warnings.warn(
-            "LinkTraversalEngine.stream() is deprecated; iterate engine.query(...) directly",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.query(query, seeds=seeds)
-
-    def execute_sync(
-        self,
-        query: TypingUnion[str, Query],
-        seeds: Optional[Iterable[str]] = None,
-    ) -> ExecutionResult:
-        """Deprecated: use ``engine.query(...).run_sync()``."""
-        warnings.warn(
-            "LinkTraversalEngine.execute_sync() is deprecated; use engine.query(...).run_sync()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.query(query, seeds=seeds).run_sync().result
 
     # ------------------------------------------------------------------
     # internals
@@ -589,6 +496,7 @@ class LinkTraversalEngine:
             if traversal is None
             else EngineConfig(network=self._config.network, traversal=traversal)
         )
+        policy = config.traversal
         run_extractors = extractors if extractors is not None else self._extractors
         query = execution.query
         context = build_query_context(query.where)
@@ -600,8 +508,8 @@ class LinkTraversalEngine:
         # extractor so pods' source indexes and published specs are
         # discovered and absorbed during traversal.
         selector = None
-        spec = _resolve_subweb(config.subweb)
-        if spec is not None or config.queue_policy == "guided":
+        spec = _resolve_subweb(policy.subweb)
+        if spec is not None or policy.queue_policy == "guided":
             from .guided import HintDiscoveryExtractor, SourceSelector
 
             selector = SourceSelector(spec=spec, where=query.where, seeds=seed_list)
@@ -630,13 +538,10 @@ class LinkTraversalEngine:
         queue_factory = (
             self._queue_factory
             if self._queue_factory is not None
-            else queue_factory_for(config.queue_policy)
+            else queue_factory_for(policy.queue_policy)
         )
         policy_context = QueuePolicyContext(
-            traversal=config.traversal,
-            selector=selector,
-            hints=selector.hints if selector is not None else None,
-            query=context,
+            query=context, hints=selector.hints if selector is not None else None
         )
         queue: LinkQueue = build_queue(queue_factory, policy_context)
         queue.clock = clock
@@ -659,7 +564,7 @@ class LinkTraversalEngine:
             # adaptive re-planner's replay is additive-only, so live
             # executions always compile the static live pipeline.
             pipeline = compile_query_pipeline(query, seed_iris=context.iris, live=True)
-        elif config.adaptive:
+        elif policy.adaptive:
             from .adaptive import AdaptivePipeline
 
             pipeline = AdaptivePipeline(query.where, seed_iris=context.iris, query=query)
@@ -676,7 +581,7 @@ class LinkTraversalEngine:
                 parent=query_span,
                 streaming=stats.streaming,
                 blocking=len(pipeline.blocking_nodes),
-                adaptive=config.adaptive,
+                adaptive=policy.adaptive,
             )
             pipeline.enable_tracing(tracer, query_span)
 
@@ -725,7 +630,7 @@ class LinkTraversalEngine:
             # acceptance and traversal stop: the binding that lands exactly on
             # the limit is counted *and* triggers the stop — it is never
             # silently dropped, and anything past the limit is ignored.
-            limit = config.max_results
+            limit = policy.max_results
             count = stats.result_count
             if limit and count >= limit:
                 return
@@ -744,7 +649,7 @@ class LinkTraversalEngine:
             if limit and count + 1 >= limit:
                 stop_traversal.set()
 
-        batch_quads = max(1, config.advance_batch_quads)
+        batch_quads = max(1, policy.advance_batch_quads)
         pending_quads = 0
 
         def flush_pipeline() -> None:
@@ -762,7 +667,7 @@ class LinkTraversalEngine:
             # Hard document bound: concurrent workers may all pass the
             # pre-fetch check, but only the first max_documents results
             # are admitted into the source.
-            doc_limit = config.max_documents
+            doc_limit = policy.max_documents
             if doc_limit and source.document_count >= doc_limit:
                 stop_traversal.set()
                 return
@@ -777,7 +682,7 @@ class LinkTraversalEngine:
                 flush_pipeline()
 
         async def flush_timer() -> None:
-            interval = config.advance_flush_interval
+            interval = policy.advance_flush_interval
             while not stop_traversal.is_set():
                 await asyncio.sleep(interval)
                 flush_pipeline()
@@ -785,7 +690,7 @@ class LinkTraversalEngine:
         # Resolved here (not inside _traverse) so live executions can
         # retain it: refreshes must reuse the same per-URL blank-node
         # namespaces the traversal parses established.
-        dereferencer = self._resolve_dereferencer(config, tracer)
+        dereferencer = self._resolve_dereferencer(policy, tracer)
         traversal = asyncio.create_task(
             self._traverse(
                 queue,
@@ -794,17 +699,17 @@ class LinkTraversalEngine:
                 stats,
                 on_document,
                 stop_traversal,
-                config=config,
-                extractors=run_extractors,
+                config,
+                run_extractors,
+                dereferencer,
                 tracer=tracer,
                 traversal_span=traversal_span,
                 clock=clock,
-                dereferencer=dereferencer,
                 selector=selector,
             )
         )
         timer: Optional[asyncio.Task] = None
-        if batch_quads > 1 and config.advance_flush_interval > 0:
+        if batch_quads > 1 and policy.advance_flush_interval > 0:
             timer = asyncio.create_task(flush_timer())
 
         drain: Optional[asyncio.Task] = None
@@ -915,23 +820,23 @@ class LinkTraversalEngine:
     # ------------------------------------------------------------------
 
     def _resolve_dereferencer(
-        self, config: EngineConfig, tracer=None
+        self, policy: TraversalPolicy, tracer=None
     ) -> Dereferencer:
         """The injected shared dereferencer, or a fresh per-run one."""
         dereferencer = self._dereferencer
         if dereferencer is None:
             return Dereferencer(
                 self._client,
-                lenient=config.lenient,
+                lenient=policy.lenient,
                 extra_headers=self._auth_headers,
                 tracer=tracer,
-                max_parse_bytes=config.max_parse_bytes,
+                max_parse_bytes=policy.max_parse_bytes,
             )
-        if config.max_parse_bytes and not dereferencer.max_parse_bytes:
+        if policy.max_parse_bytes and not dereferencer.max_parse_bytes:
             # A shared (service-owned) dereferencer keeps its own cap if it
             # has one; otherwise this execution's cap is installed for good
             # (the service configures all executions uniformly).
-            dereferencer.max_parse_bytes = config.max_parse_bytes
+            dereferencer.max_parse_bytes = policy.max_parse_bytes
         return dereferencer
 
     async def _traverse(
@@ -942,20 +847,14 @@ class LinkTraversalEngine:
         stats: ExecutionStats,
         on_document,
         stop_traversal: asyncio.Event,
-        config: Optional[EngineConfig] = None,
-        extractors: Optional[list[LinkExtractor]] = None,
+        config: EngineConfig,
+        extractors: list[LinkExtractor],
+        dereferencer: Dereferencer,
         tracer=None,
         traversal_span=None,
         clock=time.monotonic,
-        dereferencer: Optional[Dereferencer] = None,
         selector=None,
     ) -> None:
-        if config is None:
-            config = self._config
-        if extractors is None:
-            extractors = self._extractors
-        if dereferencer is None:
-            dereferencer = self._resolve_dereferencer(config, tracer)
         budgets = _OriginBudgets()
         in_flight = 0
         wake = asyncio.Condition()
@@ -982,13 +881,13 @@ class LinkTraversalEngine:
                         context,
                         stats,
                         on_document,
-                        config=config,
-                        extractors=extractors,
+                        config,
+                        extractors,
+                        budgets,
                         tracer=tracer,
                         traversal_span=traversal_span,
                         clock=clock,
                         track=track,
-                        budgets=budgets,
                         selector=selector,
                     )
                 finally:
@@ -998,7 +897,7 @@ class LinkTraversalEngine:
 
         workers = [
             asyncio.create_task(worker(index + 1))
-            for index in range(config.worker_count)
+            for index in range(config.traversal.worker_count)
         ]
         try:
             await asyncio.gather(*workers)
@@ -1015,24 +914,21 @@ class LinkTraversalEngine:
         context: QueryContext,
         stats: ExecutionStats,
         on_document,
-        config: Optional[EngineConfig] = None,
-        extractors: Optional[list[LinkExtractor]] = None,
+        config: EngineConfig,
+        extractors: list[LinkExtractor],
+        budgets: _OriginBudgets,
         tracer=None,
         traversal_span=None,
         clock=time.monotonic,
         track: int = 0,
-        budgets: Optional[_OriginBudgets] = None,
         selector=None,
     ) -> None:
-        if config is None:
-            config = self._config
-        if extractors is None:
-            extractors = self._extractors
-        if config.max_documents and stats.documents_fetched >= config.max_documents:
+        policy = config.traversal
+        if policy.max_documents and stats.documents_fetched >= policy.max_documents:
             return
         if (
-            config.max_duration
-            and clock() - stats.started_at > config.max_duration
+            policy.max_duration
+            and clock() - stats.started_at > policy.max_duration
         ):
             return
         deref_span = None
@@ -1085,14 +981,13 @@ class LinkTraversalEngine:
             # Origin-budget gate — after span creation, so every refusal
             # leaves a ``dereference`` span with ``outcome: refused`` for
             # the trace/stats reconciliation to count.
-            if budgets is not None:
-                refusal = budgets.admit(origin, config.traversal)
-                if refusal:
-                    stats.note_refusal(refusal, origin)
-                    if deref_span is not None:
-                        deref_span.args["outcome"] = "refused"
-                        deref_span.args["refused"] = refusal
-                    return
+            refusal = budgets.admit(origin, policy)
+            if refusal:
+                stats.note_refusal(refusal, origin)
+                if deref_span is not None:
+                    deref_span.args["outcome"] = "refused"
+                    deref_span.args["refused"] = refusal
+                return
             result = await dereferencer.dereference(
                 link.url,
                 parent_url=link.parent_url,
@@ -1100,8 +995,7 @@ class LinkTraversalEngine:
                 tracer=tracer,
                 provenance=link.provenance,
             )
-            if budgets is not None:
-                budgets.charge_bytes(origin, result.bytes_fetched)
+            budgets.charge_bytes(origin, result.bytes_fetched)
             if result.refused:
                 # Per-document cap (client read abort or parse cap): a
                 # deliberate, attributed, never-retried refusal — not a
@@ -1150,7 +1044,7 @@ class LinkTraversalEngine:
                 if result.from_store:
                     deref_span.args["from_store"] = True
 
-            if config.max_depth and link.depth >= config.max_depth:
+            if policy.max_depth and link.depth >= policy.max_depth:
                 # Attribution only (``document=False``): the document itself
                 # was taken, but its out-links are suppressed at the depth
                 # budget — the completeness report says so without marking

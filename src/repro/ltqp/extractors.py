@@ -148,34 +148,19 @@ def _collect_patterns(op: Operator, out: list[TriplePattern]) -> None:
 
 
 class LinkExtractor:
-    """Base class. ``name`` tags links for statistics and prioritization.
-
-    Subclasses implement either :meth:`discover` (the rich API: yields
-    ``(url, LinkProvenance)`` pairs) or the legacy :meth:`extract` (bare
-    URLs); the base class bridges each in terms of the other, so existing
-    third-party extractors that only know ``extract`` keep working and
-    merely get coarse provenance (extractor kind alone).
-    """
+    """Base class. ``name`` tags links for statistics and prioritization."""
 
     name = "abstract"
-
-    def extract(
-        self, document_url: str, triples: Iterable[Triple], context: QueryContext
-    ) -> Iterator[str]:
-        if type(self).discover is LinkExtractor.discover:
-            raise NotImplementedError
-        for url, _provenance in self.discover(document_url, triples, context):
-            yield url
 
     def discover(
         self, document_url: str, triples: Iterable[Triple], context: QueryContext
     ) -> Iterator[tuple[str, Optional[LinkProvenance]]]:
-        """Yield ``(url, provenance)`` pairs for follow-up links."""
-        if type(self).extract is LinkExtractor.extract:
-            raise NotImplementedError
-        provenance = LinkProvenance(extractor=self.name)
-        for url in self.extract(document_url, triples, context):
-            yield url, provenance
+        """Yield ``(url, provenance)`` pairs for follow-up links.
+
+        ``provenance`` may be ``None``: the engine then tags the link with
+        this extractor's ``name`` alone.
+        """
+        raise NotImplementedError
 
 
 def _iris_of(triple: Triple) -> Iterator[str]:
@@ -210,9 +195,11 @@ class AllIriExtractor(LinkExtractor):
 
     name = "all-iris"
 
-    def extract(self, document_url, triples, context):
+    def discover(self, document_url, triples, context):
+        provenance = LinkProvenance(extractor=self.name)
         for triple in triples:
-            yield from _iris_of(triple)
+            for url in _iris_of(triple):
+                yield url, provenance
 
 
 class MatchIriExtractor(LinkExtractor):

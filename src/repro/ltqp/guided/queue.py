@@ -1,6 +1,6 @@
 """The guided link queue: provenance- and hint-scored prioritization.
 
-Scores combine three signals, in lexicographic order:
+Scores combine these signals, in lexicographic order:
 
 1. **Extractor tier** (:data:`~repro.ltqp.links.EXTRACTOR_RANK` via the
    link's provenance) — structural metadata first: seeds, then hint /
@@ -20,21 +20,16 @@ Scores combine three signals, in lexicographic order:
    ahead of equal-tier links.  Containers that are producing results get
    drained first — the guided-LTQP heuristic that reachability from
    productive sources predicts productivity.
-3. **Hint cardinality** — among equal-tier, equal-boost links, documents
-   from containers with more declared entities first, then shallow before
-   deep.
+3. **Depth, then hint cardinality** — among equal-tier, equal-boost
+   links, shallow before deep, then documents from containers with more
+   declared entities first.
 
-Boosts arrive while links are already enqueued — and a boost *promotes*
-entries buried anywhere in the heap, which top-of-heap lazy re-scoring
-cannot see.  The queue instead marks itself dirty on each contribution
-and rebuilds entry scores once, on the next pop (many results between two
-pops coalesce into one O(n) re-heap).
+Boosts arrive while links are already enqueued, so each contribution
+calls :meth:`~repro.ltqp.links.LinkQueue.rescore` — the base queue's one
+re-score mechanism (all pending entries, once, on the next pop).
 """
 
 from __future__ import annotations
-
-import heapq
-from typing import Optional
 
 from ..links import Link, LinkQueue, QueuePolicyContext, provenance_rank
 
@@ -46,24 +41,16 @@ QUERY_MATCH_TIER = 2.5
 
 
 class GuidedLinkQueue(LinkQueue):
-    def __init__(self, context: Optional[QueuePolicyContext] = None) -> None:
-        super().__init__()
-        self._context = context
-        self._heap: list[tuple[tuple, int, Link]] = []
-        self._counter = 0
+    def __init__(self, context: QueuePolicyContext) -> None:
+        super().__init__(self._guided_score)
+        self._hints = context.hints
         #: IRIs of the query's concrete predicates — links discovered via
         #: one of these are join edges, not speculative crawl.
-        query = getattr(context, "query", None)
         self._query_predicates = frozenset(
-            predicate.value for predicate in getattr(query, "predicates", ())
+            predicate.value for predicate in getattr(context.query, "predicates", ())
         )
         #: Contribution boost per container prefix (see _prefix_of).
         self._boosts: dict[str, int] = {}
-        #: Set when a boost landed after entries were scored; the next pop
-        #: re-scores the whole heap once.
-        self._dirty = False
-
-    # -- scoring --------------------------------------------------------------
 
     def note_result_contribution(self, document_url: str) -> None:
         """A document's triples just joined into an emitted binding —
@@ -71,12 +58,9 @@ class GuidedLinkQueue(LinkQueue):
         prefix = _prefix_of(document_url)
         if prefix:
             self._boosts[prefix] = self._boosts.get(prefix, 0) + 1
-            self._dirty = True
+            self.rescore()
 
-    def _boost_of(self, link: Link) -> int:
-        return self._boosts.get(_prefix_of(link.url), 0)
-
-    def _score(self, link: Link) -> tuple:
+    def _guided_score(self, link: Link, seq: int) -> tuple:
         tier: float = provenance_rank(link)
         provenance = link.provenance
         if (
@@ -85,36 +69,15 @@ class GuidedLinkQueue(LinkQueue):
             and tier > QUERY_MATCH_TIER
         ):
             tier = QUERY_MATCH_TIER
-        boost = self._boost_of(link)
+        boost = self._boosts.get(_prefix_of(link.url), 0)
         entities = 0
-        context = self._context
-        if context is not None and context.hints is not None:
-            pod = context.hints.pod_for(link.url)
+        if self._hints is not None:
+            pod = self._hints.pod_for(link.url)
             if pod is not None:
                 hint = pod.container_for(link.url)
                 if hint is not None:
                     entities = hint.entities
         return (tier, -boost, link.depth, -entities)
-
-    # -- queue plumbing -------------------------------------------------------
-
-    def _push_impl(self, link: Link) -> None:
-        self._counter += 1
-        heapq.heappush(self._heap, (self._score(link), self._counter, link))
-
-    def _pop_impl(self) -> Link:
-        if self._dirty:
-            self._heap = [
-                (self._score(link), counter, link) for _, counter, link in self._heap
-            ]
-            heapq.heapify(self._heap)
-            self._dirty = False
-        if not self._heap:
-            raise IndexError("pop from empty link queue")
-        return heapq.heappop(self._heap)[2]
-
-    def __len__(self) -> int:
-        return len(self._heap)
 
 
 def _prefix_of(url: str) -> str:

@@ -9,7 +9,6 @@ record statistics for the queue-evolution analysis (bench E9, after [34]).
 from __future__ import annotations
 
 import heapq
-import inspect
 import time
 from collections import deque
 from dataclasses import dataclass, field, replace
@@ -21,9 +20,6 @@ __all__ = [
     "Link",
     "LinkProvenance",
     "LinkQueue",
-    "FifoLinkQueue",
-    "LifoLinkQueue",
-    "PriorityLinkQueue",
     "FairLinkQueue",
     "QueueSample",
     "QueuePolicyContext",
@@ -100,8 +96,7 @@ class Link:
 
 #: Shared extractor ranking (smaller pops first) used by the priority and
 #: guided disciplines: structural metadata — hint/spec documents, storage
-#: and type-index pointers — before plain data links, seeds first.  This
-#: subsumes the old ``PriorityLinkQueue._DEFAULT_VIA_RANK``.
+#: and type-index pointers — before plain data links, seeds first.
 EXTRACTOR_RANK: dict[str, int] = {
     "seed": 0,
     "hint": 1,
@@ -128,21 +123,17 @@ def provenance_rank(link: Link) -> int:
 class QueuePolicyContext:
     """What a queue-policy factory may draw on when building its queue.
 
-    Every registered policy receives one (satellite of the guided-traversal
-    refactor: factories take a context instead of being zero-arg).  The
-    basic disciplines ignore it; the guided queue reads the selector and
-    cardinality hints for scoring.  Fields are deliberately loose-typed so
-    the registry keeps no import edges into the guided package.
+    Every factory — registered in :data:`QUEUE_POLICIES` or injected
+    through the engine's ``queue_factory=`` — takes exactly one of these.
+    The basic disciplines ignore it; the guided queue scores with both
+    fields.  Fields are deliberately loose-typed so the registry keeps no
+    import edges into the guided package.
     """
 
-    #: The execution's :class:`~repro.ltqp.engine.TraversalPolicy` (or None).
-    traversal: Optional[object] = None
-    #: The execution's :class:`~repro.ltqp.guided.SourceSelector` (or None).
-    selector: Optional[object] = None
-    #: The execution's :class:`~repro.ltqp.guided.CardinalityHints` (or None).
-    hints: Optional[object] = None
     #: The :class:`~repro.ltqp.extractors.QueryContext` of the query (or None).
     query: Optional[object] = None
+    #: The execution's :class:`~repro.ltqp.guided.CardinalityHints` (or None).
+    hints: Optional[object] = None
 
 
 @dataclass(slots=True)
@@ -155,14 +146,53 @@ class QueueSample:
     popped_total: int
 
 
-class LinkQueue:
-    """Base class: a deduplicating queue of :class:`Link` items."""
+#: A queue discipline: maps a pending link and its push sequence number
+#: to a sortable key — smaller pops first, ties by sequence number.
+Score = Callable[[Link, int], tuple]
 
-    def __init__(self) -> None:
+
+def _fifo(link: Link, seq: int) -> tuple:
+    """Breadth-first: push order alone — the default in the paper's engine."""
+    return ()
+
+
+def _lifo(link: Link, seq: int) -> tuple:
+    """Depth-first: the newest link first.
+
+    Dives into each pod before finishing breadth — one of the queue
+    disciplines whose effect on result arrival [34] studies.  Termination
+    and answers are unaffected; arrival order and queue shape change.
+    """
+    return (-seq,)
+
+
+def _priority(link: Link, seq: int) -> tuple:
+    """Shallow links first, then Solid-metadata extractors (profile /
+    type-index links, per :data:`EXTRACTOR_RANK`) over plain data links,
+    so structural documents are read early (an enhancement direction the
+    paper cites [34])."""
+    return (link.depth, provenance_rank(link))
+
+
+class LinkQueue:
+    """The ordered link queue: a deduplicating heap of ``(score, seq, link)``.
+
+    A discipline is a :data:`Score` function, not a class — ``score``
+    defaults to push order (fifo).  Scores are computed on push; a
+    discipline whose scores depend on state that changes while links wait
+    (the guided queue's result-contribution boosts) calls :meth:`rescore`,
+    and the next pop re-scores every pending entry once, keeping each
+    entry's sequence number.
+    """
+
+    def __init__(self, score: Score = _fifo) -> None:
+        self._score = score
+        self._heap: list[tuple[tuple, int, Link]] = []
+        self._seq = 0
+        self._stale = False
         self._seen: set[str] = set()
         self._pushed = 0
         self._popped = 0
-        self._requeued = 0
         self._samples: list[QueueSample] = []
         #: Timestamp source for samples and ``Link.enqueued_at`` stamps;
         #: the engine swaps in the tracer's clock on traced executions.
@@ -170,16 +200,33 @@ class LinkQueue:
         #: Optional per-sample callback (queue-depth gauge wiring).
         self.observer: Optional[Callable[[QueueSample], None]] = None
 
-    # -- subclass interface ---------------------------------------------------
+    # -- storage (overridden by the one non-score discipline) -----------------
 
     def _push_impl(self, link: Link) -> None:
-        raise NotImplementedError
+        self._seq += 1
+        heapq.heappush(self._heap, (self._score(link, self._seq), self._seq, link))
 
     def _pop_impl(self) -> Link:
-        raise NotImplementedError
+        if self._stale:
+            # A promotion can lift entries buried anywhere in the heap,
+            # which top-of-heap lazy re-scoring cannot see; many rescore()
+            # calls between two pops coalesce into this one O(n) re-heap.
+            self._heap = [
+                (self._score(link, seq), seq, link) for _, seq, link in self._heap
+            ]
+            heapq.heapify(self._heap)
+            self._stale = False
+        if not self._heap:
+            raise IndexError("pop from empty link queue")
+        return heapq.heappop(self._heap)[2]
 
     def __len__(self) -> int:
-        raise NotImplementedError
+        return len(self._heap)
+
+    def rescore(self) -> None:
+        """The score function's inputs changed: re-score pending links
+        before the next pop."""
+        self._stale = True
 
     # -- public API -------------------------------------------------------------
 
@@ -188,10 +235,8 @@ class LinkQueue:
         url = _strip_fragment(link.url)
         if url in self._seen:
             return False
-        self._seen.add(url)
-        self._push_impl(replace(link, url=url, enqueued_at=self.clock()))
         self._pushed += 1
-        self._sample()
+        self._admit(link, url)
         return True
 
     def requeue(self, link: Link) -> bool:
@@ -200,18 +245,19 @@ class LinkQueue:
         Bypasses deduplication — the fault-tolerant engine uses this to
         give retryable failures (e.g. a tripped circuit breaker) another
         chance once the queue cycles back around, instead of silently
-        discarding the document.  Requeues are counted separately from
-        first-time pushes so link statistics stay comparable.  The link is
-        re-stamped but otherwise kept whole — provenance, depth, and
-        therefore queue rank survive the retry (a link must not lose its
-        priority for having hit a flaky server).
+        discarding the document.  Requeues do not count as pushes, so link
+        statistics stay comparable.  The link is re-stamped but otherwise
+        kept whole — provenance, depth, and therefore queue rank survive
+        the retry (a link must not lose its priority for having hit a
+        flaky server).
         """
-        url = _strip_fragment(link.url)
+        self._admit(link, _strip_fragment(link.url))
+        return True
+
+    def _admit(self, link: Link, url: str) -> None:
         self._seen.add(url)
         self._push_impl(replace(link, url=url, enqueued_at=self.clock()))
-        self._requeued += 1
         self._sample()
-        return True
 
     def pop(self) -> Link:
         """Dequeue the next link; raises IndexError when empty."""
@@ -236,10 +282,6 @@ class LinkQueue:
         return self._popped
 
     @property
-    def requeued_total(self) -> int:
-        return self._requeued
-
-    @property
     def samples(self) -> list[QueueSample]:
         """Queue-length samples recorded at every push/pop."""
         return list(self._samples)
@@ -256,90 +298,9 @@ class LinkQueue:
             self.observer(sample)
 
 
-class FifoLinkQueue(LinkQueue):
-    """Breadth-first traversal order — the default in the paper's engine."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._items: list[Link] = []
-        self._head = 0
-
-    def _push_impl(self, link: Link) -> None:
-        self._items.append(link)
-
-    def _pop_impl(self) -> Link:
-        if self._head >= len(self._items):
-            raise IndexError("pop from empty link queue")
-        link = self._items[self._head]
-        self._head += 1
-        # Compact occasionally so memory stays bounded.
-        if self._head > 1024 and self._head * 2 > len(self._items):
-            self._items = self._items[self._head:]
-            self._head = 0
-        return link
-
-    def __len__(self) -> int:
-        return len(self._items) - self._head
-
-
-class LifoLinkQueue(LinkQueue):
-    """Depth-first traversal order.
-
-    Dives into each pod before finishing breadth — one of the queue
-    disciplines whose effect on result arrival [34] studies.  Termination
-    and answers are unaffected; arrival order and queue shape change.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._items: list[Link] = []
-
-    def _push_impl(self, link: Link) -> None:
-        self._items.append(link)
-
-    def _pop_impl(self) -> Link:
-        if not self._items:
-            raise IndexError("pop from empty link queue")
-        return self._items.pop()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-
-class PriorityLinkQueue(LinkQueue):
-    """Priority-ordered queue (an enhancement direction the paper cites [34]).
-
-    ``priority`` maps a link to a sortable key — smaller pops first.  The
-    default prioritizes shallow links, then Solid-metadata extractors
-    (profile/type-index links) over plain data links, so structural
-    documents are read early.  The extractor ordering is the shared
-    :data:`EXTRACTOR_RANK` (also used by the guided discipline).
-    """
-
-    def __init__(self, priority: Optional[Callable[[Link], tuple]] = None) -> None:
-        super().__init__()
-        self._priority = priority if priority is not None else self._default_priority
-        self._heap: list[tuple[tuple, int, Link]] = []
-        self._counter = 0
-
-    def _default_priority(self, link: Link) -> tuple:
-        return (link.depth, provenance_rank(link))
-
-    def _push_impl(self, link: Link) -> None:
-        self._counter += 1
-        heapq.heappush(self._heap, (self._priority(link), self._counter, link))
-
-    def _pop_impl(self) -> Link:
-        if not self._heap:
-            raise IndexError("pop from empty link queue")
-        return heapq.heappop(self._heap)[2]
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-
 class FairLinkQueue(LinkQueue):
-    """Round-robin across origins — the anti-starvation discipline.
+    """Round-robin across origins — the anti-starvation discipline, and
+    the one that is a rotation rather than an order (so not a score).
 
     Each origin gets its own FIFO lane; ``pop`` serves one link from the
     origin at the head of a rotation, then moves that origin to the back.
@@ -398,7 +359,7 @@ class FairLinkQueue(LinkQueue):
         return self._size
 
 
-def _make_guided(context: Optional[QueuePolicyContext] = None) -> LinkQueue:
+def _make_guided(context: QueuePolicyContext) -> LinkQueue:
     # Imported lazily: the guided package imports this module for Link and
     # the ranking table, so a top-level import here would be circular.
     from .guided import GuidedLinkQueue
@@ -407,19 +368,18 @@ def _make_guided(context: Optional[QueuePolicyContext] = None) -> LinkQueue:
 
 
 #: Named queue disciplines selectable via ``TraversalPolicy.queue_policy``
-#: (and the CLI ``--queue-policy`` flag).  Every factory takes an optional
-#: :class:`QueuePolicyContext` — one construction path for all disciplines;
-#: the basic ones simply ignore it.
-QUEUE_POLICIES: dict[str, Callable[..., LinkQueue]] = {
-    "fifo": lambda context=None: FifoLinkQueue(),
-    "lifo": lambda context=None: LifoLinkQueue(),
-    "priority": lambda context=None: PriorityLinkQueue(),
-    "fair": lambda context=None: FairLinkQueue(),
+#: (and the CLI ``--queue-policy`` flag).  Every factory has the one
+#: signature ``(QueuePolicyContext) -> LinkQueue``.
+QUEUE_POLICIES: dict[str, Callable[[QueuePolicyContext], LinkQueue]] = {
+    "fifo": lambda context: LinkQueue(_fifo),
+    "lifo": lambda context: LinkQueue(_lifo),
+    "priority": lambda context: LinkQueue(_priority),
+    "fair": lambda context: FairLinkQueue(),
     "guided": _make_guided,
 }
 
 
-def queue_factory_for(policy: str) -> Callable[..., LinkQueue]:
+def queue_factory_for(policy: str) -> Callable[[QueuePolicyContext], LinkQueue]:
     """Resolve a queue-policy name to its queue factory."""
     try:
         return QUEUE_POLICIES[policy]
@@ -430,32 +390,10 @@ def queue_factory_for(policy: str) -> Callable[..., LinkQueue]:
 
 
 def build_queue(
-    factory: Callable[..., LinkQueue], context: Optional[QueuePolicyContext] = None
+    factory: Callable[[QueuePolicyContext], LinkQueue], context: QueuePolicyContext
 ) -> LinkQueue:
-    """Invoke a queue factory with the policy context.
-
-    The context is only passed to factories that declare a ``context``
-    parameter (or ``**kwargs``): legacy injected factories — tests and
-    embedders that pass ``queue_factory=SomeQueue`` — predate the context
-    and may happily absorb a stray positional into an unrelated parameter
-    (``PriorityLinkQueue(priority=...)``), so a try/except TypeError probe
-    would mis-construct them silently instead of falling back.
-    """
-    if context is not None and _accepts_context(factory):
-        return factory(context)
-    return factory()
-
-
-def _accepts_context(factory: Callable[..., LinkQueue]) -> bool:
-    try:
-        parameters = inspect.signature(factory).parameters
-    except (TypeError, ValueError):
-        return False
-    if "context" in parameters:
-        return True
-    return any(
-        param.kind is inspect.Parameter.VAR_KEYWORD for param in parameters.values()
-    )
+    """Build one execution's queue: invoke ``factory`` with the policy context."""
+    return factory(context)
 
 
 def _strip_fragment(url: str) -> str:

@@ -204,7 +204,7 @@ def _event_forwarder(conn, req_id: str):
 
 
 async def _worker_loop(conn, spec: ShardSpec) -> None:
-    from ..ltqp.engine import EngineConfig
+    from ..ltqp.engine import EngineConfig, NetworkPolicy, TraversalPolicy
     from .resources import SharedResources
     from .service import QueryService
 
@@ -219,14 +219,15 @@ async def _worker_loop(conn, spec: ShardSpec) -> None:
             storage_backend=spec.storage_backend,
         )
         engine_config = EngineConfig(
-            queue_policy=spec.queue_policy,
-            max_depth=spec.max_depth,
-            max_origin_derefs=spec.max_origin_derefs,
-            subweb=spec.subweb,
+            traversal=TraversalPolicy(
+                queue_policy=spec.queue_policy,
+                max_depth=spec.max_depth,
+                max_origin_derefs=spec.max_origin_derefs,
+                subweb=spec.subweb,
+                max_parse_bytes=spec.max_doc_bytes,
+            ),
+            network=NetworkPolicy(max_response_bytes=spec.max_doc_bytes),
         )
-        if spec.max_doc_bytes:
-            engine_config.max_response_bytes = spec.max_doc_bytes
-            engine_config.max_parse_bytes = spec.max_doc_bytes
         service = QueryService(
             resources,
             config=engine_config,

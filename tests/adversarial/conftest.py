@@ -57,7 +57,7 @@ def run_discover(
         traversal=traversal if traversal is not None else TraversalPolicy(),
     )
     if max_documents:
-        config.max_documents = max_documents
+        config.traversal.max_documents = max_documents
     engine = universe.fast_engine(config=config)
     seeds = (list(query.seeds) if benign_seeds else []) + list(lures)
     execution = engine.query(query.text, seeds=seeds).run_sync()

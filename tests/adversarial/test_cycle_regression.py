@@ -14,7 +14,7 @@ the store) but never loop.
 from __future__ import annotations
 
 from repro.ltqp.dereference import Dereferencer
-from repro.ltqp.engine import EngineConfig, LinkTraversalEngine
+from repro.ltqp.engine import EngineConfig, LinkTraversalEngine, TraversalPolicy
 from repro.net.client import HttpClient
 from repro.net.latency import NoLatency
 from repro.net.router import Internet
@@ -34,7 +34,7 @@ def _cycle_engine():
     store = DocumentStore()
     dereferencer = Dereferencer(client, document_store=store)
     engine = LinkTraversalEngine(
-        client, config=EngineConfig(worker_count=2), dereferencer=dereferencer
+        client, config=EngineConfig(traversal=TraversalPolicy(worker_count=2)), dereferencer=dereferencer
     )
     return engine, app, store
 

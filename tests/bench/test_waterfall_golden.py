@@ -16,8 +16,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench.waterfall import build_waterfall_from_trace, render_waterfall
-from repro.ltqp import EngineConfig, LinkTraversalEngine, NetworkPolicy
+from repro.bench.waterfall import build_waterfall, render_waterfall
+from repro.ltqp import EngineConfig, LinkTraversalEngine, NetworkPolicy, TraversalPolicy
 from repro.net.cache import HttpCache
 from repro.net.faults import FaultPlan
 from repro.net.latency import NoLatency
@@ -44,9 +44,9 @@ def golden_scenario(universe):
             # Single worker + per-quad advances with the wall-clock flush
             # timer off: the event sequence, and therefore every TickClock
             # timestamp, is a pure function of the seed.
-            worker_count=1,
-            advance_batch_quads=1,
-            advance_flush_interval=0.0,
+            traversal=TraversalPolicy(
+                worker_count=1, advance_batch_quads=1, advance_flush_interval=0.0
+            ),
         )
         engine = LinkTraversalEngine(client, config=config)
         tracers = []
@@ -79,13 +79,13 @@ class TestGoldenWaterfall:
             assert check_trace_invariants(tracer) == []
 
     def test_cold_run_renders_byte_identically(self, tracers):
-        check_golden("waterfall_cold.txt", render_waterfall(build_waterfall_from_trace(tracers[0])))
+        check_golden("waterfall_cold.txt", render_waterfall(build_waterfall(tracers[0])))
 
     def test_warm_run_renders_byte_identically(self, tracers):
-        check_golden("waterfall_warm.txt", render_waterfall(build_waterfall_from_trace(tracers[1])))
+        check_golden("waterfall_warm.txt", render_waterfall(build_waterfall(tracers[1])))
 
     def test_cold_run_shows_retry_bars_and_marker(self, tracers):
-        waterfall = build_waterfall_from_trace(tracers[0])
+        waterfall = build_waterfall(tracers[0])
         rendered = render_waterfall(waterfall)
         assert waterfall.retries > 0
         assert "(retry #2)" in rendered
@@ -93,7 +93,7 @@ class TestGoldenWaterfall:
         assert waterfall.cache_hits == 0
 
     def test_warm_run_shows_cache_bars(self, tracers):
-        waterfall = build_waterfall_from_trace(tracers[1])
+        waterfall = build_waterfall(tracers[1])
         rendered = render_waterfall(waterfall)
         assert waterfall.cache_hits > 0
         assert "(cache)" in rendered

@@ -102,14 +102,14 @@ class TestFailureInjection:
         engine = tiny_universe.fast_engine()
         query = discover_query(tiny_universe, 1, 1)
         seeds = ["https://solidbench.example/pods/99999999999999999999/profile/card"]
-        result = engine.execute_sync(query.text, seeds=seeds)
+        result = engine.query(query.text, seeds=seeds).run_sync()
         assert len(result) == 0
         assert result.stats.documents_failed == 1
 
     def test_unknown_origin_seed(self, tiny_universe):
         engine = tiny_universe.fast_engine()
         query = discover_query(tiny_universe, 1, 1)
-        result = engine.execute_sync(query.text, seeds=["https://dead.example/card"])
+        result = engine.query(query.text, seeds=["https://dead.example/card"]).run_sync()
         assert len(result) == 0
 
 

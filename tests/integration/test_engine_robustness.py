@@ -4,7 +4,7 @@ import asyncio
 
 import pytest
 
-from repro.ltqp import EngineConfig, LinkTraversalEngine
+from repro.ltqp import EngineConfig, LinkTraversalEngine, TraversalPolicy
 from repro.net import HttpClient, Internet, NoLatency, StaticApp
 from repro.rdf import Variable
 
@@ -34,10 +34,10 @@ class TestCyclicLinkGraphs:
         engine = LinkTraversalEngine(
             HttpClient(internet, latency=NoLatency()), extractors=[AllIriExtractor()]
         )
-        result = engine.execute_sync(
+        result = engine.query(
             "SELECT ?n WHERE { ?s <https://vocab.example/name> ?n }",
             seeds=["https://h/a"],
-        )
+        ).run_sync()
         assert len(result) == 1
         # a, b, c fetched exactly once; /missing 404s once (cAll also
         # dereferences the vocabulary IRIs, which we ignore here).
@@ -59,7 +59,7 @@ class TestCyclicLinkGraphs:
         engine = LinkTraversalEngine(
             HttpClient(internet, latency=NoLatency()), extractors=[AllIriExtractor()]
         )
-        result = engine.execute_sync("SELECT ?o WHERE { ?s ?p ?o }", seeds=["https://h/self"])
+        result = engine.query("SELECT ?o WHERE { ?s ?p ?o }", seeds=["https://h/self"]).run_sync()
         assert engine.client.log.records[0].url == "https://h/self"
         assert len(engine.client.log) == 2  # self + the vocab predicate IRI
 
@@ -77,7 +77,7 @@ class TestProvenanceQueries:
           GRAPH ?g {{ ?m snvoc:hasCreator <{webid}> }}
         }}
         """
-        result = engine.execute_sync(query, seeds=[webid])
+        result = engine.query(query, seeds=[webid]).run_sync()
         assert result.stats.streaming
         documents = {b[Variable("g")].value for b in result.bindings}
         assert documents
@@ -95,10 +95,10 @@ class TestWorkerConcurrency:
         query = discover_query(tiny_universe, 2, 1)
         engine = LinkTraversalEngine(
             tiny_universe.client(latency=NoLatency()),
-            config=EngineConfig(worker_count=workers),
+            config=EngineConfig(traversal=TraversalPolicy(worker_count=workers)),
         )
-        result = engine.execute_sync(query.text, seeds=query.seeds)
-        baseline = tiny_universe.fast_engine().execute_sync(query.text, seeds=query.seeds)
+        result = engine.query(query.text, seeds=query.seeds).run_sync()
+        baseline = tiny_universe.fast_engine().query(query.text, seeds=query.seeds).run_sync()
         assert set(result.bindings) == set(baseline.bindings)
 
     def test_concurrent_executions_do_not_interfere(self, tiny_universe):
@@ -109,7 +109,7 @@ class TestWorkerConcurrency:
             engines = [tiny_universe.fast_engine() for _ in queries]
             return await asyncio.gather(
                 *[
-                    engine.execute(query.text, seeds=query.seeds)
+                    engine.query(query.text, seeds=query.seeds).gather()
                     for engine, query in zip(engines, queries)
                 ]
             )

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.ltqp.adaptive import AdaptivePipeline, observed_cardinality
-from repro.ltqp import EngineConfig, LinkTraversalEngine
+from repro.ltqp import EngineConfig, LinkTraversalEngine, TraversalPolicy
 from repro.net import HttpClient, NoLatency
 from repro.rdf import Dataset, Literal, NamedNode, Quad, Variable
 from repro.rdf.triples import TriplePattern
@@ -117,13 +117,13 @@ class TestEngineIntegration:
 
         query = discover_query(tiny_universe, 2, 1)
         default_engine = tiny_universe.fast_engine()
-        default = default_engine.execute_sync(query.text, seeds=query.seeds)
+        default = default_engine.query(query.text, seeds=query.seeds).run_sync()
 
         adaptive_engine = LinkTraversalEngine(
             tiny_universe.client(latency=NoLatency()),
-            config=EngineConfig(adaptive=True),
+            config=EngineConfig(traversal=TraversalPolicy(adaptive=True)),
         )
-        adaptive = adaptive_engine.execute_sync(query.text, seeds=query.seeds)
+        adaptive = adaptive_engine.query(query.text, seeds=query.seeds).run_sync()
         assert set(adaptive.bindings) == set(default.bindings)
         assert adaptive.stats.replans >= 0
         assert "replans" in adaptive.stats.summary()

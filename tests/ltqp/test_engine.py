@@ -8,7 +8,8 @@ from repro.ltqp import (
     AllIriExtractor,
     EngineConfig,
     LinkTraversalEngine,
-    PriorityLinkQueue,
+    TraversalPolicy,
+    queue_factory_for,
 )
 from repro.net import HttpClient, Internet, NoLatency, StaticApp
 from repro.rdf import Literal, NamedNode, RDF, SNVOC, Triple, Variable
@@ -63,7 +64,7 @@ class TestExecution:
         internet, pod1, _ = world
         engine = engine_for(internet)
         query = SNB + f"SELECT ?c WHERE {{ ?m snvoc:hasCreator <{pod1.webid}> ; snvoc:content ?c }}"
-        result = engine.execute_sync(query)
+        result = engine.query(query).run_sync()
         assert len(result) == 2
         assert result.stats.streaming
         assert result.stats.time_to_first_result is not None
@@ -73,7 +74,7 @@ class TestExecution:
         internet, pod1, _ = world
         engine = engine_for(internet)
         query = SNB + f"SELECT ?c WHERE {{ ?m snvoc:hasCreator <{pod1.webid}> ; snvoc:content ?c }}"
-        result = engine.execute_sync(query)  # no explicit seeds
+        result = engine.query(query).run_sync()  # no explicit seeds
         assert result.seeds == [pod1.webid]
         assert len(result) == 2
 
@@ -81,7 +82,7 @@ class TestExecution:
         internet, pod1, pod2 = world
         engine = engine_for(internet)
         query = SNB + "SELECT ?c WHERE { ?m snvoc:content ?c }"
-        result = engine.execute_sync(query, seeds=[pod1.webid])
+        result = engine.query(query, seeds=[pod1.webid]).run_sync()
         assert result.seeds == [pod1.webid]
         assert len(result) == 2
 
@@ -92,7 +93,7 @@ class TestExecution:
 
         async def collect():
             seen = []
-            async for binding in engine.stream(query):
+            async for binding in engine.query(query):
                 seen.append(binding)
             return seen
 
@@ -105,7 +106,7 @@ class TestExecution:
             f"SELECT ?creator WHERE {{ <{pod2.webid}> snvoc:likes ?m . "
             "?m snvoc:hasCreator ?creator }"
         )
-        result = engine.execute_sync(query)
+        result = engine.query(query).run_sync()
         assert [b[Variable("creator")].value for b in result.bindings] == [pod1.webid]
         fetched_origin_paths = {r.url for r in engine.client.log.records}
         assert any("/pods/0001/" in url for url in fetched_origin_paths)
@@ -113,13 +114,13 @@ class TestExecution:
     def test_limit_stops_traversal_early(self, world):
         internet, pod1, _ = world
         engine = engine_for(internet)
-        unbounded = engine.execute_sync(
+        unbounded = engine.query(
             SNB + f"SELECT ?c WHERE {{ ?m snvoc:hasCreator <{pod1.webid}> ; snvoc:content ?c }}"
-        )
+        ).run_sync()
         engine2 = engine_for(internet)
-        limited = engine2.execute_sync(
+        limited = engine2.query(
             SNB + f"SELECT ?c WHERE {{ ?m snvoc:hasCreator <{pod1.webid}> ; snvoc:content ?c }} LIMIT 1"
-        )
+        ).run_sync()
         assert len(limited) == 1
         assert limited.stats.documents_fetched <= unbounded.stats.documents_fetched
 
@@ -129,7 +130,7 @@ class TestExecution:
         query = SNB + (
             f"SELECT ?c WHERE {{ ?m snvoc:hasCreator <{pod1.webid}> ; snvoc:content ?c }} ORDER BY ?c"
         )
-        result = engine.execute_sync(query)
+        result = engine.query(query).run_sync()
         # The blocking OrderSlice operator holds output for the finalize
         # pass, so the plan does not stream — but it runs through the same
         # unified pipeline (no snapshot re-evaluation).
@@ -139,50 +140,50 @@ class TestExecution:
     def test_ask_query(self, world):
         internet, pod1, _ = world
         engine = engine_for(internet)
-        result = engine.execute_sync(SNB + f"ASK {{ ?m snvoc:hasCreator <{pod1.webid}> }}")
+        result = engine.query(SNB + f"ASK {{ ?m snvoc:hasCreator <{pod1.webid}> }}").run_sync()
         assert len(result) == 1  # one empty binding = true
 
     def test_dead_seed_is_lenient(self, world):
         internet, pod1, _ = world
         engine = engine_for(internet)
         query = SNB + f"SELECT ?c WHERE {{ ?m snvoc:hasCreator <{pod1.webid}> ; snvoc:content ?c }}"
-        result = engine.execute_sync(query, seeds=["https://nowhere.example/x", pod1.webid])
+        result = engine.query(query, seeds=["https://nowhere.example/x", pod1.webid]).run_sync()
         assert len(result) == 2
         assert result.stats.documents_failed >= 1
 
     def test_no_seeds_completes_empty(self, world):
         internet, _, _ = world
         engine = engine_for(internet)
-        result = engine.execute_sync(SNB + "SELECT ?c WHERE { ?m snvoc:content ?c }", seeds=[])
+        result = engine.query(SNB + "SELECT ?c WHERE { ?m snvoc:content ?c }", seeds=[]).run_sync()
         assert len(result) == 0
 
 
 class TestConfiguration:
     def test_max_documents_bounds_traversal(self, world):
         internet, pod1, _ = world
-        engine = engine_for(internet, config=EngineConfig(max_documents=3))
+        engine = engine_for(internet, config=EngineConfig(traversal=TraversalPolicy(max_documents=3)))
         query = SNB + f"SELECT ?c WHERE {{ ?m snvoc:hasCreator <{pod1.webid}> ; snvoc:content ?c }}"
-        result = engine.execute_sync(query)
+        result = engine.query(query).run_sync()
         assert result.stats.documents_fetched <= 3
 
     def test_max_depth_bounds_traversal(self, world):
         internet, pod1, _ = world
-        shallow = engine_for(internet, config=EngineConfig(max_depth=1))
+        shallow = engine_for(internet, config=EngineConfig(traversal=TraversalPolicy(max_depth=1)))
         query = SNB + f"SELECT ?c WHERE {{ ?m snvoc:hasCreator <{pod1.webid}> ; snvoc:content ?c }}"
-        result = shallow.execute_sync(query)
+        result = shallow.query(query).run_sync()
         assert len(result) == 0  # posts live at depth > 1
 
     def test_priority_queue_factory(self, world):
         internet, pod1, _ = world
-        engine = engine_for(internet, queue_factory=PriorityLinkQueue)
+        engine = engine_for(internet, queue_factory=queue_factory_for("priority"))
         query = SNB + f"SELECT ?c WHERE {{ ?m snvoc:hasCreator <{pod1.webid}> ; snvoc:content ?c }}"
-        assert len(engine.execute_sync(query)) == 2
+        assert len(engine.query(query).run_sync()) == 2
 
     def test_custom_extractors(self, world):
         internet, pod1, _ = world
         engine = engine_for(internet, extractors=[AllIriExtractor()])
         query = SNB + f"SELECT ?c WHERE {{ ?m snvoc:hasCreator <{pod1.webid}> ; snvoc:content ?c }}"
-        result = engine.execute_sync(query)
+        result = engine.query(query).run_sync()
         assert len(result) == 2
         assert set(result.stats.links_by_extractor) <= {"seed", "all-iris"}
 
@@ -190,7 +191,7 @@ class TestConfiguration:
         internet, pod1, _ = world
         engine = engine_for(internet)
         query = SNB + f"SELECT ?c WHERE {{ ?m snvoc:hasCreator <{pod1.webid}> ; snvoc:content ?c }}"
-        result = engine.execute_sync(query)
+        result = engine.query(query).run_sync()
         stats = result.stats
         assert stats.documents_fetched == len(engine.client.log.records) - stats.documents_failed
         assert stats.links_queued >= stats.documents_fetched
@@ -207,25 +208,25 @@ class TestServiceOrientedEngine:
         internet, pod1, _ = world
         query = SNB + f"SELECT ?c WHERE {{ ?m snvoc:hasCreator <{pod1.webid}> ; snvoc:content ?c }}"
         for policy in ("fifo", "lifo", "priority"):
-            engine = engine_for(internet, config=EngineConfig(queue_policy=policy))
-            assert len(engine.execute_sync(query)) == 2
+            engine = engine_for(internet, config=EngineConfig(traversal=TraversalPolicy(queue_policy=policy)))
+            assert len(engine.query(query).run_sync()) == 2
 
     def test_explicit_queue_factory_beats_policy(self, world):
         internet, pod1, _ = world
         made = []
 
-        def factory():
-            queue = PriorityLinkQueue()
+        def factory(context):
+            queue = queue_factory_for("priority")(context)
             made.append(queue)
             return queue
 
         engine = engine_for(
             internet,
             queue_factory=factory,
-            config=EngineConfig(queue_policy="lifo"),
+            config=EngineConfig(traversal=TraversalPolicy(queue_policy="lifo")),
         )
         query = SNB + f"SELECT ?c WHERE {{ ?m snvoc:hasCreator <{pod1.webid}> ; snvoc:content ?c }}"
-        assert len(engine.execute_sync(query)) == 2
+        assert len(engine.query(query).run_sync()) == 2
         assert made  # the explicit factory was used, not the policy
 
     def test_injected_dereferencer_is_used(self, world):
@@ -239,8 +240,8 @@ class TestServiceOrientedEngine:
         engine = LinkTraversalEngine(client, dereferencer=dereferencer)
         assert engine.dereferencer is dereferencer
         query = SNB + f"SELECT ?c WHERE {{ ?m snvoc:hasCreator <{pod1.webid}> ; snvoc:content ?c }}"
-        cold = engine.execute_sync(query)
-        warm = engine.execute_sync(query)
+        cold = engine.query(query).run_sync()
+        warm = engine.query(query).run_sync()
         assert len(cold) == len(warm) == 2
         assert cold.stats.documents_from_store == 0
         assert warm.stats.documents_from_store == warm.stats.documents_fetched

@@ -2,14 +2,21 @@
 
 import pytest
 
-from repro.ltqp import EngineConfig, FifoLinkQueue, LifoLinkQueue, LinkTraversalEngine
+from repro.ltqp import (
+    EngineConfig,
+    LinkTraversalEngine,
+    QueuePolicyContext,
+    TraversalPolicy,
+    build_queue,
+    queue_factory_for,
+)
 from repro.net import ConstantLatency, HttpClient, NoLatency
 from repro.solidbench import discover_query
 
 
 def make_engine(universe, latency=None, **config_kwargs):
     client = universe.client(latency=latency if latency is not None else NoLatency())
-    config = EngineConfig(**config_kwargs) if config_kwargs else None
+    config = EngineConfig(traversal=TraversalPolicy(**config_kwargs))
     return LinkTraversalEngine(client, config=config)
 
 
@@ -17,23 +24,23 @@ class TestMaxResults:
     def test_stops_after_n_results(self, tiny_universe):
         query = discover_query(tiny_universe, 2, 1)
         bounded = make_engine(tiny_universe, max_results=5)
-        result = bounded.execute_sync(query.text, seeds=query.seeds)
+        result = bounded.query(query.text, seeds=query.seeds).run_sync()
         assert len(result) == 5
 
     def test_bounded_run_fetches_fewer_documents(self, tiny_universe):
         query = discover_query(tiny_universe, 2, 1)
-        full = make_engine(tiny_universe).execute_sync(query.text, seeds=query.seeds)
-        bounded = make_engine(tiny_universe, max_results=3).execute_sync(
+        full = make_engine(tiny_universe).query(query.text, seeds=query.seeds).run_sync()
+        bounded = make_engine(tiny_universe, max_results=3).query(
             query.text, seeds=query.seeds
-        )
+        ).run_sync()
         assert bounded.stats.documents_fetched <= full.stats.documents_fetched
 
     def test_results_are_a_subset_of_full_answer(self, tiny_universe):
         query = discover_query(tiny_universe, 2, 1)
-        full = make_engine(tiny_universe).execute_sync(query.text, seeds=query.seeds)
-        bounded = make_engine(tiny_universe, max_results=4).execute_sync(
+        full = make_engine(tiny_universe).query(query.text, seeds=query.seeds).run_sync()
+        bounded = make_engine(tiny_universe, max_results=4).query(
             query.text, seeds=query.seeds
-        )
+        ).run_sync()
         assert set(bounded.bindings) <= set(full.bindings)
 
     def test_limit_boundary_is_exact(self, tiny_universe):
@@ -45,13 +52,13 @@ class TestMaxResults:
         cap must yield exactly ``min(cap, total)`` results.
         """
         query = discover_query(tiny_universe, 2, 1)
-        full = make_engine(tiny_universe).execute_sync(query.text, seeds=query.seeds)
+        full = make_engine(tiny_universe).query(query.text, seeds=query.seeds).run_sync()
         total = len(full)
         assert total >= 2
         for cap in (1, total - 1, total, total + 3):
-            bounded = make_engine(tiny_universe, max_results=cap).execute_sync(
+            bounded = make_engine(tiny_universe, max_results=cap).query(
                 query.text, seeds=query.seeds
-            )
+            ).run_sync()
             assert len(bounded) == min(cap, total)
             assert bounded.stats.result_count == min(cap, total)
 
@@ -60,21 +67,21 @@ class TestMaxDuration:
     def test_deadline_cuts_traversal_short(self, tiny_universe):
         query = discover_query(tiny_universe, 8, 1)  # multi-pod, many fetches
         slow = ConstantLatency(rtt_seconds=0.005)
-        unbounded = make_engine(tiny_universe, latency=slow).execute_sync(
+        unbounded = make_engine(tiny_universe, latency=slow).query(
             query.text, seeds=query.seeds
-        )
+        ).run_sync()
         deadline = make_engine(
             tiny_universe, latency=slow, max_duration=0.1
-        ).execute_sync(query.text, seeds=query.seeds)
+        ).query(query.text, seeds=query.seeds).run_sync()
         assert deadline.stats.documents_fetched < unbounded.stats.documents_fetched
 
     def test_partial_results_still_stream(self, tiny_universe):
         query = discover_query(tiny_universe, 2, 1)
         result = make_engine(
             tiny_universe, latency=ConstantLatency(rtt_seconds=0.003), max_duration=0.05
-        ).execute_sync(query.text, seeds=query.seeds)
+        ).query(query.text, seeds=query.seeds).run_sync()
         # Whatever was produced is valid (monotonic query).
-        full = make_engine(tiny_universe).execute_sync(query.text, seeds=query.seeds)
+        full = make_engine(tiny_universe).query(query.text, seeds=query.seeds).run_sync()
         assert set(result.bindings) <= set(full.bindings)
 
 
@@ -82,20 +89,20 @@ class TestQueueDisciplines:
     def test_lifo_answers_match_fifo(self, tiny_universe):
         query = discover_query(tiny_universe, 1, 1)
         client = tiny_universe.client(latency=NoLatency())
-        fifo = LinkTraversalEngine(client, queue_factory=FifoLinkQueue).execute_sync(
+        fifo = LinkTraversalEngine(client, queue_factory=queue_factory_for("fifo")).query(
             query.text, seeds=query.seeds
-        )
+        ).run_sync()
         client2 = tiny_universe.client(latency=NoLatency())
-        lifo = LinkTraversalEngine(client2, queue_factory=LifoLinkQueue).execute_sync(
+        lifo = LinkTraversalEngine(client2, queue_factory=queue_factory_for("lifo")).query(
             query.text, seeds=query.seeds
-        )
+        ).run_sync()
         assert set(fifo.bindings) == set(lifo.bindings)
         assert fifo.stats.documents_fetched == lifo.stats.documents_fetched
 
     def test_lifo_pops_newest_first(self):
         from repro.ltqp import Link
 
-        queue = LifoLinkQueue()
+        queue = build_queue(queue_factory_for("lifo"), QueuePolicyContext())
         queue.push(Link("https://h/a"))
         queue.push(Link("https://h/b"))
         assert queue.pop().url == "https://h/b"
@@ -106,6 +113,6 @@ class TestQueueDisciplines:
     def test_lifo_deduplicates_like_any_queue(self):
         from repro.ltqp import Link
 
-        queue = LifoLinkQueue()
+        queue = build_queue(queue_factory_for("lifo"), QueuePolicyContext())
         assert queue.push(Link("https://h/a"))
         assert not queue.push(Link("https://h/a#frag"))

@@ -25,7 +25,7 @@ def n(value):
 
 
 def extract(extractor, triples, context=QueryContext()):
-    return set(extractor.extract(DOC, triples, context))
+    return {url for url, _provenance in extractor.discover(DOC, triples, context)}
 
 
 class TestAllIris:

@@ -3,10 +3,15 @@
 import pytest
 
 from repro.ltqp.guided.hints import CardinalityHints, container_relevant, query_scopes
-from repro.ltqp.guided.queue import GuidedLinkQueue
 from repro.ltqp.guided.selector import SourceSelector
 from repro.ltqp.guided.subweb import SubwebRule, SubwebSpecification, glob_to_regex
-from repro.ltqp.links import Link, LinkProvenance, QueuePolicyContext
+from repro.ltqp.links import (
+    Link,
+    LinkProvenance,
+    QueuePolicyContext,
+    build_queue,
+    queue_factory_for,
+)
 from repro.rdf.namespaces import RDF, SNVOC, SUBWEB
 from repro.rdf.terms import Literal, NamedNode
 from repro.rdf.triples import Triple
@@ -217,9 +222,15 @@ class TestSourceSelector:
         assert selector.deferred_count == 0
 
 
+def guided_queue(context=None):
+    return build_queue(
+        queue_factory_for("guided"), context if context is not None else QueuePolicyContext()
+    )
+
+
 class TestGuidedQueue:
     def test_provenance_tiers_order_pops(self):
-        queue = GuidedLinkQueue()
+        queue = guided_queue()
         queue.push(Link("https://h/data", provenance=LinkProvenance(extractor="match")))
         queue.push(Link("https://h/root", provenance=LinkProvenance(extractor="storage")))
         queue.push(Link("https://h/hint", provenance=LinkProvenance(extractor="hint")))
@@ -235,7 +246,7 @@ class TestGuidedQueue:
         from repro.ltqp.extractors import build_query_context
 
         context = QueuePolicyContext(query=build_query_context(where_of(CREATOR_QUERY)))
-        queue = GuidedLinkQueue(context)
+        queue = guided_queue(context)
         queue.push(
             Link(
                 "https://h/bob/posts/9",
@@ -265,7 +276,7 @@ class TestGuidedQueue:
         ]
 
     def test_result_contribution_boost_reorders_siblings(self):
-        queue = GuidedLinkQueue()
+        queue = guided_queue()
         queue.push(Link("https://h/a/1", provenance=LinkProvenance(extractor="match")))
         queue.push(Link("https://h/b/1", provenance=LinkProvenance(extractor="match")))
         queue.note_result_contribution("https://h/b/0")
@@ -275,7 +286,7 @@ class TestGuidedQueue:
         url, triples = hint_triples()
         hints = CardinalityHints()
         hints.absorb_triples(url, triples)
-        queue = GuidedLinkQueue(QueuePolicyContext(hints=hints))
+        queue = guided_queue(QueuePolicyContext(hints=hints))
         queue.push(Link(POD + "noise/x", provenance=LinkProvenance(extractor="match")))
         queue.push(Link(POD + "posts/x", provenance=LinkProvenance(extractor="match")))
         assert queue.pop().url == POD + "posts/x"
@@ -285,7 +296,7 @@ class TestGuidedQueue:
         # requeued copy keeps its provenance and therefore its queue rank.
         import dataclasses
 
-        queue = GuidedLinkQueue()
+        queue = guided_queue()
         storage = Link(
             "https://h/root", via="storage", provenance=LinkProvenance(extractor="storage")
         )

@@ -2,42 +2,54 @@
 
 import pytest
 
-from repro.ltqp.links import FairLinkQueue, FifoLinkQueue, Link, PriorityLinkQueue
+from repro.ltqp.links import (
+    QUEUE_POLICIES,
+    FairLinkQueue,
+    Link,
+    LinkQueue,
+    QueuePolicyContext,
+    build_queue,
+    queue_factory_for,
+)
+
+
+def make(policy: str) -> LinkQueue:
+    return build_queue(queue_factory_for(policy), QueuePolicyContext())
 
 
 class TestFifoQueue:
     def test_fifo_order(self):
-        queue = FifoLinkQueue()
+        queue = make("fifo")
         queue.push(Link("https://h/a"))
         queue.push(Link("https://h/b"))
         assert queue.pop().url == "https://h/a"
         assert queue.pop().url == "https://h/b"
 
     def test_deduplication(self):
-        queue = FifoLinkQueue()
+        queue = make("fifo")
         assert queue.push(Link("https://h/a"))
         assert not queue.push(Link("https://h/a"))
         assert len(queue) == 1
 
     def test_fragment_stripped_for_dedup(self):
-        queue = FifoLinkQueue()
+        queue = make("fifo")
         queue.push(Link("https://h/doc#me"))
         assert not queue.push(Link("https://h/doc#other"))
         assert queue.pop().url == "https://h/doc"
 
     def test_pop_empty_raises(self):
         with pytest.raises(IndexError):
-            FifoLinkQueue().pop()
+            make("fifo").pop()
 
     def test_has_seen(self):
-        queue = FifoLinkQueue()
+        queue = make("fifo")
         queue.push(Link("https://h/a#frag"))
         assert queue.has_seen("https://h/a")
         assert queue.has_seen("https://h/a#x")
         assert not queue.has_seen("https://h/b")
 
     def test_counters(self):
-        queue = FifoLinkQueue()
+        queue = make("fifo")
         queue.push(Link("https://h/a"))
         queue.push(Link("https://h/b"))
         queue.pop()
@@ -45,18 +57,8 @@ class TestFifoQueue:
         assert queue.popped_total == 1
         assert not queue.empty
 
-    def test_compaction_preserves_order(self):
-        queue = FifoLinkQueue()
-        for i in range(3000):
-            queue.push(Link(f"https://h/{i}"))
-        for i in range(2999):
-            assert queue.pop().url == f"https://h/{i}"
-        queue.push(Link("https://h/last"))
-        assert queue.pop().url == "https://h/2999"
-        assert queue.pop().url == "https://h/last"
-
     def test_samples_recorded(self):
-        queue = FifoLinkQueue()
+        queue = make("fifo")
         queue.push(Link("https://h/a"))
         queue.pop()
         samples = queue.samples
@@ -67,37 +69,37 @@ class TestFifoQueue:
 
 class TestPriorityQueue:
     def test_depth_ordering(self):
-        queue = PriorityLinkQueue()
+        queue = make("priority")
         queue.push(Link("https://h/deep", depth=3))
         queue.push(Link("https://h/shallow", depth=1))
         assert queue.pop().url == "https://h/shallow"
 
     def test_extractor_rank_breaks_ties(self):
-        queue = PriorityLinkQueue()
+        queue = make("priority")
         queue.push(Link("https://h/data", depth=1, via="match"))
         queue.push(Link("https://h/index", depth=1, via="type-index"))
         assert queue.pop().url == "https://h/index"
 
     def test_custom_priority(self):
-        queue = PriorityLinkQueue(priority=lambda link: (len(link.url),))
+        queue = LinkQueue(lambda link, seq: (len(link.url),))
         queue.push(Link("https://h/looooong"))
         queue.push(Link("https://h/x"))
         assert queue.pop().url == "https://h/x"
 
     def test_insertion_order_for_equal_priority(self):
-        queue = PriorityLinkQueue()
+        queue = make("priority")
         queue.push(Link("https://h/a", depth=1, via="match"))
         queue.push(Link("https://h/b", depth=1, via="match"))
         assert queue.pop().url == "https://h/a"
 
     def test_pop_empty_raises(self):
         with pytest.raises(IndexError):
-            PriorityLinkQueue().pop()
+            make("priority").pop()
 
 
 class TestFairQueue:
     def test_interleaves_across_origins(self):
-        queue = FairLinkQueue()
+        queue = make("fair")
         # Push origin-clustered (the pathological arrival order for FIFO):
         # all of a's links, then all of b's, then all of c's.
         for origin in ("a", "b", "c"):
@@ -109,7 +111,7 @@ class TestFairQueue:
         assert origins == ["a", "b", "c"] * 3
 
     def test_heavy_origin_cannot_starve_light_origin(self):
-        queue = FairLinkQueue()
+        queue = make("fair")
         for i in range(1000):
             queue.push(Link(f"https://hog.example/{i}"))
         for i in range(3):
@@ -124,7 +126,7 @@ class TestFairQueue:
         assert first_light <= 2
 
     def test_every_light_link_within_one_round(self):
-        queue = FairLinkQueue()
+        queue = make("fair")
         for i in range(1000):
             queue.push(Link(f"https://hog.example/{i}"))
         for i in range(3):
@@ -140,7 +142,7 @@ class TestFairQueue:
         assert all(b - a <= 2 for a, b in zip(positions, positions[1:]))
 
     def test_drained_origin_leaves_rotation(self):
-        queue = FairLinkQueue()
+        queue = make("fair")
         queue.push(Link("https://a.example/0"))
         queue.push(Link("https://b.example/0"))
         queue.push(Link("https://b.example/1"))
@@ -151,7 +153,7 @@ class TestFairQueue:
         assert queue.empty
 
     def test_late_origin_joins_back_of_rotation(self):
-        queue = FairLinkQueue()
+        queue = make("fair")
         queue.push(Link("https://a.example/0"))
         queue.push(Link("https://a.example/1"))
         assert queue.pop().url == "https://a.example/0"
@@ -161,7 +163,7 @@ class TestFairQueue:
         assert queue.pop().url == "https://b.example/0"
 
     def test_requeue_and_dedup_still_apply(self):
-        queue = FairLinkQueue()
+        queue = make("fair")
         assert queue.push(Link("https://a.example/0"))
         assert not queue.push(Link("https://a.example/0"))
         queue.pop()
@@ -170,7 +172,7 @@ class TestFairQueue:
 
     def test_pop_empty_raises(self):
         with pytest.raises(IndexError):
-            FairLinkQueue().pop()
+            make("fair").pop()
 
 
 class TestLink:
@@ -181,37 +183,16 @@ class TestLink:
 
 class TestQueuePolicyRegistry:
     def test_policies_map_to_queue_classes(self):
-        from repro.ltqp import (
-            FairLinkQueue,
-            FifoLinkQueue,
-            GuidedLinkQueue,
-            LifoLinkQueue,
-            PriorityLinkQueue,
-            QUEUE_POLICIES,
-            build_queue,
-            queue_factory_for,
-        )
+        from repro.ltqp import GuidedLinkQueue
 
         assert set(QUEUE_POLICIES) == {"fifo", "lifo", "priority", "fair", "guided"}
-        assert isinstance(build_queue(queue_factory_for("fifo")), FifoLinkQueue)
-        assert isinstance(build_queue(queue_factory_for("lifo")), LifoLinkQueue)
-        assert isinstance(build_queue(queue_factory_for("priority")), PriorityLinkQueue)
-        assert isinstance(build_queue(queue_factory_for("fair")), FairLinkQueue)
-        assert isinstance(build_queue(queue_factory_for("guided")), GuidedLinkQueue)
-
-    def test_build_queue_legacy_factory_gets_no_context(self):
-        # Embedders inject queue classes directly; PriorityLinkQueue's first
-        # parameter is ``priority``, which must NOT absorb the context.
-        from repro.ltqp import PriorityLinkQueue, QueuePolicyContext, build_queue
-
-        queue = build_queue(PriorityLinkQueue, QueuePolicyContext())
-        queue.push(Link("https://h/a"))
-        assert queue.pop().url == "https://h/a"
+        # One ordered queue for the three plain score disciplines; the
+        # rotation and the stateful score each keep a subclass.
+        for policy in ("fifo", "lifo", "priority"):
+            assert type(make(policy)) is LinkQueue
+        assert type(make("fair")) is FairLinkQueue
+        assert type(make("guided")) is GuidedLinkQueue
 
     def test_unknown_policy_raises(self):
-        import pytest
-
-        from repro.ltqp import queue_factory_for
-
         with pytest.raises(ValueError, match="unknown queue policy"):
             queue_factory_for("random")

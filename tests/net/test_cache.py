@@ -252,8 +252,8 @@ class TestSolidServerEtags:
         engine = LinkTraversalEngine(client)
         query = discover_query(tiny_universe, 1, 1)
 
-        first = engine.execute_sync(query.text, seeds=query.seeds)
+        first = engine.query(query.text, seeds=query.seeds).run_sync()
         hits_before = cache.hits
-        second = engine.execute_sync(query.text, seeds=query.seeds)
+        second = engine.query(query.text, seeds=query.seeds).run_sync()
         assert set(first.bindings) == set(second.bindings)
         assert cache.hits > hits_before  # the rerun was answered from cache

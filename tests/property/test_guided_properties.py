@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.ltqp import EngineConfig, LinkTraversalEngine
+from repro.ltqp import EngineConfig, LinkTraversalEngine, TraversalPolicy
 from repro.ltqp.guided import SubwebRule, SubwebSpecification
 from repro.net import NoLatency
 from repro.rdf.namespaces import SNVOC
@@ -39,7 +39,7 @@ def hinted_universe():
 def run(universe, template, variant, **config_kwargs):
     query = discover_query(universe, template, variant)
     engine = LinkTraversalEngine(
-        universe.client(latency=NoLatency()), config=EngineConfig(**config_kwargs)
+        universe.client(latency=NoLatency()), config=EngineConfig(traversal=TraversalPolicy(**config_kwargs))
     )
     return engine.query(query.text, seeds=query.seeds).run_sync()
 

@@ -12,7 +12,7 @@ and (d) is deterministic — the same seed yields the identical tree.
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.ltqp import EngineConfig, NetworkPolicy
+from repro.ltqp import EngineConfig, NetworkPolicy, TraversalPolicy
 from repro.net.faults import FaultPlan
 from repro.net.resilience import RetryPolicy
 from repro.obs import (
@@ -34,7 +34,8 @@ def _engine_config(deterministic: bool = False) -> EngineConfig:
         # Per-quad advances with the wall-clock flush timer disabled make
         # the pipeline spans a pure function of the delta sequence.
         return EngineConfig(
-            network=network, advance_batch_quads=1, advance_flush_interval=0.0
+            network=network,
+            traversal=TraversalPolicy(advance_batch_quads=1, advance_flush_interval=0.0),
         )
     return EngineConfig(network=network)
 

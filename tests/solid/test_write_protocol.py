@@ -171,12 +171,12 @@ class TestLiveRequery:
         engine = LinkTraversalEngine(client)
         query = SNB + "SELECT ?id WHERE { ?m snvoc:id ?id }"
 
-        before = engine.execute_sync(query, seeds=[pod.webid])
+        before = engine.query(query, seeds=[pod.webid]).run_sync()
         url = BASE + "posts/2010-10-12"
         body = SNB + f"INSERT DATA {{ <{url}#m> snvoc:id 99 }}"
         run(_patch(client, url, body, {
             "content-type": "application/sparql-update", **session.headers}))
-        after = LinkTraversalEngine(client).execute_sync(query, seeds=[pod.webid])
+        after = LinkTraversalEngine(client).query(query, seeds=[pod.webid]).run_sync()
         assert len(after) == len(before) + 1
 
 

@@ -38,14 +38,14 @@ class TestValidateResults:
     def test_engine_results_validate(self, manifest, tiny_universe):
         query = discover_query(tiny_universe, 1, 1)
         engine = tiny_universe.fast_engine()
-        execution = engine.execute_sync(query.text, seeds=query.seeds)
+        execution = engine.query(query.text, seeds=query.seeds).run_sync()
         report = validate_results(manifest, query.name, execution.bindings)
         assert report.valid, (report.missing, report.unexpected)
 
     def test_missing_results_detected(self, manifest, tiny_universe):
         query = discover_query(tiny_universe, 1, 1)
         engine = tiny_universe.fast_engine()
-        execution = engine.execute_sync(query.text, seeds=query.seeds)
+        execution = engine.query(query.text, seeds=query.seeds).run_sync()
         partial = execution.bindings[:-1]
         report = validate_results(manifest, query.name, partial)
         assert not report.valid

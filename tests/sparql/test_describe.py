@@ -84,7 +84,7 @@ class TestEngineIntegration:
     def test_describe_over_traversal(self, tiny_universe):
         engine = tiny_universe.fast_engine()
         webid = tiny_universe.webid(0)
-        result = engine.execute_sync(f"DESCRIBE <{webid}>")
+        result = engine.query(f"DESCRIBE <{webid}>").run_sync()
         assert len(result) > 0
         # DESCRIBE is monotonic: CBD triples stream as roots are discovered.
         assert result.stats.streaming

@@ -1,0 +1,43 @@
+"""The two places no other test executes: ``examples/`` and the legacy
+bench scripts.  A removed or renamed name rots there silently, so every
+example is run and every bench script is imported, with
+``DeprecationWarning`` raised as an error."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+EXAMPLES = sorted((ROOT / "examples").glob("*.py"))
+
+
+def run(*argv: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    return subprocess.run(
+        [sys.executable, "-W", "error::DeprecationWarning", *argv],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+
+
+@pytest.mark.parametrize("script", EXAMPLES, ids=lambda path: path.name)
+def test_example_runs(script):
+    finished = run(str(script))
+    assert finished.returncode == 0, finished.stderr[-2000:]
+
+
+def test_legacy_bench_scripts_import():
+    finished = run(
+        "-m", "pytest", "benchmarks", "--ignore=benchmarks/ledger", "--collect-only", "-q",
+        "-p", "no:cacheprovider",
+    )
+    assert finished.returncode == 0, (finished.stdout + finished.stderr)[-2000:]
