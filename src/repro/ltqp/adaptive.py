@@ -9,9 +9,10 @@ bad guess only becomes visible once documents arrive.  This module adds
 the classic mid-flight correction: monitor observed pattern
 cardinalities, and when the running join order is badly wrong, *replan* —
 recompile the pipeline with a cardinality-informed order and replay the
-(locally stored) traversal log through it.  Already-delivered answers are
-deduplicated, so downstream consumers never see repeats; replay is cheap
-because LTQP keeps all fetched triples in the growing source.
+(locally stored) traversal log through it.  The replay re-derives answers
+that were already delivered, so only its surplus over them is passed on;
+replay is cheap because LTQP keeps all fetched triples in the growing
+source.
 
 Restriction: replanning applies per BGP — always *below* the plan's
 blocking boundary (BGP join trees are the monotonic feet of the plan;
@@ -20,14 +21,15 @@ whose blocking operators start empty, and replaying the traversal log
 through it rebuilds their held state exactly, so OPTIONAL/MINUS/GROUP BY
 queries replan as safely as plain joins.  Queries stream correctly either
 way — adaptivity only changes intermediate-result volume, never answers.
-Replayed results are set-deduplicated, which matches the DISTINCT
-semantics of the benchmark queries; for non-DISTINCT queries replanning
-is still answer-correct since the pipeline's operators are themselves
-duplicate-free per derivation.
+Answers are a *multiset* (two people named "Ann" are two rows of a
+non-DISTINCT query), so delivered answers are counted, not set-collected:
+ordinary advances pass through untouched, and a replay emits, per
+binding, only the occurrences the new plan derives beyond those counted.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Iterable, Optional, Sequence
 
 from ..rdf.dataset import Dataset
@@ -107,7 +109,8 @@ class AdaptivePipeline:
         self._tracer = None
         self._trace_parent = None
         self._pipeline = self._compile(order=None)
-        self._emitted: set[Binding] = set()
+        #: Every answer delivered so far, with multiplicity.
+        self._emitted: Counter[Binding] = Counter()
         self._deltas_seen = 0
         self._retired_work = 0
         self.replans = 0
@@ -151,17 +154,18 @@ class AdaptivePipeline:
         return self._retired_work + total_work(self._pipeline.root)
 
     def finalize(self, dataset: Dataset) -> list[Binding]:
-        """Quiescence flush through the active plan, deduplicated."""
-        return self._dedupe(self._pipeline.finalize(dataset))
+        """Quiescence flush through the active plan."""
+        return self._pipeline.finalize(dataset)
 
     def advance(self, dataset: Dataset) -> list[Binding]:
-        produced = self._dedupe(self._pipeline.advance(dataset))
+        produced = self._pipeline.advance(dataset)
         self._deltas_seen += 1
-        if (
-            self.replans < self._max_replans
-            and self._deltas_seen % self._check_interval == 0
-        ):
-            produced.extend(self._maybe_replan(dataset))
+        if self.replans < self._max_replans:
+            # Only a replay reads the count: stop paying for it with the
+            # last replan.
+            self._emitted.update(produced)
+            if self._deltas_seen % self._check_interval == 0:
+                produced.extend(self._maybe_replan(dataset))
         return produced
 
     # -- internals ------------------------------------------------------------
@@ -196,14 +200,6 @@ class AdaptivePipeline:
     def _pattern_key(pattern) -> str:
         return str(pattern)
 
-    def _dedupe(self, bindings: list[Binding]) -> list[Binding]:
-        fresh = []
-        for binding in bindings:
-            if binding not in self._emitted:
-                self._emitted.add(binding)
-                fresh.append(binding)
-        return fresh
-
     def _maybe_replan(self, dataset: Dataset) -> list[Binding]:
         order = self._current_order
         if not order or len(order) < 2:
@@ -225,6 +221,8 @@ class AdaptivePipeline:
                 "replan", parent=self._trace_parent, replans=self.replans
             )
             self._pipeline.enable_tracing(self._tracer, self._trace_parent)
-        # Replay everything fetched so far through the new plan; dedupe so
-        # consumers never see repeated answers.
-        return self._dedupe(self._pipeline.advance(dataset))
+        # Replay everything fetched so far through the new plan; consumers
+        # see only what it derives beyond the answers already delivered.
+        surplus = Counter(self._pipeline.advance(dataset)) - self._emitted
+        self._emitted += surplus
+        return list(surplus.elements())

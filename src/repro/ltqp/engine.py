@@ -737,9 +737,8 @@ class LinkTraversalEngine:
             for binding in transform_results(pipeline.finalize(source.dataset)):
                 emit(binding)
             if live:
-                # Arm signed maintenance and hand the standing machinery
-                # to the caller (LiveQuery) before the generator returns.
-                pipeline.prepare_live(source.dataset)
+                # Hand the (now settled) standing machinery to the caller
+                # (LiveQuery) before the generator returns.
                 execution.pipeline = pipeline
                 execution.source = source
                 execution.dereferencer = dereferencer

@@ -37,13 +37,23 @@ from ..sparql.planner import pattern_score, plan_bgp_order
 from .extractors import LinkExtractor, build_query_context
 from .pipeline import (
     DescribeNode,
+    DistinctNode,
     ExistsFilterNode,
+    ExtendNode,
+    FilterNode,
     GroupAggregateNode,
     IncrementalNode,
+    JoinNode,
     LeftJoinNode,
+    LimitNode,
     MinusNode,
     OrderSliceNode,
+    PathScanNode,
     Pipeline,
+    ProjectNode,
+    ScanNode,
+    UnionNode,
+    ValuesNode,
     compile_query_pipeline,
 )
 
@@ -97,61 +107,42 @@ def explain_algebra(op: Operator, indent: int = 0) -> str:
     return f"{pad}{type(op).__name__}"
 
 
-def _physical_label(node: IncrementalNode) -> str:
-    from .pipeline import (
-        DistinctNode,
-        ExtendNode,
-        FilterNode,
-        JoinNode,
-        LimitNode,
-        PathScanNode,
-        ProjectNode,
-        ScanNode,
-        ValuesNode,
-    )
+def _keyed(name: str, unkeyed: str):
+    def label(node) -> str:
+        key = " ".join(f"?{v.value}" for v in node._key_variables)
+        return f"{name} [{key}]" if key else f"{name} [{unkeyed}]"
 
-    if isinstance(node, ScanNode):
-        return f"Scan {node._pattern}"
-    if isinstance(node, PathScanNode):
-        return f"PathScan {node._pattern.subject} <path> {node._pattern.object}"
-    if isinstance(node, JoinNode):
-        key = " ".join(f"?{v.value}" for v in node._key_variables)
-        return f"HashJoin [{key}]" if key else "HashJoin [cross]"
-    if isinstance(node, LeftJoinNode):
-        key = " ".join(f"?{v.value}" for v in node._key_variables)
-        return f"LeftJoin [{key}]" if key else "LeftJoin [cross]"
-    if isinstance(node, MinusNode):
-        key = " ".join(f"?{v.value}" for v in node._key_variables)
-        return f"Minus [{key}]" if key else "Minus [scan]"
-    if isinstance(node, ExistsFilterNode):
-        mode = "eager" if node._eager else "deferred"
-        return f"ExistsFilter ({mode})"
-    if isinstance(node, GroupAggregateNode):
-        return (
-            f"GroupAggregate ({len(node._op.keys)} keys, "
-            f"{len(node._aggregates)} aggregates)"
-        )
-    if isinstance(node, OrderSliceNode):
-        return (
-            f"OrderSlice ({len(node._conditions)} keys, "
-            f"offset={node._offset}, limit={node._limit})"
-        )
-    if isinstance(node, DescribeNode):
-        return f"Describe ({len(node._constants)} constant targets)"
-    if isinstance(node, FilterNode):
-        return "Filter"
-    if isinstance(node, ExtendNode):
-        return f"Extend ?{node._variable.value}"
-    if isinstance(node, ProjectNode):
-        variables = " ".join(f"?{v.value}" for v in node._variables)
-        return f"Project [{variables}]"
-    if isinstance(node, DistinctNode):
-        return "Distinct"
-    if isinstance(node, LimitNode):
-        return f"Limit {node._limit}"
-    if isinstance(node, ValuesNode):
-        return f"Values ({len(node._rows)} rows)"
-    return type(node).__name__
+    return label
+
+
+#: Physical node class → its one-line plan label.  Every
+#: ``IncrementalNode`` subclass has an entry (a test walks the subclasses).
+_PHYSICAL_LABELS = {
+    ScanNode: lambda n: f"Scan {n._pattern}",
+    PathScanNode: lambda n: f"PathScan {n._pattern.subject} <path> {n._pattern.object}",
+    ValuesNode: lambda n: f"Values ({len(n._rows)} rows)",
+    JoinNode: _keyed("HashJoin", "cross"),
+    LeftJoinNode: _keyed("LeftJoin", "cross"),
+    MinusNode: _keyed("Minus", "scan"),
+    UnionNode: lambda n: "Union",
+    FilterNode: lambda n: "Filter",
+    ExistsFilterNode: lambda n: f"ExistsFilter ({'eager' if n._eager else 'deferred'})",
+    GroupAggregateNode: lambda n: (
+        f"GroupAggregate ({len(n._op.keys)} keys, {len(n._aggregates)} aggregates)"
+    ),
+    OrderSliceNode: lambda n: (
+        f"OrderSlice ({len(n._conditions)} keys, offset={n._offset}, limit={n._limit})"
+    ),
+    DescribeNode: lambda n: f"Describe ({len(n._constants)} constant targets)",
+    ExtendNode: lambda n: f"Extend ?{n._variable.value}",
+    ProjectNode: lambda n: "Project [" + " ".join(f"?{v.value}" for v in n._variables) + "]",
+    DistinctNode: lambda n: "Distinct",
+    LimitNode: lambda n: f"Limit {n._limit}",
+}
+
+
+def _physical_label(node: IncrementalNode) -> str:
+    return _PHYSICAL_LABELS[type(node)](node)
 
 
 def _subtree_blocks(node: IncrementalNode) -> bool:

@@ -6,53 +6,52 @@ continuously growing internal triple source", with "pipelined
 implementations of all monotonic SPARQL operators".  This module provides
 exactly that, plus incremental physical forms of the *non-monotonic*
 operators, so every query — OPTIONAL, MINUS, ORDER BY, GROUP BY, EXISTS,
-DESCRIBE included — compiles into one operator tree that consumes *deltas*
-(batches of newly added quads) during traversal.
+DESCRIBE included — compiles into one operator tree fed by one stream of
+signed deltas.
 
-Monotonic operators emit every new solution immediately:
+**One protocol.**  A node consumes signed :class:`DeltaBatch`es and
+returns ``list[Change]`` — ``(binding, ±n)`` adjustments to its output
+multiset.  Each operator has exactly one body, :meth:`IncrementalNode._changes`,
+mapping its children's changes to its own; the base class drives it from
+two entry points, a delta arriving (:meth:`IncrementalNode.apply`) and
+quiescence (:meth:`IncrementalNode.finalize`).  Traversal is simply the
+run of batches whose sign is ``+1``; a live refresh of a changed document
+adds ``-1`` batches through the very same bodies.
 
-* :class:`ScanNode` — matches delta quads against a triple pattern.
-* :class:`PathScanNode` — property paths; re-evaluates the path over the
-  grown snapshot per delta and emits unseen endpoint pairs.
-* :class:`JoinNode` — symmetric hash join: each side keeps a table of all
-  bindings seen; new left bindings probe the right table and vice versa.
-* Union / Filter / Extend / Project / Distinct / Limit — straightforward
-  streaming forms.
-* :class:`DescribeNode` — DESCRIBE is monotonic: concise bounded
-  descriptions only grow, so CBD triples stream as roots are discovered.
+**Quiescence is a phase switch.**  Blocking nodes are *open* until
+``Pipeline.finalize`` and *settled* after.  While open they withhold
+exactly the output more data could retract and stream the rest, so no
+negative change leaves ``advance`` during an insert-only traversal;
+``finalize`` releases the withheld multiset once and flips the flag;
+settled nodes emit compensating changes immediately, from the same state.
+Streaming forms: :class:`ScanNode`, :class:`PathScanNode`,
+:class:`JoinNode` (symmetric hash join), Union / Filter / Extend / Project /
+Distinct / Limit / Values, and :class:`DescribeNode` (CBD triples stream as
+roots are discovered).  Blocking forms, and what each withholds while open:
+:class:`LeftJoinNode` (bare unmatched lefts; matched merges stream),
+:class:`MinusNode` (survivors), :class:`ExistsFilterNode` (every verdict
+that is not monotone-true), :class:`GroupAggregateNode` (group rows) and
+:class:`OrderSliceNode` (the ORDER BY page).
 
-Non-monotonic operators are *blocking*: they fold deltas into per-operator
-state during traversal and release their held-back output in a single
-O(result) ``finalize`` pass at traversal quiescence — no snapshot
-re-evaluation:
-
-* :class:`LeftJoinNode` — OPTIONAL; matched merges stream (they stay
-  valid), bare unmatched lefts wait for finalize.
-* :class:`MinusNode` — incremental anti-join; exclusion flags update per
-  delta, survivors emit at finalize.
-* :class:`ExistsFilterNode` — (NOT) EXISTS filters; positive EXISTS under
-  conjunction/disjunction emits eagerly (it is monotone-true), everything
-  else defers the decision to finalize.
-* :class:`GroupAggregateNode` — running :class:`AggregateState` per group
-  key; finalize evaluates output expressions from the states.
-* :class:`OrderSliceNode` — ORDER BY (+ OFFSET/LIMIT); with a LIMIT it
-  keeps only a top-k heap during traversal.
+``live`` decides only *what to retain*, never which algorithm runs: group
+member multisets, ORDER BY keep-all vs top-k pruning, the LIMIT refill
+pool, and ``Pipeline.complete`` early termination.
 
 The *blocking boundary* (see :func:`repro.sparql.planner.blocking_boundary`)
 is where streaming stops: below it, deltas flow and results reach the user
-mid-traversal; on and above it, ``Pipeline.finalize`` flushes at
-quiescence.  A plan with no blocking nodes behaves exactly as before.
+mid-traversal; on and above it, ``Pipeline.finalize`` releases at
+quiescence.  A plan with no blocking nodes streams everything.
 
 Delta dispatch is *predicate-routed*: at compile time every scan registers
 its concrete predicate with the pipeline's :class:`DeltaRouter`; each
-``advance`` buckets the incoming quads once by predicate
-(:class:`DeltaBatch`) and every scan then reads only its own bucket —
-wildcard-predicate scans get the full delta.
+feed buckets the incoming quads once by predicate (:class:`DeltaBatch`)
+and every scan then reads only its own bucket — wildcard-predicate scans
+get the full delta.
 
-EXISTS inside expressions is evaluated against the *current* growing
-dataset through :class:`CurrentDatasetExists`, which lends the snapshot
+EXISTS inside expressions is evaluated against the *current* dataset
+through :class:`CurrentDatasetExists`, which lends the snapshot
 evaluator's pattern matcher to the expression evaluator without copying
-any data (the dataset grows in place).
+any data (the dataset changes in place).
 
 :class:`NotStreamable` survives only as a safety net for algebra operators
 with no physical implementation; no SPARQL form produced by the parser
@@ -62,7 +61,10 @@ triggers it.
 from __future__ import annotations
 
 import heapq
-from typing import Iterable, Iterator, Optional, Sequence, Union as TypingUnion
+from collections import Counter
+from contextlib import nullcontext
+from dataclasses import dataclass, replace
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from ..rdf.dataset import Dataset
 from ..rdf.terms import BlankNode, Literal, NamedNode, Term, Variable
@@ -70,10 +72,7 @@ from ..rdf.triples import Quad, Triple, TriplePattern
 from ..sparql.aggregates import (
     AggregateState,
     collect_aggregates,
-    compute_aggregates,
-    evaluate_having,
     evaluate_with_states,
-    group_solutions,
     having_with_states,
 )
 from ..sparql.algebra import (
@@ -115,7 +114,7 @@ from ..sparql.algebra import (
 )
 from ..sparql.bindings import EMPTY_BINDING, Binding
 from ..sparql.eval import SnapshotEvaluator, order_sort_key
-from ..sparql.expr import ExpressionError, ExpressionEvaluator
+from ..sparql.expr import DescendingKey, ExpressionError, ExpressionEvaluator
 from ..sparql.paths import evaluate_path, path_predicates
 from ..sparql.planner import plan_bgp_order
 
@@ -150,15 +149,14 @@ _EMPTY_QUADS: tuple[Quad, ...] = ()
 
 
 class DeltaBatch:
-    """One advance's worth of quads, bucketed by predicate at most once.
+    """One feed's worth of quads, bucketed by predicate at most once.
 
     Scans with a concrete predicate read only their bucket via
     :meth:`for_predicate`; wildcard scans iterate :attr:`quads` directly.
     Buckets are built lazily (a delta that reaches no predicate-routed scan
     never pays for bucketing) and cover only the predicates the router has
     registered — everything else in the delta is noise to this pipeline.
-    Iterable and sized, so code written against ``Sequence[Quad]`` deltas
-    keeps working.
+    Iterable and sized like the quad sequence it wraps.
 
     Batches carry a *polarity*: ``sign`` is ``+1`` for insertions (the
     only kind traversal produces) and ``-1`` for retractions (live
@@ -196,6 +194,10 @@ class DeltaBatch:
             buckets = self._build_buckets()
         return buckets.get(predicate, _EMPTY_QUADS)
 
+    def touches(self, predicates: Iterable[Term]) -> bool:
+        """Whether any quad in the batch carries one of ``predicates``."""
+        return any(self.for_predicate(predicate) for predicate in predicates)
+
     def _build_buckets(self) -> dict:
         routed = self._routed
         buckets: dict = {}
@@ -211,28 +213,34 @@ class DeltaBatch:
         return buckets
 
 
+#: The empty batch a node's body sees at quiescence, when only its
+#: children's late releases — not new quads — are arriving.
+_QUIESCENT = DeltaBatch((), frozenset())
+
+
 class DeltaRouter:
     """Compile-time registry of the (predicate, graph) keys scans listen on.
 
     The router lives at the :class:`Pipeline` root.  Scans register
     themselves while the pipeline is built (and re-register automatically
     when the adaptive engine recompiles, because recompiling constructs a
-    fresh ``Pipeline`` and therefore a fresh router).  Per advance it wraps
+    fresh ``Pipeline`` and therefore a fresh router).  Per feed it wraps
     the raw delta in a :class:`DeltaBatch` restricted to the registered
     predicates.
     """
 
-    __slots__ = ("_predicates", "_wildcard_listeners", "_frozen")
+    __slots__ = ("_predicates", "wildcard_listeners", "_frozen")
 
     def __init__(self) -> None:
         self._predicates: set = set()
-        self._wildcard_listeners = 0
+        #: How many listeners asked for every quad.
+        self.wildcard_listeners = 0
         self._frozen: Optional[frozenset] = None
 
     def register(self, predicate: Optional[Term]) -> None:
         """Declare a listener; ``None`` means wildcard (gets every quad)."""
         if predicate is None:
-            self._wildcard_listeners += 1
+            self.wildcard_listeners += 1
         else:
             self._predicates.add(predicate)
         self._frozen = None
@@ -244,46 +252,90 @@ class DeltaRouter:
             self._frozen = frozenset(self._predicates)
         return self._frozen
 
-    @property
-    def wildcard_listeners(self) -> int:
-        return self._wildcard_listeners
-
     def batch(self, quads: Sequence[Quad], sign: int = 1) -> DeltaBatch:
-        """Wrap one advance's delta for routed dispatch."""
+        """Wrap one feed's delta for routed dispatch."""
         return DeltaBatch(quads, self.predicates, sign=sign)
 
 
-Delta = TypingUnion[Sequence[Quad], DeltaBatch]
-
-#: The live-maintenance currency: ``(binding, count)`` where ``count`` is a
+#: The pipeline's currency: ``(binding, count)`` where ``count`` is a
 #: non-zero signed multiplicity change — ``+n`` adds *n* occurrences of the
 #: binding to a node's output multiset, ``-n`` removes *n*.
 Change = tuple[Binding, int]
 
 
-def _diff_multisets(
-    old: dict[Binding, int], new: dict[Binding, int]
-) -> list[Change]:
+def _diff_multisets(old: dict, new: dict) -> list:
     """The signed changes turning multiset ``old`` into ``new``."""
-    changes: list[Change] = []
-    for binding, count in old.items():
-        delta = new.get(binding, 0) - count
+    changes = []
+    for item, count in old.items():
+        delta = new.get(item, 0) - count
         if delta:
-            changes.append((binding, delta))
-    for binding, count in new.items():
-        if count and binding not in old:
-            changes.append((binding, count))
+            changes.append((item, delta))
+    for item, count in new.items():
+        if count and item not in old:
+            changes.append((item, count))
     return changes
 
 
-def _bump(multiset: dict[Binding, int], binding: Binding, count: int) -> int:
+def _bump(multiset: dict, item, count: int) -> int:
     """Adjust one multiset entry; returns the new total (0 = removed)."""
-    total = multiset.get(binding, 0) + count
+    total = multiset.get(item, 0) + count
+    if total < 0:
+        raise ValueError(f"retraction of unseen {item!r}")
     if total:
-        multiset[binding] = total
+        multiset[item] = total
     else:
-        multiset.pop(binding, None)
+        multiset.pop(item, None)
     return total
+
+
+class _KeyedBag(dict):
+    """One side of a join: join key → the rows under it, found by equality.
+
+    A bucket is a flat list holding one copy of a binding per occurrence —
+    so probing a plain bag is just iterating bindings — and, in a *tallied*
+    bag, each copy is followed by its tally (OPTIONAL's partner count,
+    MINUS's excluder count): ``[binding, tally, binding, tally, …]``.
+    Rows are never hashed and get no container of their own (the collector
+    would pay for one per intermediate row): an insert appends, a
+    retraction scans its one bucket.
+    """
+
+    __slots__ = ("_stride",)
+
+    def __init__(self, tallied: bool = False) -> None:
+        self._stride = 2 if tallied else 1
+
+    def add(self, key: tuple, binding: Binding, count: int, tally: int = 0) -> None:
+        stride = self._stride
+        if count > 0:
+            row = (binding,) if stride == 1 else (binding, tally)
+            bucket = self.get(key)
+            if bucket is None:
+                self[key] = list(row * count)
+            else:
+                bucket.extend(row * count)
+            return
+        bucket = self.get(key, ())
+        at = 0
+        while count and at < len(bucket):
+            if bucket[at] == binding:
+                del bucket[at : at + stride]
+                count += 1
+            else:
+                at += stride
+        if count:
+            raise ValueError(f"retraction of unseen row {binding!r}")
+        if not bucket:
+            del self[key]
+
+    def untallied(self) -> list[Change]:
+        """The rows of a tallied bag whose tally is zero."""
+        return [
+            (bucket[at], 1)
+            for bucket in self.values()
+            for at in range(0, len(bucket), 2)
+            if not bucket[at + 1]
+        ]
 
 
 class CurrentDatasetExists:
@@ -291,7 +343,7 @@ class CurrentDatasetExists:
 
     The pipeline's expression evaluator needs to answer ``EXISTS { … }``
     against whatever the traversal has discovered *so far* (and, at
-    finalize, against the complete snapshot).  This binder lends a
+    quiescence, against the complete snapshot).  This binder lends a
     :class:`SnapshotEvaluator` over the live dataset: the dataset grows in
     place and its union graph is maintained incrementally, so one evaluator
     stays valid for the whole execution — ``bind`` only rebuilds it when
@@ -317,62 +369,85 @@ class CurrentDatasetExists:
 
 
 class IncrementalNode:
-    """Base class: push-based delta processing with a finalize phase.
+    """Base class: one body over signed changes, two ways to drive it.
+
+    A node's whole algorithm is :meth:`_changes`, which maps the signed
+    changes of its children (and, for leaves, the delta itself) to the
+    signed changes of its own output multiset.  The base class drives that
+    body from :meth:`apply` (a delta arriving) and :meth:`finalize`
+    (quiescence), and counts the work in one place.
 
     ``certain_variables`` are bound in every emitted solution — the safe
     hash-key basis for joins above this node.  ``blocking`` marks nodes
-    that hold (part of) their output until :meth:`finalize`; the default
-    finalize just closes out children (leaves have nothing held back —
-    the pipeline cursor guarantees every quad was already processed).
+    that withhold (part of) their output while *open*; ``settled`` flips at
+    quiescence, when :meth:`_release` hands over what was withheld and the
+    node starts emitting compensating changes immediately instead.
     """
 
     #: Class-level default; blocking physical nodes override it.
     blocking = False
 
-    def __init__(self, certain_variables: frozenset[Variable]) -> None:
+    def __init__(
+        self, certain_variables: frozenset[Variable], *inputs: "IncrementalNode"
+    ) -> None:
         self.certain_variables = certain_variables
+        self._inputs = inputs
+        #: Changes emitted over the node's lifetime, both phases.
         self.produced_total = 0
+        self.settled = False
+        #: The emitted multiset, kept only by bodies that re-derive their
+        #: whole output and diff it (:meth:`_rediff`).
+        self._out: dict[Binding, int] = {}
 
-    def process(self, delta: Delta, dataset: Dataset) -> list[Binding]:
-        """Consume newly added quads; return newly derivable solutions."""
+    def apply(self, delta: DeltaBatch, dataset: Dataset) -> list[Change]:
+        """One signed delta batch arrived: return this node's changes.
+
+        During an insert-only traversal every returned count is positive;
+        a ``-1`` batch (or, once settled, a blocking node compensating)
+        can make them negative, so consumers handle both polarities.
+        """
+        # The per-node hot path: a plain loop costs no comprehension frame.
+        inputs = []
+        for child in self._inputs:
+            inputs.append(child.apply(delta, dataset))
+        changes = self._changes(delta, dataset, *inputs)
+        if changes:
+            self.produced_total += len(changes)
+        return changes
+
+    def finalize(self, dataset: Dataset) -> list[Change]:
+        """Quiescence: pass on the children's late releases, then hand over
+        this node's own withheld output (once) and settle."""
+        changes = self._changes(
+            _QUIESCENT, dataset, *[child.finalize(dataset) for child in self._inputs]
+        )
+        if not self.settled:
+            self.settled = True
+            changes = changes + self._release(dataset)
+        self.produced_total += len(changes)
+        return changes
+
+    def _changes(self, delta: DeltaBatch, dataset: Dataset, *inputs: list[Change]) -> list[Change]:
+        """The node's one body: children's changes in, own changes out."""
         raise NotImplementedError
 
-    def finalize(self, dataset: Dataset) -> list[Binding]:
-        """Release held-back solutions at traversal quiescence."""
+    def _release(self, dataset: Dataset) -> list[Change]:
+        """The output withheld while open (blocking nodes only)."""
         return []
 
-    def prepare_live(self, dataset: Dataset) -> None:
-        """Build post-quiescence state for signed maintenance (:meth:`apply`).
-
-        Called once by :meth:`Pipeline.prepare_live` after :meth:`finalize`
-        on a live-compiled pipeline.  The default is a no-op — most nodes
-        either retain everything :meth:`apply` needs during traversal or
-        are stateless transforms.
-        """
-
-    def apply(self, delta: Delta, dataset: Dataset) -> list[Change]:
-        """Maintain this node's output under one *signed* delta batch.
-
-        Only legal after :meth:`finalize` on a live pipeline (see
-        :meth:`Pipeline.poll_changes`).  Returns the signed changes to this
-        node's output multiset; unlike :meth:`process` the result can
-        carry retractions, so consumers must handle both polarities.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support signed maintenance"
-        )
+    def _rediff(self, output: dict[Binding, int]) -> list[Change]:
+        """Adopt a freshly derived output multiset; return what changed."""
+        changes = _diff_multisets(self._out, output)
+        self._out = output
+        return changes
 
     def register(self, router: DeltaRouter) -> None:
         """Declare this subtree's delta interests to the router."""
-        for child in self.children():
+        for child in self._inputs:
             child.register(router)
 
-    def _count(self, produced: list[Binding]) -> list[Binding]:
-        self.produced_total += len(produced)
-        return produced
-
     def children(self) -> tuple["IncrementalNode", ...]:
-        return ()
+        return self._inputs
 
 
 class ScanNode(IncrementalNode):
@@ -396,12 +471,9 @@ class ScanNode(IncrementalNode):
             variables = variables | {graph}
         super().__init__(frozenset(variables))
         self._pattern = pattern
-        self._graph = graph
         #: Binding → number of matching quads (cross-graph duplicates give
-        #: multiplicity > 1).  Doubles as the dedup set during traversal
-        #: and as the support count signed retraction decrements: a
-        #: binding leaves the output only when its last supporting quad
-        #: does.
+        #: multiplicity > 1).  A binding enters the output with its first
+        #: supporting quad and leaves only when its last one does.
         self._support: dict[Binding, int] = {}
 
         # Precomputed slot checks.
@@ -416,43 +488,17 @@ class ScanNode(IncrementalNode):
             for position, term in enumerate(pattern)
             if isinstance(term, Variable)
         )
-        self._graph_concrete = (
-            graph if graph is not None and not isinstance(graph, Variable) else None
-        )
+        self._graph_concrete = concrete(graph)
         self._graph_variable = graph if isinstance(graph, Variable) else None
 
     def register(self, router: DeltaRouter) -> None:
         router.register(self._p)
 
-    def process(self, delta: Delta, dataset: Dataset) -> list[Binding]:
-        if isinstance(delta, DeltaBatch):
-            quads = delta.for_predicate(self._p) if self._p is not None else delta.quads
-        else:
-            quads = delta
+    def _changes(self, delta: DeltaBatch, dataset: Dataset) -> list[Change]:
+        quads = delta.for_predicate(self._p) if self._p is not None else delta.quads
         if not quads:
             return []
-        produced: list[Binding] = []
-        support = self._support
-        graph_term = self._graph_concrete
-        for quad in quads:
-            if graph_term is not None and quad.graph != graph_term:
-                continue
-            binding = self._match(quad)
-            if binding is not None:
-                count = support.get(binding, 0)
-                support[binding] = count + 1
-                if count == 0:
-                    produced.append(binding)
-        return self._count(produced)
-
-    def apply(self, delta: Delta, dataset: Dataset) -> list[Change]:
-        if isinstance(delta, DeltaBatch):
-            quads = delta.for_predicate(self._p) if self._p is not None else delta.quads
-            sign = delta.sign
-        else:
-            quads, sign = delta, 1
-        if not quads:
-            return []
+        sign = delta.sign
         changes: list[Change] = []
         support = self._support
         graph_term = self._graph_concrete
@@ -500,7 +546,13 @@ class ScanNode(IncrementalNode):
 
 
 class PathScanNode(IncrementalNode):
-    """A property-path leaf, re-evaluated over the grown snapshot per delta."""
+    """A property-path leaf, re-evaluated over the snapshot per delta.
+
+    Property paths are not incrementally maintainable in general (a
+    retracted edge can sever arbitrarily many derived pairs), so a relevant
+    delta of either sign re-evaluates the path over the current snapshot
+    and diffs the endpoint pairs against what was previously emitted.
+    """
 
     def __init__(self, pattern: PathPattern, graph: Optional[Term] = None) -> None:
         super().__init__(frozenset(pattern.variables()))
@@ -508,7 +560,7 @@ class PathScanNode(IncrementalNode):
         self._graph = graph if isinstance(graph, NamedNode) else None
         self._relevant = path_predicates(pattern.path)
         self._negated = _is_negated(pattern.path)
-        self._emitted: set[tuple[Term, Term]] = set()
+        self._emitted: dict[tuple[Term, Term], None] = {}
 
     def register(self, router: DeltaRouter) -> None:
         if self._negated or not self._relevant:
@@ -517,29 +569,29 @@ class PathScanNode(IncrementalNode):
             for predicate in self._relevant:
                 router.register(predicate)
 
-    def process(self, delta: Delta, dataset: Dataset) -> list[Binding]:
-        if isinstance(delta, DeltaBatch):
-            if not delta.quads:
-                return []
-            if not self._negated and not any(
-                delta.for_predicate(predicate) for predicate in self._relevant
-            ):
-                return []
-        elif not self._delta_relevant(delta):
+    def _changes(self, delta: DeltaBatch, dataset: Dataset) -> list[Change]:
+        if not delta.quads or not (self._negated or delta.touches(self._relevant)):
             return []
         graph = dataset.union if self._graph is None else dataset.graph(self._graph)
-        produced: list[Binding] = []
-        subject = self._pattern.subject
-        object_term = self._pattern.object
-        for start, end in evaluate_path(graph, subject, self._pattern.path, object_term):
-            pair = (start, end)
-            if pair in self._emitted:
-                continue
-            self._emitted.add(pair)
-            binding = self._pair_binding(start, end)
-            if binding is not None:
-                produced.append(binding)
-        return self._count(produced)
+        pattern = self._pattern
+        found = evaluate_path(graph, pattern.subject, pattern.path, pattern.object)
+        emitted = self._emitted
+        signed: list[tuple[tuple[Term, Term], int]] = []
+        if delta.sign < 0:
+            # Only a retraction can sever pairs (insertion just adds them).
+            found = dict.fromkeys(found)
+            for pair in [pair for pair in emitted if pair not in found]:
+                del emitted[pair]
+                signed.append((pair, -1))
+        for pair in found:
+            if pair not in emitted:
+                emitted[pair] = None
+                signed.append((pair, 1))
+        return [
+            (binding, count)
+            for pair, count in signed
+            if (binding := self._pair_binding(*pair)) is not None
+        ]
 
     def _pair_binding(self, start: Term, end: Term) -> Optional[Binding]:
         subject = self._pattern.subject
@@ -552,44 +604,6 @@ class PathScanNode(IncrementalNode):
                 return None
             items[object_term] = end
         return Binding(items)
-
-    def apply(self, delta: Delta, dataset: Dataset) -> list[Change]:
-        # Property paths are not incrementally maintainable in general (a
-        # retracted edge can sever arbitrarily many derived pairs), so the
-        # path is re-evaluated over the current snapshot and the endpoint
-        # pairs diffed against what was previously emitted.
-        if isinstance(delta, DeltaBatch):
-            if not delta.quads:
-                return []
-            if not self._negated and not any(
-                delta.for_predicate(predicate) for predicate in self._relevant
-            ):
-                return []
-        elif not self._delta_relevant(delta):
-            return []
-        graph = dataset.union if self._graph is None else dataset.graph(self._graph)
-        current = set(
-            evaluate_path(graph, self._pattern.subject, self._pattern.path, self._pattern.object)
-        )
-        changes: list[Change] = []
-        for pair in sorted(self._emitted - current, key=repr):
-            binding = self._pair_binding(*pair)
-            if binding is not None:
-                changes.append((binding, -1))
-        for pair in sorted(current - self._emitted, key=repr):
-            binding = self._pair_binding(*pair)
-            if binding is not None:
-                changes.append((binding, 1))
-        self._emitted = current
-        return changes
-
-    def _delta_relevant(self, delta: Sequence[Quad]) -> bool:
-        if self._negated:
-            return bool(delta)  # negated sets can match any predicate
-        for quad in delta:
-            if quad.predicate in self._relevant:
-                return True
-        return False
 
 
 def _is_negated(path) -> bool:
@@ -615,10 +629,10 @@ def _is_negated(path) -> bool:
 
 
 class ValuesNode(IncrementalNode):
-    """Inline data: emits its rows exactly once, on the first delta.
+    """Inline data: emits its rows exactly once, the first time it is driven.
 
-    A traversal that discovers nothing never delivers a delta, so
-    :meth:`finalize` emits the rows as a backstop.
+    That is the first delta — or quiescence, for a traversal that
+    discovered nothing.  Inline data never changes afterwards.
     """
 
     def __init__(self, op: ValuesOp) -> None:
@@ -634,24 +648,27 @@ class ValuesNode(IncrementalNode):
         ]
         self._emitted = False
 
-    def process(self, delta: Delta, dataset: Dataset) -> list[Binding]:
+    def _changes(self, delta: DeltaBatch, dataset: Dataset) -> list[Change]:
         if self._emitted:
             return []
         self._emitted = True
-        return self._count(list(self._rows))
+        return [(row, 1) for row in self._rows]
 
-    def finalize(self, dataset: Dataset) -> list[Binding]:
-        if self._emitted:
-            return []
-        self._emitted = True
-        return self._count(list(self._rows))
 
-    def apply(self, delta: Delta, dataset: Dataset) -> list[Change]:
-        return []  # inline data never changes
+def _join_key(left: IncrementalNode, right: IncrementalNode) -> tuple[Variable, ...]:
+    """The certainly-bound shared variables two join sides are keyed on."""
+    return tuple(
+        sorted(left.certain_variables & right.certain_variables, key=lambda v: v.value)
+    )
 
 
 class JoinNode(IncrementalNode):
-    """Symmetric hash join on the certainly-bound shared variables."""
+    """Symmetric hash join on the certainly-bound shared variables.
+
+    Each change probes the *current* other-side bag, then lands in its own
+    — processing changes one at a time keeps the exactly-once algebra
+    (ΔL ⋈ R, then L' ⋈ ΔR) correct even when one batch mixes polarities.
+    """
 
     #: Class-level default: tracing is off unless a Pipeline with an
     #: enabled tracer installs an instance attribute (zero hot-path cost
@@ -659,294 +676,155 @@ class JoinNode(IncrementalNode):
     _tracer = None
 
     def __init__(self, left: IncrementalNode, right: IncrementalNode) -> None:
-        super().__init__(left.certain_variables | right.certain_variables)
-        self._left = left
-        self._right = right
-        self._key_variables = tuple(
-            sorted(left.certain_variables & right.certain_variables, key=lambda v: v.value)
-        )
-        self._left_table: dict[tuple, list[Binding]] = {}
-        self._right_table: dict[tuple, list[Binding]] = {}
+        super().__init__(left.certain_variables | right.certain_variables, left, right)
+        self._key_variables = _join_key(left, right)
+        self._lefts = _KeyedBag()
+        self._rights = _KeyedBag()
 
-    def process(self, delta: Delta, dataset: Dataset) -> list[Binding]:
+    def apply(self, delta: DeltaBatch, dataset: Dataset) -> list[Change]:
         tracer = self._tracer
         if tracer is None:
-            return self._process(delta, dataset)
+            return super().apply(delta, dataset)
         with tracer.span(
             "join", key=" ".join(v.value for v in self._key_variables)
         ) as span:
-            produced = self._process(delta, dataset)
-            span.args["produced"] = len(produced)
-        return produced
+            changes = super().apply(delta, dataset)
+            span.args["produced"] = len(changes)
+        return changes
 
-    def _process(self, delta: Delta, dataset: Dataset) -> list[Binding]:
-        return self._count(
-            self._consume(
-                self._left.process(delta, dataset), self._right.process(delta, dataset)
-            )
-        )
-
-    def finalize(self, dataset: Dataset) -> list[Binding]:
-        # Blocking children may release rows at quiescence; join them against
-        # everything seen so far exactly like a late delta.
-        return self._count(
-            self._consume(self._left.finalize(dataset), self._right.finalize(dataset))
-        )
-
-    def _consume(self, new_left: list[Binding], new_right: list[Binding]) -> list[Binding]:
-        produced: list[Binding] = []
-
-        # New left rows join the right table as it stood before this delta…
-        for binding in new_left:
-            key = binding.key(self._key_variables)
-            for other in self._right_table.get(key, ()):
-                merged = binding.merged(other)
-                if merged is not None:
-                    produced.append(merged)
-        for binding in new_left:
-            self._left_table.setdefault(binding.key(self._key_variables), []).append(binding)
-
-        # …and new right rows join the left table *including* this delta's
-        # left rows, so each new-new pair is produced exactly once.
-        for binding in new_right:
-            key = binding.key(self._key_variables)
-            for other in self._left_table.get(key, ()):
-                merged = other.merged(binding)
-                if merged is not None:
-                    produced.append(merged)
-        for binding in new_right:
-            self._right_table.setdefault(binding.key(self._key_variables), []).append(binding)
-        return produced
-
-    def apply(self, delta: Delta, dataset: Dataset) -> list[Change]:
-        # Signed symmetric hash join: each change probes the *current*
-        # other-side table, then lands in its own — processing changes one
-        # at a time keeps the exactly-once algebra (ΔL ⋈ R, then L' ⋈ ΔR)
-        # correct even when one batch mixes polarities.
-        left_changes = self._left.apply(delta, dataset)
-        right_changes = self._right.apply(delta, dataset)
-        if not left_changes and not right_changes:
+    def _changes(
+        self, delta: DeltaBatch, dataset: Dataset, left: list[Change], right: list[Change]
+    ) -> list[Change]:
+        if not left and not right:
             return []
         changes: list[Change] = []
         key_variables = self._key_variables
-        for binding, count in left_changes:
+        lefts, rights = self._lefts, self._rights
+        for binding, count in left:
             key = binding.key(key_variables)
-            for other in self._right_table.get(key, ()):
+            for other in rights.get(key, ()):
                 merged = binding.merged(other)
                 if merged is not None:
                     changes.append((merged, count))
-            self._update_table(self._left_table, key, binding, count)
-        for binding, count in right_changes:
+            lefts.add(key, binding, count)
+        for binding, count in right:
             key = binding.key(key_variables)
-            for other in self._left_table.get(key, ()):
+            for other in lefts.get(key, ()):
                 merged = other.merged(binding)
                 if merged is not None:
                     changes.append((merged, count))
-            self._update_table(self._right_table, key, binding, count)
+            rights.add(key, binding, count)
         return changes
-
-    @staticmethod
-    def _update_table(
-        table: dict[tuple, list[Binding]], key: tuple, binding: Binding, count: int
-    ) -> None:
-        if count > 0:
-            table.setdefault(key, []).extend([binding] * count)
-            return
-        bucket = table[key]
-        for _ in range(-count):
-            bucket.remove(binding)
-        if not bucket:
-            del table[key]
-
-    def children(self):
-        return (self._left, self._right)
 
 
 class UnionNode(IncrementalNode):
     def __init__(self, left: IncrementalNode, right: IncrementalNode) -> None:
-        super().__init__(left.certain_variables & right.certain_variables)
-        self._left = left
-        self._right = right
+        super().__init__(left.certain_variables & right.certain_variables, left, right)
 
-    def process(self, delta: Delta, dataset: Dataset) -> list[Binding]:
-        return self._count(self._left.process(delta, dataset) + self._right.process(delta, dataset))
-
-    def finalize(self, dataset: Dataset) -> list[Binding]:
-        return self._count(self._left.finalize(dataset) + self._right.finalize(dataset))
-
-    def apply(self, delta: Delta, dataset: Dataset) -> list[Change]:
-        return self._left.apply(delta, dataset) + self._right.apply(delta, dataset)
-
-    def children(self):
-        return (self._left, self._right)
+    def _changes(
+        self, delta: DeltaBatch, dataset: Dataset, left: list[Change], right: list[Change]
+    ) -> list[Change]:
+        return left + right
 
 
 class FilterNode(IncrementalNode):
-    """EXISTS-free FILTER; EXISTS filters compile to :class:`ExistsFilterNode`."""
+    """EXISTS-free FILTER; EXISTS filters compile to :class:`ExistsFilterNode`.
+
+    The verdict depends only on the binding, so a retraction filters
+    exactly as its original insertion did.
+    """
 
     def __init__(self, input_node: IncrementalNode, expression, evaluator: ExpressionEvaluator) -> None:
-        super().__init__(input_node.certain_variables)
-        self._input = input_node
+        super().__init__(input_node.certain_variables, input_node)
         self._expression = expression
         self._evaluator = evaluator
 
-    def process(self, delta: Delta, dataset: Dataset) -> list[Binding]:
-        return self._count(self._apply(self._input.process(delta, dataset)))
-
-    def finalize(self, dataset: Dataset) -> list[Binding]:
-        return self._count(self._apply(self._input.finalize(dataset)))
-
-    def _apply(self, bindings: list[Binding]) -> list[Binding]:
+    def _changes(self, delta: DeltaBatch, dataset: Dataset, changes: list[Change]) -> list[Change]:
         return [
-            binding
-            for binding in bindings
-            if self._evaluator.satisfied(self._expression, binding)
+            change
+            for change in changes
+            if self._evaluator.satisfied(self._expression, change[0])
         ]
-
-    def apply(self, delta: Delta, dataset: Dataset) -> list[Change]:
-        # EXISTS-free, so the verdict depends only on the binding: a
-        # retraction filters exactly as its original insertion did.
-        return [
-            (binding, count)
-            for binding, count in self._input.apply(delta, dataset)
-            if self._evaluator.satisfied(self._expression, binding)
-        ]
-
-    def children(self):
-        return (self._input,)
 
 
 class ExistsFilterNode(IncrementalNode):
     """FILTER whose expression contains (NOT) EXISTS.
 
     A positive ``EXISTS`` is monotone-true over a growing dataset: once a
-    binding passes, it passes forever.  When every EXISTS in the expression
-    is non-negated and reached only through AND/OR, bindings that pass are
-    emitted immediately and the rest wait in a pending set, retested when a
-    delta touches the EXISTS pattern's predicates and finally at
-    quiescence.  ``NOT EXISTS`` (or EXISTS under negation) can flip from
-    true to false as data arrives, so those filters defer every decision to
-    :meth:`finalize`.
+    binding passes, it passes for as long as data is only added.  When
+    every EXISTS in the expression is non-negated and reached only through
+    AND/OR (*eager*), passers stream immediately and the rest wait, retested
+    when an insertion touches the EXISTS pattern's predicates and once more
+    at quiescence.  ``NOT EXISTS`` (or EXISTS under negation) can flip from
+    true to false as data arrives, so those verdicts are withheld while
+    open.  Once settled — or when a retraction hits an eager filter — a
+    relevant delta re-judges every candidate.
     """
 
     blocking = True
 
     def __init__(self, input_node: IncrementalNode, expression, evaluator: ExpressionEvaluator) -> None:
-        super().__init__(input_node.certain_variables)
-        self._input = input_node
+        super().__init__(input_node.certain_variables, input_node)
         self._expression = expression
         self._evaluator = evaluator
         self._eager = _exists_eagerly_emittable(expression)
         self._exists_predicates = _exists_pattern_predicates(expression)
-        self._pending: list[Binding] = []
-        #: Every input binding ever seen, kept past finalize: the live
-        #: maintenance base (EXISTS verdicts are dataset-dependent, so a
-        #: relevant delta re-tests the full candidate multiset).
+        #: Every input binding currently present; ``_out`` is the passing
+        #: sub-multiset that has been emitted (:meth:`_sync` keeps it so).
         self._candidates: dict[Binding, int] = {}
-        self._live_passing: dict[Binding, int] = {}
 
     def register(self, router: DeltaRouter) -> None:
         super().register(router)
         # The EXISTS pattern's predicates matter even when no scan wants
-        # them: a delta carrying one can flip pending bindings to passing.
+        # them: a delta carrying one can flip waiting bindings to passing.
         if self._exists_predicates is None:
             router.register(None)
         else:
             for predicate in self._exists_predicates:
                 router.register(predicate)
 
-    def process(self, delta: Delta, dataset: Dataset) -> list[Binding]:
-        new = self._input.process(delta, dataset)
-        for binding in new:
-            self._candidates[binding] = self._candidates.get(binding, 0) + 1
-        if not self._eager:
-            self._pending.extend(new)
-            return []
-        produced: list[Binding] = []
-        if self._pending and self._delta_relevant(delta):
-            still_pending: list[Binding] = []
-            for binding in self._pending:
-                if self._evaluator.satisfied(self._expression, binding):
-                    produced.append(binding)
-                else:
-                    still_pending.append(binding)
-            self._pending = still_pending
-        for binding in new:
-            if self._evaluator.satisfied(self._expression, binding):
-                produced.append(binding)
-            else:
-                self._pending.append(binding)
-        return self._count(produced)
-
-    def finalize(self, dataset: Dataset) -> list[Binding]:
-        finals = self._input.finalize(dataset)
-        for binding in finals:
-            self._candidates[binding] = self._candidates.get(binding, 0) + 1
-        candidates = self._pending + finals
-        self._pending = []
-        return self._count(
-            [
-                binding
-                for binding in candidates
-                if self._evaluator.satisfied(self._expression, binding)
-            ]
-        )
-
-    def prepare_live(self, dataset: Dataset) -> None:
-        self._live_passing = {
-            binding: count
-            for binding, count in self._candidates.items()
-            if self._evaluator.satisfied(self._expression, binding)
-        }
-
-    def apply(self, delta: Delta, dataset: Dataset) -> list[Change]:
-        input_changes = self._input.apply(delta, dataset)
+    def _changes(self, delta: DeltaBatch, dataset: Dataset, changes: list[Change]) -> list[Change]:
         candidates = self._candidates
-        for binding, count in input_changes:
-            total = candidates.get(binding, 0) + count
-            if total:
-                candidates[binding] = total
-            else:
-                candidates.pop(binding, None)
-        if self._delta_relevant(delta):
-            # A quad the EXISTS pattern can match (dis)appeared: any
-            # candidate's verdict may have flipped — re-test them all and
-            # diff against the previously passing multiset.
-            new_passing = {
-                binding: count
-                for binding, count in candidates.items()
-                if self._evaluator.satisfied(self._expression, binding)
-            }
-            changes = _diff_multisets(self._live_passing, new_passing)
-            self._live_passing = new_passing
-            return changes
-        # Verdicts of existing candidates are stable; only the input
-        # changes themselves need testing.
-        changes: list[Change] = []
-        passing = self._live_passing
-        for binding, count in input_changes:
-            if not self._evaluator.satisfied(self._expression, binding):
-                continue
-            changes.append((binding, count))
-            total = passing.get(binding, 0) + count
-            if total:
-                passing[binding] = total
-            else:
-                passing.pop(binding, None)
-        return changes
-
-    def _delta_relevant(self, delta: Delta) -> bool:
-        if not delta:
-            return False
+        for binding, count in changes:
+            _bump(candidates, binding, count)
+        if not (self._eager or self.settled):
+            return []  # any verdict could still flip
         predicates = self._exists_predicates
-        if predicates is None:
-            return True
-        if isinstance(delta, DeltaBatch):
-            return any(delta.for_predicate(predicate) for predicate in predicates)
-        return any(quad.predicate in predicates for quad in delta)
+        if not (delta and (predicates is None or delta.touches(predicates))):
+            # No quad the EXISTS pattern can match (dis)appeared: the
+            # verdicts of the bindings already judged stand.
+            return self._sync([binding for binding, _ in changes])
+        if self._eager and delta.sign > 0:
+            return self._sync(self._lagging())  # an insertion only turns verdicts true
+        return self._sync({**self._out, **candidates})  # any verdict may have flipped
 
-    def children(self):
-        return (self._input,)
+    def _release(self, dataset: Dataset) -> list[Change]:
+        return self._sync(self._lagging())
+
+    def _lagging(self) -> list[Binding]:
+        """Bindings emitted fewer (or more) times than they are present:
+        the waiters of an eager filter, everything for an open deferred one."""
+        candidates, passing = self._candidates, self._out
+        return [
+            binding
+            for binding in {**passing, **candidates}
+            if candidates.get(binding, 0) != passing.get(binding, 0)
+        ]
+
+    def _sync(self, bindings: Iterable[Binding]) -> list[Change]:
+        """Re-judge ``bindings``; emit whatever brings each one's emitted
+        count to its present count (passing) or to zero (failing)."""
+        produced: list[Change] = []
+        candidates, passing = self._candidates, self._out
+        for binding in bindings:
+            present = candidates.get(binding, 0)
+            if present and not self._evaluator.satisfied(self._expression, binding):
+                present = 0
+            emitted = passing.get(binding, 0)
+            if present != emitted:
+                _bump(passing, binding, present - emitted)
+                produced.append((binding, present - emitted))
+        return produced
 
 
 def _exists_eagerly_emittable(expression) -> bool:
@@ -1005,16 +883,62 @@ def _exists_pattern_predicates(expression) -> Optional[frozenset]:
     return frozenset(predicates)
 
 
+def _outer_changes(
+    node: IncrementalNode, left: list[Change], right: list[Change], pair, emit_pairs: bool
+) -> list[Change]:
+    """The one body OPTIONAL and MINUS share: an outer join's two outputs.
+
+    Every left row tallies the right rows it pairs with (``pair`` returns
+    the paired binding, or ``None``).  OPTIONAL outputs the pairs — they
+    stream — and MINUS does not; both output a left row *bare* while its
+    tally is zero.  That is only decidable at quiescence, so bare rows are
+    withheld while the node is open (``node._lefts.untallied()`` releases
+    them) and compensated once settled: a bare row retracts when its first
+    pairing arrives and returns when its last one leaves.  New left rows
+    probe the right bag as it stood, then right changes probe every left
+    row including this batch's: each new-new pair counts exactly once.
+    """
+    key_variables, settled = node._key_variables, node.settled
+    lefts, rights = node._lefts, node._rights
+    changes: list[Change] = []
+    for binding, count in left:
+        key = binding.key(key_variables)
+        tally = 0
+        for other in rights.get(key, ()):
+            paired = pair(binding, other)
+            if paired is not None:
+                tally += 1
+                if emit_pairs:
+                    changes.append((paired, count))
+        if settled and not tally:
+            changes.append((binding, count))
+        lefts.add(key, binding, count, tally)
+    for binding, count in right:
+        key = binding.key(key_variables)
+        bucket = lefts.get(key, ())
+        for at in range(0, len(bucket), 2):  # binding at ``at``, its tally after
+            paired = pair(bucket[at], binding)
+            if paired is None:
+                continue
+            if settled and not bucket[at + 1]:
+                changes.append((bucket[at], -1))  # first pairing: bare no more
+            bucket[at + 1] += count
+            if emit_pairs:
+                changes.append((paired, count))
+            if settled and not bucket[at + 1]:
+                changes.append((bucket[at], 1))  # last pairing gone: bare again
+        rights.add(key, binding, count)
+    return changes
+
+
 class LeftJoinNode(IncrementalNode):
     """OPTIONAL as an incremental left outer hash join.
 
-    Matched merges are monotone (a join partner never disappears), so they
-    stream the moment both sides exist.  Whether a left row ends up *bare*
-    (unmatched) is only decidable at quiescence; each left row carries a
-    matched flag that deltas flip, and :meth:`finalize` emits the rows
-    whose flag never flipped.  An ON-expression containing EXISTS defers
-    all matching to finalize, since the expression's verdict can change as
-    the dataset grows.
+    Matched merges stream the moment both sides exist; bare (unmatched)
+    left rows are withheld until quiescence and compensated after — see
+    :func:`_outer_changes`.  An ON-expression containing EXISTS can change
+    verdict with any delta: that (rare) form withholds everything while
+    open and re-derives its whole output per delta once settled.
     """
 
     blocking = True
@@ -1028,64 +952,14 @@ class LeftJoinNode(IncrementalNode):
     ) -> None:
         # Only the required side's variables are certain: bare lefts carry
         # nothing from the optional side.
-        super().__init__(left.certain_variables)
-        self._left = left
-        self._right = right
+        super().__init__(left.certain_variables, left, right)
         self._expression = expression
         self._evaluator = evaluator
         self._defer = expression is not None and expression_contains_exists(expression)
-        self._key_variables = tuple(
-            sorted(left.certain_variables & right.certain_variables, key=lambda v: v.value)
-        )
-        #: Every left row as a mutable [binding, matched] entry.
-        self._lefts: list[list] = []
-        self._left_buckets: dict[tuple, list[list]] = {}
-        self._right_table: dict[tuple, list[Binding]] = {}
-        # -- live-maintenance state (built by prepare_live) --------------
-        #: Unique left binding → mutable [multiplicity, partner count].
-        self._live_lefts: dict[Binding, list[int]] = {}
-        #: Key → unique left bindings (probe index for right changes).
-        self._live_left_keys: dict[tuple, list[Binding]] = {}
-        #: Current output multiset — maintained only in the defer case,
-        #: where every delta forces a recompute-and-diff.
-        self._live_output: dict[Binding, int] = {}
-
-    def process(self, delta: Delta, dataset: Dataset) -> list[Binding]:
-        new_left = self._left.process(delta, dataset)
-        new_right = self._right.process(delta, dataset)
-        if self._defer:
-            self._insert(new_left, new_right)
-            return []
-        return self._count(self._consume(new_left, new_right))
-
-    def finalize(self, dataset: Dataset) -> list[Binding]:
-        final_left = self._left.finalize(dataset)
-        final_right = self._right.finalize(dataset)
-        produced: list[Binding] = []
-        if self._defer:
-            self._insert(final_left, final_right)
-            # All pairs match at once against the final dataset.
-            for entry in self._lefts:
-                binding = entry[0]
-                for other in self._right_table.get(binding.key(self._key_variables), ()):
-                    merged = self._try_match(binding, other)
-                    if merged is not None:
-                        entry[1] = True
-                        produced.append(merged)
-        else:
-            produced.extend(self._consume(final_left, final_right))
-        for entry in self._lefts:
-            if not entry[1]:
-                produced.append(entry[0])
-        return self._count(produced)
-
-    def _insert(self, new_left: list[Binding], new_right: list[Binding]) -> None:
-        for binding in new_left:
-            entry = [binding, False]
-            self._lefts.append(entry)
-            self._left_buckets.setdefault(binding.key(self._key_variables), []).append(entry)
-        for binding in new_right:
-            self._right_table.setdefault(binding.key(self._key_variables), []).append(binding)
+        self._key_variables = _join_key(left, right)
+        #: Left rows tally their partners.
+        self._lefts = _KeyedBag(tallied=True)
+        self._rights = _KeyedBag()
 
     def _try_match(self, left_binding: Binding, right_binding: Binding) -> Optional[Binding]:
         merged = left_binding.merged(right_binding)
@@ -1097,294 +971,87 @@ class LeftJoinNode(IncrementalNode):
             return None
         return merged
 
-    def _consume(self, new_left: list[Binding], new_right: list[Binding]) -> list[Binding]:
-        produced: list[Binding] = []
+    def _changes(
+        self, delta: DeltaBatch, dataset: Dataset, left: list[Change], right: list[Change]
+    ) -> list[Change]:
+        if not self._defer:
+            return _outer_changes(self, left, right, self._try_match, emit_pairs=True)
+        for bag, changes in ((self._lefts, left), (self._rights, right)):
+            for binding, count in changes:
+                bag.add(binding.key(self._key_variables), binding, count)
+        if not self.settled or not (delta or left or right):
+            return []
+        return self._rediff(self._output())
 
-        # New left rows probe the right table as it stood before this delta…
-        for binding in new_left:
-            entry = [binding, False]
-            for other in self._right_table.get(binding.key(self._key_variables), ()):
-                merged = self._try_match(binding, other)
-                if merged is not None:
-                    entry[1] = True
-                    produced.append(merged)
-            self._lefts.append(entry)
-            self._left_buckets.setdefault(binding.key(self._key_variables), []).append(entry)
+    def _release(self, dataset: Dataset) -> list[Change]:
+        return self._rediff(self._output()) if self._defer else self._lefts.untallied()
 
-        # …and new right rows probe every left row seen so far (including
-        # this delta's), flipping matched flags as they land.
-        for binding in new_right:
-            key = binding.key(self._key_variables)
-            for entry in self._left_buckets.get(key, ()):
-                merged = self._try_match(entry[0], binding)
-                if merged is not None:
-                    entry[1] = True
-                    produced.append(merged)
-            self._right_table.setdefault(key, []).append(binding)
-        return produced
-
-    def prepare_live(self, dataset: Dataset) -> None:
-        key_variables = self._key_variables
-        for entry in self._lefts:
-            binding = entry[0]
-            slot = self._live_lefts.get(binding)
-            if slot is None:
-                partners = sum(
-                    1
-                    for other in self._right_table.get(binding.key(key_variables), ())
-                    if self._try_match(binding, other) is not None
-                )
-                slot = self._live_lefts[binding] = [0, partners]
-                self._live_left_keys.setdefault(binding.key(key_variables), []).append(binding)
-            slot[0] += 1
-        if self._defer:
-            self._live_output = self._compute_output()
-
-    def _compute_output(self) -> dict[Binding, int]:
+    def _output(self) -> dict[Binding, int]:
+        """The whole output, every pair re-matched against the current dataset."""
         output: dict[Binding, int] = {}
-        key_variables = self._key_variables
-        for binding, slot in self._live_lefts.items():
-            multiplicity = slot[0]
-            matched = False
-            for other in self._right_table.get(binding.key(key_variables), ()):
-                merged = self._try_match(binding, other)
-                if merged is not None:
-                    matched = True
-                    _bump(output, merged, multiplicity)
-            if not matched:
-                _bump(output, binding, multiplicity)
+        for key, bucket in self._lefts.items():
+            for binding in bucket[::2]:
+                matched = False
+                for other in self._rights.get(key, ()):
+                    merged = self._try_match(binding, other)
+                    if merged is not None:
+                        matched = True
+                        _bump(output, merged, 1)
+                if not matched:
+                    _bump(output, binding, 1)
         return output
-
-    def apply(self, delta: Delta, dataset: Dataset) -> list[Change]:
-        left_changes = self._left.apply(delta, dataset)
-        right_changes = self._right.apply(delta, dataset)
-        key_variables = self._key_variables
-        if self._defer:
-            # The ON-expression contains EXISTS: any delta can flip any
-            # pair's verdict, so recompute the whole output and diff.
-            for binding, count in left_changes:
-                self._live_adjust_left(binding, count)
-            for binding, count in right_changes:
-                JoinNode._update_table(
-                    self._right_table, binding.key(key_variables), binding, count
-                )
-            if not left_changes and not right_changes and not delta:
-                return []
-            new_output = self._compute_output()
-            changes = _diff_multisets(self._live_output, new_output)
-            self._live_output = new_output
-            return changes
-        changes: list[Change] = []
-        rights = self._right_table
-        for binding, count in left_changes:
-            matches = [
-                merged
-                for other in rights.get(binding.key(key_variables), ())
-                if (merged := self._try_match(binding, other)) is not None
-            ]
-            self._live_adjust_left(binding, count, partners=len(matches))
-            if matches:
-                changes.extend((merged, count) for merged in matches)
-            else:
-                changes.append((binding, count))
-        for binding, count in right_changes:
-            key = binding.key(key_variables)
-            for left_binding in self._live_left_keys.get(key, ()):
-                merged = self._try_match(left_binding, binding)
-                if merged is None:
-                    continue
-                slot = self._live_lefts[left_binding]
-                old_partners = slot[1]
-                slot[1] = old_partners + count
-                if count > 0 and old_partners == 0:
-                    # First partner arrived: the bare left row retracts.
-                    changes.append((left_binding, -slot[0]))
-                changes.append((merged, count * slot[0]))
-                if count < 0 and slot[1] == 0:
-                    # Last partner left: the bare left row returns.
-                    changes.append((left_binding, slot[0]))
-            JoinNode._update_table(rights, key, binding, count)
-        return changes
-
-    def _live_adjust_left(
-        self, binding: Binding, count: int, partners: int = 0
-    ) -> None:
-        slot = self._live_lefts.get(binding)
-        if slot is None:
-            slot = self._live_lefts[binding] = [0, partners]
-            self._live_left_keys.setdefault(
-                binding.key(self._key_variables), []
-            ).append(binding)
-        slot[0] += count
-        if slot[0] == 0:
-            del self._live_lefts[binding]
-            key = binding.key(self._key_variables)
-            bucket = self._live_left_keys[key]
-            bucket.remove(binding)
-            if not bucket:
-                del self._live_left_keys[key]
-
-    def children(self):
-        return (self._left, self._right)
 
 
 class MinusNode(IncrementalNode):
     """MINUS as an incremental anti-join.
 
     A left row is excluded iff some right row shares at least one bound
-    variable with it and is compatible.  Exclusion is monotone (more data
-    can only add excluders), so each left row carries an excluded flag that
-    deltas flip; survivors emit at :meth:`finalize`.  When the two sides
-    certainly share variables, candidate excluders come from an exact-key
-    bucket (rows elsewhere disagree on a certainly-shared variable and are
-    incompatible by construction); otherwise every right row is scanned.
+    variable with it and is compatible; its survivors are exactly the bare
+    rows of :func:`_outer_changes` with the excluders as pairings — more
+    data can only add excluders, so survivors are withheld while open.
+    When the two sides certainly share variables, candidate excluders come
+    from an exact-key bucket (rows elsewhere disagree on a certainly-shared
+    variable and are incompatible by construction); otherwise the key is
+    empty and the one bucket holds every row.
     """
 
     blocking = True
 
     def __init__(self, left: IncrementalNode, right: IncrementalNode) -> None:
-        super().__init__(left.certain_variables)
-        self._left = left
-        self._right = right
-        self._key_variables = tuple(
-            sorted(left.certain_variables & right.certain_variables, key=lambda v: v.value)
-        )
-        self._lefts: list[list] = []
-        self._left_buckets: dict[tuple, list[list]] = {}
-        self._rights: list[Binding] = []
-        self._right_buckets: dict[tuple, list[Binding]] = {}
-        # -- live-maintenance state (built by prepare_live) --------------
-        #: Unique left binding → mutable [multiplicity, excluder count].
-        self._live_lefts: dict[Binding, list[int]] = {}
-        self._live_left_keys: dict[tuple, list[Binding]] = {}
-
-    def process(self, delta: Delta, dataset: Dataset) -> list[Binding]:
-        self._consume(self._left.process(delta, dataset), self._right.process(delta, dataset))
-        return []
-
-    def finalize(self, dataset: Dataset) -> list[Binding]:
-        self._consume(self._left.finalize(dataset), self._right.finalize(dataset))
-        return self._count([entry[0] for entry in self._lefts if not entry[1]])
+        super().__init__(left.certain_variables, left, right)
+        self._key_variables = _join_key(left, right)
+        #: Left rows tally their excluders.
+        self._lefts = _KeyedBag(tallied=True)
+        self._rights = _KeyedBag()
 
     @staticmethod
-    def _excludes(left_binding: Binding, right_binding: Binding) -> bool:
-        if not set(left_binding) & set(right_binding):
-            return False
-        return left_binding.compatible(right_binding)
+    def _excluded(left_binding: Binding, right_binding: Binding) -> Optional[Binding]:
+        if set(left_binding) & set(right_binding) and left_binding.compatible(right_binding):
+            return left_binding
+        return None
 
-    def _consume(self, new_left: list[Binding], new_right: list[Binding]) -> None:
-        keyed = bool(self._key_variables)
-        for binding in new_left:
-            entry = [binding, False]
-            candidates = (
-                self._right_buckets.get(binding.key(self._key_variables), ())
-                if keyed
-                else self._rights
-            )
-            for other in candidates:
-                if self._excludes(binding, other):
-                    entry[1] = True
-                    break
-            self._lefts.append(entry)
-            if keyed:
-                self._left_buckets.setdefault(binding.key(self._key_variables), []).append(entry)
-        for binding in new_right:
-            if keyed:
-                key = binding.key(self._key_variables)
-                self._right_buckets.setdefault(key, []).append(binding)
-                targets = self._left_buckets.get(key, ())
-            else:
-                self._rights.append(binding)
-                targets = self._lefts
-            for entry in targets:
-                if not entry[1] and self._excludes(entry[0], binding):
-                    entry[1] = True
+    def _changes(
+        self, delta: DeltaBatch, dataset: Dataset, left: list[Change], right: list[Change]
+    ) -> list[Change]:
+        return _outer_changes(self, left, right, self._excluded, emit_pairs=False)
 
-    def _right_candidates(self, binding: Binding) -> Iterable[Binding]:
-        if self._key_variables:
-            return self._right_buckets.get(binding.key(self._key_variables), ())
-        return self._rights
-
-    def prepare_live(self, dataset: Dataset) -> None:
-        key_variables = self._key_variables
-        for entry in self._lefts:
-            binding = entry[0]
-            slot = self._live_lefts.get(binding)
-            if slot is None:
-                excluders = sum(
-                    1
-                    for other in self._right_candidates(binding)
-                    if self._excludes(binding, other)
-                )
-                slot = self._live_lefts[binding] = [0, excluders]
-                self._live_left_keys.setdefault(binding.key(key_variables), []).append(binding)
-            slot[0] += 1
-
-    def apply(self, delta: Delta, dataset: Dataset) -> list[Change]:
-        left_changes = self._left.apply(delta, dataset)
-        right_changes = self._right.apply(delta, dataset)
-        changes: list[Change] = []
-        key_variables = self._key_variables
-        keyed = bool(key_variables)
-        for binding, count in left_changes:
-            excluders = sum(
-                1 for other in self._right_candidates(binding) if self._excludes(binding, other)
-            )
-            slot = self._live_lefts.get(binding)
-            if slot is None:
-                slot = self._live_lefts[binding] = [0, excluders]
-                self._live_left_keys.setdefault(binding.key(key_variables), []).append(binding)
-            slot[0] += count
-            if slot[0] == 0:
-                del self._live_lefts[binding]
-                key = binding.key(key_variables)
-                bucket = self._live_left_keys[key]
-                bucket.remove(binding)
-                if not bucket:
-                    del self._live_left_keys[key]
-            if excluders == 0:
-                changes.append((binding, count))
-        for binding, count in right_changes:
-            if keyed:
-                key = binding.key(key_variables)
-                JoinNode._update_table(self._right_buckets, key, binding, count)
-                targets = self._live_left_keys.get(key, ())
-            else:
-                if count > 0:
-                    self._rights.extend([binding] * count)
-                else:
-                    for _ in range(-count):
-                        self._rights.remove(binding)
-                targets = [
-                    left
-                    for bucket in self._live_left_keys.values()
-                    for left in bucket
-                ]
-            for left_binding in targets:
-                if not self._excludes(left_binding, binding):
-                    continue
-                slot = self._live_lefts[left_binding]
-                old_excluders = slot[1]
-                slot[1] = old_excluders + count
-                if count > 0 and old_excluders == 0:
-                    changes.append((left_binding, -slot[0]))  # now excluded
-                elif count < 0 and slot[1] == 0:
-                    changes.append((left_binding, slot[0]))  # survives again
-        return changes
-
-    def children(self):
-        return (self._left, self._right)
+    def _release(self, dataset: Dataset) -> list[Change]:
+        return self._lefts.untallied()
 
 
 class GroupAggregateNode(IncrementalNode):
     """GROUP BY with running aggregate states per group key.
 
-    Each delta folds new member solutions into per-group
-    :class:`AggregateState` accumulators; :meth:`finalize` evaluates the
-    output expressions from those states in O(groups), never re-scanning
-    members.  Expressions containing EXISTS are dataset-dependent, so that
-    (rare) case buffers members and falls back to the batch helpers against
-    the final snapshot.
+    Each change folds member solutions into (or, where the aggregate can
+    un-apply, out of) per-group :class:`AggregateState` accumulators, so a
+    group's output row is evaluated from its states in O(1), never
+    re-scanning members.  Rows are withheld while open — any member can
+    still change them — and once settled each touched group swaps its old
+    row for its new one.  ``live`` retains every group's member multiset,
+    so a retraction no :meth:`AggregateState.retract` can absorb (DISTINCT,
+    MIN/MAX, …) rebuilds the states from the survivors.  Expressions
+    containing EXISTS are dataset-dependent, so that (rare) case holds the
+    members and re-folds them all whenever it re-derives its rows.
     """
 
     blocking = True
@@ -1403,8 +1070,7 @@ class GroupAggregateNode(IncrementalNode):
                 and expression.variable in input_node.certain_variables
             ):
                 certain.add(alias if alias is not None else expression.variable)
-        super().__init__(frozenset(certain))
-        self._input = input_node
+        super().__init__(frozenset(certain), input_node)
         self._op = op
         self._evaluator = evaluator
         aggregates: list[AggregateExpr] = []
@@ -1417,24 +1083,24 @@ class GroupAggregateNode(IncrementalNode):
         expressions += [expression for _, expression in op.bindings]
         expressions += list(op.having)
         self._defer = any(expression_contains_exists(e) for e in expressions)
-        self._held: list[Binding] = []
-        self._groups: dict[tuple, tuple[Binding, dict]] = {}
-        if not op.keys and not self._defer:
-            # Aggregates over no keys produce one row even for zero members.
-            self._groups[()] = (EMPTY_BINDING, self._new_states())
-        # -- live-maintenance state -------------------------------------
-        #: When live, every group also remembers its member multiset so a
-        #: retraction that no :meth:`AggregateState.retract` can absorb
-        #: (DISTINCT, MIN/MAX, …) rebuilds the states from survivors.
+        #: EXISTS case only: the present member multiset.
+        self._held: dict[Binding, int] = {}
+        #: Group key → mutable ``[key binding, aggregate states, member count]``.
+        self._groups = self._no_groups()
         self._live = live
+        #: Live only: group key → its member multiset (the rebuild source).
         self._members: dict[tuple, dict[Binding, int]] = {}
         #: Group key → its currently-emitted output row (HAVING-passing).
-        self._live_rows: dict[tuple, Binding] = {}
-        #: Defer case: the whole output multiset, re-diffed per batch.
-        self._live_defer_rows: dict[Binding, int] = {}
+        self._rows: dict[tuple, Binding] = {}
 
     def _new_states(self) -> dict:
         return {aggregate: AggregateState(aggregate) for aggregate in self._aggregates}
+
+    def _no_groups(self) -> dict[tuple, list]:
+        if self._op.keys:
+            return {}
+        # Aggregates over no keys produce one row even for zero members.
+        return {(): [EMPTY_BINDING, self._new_states(), 0]}
 
     def _key_of(self, member: Binding) -> tuple[tuple, Binding]:
         """The group key and key binding one member falls into."""
@@ -1456,38 +1122,83 @@ class GroupAggregateNode(IncrementalNode):
                     items[expression.variable] = value
         return tuple(key_terms), Binding(items)
 
-    def _member(self, member: Binding) -> None:
+    def _changes(self, delta: DeltaBatch, dataset: Dataset, changes: list[Change]) -> list[Change]:
+        if self._defer:
+            for member, count in changes:
+                _bump(self._held, member, count)
+            if not self.settled or not (delta or changes):
+                return []
+            return self._swap_rows(self._refold())
+        # A dict, not a set: change order stays deterministic across processes.
+        touched = dict.fromkeys(self._fold(member, count) for member, count in changes)
+        return self._swap_rows(touched) if self.settled else []
+
+    def _release(self, dataset: Dataset) -> list[Change]:
+        return self._swap_rows(self._refold() if self._defer else list(self._groups))
+
+    def _swap_rows(self, keys: Iterable[tuple]) -> list[Change]:
+        """Replace each of these groups' emitted row by its current one."""
+        produced: list[Change] = []
+        for key in keys:
+            old_row, new_row = self._rows.get(key), self._group_row(key)
+            if new_row == old_row:
+                continue
+            if old_row is not None:
+                produced.append((old_row, -1))
+                del self._rows[key]
+            if new_row is not None:
+                produced.append((new_row, 1))
+                self._rows[key] = new_row
+        return produced
+
+    def _refold(self) -> dict[tuple, object]:
+        """EXISTS case: re-fold the held members against the current
+        dataset; returns every key that had or now has a row."""
+        self._groups, self._members = self._no_groups(), {}
+        for member, count in self._held.items():
+            self._fold(member, count)
+        return {**self._rows, **self._groups}
+
+    def _fold(self, member: Binding, count: int) -> tuple:
+        """Fold one signed member change into its group; returns the key."""
         key, key_binding = self._key_of(member)
         group = self._groups.get(key)
         if group is None:
-            group = self._groups[key] = (key_binding, self._new_states())
-        for state in group[1].values():
-            state.update(member, self._evaluator)
+            group = self._groups[key] = [key_binding, self._new_states(), 0]
+        group[2] += count
+        if group[2] < 0:
+            raise ValueError(f"retraction of unseen group member {member!r}")
         if self._live:
-            _bump(self._members.setdefault(key, {}), member, 1)
+            _bump(self._members.setdefault(key, {}), member, count)
+        states = group[1].values()
+        if count > 0:
+            for _ in range(count):
+                for state in states:
+                    state.update(member, self._evaluator)
+        elif not group[2] and self._op.keys:
+            # Keyed group emptied out: it no longer exists at all.
+            del self._groups[key]
+            self._members.pop(key, None)
+        elif not all(
+            state.retract(member, self._evaluator) for _ in range(-count) for state in states
+        ):
+            self._rebuild_group(key)
+        return key
 
-    def process(self, delta: Delta, dataset: Dataset) -> list[Binding]:
-        new = self._input.process(delta, dataset)
-        if self._defer:
-            self._held.extend(new)
-        else:
-            for member in new:
-                self._member(member)
-        return []
-
-    def finalize(self, dataset: Dataset) -> list[Binding]:
-        finals = self._input.finalize(dataset)
-        if self._defer:
-            self._held.extend(finals)
-            return self._count(self._finalize_batch())
-        for member in finals:
-            self._member(member)
-        produced: list[Binding] = []
-        for key in self._groups:
-            row = self._group_row(key)
-            if row is not None:
-                produced.append(row)
-        return self._count(produced)
+    def _rebuild_group(self, key: tuple) -> None:
+        """Recompute one group's states from its surviving members (the
+        fallback when an aggregate cannot un-apply a retraction)."""
+        if not self._live:
+            raise ValueError(
+                "retracting from a non-invertible aggregate needs the member "
+                "multisets a live=True compile retains"
+            )
+        states = self._new_states()
+        for member, count in self._members.get(key, {}).items():
+            for _ in range(count):
+                for state in states.values():
+                    state.update(member, self._evaluator)
+        self._groups[key][1] = states
 
     def _group_row(self, key: tuple) -> Optional[Binding]:
         """One group's output row from its running states; ``None`` when
@@ -1495,7 +1206,7 @@ class GroupAggregateNode(IncrementalNode):
         group = self._groups.get(key)
         if group is None:
             return None
-        key_binding, states = group
+        key_binding, states, _ = group
         result = dict(key_binding)
         for variable, expression in self._op.bindings:
             try:
@@ -1511,136 +1222,22 @@ class GroupAggregateNode(IncrementalNode):
             return result_binding
         return None
 
-    def prepare_live(self, dataset: Dataset) -> None:
-        if self._defer:
-            for row in self._finalize_batch():
-                _bump(self._live_defer_rows, row, 1)
-            return
-        for key in self._groups:
-            row = self._group_row(key)
-            if row is not None:
-                self._live_rows[key] = row
-
-    def _rebuild_group(self, key: tuple) -> None:
-        """Recompute one group's states from its surviving members (the
-        fallback when an aggregate cannot un-apply a retraction)."""
-        key_binding = self._groups[key][0]
-        states = self._new_states()
-        for member, count in self._members.get(key, {}).items():
-            for _ in range(count):
-                for state in states.values():
-                    state.update(member, self._evaluator)
-        self._groups[key] = (key_binding, states)
-
-    def apply(self, delta: Delta, dataset: Dataset) -> list[Change]:
-        member_changes = self._input.apply(delta, dataset)
-        if self._defer:
-            # EXISTS in keys/bindings/HAVING is dataset-dependent: any
-            # delta can flip a row, so re-derive the whole (small) output
-            # from the held member multiset and diff against last time.
-            for binding, count in member_changes:
-                if count > 0:
-                    self._held.extend([binding] * count)
-                else:
-                    for _ in range(-count):
-                        self._held.remove(binding)
-            new_rows: dict[Binding, int] = {}
-            for row in self._finalize_batch():
-                _bump(new_rows, row, 1)
-            changes = _diff_multisets(self._live_defer_rows, new_rows)
-            self._live_defer_rows = new_rows
-            return changes
-        dirty: set[tuple] = set()
-        for member, count in member_changes:
-            key, key_binding = self._key_of(member)
-            dirty.add(key)
-            members = self._members.setdefault(key, {})
-            if count > 0:
-                group = self._groups.get(key)
-                if group is None:
-                    group = self._groups[key] = (key_binding, self._new_states())
-                for _ in range(count):
-                    for state in group[1].values():
-                        state.update(member, self._evaluator)
-                _bump(members, member, count)
-                continue
-            if members.get(member, 0) < -count:
-                raise ValueError(
-                    f"retraction of unseen group member {member!r}"
-                )
-            _bump(members, member, count)
-            states = self._groups[key][1]
-            clean = True
-            for _ in range(-count):
-                for state in states.values():
-                    if not state.retract(member, self._evaluator):
-                        clean = False
-            if not clean:
-                self._rebuild_group(key)
-        changes: list[Change] = []
-        # Sorted so change order is deterministic across processes.
-        for key in sorted(dirty, key=repr):
-            old_row = self._live_rows.get(key)
-            if self._op.keys and not self._members.get(key):
-                # Keyed group emptied out: it no longer exists at all.
-                self._members.pop(key, None)
-                self._groups.pop(key, None)
-                new_row = None
-            else:
-                new_row = self._group_row(key)
-            if new_row == old_row:
-                continue
-            if old_row is not None:
-                changes.append((old_row, -1))
-                del self._live_rows[key]
-            if new_row is not None:
-                changes.append((new_row, 1))
-                self._live_rows[key] = new_row
-        return changes
-
-    def _finalize_batch(self) -> list[Binding]:
-        op = self._op
-        produced: list[Binding] = []
-        for key_binding, members in group_solutions(self._held, op.keys, self._evaluator):
-            result = compute_aggregates(key_binding, members, op.bindings, self._evaluator)
-            if result is None:
-                continue
-            if all(
-                evaluate_having(condition, members, result, self._evaluator)
-                for condition in op.having
-            ):
-                produced.append(result)
-        return produced
-
-    def children(self):
-        return (self._input,)
-
-
-class _MaxHeapEntry:
-    """Inverts comparison so ``heapq``'s min-heap keeps the k *smallest*
-    entries with the current worst at the root."""
-
-    __slots__ = ("entry",)
-
-    def __init__(self, entry: tuple) -> None:
-        self.entry = entry
-
-    def __lt__(self, other: "_MaxHeapEntry") -> bool:
-        # entry[:2] is (sort_key, arrival_seq): never compares bindings.
-        return other.entry[:2] < self.entry[:2]
-
 
 class OrderSliceNode(IncrementalNode):
     """ORDER BY, optionally fused with OFFSET/LIMIT (top-k).
 
-    Without a LIMIT every solution is keyed on arrival and sorted once at
-    :meth:`finalize`.  With a LIMIT only the best ``offset + limit``
-    entries survive traversal in a bounded heap — the common
-    ORDER BY + LIMIT page costs O(n log k) instead of buffering
-    everything.  Arrival sequence breaks key ties, keeping the emitted
-    order deterministic for a given delta schedule.  ORDER conditions
-    containing EXISTS compute their keys only at finalize (no pruning),
-    since a key could change as the dataset grows.
+    Every solution is ranked ``(sort key, arrival sequence)`` on arrival —
+    arrival breaks key ties, keeping the emitted order deterministic for a
+    given delta schedule — and the OFFSET/LIMIT window is withheld while
+    open, released in sorted order at quiescence, and re-derived and
+    diffed per change once settled.  What differs is only retention: a
+    one-shot run with a LIMIT keeps just the best ``offset + limit``
+    entries in a bounded heap (the common ORDER BY + LIMIT page costs
+    O(n log k) instead of buffering everything), while ``live`` keeps
+    every entry, because a retraction inside the page must be refillable
+    from below it.  ORDER conditions containing EXISTS are keyed only when
+    the window is derived (no pruning), since a key can change with the
+    dataset.
     """
 
     blocking = True
@@ -1654,8 +1251,7 @@ class OrderSliceNode(IncrementalNode):
         evaluator: ExpressionEvaluator,
         live: bool = False,
     ) -> None:
-        super().__init__(input_node.certain_variables)
-        self._input = input_node
+        super().__init__(input_node.certain_variables, input_node)
         self._conditions = tuple(conditions)
         self._offset = offset
         self._limit = limit
@@ -1663,129 +1259,87 @@ class OrderSliceNode(IncrementalNode):
         self._defer_keys = any(
             expression_contains_exists(condition.expression) for condition in self._conditions
         )
+        #: Top-k capacity when pruning; ``None`` keeps every entry.
+        self._capacity: Optional[int] = (
+            None if live or limit is None or self._defer_keys else offset + limit
+        )
         self._seq = 0
-        self._heap: list[_MaxHeapEntry] = []
+        #: Keep-all: ``(rank, binding)`` in arrival order.  Pruning: a heap
+        #: of ``(DescendingKey(rank), binding)`` with the worst kept entry
+        #: at the root (ranks are unique, so bindings never compare).
         self._entries: list[tuple] = []
-        self._held: list[Binding] = []
-        #: Live executions keep *every* keyed entry (no top-k pruning): a
-        #: retraction inside the page must be refillable from below it.
-        self._live = live
-        #: The currently-emitted page as a multiset (built by prepare_live).
-        self._live_page: dict[Binding, int] = {}
+        #: The emitted window, in order.
+        self._page: list[Binding] = []
 
-    @property
-    def _capacity(self) -> Optional[int]:
-        return None if self._limit is None else self._offset + self._limit
-
-    def _admit(self, bindings: list[Binding]) -> None:
-        if self._defer_keys:
-            self._held.extend(bindings)
+    def _admit(self, binding: Binding, count: int) -> None:
+        entries, capacity = self._entries, self._capacity
+        if count < 0:
+            if capacity is not None:
+                raise ValueError(
+                    "a one-shot ORDER BY + LIMIT prunes its input and cannot "
+                    "retract; compile with live=True"
+                )
+            for _ in range(-count):
+                for index, entry in enumerate(entries):
+                    if entry[1] == binding:
+                        del entries[index]
+                        break
+                else:
+                    raise ValueError(f"retraction of unseen ordered binding {binding!r}")
             return
-        capacity = self._capacity
-        for binding in bindings:
-            key = order_sort_key(self._conditions, binding, self._evaluator)
-            entry = (key, self._seq, binding)
+        key = () if self._defer_keys else self._sort_key(binding)
+        for _ in range(count):
+            rank = (key, self._seq)
             self._seq += 1
-            if capacity is None or self._live:
-                self._entries.append(entry)
-            elif capacity == 0:
-                continue
-            elif len(self._heap) < capacity:
-                heapq.heappush(self._heap, _MaxHeapEntry(entry))
-            elif entry[:2] < self._heap[0].entry[:2]:
-                heapq.heapreplace(self._heap, _MaxHeapEntry(entry))
+            if capacity is None:
+                entries.append((rank, binding))
+            elif len(entries) < capacity:
+                heapq.heappush(entries, (DescendingKey(rank), binding))
+            elif capacity and rank < entries[0][0].key:
+                heapq.heapreplace(entries, (DescendingKey(rank), binding))
 
-    def process(self, delta: Delta, dataset: Dataset) -> list[Binding]:
-        self._admit(self._input.process(delta, dataset))
-        return []
+    def _sort_key(self, binding: Binding) -> tuple:
+        return order_sort_key(self._conditions, binding, self._evaluator)
 
-    def finalize(self, dataset: Dataset) -> list[Binding]:
-        self._admit(self._input.finalize(dataset))
+    def _window(self) -> list[Binding]:
+        """The OFFSET/LIMIT window of the retained entries, in order."""
+        ranked: Iterable[tuple] = self._entries
         if self._defer_keys:
-            entries = []
-            for binding in self._held:
-                key = order_sort_key(self._conditions, binding, self._evaluator)
-                entries.append((key, self._seq, binding))
-                self._seq += 1
-        elif self._limit is None or self._live:
-            entries = self._entries
-        else:
-            entries = [wrapper.entry for wrapper in self._heap]
-        entries.sort(key=lambda entry: entry[:2])
+            ranked = (
+                ((self._sort_key(binding), rank[1]), binding) for rank, binding in ranked
+            )
+        elif self._capacity is not None:
+            ranked = ((wrapped.key, binding) for wrapped, binding in ranked)
+        ranked = sorted(ranked, key=lambda entry: entry[0])
         stop = None if self._limit is None else self._offset + self._limit
-        return self._count([entry[2] for entry in entries[self._offset : stop]])
+        return [binding for _, binding in ranked[self._offset : stop]]
 
-    def _page(self, entries: list[tuple]) -> dict[Binding, int]:
-        """The OFFSET/LIMIT window of ``entries`` as a multiset."""
-        ordered = sorted(entries, key=lambda entry: entry[:2])
-        stop = None if self._limit is None else self._offset + self._limit
-        page: dict[Binding, int] = {}
-        for entry in ordered[self._offset : stop]:
-            _bump(page, entry[2], 1)
-        return page
+    def _changes(self, delta: DeltaBatch, dataset: Dataset, changes: list[Change]) -> list[Change]:
+        for binding, count in changes:
+            self._admit(binding, count)
+        if not self.settled or not (changes or (self._defer_keys and delta)):
+            return []
+        before, self._page = self._page, self._window()
+        return _diff_multisets(Counter(before), Counter(self._page))
 
-    def _keyed_held(self) -> list[tuple]:
-        entries = []
-        for index, binding in enumerate(self._held):
-            key = order_sort_key(self._conditions, binding, self._evaluator)
-            entries.append((key, index, binding))
-        return entries
-
-    def prepare_live(self, dataset: Dataset) -> None:
-        entries = self._keyed_held() if self._defer_keys else self._entries
-        self._live_page = self._page(entries)
-
-    def apply(self, delta: Delta, dataset: Dataset) -> list[Change]:
-        input_changes = self._input.apply(delta, dataset)
-        if self._defer_keys:
-            # EXISTS in an ORDER key: re-key everything against the
-            # current dataset — any delta can reorder the page.
-            for binding, count in input_changes:
-                if count > 0:
-                    self._held.extend([binding] * count)
-                else:
-                    for _ in range(-count):
-                        self._held.remove(binding)
-            entries = self._keyed_held()
-        else:
-            if not input_changes:
-                return []
-            for binding, count in input_changes:
-                if count > 0:
-                    key = order_sort_key(self._conditions, binding, self._evaluator)
-                    for _ in range(count):
-                        self._entries.append((key, self._seq, binding))
-                        self._seq += 1
-                else:
-                    for _ in range(-count):
-                        for index, entry in enumerate(self._entries):
-                            if entry[2] == binding:
-                                del self._entries[index]
-                                break
-                        else:
-                            raise ValueError(
-                                f"retraction of unseen ordered binding {binding!r}"
-                            )
-            entries = self._entries
-        new_page = self._page(entries)
-        changes = _diff_multisets(self._live_page, new_page)
-        self._live_page = new_page
-        return changes
-
-    def children(self):
-        return (self._input,)
+    def _release(self, dataset: Dataset) -> list[Change]:
+        self._page = self._window()  # in order, and unhashed: a one-shot run ends here
+        return [(binding, 1) for binding in self._page]
 
 
 class DescribeNode(IncrementalNode):
     """DESCRIBE as a *streaming* operator.
 
-    A concise bounded description only grows with the dataset, so DESCRIBE
-    is monotonic: as traversal discovers root resources (constant targets
-    immediately, WHERE-bound ones as solutions arrive) their CBD triples
-    stream out, and each delta quad whose subject is already a root emits
-    directly.  Blank-node objects join the root set so descriptions recurse
-    exactly as the snapshot evaluator's CBD does; an emitted-triple set
-    dedupes across overlapping descriptions.
+    A concise bounded description only grows with the dataset, so under
+    insertion DESCRIBE is monotonic: as traversal discovers root resources
+    (constant targets immediately, WHERE-bound ones as solutions arrive)
+    their CBD triples stream out, and each delta quad whose subject is
+    already a root emits directly.  Blank-node objects join the root set so
+    descriptions recurse exactly as the snapshot evaluator's CBD does; an
+    emitted-triple set dedupes across overlapping descriptions.  Under
+    retraction a description is not monotonic (a root's CBD can shrink, a
+    root itself can vanish), so a shrinking delta recomputes the
+    description from the surviving roots and diffs it.
     """
 
     _SUBJECT = Variable("subject")
@@ -1793,8 +1347,9 @@ class DescribeNode(IncrementalNode):
     _OBJECT = Variable("object")
 
     def __init__(self, input_node: IncrementalNode, query: Query) -> None:
-        super().__init__(frozenset((self._SUBJECT, self._PREDICATE, self._OBJECT)))
-        self._input = input_node
+        super().__init__(
+            frozenset((self._SUBJECT, self._PREDICATE, self._OBJECT)), input_node
+        )
         targets = query.describe_targets
         variables = [t for t in targets if isinstance(t, Variable)]
         self._constants = [t for t in targets if not isinstance(t, Variable)]
@@ -1806,12 +1361,10 @@ class DescribeNode(IncrementalNode):
             )
         else:
             self._scope = ()
-        self._roots: set[Term] = set()
-        self._emitted: set[Triple] = set()
-        self._seeded = False
+        self.roots: set[Term] = set()
+        self._emitted: dict[Triple, None] = {}
         #: WHERE-bound root resource → how many scope bindings support it
-        #: (maintained during traversal; lets :meth:`apply` drop a root
-        #: whose last supporting solution is retracted).
+        #: (a root drops out when its last supporting solution retracts).
         self._scope_support: dict[Term, int] = {}
 
     def register(self, router: DeltaRouter) -> None:
@@ -1819,258 +1372,173 @@ class DescribeNode(IncrementalNode):
         # CBD expansion needs every quad whose subject is a known root.
         router.register(None)
 
-    def process(self, delta: Delta, dataset: Dataset) -> list[Binding]:
+    def _changes(self, delta: DeltaBatch, dataset: Dataset, changes: list[Change]) -> list[Change]:
         graph = dataset.union
-        produced: list[Triple] = []
-        if not self._seeded:
-            self._seeded = True
-            for constant in self._constants:
-                self._add_root(constant, graph, produced)
-        self._harvest(self._input.process(delta, dataset), graph, produced)
-        quads = delta.quads if isinstance(delta, DeltaBatch) else delta
-        for quad in quads:
-            if quad.subject in self._roots:
-                triple = quad.triple
-                if triple not in self._emitted:
-                    self._emitted.add(triple)
-                    produced.append(triple)
-                obj = triple.object
-                if isinstance(obj, BlankNode) and obj not in self._roots:
-                    self._add_root(obj, graph, produced)
-        return self._count(self._to_bindings(produced))
-
-    def finalize(self, dataset: Dataset) -> list[Binding]:
-        graph = dataset.union
-        produced: list[Triple] = []
-        if not self._seeded:
-            self._seeded = True
-            for constant in self._constants:
-                self._add_root(constant, graph, produced)
-        self._harvest(self._input.finalize(dataset), graph, produced)
-        return self._count(self._to_bindings(produced))
-
-    def _harvest(self, bindings: list[Binding], graph, produced: list[Triple]) -> None:
-        for binding in bindings:
+        shrinking = delta.sign < 0
+        discovered: list[Term] = list(self._constants)
+        for binding, count in changes:
+            shrinking = shrinking or count < 0
             for variable in self._scope:
                 term = binding.get(variable)
                 if term is not None and not isinstance(term, Literal):
-                    self._scope_support[term] = self._scope_support.get(term, 0) + 1
-                    self._add_root(term, graph, produced)
+                    _bump(self._scope_support, term, count)
+                    discovered.append(term)
+        if shrinking:
+            return self._recompute(graph)
+        produced: list[Triple] = []
+        for resource in discovered:
+            self._add_root(resource, graph, produced)
+        for quad in delta.quads:
+            if quad.subject in self.roots:
+                triple = quad.triple
+                if triple not in self._emitted:
+                    self._emitted[triple] = None
+                    produced.append(triple)
+                obj = triple.object
+                if isinstance(obj, BlankNode):
+                    self._add_root(obj, graph, produced)
+        return [(self._to_binding(triple), 1) for triple in produced]
 
     def _add_root(self, resource: Term, graph, produced: list[Triple]) -> None:
-        if resource in self._roots:
+        if resource in self.roots:
             return
-        self._roots.add(resource)
+        self.roots.add(resource)
         frontier = [resource]
         while frontier:
             node = frontier.pop()
             for triple in graph.match(node, None, None):
                 if triple not in self._emitted:
-                    self._emitted.add(triple)
+                    self._emitted[triple] = None
                     produced.append(triple)
                 obj = triple.object
-                if isinstance(obj, BlankNode) and obj not in self._roots:
-                    self._roots.add(obj)
+                if isinstance(obj, BlankNode) and obj not in self.roots:
+                    self.roots.add(obj)
                     frontier.append(obj)
 
-    def _to_bindings(self, triples: list[Triple]) -> list[Binding]:
-        return [
-            Binding(
-                {
-                    self._SUBJECT: triple.subject,
-                    self._PREDICATE: triple.predicate,
-                    self._OBJECT: triple.object,
-                }
-            )
-            for triple in triples
-        ]
-
-    def apply(self, delta: Delta, dataset: Dataset) -> list[Change]:
-        # A description is not monotonic under retraction (a root's CBD
-        # can shrink, a root itself can vanish): recompute the description
-        # set from the surviving roots and diff against what was emitted.
-        graph = dataset.union
-        for binding, count in self._input.apply(delta, dataset):
-            for variable in self._scope:
-                term = binding.get(variable)
-                if term is not None and not isinstance(term, Literal):
-                    _bump(self._scope_support, term, count)
-        roots: set[Term] = set(self._constants)
-        roots.update(self._scope_support)
-        emitted: set[Triple] = set()
-        frontier = list(roots)
-        while frontier:
-            node = frontier.pop()
-            for triple in graph.match(node, None, None):
-                if triple not in emitted:
-                    emitted.add(triple)
-                    obj = triple.object
-                    if isinstance(obj, BlankNode) and obj not in roots:
-                        roots.add(obj)
-                        frontier.append(obj)
-        sort_key = lambda t: (repr(t.subject), repr(t.predicate), repr(t.object))  # noqa: E731
-        removed = sorted(self._emitted - emitted, key=sort_key)
-        added = sorted(emitted - self._emitted, key=sort_key)
-        self._emitted = emitted
-        self._roots = roots
-        changes: list[Change] = [(b, -1) for b in self._to_bindings(removed)]
-        changes.extend((b, 1) for b in self._to_bindings(added))
+    def _recompute(self, graph) -> list[Change]:
+        """Re-derive the description from the surviving roots and diff it."""
+        before = self._emitted
+        self.roots, self._emitted = set(), {}
+        for resource in (*self._constants, *self._scope_support):
+            self._add_root(resource, graph, [])
+        after = self._emitted
+        changes = [(self._to_binding(t), -1) for t in before if t not in after]
+        changes.extend((self._to_binding(t), 1) for t in after if t not in before)
         return changes
 
-    def children(self):
-        return (self._input,)
+    def _to_binding(self, triple: Triple) -> Binding:
+        return Binding(
+            {
+                self._SUBJECT: triple.subject,
+                self._PREDICATE: triple.predicate,
+                self._OBJECT: triple.object,
+            }
+        )
 
 
 class ProjectNode(IncrementalNode):
     def __init__(self, input_node: IncrementalNode, variables: tuple[Variable, ...]) -> None:
-        super().__init__(input_node.certain_variables & frozenset(variables))
-        self._input = input_node
+        super().__init__(input_node.certain_variables & frozenset(variables), input_node)
         self._variables = variables
 
-    def process(self, delta: Delta, dataset: Dataset) -> list[Binding]:
-        return self._count(
-            [b.projected(self._variables) for b in self._input.process(delta, dataset)]
-        )
-
-    def finalize(self, dataset: Dataset) -> list[Binding]:
-        return self._count(
-            [b.projected(self._variables) for b in self._input.finalize(dataset)]
-        )
-
-    def apply(self, delta: Delta, dataset: Dataset) -> list[Change]:
-        return [
-            (binding.projected(self._variables), count)
-            for binding, count in self._input.apply(delta, dataset)
-        ]
-
-    def children(self):
-        return (self._input,)
+    def _changes(self, delta: DeltaBatch, dataset: Dataset, changes: list[Change]) -> list[Change]:
+        variables = self._variables
+        return [(binding.projected(variables), count) for binding, count in changes]
 
 
 class DistinctNode(IncrementalNode):
     def __init__(self, input_node: IncrementalNode) -> None:
-        super().__init__(input_node.certain_variables)
-        self._input = input_node
-        #: Distinct binding → input multiplicity.  ``process`` emits on the
-        #: 0→1 transition; ``apply`` additionally retracts on 1→0.
+        super().__init__(input_node.certain_variables, input_node)
+        #: Distinct binding → input multiplicity: emitted on the 0→1
+        #: transition, retracted on 1→0.
         self._seen: dict[Binding, int] = {}
 
-    def process(self, delta: Delta, dataset: Dataset) -> list[Binding]:
-        return self._count(self._dedupe(self._input.process(delta, dataset)))
-
-    def finalize(self, dataset: Dataset) -> list[Binding]:
-        return self._count(self._dedupe(self._input.finalize(dataset)))
-
-    def _dedupe(self, bindings: list[Binding]) -> list[Binding]:
-        produced: list[Binding] = []
+    def _changes(self, delta: DeltaBatch, dataset: Dataset, changes: list[Change]) -> list[Change]:
+        produced: list[Change] = []
         seen = self._seen
-        for binding in bindings:
-            count = seen.get(binding, 0)
-            seen[binding] = count + 1
-            if count == 0:
-                produced.append(binding)
-        return produced
-
-    def apply(self, delta: Delta, dataset: Dataset) -> list[Change]:
-        changes: list[Change] = []
-        seen = self._seen
-        for binding, count in self._input.apply(delta, dataset):
-            if count < 0 and seen.get(binding, 0) < -count:
-                raise ValueError(f"retraction of unseen distinct binding {binding!r}")
+        for binding, count in changes:
             before = seen.get(binding, 0)
-            after = _bump(seen, binding, count)
-            if before == 0 and after > 0:
-                changes.append((binding, 1))
-            elif before > 0 and after == 0:
-                changes.append((binding, -1))
-        return changes
-
-    def children(self):
-        return (self._input,)
+            after = before + count
+            if after > 0:
+                seen[binding] = after
+                if not before:
+                    produced.append((binding, 1))
+            elif after == 0:
+                del seen[binding]
+                produced.append((binding, -1))
+            else:
+                raise ValueError(f"retraction of unseen distinct binding {binding!r}")
+        return produced
 
 
 class LimitNode(IncrementalNode):
     """LIMIT without OFFSET: any N results are a correct answer prefix.
 
-    Live executions keep consuming input past satisfaction into a *pool*:
-    when a retraction later removes an emitted row, the page refills from
-    pooled surplus instead of under-delivering.
+    A one-shot run retains nothing: it passes rows through until the
+    budget is spent.  A ``live`` run keeps consuming input past
+    satisfaction into a *pool*: when a retraction later removes an emitted
+    row, the page refills from pooled surplus instead of under-delivering.
     """
 
     def __init__(self, input_node: IncrementalNode, limit: int, live: bool = False) -> None:
-        super().__init__(input_node.certain_variables)
-        self._input = input_node
+        super().__init__(input_node.certain_variables, input_node)
         self._limit = limit
         self._taken = 0
         self._live = live
-        #: Every input row ever seen (live only), insertion-ordered.
+        #: Live only: every input row present, insertion-ordered; ``_out``
+        #: is the part of it currently emitted (total ≤ ``limit``).
         self._pool: dict[Binding, int] = {}
-        #: What is currently emitted (live only); total ≤ ``limit``.
-        self._out: dict[Binding, int] = {}
 
     @property
     def satisfied(self) -> bool:
         return self._taken >= self._limit
 
-    def _counted(self, produced: list[Binding]) -> list[Binding]:
-        self.produced_total += len(produced)
-        return produced
-
-    def children(self):
-        return (self._input,)
-
-    def _admit(self, produced: list[Binding]) -> list[Binding]:
-        if self._live:
-            for binding in produced:
-                _bump(self._pool, binding, 1)
-        remaining = self._limit - self._taken
-        produced = produced[:remaining]
-        self._taken += len(produced)
-        if self._live:
-            for binding in produced:
-                _bump(self._out, binding, 1)
-        return produced
-
-    def process(self, delta: Delta, dataset: Dataset) -> list[Binding]:
-        if self.satisfied and not self._live:
-            return []
-        return self._counted(self._admit(self._input.process(delta, dataset)))
-
-    def finalize(self, dataset: Dataset) -> list[Binding]:
-        if self.satisfied and not self._live:
-            return []
-        return self._counted(self._admit(self._input.finalize(dataset)))
-
-    def apply(self, delta: Delta, dataset: Dataset) -> list[Change]:
-        changes: list[Change] = []
-        for binding, count in self._input.apply(delta, dataset):
-            if count < 0 and self._pool.get(binding, 0) < -count:
-                raise ValueError(f"retraction of unseen limited binding {binding!r}")
-            _bump(self._pool, binding, count)
+    def _changes(self, delta: DeltaBatch, dataset: Dataset, changes: list[Change]) -> list[Change]:
+        produced: list[Change] = []
+        if not self._live:
+            for binding, count in changes:
+                if count < 0:
+                    raise ValueError(
+                        "a one-shot LIMIT keeps no refill pool and cannot "
+                        "retract; compile with live=True"
+                    )
+                take = min(count, self._limit - self._taken)
+                if take > 0:
+                    self._taken += take
+                    produced.append((binding, take))
+            return produced
+        pool, out = self._pool, self._out
+        for binding, count in changes:
+            _bump(pool, binding, count)
         # Clamp emissions to what the pool still holds…
-        for binding in list(self._out):
-            excess = self._out[binding] - self._pool.get(binding, 0)
+        for binding in list(out):
+            excess = out[binding] - pool.get(binding, 0)
             if excess > 0:
-                _bump(self._out, binding, -excess)
-                changes.append((binding, -excess))
+                _bump(out, binding, -excess)
+                produced.append((binding, -excess))
         # …then refill up to the limit from pooled surplus.
-        total = sum(self._out.values())
+        total = sum(out.values())
         if total < self._limit:
-            for binding, available in self._pool.items():
-                surplus = available - self._out.get(binding, 0)
-                if surplus <= 0:
-                    continue
-                take = min(surplus, self._limit - total)
-                _bump(self._out, binding, take)
-                changes.append((binding, take))
-                total += take
-                if total >= self._limit:
-                    break
+            for binding, available in pool.items():
+                take = min(available - out.get(binding, 0), self._limit - total)
+                if take > 0:
+                    _bump(out, binding, take)
+                    produced.append((binding, take))
+                    total += take
+                    if total >= self._limit:
+                        break
         self._taken = total
-        return changes
+        return produced
 
 
 class ExtendNode(IncrementalNode):
+    """BIND / projection expressions: one extra variable per solution.
+
+    ``BIND(EXISTS{…} AS ?x)`` can change value with any delta, so that form
+    is blocking: it holds its inputs, withholds its output while open, and
+    re-derives and diffs it per delta once settled.
+    """
+
     def __init__(
         self,
         input_node: IncrementalNode,
@@ -2079,102 +1547,90 @@ class ExtendNode(IncrementalNode):
         evaluator: ExpressionEvaluator,
     ) -> None:
         # The extended variable is not *certain*: the expression may error.
-        super().__init__(input_node.certain_variables)
-        self._input = input_node
+        super().__init__(input_node.certain_variables, input_node)
         self._variable = variable
         self._expression = expression
         self._evaluator = evaluator
-        # BIND(EXISTS{…} AS ?x) can change value as data arrives; hold the
-        # inputs and bind against the final snapshot.
         self.blocking = expression_contains_exists(expression)
-        self._held: list[Binding] = []
-        #: Blocking (EXISTS) live state: input multiset and emitted output.
+        #: Blocking (EXISTS) form only: the input multiset.
         self._candidates: dict[Binding, int] = {}
-        self._live_out: dict[Binding, int] = {}
 
-    def process(self, delta: Delta, dataset: Dataset) -> list[Binding]:
-        new = self._input.process(delta, dataset)
-        if self.blocking:
-            self._held.extend(new)
-            return []
-        return self._count(self._apply(new))
+    def _extend(self, binding: Binding) -> Optional[Binding]:
+        try:
+            value = self._evaluator.evaluate(self._expression, binding)
+        except ExpressionError:
+            return binding
+        if self._variable in binding:
+            return binding if binding[self._variable] == value else None
+        return binding.extended(self._variable, value)
 
-    def finalize(self, dataset: Dataset) -> list[Binding]:
-        finals = self._input.finalize(dataset)
-        if self.blocking:
-            finals = self._held + finals
-            self._held = []
-            for binding in finals:
-                _bump(self._candidates, binding, 1)
-        return self._count(self._apply(finals))
-
-    def _apply(self, bindings: list[Binding]) -> list[Binding]:
-        produced: list[Binding] = []
-        for binding in bindings:
-            try:
-                value = self._evaluator.evaluate(self._expression, binding)
-            except ExpressionError:
-                produced.append(binding)
-                continue
-            if self._variable in binding:
-                if binding[self._variable] == value:
-                    produced.append(binding)
-                continue
-            produced.append(binding.extended(self._variable, value))
-        return produced
-
-    def _recompute_out(self) -> dict[Binding, int]:
-        out: dict[Binding, int] = {}
-        for binding, count in self._candidates.items():
-            for mapped in self._apply([binding]):
-                _bump(out, mapped, count)
-        return out
-
-    def prepare_live(self, dataset: Dataset) -> None:
-        if self.blocking:
-            self._live_out = self._recompute_out()
-
-    def apply(self, delta: Delta, dataset: Dataset) -> list[Change]:
-        input_changes = self._input.apply(delta, dataset)
+    def _changes(self, delta: DeltaBatch, dataset: Dataset, changes: list[Change]) -> list[Change]:
         if not self.blocking:
-            changes: list[Change] = []
-            for binding, count in input_changes:
-                for mapped in self._apply([binding]):
-                    changes.append((mapped, count))
-            return changes
-        # EXISTS inside the expression: its value depends on the dataset,
-        # so any delta can flip an output — re-derive and diff.
-        for binding, count in input_changes:
-            if count < 0 and self._candidates.get(binding, 0) < -count:
-                raise ValueError(f"retraction of unseen extend input {binding!r}")
+            return [
+                (extended, count)
+                for binding, count in changes
+                if (extended := self._extend(binding)) is not None
+            ]
+        for binding, count in changes:
             _bump(self._candidates, binding, count)
-        out = self._recompute_out()
-        changes = _diff_multisets(self._live_out, out)
-        self._live_out = out
-        return changes
+        if not self.settled or not (delta or changes):
+            return []
+        return self._rediff(self._output())
 
-    def children(self):
-        return (self._input,)
+    def _release(self, dataset: Dataset) -> list[Change]:
+        return self._rediff(self._output()) if self.blocking else []
+
+    def _output(self) -> dict[Binding, int]:
+        output: dict[Binding, int] = {}
+        for binding, count in self._candidates.items():
+            extended = self._extend(binding)
+            if extended is not None:
+                _bump(output, extended, count)
+        return output
+
+
+def _walk(node: IncrementalNode) -> Iterator[IncrementalNode]:
+    yield node
+    for child in node.children():
+        yield from _walk(child)
 
 
 def total_work(node: IncrementalNode) -> int:
-    """Sum of bindings produced by every node in a pipeline tree.
+    """Sum of changes produced by every node in a pipeline tree.
 
     A proxy for evaluation effort: bad join orders inflate intermediate
     results, which this counter exposes (used by the adaptive-planning
     bench E10).
     """
-    return node.produced_total + sum(total_work(child) for child in node.children())
+    return sum(each.produced_total for each in _walk(node))
+
+
+def _bindings(changes: list[Change]) -> list[Binding]:
+    """An insert-only change list as the plain bindings it adds."""
+    bindings: list[Binding] = []
+    for binding, count in changes:
+        if count < 0:
+            raise ValueError(
+                f"retraction of {binding!r} reached a bindings-only view; "
+                "consume signed changes with Pipeline.poll_changes"
+            )
+        bindings += [binding] * count
+    return bindings
 
 
 class Pipeline:
     """A compiled incremental operator tree plus its feeding cursor.
 
     Construction walks the tree once so every scan registers its predicate
-    key with the pipeline's :class:`DeltaRouter`; each :meth:`advance` then
-    buckets the delta once and dispatches only the matching slices.
-    ``blocking_nodes`` lists the physical operators that hold output for
-    the :meth:`finalize` pass — empty means the whole plan streams.
+    key with the pipeline's :class:`DeltaRouter`; each feed then buckets
+    the delta once and dispatches only the matching slices.  There is one
+    feed — the dataset's signed log since the cursor, through
+    :meth:`IncrementalNode.apply` — and three views of it: :meth:`advance`
+    (the bindings an insert-only window adds), :meth:`poll_changes` (the
+    signed changes of any window) and :meth:`finalize` (the last advance
+    plus the quiescence release).  ``blocking_nodes`` lists the physical
+    operators that withhold output until :meth:`finalize` — empty means
+    the whole plan streams.
     """
 
     def __init__(
@@ -2183,44 +1639,35 @@ class Pipeline:
         exists_context: Optional[CurrentDatasetExists] = None,
         live: bool = False,
     ) -> None:
-        self._root = root
-        #: Live pipelines stay open past quiescence and maintain their
-        #: result multiset under signed deltas (:meth:`poll_changes`).
+        self.root = root
+        #: Live pipelines retain what retractions need (see the ``live``
+        #: parameters of the nodes) and never terminate traversal early.
         self.live = live
         self._cursor = 0
-        self._router = DeltaRouter()
-        root.register(self._router)
+        self.router = DeltaRouter()
+        root.register(self.router)
         self._exists = exists_context
-        blocking: list[IncrementalNode] = []
-        stack: list[IncrementalNode] = [root]
-        while stack:
-            node = stack.pop()
-            if node.blocking:
-                blocking.append(node)
-            stack.extend(node.children())
-        self.blocking_nodes: tuple[IncrementalNode, ...] = tuple(blocking)
+        self.blocking_nodes: tuple[IncrementalNode, ...] = tuple(
+            node for node in _walk(root) if node.blocking
+        )
         self._tracer = None
         self._trace_parent = None
 
     def enable_tracing(self, tracer, parent=None) -> None:
-        """Record one ``advance-batch`` span per :meth:`advance` (under
-        ``parent``) with nested ``join`` spans per join operator."""
+        """Record one span per fed batch (under ``parent``) — named
+        ``advance-batch`` before quiescence and ``apply-batch`` after —
+        with nested ``join`` spans per join operator."""
         self._tracer = tracer
         self._trace_parent = parent
-        stack: list[IncrementalNode] = [self._root]
-        while stack:
-            node = stack.pop()
+        for node in _walk(self.root):
             if isinstance(node, JoinNode):
                 node._tracer = tracer
-            stack.extend(node.children())
 
-    @property
-    def root(self) -> IncrementalNode:
-        return self._root
-
-    @property
-    def router(self) -> DeltaRouter:
-        return self._router
+    def _span(self, name: str, **args):
+        """A tracer span under the pipeline's parent; a no-op when untraced."""
+        if self._tracer is None:
+            return nullcontext()
+        return self._tracer.span(name, parent=self._trace_parent, **args)
 
     @property
     def complete(self) -> bool:
@@ -2232,98 +1679,153 @@ class Pipeline:
         """
         if self.live:
             return False
-        return isinstance(self._root, LimitNode) and self._root.satisfied
-
-    def advance(self, dataset: Dataset) -> list[Binding]:
-        """Feed all quads logged since the last call; return new solutions."""
-        position = dataset.log_position
-        if position == self._cursor:
-            return []
-        delta = dataset.log_slice(self._cursor, position)
-        self._cursor = position
-        if not delta:
-            return []
-        if self._exists is not None:
-            self._exists.bind(dataset)
-        tracer = self._tracer
-        if tracer is None:
-            return self._root.process(self._router.batch(delta), dataset)
-        with tracer.span(
-            "advance-batch", parent=self._trace_parent, quads=len(delta)
-        ) as span:
-            produced = self._root.process(self._router.batch(delta), dataset)
-            span.args["produced"] = len(produced)
-        return produced
-
-    def finalize(self, dataset: Dataset) -> list[Binding]:
-        """Quiescence flush: drain the cursor, then release blocked output.
-
-        Returns the tail of the result stream — any solutions from the
-        final delta plus everything the blocking operators held back.
-        Runs in O(held results); no operator re-scans its inputs.
-        """
-        produced = self.advance(dataset)
-        if self._exists is not None:
-            self._exists.bind(dataset)
-        tracer = self._tracer
-        if tracer is None:
-            return produced + self._root.finalize(dataset)
-        with tracer.span(
-            "finalize",
-            parent=self._trace_parent,
-            blocking=len(self.blocking_nodes),
-        ) as span:
-            finals = self._root.finalize(dataset)
-            span.args["produced"] = len(finals)
-        return produced + finals
-
-    def prepare_live(self, dataset: Dataset) -> None:
-        """Arm signed maintenance: every node builds its apply-time state.
-
-        Call exactly once, after :meth:`finalize`, on a live-compiled
-        pipeline.  From then on :meth:`poll_changes` maintains the result
-        multiset under signed dataset deltas.
-        """
-        if self._exists is not None:
-            self._exists.bind(dataset)
-        stack: list[IncrementalNode] = [self._root]
-        while stack:
-            node = stack.pop()
-            node.prepare_live(dataset)
-            stack.extend(node.children())
+        return isinstance(self.root, LimitNode) and self.root.satisfied
 
     def poll_changes(self, dataset: Dataset) -> list[Change]:
         """Feed signed log growth since the last call through the tree.
 
-        The slice is split into maximal same-sign runs so each
-        :meth:`IncrementalNode.apply` batch has a single polarity; the
-        returned changes are the net signed adjustments to the query's
-        result multiset.
+        The window is split into maximal same-sign runs so each
+        :class:`DeltaBatch` has a single polarity; the returned changes
+        are the net signed adjustments to the query's result multiset.
+        Absorbing retractions takes the retention of a ``live`` compile.
         """
         position = dataset.log_position
-        if position == self._cursor:
+        start = self._cursor
+        if position == start:
             return []
-        runs = dataset.signed_runs(self._cursor, position)
         self._cursor = position
+        if dataset.retractions_since(start):
+            runs = dataset.signed_runs(start, position)
+        else:
+            runs = [(1, dataset.log_slice(start, position))]
         if self._exists is not None:
             self._exists.bind(dataset)
-        tracer = self._tracer
+        root = self.root
         changes: list[Change] = []
+        if self._tracer is None:  # the per-batch hot path: no span bookkeeping
+            for sign, quads in runs:
+                changes += root.apply(self.router.batch(quads, sign), dataset)
+            return changes
+        name = "apply-batch" if root.settled else "advance-batch"
         for sign, quads in runs:
-            batch = self._router.batch(quads, sign)
-            if tracer is None:
-                changes.extend(self._root.apply(batch, dataset))
-                continue
-            with tracer.span(
-                "apply-batch",
-                parent=self._trace_parent,
-                quads=len(quads),
-                sign=sign,
-            ) as span:
-                produced = self._root.apply(batch, dataset)
+            with self._span(name, quads=len(quads), sign=sign) as span:
+                produced = root.apply(self.router.batch(quads, sign), dataset)
                 span.args["changes"] = len(produced)
-            changes.extend(produced)
+            changes += produced
         return changes
+
+    def advance(self, dataset: Dataset) -> list[Binding]:
+        """Feed all quads logged since the last call; return new solutions.
+
+        The bindings view of :meth:`poll_changes` for insert-only windows
+        (all a traversal produces); a retraction surfacing here raises.
+        """
+        return _bindings(self.poll_changes(dataset))
+
+    def finalize(self, dataset: Dataset) -> list[Binding]:
+        """Quiescence: drain the cursor, then release withheld output.
+
+        Returns the tail of the result stream — any solutions from the
+        final delta plus everything the blocking operators withheld — and
+        settles every node.  Runs in O(withheld results); no operator
+        re-scans its inputs.
+        """
+        produced = self.advance(dataset)
+        if self._exists is not None:
+            self._exists.bind(dataset)
+        with self._span("finalize", blocking=len(self.blocking_nodes)) as span:
+            finals = _bindings(self.root.finalize(dataset))
+            if span is not None:
+                span.args["produced"] = len(finals)
+        return produced + finals
+
+
+@dataclass(frozen=True)
+class _CompileContext:
+    """What every builder in :data:`_BUILDERS` needs besides its operator."""
+
+    evaluator: ExpressionEvaluator
+    bgp_order: Callable
+    graph: Optional[Term] = None
+    live: bool = False
+
+    def compile(self, op: Operator) -> IncrementalNode:
+        builder = _BUILDERS.get(type(op))
+        if builder is None:
+            raise NotStreamable(
+                f"operator {type(op).__name__} has no physical implementation"
+            )
+        return builder(self, op)
+
+    def order_slice(
+        self, order: OrderBy, offset: int = 0, limit: Optional[int] = None
+    ) -> OrderSliceNode:
+        node = self.compile(order.input)
+        return OrderSliceNode(
+            node, order.conditions, offset, limit, self.evaluator, live=self.live
+        )
+
+
+def _build_bgp(context: _CompileContext, op: BGP) -> IncrementalNode:
+    patterns = context.bgp_order(list(op.patterns) + list(op.path_patterns))
+    if not patterns:
+        return ValuesNode(ValuesOp((), ((),)))
+    root: Optional[IncrementalNode] = None
+    for pattern in patterns:
+        scan = PathScanNode if isinstance(pattern, PathPattern) else ScanNode
+        node = scan(pattern, graph=context.graph)
+        root = node if root is None else JoinNode(root, node)
+    return root
+
+
+def _build_filter(context: _CompileContext, op: Filter) -> IncrementalNode:
+    node = ExistsFilterNode if expression_contains_exists(op.expression) else FilterNode
+    return node(context.compile(op.input), op.expression, context.evaluator)
+
+
+def _build_slice(context: _CompileContext, op: Slice) -> IncrementalNode:
+    # Fuse ORDER BY + OFFSET/LIMIT into one top-k operator; sort keys are
+    # computed before projection so conditions may reference
+    # projected-away variables.
+    inner = op.input
+    if isinstance(inner, Project) and isinstance(inner.input, OrderBy):
+        return ProjectNode(
+            context.order_slice(inner.input, op.offset, op.limit), inner.variables
+        )
+    if not isinstance(inner, OrderBy):
+        if op.offset == 0:
+            node = context.compile(inner)
+            return node if op.limit is None else LimitNode(node, op.limit, live=context.live)
+        inner = OrderBy(inner, ())  # an OFFSET needs the (unordered) page buffer
+    return context.order_slice(inner, op.offset, op.limit)
+
+
+#: Algebra class → builder of its physical form.
+_BUILDERS: dict[type, Callable[[_CompileContext, Operator], IncrementalNode]] = {
+    BGP: _build_bgp,
+    Join: lambda c, op: JoinNode(c.compile(op.left), c.compile(op.right)),
+    LeftJoin: lambda c, op: LeftJoinNode(
+        c.compile(op.left), c.compile(op.right), op.expression, c.evaluator
+    ),
+    Union: lambda c, op: UnionNode(c.compile(op.left), c.compile(op.right)),
+    Minus: lambda c, op: MinusNode(c.compile(op.left), c.compile(op.right)),
+    Filter: _build_filter,
+    Extend: lambda c, op: ExtendNode(
+        c.compile(op.input), op.variable, op.expression, c.evaluator
+    ),
+    GraphOp: lambda c, op: replace(c, graph=op.name).compile(op.input),
+    ValuesOp: lambda c, op: ValuesNode(op),
+    Project: lambda c, op: ProjectNode(c.compile(op.input), op.variables),
+    Distinct: lambda c, op: DistinctNode(c.compile(op.input)),
+    # Streaming REDUCED: full dedup is permitted by the spec and free here.
+    Reduced: lambda c, op: DistinctNode(c.compile(op.input)),
+    OrderBy: lambda c, op: c.order_slice(op),
+    Slice: _build_slice,
+    GroupBy: lambda c, op: GroupAggregateNode(
+        c.compile(op.input), op, c.evaluator, live=c.live
+    ),
+    SubSelect: lambda c, op: c.compile(op.query.where),
+}
 
 
 def compile_pipeline(
@@ -2336,8 +1838,9 @@ def compile_pipeline(
     """Compile an algebra tree into an incremental pipeline.
 
     Monotonic operators stream; non-monotonic ones compile into blocking
-    physical nodes that release held output via ``Pipeline.finalize`` at
-    traversal quiescence.
+    physical nodes that release withheld output via ``Pipeline.finalize``
+    at traversal quiescence.  ``live`` makes the nodes retain what signed
+    maintenance past quiescence needs (``Pipeline.poll_changes``).
 
     ``bgp_order`` optionally overrides join ordering: a callable taking the
     list of (triple & path) patterns of a BGP and returning them in the
@@ -2356,7 +1859,7 @@ def compile_pipeline(
         def bgp_order(patterns):
             return plan_bgp_order(patterns, seed_iris=seeds)
 
-    root = _compile(where, evaluator, bgp_order, graph=None, live=live)
+    root = _CompileContext(evaluator, bgp_order, live=live).compile(where)
     return Pipeline(root, exists_context, live=live)
 
 
@@ -2375,141 +1878,10 @@ def compile_query_pipeline(
       still stops traversal at the first proof.
     * DESCRIBE wraps the WHERE tree in a streaming :class:`DescribeNode`.
     """
-    exists_context = CurrentDatasetExists()
-    evaluator = ExpressionEvaluator(exists_evaluator=exists_context)
-    if bgp_order is None:
-        seeds = tuple(seed_iris)
-
-        def bgp_order(patterns):
-            return plan_bgp_order(patterns, seed_iris=seeds)
-
     where = query.where
     if query.form == "ASK":
         where = Slice(Project(where, ()), offset=0, limit=1)
-    root = _compile(where, evaluator, bgp_order, graph=None, live=live)
+    pipeline = compile_pipeline(where, seed_iris=seed_iris, bgp_order=bgp_order, live=live)
     if query.form == "DESCRIBE":
-        root = DescribeNode(root, query)
-    return Pipeline(root, exists_context, live=live)
-
-
-def _compile(
-    op: Operator,
-    evaluator: ExpressionEvaluator,
-    bgp_order,
-    graph: Optional[Term],
-    live: bool = False,
-) -> IncrementalNode:
-    if isinstance(op, BGP):
-        return _compile_bgp(op, bgp_order, graph)
-    if isinstance(op, Join):
-        return JoinNode(
-            _compile(op.left, evaluator, bgp_order, graph, live),
-            _compile(op.right, evaluator, bgp_order, graph, live),
-        )
-    if isinstance(op, LeftJoin):
-        return LeftJoinNode(
-            _compile(op.left, evaluator, bgp_order, graph, live),
-            _compile(op.right, evaluator, bgp_order, graph, live),
-            op.expression,
-            evaluator,
-        )
-    if isinstance(op, Union):
-        return UnionNode(
-            _compile(op.left, evaluator, bgp_order, graph, live),
-            _compile(op.right, evaluator, bgp_order, graph, live),
-        )
-    if isinstance(op, Minus):
-        return MinusNode(
-            _compile(op.left, evaluator, bgp_order, graph, live),
-            _compile(op.right, evaluator, bgp_order, graph, live),
-        )
-    if isinstance(op, Filter):
-        inner = _compile(op.input, evaluator, bgp_order, graph, live)
-        if expression_contains_exists(op.expression):
-            return ExistsFilterNode(inner, op.expression, evaluator)
-        return FilterNode(inner, op.expression, evaluator)
-    if isinstance(op, Extend):
-        return ExtendNode(
-            _compile(op.input, evaluator, bgp_order, graph, live),
-            op.variable,
-            op.expression,
-            evaluator,
-        )
-    if isinstance(op, GraphOp):
-        return _compile(op.input, evaluator, bgp_order, op.name, live)
-    if isinstance(op, ValuesOp):
-        return ValuesNode(op)
-    if isinstance(op, Project):
-        return ProjectNode(_compile(op.input, evaluator, bgp_order, graph, live), op.variables)
-    if isinstance(op, Distinct):
-        return DistinctNode(_compile(op.input, evaluator, bgp_order, graph, live))
-    if isinstance(op, Reduced):
-        # Streaming REDUCED: full dedup is permitted by the spec and free here.
-        return DistinctNode(_compile(op.input, evaluator, bgp_order, graph, live))
-    if isinstance(op, OrderBy):
-        return OrderSliceNode(
-            _compile(op.input, evaluator, bgp_order, graph, live),
-            op.conditions,
-            0,
-            None,
-            evaluator,
-            live=live,
-        )
-    if isinstance(op, Slice):
-        # Fuse ORDER BY + OFFSET/LIMIT into one top-k operator; sort keys
-        # are computed before projection so conditions may reference
-        # projected-away variables.
-        if isinstance(op.input, OrderBy):
-            return OrderSliceNode(
-                _compile(op.input.input, evaluator, bgp_order, graph, live),
-                op.input.conditions,
-                op.offset,
-                op.limit,
-                evaluator,
-                live=live,
-            )
-        if isinstance(op.input, Project) and isinstance(op.input.input, OrderBy):
-            order = op.input.input
-            return ProjectNode(
-                OrderSliceNode(
-                    _compile(order.input, evaluator, bgp_order, graph, live),
-                    order.conditions,
-                    op.offset,
-                    op.limit,
-                    evaluator,
-                    live=live,
-                ),
-                op.input.variables,
-            )
-        inner = _compile(op.input, evaluator, bgp_order, graph, live)
-        if op.offset != 0:
-            return OrderSliceNode(inner, (), op.offset, op.limit, evaluator, live=live)
-        if op.limit is None:
-            return inner
-        return LimitNode(inner, op.limit, live=live)
-    if isinstance(op, GroupBy):
-        return GroupAggregateNode(
-            _compile(op.input, evaluator, bgp_order, graph, live), op, evaluator, live=live
-        )
-    if isinstance(op, SubSelect):
-        return _compile(op.query.where, evaluator, bgp_order, graph, live)
-    raise NotStreamable(f"operator {type(op).__name__} has no physical implementation")
-
-
-def _compile_bgp(
-    op: BGP, bgp_order, graph: Optional[Term]
-) -> IncrementalNode:
-    patterns = bgp_order(list(op.patterns) + list(op.path_patterns))
-    if not patterns:
-        empty = ValuesOp((), ((),))
-        return ValuesNode(empty)
-    nodes: list[IncrementalNode] = []
-    for pattern in patterns:
-        if isinstance(pattern, PathPattern):
-            nodes.append(PathScanNode(pattern, graph=graph))
-        else:
-            nodes.append(ScanNode(pattern, graph=graph))
-    root = nodes[0]
-    for node in nodes[1:]:
-        root = JoinNode(root, node)
-    return root
+        pipeline = Pipeline(DescribeNode(pipeline.root, query), pipeline._exists, live=live)
+    return pipeline

@@ -17,7 +17,7 @@ from collections import Counter
 import pytest
 
 from repro.ltqp.live import LiveQuery, ResultChange
-from repro.ltqp.pipeline import compile_query_pipeline
+from repro.ltqp.pipeline import compile_query_pipeline, total_work
 from repro.ltqp.source import GrowingTripleSource
 from repro.net.message import Request
 from repro.rdf.turtle import parse_turtle
@@ -43,7 +43,6 @@ def start_live(query_text: str, docs: dict[str, str]):
         source.add_document(url, parse_turtle(text, base_iri=url))
         results.extend(pipeline.advance(source.dataset))
     results.extend(pipeline.finalize(source.dataset))
-    pipeline.prepare_live(source.dataset)
     return pipeline, source, results
 
 
@@ -97,9 +96,12 @@ class TestOperatorRetraction:
         pipeline, source, results = start_live(query, {DOC: PEOPLE})
         assert len(results) == 3
         final = f'@prefix foaf: <{FOAF}> .\n<#alice> foaf:name "Alice" .'
+        work_at_quiescence = total_work(pipeline.root)
         changes = apply_edit(pipeline, source, DOC, final)
         deltas = Counter(delta for _, delta in changes)
         assert deltas[-1] == 2  # Bob and Carol retracted
+        # Work is counted in both phases, not only up to quiescence.
+        assert total_work(pipeline.root) > work_at_quiescence
         assert_equivalent(query, {DOC: final}, results, changes)
 
     def test_join_retraction_cascades(self):

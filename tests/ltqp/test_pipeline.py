@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.ltqp.pipeline import NotStreamable, compile_pipeline
+from repro.ltqp.explain import _PHYSICAL_LABELS
+from repro.ltqp.pipeline import IncrementalNode, NotStreamable, compile_pipeline
 from repro.rdf import Dataset, Literal, NamedNode, Quad, Variable
 from repro.sparql import parse_query
 from repro.sparql.bindings import Binding
@@ -234,9 +235,7 @@ class TestNonMonotonicCompiles:
             pass
 
         with pytest.raises(NotStreamable):
-            from repro.ltqp.pipeline import _compile
-
-            _compile(Alien(), None, lambda p: p, None)
+            compile_pipeline(Alien())
 
     def test_graph_scoped_scan(self):
         query = parse_query(EX + "SELECT ?o WHERE { GRAPH <https://h/d1> { ex:a ex:p ?o } }")
@@ -245,3 +244,22 @@ class TestNonMonotonicCompiles:
         in_graph = feed(pipeline, ds, [q(n("a"), n("p"), Literal("1"), "https://h/d1")])
         other_graph = feed(pipeline, ds, [q(n("a"), n("p"), Literal("2"), "https://h/d2")])
         assert len(in_graph) == 1 and len(other_graph) == 0
+
+
+def _all_subclasses(cls):
+    for subclass in cls.__subclasses__():
+        yield subclass
+        yield from _all_subclasses(subclass)
+
+
+class TestOneProtocol:
+    """Every operator has one body (``_changes``), driven by the base
+    class: the guard against the next feature growing a second path."""
+
+    @pytest.mark.parametrize("node_class", sorted(_all_subclasses(IncrementalNode), key=lambda c: c.__name__))
+    def test_node_has_one_body_and_a_plan_label(self, node_class):
+        for forked in ("process", "prepare_live"):
+            assert not hasattr(node_class, forked), f"{node_class.__name__}.{forked}"
+        assert "finalize" not in vars(node_class)  # quiescence is the base driver's
+        assert "_changes" in vars(node_class)
+        assert node_class in _PHYSICAL_LABELS

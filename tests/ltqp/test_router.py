@@ -4,6 +4,7 @@ from repro.ltqp.pipeline import DeltaBatch, DeltaRouter, ScanNode, compile_pipel
 from repro.rdf import Dataset, Graph, Literal, NamedNode, Quad, Variable
 from repro.rdf.triples import TriplePattern
 from repro.sparql.algebra import BGP
+from repro.sparql.bindings import Binding
 from repro.sparql.eval import SnapshotEvaluator
 
 EX = "http://example.org/"
@@ -81,20 +82,24 @@ class TestDeltaBatch:
 
 
 class TestScanNodeDispatch:
-    def test_plain_sequence_delta_still_matches(self):
-        """Scans must keep accepting unbatched quad lists (direct node use)."""
+    def test_scan_reads_only_its_predicate_bucket(self):
+        """Driving a scan directly takes a router-built batch."""
         x = Variable("x")
         scan = ScanNode(TriplePattern(x, NamedNode(EX + "p"), NamedNode(EX + "b")))
-        produced = scan.process([quad("a", "p", "b"), quad("a", "q", "b")], Dataset())
-        assert [b[x] for b in produced] == [NamedNode(EX + "a")]
+        router = DeltaRouter()
+        scan.register(router)
+        batch = router.batch([quad("a", "p", "b"), quad("a", "q", "b")])
+        produced = scan.apply(batch, Dataset())
+        assert produced == [(Binding({x: NamedNode(EX + "a")}), 1)]
 
     def test_repeated_variable_requires_equal_terms(self):
         x = Variable("x")
         scan = ScanNode(TriplePattern(x, NamedNode(EX + "p"), x))
-        produced = scan.process(
-            [quad("a", "p", "a"), quad("a", "p", "b")], Dataset()
-        )
-        assert [b[x] for b in produced] == [NamedNode(EX + "a")]
+        router = DeltaRouter()
+        scan.register(router)
+        batch = router.batch([quad("a", "p", "a"), quad("a", "p", "b")])
+        produced = scan.apply(batch, Dataset())
+        assert [b[x] for b, _ in produced] == [NamedNode(EX + "a")]
 
     def test_routed_advance_matches_snapshot_evaluation(self):
         x, y = Variable("x"), Variable("y")
