@@ -7,9 +7,9 @@ repo adds on top: a *standing* query that never re-runs.  After the
 initial traversal the pipeline stays open; an edit costs one
 conditional fetch of the changed document, one diff against the stored
 parse, and a signed delta (``+1`` binding appeared / ``-1`` binding
-retracted) through the retained operators.  The live-maintenance bench
-(``benchmarks/bench_live.py``) holds this path ≥10× faster than
-re-execution — in practice several hundred times.
+retracted) through the retained operators.  The performance ledger's
+``live_edits`` workload (``BENCHMARK.json``) measures this path:
+milliseconds per edit against seconds for a re-execution.
 
 Two layers are demonstrated:
 

@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from ..ltqp.engine import EngineConfig, LinkTraversalEngine
+from ..ltqp.engine import EngineConfig, ExecutionResult, LinkTraversalEngine
 from ..ltqp.extractors import LinkExtractor
 from ..net.latency import LatencyModel, NoLatency
 from ..obs import Tracer
@@ -45,6 +45,8 @@ class QueryRunReport:
     result_times: list[float] = field(default_factory=list)
     #: The span tree recorded for this run (the waterfall's source).
     trace: Optional[Tracer] = None
+    #: The finished execution: its bindings and full ``ExecutionStats``.
+    execution: Optional[ExecutionResult] = None
 
     def row(self) -> dict:
         """A flat dict for table rendering."""
@@ -79,17 +81,19 @@ def run_query(
     latency: Optional[LatencyModel] = None,
     check_oracle: bool = True,
     auth_headers: Optional[dict[str, str]] = None,
+    tracer: Optional[Tracer] = None,
 ) -> QueryRunReport:
     """Execute one Discover query by link traversal and measure it.
 
     Every run is traced: the report's waterfall is built from the span
-    tree, which is returned on the report as ``trace``.
+    tree, which is returned on the report as ``trace``.  Pass a ``tracer``
+    on a :class:`~repro.obs.TickClock` to make every time an event count.
     """
     client = universe.client(latency=latency if latency is not None else NoLatency())
     engine = LinkTraversalEngine(
         client, extractors=extractors, config=engine_config, auth_headers=auth_headers
     )
-    tracer = Tracer()
+    tracer = tracer if tracer is not None else Tracer()
     execution = engine.query(query.text, seeds=query.seeds, tracer=tracer).run_sync()
     stats = execution.stats
 
@@ -115,6 +119,7 @@ def run_query(
         streaming=stats.streaming,
         result_times=[timed.elapsed for timed in execution.results],
         trace=tracer,
+        execution=execution,
     )
 
 

@@ -22,9 +22,6 @@ class EndpointDirectory(App):
     def add(self, path: str, endpoint: SparqlEndpointApp) -> None:
         self._endpoints[path] = endpoint
 
-    def endpoint_paths(self) -> list[str]:
-        return sorted(self._endpoints)
-
     async def handle(self, request: Request) -> Response:
         from urllib.parse import urlsplit
 
@@ -33,9 +30,6 @@ class EndpointDirectory(App):
         if endpoint is None:
             return Response.not_found(request.url)
         return await endpoint.handle(request)
-
-    def total_queries_served(self) -> int:
-        return sum(e.queries_served for e in self._endpoints.values())
 
 
 def attach_pod_endpoints(universe: SolidBenchUniverse) -> list[str]:

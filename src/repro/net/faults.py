@@ -144,9 +144,6 @@ class FaultPlan:
     def total_injected(self) -> int:
         return sum(self.injected_by_kind.values())
 
-    def attempts_for(self, url: str) -> int:
-        return self._attempts.get(url, 0)
-
     def is_faulted_url(self, rule_index: int, url: str) -> bool:
         """The seeded per-URL draw for one rule (pure, no counters)."""
         rule = self._rules[rule_index]

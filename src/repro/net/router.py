@@ -66,14 +66,11 @@ class StaticApp(App):
 class Internet:
     """Registry of simulated origins.
 
-    ``register`` binds an app to an origin.  A fallback app can be set for
-    any unregistered origin (used to simulate the open Web returning 404s
-    instead of DNS errors).
+    ``register`` binds an app to an origin.
     """
 
     def __init__(self) -> None:
         self._origins: dict[str, App] = {}
-        self._fallback: Optional[App] = None
         self._fault_plan: Optional["FaultPlan"] = None
 
     def register(self, origin: str, app: App) -> None:
@@ -85,9 +82,6 @@ class Internet:
         Lets tests deploy and retract hostile origins around a single
         universe without rebuilding it."""
         self._origins.pop(origin.rstrip("/"), None)
-
-    def set_fallback(self, app: App) -> None:
-        self._fallback = app
 
     def install_fault_plan(self, plan: Optional["FaultPlan"]) -> None:
         """Install (or, with ``None``, remove) a fault-injection plan.
@@ -103,10 +97,7 @@ class Internet:
         return self._fault_plan
 
     def app_for(self, origin: str) -> Optional[App]:
-        app = self._origins.get(origin.rstrip("/"))
-        if app is not None:
-            return app
-        return self._fallback
+        return self._origins.get(origin.rstrip("/"))
 
     def origins(self) -> list[str]:
         return sorted(self._origins)
@@ -114,7 +105,7 @@ class Internet:
     async def dispatch(self, request: Request) -> Response:
         """Route a request to its origin's app.
 
-        An unknown origin without fallback behaves like an unresolvable
+        An unknown origin behaves like an unresolvable
         host: the client surfaces it as a connection error (status 0),
         marked ``x-error: unknown-origin`` so retry logic can treat it as
         permanent (NXDOMAIN) rather than a transient drop.

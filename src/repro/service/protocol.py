@@ -34,7 +34,7 @@ from ..federation.endpoint import SparqlProtocolApp
 from ..net.message import Request, Response
 from ..sparql.algebra import Query
 from .service import QueryService, ServiceOverloadedError
-from .status import build_status, build_status_async
+from .status import build_status_async
 from .wire import encode_term
 
 __all__ = ["ServiceSparqlApp"]
@@ -180,9 +180,6 @@ class ServiceSparqlApp(SparqlProtocolApp):
         except RuntimeError as error:
             return Response(409, {"content-type": "text/plain"}, str(error).encode("utf-8"))
         return _json_response(report)
-
-    def status_document(self) -> dict:
-        return build_status(self._service)
 
     async def answer(self, query: Query, request: Request) -> Response:
         if query.form not in ("SELECT", "ASK"):

@@ -944,8 +944,6 @@ class ShardedQueryService:
         seeds: Optional[Iterable[str]] = None,
         max_documents: Optional[int] = None,
         max_duration: Optional[float] = None,
-        tracer=None,  # accepted for QueryService compatibility; tracing
-        metrics=None,  # stays worker-local and is not shipped across
     ) -> ShardedQuery:
         """Route a query to its shard (or raise :class:`ServiceOverloadedError`)."""
         text, parsed = self._coerce(query)

@@ -431,9 +431,6 @@ class AdversaryDeployment:
         """Requests the adversary answered — the attack's cost measure."""
         return sum(app.requests for app in self.apps.values())
 
-    def requests_by_origin(self) -> dict[str, int]:
-        return {origin: app.requests for origin, app in sorted(self.apps.items())}
-
     def uninstall(self) -> None:
         if self._internet is None:
             return

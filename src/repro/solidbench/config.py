@@ -76,8 +76,3 @@ class SolidBenchConfig:
     @property
     def person_count(self) -> int:
         return max(2, round(PAPER_SCALE_TARGETS["pods"] * self.scale))
-
-    def with_scale(self, scale: float) -> "SolidBenchConfig":
-        from dataclasses import replace
-
-        return replace(self, scale=scale)

@@ -144,13 +144,6 @@ class SocialNetwork:
             if m.creator_index == person_index and m.kind == "post"
         ]
 
-    def comments_of(self, person_index: int) -> list[MessageData]:
-        return [
-            m
-            for m in self.messages.values()
-            if m.creator_index == person_index and m.kind == "comment"
-        ]
-
     def forums_of(self, person_index: int) -> list[ForumData]:
         return [f for f in self.forums.values() if f.owner_index == person_index]
 

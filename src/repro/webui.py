@@ -149,6 +149,7 @@ async function renderTimeline() {{
     pane.textContent = '(no trace available)';
     return;
   }}
+  if (trace.error) {{ pane.textContent = '(' + trace.error + ')'; return; }}
   const spans = trace.traceEvents.filter(e => e.ph === 'X' && e.name === 'attempt');
   if (!spans.length) {{ pane.textContent = '(no requests recorded)'; return; }}
   const t0 = Math.min(...spans.map(e => e.ts));
@@ -313,10 +314,15 @@ class DemoServer:
         #: ``None`` (one-shot mode, the paper's original demo).
         self._service_host = service
         self._sparql_app = None
+        #: Why ``/execute`` records no trace, when it cannot: only an
+        #: in-process service writes into the caller's tracer.
+        self._untraced: Optional[str] = None
         if service is not None:
-            from .service import ServiceSparqlApp
+            from .service import QueryService, ServiceSparqlApp
 
             self._sparql_app = ServiceSparqlApp(service.service)
+            if not isinstance(service.service, QueryService):
+                self._untraced = "tracing is worker-local in sharded mode"
 
     @property
     def universe(self) -> SolidBenchUniverse:
@@ -396,11 +402,11 @@ class DemoServer:
             handler.end_headers()
             handler.wfile.write(body)
             return
-        tracer = Tracer()
+        tracer = Tracer() if self._untraced is None else None
         if self._service_host is not None:
             # Service mode: the shared engine, caches, and document store.
-            result = self._service_host.execute(query, tracer=tracer)
-            results = result.results
+            traced = {"tracer": tracer} if tracer is not None else {}
+            results = self._service_host.execute(query, **traced).results
         else:
             # One-shot mode: a fresh client + engine per request.
             client = self._universe.client(latency=SeededJitterLatency())
@@ -460,7 +466,8 @@ class DemoServer:
         """Chrome trace-event JSON for the most recent execution."""
         tracer = self._last_trace
         if tracer is None:
-            body = json.dumps({"error": "no execution traced yet"}).encode("utf-8")
+            reason = self._untraced or "no execution traced yet"
+            body = json.dumps({"error": reason}).encode("utf-8")
             handler.send_response(404)
         else:
             body = json.dumps(

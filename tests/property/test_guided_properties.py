@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from repro.ltqp import EngineConfig, LinkTraversalEngine, TraversalPolicy
 from repro.ltqp.guided import SubwebRule, SubwebSpecification
 from repro.net import NoLatency
+from repro.obs import TickClock, Tracer
 from repro.rdf.namespaces import SNVOC
 from repro.solidbench import SolidBenchConfig, build_universe, discover_query
 
@@ -36,12 +37,12 @@ def hinted_universe():
     return build_universe(SolidBenchConfig(scale=0.01, seed=7, emit_hints=True))
 
 
-def run(universe, template, variant, **config_kwargs):
+def run(universe, template, variant, tracer=None, **config_kwargs):
     query = discover_query(universe, template, variant)
     engine = LinkTraversalEngine(
         universe.client(latency=NoLatency()), config=EngineConfig(traversal=TraversalPolicy(**config_kwargs))
     )
-    return engine.query(query.text, seeds=query.seeds).run_sync()
+    return engine.query(query.text, seeds=query.seeds, tracer=tracer).run_sync()
 
 
 def multiset(execution) -> list[str]:
@@ -140,3 +141,45 @@ class TestSpecRestrictedAnswer:
         report = restricted.stats.completeness()
         assert report["spec_restricted"]
         assert any(rule.startswith("spec:") for rule in report["pruned_by_rule"])
+
+
+class TestGuidedCostPinned:
+    """What guiding buys, as counts on a tick clock: variant 1 of every
+    single-pod template, fifo vs guided + the declared-origins spec on the
+    hinted scale-0.02 / seed-42 universe.  No latency and a TickClock make
+    dereference counts and times-to-first-result (in trace events) exact
+    replay properties; the rows are those of the ``guided`` experiment in
+    ``EXPERIMENTS.json``."""
+
+    #: template → (results, fifo derefs, guided derefs, fifo TTFR ticks,
+    #: guided TTFR ticks, links pruned)
+    PINNED = {
+        1: (26, 102, 29, 1.809, 0.167, 8),
+        2: (70, 110, 74, 0.415, 0.254, 5),
+        3: (52, 177, 137, 3.137, 0.339, 8),
+        4: (25, 157, 98, 0.421, 0.287, 29),
+        5: (18, 143, 46, 1.709, 0.185, 24),
+        6: (7, 100, 33, 1.721, 0.607, 6),
+        7: (1, 117, 60, 1.687, 1.312, 7),
+    }
+
+    @pytest.fixture(scope="class")
+    def universe(self):
+        return build_universe(SolidBenchConfig(scale=0.02, seed=42, emit_hints=True))
+
+    @pytest.mark.parametrize("template", sorted(PINNED))
+    def test_dereferences_ttfr_and_pruning_are_exact(self, universe, template):
+        fifo = run(universe, template, 1, Tracer(clock=TickClock()), queue_policy="fifo")
+        guided = run(
+            universe, template, 1, Tracer(clock=TickClock()),
+            queue_policy="guided", subweb=declared_spec(),
+        )
+        assert multiset(guided) == multiset(fifo)
+        assert (
+            len(fifo.bindings),
+            fifo.stats.documents_fetched,
+            guided.stats.documents_fetched,
+            round(fifo.stats.time_to_first_result, 4),
+            round(guided.stats.time_to_first_result, 4),
+            guided.stats.links_pruned,
+        ) == self.PINNED[template]

@@ -197,6 +197,11 @@ class TestServeCommand:
         assert warm_bindings == cold_bindings
         assert warm_status["service"]["document_store"]["parses"] == 0
         assert warm_status["service"]["document_store"]["hits"] > 0
+        # ... and without a round-trip, not even a 304: the reopened HTTP
+        # entries are still inside their freshness window.
+        assert cold_status["service"]["http_cache"]["misses"] > 0
+        assert warm_status["service"]["http_cache"]["misses"] == 0
+        assert warm_status["service"]["http_cache"]["revalidations"] == 0
 
     def test_serve_stack_answers_over_http(self):
         import urllib.request

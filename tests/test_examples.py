@@ -1,6 +1,5 @@
-"""The two places no other test executes: ``examples/`` and the legacy
-bench scripts.  A removed or renamed name rots there silently, so every
-example is run and every bench script is imported, with
+"""The place no other test executes: ``examples/``.  A removed or renamed
+name rots there silently, so every example is run, with
 ``DeprecationWarning`` raised as an error."""
 
 import os
@@ -33,11 +32,3 @@ def run(*argv: str) -> subprocess.CompletedProcess:
 def test_example_runs(script):
     finished = run(str(script))
     assert finished.returncode == 0, finished.stderr[-2000:]
-
-
-def test_legacy_bench_scripts_import():
-    finished = run(
-        "-m", "pytest", "benchmarks", "--ignore=benchmarks/ledger", "--collect-only", "-q",
-        "-p", "no:cacheprovider",
-    )
-    assert finished.returncode == 0, (finished.stdout + finished.stderr)[-2000:]

@@ -153,3 +153,33 @@ class TestServiceMode:
         assert document["schema"] == 2
         assert document["mode"] == "one-shot"
         assert document["service"] is None
+
+
+class TestShardedMode:
+    def test_trace_json_says_why_instead_of_serving_an_empty_trace(self, tiny_universe):
+        """Sharded workers trace locally and ship no spans back, and the
+        front-end's ``submit`` takes no ``tracer=``: the demo must neither
+        pass one nor publish a never-written trace as if it were real."""
+        import inspect
+
+        from repro.service.shards import ShardedQueryService
+        from repro.solidbench import discover_query
+
+        assert "tracer" not in inspect.signature(ShardedQueryService.submit).parameters
+
+        class StubShardedHost:
+            service = object()  # not an in-process QueryService
+
+            def execute(self, query, seeds=None, timeout=None):
+                return tiny_universe.fast_engine().query(query, seeds=seeds).run_sync()
+
+        query = discover_query(tiny_universe, 1, 5)
+        with DemoServer(universe=tiny_universe, service=StubShardedHost()) as server:
+            url = server.url + "execute?query=" + urllib.parse.quote(query.text)
+            with urllib.request.urlopen(url, timeout=60) as response:
+                assert response.read().strip()
+            with pytest.raises(urllib.error.HTTPError) as raised:
+                urllib.request.urlopen(server.url + "trace.json", timeout=10)
+        assert raised.value.code == 404
+        reason = json.loads(raised.value.read().decode("utf-8"))["error"]
+        assert reason == "tracing is worker-local in sharded mode"
