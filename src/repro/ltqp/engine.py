@@ -775,7 +775,6 @@ class LinkTraversalEngine:
                 # never declared by any traversed document — pruned.
                 for parked in selector.drain_deferred():
                     stats.note_pruned("origin:undeclared", _origin_of(parked.url))
-            source.close()
             stats.finished_at = clock()
             stats.documents_fetched = source.document_count
             stats.queue_samples = queue.samples

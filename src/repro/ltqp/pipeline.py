@@ -572,7 +572,11 @@ class PathScanNode(IncrementalNode):
     def _changes(self, delta: DeltaBatch, dataset: Dataset) -> list[Change]:
         if not delta.quads or not (self._negated or delta.touches(self._relevant)):
             return []
-        graph = dataset.union if self._graph is None else dataset.graph(self._graph)
+        graph = dataset.union if self._graph is None else dataset.get_graph(self._graph)
+        if graph is None:
+            # No document has filled that named graph: no solutions (the
+            # snapshot evaluator agrees), and reading must not create it.
+            return []
         pattern = self._pattern
         found = evaluate_path(graph, pattern.subject, pattern.path, pattern.object)
         emitted = self._emitted

@@ -1,36 +1,34 @@
 """The growing triple source (Fig. 1).
 
 Dereferenced documents feed their triples into one continuously growing
-store; query operators read from it *incrementally*: each consumer holds a
-cursor (a log position) and pulls only the quads added since.  Per-document
-provenance is kept (named graphs keyed by document URL) so GRAPH queries
-and the completeness oracle work.
+store; query operators read from it *incrementally*: the pipeline is
+pushed the log window added since its last advance
+(:meth:`~repro.rdf.dataset.Dataset.log_slice`).  Per-document provenance is
+kept (named graphs keyed by document URL) so GRAPH queries and the
+completeness oracle work.
 """
 
 from __future__ import annotations
 
-import asyncio
-from typing import Iterable, Optional
+from typing import Iterable
 
 from ..rdf.dataset import Dataset
-from ..rdf.terms import NamedNode, intern_iri
+from ..rdf.terms import intern_iri
 from ..rdf.triples import Quad, Triple
 
 __all__ = ["GrowingTripleSource"]
 
 
 class GrowingTripleSource:
-    """An append-only quad store with growth notification.
+    """The quad store one execution's dereferenced documents grow.
 
-    Producers call :meth:`add_document`; consumers read
-    ``dataset.match_since(cursor, ...)`` and await :meth:`wait_for_growth`
-    to block until more data (or end-of-traversal) arrives.
+    Producers call :meth:`add_document` (or :meth:`update_document` on a
+    live refresh); the engine then advances the pipeline over
+    :attr:`dataset`'s log.
     """
 
     def __init__(self) -> None:
         self._dataset = Dataset()
-        self._growth_event = asyncio.Event()
-        self._closed = False
         self._document_count = 0
 
     @property
@@ -38,27 +36,13 @@ class GrowingTripleSource:
         return self._dataset
 
     @property
-    def position(self) -> int:
-        return self._dataset.log_position
-
-    @property
     def document_count(self) -> int:
         return self._document_count
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
     def add_document(self, url: str, triples: Iterable[Triple]) -> int:
         """Ingest one dereferenced document; returns #new quads."""
-        graph = intern_iri(url)
-        added = 0
-        for triple in triples:
-            if self._dataset.add(Quad(triple.subject, triple.predicate, triple.object, graph)):
-                added += 1
+        added = self._dataset.add_triples(triples, intern_iri(url))
         self._document_count += 1
-        if added:
-            self._notify()
         return added
 
     def update_document(
@@ -88,31 +72,5 @@ class GrowingTripleSource:
         # new object) then reads retract-then-insert, never both present.
         for triple in removed:
             self._dataset.remove(Quad(triple.subject, triple.predicate, triple.object, graph_name))
-        for triple in added:
-            self._dataset.add(Quad(triple.subject, triple.predicate, triple.object, graph_name))
-        if added or removed:
-            self._notify()
+        self._dataset.add_triples(added, graph_name)
         return added, removed
-
-    def close(self) -> None:
-        """Signal end of traversal: no more growth will happen."""
-        self._closed = True
-        self._notify()
-
-    def _notify(self) -> None:
-        self._growth_event.set()
-
-    async def wait_for_growth(self, position: int) -> bool:
-        """Wait until the log grows past ``position`` or the source closes.
-
-        Returns ``True`` when new data is available, ``False`` on close
-        with no new data.
-        """
-        while self._dataset.log_position <= position:
-            if self._closed:
-                return self._dataset.log_position > position
-            self._growth_event.clear()
-            if self._dataset.log_position > position or self._closed:
-                continue
-            await self._growth_event.wait()
-        return True

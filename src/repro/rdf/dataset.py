@@ -2,17 +2,21 @@
 
 Two stores are provided:
 
-* :class:`Graph` — a set of triples with SPO/POS/OSP hash indexes giving
-  O(matching) pattern scans for any bound-position combination.
+* :class:`Graph` — a set of triples; each of its SPO/POS/OSP hash indexes
+  is built on the first read that needs it and maintained from then on,
+  giving O(matching) pattern scans for any bound-position combination
+  while a graph nobody pattern-matches pays for a set insert and nothing
+  else.
 * :class:`Dataset` — a set of quads (triple + source document IRI), built on
-  per-graph :class:`Graph` instances plus a union index.  This is the store
-  the LTQP engine's growing triple source builds on: it is append-only in
-  spirit and assigns each inserted triple a monotonically increasing
-  sequence number, which restartable iterators use as cursors.
+  per-graph :class:`Graph` instances plus a union graph.  This is the store
+  the LTQP engine's growing triple source builds on: every per-graph novelty
+  is appended to a signed log, and the pipeline reads the *log*
+  (:meth:`Dataset.log_slice` / :meth:`Dataset.signed_runs`), not the indexes.
 """
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Iterable, Iterator, Optional
 
 from .terms import NamedNode, Term, Variable
@@ -20,61 +24,89 @@ from .triples import ObjectTerm, PredicateTerm, Quad, SubjectTerm, Triple
 
 __all__ = ["Graph", "Dataset"]
 
+_Index = dict[Term, dict[Term, set[Term]]]
+
+#: Index family → how it nests a triple: (outer key, inner key, bucket member).
+_FAMILIES = {
+    "spo": attrgetter("subject", "predicate", "object"),
+    "pos": attrgetter("predicate", "object", "subject"),
+    "osp": attrgetter("object", "subject", "predicate"),
+}
+
 
 def _is_concrete(term: Optional[Term]) -> bool:
     return term is not None and not isinstance(term, Variable)
 
 
-class Graph:
-    """A mutable set of triples with three hash indexes (SPO, POS, OSP)."""
+def _index_add(index: _Index, first: Term, second: Term, third: Term) -> None:
+    level = index.get(first)
+    if level is None:
+        level = index[first] = {}
+    bucket = level.get(second)
+    if bucket is None:
+        bucket = level[second] = set()
+    bucket.add(third)
 
-    __slots__ = ("_triples", "_spo", "_pos", "_osp")
+
+def _index_discard(index: _Index, first: Term, second: Term, third: Term) -> None:
+    level = index[first]
+    bucket = level[second]
+    bucket.discard(third)
+    if not bucket:
+        del level[second]
+        if not level:
+            del index[first]
+
+
+class Graph:
+    """A mutable set of triples with up to three hash indexes (SPO, POS, OSP).
+
+    The triple set is the store.  An index family exists only once a read
+    needed it: that read builds it from the set in one pass, and ``add`` /
+    ``discard`` keep every built family current from then on.  Most graphs
+    in an LTQP run (one per dereferenced document, plus a union that a
+    BGP-only plan reads through the dataset log) are never pattern-matched
+    and so never build one.
+    """
+
+    __slots__ = ("_triples", "_indexes")
 
     def __init__(self, triples: Iterable[Triple] = ()) -> None:
-        self._triples: set[Triple] = set()
-        self._spo: dict[SubjectTerm, dict[PredicateTerm, set[ObjectTerm]]] = {}
-        self._pos: dict[PredicateTerm, dict[ObjectTerm, set[SubjectTerm]]] = {}
-        self._osp: dict[ObjectTerm, dict[SubjectTerm, set[PredicateTerm]]] = {}
-        for triple in triples:
-            self.add(triple)
+        self._triples: set[Triple] = set(triples)
+        self._indexes: dict[str, _Index] = {}
+
+    @property
+    def built_indexes(self) -> tuple[str, ...]:
+        """The index families reads have built so far — an observation for
+        tests and diagnostics; there is nothing to configure."""
+        return tuple(self._indexes)
+
+    def _index(self, family: str) -> _Index:
+        """The named index family, built from the triple set on first use."""
+        index = self._indexes.get(family)
+        if index is None:
+            index = {}
+            order = _FAMILIES[family]
+            for triple in self._triples:
+                _index_add(index, *order(triple))
+            self._indexes[family] = index
+        return index
 
     def add(self, triple: Triple) -> bool:
         """Insert; returns ``True`` when the triple was not present before.
 
         This is the hottest write path in the whole engine (every parsed
-        quad lands here twice: named graph + union), so the three index
-        insertions are spelled out with explicit ``get`` chains on plain
-        dicts instead of nested defaultdicts.
+        quad lands here for its named graph and for the union), so novelty
+        is read off the set's size — one hash probe, not two — and only the
+        index families a read has already built are maintained.
         """
         triples = self._triples
-        if triple in triples:
-            return False
+        size = len(triples)
         triples.add(triple)
-        s, p, o = triple.subject, triple.predicate, triple.object
-
-        level = self._spo.get(s)
-        if level is None:
-            level = self._spo[s] = {}
-        bucket = level.get(p)
-        if bucket is None:
-            bucket = level[p] = set()
-        bucket.add(o)
-
-        level = self._pos.get(p)
-        if level is None:
-            level = self._pos[p] = {}
-        bucket = level.get(o)
-        if bucket is None:
-            bucket = level[o] = set()
-        bucket.add(s)
-
-        level = self._osp.get(o)
-        if level is None:
-            level = self._osp[o] = {}
-        bucket = level.get(s)
-        if bucket is None:
-            bucket = level[s] = set()
-        bucket.add(p)
+        if len(triples) == size:
+            return False
+        for family, index in self._indexes.items():
+            _index_add(index, *_FAMILIES[family](triple))
         return True
 
     def discard(self, triple: Triple) -> bool:
@@ -82,19 +114,9 @@ class Graph:
         if triple not in self._triples:
             return False
         self._triples.discard(triple)
-        self._discard_index(self._spo, triple.subject, triple.predicate, triple.object)
-        self._discard_index(self._pos, triple.predicate, triple.object, triple.subject)
-        self._discard_index(self._osp, triple.object, triple.subject, triple.predicate)
+        for family, index in self._indexes.items():
+            _index_discard(index, *_FAMILIES[family](triple))
         return True
-
-    @staticmethod
-    def _discard_index(index: dict, first: Term, second: Term, third: Term) -> None:
-        level_two = index[first]
-        level_two[second].discard(third)
-        if not level_two[second]:
-            del level_two[second]
-        if not level_two:
-            del index[first]
 
     def update(self, triples: Iterable[Triple]) -> int:
         """Insert many; returns the number of newly added triples."""
@@ -120,29 +142,29 @@ class Graph:
                 yield candidate
             return
         if s is not None and p is not None:
-            for obj in self._spo.get(s, {}).get(p, ()):
+            for obj in self._index("spo").get(s, {}).get(p, ()):
                 yield Triple(s, p, obj)  # type: ignore[arg-type]
             return
         if p is not None and o is not None:
-            for subj in self._pos.get(p, {}).get(o, ()):
+            for subj in self._index("pos").get(p, {}).get(o, ()):
                 yield Triple(subj, p, o)  # type: ignore[arg-type]
             return
         if s is not None and o is not None:
-            for pred in self._osp.get(o, {}).get(s, ()):
+            for pred in self._index("osp").get(o, {}).get(s, ()):
                 yield Triple(s, pred, o)  # type: ignore[arg-type]
             return
         if s is not None:
-            for pred, objs in self._spo.get(s, {}).items():
+            for pred, objs in self._index("spo").get(s, {}).items():
                 for obj in objs:
                     yield Triple(s, pred, obj)  # type: ignore[arg-type]
             return
         if p is not None:
-            for obj, subjs in self._pos.get(p, {}).items():
+            for obj, subjs in self._index("pos").get(p, {}).items():
                 for subj in subjs:
                     yield Triple(subj, p, obj)  # type: ignore[arg-type]
             return
         if o is not None:
-            for subj, preds in self._osp.get(o, {}).items():
+            for subj, preds in self._index("osp").get(o, {}).items():
                 for pred in preds:
                     yield Triple(subj, pred, o)  # type: ignore[arg-type]
             return
@@ -168,17 +190,17 @@ class Graph:
         if s is not None and p is not None and o is not None:
             return 1 if Triple(s, p, o) in self._triples else 0  # type: ignore[arg-type]
         if s is not None and p is not None:
-            return len(self._spo.get(s, {}).get(p, ()))
+            return len(self._index("spo").get(s, {}).get(p, ()))
         if p is not None and o is not None:
-            return len(self._pos.get(p, {}).get(o, ()))
+            return len(self._index("pos").get(p, {}).get(o, ()))
         if s is not None and o is not None:
-            return len(self._osp.get(o, {}).get(s, ()))
+            return len(self._index("osp").get(o, {}).get(s, ()))
         if s is not None:
-            return sum(len(objs) for objs in self._spo.get(s, {}).values())
+            return sum(len(objs) for objs in self._index("spo").get(s, {}).values())
         if p is not None:
-            return sum(len(subjs) for subjs in self._pos.get(p, {}).values())
+            return sum(len(subjs) for subjs in self._index("pos").get(p, {}).values())
         if o is not None:
-            return sum(len(preds) for preds in self._osp.get(o, {}).values())
+            return sum(len(preds) for preds in self._index("osp").get(o, {}).values())
         return len(self._triples)
 
     def subjects(self, predicate: Optional[Term] = None, object: Optional[Term] = None) -> Iterator[SubjectTerm]:
@@ -233,9 +255,10 @@ class Dataset:
     """A quad store: named graphs keyed by document IRI plus a union view.
 
     Every successfully inserted quad is recorded in an append-only log with a
-    monotonically increasing sequence number.  :meth:`match_since` lets
-    consumers resume a scan from a previous log position, which is the
-    mechanism behind the LTQP engine's restartable pipelined scans.
+    monotonically increasing sequence number.  The LTQP pipeline remembers
+    the position it has consumed up to and is handed the window since
+    (:meth:`log_slice`), which is the mechanism behind its incremental,
+    push-driven scans.
 
     The log is *signed*: every entry carries a polarity (``+1`` insertion,
     ``-1`` retraction via :meth:`remove`).  During traversal the web only
@@ -266,10 +289,18 @@ class Dataset:
         return len(self._log)
 
     def graph(self, name: Optional[NamedNode] = None) -> Graph:
-        """Get (creating if needed) the graph with the given name."""
+        """Get (creating if needed) the graph with the given name.
+
+        For writers; a read must not leave a phantom graph behind, so
+        readers use :meth:`get_graph`.
+        """
         if name not in self._graphs:
             self._graphs[name] = Graph()
         return self._graphs[name]
+
+    def get_graph(self, name: Optional[NamedNode] = None) -> Optional[Graph]:
+        """The graph with the given name, or ``None`` — never creates one."""
+        return self._graphs.get(name)
 
     def graph_names(self) -> Iterator[Optional[NamedNode]]:
         return iter(self._graphs)
@@ -316,7 +347,26 @@ class Dataset:
         return True
 
     def add_triples(self, triples: Iterable[Triple], graph: Optional[NamedNode] = None) -> int:
-        return sum(1 for t in triples if self.add(Quad(t.subject, t.predicate, t.object, graph)))
+        """Bulk-insert one graph's triples; returns how many were new in it.
+
+        The ingest path for whole documents: the graph is looked up once,
+        the caller's :class:`Triple` objects are stored as they are (in the
+        named graph and in the union), and one :class:`Quad` is logged per
+        per-graph novelty — duplicates within ``triples`` or against the
+        graph's current content add nothing.
+        """
+        add = self.graph(graph).add
+        union_add = self._union.add
+        log_append = self._log.append
+        signs_append = self._signs.append
+        added = 0
+        for triple in triples:
+            if add(triple):
+                union_add(triple)
+                log_append(Quad(triple.subject, triple.predicate, triple.object, graph))
+                signs_append(1)
+                added += 1
+        return added
 
     def update(self, quads: Iterable[Quad]) -> int:
         return sum(1 for q in quads if self.add(q))
@@ -329,39 +379,10 @@ class Dataset:
         graph: Optional[NamedNode] = None,
     ) -> Iterator[Triple]:
         """Match over the union (``graph=None``) or a single named graph."""
-        target = self._union if graph is None else self._graphs.get(graph)
+        target = self._union if graph is None else self.get_graph(graph)
         if target is None:
             return iter(())
         return target.match(subject, predicate, object)
-
-    def match_since(
-        self,
-        position: int,
-        subject: Optional[Term] = None,
-        predicate: Optional[Term] = None,
-        object: Optional[Term] = None,
-    ) -> Iterator[Quad]:
-        """Yield logged quads at sequence >= ``position`` matching the pattern.
-
-        Note this scans the log linearly from ``position``; consumers keep
-        their cursor close to the head so the scan is effectively
-        incremental.
-        """
-        s = subject if _is_concrete(subject) else None
-        p = predicate if _is_concrete(predicate) else None
-        o = object if _is_concrete(object) else None
-        signs = self._signs
-        for index in range(position, len(self._log)):
-            if signs[index] < 0:
-                continue
-            quad = self._log[index]
-            if s is not None and quad.subject != s:
-                continue
-            if p is not None and quad.predicate != p:
-                continue
-            if o is not None and quad.object != o:
-                continue
-            yield quad
 
     def log_slice(self, start: int, stop: Optional[int] = None) -> list[Quad]:
         """The logged quads in ``[start, stop)`` — the delta between two

@@ -2,8 +2,8 @@
 
 :class:`Triple` and :class:`Quad` are hand-rolled ``__slots__`` classes with
 the hash computed once at construction (from the terms' own cached hashes),
-because every insert into the dataset's three indexes and every membership
-probe re-hashes the statement.  They are value-equal and must be treated as
+because every insert into the dataset's triple sets (and whichever indexes
+reads have built) and every membership probe re-hashes the statement.  They are value-equal and must be treated as
 immutable.  :class:`TriplePattern` stays a frozen dataclass — patterns are
 built once per query, not per triple.
 """

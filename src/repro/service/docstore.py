@@ -41,7 +41,6 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from ..net.message import Response
-from ..rdf.terms import NamedNode
 from ..rdf.triples import Triple
 from ..storage import StorageBackend, StorageTier
 
@@ -50,14 +49,11 @@ __all__ = ["StoredDocument", "DocumentDiff", "DocumentStore"]
 
 @dataclass(slots=True, frozen=True)
 class StoredDocument:
-    """One parsed document: its triples, links, and identity validator."""
+    """One parsed document: its triples and identity validator."""
 
     url: str
     validator: str
     triples: tuple[Triple, ...]
-    #: Every HTTP(S) IRI mentioned in the document — the superset of what
-    #: any link extractor can propose from it.
-    links: frozenset[str]
     stored_at: float
 
 
@@ -78,15 +74,6 @@ class DocumentDiff:
     added: tuple[Triple, ...]
     removed: tuple[Triple, ...]
     unchanged: int
-
-
-def _links_of(triples: Iterable[Triple]) -> frozenset[str]:
-    links: set[str] = set()
-    for triple in triples:
-        for term in triple:
-            if isinstance(term, NamedNode) and term.value.startswith(("http://", "https://")):
-                links.add(term.value)
-    return frozenset(links)
 
 
 def encode_stored_document(document: StoredDocument) -> bytes:
@@ -226,7 +213,6 @@ class DocumentStore:
             url=url,
             validator=validator,
             triples=triple_tuple,
-            links=_links_of(triple_tuple),
             stored_at=time.monotonic(),
         )
         self._tier.put(url, entry)

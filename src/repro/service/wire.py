@@ -226,12 +226,15 @@ def document_to_wire(document: StoredDocument) -> dict:
         "validator": document.validator,
         "terms": table.terms,
         "rows": rows,
-        "links": sorted(document.links),
     }
 
 
 def document_from_wire(wire: dict, stored_at: Optional[float] = None) -> StoredDocument:
-    """Rebuild a stored document with terms interned in this process."""
+    """Rebuild a stored document with terms interned in this process.
+
+    Reads only the keys it names: a payload persisted before the ``links``
+    field was dropped still decodes, so an older store file reopens warm.
+    """
     import time
 
     terms = [decode_term(text) for text in wire["terms"]]
@@ -242,6 +245,5 @@ def document_from_wire(wire: dict, stored_at: Optional[float] = None) -> StoredD
         url=wire["url"],
         validator=wire["validator"],
         triples=triples,
-        links=frozenset(wire["links"]),
         stored_at=stored_at if stored_at is not None else time.monotonic(),
     )

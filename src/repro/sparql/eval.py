@@ -376,7 +376,7 @@ class SnapshotEvaluator:
             for name in list(self._dataset.graph_names()):
                 if name is None:
                     continue
-                named_graph = self._dataset.graph(name)
+                named_graph = self._dataset.get_graph(name)
                 for binding in self._eval(op.input, named_graph):
                     if op.name in binding:
                         if binding[op.name] == name:
@@ -386,9 +386,9 @@ class SnapshotEvaluator:
         else:
             if not isinstance(op.name, NamedNode):
                 raise ValueError("GRAPH name must be an IRI or variable")
-            if not self._dataset.has_graph(op.name):
-                return
-            yield from self._eval(op.input, self._dataset.graph(op.name))
+            named_graph = self._dataset.get_graph(op.name)
+            if named_graph is not None:
+                yield from self._eval(op.input, named_graph)
 
     def _eval_values(self, op: ValuesOp) -> Iterator[Binding]:
         for row in op.rows:

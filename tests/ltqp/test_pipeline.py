@@ -150,6 +150,17 @@ class TestPathStreaming:
         # Irrelevant growth does not re-emit.
         assert feed(pipeline, ds, [q(n("z"), n("likes"), n("zz"))]) == []
 
+    def test_path_over_an_unfetched_named_graph_reads_without_creating_it(self):
+        pipeline, ds = make("SELECT ?o WHERE { GRAPH <http://x/never> { ex:s ex:p+ ?o } }")
+        # A relevant predicate arriving in *another* document drives the
+        # path scan, which must find nothing and leave no phantom graph.
+        assert feed(pipeline, ds, [q(n("s"), n("p"), n("o"))]) == []
+        assert not ds.has_graph(n("never"))
+        assert list(ds.graph_names()) == [NamedNode("https://h/doc")]
+        # Once the document does arrive the scan answers from it.
+        arrived = feed(pipeline, ds, [q(n("s"), n("p"), n("o"), "http://x/never")])
+        assert [b[Variable("o")] for b in arrived] == [n("o")]
+
     def test_transitive_path_grows_with_data(self):
         pipeline, ds = make("SELECT ?x WHERE { ex:a ex:knows+ ?x }")
         first = feed(pipeline, ds, [q(n("a"), n("knows"), n("b"))])

@@ -74,6 +74,34 @@ class TestGraph:
         assert Triple(n("a"), n("p"), n("b")) in graph
         assert Triple(n("z"), n("p"), n("b")) not in graph
 
+    def test_an_index_family_is_built_by_the_first_read_that_needs_it(self, graph):
+        assert graph.built_indexes == ()
+        # Writes, membership, length, full scans and fully bound probes
+        # are answered by the triple set alone.
+        graph.add(Triple(n("z"), n("p"), n("z")))
+        graph.discard(Triple(n("z"), n("p"), n("z")))
+        assert Triple(n("a"), n("p"), n("b")) in graph and len(graph) == 4
+        assert len(list(graph.match())) == 4 and graph.count() == 4
+        assert graph.count(n("a"), n("p"), n("b")) == 1
+        assert graph.built_indexes == ()
+        assert graph.count(n("a"), n("p")) == 2
+        assert graph.built_indexes == ("spo",)
+        assert len(list(graph.match(predicate=n("p")))) == 3
+        assert graph.built_indexes == ("spo", "pos")
+        assert graph.value(None, n("p"), n("b")) == n("a")
+        assert graph.built_indexes == ("spo", "pos")  # POS again, not a new family
+        assert graph.count(n("a"), None, n("c")) == 1
+        assert graph.built_indexes == ("spo", "pos", "osp")
+
+    def test_built_indexes_follow_later_writes(self, graph):
+        assert graph.count(n("a"), n("p")) == 2  # builds SPO before the writes
+        graph.add(Triple(n("a"), n("p"), n("d")))
+        graph.discard(Triple(n("a"), n("p"), n("b")))
+        assert set(graph.objects(n("a"), n("p"))) == {n("c"), n("d")}
+        # A family built after the writes sees the same state.
+        assert set(graph.subjects(n("p"), n("d"))) == {n("a")}
+        assert set(graph.subjects(n("p"), n("b"))) == set()
+
 
 class TestDataset:
     def test_union_deduplicates_across_graphs(self):
@@ -106,20 +134,53 @@ class TestDataset:
         ds.add(Quad(n("a"), n("p"), n("c"), None))
         assert ds.log_position == position + 1
 
-    def test_match_since_returns_only_new_quads(self):
+    def test_log_slice_returns_only_new_quads(self):
         ds = Dataset()
         ds.add(Quad(n("a"), n("p"), n("b"), None))
         cursor = ds.log_position
         ds.add(Quad(n("a"), n("p"), n("c"), None))
         ds.add(Quad(n("x"), n("q"), n("y"), None))
-        new = list(ds.match_since(cursor, predicate=n("p")))
-        assert [q.object for q in new] == [n("c")]
+        assert [q.object for q in ds.log_slice(cursor)] == [n("c"), n("y")]
+        assert [q.object for q in ds.log_slice(cursor, cursor + 1)] == [n("c")]
 
     def test_add_triples_helper(self):
         ds = Dataset()
         count = ds.add_triples([Triple(n("a"), n("p"), n("b"))], graph=n("doc"))
         assert count == 1
         assert ds.has_graph(n("doc"))
+
+    def test_add_triples_stores_the_callers_triples_and_logs_one_quad_each(self):
+        ds = Dataset()
+        first, second = Triple(n("a"), n("p"), n("b")), Triple(n("a"), n("p"), n("c"))
+        duplicate = Triple(n("a"), n("p"), n("b"))  # equal to ``first``, another object
+        assert ds.add_triples([first, second, duplicate], graph=n("doc")) == 2
+        # No re-allocation: the parsed objects themselves are what is stored.
+        for stored in (*ds.match(graph=n("doc")), *ds.union):
+            assert stored is first or stored is second
+        assert ds.log_slice(0) == [
+            Quad(n("a"), n("p"), n("b"), n("doc")),
+            Quad(n("a"), n("p"), n("c"), n("doc")),
+        ]
+        assert ds.signed_runs(0) == [(1, ds.log_slice(0))]
+
+    def test_add_triples_again_adds_and_logs_nothing(self):
+        ds = Dataset()
+        triples = [Triple(n("a"), n("p"), n("b")), Triple(n("a"), n("p"), n("c"))]
+        assert ds.add_triples(triples, graph=n("doc")) == 2
+        assert ds.add_triples(triples, graph=n("doc")) == 0
+        assert ds.add_triples([triples[0], triples[0]], graph=n("doc")) == 0
+        assert ds.log_position == 2 and len(ds) == 2
+        # The same triples in another document are novelties *there*: logged
+        # per graph, deduplicated in the union.
+        assert ds.add_triples(triples, graph=n("other")) == 2
+        assert ds.log_position == 4 and ds.union.count() == 2
+
+    def test_get_graph_reads_without_creating(self):
+        ds = Dataset()
+        assert ds.get_graph(n("doc")) is None
+        assert not ds.has_graph(n("doc")) and list(ds.graph_names()) == []
+        ds.add(Quad(n("a"), n("p"), n("b"), n("doc")))
+        assert ds.get_graph(n("doc")) is ds.graph(n("doc"))
 
 
 class TestSignedLog:
@@ -180,15 +241,6 @@ class TestSignedLog:
         ds.remove(b)
         assert ds.retractions_since(0) == 2
         assert ds.retractions_since(cursor) == 1
-
-    def test_match_since_skips_retraction_entries(self):
-        ds = Dataset()
-        a = self.quad("a", "x")
-        ds.add(a)
-        cursor = ds.log_position
-        ds.remove(a)
-        ds.add(self.quad("b", "x"))
-        assert [q.subject for q in ds.match_since(cursor)] == [n("b")]
 
     def test_quads_filters_dead_entries_in_first_insertion_order(self):
         ds = Dataset()

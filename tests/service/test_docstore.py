@@ -55,14 +55,6 @@ class TestLookup:
         assert "https://pod/doc" not in store
         assert store.lookup("https://pod/doc", "v1") is None
 
-    def test_links_are_http_iris_of_the_document(self):
-        store = DocumentStore()
-        entry = store.put("https://pod/doc", "v1", [triple(7)])
-        assert "https://pod/doc#7" in entry.links
-        assert "https://vocab/p" in entry.links
-        # Literals contribute nothing.
-        assert all(link.startswith("http") for link in entry.links)
-
 
 class TestBoundsAndStats:
     def test_evicts_oldest_beyond_capacity(self):

@@ -90,13 +90,10 @@ class TestDocumentWire:
             Triple(ALICE, NamedNode("https://example.org/knows"),
                    NamedNode("https://solidbench.example/pods/bob/profile#me")),
         )
-        from repro.service.docstore import _links_of
-
         return StoredDocument(
             url="https://solidbench.example/pods/alice/profile",
             validator='W/"abc123"',
             triples=triples,
-            links=_links_of(triples),
             stored_at=12.5,
         )
 
@@ -108,7 +105,13 @@ class TestDocumentWire:
         # handoff byte-for-byte or the importing shard re-parses everything.
         assert back.validator == document.validator
         assert back.triples == document.triples
-        assert back.links == document.links
+
+    def test_payload_written_before_links_were_dropped_still_decodes(self):
+        # A store file persisted by an older build carries a "links" list
+        # in every document payload; it must reopen warm, not fail.
+        document = self.make_document()
+        old_payload = dict(document_to_wire(document), links=[document.url])
+        assert document_from_wire(old_payload, stored_at=document.stored_at) == document
 
     def test_import_into_store_counts_no_parse(self):
         from repro.service.docstore import DocumentStore

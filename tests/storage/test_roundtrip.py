@@ -59,7 +59,6 @@ class TestDocumentCodec:
         assert decoded.url == document.url
         assert decoded.validator == document.validator
         assert decoded.triples == tuple(TERM_SHAPE_TRIPLES)
-        assert decoded.links == document.links
 
     def test_age_survives_the_clock_translation(self):
         store = DocumentStore()
