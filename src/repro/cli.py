@@ -60,20 +60,8 @@ __all__ = [
 ]
 
 
-def build_arg_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-sparql-ltqp",
-        description="Link-traversal SPARQL querying over (simulated) Solid pods",
-    )
-    parser.add_argument("seeds", nargs="*", help="seed URLs followed by the SPARQL query text")
-    parser.add_argument(
-        "--query", help="SPARQL query text (alternative to trailing positional)"
-    )
-    parser.add_argument(
-        "--discover",
-        metavar="T.V",
-        help="run a predefined SolidBench Discover query, e.g. 1.5 or 8.5",
-    )
+def _add_universe_args(parser: argparse.ArgumentParser) -> None:
+    """The simulated environment every command runs against."""
     parser.add_argument(
         "--simulate",
         type=float,
@@ -82,6 +70,86 @@ def build_arg_parser() -> argparse.ArgumentParser:
         help="SolidBench universe scale (default 0.02 ≈ 31 pods)",
     )
     parser.add_argument("--bench-seed", type=int, default=42, help="generator seed")
+    parser.add_argument(
+        "--no-latency", action="store_true", help="disable simulated network latency"
+    )
+
+
+def _add_query_args(parser: argparse.ArgumentParser) -> None:
+    """What to ask: seeds + query text, or a predefined Discover query."""
+    parser.add_argument(
+        "seeds", nargs="*", help="seed URLs followed by the SPARQL query text"
+    )
+    parser.add_argument(
+        "--query", help="SPARQL query text (alternative to trailing positional)"
+    )
+    parser.add_argument(
+        "--discover",
+        metavar="T.V",
+        help="use a predefined SolidBench Discover query, e.g. 1.5 or 8.5",
+    )
+
+
+def _add_engine_args(parser: argparse.ArgumentParser) -> None:
+    """Queue discipline, guided traversal and the hardening budgets —
+    applied to the one query ``main`` runs or to every query ``serve``
+    answers (see :func:`_engine_config`)."""
+    parser.add_argument(
+        "--queue-policy",
+        choices=sorted(QUEUE_POLICIES),
+        default="fifo",
+        help="link queue discipline: fifo = breadth-first (default), "
+        "lifo = depth-first, priority = shallowest-link-first, "
+        "fair = round-robin across origins (starvation-resistant), "
+        "guided = provenance/cardinality-scored (see --subweb)",
+    )
+    parser.add_argument(
+        "--subweb",
+        metavar="PATH",
+        help="subweb-specification JSON file scoping traversal to declared "
+        "sources (guided traversal; pruned links are reported in the "
+        "completeness stats; shard workers load it independently, so the "
+        "path must be readable by each of them)",
+    )
+    parser.add_argument(
+        "--emit-hints",
+        action="store_true",
+        help="generate per-pod cardinality-hint documents in the simulated "
+        "universe (source summaries the guided queue exploits)",
+    )
+    parser.add_argument(
+        "--max-depth",
+        type=int,
+        default=0,
+        metavar="N",
+        help="drop links more than N hops from a seed (0 = unbounded)",
+    )
+    parser.add_argument(
+        "--max-origin-derefs",
+        type=int,
+        default=0,
+        metavar="N",
+        help="per-origin dereference budget per query: refuse further links "
+        "from an origin after N documents (0 = unbounded)",
+    )
+    parser.add_argument(
+        "--max-doc-bytes",
+        type=int,
+        default=0,
+        metavar="B",
+        help="per-document size cap in bytes: abort transfers and refuse "
+        "parses over B (0 = unbounded)",
+    )
+
+
+def build_arg_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="repro-sparql-ltqp",
+        description="Link-traversal SPARQL querying over (simulated) Solid pods",
+    )
+    _add_query_args(parser)
+    _add_universe_args(parser)
+    _add_engine_args(parser)
     parser.add_argument(
         "--idp",
         default="void",
@@ -139,54 +207,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="collect counters/gauges/histograms and print them after the run",
     )
-    parser.add_argument(
-        "--no-latency", action="store_true", help="disable simulated network latency"
-    )
-    parser.add_argument(
-        "--queue-policy",
-        choices=sorted(QUEUE_POLICIES),
-        default="fifo",
-        help="link queue discipline: fifo = breadth-first (default), "
-        "lifo = depth-first, priority = shallowest-link-first, "
-        "fair = round-robin across origins (starvation-resistant), "
-        "guided = provenance/cardinality-scored (see --subweb)",
-    )
-    parser.add_argument(
-        "--subweb",
-        metavar="PATH",
-        help="subweb-specification JSON file scoping traversal to declared "
-        "sources (guided traversal; pruned links are reported in the "
-        "completeness stats)",
-    )
-    parser.add_argument(
-        "--emit-hints",
-        action="store_true",
-        help="generate per-pod cardinality-hint documents in the simulated "
-        "universe (source summaries the guided queue exploits)",
-    )
-    parser.add_argument(
-        "--max-depth",
-        type=int,
-        default=0,
-        metavar="N",
-        help="drop links more than N hops from a seed (0 = unbounded)",
-    )
-    parser.add_argument(
-        "--max-origin-derefs",
-        type=int,
-        default=0,
-        metavar="N",
-        help="per-origin dereference budget: refuse further links from an "
-        "origin after N documents (0 = unbounded)",
-    )
-    parser.add_argument(
-        "--max-doc-bytes",
-        type=int,
-        default=0,
-        metavar="B",
-        help="per-document size cap in bytes: abort transfers and refuse "
-        "parses over B (0 = unbounded)",
-    )
     parser.add_argument("--limit", type=int, default=0, help="stop after N results (0 = all)")
     parser.add_argument(
         "--format",
@@ -208,14 +228,8 @@ def build_serve_arg_parser() -> argparse.ArgumentParser:
         description="Host the demo web UI and a SPARQL endpoint over one "
         "long-lived QueryService with shared cross-query caches",
     )
-    parser.add_argument(
-        "--simulate",
-        type=float,
-        default=0.02,
-        metavar="SCALE",
-        help="SolidBench universe scale (default 0.02 ≈ 31 pods)",
-    )
-    parser.add_argument("--bench-seed", type=int, default=42, help="generator seed")
+    _add_universe_args(parser)
+    _add_engine_args(parser)
     parser.add_argument("--host", default="127.0.0.1", help="bind address")
     parser.add_argument("--port", type=int, default=8765, help="bind port (0 = ephemeral)")
     parser.add_argument(
@@ -243,51 +257,6 @@ def build_serve_arg_parser() -> argparse.ArgumentParser:
         default=0.0,
         metavar="S",
         help="default per-query time budget in seconds (0 = unbounded)",
-    )
-    parser.add_argument(
-        "--queue-policy",
-        choices=sorted(QUEUE_POLICIES),
-        default="fifo",
-        help="link queue discipline for every query (default fifo; "
-        "'fair' round-robins dereferences across origins; 'guided' "
-        "scores links by provenance and cardinality hints)",
-    )
-    parser.add_argument(
-        "--subweb",
-        metavar="PATH",
-        help="subweb-specification JSON file applied to every query "
-        "(workers load it independently, so the path must be readable "
-        "by each shard process)",
-    )
-    parser.add_argument(
-        "--emit-hints",
-        action="store_true",
-        help="generate per-pod cardinality-hint documents in the simulated "
-        "universe",
-    )
-    parser.add_argument(
-        "--max-depth",
-        type=int,
-        default=0,
-        metavar="N",
-        help="per-query link-depth bound (0 = unbounded)",
-    )
-    parser.add_argument(
-        "--max-origin-derefs",
-        type=int,
-        default=0,
-        metavar="N",
-        help="per-origin dereference budget per query (0 = unbounded)",
-    )
-    parser.add_argument(
-        "--max-doc-bytes",
-        type=int,
-        default=0,
-        metavar="B",
-        help="per-document size cap in bytes (0 = unbounded)",
-    )
-    parser.add_argument(
-        "--no-latency", action="store_true", help="disable simulated network latency"
     )
     parser.add_argument(
         "--workers",
@@ -328,25 +297,8 @@ def build_watch_arg_parser() -> argparse.ArgumentParser:
         description="Run a standing (live) query: print initial results as "
         "+1 events, then signed result changes as pod documents change",
     )
-    parser.add_argument(
-        "seeds", nargs="*", help="seed URLs followed by the SPARQL query text"
-    )
-    parser.add_argument(
-        "--query", help="SPARQL query text (alternative to trailing positional)"
-    )
-    parser.add_argument(
-        "--discover",
-        metavar="T.V",
-        help="watch a predefined SolidBench Discover query, e.g. 1.5",
-    )
-    parser.add_argument(
-        "--simulate",
-        type=float,
-        default=0.02,
-        metavar="SCALE",
-        help="SolidBench universe scale (default 0.02 ≈ 31 pods)",
-    )
-    parser.add_argument("--bench-seed", type=int, default=42, help="generator seed")
+    _add_query_args(parser)
+    _add_universe_args(parser)
     parser.add_argument(
         "--updates",
         metavar="FILE",
@@ -355,56 +307,51 @@ def build_watch_arg_parser() -> argparse.ArgumentParser:
         "is PATCHed to its pod owner-authenticated and the resulting "
         "signed events print before the next edit applies",
     )
-    parser.add_argument(
-        "--no-latency", action="store_true", help="disable simulated network latency"
-    )
     return parser
+
+
+def _resolve_query(args, universe) -> Optional[tuple[str, list[str]]]:
+    """Query text and seeds from ``--discover``, ``--query`` or the
+    trailing positional; ``None`` (after the error line) without a query."""
+    if args.discover:
+        template_text, _, variant_text = args.discover.partition(".")
+        named = discover_query(universe, int(template_text), int(variant_text or "1"))
+        print(f"# {named.name}: {named.description}", file=sys.stderr)
+        return named.text, list(named.seeds)
+    positional = list(args.seeds)
+    query_text = args.query
+    if query_text is None:
+        if not positional:
+            print("error: no query given (use --discover or pass a query)", file=sys.stderr)
+            return None
+        query_text = positional.pop()
+    return query_text, positional
+
+
+def _latency(args):
+    return NoLatency() if args.no_latency else SeededJitterLatency(seed=args.bench_seed)
 
 
 def watch_main(argv: Optional[list[str]] = None) -> int:
     """``repro-sparql-ltqp watch``: one standing query over the simulation.
 
-    Change flow is the full live path: the edit is a real PATCH against
-    the simulated Solid server, whose change listener notifies the
-    standing query; a drain then re-dereferences the changed document
-    (conditional request), diffs it against the stored parse, and pushes
-    the signed delta through the retained pipeline.
+    Change flow is the full live path, through the same
+    :class:`~repro.service.QueryService` ``serve`` hosts: the edit is a
+    real owner-authenticated PATCH against the simulated Solid server
+    (:meth:`~repro.service.QueryService.apply_update`), whose change
+    listener notifies the standing query; the drain re-dereferences the
+    changed document (conditional request), diffs it against the stored
+    parse, and pushes the signed delta through the retained pipeline.
     """
-    from .ltqp.live import LiveQuery
+    from .service import QueryService, SharedResources
 
     args = build_watch_arg_parser().parse_args(argv)
-    config = SolidBenchConfig(
-        scale=args.simulate,
-        seed=args.bench_seed,
-        emit_hints=getattr(args, "emit_hints", False),
-    )
-    universe = build_universe(config)
-
-    if args.discover:
-        template_text, _, variant_text = args.discover.partition(".")
-        named = discover_query(universe, int(template_text), int(variant_text or "1"))
-        query_text = named.text
-        seeds: list[str] = list(named.seeds)
-        print(f"# {named.name}: {named.description}", file=sys.stderr)
-    else:
-        positional = list(args.seeds)
-        query_text = args.query
-        if query_text is None:
-            if not positional:
-                print(
-                    "error: no query given (use --discover or pass a query)",
-                    file=sys.stderr,
-                )
-                return 2
-            query_text = positional.pop()
-        seeds = positional
-
-    latency = NoLatency() if args.no_latency else SeededJitterLatency(seed=args.bench_seed)
-    client = universe.client(latency=latency)
-    engine = LinkTraversalEngine(client, config=_engine_config(args, lenient=True))
-    query = parse_query(query_text)
-    variables = query.variables()
-    live = LiveQuery(engine, query, seeds=seeds or None)
+    universe = build_universe(SolidBenchConfig(scale=args.simulate, seed=args.bench_seed))
+    resolved = _resolve_query(args, universe)
+    if resolved is None:
+        return 2
+    query_text, seeds = resolved
+    variables = parse_query(query_text).variables()
 
     def emit(events) -> None:
         for event in events:
@@ -424,44 +371,29 @@ def watch_main(argv: Optional[list[str]] = None) -> int:
                     edits.append(json.loads(raw))
 
     async def run() -> int:
-        from .net.message import Request
-
-        await live.start()
-        emit(live.events)
-        print(f"# {len(live.events)} initial results; watching", file=sys.stderr)
-        internet = client.internet
-        for origin in internet.origins():
-            app = internet.app_for(origin)
-            add = getattr(app, "add_change_listener", None)
-            if add is not None:
-                add(live.notify)
+        service = QueryService(
+            SharedResources.for_universe(universe, latency=_latency(args))
+        )
+        subscription = await service.subscribe(query_text, seeds=seeds or None)
+        events = subscription.events
+        emit(events)
+        print(f"# {len(events)} initial results; watching", file=sys.stderr)
         for edit in edits:
-            url = edit["url"].split("#", 1)[0]
-            from urllib.parse import urlsplit
-
-            parts = urlsplit(url)
-            app = internet.app_for(f"{parts.scheme}://{parts.netloc}")
-            headers = {"content-type": "application/sparql-update"}
-            login = getattr(app, "login_owner", None)
-            if login is not None:
-                headers.update(login(parts.path))
-            response = await internet.dispatch(
-                Request("PATCH", url, headers, edit["update"].encode("utf-8"))
-            )
-            if response.status >= 400:
-                print(
-                    f"# update rejected: HTTP {response.status} for {url}",
-                    file=sys.stderr,
-                )
+            seen = len(events)
+            try:
+                await service.apply_update(edit["url"], edit["update"])
+            except RuntimeError as error:
+                print(f"# {error}", file=sys.stderr)
                 continue
-            emit(await live.drain())
-        live.close()
-        size = sum(live.current_results().values())
+            emit(events[seen:])
+        await subscription.close()
+        size = sum(subscription.current_results().values())
         print(
             f"# {len(edits)} edits applied; {size} current results "
-            f"({len(live.events)} events total)",
+            f"({len(events)} events total)",
             file=sys.stderr,
         )
+        await service.stop()
         return 0
 
     return asyncio.run(run())
@@ -470,7 +402,7 @@ def watch_main(argv: Optional[list[str]] = None) -> int:
 def _engine_config(
     args, network: Optional[NetworkPolicy] = None, **traversal
 ) -> EngineConfig:
-    """An :class:`EngineConfig` carrying the shared hardening flags.
+    """The :class:`EngineConfig` the :func:`_add_engine_args` flags spell.
 
     ``--max-doc-bytes`` installs the same bound on both sides of the
     dereference: the network client aborts oversized transfers
@@ -479,17 +411,17 @@ def _engine_config(
     """
     config = EngineConfig(
         traversal=TraversalPolicy(
-            max_depth=getattr(args, "max_depth", 0),
-            max_origin_derefs=getattr(args, "max_origin_derefs", 0),
-            subweb=getattr(args, "subweb", None),
+            queue_policy=args.queue_policy,
+            max_depth=args.max_depth,
+            max_origin_derefs=args.max_origin_derefs,
+            subweb=args.subweb,
             **traversal,
         ),
         network=network if network is not None else NetworkPolicy(),
     )
-    doc_bytes = getattr(args, "max_doc_bytes", 0)
-    if doc_bytes:
-        config.network.max_response_bytes = doc_bytes
-        config.traversal.max_parse_bytes = doc_bytes
+    if args.max_doc_bytes:
+        config.network.max_response_bytes = args.max_doc_bytes
+        config.traversal.max_parse_bytes = args.max_doc_bytes
     return config
 
 
@@ -499,59 +431,48 @@ def build_service_stack(args):
     Returns the (unstarted) :class:`~repro.webui.DemoServer` whose
     :class:`~repro.service.ServiceHost` is already running.  Split from
     :func:`serve_main` so tests can drive the stack without blocking.
+    ``--workers`` picks the transport; the engine configuration and the
+    admission limits are the same objects either way.
     """
-    from .service import QueryService, ServiceHost, SharedResources
+    from .service import (
+        QueryService,
+        ServiceHost,
+        ShardedQueryService,
+        ShardSpec,
+        SharedResources,
+    )
     from .webui import DemoServer
 
     config = SolidBenchConfig(
-        scale=args.simulate,
-        seed=args.bench_seed,
-        emit_hints=getattr(args, "emit_hints", False),
+        scale=args.simulate, seed=args.bench_seed, emit_hints=args.emit_hints
     )
     universe = build_universe(config)
-    workers = getattr(args, "workers", 1)
-    store_path = getattr(args, "store_path", None)
-    storage_backend = getattr(args, "backend", None)
-    if workers > 1:
-        from .service.shards import ShardSpec, ShardedQueryService
-
+    engine_config = _engine_config(args)
+    limits = dict(
+        max_concurrent=args.max_concurrent,
+        max_queued=args.max_queued,
+        default_max_documents=args.max_documents,
+        default_max_duration=args.max_duration,
+    )
+    if args.workers > 1:
         spec = ShardSpec(
             config=config,
             latency_seed=args.bench_seed,
             no_latency=args.no_latency,
-            queue_policy=args.queue_policy,
-            max_concurrent=args.max_concurrent,
-            max_queued=args.max_queued,
-            default_max_documents=args.max_documents,
-            default_max_duration=args.max_duration,
-            max_depth=getattr(args, "max_depth", 0),
-            max_origin_derefs=getattr(args, "max_origin_derefs", 0),
-            max_doc_bytes=getattr(args, "max_doc_bytes", 0),
-            subweb=getattr(args, "subweb", None),
-            store_path=store_path,
-            storage_backend=storage_backend,
+            engine=engine_config,
+            store_path=args.store_path,
+            storage_backend=args.backend,
+            **limits,
         )
-        service = ShardedQueryService(
-            spec, workers=workers, routing=getattr(args, "routing", "query")
-        )
+        service = ShardedQueryService(spec, workers=args.workers, routing=args.routing)
     else:
-        latency = (
-            NoLatency() if args.no_latency else SeededJitterLatency(seed=args.bench_seed)
-        )
         resources = SharedResources.for_universe(
             universe,
-            latency=latency,
-            store_path=store_path,
-            storage_backend=storage_backend,
+            latency=_latency(args),
+            store_path=args.store_path,
+            storage_backend=args.backend,
         )
-        service = QueryService(
-            resources,
-            config=_engine_config(args, queue_policy=args.queue_policy),
-            max_concurrent=args.max_concurrent,
-            max_queued=args.max_queued,
-            default_max_documents=args.max_documents,
-            default_max_duration=args.max_duration,
-        )
+        service = QueryService(resources, config=engine_config, **limits)
     host = ServiceHost(service).start()
     return DemoServer(universe, host=args.host, port=args.port, service=host)
 
@@ -575,12 +496,12 @@ def serve_main(argv: Optional[list[str]] = None) -> int:
         f"status at {server.url}status.json",
         file=sys.stderr,
     )
-    if getattr(args, "workers", 1) > 1:
+    if args.workers > 1:
         print(
             f"Sharded over {args.workers} workers ({args.routing} routing)",
             file=sys.stderr,
         )
-    if getattr(args, "store_path", None):
+    if args.store_path:
         print(f"Persistent store at {args.store_path}", file=sys.stderr)
     shutdown = threading.Event()
 
@@ -618,28 +539,15 @@ def main(argv: Optional[list[str]] = None) -> int:
         return watch_main(argv[1:])
     args = build_arg_parser().parse_args(argv)
 
-    config = SolidBenchConfig(
-        scale=args.simulate,
-        seed=args.bench_seed,
-        emit_hints=getattr(args, "emit_hints", False),
+    universe = build_universe(
+        SolidBenchConfig(
+            scale=args.simulate, seed=args.bench_seed, emit_hints=args.emit_hints
+        )
     )
-    universe = build_universe(config)
-
-    if args.discover:
-        template_text, _, variant_text = args.discover.partition(".")
-        named = discover_query(universe, int(template_text), int(variant_text or "1"))
-        query_text = named.text
-        seeds: list[str] = list(named.seeds)
-        print(f"# {named.name}: {named.description}", file=sys.stderr)
-    else:
-        positional = list(args.seeds)
-        query_text = args.query
-        if query_text is None:
-            if not positional:
-                print("error: no query given (use --discover or pass a query)", file=sys.stderr)
-                return 2
-            query_text = positional.pop()
-        seeds = positional
+    resolved = _resolve_query(args, universe)
+    if resolved is None:
+        return 2
+    query_text, seeds = resolved
 
     auth_headers: Optional[dict[str, str]] = None
     if args.idp != "void":
@@ -648,8 +556,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         auth_headers = session.headers
         print(f"# logged in as {session.webid}", file=sys.stderr)
 
-    latency = NoLatency() if args.no_latency else SeededJitterLatency(seed=args.bench_seed)
-    client = universe.client(latency=latency)
+    client = universe.client(latency=_latency(args))
 
     if args.fault_rate > 0:
         client.internet.install_fault_plan(
@@ -666,9 +573,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         network.request_timeout = args.timeout
     engine = LinkTraversalEngine(
         client,
-        config=_engine_config(
-            args, network=network, lenient=args.lenient, queue_policy=args.queue_policy
-        ),
+        config=_engine_config(args, network=network, lenient=args.lenient),
         auth_headers=auth_headers,
     )
 

@@ -14,10 +14,13 @@ maintenance state — and then keeps the result multiset current:
 * :meth:`notify` buffers change notifications (e.g. from a
   :class:`~repro.solid.server.SolidServer` change listener) that
   :meth:`drain` then turns into refreshes;
-* :meth:`subscribe` hands out event queues that replay the full change
-  history (initial results as additions, then every maintenance event)
-  — replaying a subscription therefore reconstructs the exact current
-  result multiset.
+* every change is published into the query's :class:`ChangeFeed` — the
+  one ordered, replayable history (initial results as additions, then
+  every maintenance event) that queues, listeners and
+  :meth:`~ChangeFeed.current_results` all read; replaying it
+  reconstructs the exact current result multiset.  A sharded front-end
+  feeds the same class from decoded wire events, so a subscriber cannot
+  tell where its standing query runs.
 
 Maintenance cost is O(changed triples × affected operators), not
 O(re-execution): the whole point of the signed-delta machinery.
@@ -34,7 +37,7 @@ from ..sparql.bindings import Binding
 from .dereference import Dereferencer
 from .engine import LinkTraversalEngine, QueryExecution, TraversalPolicy
 
-__all__ = ["ResultChange", "LiveQuery"]
+__all__ = ["ResultChange", "ChangeFeed", "LiveQuery"]
 
 #: HTTP statuses meaning "the document is gone" — a refresh treats them
 #: as the document becoming empty rather than as a failed refresh.
@@ -57,8 +60,101 @@ class ResultChange:
     url: str = ""
 
 
-class LiveQuery:
+class ChangeFeed:
+    """One standing query's signed changes: history, replay and fan-out.
+
+    Whoever produces the events — a :class:`LiveQuery` maintaining its
+    pipeline, or a shard reader decoding them off the wire — calls
+    :meth:`publish`; consumers replay :attr:`events`, take a queue from
+    :meth:`subscribe`, or register a synchronous listener.
+    """
+
+    def __init__(self) -> None:
+        #: Full ordered event history (initial results first) — the
+        #: replay source for late subscribers.
+        self.events: list[ResultChange] = []
+        self._subscribers: list[asyncio.Queue] = []
+        self._listeners: list = []
+        self._closed = False
+
+    @property
+    def closed(self) -> bool:
+        return self._closed
+
+    def current_results(self) -> dict[Binding, int]:
+        """The maintained result multiset (replay of the event history)."""
+        multiset: dict[Binding, int] = {}
+        for event in self.events:
+            total = multiset.get(event.binding, 0) + event.delta
+            if total:
+                multiset[event.binding] = total
+            else:
+                multiset.pop(event.binding, None)
+        return multiset
+
+    def publish(self, events: list[ResultChange]) -> None:
+        """Append one batch to the history and fan it out."""
+        if not events:
+            return
+        self.events.extend(events)
+        for queue in self._subscribers:
+            for event in events:
+                queue.put_nowait(event)
+        for listener in self._listeners:
+            listener(events)
+
+    def close(self) -> None:
+        """End the stream: queues and listeners see ``None``, once."""
+        if self._closed:
+            return
+        self._closed = True
+        for queue in self._subscribers:
+            queue.put_nowait(None)
+        self._subscribers.clear()
+        for listener in self._listeners:
+            listener(None)
+        self._listeners.clear()
+
+    def subscribe(self) -> asyncio.Queue:
+        """An event queue carrying the full change history.
+
+        The queue is pre-loaded with every past :class:`ResultChange`
+        (initial results included) and then receives each future event;
+        ``None`` marks end-of-stream after :meth:`close`.
+        """
+        queue: asyncio.Queue = asyncio.Queue()
+        for event in self.events:
+            queue.put_nowait(event)
+        if self._closed:
+            queue.put_nowait(None)
+        else:
+            self._subscribers.append(queue)
+        return queue
+
+    def unsubscribe(self, queue: asyncio.Queue) -> None:
+        try:
+            self._subscribers.remove(queue)
+        except ValueError:
+            pass
+
+    def add_listener(self, callback) -> None:
+        """Register a *synchronous* event-batch callback.
+
+        Called inline from :meth:`publish` with each new batch of
+        :class:`ResultChange` events, and once with ``None`` on
+        :meth:`close`.  Unlike queues, listeners observe events in strict
+        publish order relative to the caller — the sharded worker uses
+        this to put events on the wire before acking the edit that
+        caused them.
+        """
+        self._listeners.append(callback)
+
+
+class LiveQuery(ChangeFeed):
     """One standing query: an execution that stays open past quiescence.
+
+    Its own :class:`ChangeFeed`: :meth:`close` ends the standing query
+    and subscribers see end-of-stream.
 
     Usage::
 
@@ -82,6 +178,7 @@ class LiveQuery:
         metrics=None,
         traversal: Optional[TraversalPolicy] = None,
     ) -> None:
+        super().__init__()
         parsed = engine._parse(query)
         if parsed.form == "CONSTRUCT":
             raise ValueError(
@@ -103,12 +200,6 @@ class LiveQuery:
         self._dereferencer: Optional[Dereferencer] = None
         self._seq = 0
         self._started = False
-        self._closed = False
-        #: Full ordered event history (initial results first) — the
-        #: replay source for late subscribers.
-        self.events: list[ResultChange] = []
-        self._subscribers: list[asyncio.Queue] = []
-        self._listeners: list = []
         #: Documents flagged by :meth:`notify`, awaiting :meth:`drain`.
         self._pending: dict[str, None] = {}
         #: Refreshes whose dereference failed (kept for observability).
@@ -127,21 +218,6 @@ class LiveQuery:
     @property
     def started(self) -> bool:
         return self._started
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def current_results(self) -> dict[Binding, int]:
-        """The maintained result multiset (replay of the event history)."""
-        multiset: dict[Binding, int] = {}
-        for event in self.events:
-            total = multiset.get(event.binding, 0) + event.delta
-            if total:
-                multiset[event.binding] = total
-            else:
-                multiset.pop(event.binding, None)
-        return multiset
 
     # -- lifecycle -----------------------------------------------------
 
@@ -171,18 +247,6 @@ class LiveQuery:
         bindings = self._execution.bindings
         self._publish([(binding, 1) for binding in bindings], url="")
         return bindings
-
-    def close(self) -> None:
-        """End the standing query: subscribers see end-of-stream."""
-        if self._closed:
-            return
-        self._closed = True
-        for queue in self._subscribers:
-            queue.put_nowait(None)
-        self._subscribers.clear()
-        for listener in self._listeners:
-            listener(None)
-        self._listeners.clear()
 
     # -- change intake -------------------------------------------------
 
@@ -262,42 +326,6 @@ class LiveQuery:
             if span is not None:
                 tracer.end(span)
 
-    # -- subscriptions -------------------------------------------------
-
-    def subscribe(self) -> asyncio.Queue:
-        """An event queue carrying this query's full change history.
-
-        The queue is pre-loaded with every past :class:`ResultChange`
-        (initial results included) and then receives each future event;
-        ``None`` marks end-of-stream after :meth:`close`.
-        """
-        queue: asyncio.Queue = asyncio.Queue()
-        for event in self.events:
-            queue.put_nowait(event)
-        if self._closed:
-            queue.put_nowait(None)
-        else:
-            self._subscribers.append(queue)
-        return queue
-
-    def unsubscribe(self, queue: asyncio.Queue) -> None:
-        try:
-            self._subscribers.remove(queue)
-        except ValueError:
-            pass
-
-    def add_listener(self, callback) -> None:
-        """Register a *synchronous* event-batch callback.
-
-        Called inline from :meth:`_publish` with each new batch of
-        :class:`ResultChange` events, and once with ``None`` on
-        :meth:`close`.  Unlike queues, listeners observe events in strict
-        publish order relative to the caller — the sharded worker uses
-        this to put events on the wire before acking the edit that
-        caused them.
-        """
-        self._listeners.append(callback)
-
     def _publish(
         self, changes: list[tuple[Binding, int]], url: str
     ) -> list[ResultChange]:
@@ -306,11 +334,5 @@ class LiveQuery:
             event = ResultChange(seq=self._seq, binding=binding, delta=delta, url=url)
             self._seq += 1
             events.append(event)
-        if events:
-            self.events.extend(events)
-            for queue in self._subscribers:
-                for event in events:
-                    queue.put_nowait(event)
-            for listener in self._listeners:
-                listener(events)
+        self.publish(events)
         return events

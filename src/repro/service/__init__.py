@@ -8,17 +8,25 @@ separates what those queries can share from what they cannot:
   parsed-document store (:class:`DocumentStore`), dereferencer, and
   metrics registry, reused across every query;
 * :class:`QueryService` — admission control (concurrency cap + waiting
-  queue), a live query registry with cancellation, and per-query
+  queue), a bounded query registry with cancellation, and per-query
   link/time budgets, all over one shared engine;
 * :class:`ServiceSparqlApp` — the SPARQL-protocol front-end backed by
   link traversal (vs. the fixed-dataset federation endpoint);
 * :class:`ServiceHost` — a background event-loop thread so synchronous
   front-ends (the demo web UI, the CLI ``serve`` command) can drive one
   service from many threads;
-* :class:`ShardedQueryService` — N shard worker processes (each its own
-  :class:`SharedResources`, shared-nothing) behind one consistent-hash
-  front-end (:class:`ShardRouter`), with crash restart and warm
-  drain-and-restart handoff of the parsed-document store.
+* :class:`ShardedQueryService` — the same surface over N shard worker
+  processes (each its own :class:`SharedResources`, shared-nothing)
+  behind one consistent-hash front-end (:class:`ShardRouter`), with
+  crash restart and warm drain-and-restart handoff of the
+  parsed-document store.
+
+The deployment is a transport, not a second API: both services hand out
+one handle (:class:`ServiceQuery`, whose ``wait()`` returns an
+:class:`~repro.ltqp.engine.ExecutionResult`), one standing-query handle
+(:class:`ServiceSubscription`, over one
+:class:`~repro.ltqp.live.ChangeFeed`) and one status shape
+(:func:`build_status`, schema 2).
 
 Warm queries hit both caches: the fetch is answered locally (or via a
 304 revalidation) and the parse is skipped entirely — the two costs the
@@ -36,20 +44,12 @@ from .service import (
     ServiceQuery,
     ServiceSubscription,
 )
-from .shards import (
-    ShardedQuery,
-    ShardedQueryService,
-    ShardedResult,
-    ShardedSubscription,
-    ShardSpec,
-    WorkerCrashedError,
-)
-from .status import STATUS_SCHEMA_VERSION, build_status, build_status_async
+from .shards import ShardedQueryService, ShardSpec, WorkerCrashedError
+from .status import STATUS_SCHEMA_VERSION, build_status
 
 __all__ = [
     "STATUS_SCHEMA_VERSION",
     "build_status",
-    "build_status_async",
     "DocumentStore",
     "StoredDocument",
     "SharedResources",
@@ -63,9 +63,6 @@ __all__ = [
     "ShardRouter",
     "pod_origin",
     "ShardSpec",
-    "ShardedQuery",
     "ShardedQueryService",
-    "ShardedResult",
-    "ShardedSubscription",
     "WorkerCrashedError",
 ]

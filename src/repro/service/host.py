@@ -29,9 +29,8 @@ class ServiceHost:
     """Thread-owning wrapper exposing a blocking façade over a service."""
 
     def __init__(self, service) -> None:
-        # Any service with (submit/)run/statistics works: QueryService or
-        # the sharded front-end (whose async start/stop/drain the host
-        # runs on its loop).
+        # Either service: both answer the one surface, whose async
+        # start/drain/stop the host runs on its loop.
         self._service = service
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
@@ -60,11 +59,10 @@ class ServiceHost:
         self._thread = threading.Thread(target=run, name="query-service", daemon=True)
         self._thread.start()
         self._started.wait()
-        # Services with an async lifecycle (the sharded front-end spawns
-        # its workers here) start on their own loop.
-        starter = getattr(self._service, "start", None)
-        if starter is not None:
-            asyncio.run_coroutine_threadsafe(starter(), self._loop).result(timeout)
+        # The sharded front-end spawns its workers here, on its own loop.
+        asyncio.run_coroutine_threadsafe(
+            self._service.start(), self._loop
+        ).result(timeout)
         return self
 
     def execute(
@@ -96,14 +94,12 @@ class ServiceHost:
         """
         pending: list[dict] = []
         if self._loop is not None and self._thread is not None:
-            drainer = getattr(self._service, "drain", None)
-            if drainer is not None:
-                try:
-                    pending = asyncio.run_coroutine_threadsafe(
-                        drainer(drain_timeout), self._loop
-                    ).result(drain_timeout + 10.0)
-                except Exception:  # noqa: BLE001 — drain is best-effort
-                    pass
+            try:
+                pending = asyncio.run_coroutine_threadsafe(
+                    self._service.drain(drain_timeout), self._loop
+                ).result(drain_timeout + 10.0)
+            except Exception:  # noqa: BLE001 — drain is best-effort
+                pass
             if pending:
                 # Surfaced — now shut them down properly instead of
                 # letting loop teardown garbage-collect live traversals.
@@ -113,23 +109,12 @@ class ServiceHost:
                     ).result(10.0)
                 except Exception:  # noqa: BLE001 — keep tearing down
                     pass
-            # Async-lifecycle services (sharded) shut their workers down
-            # on the loop before it stops.
-            stopper = getattr(self._service, "stop", None)
-            if stopper is not None:
-                try:
-                    asyncio.run_coroutine_threadsafe(
-                        stopper(), self._loop
-                    ).result(30.0)
-                except Exception:  # noqa: BLE001 — keep tearing down
-                    pass
-        # In-process services own their resources directly: release the
-        # storage backend so pending writes are durable — a clean stop
-        # must leave the store file warm for the next lifetime.
-        resources = getattr(self._service, "resources", None)
-        if resources is not None:
+            # The service shuts down on the loop before it stops: workers
+            # exit (sharded), the storage backend is released (in-process).
             try:
-                resources.close()
+                asyncio.run_coroutine_threadsafe(
+                    self._service.stop(), self._loop
+                ).result(30.0)
             except Exception:  # noqa: BLE001 — keep tearing down
                 pass
         if self._loop is not None:

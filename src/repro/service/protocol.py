@@ -34,7 +34,6 @@ from ..federation.endpoint import SparqlProtocolApp
 from ..net.message import Request, Response
 from ..sparql.algebra import Query
 from .service import QueryService, ServiceOverloadedError
-from .status import build_status_async
 from .wire import encode_term
 
 __all__ = ["ServiceSparqlApp"]
@@ -84,10 +83,9 @@ class ServiceSparqlApp(SparqlProtocolApp):
     async def handle_other(self, request: Request) -> Response:
         path = urlsplit(request.url).path
         if path == self._status_path:
-            # Sharded front-ends poll every worker live inside the async
-            # build, so the document aggregates *current* shard gauges.
-            document = await build_status_async(self._service)
-            return _json_response(document)
+            # A sharded front-end polls every worker first, so the
+            # document aggregates *current* shard gauges.
+            return _json_response(await self._service.status())
         if path == self._subscribe_path:
             return await self._handle_subscribe(request)
         if path == self._update_path:
@@ -144,12 +142,9 @@ class ServiceSparqlApp(SparqlProtocolApp):
         wait = float(params.get("wait", ["0"])[0])
 
         async def fresh_events() -> list:
-            # In-process services drain here so writes applied directly
-            # to a pod (not via /update) surface without an extra poke;
-            # sharded workers drain on their own loops.
-            drainer = getattr(self._service, "drain_subscriptions", None)
-            if drainer is not None:
-                await drainer()
+            # Drain here so writes applied directly to a pod (not via
+            # /update) surface without an extra poke.
+            await self._service.drain_subscriptions()
             return [event for event in subscription.events if event.seq > after]
 
         events = await fresh_events()

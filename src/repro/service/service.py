@@ -11,8 +11,9 @@ queries — concurrently, with admission control — against them:
 * **Registry** — every accepted query gets an id and a
   :class:`ServiceQuery` handle with live status
   (``queued → running → done | failed | cancelled``), timings, and
-  cancellation via the underlying
-  :class:`~repro.ltqp.engine.QueryExecution`.
+  cancellation; in-flight handles plus the :data:`FINISHED_WINDOW` most
+  recently finished ones are retained, so a long-lived service does not
+  pin every answer it ever gave.
 * **Budgets** — per-query link (``max_documents``) and time
   (``max_duration``) budgets override the service defaults through a
   per-execution :class:`~repro.ltqp.engine.TraversalPolicy`.
@@ -21,6 +22,12 @@ queries — concurrently, with admission control — against them:
   source, pipeline, and stats; only the client, caches, and
   parsed-document store are shared — which is exactly what makes warm
   queries fast without letting one query's state leak into another's.
+
+The handle (:class:`ServiceQuery`), the standing-query handle
+(:class:`ServiceSubscription`) and the registry / counter / status body
+(:class:`_ServiceCore`) are the *one* service surface: the sharded
+front-end (:mod:`repro.service.shards`) answers with the same three and
+differs only in where a query executes.
 """
 
 from __future__ import annotations
@@ -29,7 +36,8 @@ import asyncio
 import dataclasses
 import itertools
 import time
-from typing import Iterable, Optional, Union as TypingUnion
+from collections import deque
+from typing import Awaitable, Callable, Iterable, NoReturn, Optional, Union as TypingUnion
 
 from urllib.parse import urlsplit
 
@@ -41,10 +49,11 @@ from ..ltqp.engine import (
     TraversalPolicy,
 )
 from ..ltqp.extractors import default_extractors
-from ..ltqp.live import LiveQuery, ResultChange
+from ..ltqp.live import ChangeFeed, LiveQuery, ResultChange
 from ..net.message import Request
 from ..sparql.algebra import Query
 from .resources import SharedResources
+from .status import build_status
 
 __all__ = [
     "ServiceOverloadedError",
@@ -58,23 +67,43 @@ class ServiceOverloadedError(RuntimeError):
     """Raised when both the running set and the waiting queue are full."""
 
 
-class ServiceQuery:
-    """Registry entry + handle for one query admitted to the service."""
+#: Finished queries the registry keeps (newest first out last) for the
+#: status page and late ``get`` calls; older handles — and the result
+#: lists and queue samples they pin — are released.
+FINISHED_WINDOW = 256
 
-    def __init__(self, query_id: str, query: Query, seeds: Optional[list[str]]) -> None:
+
+class ServiceQuery:
+    """Registry entry + handle for one query admitted to a service."""
+
+    def __init__(
+        self,
+        query_id: str,
+        query: Query,
+        seeds: Optional[list[str]],
+        shard: Optional[str] = None,
+    ) -> None:
         self.id = query_id
         self.query = query
         self.seeds = seeds
+        #: The worker the query was routed to; ``None`` in-process.
+        self.shard = shard
         self.status = "queued"
         self.submitted_at = time.monotonic()
         self.started_at: Optional[float] = None
         self.finished_at: Optional[float] = None
         self.error: Optional[BaseException] = None
         #: The engine-level handle; ``None`` until the query leaves the
-        #: waiting queue.
+        #: waiting queue, and always ``None`` on a sharded front-end (the
+        #: execution lives in a worker process).
         self.execution: Optional[QueryExecution] = None
+        #: What the query produced — a live view in-process, rebuilt from
+        #: the worker's reply on a sharded front-end.
+        self.result: Optional[ExecutionResult] = None
         self._done = asyncio.Event()
-        self._task: Optional[asyncio.Task] = None
+        #: Installed by the owning service: a task cancel in-process, a
+        #: ``cancel`` message to the worker on a sharded front-end.
+        self._cancel: Optional[Callable[[], object]] = None
 
     @property
     def done(self) -> bool:
@@ -85,31 +114,22 @@ class ServiceQuery:
         await self._done.wait()
         if self.error is not None:
             raise self.error
-        assert self.execution is not None
-        return self.execution.result
+        assert self.result is not None
+        return self.result
 
     async def cancel(self) -> "ServiceQuery":
-        """Stop the query: dequeue it if waiting, interrupt it if running.
-
-        Always cancels the driving task rather than the execution's own
-        generator — a generator cannot be ``aclose()``d from a second
-        task while the driver is suspended inside it, but a task cancel
-        interrupts it at its await point and runs its cleanup.
-        """
-        if self.done:
-            return self
-        if self._task is not None:
-            self._task.cancel()
-        elif self.execution is not None:
-            await self.execution.cancel()
+        """Stop the query: dequeue it if waiting, interrupt it if running."""
+        if not self.done and self._cancel is not None:
+            self._cancel()
         await self._done.wait()
         return self
 
     def snapshot(self) -> dict:
         """A JSON-friendly view for the registry/status endpoints."""
-        stats = self.execution.stats if self.execution is not None else None
+        stats = self.result.stats if self.result is not None else None
         return {
             "id": self.id,
+            "shard": self.shard,
             "status": self.status,
             "form": self.query.form,
             "submitted_at": round(self.submitted_at, 4),
@@ -123,60 +143,209 @@ class ServiceQuery:
 
 
 class ServiceSubscription:
-    """Registry entry + handle for one standing query on the service.
+    """Registry entry + handle for one standing query on a service.
 
-    Wraps a :class:`~repro.ltqp.live.LiveQuery` whose change intake is
-    wired to every Solid server the service's simulated internet hosts:
-    an accepted PATCH/PUT anywhere notifies the live query, and the
-    service drains the notifications into signed result-change events.
+    Reads one :class:`~repro.ltqp.live.ChangeFeed`.  In-process that is
+    the :class:`~repro.ltqp.live.LiveQuery` itself (also on :attr:`live`),
+    whose change intake is wired to every Solid server the service's
+    simulated internet hosts; on a sharded front-end it is a feed the
+    shard reader publishes the worker's decoded wire events into, and
+    :attr:`live` is ``None``.
     """
 
-    def __init__(self, sub_id: str, live: LiveQuery, service: "QueryService") -> None:
+    def __init__(
+        self,
+        sub_id: str,
+        query: Query,
+        feed: ChangeFeed,
+        close: Callable[[], Awaitable[None]],
+        shard: Optional[str] = None,
+    ) -> None:
         self.id = sub_id
-        self.live = live
-        self._service = service
-
-    @property
-    def query(self) -> Query:
-        return self.live.query
+        self.query = query
+        self.shard = shard
+        self.live: Optional[LiveQuery] = feed if isinstance(feed, LiveQuery) else None
+        self._feed = feed
+        self._close = close
 
     @property
     def events(self) -> list[ResultChange]:
         """Full ordered change history (initial results as ``+1`` events)."""
-        return self.live.events
+        return self._feed.events
 
     @property
     def closed(self) -> bool:
-        return self.live.closed
+        return self._feed.closed
 
     def current_results(self) -> dict:
-        return self.live.current_results()
+        return self._feed.current_results()
 
     def queue(self) -> asyncio.Queue:
         """An event queue replaying the history, then streaming updates."""
-        return self.live.subscribe()
-
-    async def drain(self) -> list[ResultChange]:
-        """Refresh every document flagged changed since the last drain."""
-        return await self.live.drain()
+        return self._feed.subscribe()
 
     async def close(self) -> None:
         """End the standing query and unregister it from the service."""
-        self._service._drop_subscription(self)
+        await self._close()
 
     def snapshot(self) -> dict:
+        live = self.live
         return {
             "id": self.id,
+            "shard": self.shard,
             "form": self.query.form,
-            "events": len(self.live.events),
-            "results": sum(self.live.current_results().values()),
-            "pending": len(self.live.pending),
-            "failed_refreshes": len(self.live.failed_refreshes),
-            "closed": self.live.closed,
+            "events": len(self.events),
+            "results": sum(self.current_results().values()),
+            "pending": len(live.pending) if live is not None else None,
+            "failed_refreshes": len(live.failed_refreshes) if live is not None else None,
+            "closed": self.closed,
         }
 
 
-class QueryService:
+#: Terminal status → the service counter it bumps.
+_OUTCOME_COUNTER = {"done": "completed", "failed": "failed", "cancelled": "cancelled"}
+
+
+class _ServiceCore:
+    """What both services share: registry, ids, counters, standing-query
+    table, finish bookkeeping and the status document.
+
+    A deployment is a transport, not a second API — subclasses decide
+    only where a query executes (``submit`` / ``subscribe`` /
+    ``apply_update``), how the pool starts, drains and stops, and which
+    gauges ``statistics()`` adds to :meth:`_counters`.
+    """
+
+    def __init__(self) -> None:
+        self._registry: dict[str, ServiceQuery] = {}
+        #: Ids of finished queries still in the registry, oldest first.
+        self._finished: deque[str] = deque()
+        #: Shutdown errors of handles that have left the window.
+        self._retired_errors: list[str] = []
+        self._subscriptions: dict[str, ServiceSubscription] = {}
+        self._ids = itertools.count(1)
+        self._sub_ids = itertools.count(1)
+        self.accepted = 0
+        self.rejected = 0
+        self.completed = 0
+        self.failed = 0
+        self.cancelled = 0
+
+    # -- introspection --------------------------------------------------
+
+    def get(self, query_id: str) -> Optional[ServiceQuery]:
+        return self._registry.get(query_id)
+
+    def queries(self) -> list[ServiceQuery]:
+        return list(self._registry.values())
+
+    def inflight(self) -> list[ServiceQuery]:
+        """Queries admitted but not yet finished (queued or running)."""
+        return [handle for handle in self._registry.values() if not handle.done]
+
+    def subscriptions(self) -> list[ServiceSubscription]:
+        return list(self._subscriptions.values())
+
+    def get_subscription(self, sub_id: str) -> Optional[ServiceSubscription]:
+        return self._subscriptions.get(sub_id)
+
+    def shutdown_errors(self) -> list[str]:
+        """Teardown exceptions swallowed by any execution, query-tagged.
+
+        Shutdown must not fail a query, but an operator must still see
+        these — they surface here and in ``/service/status``.
+        """
+        errors = list(self._retired_errors)
+        for handle in self._registry.values():
+            errors.extend(_tagged_errors(handle))
+        for subscription in self._subscriptions.values():
+            if subscription.live is not None:
+                stats = subscription.live.execution.stats
+                errors.extend(f"{subscription.id}: {e}" for e in stats.shutdown_errors)
+        return errors
+
+    async def status(self) -> dict:
+        """The schema-2 ``/service/status`` document."""
+        return build_status(self)
+
+    async def run(
+        self,
+        query: TypingUnion[str, Query],
+        seeds: Optional[Iterable[str]] = None,
+        **kwargs,
+    ) -> ExecutionResult:
+        """Submit and wait: the one-call path for front-ends."""
+        return await self.submit(query, seeds=seeds, **kwargs).wait()
+
+    # -- bookkeeping shared by both transports --------------------------
+
+    def _counters(self) -> dict:
+        return {
+            "accepted": self.accepted,
+            "rejected": self.rejected,
+            "completed": self.completed,
+            "failed": self.failed,
+            "cancelled": self.cancelled,
+            "subscriptions": len(self._subscriptions),
+        }
+
+    def _bump(self, counter: str) -> None:
+        setattr(self, counter, getattr(self, counter) + 1)
+
+    def _reject(self, reason: str) -> NoReturn:
+        self._bump("rejected")
+        raise ServiceOverloadedError(reason)
+
+    def _admit(
+        self, query: Query, seeds: Optional[Iterable[str]], shard: Optional[str] = None
+    ) -> ServiceQuery:
+        """Register a handle for an accepted query."""
+        handle = ServiceQuery(
+            f"q{next(self._ids)}", query, list(seeds) if seeds is not None else None, shard
+        )
+        self._registry[handle.id] = handle
+        self._bump("accepted")
+        return handle
+
+    def _finish(
+        self, handle: ServiceQuery, status: str, error: Optional[BaseException] = None
+    ) -> None:
+        """Record a query's outcome, wake its waiters, age the registry."""
+        handle.status = status
+        handle.error = error
+        handle.finished_at = time.monotonic()
+        self._bump(_OUTCOME_COUNTER[status])
+        handle._done.set()
+        self._finished.append(handle.id)
+        if len(self._finished) > FINISHED_WINDOW:
+            retired = self._registry.pop(self._finished.popleft())
+            self._retired_errors.extend(_tagged_errors(retired))
+
+    def _register_subscription(
+        self,
+        query: Query,
+        feed: ChangeFeed,
+        close: Callable[[], Awaitable[None]],
+        shard: Optional[str] = None,
+    ) -> ServiceSubscription:
+        sub_id = f"s{next(self._sub_ids)}"
+
+        async def close_and_drop() -> None:
+            await close()
+            self._subscriptions.pop(sub_id, None)
+
+        subscription = ServiceSubscription(sub_id, query, feed, close_and_drop, shard)
+        self._subscriptions[sub_id] = subscription
+        return subscription
+
+
+def _tagged_errors(handle: ServiceQuery) -> list[str]:
+    if handle.result is None:
+        return []
+    return [f"{handle.id}: {error}" for error in handle.result.stats.shutdown_errors]
+
+
+class QueryService(_ServiceCore):
     """Executes many queries over shared resources with admission control."""
 
     def __init__(
@@ -189,6 +358,7 @@ class QueryService:
         default_max_documents: int = 0,
         default_max_duration: float = 0.0,
     ) -> None:
+        super().__init__()
         self._resources = resources
         self._config = config if config is not None else EngineConfig()
         self._extractor_factory = extractor_factory
@@ -202,47 +372,21 @@ class QueryService:
             dereferencer=resources.dereferencer,
         )
         self._semaphore = asyncio.Semaphore(self._max_concurrent)
-        self._registry: dict[str, ServiceQuery] = {}
-        self._subscriptions: dict[str, ServiceSubscription] = {}
-        self._sub_ids = itertools.count(1)
         self._listening: list = []  # SolidServers we installed listeners on
         self._drain_task: Optional[asyncio.Task] = None
-        self._ids = itertools.count(1)
         self._active = 0
         self._queued = 0
-        self.accepted = 0
-        self.rejected = 0
-        self.completed = 0
-        self.failed = 0
-        self.cancelled = 0
 
-    # -- introspection --------------------------------------------------
+    # -- lifecycle ------------------------------------------------------
 
-    @property
-    def resources(self) -> SharedResources:
-        return self._resources
+    async def start(self) -> "QueryService":
+        """Nothing to spawn: the service runs on the caller's loop."""
+        return self
 
-    @property
-    def engine(self) -> LinkTraversalEngine:
-        return self._engine
-
-    @property
-    def active_count(self) -> int:
-        return self._active
-
-    @property
-    def queued_count(self) -> int:
-        return self._queued
-
-    def get(self, query_id: str) -> Optional[ServiceQuery]:
-        return self._registry.get(query_id)
-
-    def queries(self) -> list[ServiceQuery]:
-        return list(self._registry.values())
-
-    def inflight(self) -> list[ServiceQuery]:
-        """Queries admitted but not yet finished (queued or running)."""
-        return [handle for handle in self._registry.values() if not handle.done]
+    async def stop(self) -> None:
+        """Release the storage backend so pending writes are durable — a
+        clean stop must leave the store file warm for the next lifetime."""
+        self._resources.close()
 
     async def drain(self, timeout: float = 5.0) -> list[dict]:
         """Wait up to ``timeout`` for in-flight queries to finish.
@@ -266,38 +410,41 @@ class QueryService:
             pending = self.inflight()
         return [handle.snapshot() for handle in pending]
 
+    # -- introspection --------------------------------------------------
+
+    @property
+    def resources(self) -> SharedResources:
+        return self._resources
+
+    @property
+    def engine(self) -> LinkTraversalEngine:
+        return self._engine
+
+    @property
+    def active_count(self) -> int:
+        return self._active
+
+    @property
+    def queued_count(self) -> int:
+        return self._queued
+
     def statistics(self) -> dict:
-        """Service counters plus the shared caches' statistics."""
+        """Service counters plus the shared caches' statistics — a pool
+        of one worker with no shards."""
         return {
+            "mode": "single",
+            "workers": {"total": 1, "ready": 1, "restarts": 0, "routing": None},
+            "shards": {},
             "active": self._active,
             "queued": self._queued,
-            "accepted": self.accepted,
-            "rejected": self.rejected,
-            "completed": self.completed,
-            "failed": self.failed,
-            "cancelled": self.cancelled,
-            "subscriptions": len(self._subscriptions),
+            **self._counters(),
             "shutdown_errors": self.shutdown_errors(),
             **self._resources.statistics(),
         }
 
-    def shutdown_errors(self) -> list[str]:
-        """Teardown exceptions swallowed by any execution, query-tagged.
-
-        Shutdown must not fail a query, but an operator must still see
-        these — they surface here and in ``/service/status``.
-        """
-        errors: list[str] = []
-        for handle in self._registry.values():
-            execution = handle.execution
-            if execution is None:
-                continue
-            for error in execution.stats.shutdown_errors:
-                errors.append(f"{handle.id}: {error}")
-        for subscription in self._subscriptions.values():
-            for error in subscription.live.execution.stats.shutdown_errors:
-                errors.append(f"{subscription.id}: {error}")
-        return errors
+    def _bump(self, counter: str) -> None:
+        super()._bump(counter)
+        self._resources.metrics.counter(f"service.{counter}").inc()
 
     # -- submission -----------------------------------------------------
 
@@ -317,45 +464,29 @@ class QueryService:
         handle.wait()`` for the result, ``await handle.cancel()`` to stop
         it; live status is on the handle throughout.
         """
-        metrics_registry = self._resources.metrics
-        if self._active + self._queued >= self._max_concurrent + self._max_queued:
-            self.rejected += 1
-            metrics_registry.counter("service.rejected").inc()
-            raise ServiceOverloadedError(
-                f"service at capacity ({self._active} running, {self._queued} queued)"
-            )
-        parsed = self._engine._parse(query)
-        handle = ServiceQuery(
-            f"q{next(self._ids)}", parsed, list(seeds) if seeds is not None else None
-        )
-        self._registry[handle.id] = handle
-        self.accepted += 1
-        metrics_registry.counter("service.accepted").inc()
+        self._check_capacity()
+        handle = self._admit(self._engine._parse(query), seeds)
         self._queued += 1
         self._sync_gauges()
         traversal = self._traversal_for(max_documents, max_duration)
-        handle._task = asyncio.create_task(
+        task = asyncio.create_task(
             self._drive(handle, traversal, tracer, metrics),
             name=f"query-service-{handle.id}",
         )
+        # Cancel the driving task, never the execution's own generator: a
+        # generator cannot be ``aclose()``d from a second task while the
+        # driver is suspended inside it, but a task cancel interrupts it
+        # at its await point and runs its cleanup.
+        handle._cancel = task.cancel
         return handle
 
-    async def run(
-        self,
-        query: TypingUnion[str, Query],
-        seeds: Optional[Iterable[str]] = None,
-        **kwargs,
-    ) -> ExecutionResult:
-        """Submit and wait: the one-call path for front-ends."""
-        return await self.submit(query, seeds=seeds, **kwargs).wait()
+    def _check_capacity(self) -> None:
+        if self._active + self._queued >= self._max_concurrent + self._max_queued:
+            self._reject(
+                f"service at capacity ({self._active} running, {self._queued} queued)"
+            )
 
     # -- standing queries -----------------------------------------------
-
-    def subscriptions(self) -> list[ServiceSubscription]:
-        return list(self._subscriptions.values())
-
-    def get_subscription(self, sub_id: str) -> Optional[ServiceSubscription]:
-        return self._subscriptions.get(sub_id)
 
     async def subscribe(
         self,
@@ -376,13 +507,7 @@ class QueryService:
         writes, and a drain task turns notifications into refreshes.
         Counts against the same admission capacity as :meth:`submit`.
         """
-        metrics_registry = self._resources.metrics
-        if self._active + self._queued >= self._max_concurrent + self._max_queued:
-            self.rejected += 1
-            metrics_registry.counter("service.rejected").inc()
-            raise ServiceOverloadedError(
-                f"service at capacity ({self._active} running, {self._queued} queued)"
-            )
+        self._check_capacity()
         traversal = self._traversal_for(max_documents, max_duration)
         live = LiveQuery(
             self._engine,
@@ -399,9 +524,12 @@ class QueryService:
         finally:
             self._active -= 1
             self._sync_gauges()
-        subscription = ServiceSubscription(f"s{next(self._sub_ids)}", live, self)
-        self._subscriptions[subscription.id] = subscription
-        metrics_registry.counter("service.subscriptions").inc()
+
+        async def close() -> None:
+            live.close()
+
+        subscription = self._register_subscription(live.query, live, close)
+        self._resources.metrics.counter("service.subscriptions").inc()
         self._ensure_change_listeners()
         return subscription
 
@@ -457,7 +585,7 @@ class QueryService:
         """Solid-server write listener: flag the document, schedule a drain."""
         notified = False
         for subscription in self._subscriptions.values():
-            if not subscription.live.closed:
+            if not subscription.closed:
                 subscription.live.notify(url)
                 notified = True
         if notified:
@@ -466,10 +594,6 @@ class QueryService:
     def _schedule_drain(self) -> None:
         if self._drain_task is None or self._drain_task.done():
             self._drain_task = asyncio.ensure_future(self.drain_subscriptions())
-
-    def _drop_subscription(self, subscription: ServiceSubscription) -> None:
-        subscription.live.close()
-        self._subscriptions.pop(subscription.id, None)
 
     # -- internals ------------------------------------------------------
 
@@ -505,8 +629,8 @@ class QueryService:
         tracer,
         metrics,
     ) -> None:
-        metrics_registry = self._resources.metrics
         dequeued = False
+        outcome, error = "failed", None  # unless the body says otherwise
         try:
             async with self._semaphore:
                 self._queued -= 1
@@ -525,15 +649,9 @@ class QueryService:
                         traversal=traversal,
                     )
                     handle.execution = execution
+                    handle.result = execution.result
                     await execution.gather()
-                    if execution.cancelled:
-                        handle.status = "cancelled"
-                        self.cancelled += 1
-                        metrics_registry.counter("service.cancelled").inc()
-                    else:
-                        handle.status = "done"
-                        self.completed += 1
-                        metrics_registry.counter("service.completed").inc()
+                    outcome = "cancelled" if execution.cancelled else "done"
                 finally:
                     self._active -= 1
         except asyncio.CancelledError:
@@ -545,15 +663,9 @@ class QueryService:
                 self._queued -= 1
             if handle.execution is not None:
                 await handle.execution.cancel()
-            handle.status = "cancelled"
-            self.cancelled += 1
-            metrics_registry.counter("service.cancelled").inc()
-        except Exception as error:  # noqa: BLE001 — registry reports it
-            handle.status = "failed"
-            handle.error = error
-            self.failed += 1
-            metrics_registry.counter("service.failed").inc()
+            outcome = "cancelled"
+        except Exception as failure:  # noqa: BLE001 — registry reports it
+            error = failure
         finally:
-            handle.finished_at = time.monotonic()
+            self._finish(handle, outcome, error)
             self._sync_gauges()
-            handle._done.set()

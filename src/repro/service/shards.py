@@ -5,8 +5,12 @@ no matter the hardware.  This module runs **N worker processes**, each
 owning a complete, private execution stack (its own
 :class:`~repro.service.SharedResources`: HTTP client, HTTP cache,
 parsed-document store, circuit breakers — *shared-nothing*), behind a
-single :class:`ShardedQueryService` front-end that routes queries with
-consistent hashing (:mod:`repro.service.router`):
+single :class:`ShardedQueryService` front-end.  The front-end is the
+*same service surface* as the in-process one (the shared
+:class:`~repro.service.service._ServiceCore`: one handle, one result and
+stats type, one subscription, one registry and status document); this
+module adds only the remote transport and the pool's lifecycle, routing
+queries with consistent hashing (:mod:`repro.service.router`):
 
 * ``query`` routing (default) spreads distinct queries across the pool
   while repeats of the same query stay on the same warm shard;
@@ -33,20 +37,27 @@ interim.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import itertools
 import multiprocessing
 import os
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union as TypingUnion
 
-from ..ltqp.live import ResultChange
-from ..ltqp.stats import TimedResult
+from ..ltqp.engine import EngineConfig, ExecutionResult
+from ..ltqp.live import ChangeFeed, ResultChange
 from ..sparql.algebra import Query
 from ..sparql.parser import parse_query
+from .resources import SharedResources
 from .router import ShardRouter
-from .service import ServiceOverloadedError
+from .service import (
+    QueryService,
+    ServiceOverloadedError,
+    ServiceQuery,
+    ServiceSubscription,
+    _ServiceCore,
+)
 from .wire import (
     decode_events,
     decode_results,
@@ -60,9 +71,6 @@ __all__ = [
     "ShardSpec",
     "WorkerCrashedError",
     "ShardQueryError",
-    "ShardedQuery",
-    "ShardedResult",
-    "ShardedSubscription",
     "ShardedQueryService",
 ]
 
@@ -91,23 +99,19 @@ class ShardSpec:
     latency_seed: Optional[int] = None
     latency_scale: float = 1.0
     no_latency: bool = False
-    lenient: bool = True
-    queue_policy: str = "fifo"
+    #: The engine configuration of every worker's ``QueryService`` —
+    #: queue policy, hardening budgets, network policy — applied
+    #: uniformly to every query on every shard, and the same object an
+    #: in-process service would be built with.  Picklable as is: a guided
+    #: ``traversal.subweb`` (DESIGN.md §4g) is a JSON file path or a plain
+    #: dict each worker resolves locally, so routing never changes which
+    #: links a query may follow.  ``traversal.lenient`` also sets the
+    #: worker's shared dereferencer.
+    engine: EngineConfig = field(default_factory=EngineConfig)
     max_concurrent: int = 8
     max_queued: int = 32
     default_max_documents: int = 0
     default_max_duration: float = 0.0
-    #: Traversal hardening (see :class:`~repro.ltqp.engine.TraversalPolicy`):
-    #: applied uniformly to every query on every shard.  ``max_doc_bytes``
-    #: caps both the network transfer and the parse admission.
-    max_depth: int = 0
-    max_origin_derefs: int = 0
-    max_doc_bytes: int = 0
-    #: Guided traversal (DESIGN.md §4g): a subweb specification applied to
-    #: every query on every shard — a JSON file path or a plain dict in the
-    #: JSON shape (both picklable; each worker resolves it locally, so
-    #: routing never changes which links a query may follow).
-    subweb: Optional[object] = None
     #: Persistence tier (see :mod:`repro.storage`).  On the front-end
     #: spec this is a *directory*; each worker receives a copy with its
     #: own file path under it (``<dir>/<shard-name>.sqlite``), so a
@@ -119,8 +123,6 @@ class ShardSpec:
         """The per-worker spec: the store directory becomes this worker's file."""
         if self.store_path is None:
             return self
-        import dataclasses
-
         return dataclasses.replace(
             self, store_path=os.path.join(self.store_path, f"{name}.sqlite")
         )
@@ -133,23 +135,6 @@ class ShardSpec:
 # ---------------------------------------------------------------------------
 # worker process side
 # ---------------------------------------------------------------------------
-
-
-def _stats_summary(stats) -> dict:
-    """The per-query stats subset shipped back to the front-end."""
-    return {
-        "result_count": stats.result_count,
-        "documents_fetched": stats.documents_fetched,
-        "documents_from_store": stats.documents_from_store,
-        "documents_failed": stats.documents_failed,
-        "triples_discovered": stats.triples_discovered,
-        "links_queued": stats.links_queued,
-        "total_time": stats.total_time,
-        "time_to_first_result": stats.time_to_first_result,
-        "streaming": stats.streaming,
-        "shutdown_errors": list(stats.shutdown_errors),
-        "completeness": stats.completeness(),
-    }
 
 
 async def _report_query(conn, req_id: str, handle, registry: dict) -> None:
@@ -175,7 +160,11 @@ async def _report_query(conn, req_id: str, handle, registry: dict) -> None:
             {
                 "status": handle.status,
                 "rows": encode_results(rows[head:]),
-                "stats": _stats_summary(result.stats),
+                # The real stats object (plain values, pickles as is)
+                # minus the per-push/pop queue samples — the one field
+                # whose size grows with the crawl.
+                "stats": dataclasses.replace(result.stats, queue_samples=[]),
+                "seeds": result.seeds,
             },
         )
     )
@@ -204,33 +193,19 @@ def _event_forwarder(conn, req_id: str):
 
 
 async def _worker_loop(conn, spec: ShardSpec) -> None:
-    from ..ltqp.engine import EngineConfig, NetworkPolicy, TraversalPolicy
-    from .resources import SharedResources
-    from .service import QueryService
-
     try:
         resources = SharedResources.for_config(
             spec.config,
             latency_seed=spec.latency_seed,
             no_latency=spec.no_latency,
             latency_scale=spec.latency_scale,
-            lenient=spec.lenient,
+            lenient=spec.engine.traversal.lenient,
             store_path=spec.store_path,
             storage_backend=spec.storage_backend,
         )
-        engine_config = EngineConfig(
-            traversal=TraversalPolicy(
-                queue_policy=spec.queue_policy,
-                max_depth=spec.max_depth,
-                max_origin_derefs=spec.max_origin_derefs,
-                subweb=spec.subweb,
-                max_parse_bytes=spec.max_doc_bytes,
-            ),
-            network=NetworkPolicy(max_response_bytes=spec.max_doc_bytes),
-        )
         service = QueryService(
             resources,
-            config=engine_config,
+            config=spec.engine,
             max_concurrent=spec.max_concurrent,
             max_queued=spec.max_queued,
             default_max_documents=spec.default_max_documents,
@@ -286,6 +261,13 @@ async def _worker_loop(conn, spec: ShardSpec) -> None:
                     conn.send(("error", req_id, "overloaded", str(error)))
                 else:
                     subscriptions[req_id] = subscription
+                    # Initial results first, ack second — events-then-ack
+                    # like every edit, so the front-end's ``subscribe``
+                    # returns with the history an in-process one has.
+                    forward = _event_forwarder(conn, req_id)
+                    if subscription.events:
+                        forward(subscription.events)
+                    subscription.live.add_listener(forward)
                     conn.send(
                         (
                             "done",
@@ -296,10 +278,6 @@ async def _worker_loop(conn, spec: ShardSpec) -> None:
                             },
                         )
                     )
-                    forward = _event_forwarder(conn, req_id)
-                    if subscription.events:
-                        forward(subscription.events)  # replay initial results
-                    subscription.live.add_listener(forward)
             elif kind == "patch":
                 # A pod edit: every worker owns a private copy of the
                 # deterministic universe, so edits are *broadcast* by the
@@ -361,92 +339,6 @@ def _worker_main(conn, spec: ShardSpec) -> None:
 # ---------------------------------------------------------------------------
 # front-end side
 # ---------------------------------------------------------------------------
-
-
-class ShardStats:
-    """Attribute view over the stats summary a worker shipped back."""
-
-    def __init__(self, summary: dict) -> None:
-        self._summary = dict(summary)
-        for key, value in self._summary.items():
-            if key != "completeness":
-                setattr(self, key, value)
-
-    def completeness(self) -> dict:
-        return self._summary.get("completeness", {})
-
-    def as_dict(self) -> dict:
-        return dict(self._summary)
-
-
-class ShardedResult:
-    """What one sharded query produced, reassembled on the front-end."""
-
-    def __init__(
-        self, query: Query, results: list[TimedResult], stats: ShardStats, shard: str
-    ) -> None:
-        self.query = query
-        self.results = results
-        self.stats = stats
-        self.shard = shard
-
-    @property
-    def bindings(self) -> list:
-        return [timed.binding for timed in self.results]
-
-    def __len__(self) -> int:
-        return len(self.results)
-
-
-class ShardedQuery:
-    """Front-end handle for one query dispatched to a shard."""
-
-    def __init__(
-        self, query_id: str, query: Query, seeds: Optional[list[str]], shard: str
-    ) -> None:
-        self.id = query_id
-        self.query = query
-        self.seeds = seeds
-        self.shard = shard
-        self.status = "running"
-        self.submitted_at = time.monotonic()
-        self.finished_at: Optional[float] = None
-        self.error: Optional[BaseException] = None
-        self.result: Optional[ShardedResult] = None
-        self._done = asyncio.Event()
-        self._cancel = None  # installed by the service at dispatch time
-
-    @property
-    def done(self) -> bool:
-        return self.status in ("done", "failed", "cancelled")
-
-    async def wait(self) -> ShardedResult:
-        await self._done.wait()
-        if self.error is not None:
-            raise self.error
-        assert self.result is not None
-        return self.result
-
-    async def cancel(self) -> "ShardedQuery":
-        if not self.done and self._cancel is not None:
-            self._cancel()
-        await self._done.wait()
-        return self
-
-    def snapshot(self) -> dict:
-        stats = self.result.stats if self.result is not None else None
-        return {
-            "id": self.id,
-            "shard": self.shard,
-            "status": self.status,
-            "form": self.query.form,
-            "submitted_at": round(self.submitted_at, 4),
-            "finished_at": round(self.finished_at, 4) if self.finished_at else None,
-            "results": getattr(stats, "result_count", 0),
-            "documents_fetched": getattr(stats, "documents_fetched", 0),
-            "documents_from_store": getattr(stats, "documents_from_store", 0),
-            "error": str(self.error) if self.error is not None else None,
-        }
 
 
 class _ShardWorker:
@@ -651,6 +543,21 @@ class _ShardWorker:
             pass
 
 
+#: The ``statistics()`` keys a sharded service sums from its workers'
+#: reports, with the value each sum starts from (so every key is present
+#: before any worker has reported).  An empty ``shutdown_errors`` list is
+#: the healthy state.
+_SHARD_GAUGES = {
+    "active": 0,
+    "queued": 0,
+    "shutdown_errors": [],
+    "http_cache": {},
+    "document_store": {},
+    "storage": {},
+    "requests": 0,
+}
+
+
 def _sum_stats(documents: Iterable[dict]) -> dict:
     """Merge shard statistics: sum numbers, concatenate lists, recurse."""
     total: dict = {}
@@ -669,95 +576,17 @@ def _sum_stats(documents: Iterable[dict]) -> dict:
     return total
 
 
-class ShardedSubscription:
-    """Front-end handle for one standing query living on a shard worker.
+class ShardedQueryService(_ServiceCore):
+    """N shard workers behind the one service surface.
 
-    Mirrors :class:`~repro.service.service.ServiceSubscription`: signed
-    :class:`~repro.ltqp.live.ResultChange` events accumulate on
-    :attr:`events` (decoded and re-interned from the worker's wire
-    blocks), :meth:`queue` hands out asyncio queues that replay the
-    history and then stream, and :meth:`close` tears down the
-    worker-side subscription (queues receive ``None``).
-    """
-
-    def __init__(
-        self, sub_id: str, query: Query, shard: str, worker: "_ShardWorker", req_id: str
-    ) -> None:
-        self.id = sub_id
-        self.query = query
-        self.shard = shard
-        self._worker = worker
-        self._req_id = req_id
-        self.events: list[ResultChange] = []
-        self._queues: list[asyncio.Queue] = []
-        self._closed = False
-        self._ended = asyncio.Event()
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def _deliver(self, events: Optional[list[ResultChange]]) -> None:
-        """Reader-loop callback: append a decoded batch (None = stream end)."""
-        if events is None:
-            if not self._closed:
-                self._closed = True
-                for queue in self._queues:
-                    queue.put_nowait(None)
-                self._queues.clear()
-            self._ended.set()
-            return
-        self.events.extend(events)
-        for queue in self._queues:
-            for event in events:
-                queue.put_nowait(event)
-
-    def current_results(self) -> dict:
-        """The maintained result multiset (replay of the event history)."""
-        multiset: dict = {}
-        for event in self.events:
-            total = multiset.get(event.binding, 0) + event.delta
-            if total:
-                multiset[event.binding] = total
-            else:
-                multiset.pop(event.binding, None)
-        return multiset
-
-    def queue(self) -> asyncio.Queue:
-        queue: asyncio.Queue = asyncio.Queue()
-        for event in self.events:
-            queue.put_nowait(event)
-        if self._closed:
-            queue.put_nowait(None)
-        else:
-            self._queues.append(queue)
-        return queue
-
-    async def close(self) -> None:
-        """Unsubscribe on the worker; returns once the stream has ended."""
-        if not self._closed:
-            self._worker.send_unsubscribe(self._req_id)
-        await self._ended.wait()
-
-    def snapshot(self) -> dict:
-        return {
-            "id": self.id,
-            "shard": self.shard,
-            "form": self.query.form,
-            "events": len(self.events),
-            "results": sum(self.current_results().values()),
-            "closed": self._closed,
-        }
-
-
-class ShardedQueryService:
-    """N shard workers behind one submit/run/status front-end.
-
-    API-compatible (duck-typed) with :class:`~repro.service.QueryService`
-    where the front-ends need it: ``submit``/``run``/``get``/``queries``/
-    ``statistics`` plus an async :meth:`status` that aggregates live
-    shard gauges.  Must be started (:meth:`start`) and stopped
-    (:meth:`stop`) on a running event loop.
+    The same handles, subscriptions, registry and status document as
+    :class:`~repro.service.QueryService` (both are a
+    :class:`~repro.service.service._ServiceCore`); what differs is the
+    transport: a query executes as a routed pipe request, an edit is a
+    broadcast, admission is per worker, and the pool has a lifecycle.
+    No ``tracer=`` / ``metrics=``: tracing is worker-local.  Must be
+    started (:meth:`start`) and stopped (:meth:`stop`) on a running
+    event loop.
     """
 
     def __init__(
@@ -771,6 +600,7 @@ class ShardedQueryService:
     ) -> None:
         if workers < 1:
             raise ValueError("need at least one worker")
+        super().__init__()
         self._spec = spec
         self._routing = routing
         self._auto_restart = auto_restart
@@ -780,16 +610,7 @@ class ShardedQueryService:
         # The ring starts empty; shards join as they report ready.
         self._router = ShardRouter((), mode=routing)
         self._workers = {name: _ShardWorker(name, spec, self._context) for name in names}
-        self._registry: dict[str, ShardedQuery] = {}
-        self._subscriptions: dict[str, ShardedSubscription] = {}
-        self._sub_ids = itertools.count(1)
-        self._ids = itertools.count(1)
         self._restarts = 0
-        self.accepted = 0
-        self.rejected = 0
-        self.completed = 0
-        self.failed = 0
-        self.cancelled = 0
         self._started = False
 
     # -- lifecycle ------------------------------------------------------
@@ -928,15 +749,44 @@ class ShardedQueryService:
     def workers(self) -> dict[str, _ShardWorker]:
         return self._workers
 
-    def _coerce(self, query: TypingUnion[str, Query]) -> tuple[str, Query]:
+    def _route(
+        self, query: TypingUnion[str, Query], seeds: Optional[Iterable[str]]
+    ) -> tuple[str, Query, Optional[list[str]], _ShardWorker]:
+        """Query text, parse, seed list and the ready worker they route to."""
         if isinstance(query, Query):
             if not query.text:
                 raise TypeError(
                     "sharded submit needs the query text; pass the SPARQL "
                     "string (or a Query parsed by parse_query, which keeps it)"
                 )
-            return query.text, query
-        return query, parse_query(query)
+            text, parsed = query.text, query
+        else:
+            text, parsed = query, parse_query(query)
+        seed_list = list(seeds) if seeds is not None else None
+        shard_name = self._router.route(text, seed_list)
+        if shard_name is None:
+            self._reject("no shards ready")
+        return text, parsed, seed_list, self._workers[shard_name]
+
+    def _begin(
+        self,
+        worker: _ShardWorker,
+        kind: str,
+        text: str,
+        seeds: Optional[list[str]],
+        max_documents: Optional[int],
+        max_duration: Optional[float],
+    ) -> tuple[str, asyncio.Future]:
+        """Send a ``submit`` / ``subscribe`` request with its budgets."""
+        opts = {}
+        if max_documents is not None:
+            opts["max_documents"] = max_documents
+        if max_duration is not None:
+            opts["max_duration"] = max_duration
+        try:
+            return worker.begin(kind, text, seeds, opts)
+        except WorkerCrashedError:
+            self._reject(f"shard {worker.name} just died")
 
     def submit(
         self,
@@ -944,77 +794,42 @@ class ShardedQueryService:
         seeds: Optional[Iterable[str]] = None,
         max_documents: Optional[int] = None,
         max_duration: Optional[float] = None,
-    ) -> ShardedQuery:
+    ) -> ServiceQuery:
         """Route a query to its shard (or raise :class:`ServiceOverloadedError`)."""
-        text, parsed = self._coerce(query)
-        seed_list = list(seeds) if seeds is not None else None
-        shard_name = self._router.route(text, seed_list)
-        if shard_name is None:
-            self.rejected += 1
-            raise ServiceOverloadedError("no shards ready")
-        worker = self._workers[shard_name]
+        text, parsed, seed_list, worker = self._route(query, seeds)
         capacity = self._spec.max_concurrent + self._spec.max_queued
         if worker.inflight >= capacity:
-            self.rejected += 1
-            raise ServiceOverloadedError(
-                f"shard {shard_name} at capacity ({worker.inflight} in flight)"
+            self._reject(
+                f"shard {worker.name} at capacity ({worker.inflight} in flight)"
             )
-        opts = {}
-        if max_documents is not None:
-            opts["max_documents"] = max_documents
-        if max_duration is not None:
-            opts["max_duration"] = max_duration
-        try:
-            req_id, future = worker.begin("submit", text, seed_list, opts)
-        except WorkerCrashedError:
-            self.rejected += 1
-            raise ServiceOverloadedError(f"shard {shard_name} just died") from None
-        handle = ShardedQuery(f"q{next(self._ids)}", parsed, seed_list, shard_name)
+        req_id, future = self._begin(
+            worker, "submit", text, seed_list, max_documents, max_duration
+        )
+        handle = self._admit(parsed, seed_list, shard=worker.name)
+        # Whether it is queued or traversing is the worker's knowledge;
+        # from here it is on its way.
+        handle.status = "running"
         handle._cancel = lambda: worker.send_cancel(req_id)
-        self._registry[handle.id] = handle
-        self.accepted += 1
         worker.inflight += 1
         future.add_done_callback(
-            lambda fut, h=handle, w=worker: self._finish(h, w, fut)
+            lambda fut, h=handle, w=worker: self._settle(h, w, fut)
         )
         return handle
 
-    def _finish(self, handle: ShardedQuery, worker: _ShardWorker, future) -> None:
+    def _settle(self, handle: ServiceQuery, worker: _ShardWorker, future) -> None:
+        """Reply (or crash) → the handle's result and outcome."""
         worker.inflight -= 1
         try:
             payload, rows = future.result()
         except BaseException as error:  # noqa: BLE001 — surfaced on the handle
-            handle.error = error
-            handle.status = "failed"
-            self.failed += 1
+            self._finish(handle, "failed", error)
         else:
-            handle.result = ShardedResult(
-                handle.query, rows, ShardStats(payload["stats"]), handle.shard
+            handle.result = ExecutionResult(
+                handle.query, rows, payload["stats"], payload["seeds"]
             )
-            handle.status = payload["status"] if payload["status"] != "failed" else "failed"
-            if handle.status == "cancelled":
-                self.cancelled += 1
-            else:
-                self.completed += 1
-        handle.finished_at = time.monotonic()
-        handle._done.set()
-
-    async def run(
-        self,
-        query: TypingUnion[str, Query],
-        seeds: Optional[Iterable[str]] = None,
-        **kwargs,
-    ) -> ShardedResult:
-        """Submit and wait: the one-call path for front-ends."""
-        return await self.submit(query, seeds=seeds, **kwargs).wait()
+            self._finish(handle, payload["status"])
 
     # -- standing queries -----------------------------------------------
-
-    def subscriptions(self) -> list[ShardedSubscription]:
-        return list(self._subscriptions.values())
-
-    def get_subscription(self, sub_id: str) -> Optional[ShardedSubscription]:
-        return self._subscriptions.get(sub_id)
 
     async def subscribe(
         self,
@@ -1022,46 +837,45 @@ class ShardedQueryService:
         seeds: Optional[Iterable[str]] = None,
         max_documents: Optional[int] = None,
         max_duration: Optional[float] = None,
-    ) -> ShardedSubscription:
+    ) -> ServiceSubscription:
         """Open a standing query on the shard its routing key selects.
 
         The worker runs it to quiescence, keeps the live execution open,
         and streams every signed result-change event back over the wire
-        (rows carry their sign); the returned handle re-interns them and
-        replays the exact same event sequence an unsharded subscription
-        would observe.
+        (rows carry their sign); the reader re-interns them into the
+        subscription's change feed, which replays the exact same event
+        sequence an unsharded subscription would observe.
         """
-        text, parsed = self._coerce(query)
-        seed_list = list(seeds) if seeds is not None else None
-        shard_name = self._router.route(text, seed_list)
-        if shard_name is None:
-            self.rejected += 1
-            raise ServiceOverloadedError("no shards ready")
-        worker = self._workers[shard_name]
-        opts = {}
-        if max_documents is not None:
-            opts["max_documents"] = max_documents
-        if max_duration is not None:
-            opts["max_duration"] = max_duration
-        try:
-            req_id, future = worker.begin("subscribe", text, seed_list, opts)
-        except WorkerCrashedError:
-            self.rejected += 1
-            raise ServiceOverloadedError(f"shard {shard_name} just died") from None
-        handle = ShardedSubscription(
-            f"s{next(self._sub_ids)}", parsed, shard_name, worker, req_id
+        text, parsed, seed_list, worker = self._route(query, seeds)
+        req_id, future = self._begin(
+            worker, "subscribe", text, seed_list, max_documents, max_duration
         )
+        feed = ChangeFeed()
+        ended = asyncio.Event()
+
+        def deliver(events: Optional[list[ResultChange]]) -> None:
+            """Reader-loop callback: one decoded batch (None = stream end)."""
+            if events is None:
+                feed.close()
+                ended.set()
+            else:
+                feed.publish(events)
+
+        async def close() -> None:
+            """Unsubscribe on the worker; returns once the stream has ended."""
+            if not feed.closed:
+                worker.send_unsubscribe(req_id)
+            await ended.wait()
+
         # Register the event route *before* awaiting the ack: the worker
-        # may pump the initial-results batch immediately after it.
-        worker._events[req_id] = handle._deliver
+        # pumps the initial-results batch ahead of it.
+        worker._events[req_id] = deliver
         try:
             await future
         except BaseException:
             worker._events.pop(req_id, None)
             raise
-        self._subscriptions[handle.id] = handle
-        self.accepted += 1
-        return handle
+        return self._register_subscription(parsed, feed, close, shard=worker.name)
 
     async def apply_update(self, url: str, update: str) -> dict:
         """Apply one pod edit across the whole deployment.
@@ -1085,52 +899,44 @@ class ShardedQueryService:
             "shards": len(reports),
         }
 
+    async def drain_subscriptions(self) -> list[ResultChange]:
+        """Nothing to pull: pods live in the workers, whose own loops
+        drain their standing queries on every accepted write, and the
+        events arrive through the reader."""
+        return []
+
     # -- introspection --------------------------------------------------
 
-    def get(self, query_id: str) -> Optional[ShardedQuery]:
-        return self._registry.get(query_id)
-
-    def queries(self) -> list[ShardedQuery]:
-        return list(self._registry.values())
-
-    def inflight(self) -> list[ShardedQuery]:
-        """Dispatched queries not yet finished (QueryService parity)."""
-        return [handle for handle in self._registry.values() if not handle.done]
-
     def statistics(self) -> dict:
-        """Front-end counters plus the last known per-shard statistics.
+        """Front-end counters over the summed per-shard gauges.
 
-        Synchronous — safe from any thread; shard blocks may be stale
-        until the next :meth:`status` refresh.
+        Synchronous — safe from any thread; shard blocks are the last
+        :meth:`status` reports and may be stale until the next one.
         """
-        shard_stats = {
+        shards = {
             name: worker.last_status
             for name, worker in self._workers.items()
             if worker.last_status is not None
         }
+        totals = _sum_stats(
+            [_SHARD_GAUGES, *(block.get("statistics", {}) for block in shards.values())]
+        )
         return {
+            **{key: totals[key] for key in _SHARD_GAUGES},
             "mode": "sharded",
-            "routing": self._routing,
-            "workers": len(self._workers),
-            "workers_ready": sum(
-                1 for w in self._workers.values() if w.state == "ready"
-            ),
-            "restarts": self._restarts,
-            "accepted": self.accepted,
-            "rejected": self.rejected,
-            "completed": self.completed,
-            "failed": self.failed,
-            "cancelled": self.cancelled,
-            "subscriptions": len(self._subscriptions),
-            "inflight": sum(w.inflight for w in self._workers.values()),
-            "shards": shard_stats,
-            "totals": _sum_stats(
-                block.get("statistics", {}) for block in shard_stats.values()
-            ),
+            "workers": {
+                "total": len(self._workers),
+                "ready": sum(1 for w in self._workers.values() if w.state == "ready"),
+                "restarts": self._restarts,
+                "routing": self._routing,
+            },
+            "shards": shards,
+            **self._counters(),
         }
 
     async def status(self) -> dict:
-        """Aggregate live status: per-shard statistics plus summed gauges."""
+        """Poll every ready worker, then build the status document from
+        *current* shard gauges."""
         ready = [w for w in self._workers.values() if w.state == "ready"]
         reports = await asyncio.gather(
             *(w.request("status", timeout=15.0) for w in ready),
@@ -1139,6 +945,4 @@ class ShardedQueryService:
         for worker, report in zip(ready, reports):
             if not isinstance(report, BaseException):
                 worker.last_status = report
-        document = self.statistics()
-        document["queries"] = [handle.snapshot() for handle in self.queries()]
-        return document
+        return await super().status()

@@ -1,28 +1,27 @@
 """The versioned ``/service/status`` document.
 
-Before schema 2, status consumers saw *different* shapes depending on
-deployment: the in-process :class:`~repro.service.QueryService` exposed
-flat counters while the sharded front-end nested everything under
-per-worker blocks — the web UI and protocol layer each re-derived their
-own view.  This module is the single place that shape lives now:
+One shape for every deployment, and the single place it lives:
 
 * ``"schema": 2`` versions the payload, so dashboards can detect drift;
-* ``"mode"`` is ``"single"`` or ``"sharded"`` — but the ``"service"``
-  block carries the *same key set* in both, with sharded deployments
-  reporting front-end admission counters plus summed per-worker cache,
-  document-store, and storage-tier statistics;
+* ``"mode"`` is ``"single"`` or ``"sharded"``;
+* ``"service"`` carries the same key set in both — admission counters
+  plus cache, document-store and storage-tier statistics (summed over
+  the workers by a sharded front-end);
 * ``"workers"`` summarizes the pool (a single service is a pool of one);
-* ``"shards"`` holds the raw per-worker blocks (empty when unsharded);
-* ``"queries"`` is the registry snapshot list both modes already share.
+* ``"shards"`` holds the raw per-worker reports (empty when unsharded);
+* ``"queries"`` is the registry snapshot list: in-flight queries plus a
+  bounded window of the most recently finished ones.
 
-The storage tier (:mod:`repro.storage`) surfaces here twice: inside
-``http_cache``/``document_store`` (per-tier LRU + backend counters) and
-as the backend-level ``storage`` block (file size, pending writes).
+Both services' ``statistics()`` already answer with these keys, so the
+document is a projection.  The storage tier (:mod:`repro.storage`)
+surfaces twice: inside ``http_cache``/``document_store`` (per-tier LRU +
+backend counters) and as the backend-level ``storage`` block (file
+size, pending writes).
 """
 
 from __future__ import annotations
 
-__all__ = ["STATUS_SCHEMA_VERSION", "build_status", "build_status_async"]
+__all__ = ["STATUS_SCHEMA_VERSION", "build_status"]
 
 #: Bump when the document shape changes incompatibly.
 STATUS_SCHEMA_VERSION = 2
@@ -45,70 +44,19 @@ _SERVICE_KEYS = (
 )
 
 
-def _service_block(source: dict, counters: dict) -> dict:
-    """One uniform service block: cache/gauge keys from ``source``,
-    admission counters from ``counters`` (the same dict when unsharded)."""
-    block = {}
-    for key in _SERVICE_KEYS:
-        origin = counters if key in ("accepted", "rejected", "completed", "failed", "cancelled", "subscriptions") else source
-        value = origin.get(key)
-        if value is None:
-            if key in ("http_cache", "document_store", "storage"):
-                value = {}
-            elif key == "shutdown_errors":
-                # Swallowed teardown exceptions, aggregated across shards;
-                # an empty list is the healthy state.
-                value = []
-            else:
-                value = 0
-        block[key] = value
-    return block
-
-
 def build_status(service) -> dict:
-    """The schema-2 status document for any service-shaped object.
+    """The schema-2 status document of either service.
 
-    Synchronous and safe from any thread; for sharded services the
-    per-worker blocks are the last health-check/status snapshots (call
-    :func:`build_status_async` to refresh them first).
+    Synchronous and safe from any thread.  A sharded front-end answers
+    from its workers' last reports; ``await service.status()`` polls
+    them first and then builds this same document.
     """
     stats = service.statistics()
-    queries = [handle.snapshot() for handle in service.queries()]
-    if stats.get("mode") == "sharded":
-        document = {
-            "schema": STATUS_SCHEMA_VERSION,
-            "mode": "sharded",
-            "workers": {
-                "total": stats["workers"],
-                "ready": stats["workers_ready"],
-                "restarts": stats["restarts"],
-                "routing": stats["routing"],
-            },
-            "service": _service_block(stats.get("totals", {}), stats),
-            "shards": stats.get("shards", {}),
-            "queries": queries,
-        }
-    else:
-        document = {
-            "schema": STATUS_SCHEMA_VERSION,
-            "mode": "single",
-            "workers": {"total": 1, "ready": 1, "restarts": 0, "routing": None},
-            "service": _service_block(stats, stats),
-            "shards": {},
-            "queries": queries,
-        }
-    return document
-
-
-async def build_status_async(service) -> dict:
-    """Like :func:`build_status`, but poll live shard gauges first.
-
-    The sharded front-end caches each worker's last status report;
-    awaiting its ``status()`` refreshes those caches so the document
-    aggregates *current* gauges.  Single services have no ``status``
-    coroutine and skip straight to the synchronous build.
-    """
-    refresh = getattr(service, "status", None)
-    if refresh is not None:
-        await refresh()
-    return build_status(service)
+    return {
+        "schema": STATUS_SCHEMA_VERSION,
+        "mode": stats["mode"],
+        "workers": stats["workers"],
+        "service": {key: stats[key] for key in _SERVICE_KEYS},
+        "shards": stats["shards"],
+        "queries": [handle.snapshot() for handle in service.queries()],
+    }

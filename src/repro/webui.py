@@ -318,10 +318,10 @@ class DemoServer:
         #: in-process service writes into the caller's tracer.
         self._untraced: Optional[str] = None
         if service is not None:
-            from .service import QueryService, ServiceSparqlApp
+            from .service import ServiceSparqlApp
 
             self._sparql_app = ServiceSparqlApp(service.service)
-            if not isinstance(service.service, QueryService):
+            if service.statistics()["mode"] != "single":
                 self._untraced = "tracing is worker-local in sharded mode"
 
     @property

@@ -210,6 +210,55 @@ class TestBudgetsAndRegistry:
         assert metrics.counter("service.completed").value == 2
 
 
+class TestRegistryRetention:
+    def test_finished_queries_age_out_but_their_shutdown_errors_do_not(
+        self, tiny_universe
+    ):
+        """A long-lived service keeps in-flight handles plus a bounded
+        window of finished ones — not every answer it ever gave."""
+        import gc
+        import weakref
+
+        from repro.service.service import FINISHED_WINDOW
+
+        service = make_service(tiny_universe)
+        named = discover_query(tiny_universe, 1, 5)
+
+        def submit():
+            # One warm document per query keeps 300 of them cheap.
+            return service.submit(named.text, seeds=named.seeds, max_documents=1)
+
+        async def scenario():
+            early = submit()
+            await early.wait()
+            early.execution.stats.note_shutdown_error("traversal", RuntimeError("late"))
+            tagged = f"{early.id}: traversal: RuntimeError: late"
+            assert service.shutdown_errors() == [tagged]
+            # ExecutionResult is slotted (no weakrefs); the execution that
+            # owns it is what the registry pinned.
+            probe = weakref.ref(early.execution)
+            early_id = early.id
+            del early
+            for _ in range(FINISHED_WINDOW + 49):
+                await submit().wait()
+            straggler = submit()
+            assert not straggler.done
+            assert len(service.inflight()) == 1
+            assert len(service.queries()) <= FINISHED_WINDOW + 1
+            await straggler.wait()
+            return probe, early_id, tagged
+
+        probe, early_id, tagged = asyncio.run(scenario())
+        gc.collect()
+        assert probe() is None
+        assert service.get(early_id) is None
+        assert len(service.queries()) == FINISHED_WINDOW
+        assert service.completed == FINISHED_WINDOW + 51
+        # Nothing an operator must see left with the handle.
+        assert service.shutdown_errors() == [tagged]
+        assert service.statistics()["shutdown_errors"] == [tagged]
+
+
 class TestInvalidation:
     def test_changed_document_is_reparsed(self):
         internet = Internet()

@@ -12,45 +12,39 @@ import time
 
 import pytest
 
+from repro.ltqp.engine import EngineConfig, TraversalPolicy
 from repro.service import (
     QueryService,
     ServiceHost,
     ServiceOverloadedError,
-    ShardSpec,
     ShardedQueryService,
     SharedResources,
+    build_status,
 )
 from repro.net import NoLatency
-from repro.solidbench import SolidBenchConfig, build_universe, discover_query
+from repro.solidbench import build_universe, discover_query
 
-CONFIG = SolidBenchConfig(scale=0.005, seed=7)
-
-
-def make_spec(**overrides):
-    defaults = dict(config=CONFIG, no_latency=True)
-    defaults.update(overrides)
-    return ShardSpec(**defaults)
-
-
-def run_on(host, coroutine, timeout=120.0):
-    return asyncio.run_coroutine_threadsafe(coroutine, host.loop).result(timeout)
+from .conftest import CONFIG, make_spec, run_on
 
 
 def multiset(result):
     return sorted(repr(timed.binding) for timed in result.results)
 
 
+def submit_on(host, named):
+    """The finished handle of one query — where ``shard`` is read."""
+
+    async def scenario():
+        handle = host.service.submit(named.text, seeds=list(named.seeds))
+        await handle.wait()
+        return handle
+
+    return run_on(host, scenario())
+
+
 @pytest.fixture(scope="module")
 def universe():
     return build_universe(CONFIG)
-
-
-@pytest.fixture(scope="module")
-def sharded_host():
-    """A started 2-worker sharded service behind a ServiceHost."""
-    host = ServiceHost(ShardedQueryService(make_spec(), workers=2)).start()
-    yield host
-    host.stop()
 
 
 @pytest.fixture(scope="module")
@@ -70,28 +64,31 @@ class TestShardedExecution:
 
     def test_warm_repeat_stays_on_shard_and_skips_parses(self, sharded_host, universe):
         named = discover_query(universe, 2, 1)
-        cold = sharded_host.execute(named.text, seeds=list(named.seeds))
-        warm = sharded_host.execute(named.text, seeds=list(named.seeds))
-        assert warm.shard == cold.shard
-        assert multiset(warm) == multiset(cold)
+        cold = submit_on(sharded_host, named)
+        warm = submit_on(sharded_host, named)
+        assert warm.shard == cold.shard and warm.shard in ("shard-0", "shard-1")
+        assert multiset(warm.result) == multiset(cold.result)
         # Every document served from the shard's parsed-document store.
         # (The cold run may already hit entries warmed by earlier tests
         # on this shared fixture — that cross-query reuse is the point.)
-        assert warm.stats.documents_from_store == warm.stats.documents_fetched
+        stats = warm.result.stats
+        assert stats.documents_from_store == stats.documents_fetched
 
     def test_status_aggregates_shard_gauges(self, sharded_host):
         service = sharded_host.service
         status = run_on(sharded_host, service.status())
-        assert status["workers"] == 2
-        assert status["workers_ready"] == 2
+        assert status["schema"] == 2 and status["mode"] == "sharded"
+        assert status["workers"]["total"] == 2
+        assert status["workers"]["ready"] == 2
         assert set(status["shards"]) == {"shard-0", "shard-1"}
-        totals = status["totals"]
-        assert totals["completed"] >= 1
-        assert totals["document_store"]["documents"] > 0
-        per_shard = sum(
-            block["statistics"]["completed"] for block in status["shards"].values()
-        )
-        assert totals["completed"] == per_shard
+        # Front-end counters agree with what the workers report, and the
+        # cache gauges are the per-shard sums.
+        per_shard = [block["statistics"] for block in status["shards"].values()]
+        assert status["service"]["completed"] >= 1
+        assert status["service"]["completed"] == sum(s["completed"] for s in per_shard)
+        documents = status["service"]["document_store"]["documents"]
+        assert documents > 0
+        assert documents == sum(s["document_store"]["documents"] for s in per_shard)
 
     def test_health_check(self, sharded_host):
         health = run_on(sharded_host, sharded_host.service.health_check())
@@ -106,35 +103,97 @@ class TestShardedExecution:
         assert multiset(result)
 
 
+class TestOneSurfaceShapes:
+    """Where the two services' shapes had drifted apart (all ride the
+    shared pool; the in-process side is ``reference_service``)."""
+
+    def test_snapshot_and_status_key_sets_match_in_process(
+        self, sharded_host, universe, reference_service
+    ):
+        named = discover_query(universe, 1, 1)
+        remote = submit_on(sharded_host, named)
+
+        async def local_run():
+            handle = reference_service.submit(named.text, seeds=named.seeds)
+            await handle.wait()
+            return handle, await reference_service.status()
+
+        local, single = asyncio.run(local_run())
+        sharded = run_on(sharded_host, sharded_host.service.status())
+
+        assert set(remote.snapshot()) == set(local.snapshot())
+        assert {"shard", "started_at"} <= set(remote.snapshot())
+        assert local.snapshot()["shard"] is None and local.snapshot()["started_at"]
+        assert remote.snapshot()["shard"] == remote.shard
+        assert remote.snapshot()["started_at"] is None
+
+        assert single["schema"] == sharded["schema"] == 2
+        assert (single["mode"], sharded["mode"]) == ("single", "sharded")
+        assert set(single) == set(sharded)
+        assert set(single["service"]) == set(sharded["service"])
+        assert set(single["workers"]) == set(sharded["workers"])
+        assert set(single["queries"][0]) == set(sharded["queries"][0])
+        assert single["workers"] == {
+            "total": 1, "ready": 1, "restarts": 0, "routing": None,
+        }
+        assert single["shards"] == {}
+        # The synchronous projection is the same document.
+        assert set(build_status(sharded_host.service)) == set(sharded)
+
+    def test_sharded_stats_are_the_real_execution_stats(
+        self, sharded_host, universe, reference_service
+    ):
+        from repro.ltqp.stats import ExecutionStats
+
+        named = discover_query(universe, 1, 1)
+        remote = sharded_host.execute(named.text, seeds=list(named.seeds)).stats
+        local = asyncio.run(reference_service.run(named.text, seeds=named.seeds)).stats
+        assert isinstance(remote, ExecutionStats)
+        assert remote.queue_samples == []  # the one field left behind
+        assert remote.first_result_at is not None
+        assert remote.time_to_first_result is not None
+        assert local.time_to_first_result is not None
+        assert remote.links_by_extractor == local.links_by_extractor
+        assert remote.links_by_extractor
+        assert remote.documents_retried == local.documents_retried
+        assert remote.replans == local.replans
+        assert remote.completeness() == local.completeness()
+
+
 class TestHardenedShards:
     """Traversal-hardening budgets cross the process boundary intact."""
 
     def test_spec_budget_fields_survive_pickling_and_worker_derivation(self):
         import pickle
 
-        spec = make_spec(
-            max_depth=3,
-            max_origin_derefs=5,
-            max_doc_bytes=1024,
-            store_path="/tmp/shard-store",
+        engine = EngineConfig(
+            traversal=TraversalPolicy(
+                max_depth=3,
+                max_origin_derefs=5,
+                max_parse_bytes=1024,
+                subweb={"include": ["https://solidbench.example/"]},
+            )
         )
+        engine.network.max_response_bytes = 1024
+        spec = make_spec(engine=engine, store_path="/tmp/shard-store")
         assert pickle.loads(pickle.dumps(spec)) == spec
-        derived = spec.for_worker("shard-0")
-        assert derived.max_depth == 3
-        assert derived.max_origin_derefs == 5
-        assert derived.max_doc_bytes == 1024
+        derived = pickle.loads(pickle.dumps(spec.for_worker("shard-0")))
+        assert derived.engine == engine
+        assert derived.engine.traversal.max_origin_derefs == 5
+        assert derived.engine.network.max_response_bytes == 1024
 
     def test_stats_summary_ships_refusal_attribution(self):
+        # What crosses the pipe is the real ExecutionStats, pickled.
         import pickle
 
         from repro.ltqp.stats import ExecutionStats
-        from repro.service.shards import ShardStats, _stats_summary
 
         stats = ExecutionStats(started_at=1.0, finished_at=2.0)
         stats.documents_fetched = 4
         stats.note_refusal("origin-derefs", "https://adv-trap.example")
         stats.note_refusal("doc-bytes", "https://adv-huge.example")
-        shipped = ShardStats(pickle.loads(pickle.dumps(_stats_summary(stats))))
+        shipped = pickle.loads(pickle.dumps(stats))
+        assert isinstance(shipped, ExecutionStats) and shipped == stats
         report = shipped.completeness()
         assert not report["complete"]
         assert report["documents_refused"] == 2
@@ -148,9 +207,10 @@ class TestHardenedShards:
     def test_budgeted_worker_reports_refusals_end_to_end(self, universe):
         # Every benign pod shares one origin, so a tight per-origin budget
         # forces refusals on an ordinary run — exercising the whole path:
-        # spec → worker EngineConfig → execution → summary → pipe → front-end.
+        # spec.engine → worker QueryService → execution → stats → pipe → front-end.
+        engine = EngineConfig(traversal=TraversalPolicy(max_origin_derefs=6))
         host = ServiceHost(
-            ShardedQueryService(make_spec(max_origin_derefs=6), workers=1)
+            ShardedQueryService(make_spec(engine=engine), workers=1)
         ).start()
         try:
             named = discover_query(universe, 1, 1)
@@ -174,12 +234,12 @@ class TestOriginAffinity:
             first = discover_query(universe, 1, 1)
             second = discover_query(universe, 2, 1, person_index=first.person_index)
             assert first.seeds[0] == second.seeds[0]
-            a = host.execute(first.text, seeds=list(first.seeds))
-            b = host.execute(second.text, seeds=list(second.seeds))
+            a = submit_on(host, first)
+            b = submit_on(host, second)
             assert a.shard == b.shard
             # The second query re-uses the first one's parses: per-origin
             # affinity means zero cross-shard re-parsing of the pod.
-            assert b.stats.documents_from_store > 0
+            assert b.result.stats.documents_from_store > 0
         finally:
             host.stop()
 
@@ -191,8 +251,9 @@ class TestLifecycle:
             service = host.service
             universe = build_universe(CONFIG)
             named = discover_query(universe, 1, 1)
-            cold = host.execute(named.text, seeds=list(named.seeds))
-            worker = service.workers[cold.shard]
+            handle = submit_on(host, named)
+            cold, shard = handle.result, handle.shard
+            worker = service.workers[shard]
 
             # Hard crash: the process dies, the shard leaves the ring,
             # a replacement spawns and rejoins.
@@ -204,7 +265,7 @@ class TestLifecycle:
                     break
                 time.sleep(0.1)
             assert worker.state == "ready"
-            assert service.statistics()["restarts"] >= 1
+            assert service.statistics()["workers"]["restarts"] >= 1
 
             # The replacement is cold — same results, re-fetched.
             after_crash = host.execute(named.text, seeds=list(named.seeds))
@@ -214,7 +275,7 @@ class TestLifecycle:
             # Graceful restart hands the document store over: the next
             # repeat parses nothing.
             report = run_on(
-                host, service.restart_worker(cold.shard, warm=True), timeout=120
+                host, service.restart_worker(shard, warm=True), timeout=120
             )
             assert report["documents"] > 0
             warm = host.execute(named.text, seeds=list(named.seeds))

@@ -257,8 +257,17 @@ class TestShardedSubscribeParity:
                 tuple(term_to_ntriples(t) for t in b.values()): n
                 for b, n in subscription.current_results().items()
             }
-            await subscription.close()
+            await assert_close_unregisters(service, subscription)
             return events, results
+
+        async def assert_close_unregisters(service, subscription):
+            # Same in both modes: a closed subscription leaves the table.
+            assert service.get_subscription(subscription.id) is subscription
+            await subscription.close()
+            assert subscription.closed
+            assert service.statistics()["subscriptions"] == 0
+            assert service.get_subscription(subscription.id) is None
+            assert service.subscriptions() == []
 
         async def sharded_stream():
             # Workers rebuild the same deterministic universe from CONFIG.
@@ -282,7 +291,7 @@ class TestShardedSubscribeParity:
                 }
                 stats = service.statistics()
                 assert stats["subscriptions"] == 1
-                await subscription.close()
+                await assert_close_unregisters(service, subscription)
                 return events, results
             finally:
                 await service.stop()

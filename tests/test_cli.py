@@ -147,6 +147,82 @@ class TestQueuePolicyFlag:
         assert len(out) == 33
 
 
+class TestWatchCommand:
+    """``watch`` end to end: initial ``+1`` lines, then one signed pair
+    per accepted edit; a rejected edit is noted and skipped."""
+
+    def test_accepted_edit_emits_one_signed_pair_and_rejected_edit_is_noted(
+        self, tmp_path, capsys
+    ):
+        from repro.cli import watch_main
+        from repro.rdf.namespaces import RDF, SNVOC
+        from repro.rdf.terms import Variable, term_to_ntriples
+        from repro.solidbench import SolidBenchConfig, build_universe, discover_query
+
+        # The edits come from the same deterministic universe ``watch``
+        # rebuilds (scale 0.005, default seed): one post of Discover
+        # 1.1's person gets a new content literal — exactly one row.
+        universe = build_universe(SolidBenchConfig(scale=0.005, seed=42))
+        named = discover_query(universe, 1, 1)
+        engine = universe.fast_engine()
+        initial = engine.query(named.text, seeds=named.seeds).run_sync().bindings
+        post = engine.query(
+            f"SELECT ?message ?content WHERE {{ ?message <{SNVOC.hasCreator.value}> "
+            f"<{named.seeds[0]}> ; <{RDF.type.value}> <{SNVOC.Post.value}> ; "
+            f"<{SNVOC.content.value}> ?content }}",
+            seeds=named.seeds,
+        ).run_sync().bindings[0]
+        message, old = post[Variable("message")].value, post[Variable("content")]
+        document = message.split("#", 1)[0]
+        accepted = (
+            f"DELETE DATA {{ <{message}> <{SNVOC.content.value}> {term_to_ntriples(old)} }} ;\n"
+            f'INSERT DATA {{ <{message}> <{SNVOC.content.value}> "edited by watch" }}'
+        )
+        updates = tmp_path / "edits.jsonl"
+        updates.write_text(
+            json.dumps({"url": message, "update": accepted})
+            + "\n\n"  # blank lines are skipped
+            + json.dumps({"url": document, "update": "NOT SPARQL UPDATE"})
+            + "\n"
+        )
+
+        code = watch_main(
+            ["--discover", "1.1", "--simulate", "0.005", "--no-latency",
+             "--updates", str(updates)]
+        )
+        assert code == 0
+        captured = capsys.readouterr()
+        lines = captured.out.strip().splitlines()
+        count = len(initial)
+        assert count > 1
+        assert all(line.startswith("+1 {") for line in lines[:count])
+        assert all("#" not in line.split("}")[-1] for line in lines[:count])
+        retraction, addition = lines[count:]
+        assert retraction.startswith("-1 {") and retraction.endswith(f"  # {document}")
+        assert addition.startswith("+1 {") and addition.endswith(f"  # {document}")
+        assert old.value in retraction and "edited by watch" in addition
+        removed = json.loads(retraction[3:].rsplit("  # ", 1)[0])
+        added = json.loads(addition[3:].rsplit("  # ", 1)[0])
+        assert removed["messageId"] == added["messageId"]
+        # The retracted row is one of the rows printed as initial results.
+        assert "+1 " + retraction[3:].rsplit("  # ", 1)[0] in lines[:count]
+
+        err = captured.err.splitlines()
+        assert err[0].startswith("# Discover 1.1")
+        assert f"# {count} initial results; watching" in err
+        rejected = [line for line in err if line.startswith("# update rejected")]
+        assert len(rejected) == 1 and document in rejected[0]
+        assert err[-1] == (
+            f"# 2 edits applied; {count} current results ({count + 2} events total)"
+        )
+
+    def test_watch_without_a_query_is_a_usage_error(self, capsys):
+        from repro.cli import watch_main
+
+        assert watch_main(["--simulate", "0.005"]) == 2
+        assert "no query given" in capsys.readouterr().err
+
+
 class TestServeCommand:
     def test_serve_parser_defaults(self):
         from repro.cli import build_serve_arg_parser

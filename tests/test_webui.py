@@ -159,21 +159,26 @@ class TestShardedMode:
     def test_trace_json_says_why_instead_of_serving_an_empty_trace(self, tiny_universe):
         """Sharded workers trace locally and ship no spans back, and the
         front-end's ``submit`` takes no ``tracer=``: the demo must neither
-        pass one nor publish a never-written trace as if it were real."""
-        import inspect
-
-        from repro.service.shards import ShardedQueryService
+        pass one nor publish a never-written trace as if it were real.
+        It decides from the ``mode`` the service reports."""
+        from repro.service import ShardSpec, ShardedQueryService
         from repro.solidbench import discover_query
 
-        assert "tracer" not in inspect.signature(ShardedQueryService.submit).parameters
+        query = discover_query(tiny_universe, 1, 5)
+        unstarted = ShardedQueryService(ShardSpec(config=None), workers=1)
+        with pytest.raises(TypeError, match="tracer"):
+            unstarted.submit(query.text, tracer=object())
 
         class StubShardedHost:
-            service = object()  # not an in-process QueryService
+            service = unstarted
+
+            def statistics(self):
+                return unstarted.statistics()
 
             def execute(self, query, seeds=None, timeout=None):
                 return tiny_universe.fast_engine().query(query, seeds=seeds).run_sync()
 
-        query = discover_query(tiny_universe, 1, 5)
+        assert StubShardedHost().statistics()["mode"] == "sharded"
         with DemoServer(universe=tiny_universe, service=StubShardedHost()) as server:
             url = server.url + "execute?query=" + urllib.parse.quote(query.text)
             with urllib.request.urlopen(url, timeout=60) as response:
