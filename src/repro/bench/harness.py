@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from ..ltqp.engine import EngineConfig, ExecutionResult, LinkTraversalEngine
+from ..ltqp.engine import EngineConfig, LinkTraversalEngine, QueryExecution
 from ..ltqp.extractors import LinkExtractor
 from ..net.latency import LatencyModel, NoLatency
 from ..obs import Tracer
@@ -46,7 +46,7 @@ class QueryRunReport:
     #: The span tree recorded for this run (the waterfall's source).
     trace: Optional[Tracer] = None
     #: The finished execution: its bindings and full ``ExecutionStats``.
-    execution: Optional[ExecutionResult] = None
+    execution: Optional[QueryExecution] = None
 
     def row(self) -> dict:
         """A flat dict for table rendering."""

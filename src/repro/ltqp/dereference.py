@@ -15,7 +15,10 @@ permanent (the document simply is not there / is not RDF).
 
 A dereferencer may be shared across many query executions (the
 :class:`~repro.service.QueryService` injects one long-lived instance into
-its engine): pass ``document_store`` (see
+its engine).  A shared instance holds nothing of any execution: tracer,
+metrics, resilience counters and the parse cap arrive with each
+:meth:`Dereferencer.dereference` call, and blank-node labels derive from
+the document URL, not from instance state.  Pass ``document_store`` (see
 :class:`~repro.service.docstore.DocumentStore`) and successfully parsed
 documents are remembered keyed by their HTTP validator (ETag, or a body
 hash when the server sends none) — a repeat dereference whose response
@@ -28,6 +31,7 @@ ETag, misses the store, and is re-parsed.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Optional
 from urllib.parse import urljoin
@@ -100,23 +104,16 @@ class Dereferencer:
         self._lenient = lenient
         self._extra_headers = dict(extra_headers or {})
         self._max_redirects = max_redirects
-        self._document_counter = 0
-        #: Stable per-URL blank-node namespaces: re-parsing a document
-        #: reuses its first parse's prefix, so identical content yields
-        #: *identical* blank-node labels and a live re-diff of an edited
-        #: document stays minimal instead of churning every bnode triple.
-        #: Distinct documents still get distinct prefixes (no collisions).
-        self._document_ids: dict[str, int] = {}
         #: Global parse-size cap: a body larger than this is refused
         #: (kind ``"parse-bytes"``) *before* decoding or tokenizing, so a
         #: hostile document cannot buy CPU with bytes.  ``0`` disables.
-        #: Public so an engine adopting a shared dereferencer can install
-        #: its execution's cap.
         self.max_parse_bytes = max_parse_bytes
         #: Optional :class:`~repro.obs.trace.Tracer`; when set, each
         #: dereference records ``parse`` spans under ``trace_parent``.
-        #: Per-call ``tracer=`` arguments override it, so one shared
-        #: dereferencer can serve differently traced executions.
+        #: Both are fallbacks: per-call ``tracer=`` / ``max_parse_bytes=``
+        #: arguments override them, so one shared dereferencer serves
+        #: differently traced and differently capped executions and
+        #: holds nothing of any of them.
         self.tracer = tracer
         #: Optional :class:`~repro.service.docstore.DocumentStore` — the
         #: cross-query parsed-document cache.
@@ -134,13 +131,19 @@ class Dereferencer:
         tracer=None,
         revalidate: bool = False,
         provenance=None,
+        metrics=None,
+        resilience=None,
+        max_parse_bytes: Optional[int] = None,
     ) -> DereferenceResult:
         """Fetch ``url`` (fragment stripped), following redirects, and
         parse the RDF body.  The *final* URL becomes the base IRI and the
         document's provenance — e.g. a slash-less container URL 301s to
         the container, whose members then resolve correctly.
-        ``trace_parent`` nests this dereference's fetch/parse spans;
-        ``tracer`` overrides the instance tracer for this call.
+        ``trace_parent`` nests this dereference's fetch/parse spans.
+        ``tracer`` and ``max_parse_bytes`` override the instance's for
+        this call; ``tracer``, ``metrics`` and ``resilience`` (the calling
+        execution's :class:`~repro.net.resilience.ResilienceStats`) ride
+        on to :meth:`~repro.net.client.HttpClient.fetch`.
         ``revalidate=True`` forces a conditional request even while the
         HTTP cache still considers its copy fresh — the live-refresh path,
         where the point is to observe upstream change *now*.
@@ -148,6 +151,8 @@ class Dereferencer:
         annotates this document's parse span with why the link existed."""
         if tracer is None:
             tracer = self.tracer
+        if max_parse_bytes is None:
+            max_parse_bytes = self.max_parse_bytes
         clean_url = url.split("#", 1)[0]
         for _ in range(self._max_redirects + 1):
             try:
@@ -157,6 +162,9 @@ class Dereferencer:
                     parent_url=parent_url,
                     trace_parent=trace_parent,
                     revalidate=revalidate,
+                    tracer=tracer,
+                    metrics=metrics,
+                    resilience=resilience,
                 )
             except ValueError as error:
                 # An unsupported scheme or malformed URL is the same class
@@ -200,6 +208,18 @@ class Dereferencer:
                 f"HTTP {response.status}",
                 retryable=_response_retryable(response),
             )
+        body_bytes = len(response.body)
+        if max_parse_bytes and body_bytes > max_parse_bytes:
+            # Checked on the raw byte length before any decode/tokenize
+            # work — an oversized document costs O(1) CPU to refuse.
+            result = self._failure(
+                clean_url,
+                response.status,
+                f"refused: document of {body_bytes} bytes over parse cap",
+            )
+            result.refused = "parse-bytes"
+            result.bytes_fetched = body_bytes
+            return result
         return self._parse(
             clean_url, response, trace_parent=trace_parent, tracer=tracer, provenance=provenance
         )
@@ -209,17 +229,6 @@ class Dereferencer:
     ) -> DereferenceResult:
         content_type = response.content_type
         body_bytes = len(response.body)
-        if self.max_parse_bytes and body_bytes > self.max_parse_bytes:
-            # Checked on the raw byte length before any decode/tokenize
-            # work — an oversized document costs O(1) CPU to refuse.
-            result = self._failure(
-                url,
-                response.status,
-                f"refused: document of {body_bytes} bytes over parse cap",
-            )
-            result.refused = "parse-bytes"
-            result.bytes_fetched = body_bytes
-            return result
         store = self.document_store
         stale = None
         if store is not None:
@@ -236,12 +245,13 @@ class Dereferencer:
                     from_store=True,
                     bytes_fetched=body_bytes,
                 )
-        doc_id = self._document_ids.get(url)
-        if doc_id is None:
-            self._document_counter += 1
-            doc_id = self._document_counter
-            self._document_ids[url] = doc_id
-        bnode_prefix = f"d{doc_id}_"
+        # The blank-node namespace is a function of the document URL alone:
+        # distinct per document (no collisions in the growing source), and
+        # the same in every parse, process and service lifetime — so a
+        # live re-diff of an edited document stays minimal, and a parse
+        # restored from a persistent store or adopted from another worker
+        # can never share labels with a fresh parse of a different URL.
+        bnode_prefix = f"d{hashlib.sha1(url.encode('utf-8')).hexdigest()[:16]}_"
         parse_started = tracer.clock() if tracer is not None else 0.0
         try:
             if content_type in ("application/n-triples", "application/n-quads"):

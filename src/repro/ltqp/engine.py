@@ -30,6 +30,13 @@ Configuration is split by layer: :class:`TraversalPolicy` bounds the
 crawl (depth, documents, duration, results), while
 :class:`~repro.net.resilience.NetworkPolicy` governs fault handling
 (timeouts, retries, circuit breakers).  :class:`EngineConfig` nests both.
+
+State is split by lifetime: :class:`LinkTraversalEngine` is long-lived and
+holds what executions share (client, config, extractors, auth headers, an
+injected dereferencer); a :class:`QueryExecution` is the one home of what
+Fig. 1 draws per query, and its methods are the run itself: set-up →
+worker loop → per link (admit → dereference → ingest → extract → one
+outcome) → quiescence flush → tear-down.
 """
 
 from __future__ import annotations
@@ -38,24 +45,19 @@ import asyncio
 import dataclasses
 import time
 from dataclasses import dataclass, field
-from typing import AsyncIterator, Iterable, Optional, Union as TypingUnion
+from typing import AsyncIterator, Awaitable, Iterable, Optional, Union as TypingUnion
 
 from ..net.client import HttpClient
 from ..net.message import split_url
-from ..net.resilience import NetworkPolicy
-from ..rdf.terms import NamedNode
-from ..rdf.triples import Triple
+from ..net.resilience import NetworkPolicy, ResilienceStats
+from ..rdf.terms import NamedNode, Variable
 from ..sparql.algebra import Query
 from ..sparql.bindings import Binding
+from ..sparql.eval import construct_triples
 from ..sparql.parser import parse_query
-from .dereference import Dereferencer
-from .extractors import (
-    LinkExtractor,
-    QueryContext,
-    build_query_context,
-    default_extractors,
-)
-from .links import Link, LinkQueue, QueuePolicyContext, build_queue, queue_factory_for
+from .dereference import DereferenceResult, Dereferencer
+from .extractors import LinkExtractor, build_query_context, default_extractors
+from .links import Link, QueuePolicyContext, build_queue, queue_factory_for
 from .pipeline import compile_query_pipeline
 from .source import GrowingTripleSource
 from .stats import ExecutionStats, TimedResult
@@ -97,9 +99,9 @@ class TraversalPolicy:
     #: Bounds growing-document origins whose individual documents stay
     #: under the per-document caps.  ``0`` disables.
     max_origin_bytes: int = 0
-    #: Global parse-size cap, installed on the dereferencer: a body over
-    #: this many bytes is refused before decode/tokenize work (kind
-    #: ``parse-bytes``).  The network-side counterpart — aborting the
+    #: Global parse-size cap, handed to the dereferencer with every call:
+    #: a body over this many bytes is refused before decode/tokenize work
+    #: (kind ``parse-bytes``).  The network-side counterpart — aborting the
     #: transfer itself — is ``NetworkPolicy.max_response_bytes``.
     #: ``0`` disables.
     max_parse_bytes: int = 0
@@ -110,9 +112,9 @@ class TraversalPolicy:
     #: Solid-metadata links first), ``"fair"`` (round-robin across
     #: origins), or ``"guided"`` (provenance/hint scoring with
     #: result-contribution feedback; see
-    #: :class:`~repro.ltqp.guided.GuidedLinkQueue`) — the registry is
-    #: :data:`~repro.ltqp.links.QUEUE_POLICIES`.  An explicit
-    #: ``queue_factory`` passed to the engine overrides this.
+    #: :class:`~repro.ltqp.guided.GuidedLinkQueue`) — the registry, and
+    #: the extension point for further disciplines, is
+    #: :data:`~repro.ltqp.links.QUEUE_POLICIES`.
     queue_policy: str = "fifo"
     #: Subweb specification governing source selection (DESIGN.md §4g):
     #: a :class:`~repro.ltqp.guided.SubwebSpecification`, a dict in its
@@ -134,6 +136,10 @@ class TraversalPolicy:
     #: flushes it (seconds; ``0`` disables the timer).  Quiescence always
     #: flushes regardless.
     advance_flush_interval: float = 0.02
+
+
+#: The columns a CONSTRUCT query's triples are returned under.
+_TRIPLE_COLUMNS = (Variable("subject"), Variable("predicate"), Variable("object"))
 
 
 def _origin_of(url: str) -> str:
@@ -162,8 +168,8 @@ def _resolve_subweb(value):
 class _OriginBudgets:
     """Per-execution ledger of what each origin has cost so far.
 
-    ``admit`` is the gate :meth:`LinkTraversalEngine._process_link` asks
-    before dereferencing: it returns the budget kind that refuses the
+    ``admit`` is the gate :meth:`QueryExecution._admit` asks before
+    dereferencing: it returns the budget kind that refuses the
     link (``"origin-derefs"`` / ``"origin-bytes"``) or ``""`` to admit,
     charging the dereference on admission.  Body bytes are charged after
     the fetch via ``charge_bytes``.
@@ -208,23 +214,14 @@ class EngineConfig:
 
 @dataclass(slots=True)
 class ExecutionResult:
-    """Everything one query execution produced."""
+    """Everything one query execution produced — a plain value (it is
+    what crosses the shard pipe); the machinery that produced it stays
+    on the :class:`QueryExecution`."""
 
     query: Query
     results: list[TimedResult] = field(default_factory=list)
     stats: ExecutionStats = field(default_factory=ExecutionStats)
     seeds: list[str] = field(default_factory=list)
-    #: Live executions keep their pipeline, triple source, and
-    #: dereferencer past quiescence so
-    #: :class:`~repro.ltqp.live.LiveQuery` can maintain the result
-    #: multiset under signed deltas.  The dereferencer matters for diff
-    #: minimality: its per-URL blank-node namespaces make a refresh
-    #: re-parse label-stable against the traversal's parse.  ``None``
-    #: for ordinary runs.
-    live: bool = False
-    pipeline: Optional[object] = None
-    source: Optional[object] = None
-    dereferencer: Optional[object] = None
 
     @property
     def bindings(self) -> list[Binding]:
@@ -235,7 +232,7 @@ class ExecutionResult:
 
 
 class QueryExecution:
-    """Handle for one query execution — the unified entry point.
+    """Handle for one query execution — and the one home of its state.
 
     Created by :meth:`LinkTraversalEngine.query`; nothing runs until the
     handle is driven.  Supports four consumption styles::
@@ -247,81 +244,73 @@ class QueryExecution:
 
     ``stats``/``results``/``bindings`` are live views — they update while
     the execution streams and are final once ``done`` is true.
+
+    Everything Fig. 1 draws once *per query* lives here and nowhere else:
+    link ``queue``, growing ``source``, ``pipeline``, guided ``selector``,
+    origin budgets, the ``dereferencer`` in use, clock, ``tracer``,
+    ``metrics`` and resilience counters.  What is shared with other
+    executions (engine, client, a service's dereferencer) is handed this
+    one's observers with each call (:meth:`dereference`) and holds none.
+    Tear-down drops the machinery; a ``live`` run keeps ``pipeline``,
+    ``source`` and ``dereferencer`` for its :class:`~repro.ltqp.live.LiveQuery`.
     """
 
     def __init__(
         self,
         engine: "LinkTraversalEngine",
         query: Query,
-        seeds: Optional[Iterable[str]],
+        seeds: Optional[Iterable[str]] = None,
         tracer=None,
         metrics=None,
         extractors: Optional[list[LinkExtractor]] = None,
         traversal: Optional[TraversalPolicy] = None,
         live: bool = False,
     ) -> None:
-        self._result = ExecutionResult(query=query, live=live)
-        self._tracer = tracer
-        self._metrics = metrics
-        self._generator = engine._run(
-            self._result,
-            seeds,
-            tracer,
-            metrics,
-            extractors=extractors,
-            traversal=traversal,
-            live=live,
-        )
-        self._finished = False
-        self._cancelled = False
-
-    # -- live views ----------------------------------------------------
-
-    @property
-    def query(self) -> Query:
-        return self._result.query
-
-    @property
-    def result(self) -> ExecutionResult:
-        """The underlying :class:`ExecutionResult` container."""
-        return self._result
-
-    @property
-    def stats(self) -> ExecutionStats:
-        return self._result.stats
-
-    @property
-    def results(self) -> list[TimedResult]:
-        return self._result.results
+        self._engine = engine
+        #: What the run produces, as the plain value that outlives it; its
+        #: fields are mirrored below and fill in while the execution streams.
+        self.result = ExecutionResult(query=query)
+        self.query = query
+        self.stats: ExecutionStats = self.result.stats
+        self.results: list[TimedResult] = self.result.results
+        self.seeds: list[str] = self.result.seeds
+        self.done = self.cancelled = False
+        self._requested_seeds = seeds
+        #: The :class:`~repro.obs.trace.Tracer` recording this execution and
+        #: the :class:`~repro.obs.metrics.Metrics` registry in use (or None).
+        self.tracer = tracer
+        self.metrics = metrics
+        # Per-execution view of the configuration: shared engine state
+        # (client, dereferencer, network policy) stays engine-level, while
+        # traversal bounds and extractor state may vary query by query.
+        self._extractors = extractors if extractors is not None else engine.extractors
+        self._policy = traversal if traversal is not None else engine.config.traversal
+        self._live = live
+        # Every timestamp in a traced execution (stats, queue samples,
+        # request log, spans) comes from the tracer's clock, so a seeded
+        # TickClock makes the whole run a deterministic artifact.
+        self._clock = tracer.clock if tracer is not None else time.monotonic
+        #: Built by the first drive (``None`` until then).
+        self.queue = self.source = self.pipeline = self.selector = self.dereferencer = None
+        self._context = self._note_contribution = None
+        self._query_span = self._traversal_span = None
+        self._budgets = _OriginBudgets()
+        self._resilience = ResilienceStats()
+        self._constructed: set = set()
+        self._batch_quads = max(1, self._policy.advance_batch_quads)
+        self._pending_quads = 0
+        self._in_flight = 0
+        self._idle = asyncio.Condition()  # workers: queue refilled / link done
+        self._stop = asyncio.Event()  # bound hit, LIMIT satisfied
+        self._wake = asyncio.Event()  # consumer: new result / traversal over
+        self._generator = self._stream()
 
     @property
     def bindings(self) -> list[Binding]:
-        return self._result.bindings
-
-    @property
-    def seeds(self) -> list[str]:
-        return self._result.seeds
-
-    @property
-    def tracer(self):
-        """The :class:`~repro.obs.trace.Tracer` recording this execution (or None)."""
-        return self._tracer
-
-    @property
-    def metrics(self):
-        """The :class:`~repro.obs.metrics.Metrics` registry in use (or None)."""
-        return self._metrics
-
-    @property
-    def done(self) -> bool:
-        return self._finished
-
-    @property
-    def cancelled(self) -> bool:
-        return self._cancelled
+        return self.result.bindings
 
     def __len__(self) -> int:
-        return len(self._result)
+        return len(self.results)
 
     # -- consumption ---------------------------------------------------
 
@@ -329,12 +318,12 @@ class QueryExecution:
         return self
 
     async def __anext__(self) -> Binding:
-        if self._finished:
+        if self.done:
             raise StopAsyncIteration
         try:
             return await self._generator.__anext__()
         except StopAsyncIteration:
-            self._finished = True
+            self.done = True
             raise
 
     async def gather(self) -> "QueryExecution":
@@ -345,9 +334,8 @@ class QueryExecution:
 
     async def cancel(self) -> "QueryExecution":
         """Stop traversal and finalize statistics for what was produced."""
-        if not self._finished:
-            self._cancelled = True
-            self._finished = True
+        if not self.done:
+            self.done = self.cancelled = True
             await self._generator.aclose()
         return self
 
@@ -355,56 +343,536 @@ class QueryExecution:
         """Blocking convenience: run the execution on a fresh event loop."""
         return asyncio.run(self.gather())
 
+    def dereference(
+        self, url: str, trace_parent=None, *, parent_url=None, provenance=None, revalidate=False
+    ) -> Awaitable[DereferenceResult]:
+        """Dereference ``url`` on this execution's behalf (await the result).
+
+        The one place its observers meet the shared layers: tracer,
+        metrics, resilience counters and parse cap travel with the call
+        down to ``HttpClient.fetch`` and are held by nobody on the way, so
+        executions sharing a service never see each other's spans or retries.
+        """
+        return self.dereferencer.dereference(
+            url,
+            parent_url=parent_url,
+            trace_parent=trace_parent,
+            tracer=self.tracer,
+            revalidate=revalidate,
+            provenance=provenance,
+            metrics=self.metrics,
+            resilience=self._resilience,
+            max_parse_bytes=self._policy.max_parse_bytes,
+        )
+
+    # -- set-up ----------------------------------------------------------
+
+    def _set_up(self) -> None:
+        """Everything a run needs, in the order a traced run's clock reads are pinned to."""
+        policy, stats, tracer = self._policy, self.stats, self.tracer
+        query = self.query
+        self._context = context = build_query_context(query.where)
+        seeds, requested = self.seeds, self._requested_seeds
+        seeds += requested if requested is not None else self._engine.seeds_from_query(query)
+        # Guided source selection: a subweb spec and/or the guided queue
+        # policy installs a per-execution SourceSelector, and the hint
+        # extractor so pods' source indexes and published specs are
+        # discovered and absorbed during traversal.
+        spec = _resolve_subweb(policy.subweb)
+        if spec is not None or policy.queue_policy == "guided":
+            from .guided import HintDiscoveryExtractor, SourceSelector
+
+            self.selector = SourceSelector(spec=spec, where=query.where, seeds=seeds)
+            self._extractors = [HintDiscoveryExtractor(self.selector)] + list(self._extractors)
+        stats.started_at = self._clock()
+        if tracer is not None:
+            self._query_span = tracer.begin(
+                "query", start=stats.started_at, form=query.form, seeds=len(seeds)
+            )
+            # Opened before the seeds enqueue so their stamps nest inside.
+            self._traversal_span = tracer.begin("traversal", parent=self._query_span)
+
+        self.source = GrowingTripleSource()
+        policy_context = QueuePolicyContext(
+            query=context, hints=self.selector.hints if self.selector is not None else None
+        )
+        self.queue = queue = build_queue(queue_factory_for(policy.queue_policy), policy_context)
+        queue.clock = self._clock
+        if self.metrics is not None:
+            depth_gauge = self.metrics.gauge("queue.depth")
+            queue.observer = lambda sample: depth_gauge.set(sample.queue_length)
+        for seed in seeds:
+            if queue.push(Link(url=seed, via="seed")):
+                stats.links_queued += 1
+                stats.links_by_extractor["seed"] = stats.links_by_extractor.get("seed", 0) + 1
+        # Result-contribution feedback (guided queue only): the documents
+        # whose entities appear in an emitted binding get their pending
+        # sibling links promoted.
+        self._note_contribution = getattr(queue, "note_result_contribution", None)
+        self.pipeline = self._compile()
+        self.dereferencer = self._engine._resolve_dereferencer(policy)
+
+    def _compile(self):
+        """The query's incremental pipeline (and its ``plan`` span)."""
+        # One compiler for every query form: ASK wraps in LIMIT 1 over an
+        # empty projection, DESCRIBE streams CBD triples, CONSTRUCT streams
+        # its WHERE bindings and instantiates the template per new solution.
+        # Non-monotonic operators become blocking physical nodes that flush
+        # at quiescence via Pipeline.finalize.
+        query, tracer, seed_iris = self.query, self.tracer, self._context.iris
+        plan_started = self._clock() if tracer is not None else 0.0
+        if self._live:
+            # Signed maintenance needs per-operator live state; the
+            # adaptive re-planner's replay is additive-only, so live
+            # executions always compile the static live pipeline.
+            pipeline = compile_query_pipeline(query, seed_iris=seed_iris, live=True)
+        elif self._policy.adaptive:
+            from .adaptive import AdaptivePipeline
+
+            pipeline = AdaptivePipeline(query.where, seed_iris=seed_iris, query=query)
+        else:
+            pipeline = compile_query_pipeline(query, seed_iris=seed_iris)
+        # "Streaming" now means the plan holds nothing back: no blocking
+        # operators, so every result can reach the caller mid-traversal.
+        self.stats.streaming = not pipeline.blocking_nodes
+        if tracer is not None:
+            tracer.add(
+                "plan",
+                plan_started,
+                self._clock(),
+                parent=self._query_span,
+                streaming=self.stats.streaming,
+                blocking=len(pipeline.blocking_nodes),
+                adaptive=self._policy.adaptive,
+            )
+            pipeline.enable_tracing(tracer, self._query_span)
+        return pipeline
+
+    # -- results ---------------------------------------------------------
+
+    def _emit(self, binding: Binding) -> None:
+        # Single limit check against the pre-increment count decides both
+        # acceptance and traversal stop: the binding that lands exactly on
+        # the limit is counted *and* triggers the stop — it is never
+        # silently dropped, and anything past the limit is ignored.
+        stats = self.stats
+        limit = self._policy.max_results
+        count = stats.result_count
+        if limit and count >= limit:
+            return
+        now = self._clock()
+        if stats.first_result_at is None:
+            stats.first_result_at = now
+            if self.tracer is not None:
+                # Same `now` as the stats field, so the trace-derived
+                # time-to-first-result reconciles exactly.
+                self.tracer.instant("first-result", parent=self._query_span, ts=now)
+        stats.result_count = count + 1
+        self.results.append(TimedResult(binding=binding, elapsed=now - stats.started_at))
+        if self._note_contribution is not None:
+            for _var, term in binding.items():
+                value = getattr(term, "value", None)
+                if isinstance(value, str) and value.startswith(("http://", "https://")):
+                    self._note_contribution(value.split("#", 1)[0])
+        self._wake.set()
+        if limit and count + 1 >= limit:
+            self._stop.set()
+
+    def _deliver(self, bindings) -> None:
+        """Emit one pipeline pass's output as what the query form returns."""
+        if self.query.form == "CONSTRUCT":
+            bindings = self._construct(bindings)
+        for binding in bindings:
+            self._emit(binding)
+
+    def _construct(self, bindings) -> list[Binding]:
+        """Instantiate the CONSTRUCT template per new solution, deduped."""
+        template, constructed = self.query.construct_template, self._constructed
+        output = []
+        for binding in bindings:
+            for triple in construct_triples(template, binding, len(constructed)):
+                if triple not in constructed:
+                    constructed.add(triple)
+                    output.append(Binding(dict(zip(_TRIPLE_COLUMNS, triple))))
+        return output
+
+    def _flush(self) -> None:
+        if self._pending_quads == 0:
+            return
+        self._pending_quads = 0
+        self._deliver(self.pipeline.advance(self.source.dataset))
+        if self.pipeline.complete:
+            self._stop.set()
+
+    async def _flush_timer(self) -> None:
+        interval = self._policy.advance_flush_interval
+        while not self._stop.is_set():
+            await asyncio.sleep(interval)
+            self._flush()
+
+    def _ingest(self, result: DereferenceResult) -> bool:
+        """Admit one dereferenced document into the source and pipeline;
+        ``False`` when the hard document bound turns it away."""
+        stats = self.stats
+        # Hard document bound: concurrent workers may all pass the pre-fetch
+        # check, but only the first max_documents results are admitted.
+        doc_limit = self._policy.max_documents
+        if doc_limit and self.source.document_count >= doc_limit:
+            self._stop.set()
+            return False
+        if self.selector is not None:
+            # Absorb declarations (hints, specs, admitted origins) *before*
+            # the pipeline and link extraction see the document, so its own
+            # links are judged with its knowledge already in force; newly
+            # admitted origins release their parked links back into the queue.
+            for released in self.selector.absorb_document(result.url, result.triples):
+                self.queue.requeue(released)
+        added = self.source.add_document(result.url, result.triples)
+        stats.triples_discovered += added
+        stats.documents_fetched += 1
+        if result.from_store:
+            stats.documents_from_store += 1
+        if added:
+            self._pending_quads += added
+            # Flush per document until the first result (TTFR protection),
+            # then coalesce small documents up to the batch threshold.
+            if stats.result_count == 0 or self._pending_quads >= self._batch_quads:
+                self._flush()
+        return True
+
+    # -- the run -----------------------------------------------------------
+
+    async def _stream(self) -> AsyncIterator[Binding]:
+        """Set-up → worker loop → quiescence flush → tear-down; yields as results land."""
+        self._set_up()
+        traversal = asyncio.create_task(self._traverse())
+        traversal.add_done_callback(lambda _task: self._wake.set())
+        timer: Optional[asyncio.Task] = None
+        if self._batch_quads > 1 and self._policy.advance_flush_interval > 0:
+            timer = asyncio.create_task(self._flush_timer())
+        # Delivery is a cursor over the list ``_emit`` appends to, plus one
+        # wake-up (a new result, or the traversal's end).
+        results = self.results
+        delivered = 0
+        try:
+            while True:
+                while delivered < len(results):
+                    delivered += 1
+                    yield results[delivered - 1].binding
+                if traversal.done():
+                    break
+                self._wake.clear()
+                await self._wake.wait()
+            await traversal  # re-raise worker exceptions
+            if self.tracer is not None:
+                self.tracer.end(self._traversal_span)
+            # Quiescence flush: feed whatever landed after the last batched
+            # advance (the cursor makes this exact, batching or not), then
+            # release everything the blocking operators held back.
+            self._pending_quads = 0
+            self._deliver(self.pipeline.finalize(self.source.dataset))
+            for timed in results[delivered:]:
+                yield timed.binding
+        finally:
+            await self._tear_down(traversal, timer)
+
+    async def _reap(self, task: Optional[asyncio.Task], stage: str) -> None:
+        # CancelledError is a BaseException (not an Exception) on modern
+        # Python, so it needs its own clause; the expected outcome of
+        # cancelling is the task raising it.  Anything else is a real
+        # teardown bug — shutdown must not fail the query, but the error
+        # is recorded in the stats instead of being swallowed silently.
+        if task is None or task.done():
+            return
+        task.cancel()
+        try:
+            await task
+        except asyncio.CancelledError:
+            pass
+        except Exception as error:
+            self.stats.note_shutdown_error(stage, error)
+
+    async def _tear_down(self, traversal: asyncio.Task, timer: Optional[asyncio.Task]) -> None:
+        stats, tracer, metrics = self.stats, self.tracer, self.metrics
+        await self._reap(timer, "flush-timer")
+        await self._reap(traversal, "traversal")
+        if self.selector is not None:
+            # Links still deferred at quiescence: their origins were
+            # never declared by any traversed document — pruned.
+            for parked in self.selector.drain_deferred():
+                stats.note_pruned("origin:undeclared", _origin_of(parked.url))
+        stats.finished_at = self._clock()
+        stats.queue_samples = self.queue.samples
+        stats.links_queued = self.queue.pushed_total
+        stats.replans = getattr(self.pipeline, "replans", 0)
+        stats.http_retries = self._resilience.retries
+        stats.http_timeouts = self._resilience.timeouts
+        stats.breaker_fast_fails = self._resilience.breaker_fast_fails
+        stats.origins_tripped = dict(self._resilience.trips_by_origin)
+        if tracer is not None:
+            # Idempotent for the happy path; the cancellation path
+            # closes traversal (and any interrupted descendants) here.
+            tracer.end(self._traversal_span, end=stats.finished_at)
+            tracer.end(self._query_span, end=stats.finished_at, results=stats.result_count)
+            tracer.close_open_spans(end=stats.finished_at)
+        if metrics is not None:
+            metrics.counter("documents.fetched").inc(stats.documents_fetched)
+            metrics.counter("triples.discovered").inc(stats.triples_discovered)
+            metrics.counter("results.emitted").inc(stats.result_count)
+            if stats.total_time > 0:
+                metrics.gauge("triples.per_s").set(stats.triples_discovered / stats.total_time)
+        # Finished handles outlive the run (a service registry keeps a window
+        # of them); the traversal machinery must not, nor — unless a
+        # LiveQuery is about to maintain them — the store and operator state.
+        self.queue = self.selector = self._extractors = self._constructed = None
+        if not self._live:
+            self.source = self.pipeline = None
+
+    # -- traversal ---------------------------------------------------------
+
+    async def _traverse(self) -> None:
+        """The dereferencer pool: ``worker_count`` workers drain the queue."""
+        workers = [
+            asyncio.create_task(self._worker(index + 1))
+            for index in range(self._policy.worker_count)
+        ]
+        try:
+            await asyncio.gather(*workers)
+        finally:
+            for task in workers:
+                if not task.done():
+                    task.cancel()
+
+    async def _worker(self, track: int) -> None:
+        queue, idle, stop = self.queue, self._idle, self._stop
+        while True:
+            async with idle:
+                while queue.empty and self._in_flight and not stop.is_set():
+                    await idle.wait()
+                if queue.empty or stop.is_set():  # quiescent, or told to stop
+                    idle.notify_all()
+                    return
+                link = queue.pop()
+                self._in_flight += 1
+            try:
+                await self._process_link(link, track)
+            finally:
+                async with idle:
+                    self._in_flight -= 1
+                    idle.notify_all()
+
+    async def _process_link(self, link: Link, track: int) -> None:
+        """One popped link: admit → dereference → ingest → extract, and the
+        single outcome of that stamped once on its ``dereference`` span."""
+        policy, stats, tracer = self._policy, self.stats, self.tracer
+        if policy.max_documents and stats.documents_fetched >= policy.max_documents:
+            return
+        if policy.max_duration and self._clock() - stats.started_at > policy.max_duration:
+            return
+        span = self._open_span(link, track) if tracer is not None else None
+        try:
+            outcome, detail = await self._visit(link, span)
+            if span is not None:
+                span.args["outcome"] = outcome
+                span.args.update(detail)
+        finally:
+            if span is not None:
+                tracer.end(span)
+
+    def _open_span(self, link: Link, track: int):
+        tracer = self.tracer
+        popped_at = self._clock()
+        enqueued_at = link.enqueued_at or popped_at
+        # The span covers the document's whole lifetime in the system,
+        # queue wait included — matching the paper's waterfall bars.
+        span = tracer.begin(
+            "dereference",
+            parent=self._traversal_span,
+            start=enqueued_at,
+            track=track,
+            url=link.url,
+            via=link.via,
+            depth=link.depth,
+            attempt=link.attempts + 1,
+        )
+        provenance = link.provenance
+        if provenance is not None:
+            if provenance.predicate:
+                span.args["via_predicate"] = provenance.predicate
+            if provenance.pattern:
+                span.args["via_pattern"] = provenance.pattern
+            if provenance.for_class:
+                span.args["via_class"] = provenance.for_class
+        tracer.add("queue-wait", enqueued_at, popped_at, parent=span)
+        return span
+
+    async def _visit(self, link: Link, span) -> tuple[str, dict]:
+        """What became of ``link``: ``(outcome, span detail)``, stats already noted."""
+        policy, stats = self._policy, self.stats
+        origin = _origin_of(link.url)
+        # The gates run after span creation, so every prune and refusal
+        # leaves a ``dereference`` span with its outcome for the
+        # trace/stats reconciliation to count.
+        turned_away = self._admit(link, origin)
+        if turned_away is not None:
+            return turned_away
+        result = await self.dereference(
+            link.url, span, parent_url=link.parent_url, provenance=link.provenance
+        )
+        self._budgets.charge_bytes(origin, result.bytes_fetched)
+        if result.refused:
+            # Per-document cap (client read abort or parse cap): a deliberate,
+            # attributed, never-retried refusal — not a network failure.
+            stats.note_refusal(result.refused, origin)
+            return "refused", {"refused": result.refused, "error": result.error}
+        if not result.ok:
+            return self._give_up(link, result), {"error": result.error}
+        if not self._ingest(result):
+            # Fetched by a concurrent worker while the document bound
+            # filled: neither counted nor link-extracted.
+            return "over-bound", {}
+        detail = {"triples": len(result.triples)}
+        if result.from_store:
+            detail["from_store"] = True
+        if policy.max_depth and link.depth >= policy.max_depth:
+            # Attribution only (``document=False``): the document itself was
+            # taken, but its out-links are suppressed at the depth budget — the
+            # completeness report says so without marking the run incomplete.
+            stats.note_refusal("depth", origin, document=False)
+        else:
+            self._extract(link, result, span)
+        return "ok", detail
+
+    def _admit(self, link: Link, origin: str) -> Optional[tuple[str, dict]]:
+        """Source selection, then the origin budgets: the outcome that
+        turns ``link`` away, or ``None`` to dereference it."""
+        selector, stats = self.selector, self.stats
+        # Source selection (pop time: origin admission needs the
+        # knowledge absorbed so far).  Before the origin-budget gate —
+        # a pruned link costs neither a request nor budget.
+        if selector is not None:
+            decision = selector.check(link)
+            if decision.action == "prune":
+                stats.note_pruned(decision.rule, origin)
+                return "pruned", {"pruned": decision.rule}
+            if decision.action == "defer":
+                # Parked with the selector: re-queued the moment a
+                # traversed document declares this link's origin, or
+                # counted as pruned at quiescence.
+                selector.defer(link)
+                return "deferred", {"pruned": decision.rule}
+        refusal = self._budgets.admit(origin, self._policy)
+        if refusal:
+            stats.note_refusal(refusal, origin)
+            return "refused", {"refused": refusal}
+        return None
+
+    def _give_up(self, link: Link, result: DereferenceResult) -> str:
+        """A failed dereference: ``failed``, or — when retryable —
+        ``retried`` (back through the queue) / ``abandoned``."""
+        stats = self.stats
+        stats.documents_failed += 1
+        if not result.retryable:
+            return "failed"
+        # Transient trouble that survived client-level retries (e.g. a
+        # tripped breaker): give the link another pass through the queue
+        # instead of discarding the document.  ``replace`` keeps everything but
+        # the attempt count — provenance and therefore queue rank survive.
+        if link.attempts < self._engine.config.network.max_link_requeues:
+            self.queue.requeue(dataclasses.replace(link, attempts=link.attempts + 1))
+            stats.documents_retried += 1
+            return "retried"
+        stats.documents_abandoned += 1
+        return "abandoned"
+
+    def _extract(self, link: Link, result: DereferenceResult, span) -> None:
+        """Run every extractor over the document and queue what survives."""
+        queue, selector, stats, tracer = self.queue, self.selector, self.stats, self.tracer
+        extract_started = self._clock() if tracer is not None else 0.0
+        links_pushed = links_pruned = 0
+        # Extractors may intern one LinkProvenance for many links; the
+        # parent-depth-stamped variant is cached alongside.
+        stamped: dict = {}
+        for extractor in self._extractors:
+            for url, provenance in extractor.discover(result.url, result.triples, self._context):
+                if not url.startswith(("http://", "https://")):
+                    continue
+                if provenance is not None:
+                    if provenance.parent_depth != link.depth:
+                        cached = stamped.get(provenance)
+                        if cached is None:
+                            cached = stamped[provenance] = dataclasses.replace(
+                                provenance, parent_depth=link.depth
+                            )
+                        provenance = cached
+                    via = provenance.extractor
+                else:
+                    via = extractor.name
+                candidate = Link(
+                    url=url,
+                    parent_url=result.url,
+                    depth=link.depth + 1,
+                    via=via,
+                    provenance=provenance,
+                )
+                # Push-time source selection, on static grounds only
+                # (spec rules, hint relevance): these grow strictly
+                # more restrictive, so pruning here can never drop a
+                # link a later document would have justified.  Checked
+                # for fresh URLs only — duplicates are the dedup's
+                # business, not a prune.
+                if selector is not None and not queue.has_seen(url):
+                    decision = selector.check_static(candidate)
+                    if decision.action == "prune":
+                        links_pruned += 1
+                        stats.note_pruned(decision.rule, _origin_of(url))
+                        continue
+                if queue.push(candidate):
+                    links_pushed += 1
+                    stats.links_by_extractor[via] = stats.links_by_extractor.get(via, 0) + 1
+        if tracer is not None:
+            tracer.add(
+                "extract",
+                extract_started,
+                self._clock(),
+                parent=span,
+                links=links_pushed,
+                **({"pruned": links_pruned} if links_pruned else {}),
+            )
+
 
 class LinkTraversalEngine:
-    """Executes SPARQL queries over the Web by link traversal."""
+    """Executes SPARQL queries over the Web by link traversal.
+
+    Holds only what executions share; everything one run needs beyond
+    that is on its :class:`QueryExecution`.
+    """
 
     def __init__(
         self,
         client: HttpClient,
         extractors: Optional[list[LinkExtractor]] = None,
         config: Optional[EngineConfig] = None,
-        queue_factory=None,
         auth_headers: Optional[dict[str, str]] = None,
         dereferencer: Optional[Dereferencer] = None,
     ) -> None:
-        self._client = client
+        self.client = client
         self._extractors = extractors if extractors is not None else default_extractors()
-        self._config = config if config is not None else EngineConfig()
-        # ``None`` defers to the traversal policy's ``queue_policy`` at
-        # execution time; an explicit factory always wins.
-        self._queue_factory = queue_factory
+        self.config = config if config is not None else EngineConfig()
         self._auth_headers = dict(auth_headers or {})
-        # A shared (service-owned) dereferencer may be injected so many
-        # engines/executions reuse one parsed-document store; when set, it
-        # supersedes the per-run default and its own leniency/header
-        # settings apply instead of this engine's.
-        self._dereferencer = dereferencer
+        #: A shared (service-owned) dereferencer may be injected so many
+        #: engines/executions reuse one parsed-document store; when set, it
+        #: supersedes the per-run default and its own leniency/header
+        #: settings apply instead of this engine's.  ``None``: one per run.
+        self.dereferencer = dereferencer
         # The engine's network policy governs its client, unless the
         # caller constructed the client with an explicit policy of its own.
         if not client.has_explicit_policy:
-            client.apply_policy(self._config.network)
-
-    @property
-    def client(self) -> HttpClient:
-        return self._client
-
-    @property
-    def config(self) -> EngineConfig:
-        return self._config
+            client.apply_policy(self.config.network)
 
     @property
     def extractors(self) -> list[LinkExtractor]:
         return list(self._extractors)
-
-    @property
-    def dereferencer(self) -> Optional[Dereferencer]:
-        """The injected shared dereferencer, if any (else one is built per run)."""
-        return self._dereferencer
-
-    # ------------------------------------------------------------------
-    # public API
-    # ------------------------------------------------------------------
 
     def query(
         self,
@@ -425,7 +893,9 @@ class LinkTraversalEngine:
         Pass a :class:`~repro.obs.trace.Tracer` to record the execution's
         span tree and/or a :class:`~repro.obs.metrics.Metrics` registry
         for counters/gauges/histograms; with neither, no instrumentation
-        code runs (the observability layer is strictly opt-in).
+        code runs (the observability layer is strictly opt-in).  Both
+        belong to this execution alone: the shared client is handed them
+        per fetch, so a concurrent query's requests never land in them.
 
         ``extractors`` and ``traversal`` override the engine's defaults
         for this execution only — the :class:`~repro.service.QueryService`
@@ -436,10 +906,10 @@ class LinkTraversalEngine:
         ``live=True`` compiles the pipeline for *standing* execution: the
         run proceeds to true quiescence (no LIMIT short-circuit), every
         operator retains signed-maintenance state, and after completion
-        ``execution.result.pipeline`` / ``.source`` stay usable so a
-        :class:`~repro.ltqp.live.LiveQuery` can keep the result multiset
-        current as documents change.  Live runs never use the adaptive
-        re-planner (its replay is additive-only).
+        ``execution.pipeline`` / ``.source`` / ``.dereferencer`` stay
+        usable so a :class:`~repro.ltqp.live.LiveQuery` can keep the
+        result multiset current as documents change.  Live runs never use
+        the adaptive re-planner (its replay is additive-only).
         """
         return QueryExecution(
             self,
@@ -452,15 +922,9 @@ class LinkTraversalEngine:
             live=live,
         )
 
-    # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
-
     @staticmethod
     def _parse(query: TypingUnion[str, Query]) -> Query:
-        if isinstance(query, Query):
-            return query
-        return parse_query(query)
+        return query if isinstance(query, Query) else parse_query(query)
 
     @staticmethod
     def seeds_from_query(query: Query) -> list[str]:
@@ -478,631 +942,8 @@ class LinkTraversalEngine:
                 seeds.add(target.value)
         return sorted(seeds)
 
-    async def _run(
-        self,
-        execution: ExecutionResult,
-        seeds: Optional[Iterable[str]],
-        tracer=None,
-        metrics=None,
-        extractors: Optional[list[LinkExtractor]] = None,
-        traversal: Optional[TraversalPolicy] = None,
-        live: bool = False,
-    ) -> AsyncIterator[Binding]:
-        # Per-execution view of the configuration: shared engine state
-        # (client, dereferencer, network policy) stays engine-level, while
-        # traversal bounds and extractor state may vary query by query.
-        config = (
-            self._config
-            if traversal is None
-            else EngineConfig(network=self._config.network, traversal=traversal)
-        )
-        policy = config.traversal
-        run_extractors = extractors if extractors is not None else self._extractors
-        query = execution.query
-        context = build_query_context(query.where)
-        seed_list = list(seeds) if seeds is not None else self.seeds_from_query(query)
-        execution.seeds = seed_list
-        stats = execution.stats
-        # Guided source selection: a subweb spec and/or the guided queue
-        # policy installs a per-execution SourceSelector, and the hint
-        # extractor so pods' source indexes and published specs are
-        # discovered and absorbed during traversal.
-        selector = None
-        spec = _resolve_subweb(policy.subweb)
-        if spec is not None or policy.queue_policy == "guided":
-            from .guided import HintDiscoveryExtractor, SourceSelector
-
-            selector = SourceSelector(spec=spec, where=query.where, seeds=seed_list)
-            run_extractors = [HintDiscoveryExtractor(selector)] + list(run_extractors)
-        # Every timestamp in a traced execution (stats, queue samples,
-        # request log, spans) comes from the tracer's clock, so a seeded
-        # TickClock makes the whole run a deterministic artifact.
-        clock = tracer.clock if tracer is not None else time.monotonic
-        stats.started_at = clock()
-        resilience_before = self._client.resilience_snapshot()
-
-        query_span = traversal_span = None
-        client_tracer_before = self._client.tracer
-        client_metrics_before = self._client.metrics
-        if tracer is not None:
-            query_span = tracer.begin(
-                "query", start=stats.started_at, form=query.form, seeds=len(seed_list)
-            )
-            # Opened before the seeds enqueue so their stamps nest inside.
-            traversal_span = tracer.begin("traversal", parent=query_span)
-            self._client.tracer = tracer
-        if metrics is not None:
-            self._client.metrics = metrics
-
-        source = GrowingTripleSource()
-        queue_factory = (
-            self._queue_factory
-            if self._queue_factory is not None
-            else queue_factory_for(policy.queue_policy)
-        )
-        policy_context = QueuePolicyContext(
-            query=context, hints=selector.hints if selector is not None else None
-        )
-        queue: LinkQueue = build_queue(queue_factory, policy_context)
-        queue.clock = clock
-        if metrics is not None:
-            depth_gauge = metrics.gauge("queue.depth")
-            queue.observer = lambda sample: depth_gauge.set(sample.queue_length)
-        for seed in seed_list:
-            if queue.push(Link(url=seed, via="seed")):
-                stats.links_queued += 1
-                stats.links_by_extractor["seed"] = stats.links_by_extractor.get("seed", 0) + 1
-
-        # One compiler for every query form: ASK wraps in LIMIT 1 over an
-        # empty projection, DESCRIBE streams CBD triples, CONSTRUCT streams
-        # its WHERE bindings and instantiates the template per new solution.
-        # Non-monotonic operators become blocking physical nodes that flush
-        # at quiescence via Pipeline.finalize.
-        plan_started = clock() if tracer is not None else 0.0
-        if live:
-            # Signed maintenance needs per-operator live state; the
-            # adaptive re-planner's replay is additive-only, so live
-            # executions always compile the static live pipeline.
-            pipeline = compile_query_pipeline(query, seed_iris=context.iris, live=True)
-        elif policy.adaptive:
-            from .adaptive import AdaptivePipeline
-
-            pipeline = AdaptivePipeline(query.where, seed_iris=context.iris, query=query)
-        else:
-            pipeline = compile_query_pipeline(query, seed_iris=context.iris)
-        # "Streaming" now means the plan holds nothing back: no blocking
-        # operators, so every result can reach the caller mid-traversal.
-        stats.streaming = not pipeline.blocking_nodes
-        if tracer is not None:
-            tracer.add(
-                "plan",
-                plan_started,
-                clock(),
-                parent=query_span,
-                streaming=stats.streaming,
-                blocking=len(pipeline.blocking_nodes),
-                adaptive=policy.adaptive,
-            )
-            pipeline.enable_tracing(tracer, query_span)
-
-        constructed: set = set()
-
-        def transform_results(bindings):
-            """Map raw pipeline bindings to what the query form returns."""
-            if query.form != "CONSTRUCT":
-                return bindings
-            from ..rdf.terms import Variable
-            from ..sparql.eval import construct_triples
-
-            output = []
-            for binding in bindings:
-                for triple in construct_triples(
-                    query.construct_template, binding, len(constructed)
-                ):
-                    if triple not in constructed:
-                        constructed.add(triple)
-                        output.append(
-                            Binding(
-                                {
-                                    Variable("subject"): triple.subject,
-                                    Variable("predicate"): triple.predicate,
-                                    Variable("object"): triple.object,
-                                }
-                            )
-                        )
-            return output
-
-        result_queue: asyncio.Queue[Optional[Binding]] = asyncio.Queue()
-        stop_traversal = asyncio.Event()
-        # Result-contribution feedback (guided queue only): the documents
-        # whose entities appear in an emitted binding get their pending
-        # sibling links promoted.
-        note_contribution = getattr(queue, "note_result_contribution", None)
-
-        def feed_contribution(binding: Binding) -> None:
-            for _var, term in binding.items():
-                value = getattr(term, "value", None)
-                if isinstance(value, str) and value.startswith(("http://", "https://")):
-                    note_contribution(value.split("#", 1)[0])
-
-        def emit(binding: Binding) -> None:
-            # Single limit check against the pre-increment count decides both
-            # acceptance and traversal stop: the binding that lands exactly on
-            # the limit is counted *and* triggers the stop — it is never
-            # silently dropped, and anything past the limit is ignored.
-            limit = policy.max_results
-            count = stats.result_count
-            if limit and count >= limit:
-                return
-            now = clock()
-            if stats.first_result_at is None:
-                stats.first_result_at = now
-                if tracer is not None:
-                    # Same `now` as the stats field, so the trace-derived
-                    # time-to-first-result reconciles exactly.
-                    tracer.instant("first-result", parent=query_span, ts=now)
-            stats.result_count = count + 1
-            execution.results.append(TimedResult(binding=binding, elapsed=now - stats.started_at))
-            if note_contribution is not None:
-                feed_contribution(binding)
-            result_queue.put_nowait(binding)
-            if limit and count + 1 >= limit:
-                stop_traversal.set()
-
-        batch_quads = max(1, policy.advance_batch_quads)
-        pending_quads = 0
-
-        def flush_pipeline() -> None:
-            nonlocal pending_quads
-            if pending_quads == 0:
-                return
-            pending_quads = 0
-            for binding in transform_results(pipeline.advance(source.dataset)):
-                emit(binding)
-            if pipeline.complete:
-                stop_traversal.set()
-
-        def on_document(url: str, triples: list[Triple]) -> None:
-            nonlocal pending_quads
-            # Hard document bound: concurrent workers may all pass the
-            # pre-fetch check, but only the first max_documents results
-            # are admitted into the source.
-            doc_limit = policy.max_documents
-            if doc_limit and source.document_count >= doc_limit:
-                stop_traversal.set()
-                return
-            added = source.add_document(url, triples)
-            stats.triples_discovered += added
-            if not added:
-                return
-            pending_quads += added
-            # Flush per document until the first result (TTFR protection),
-            # then coalesce small documents up to the batch threshold.
-            if stats.result_count == 0 or pending_quads >= batch_quads:
-                flush_pipeline()
-
-        async def flush_timer() -> None:
-            interval = policy.advance_flush_interval
-            while not stop_traversal.is_set():
-                await asyncio.sleep(interval)
-                flush_pipeline()
-
-        # Resolved here (not inside _traverse) so live executions can
-        # retain it: refreshes must reuse the same per-URL blank-node
-        # namespaces the traversal parses established.
-        dereferencer = self._resolve_dereferencer(policy, tracer)
-        traversal = asyncio.create_task(
-            self._traverse(
-                queue,
-                source,
-                context,
-                stats,
-                on_document,
-                stop_traversal,
-                config,
-                run_extractors,
-                dereferencer,
-                tracer=tracer,
-                traversal_span=traversal_span,
-                clock=clock,
-                selector=selector,
-            )
-        )
-        timer: Optional[asyncio.Task] = None
-        if batch_quads > 1 and policy.advance_flush_interval > 0:
-            timer = asyncio.create_task(flush_timer())
-
-        drain: Optional[asyncio.Task] = None
-        try:
-            while True:
-                drain = asyncio.create_task(result_queue.get())
-                done, _ = await asyncio.wait(
-                    {drain, traversal}, return_when=asyncio.FIRST_COMPLETED
-                )
-                if drain in done:
-                    binding = drain.result()
-                    if binding is not None:
-                        yield binding
-                    continue
-                # Traversal finished; cancel the pending drain and flush.
-                drain.cancel()
-                break
-            await traversal  # re-raise worker exceptions
-            if tracer is not None:
-                tracer.end(traversal_span)
-            # Quiescence flush: feed whatever landed after the last batched
-            # advance (the cursor makes this exact, batching or not), then
-            # release everything the blocking operators held back.
-            pending_quads = 0
-            for binding in transform_results(pipeline.finalize(source.dataset)):
-                emit(binding)
-            if live:
-                # Hand the (now settled) standing machinery to the caller
-                # (LiveQuery) before the generator returns.
-                execution.pipeline = pipeline
-                execution.source = source
-                execution.dereferencer = dereferencer
-            while not result_queue.empty():
-                binding = result_queue.get_nowait()
-                if binding is not None:
-                    yield binding
-        finally:
-            if drain is not None and not drain.done():
-                drain.cancel()
-            # CancelledError is a BaseException (not an Exception) on modern
-            # Python, so it needs its own clause; the expected outcome of
-            # cancelling is the task raising it.  Anything else is a real
-            # teardown bug — shutdown must not fail the query, but the error
-            # is recorded in the stats instead of being swallowed silently.
-            if timer is not None and not timer.done():
-                timer.cancel()
-                try:
-                    await timer
-                except asyncio.CancelledError:
-                    pass
-                except Exception as error:
-                    stats.note_shutdown_error("flush-timer", error)
-            if not traversal.done():
-                traversal.cancel()
-                try:
-                    await traversal
-                except asyncio.CancelledError:
-                    pass
-                except Exception as error:
-                    stats.note_shutdown_error("traversal", error)
-            if selector is not None:
-                # Links still deferred at quiescence: their origins were
-                # never declared by any traversed document — pruned.
-                for parked in selector.drain_deferred():
-                    stats.note_pruned("origin:undeclared", _origin_of(parked.url))
-            stats.finished_at = clock()
-            stats.documents_fetched = source.document_count
-            stats.queue_samples = queue.samples
-            stats.links_queued = queue.pushed_total
-            stats.replans = getattr(pipeline, "replans", 0)
-            self._finalize_resilience(stats, resilience_before)
-            if tracer is not None:
-                # Idempotent for the happy path; the cancellation path
-                # closes traversal (and any interrupted descendants) here.
-                tracer.end(traversal_span, end=stats.finished_at)
-                tracer.end(query_span, end=stats.finished_at, results=stats.result_count)
-                tracer.close_open_spans(end=stats.finished_at)
-            self._client.tracer = client_tracer_before
-            self._client.metrics = client_metrics_before
-            if metrics is not None:
-                metrics.counter("documents.fetched").inc(stats.documents_fetched)
-                metrics.counter("triples.discovered").inc(stats.triples_discovered)
-                metrics.counter("results.emitted").inc(stats.result_count)
-                if stats.total_time > 0:
-                    metrics.gauge("triples.per_s").set(
-                        stats.triples_discovered / stats.total_time
-                    )
-
-    def _finalize_resilience(self, stats: ExecutionStats, before: dict) -> None:
-        """Fold the client's resilience counter deltas into the stats."""
-        after = self._client.resilience_snapshot()
-        stats.http_retries = after["retries"] - before["retries"]
-        stats.http_timeouts = after["timeouts"] - before["timeouts"]
-        stats.breaker_fast_fails = (
-            after["breaker_fast_fails"] - before["breaker_fast_fails"]
-        )
-        trips_before = before["trips_by_origin"]
-        stats.origins_tripped = {
-            origin: trips - trips_before.get(origin, 0)
-            for origin, trips in after["trips_by_origin"].items()
-            if trips > trips_before.get(origin, 0)
-        }
-
-    # ------------------------------------------------------------------
-    # traversal loop
-    # ------------------------------------------------------------------
-
-    def _resolve_dereferencer(
-        self, policy: TraversalPolicy, tracer=None
-    ) -> Dereferencer:
+    def _resolve_dereferencer(self, policy: TraversalPolicy) -> Dereferencer:
         """The injected shared dereferencer, or a fresh per-run one."""
-        dereferencer = self._dereferencer
-        if dereferencer is None:
-            return Dereferencer(
-                self._client,
-                lenient=policy.lenient,
-                extra_headers=self._auth_headers,
-                tracer=tracer,
-                max_parse_bytes=policy.max_parse_bytes,
-            )
-        if policy.max_parse_bytes and not dereferencer.max_parse_bytes:
-            # A shared (service-owned) dereferencer keeps its own cap if it
-            # has one; otherwise this execution's cap is installed for good
-            # (the service configures all executions uniformly).
-            dereferencer.max_parse_bytes = policy.max_parse_bytes
-        return dereferencer
-
-    async def _traverse(
-        self,
-        queue: LinkQueue,
-        source: GrowingTripleSource,
-        context: QueryContext,
-        stats: ExecutionStats,
-        on_document,
-        stop_traversal: asyncio.Event,
-        config: EngineConfig,
-        extractors: list[LinkExtractor],
-        dereferencer: Dereferencer,
-        tracer=None,
-        traversal_span=None,
-        clock=time.monotonic,
-        selector=None,
-    ) -> None:
-        budgets = _OriginBudgets()
-        in_flight = 0
-        wake = asyncio.Condition()
-
-        async def worker(track: int) -> None:
-            nonlocal in_flight
-            while True:
-                async with wake:
-                    while queue.empty:
-                        if in_flight == 0 or stop_traversal.is_set():
-                            wake.notify_all()
-                            return
-                        await wake.wait()
-                    if stop_traversal.is_set():
-                        wake.notify_all()
-                        return
-                    link = queue.pop()
-                    in_flight += 1
-                try:
-                    await self._process_link(
-                        link,
-                        dereferencer,
-                        queue,
-                        context,
-                        stats,
-                        on_document,
-                        config,
-                        extractors,
-                        budgets,
-                        tracer=tracer,
-                        traversal_span=traversal_span,
-                        clock=clock,
-                        track=track,
-                        selector=selector,
-                    )
-                finally:
-                    async with wake:
-                        in_flight -= 1
-                        wake.notify_all()
-
-        workers = [
-            asyncio.create_task(worker(index + 1))
-            for index in range(config.traversal.worker_count)
-        ]
-        try:
-            await asyncio.gather(*workers)
-        finally:
-            for task in workers:
-                if not task.done():
-                    task.cancel()
-
-    async def _process_link(
-        self,
-        link: Link,
-        dereferencer: Dereferencer,
-        queue: LinkQueue,
-        context: QueryContext,
-        stats: ExecutionStats,
-        on_document,
-        config: EngineConfig,
-        extractors: list[LinkExtractor],
-        budgets: _OriginBudgets,
-        tracer=None,
-        traversal_span=None,
-        clock=time.monotonic,
-        track: int = 0,
-        selector=None,
-    ) -> None:
-        policy = config.traversal
-        if policy.max_documents and stats.documents_fetched >= policy.max_documents:
-            return
-        if (
-            policy.max_duration
-            and clock() - stats.started_at > policy.max_duration
-        ):
-            return
-        deref_span = None
-        if tracer is not None:
-            popped_at = clock()
-            enqueued_at = link.enqueued_at or popped_at
-            # The span covers the document's whole lifetime in the system,
-            # queue wait included — matching the paper's waterfall bars.
-            deref_span = tracer.begin(
-                "dereference",
-                parent=traversal_span,
-                start=enqueued_at,
-                track=track,
-                url=link.url,
-                via=link.via,
-                depth=link.depth,
-                attempt=link.attempts + 1,
-            )
-            provenance = link.provenance
-            if provenance is not None:
-                if provenance.predicate:
-                    deref_span.args["via_predicate"] = provenance.predicate
-                if provenance.pattern:
-                    deref_span.args["via_pattern"] = provenance.pattern
-                if provenance.for_class:
-                    deref_span.args["via_class"] = provenance.for_class
-            tracer.add("queue-wait", enqueued_at, popped_at, parent=deref_span)
-        origin = _origin_of(link.url)
-        try:
-            # Source selection (pop time: origin admission needs the
-            # knowledge absorbed so far).  Before the origin-budget gate —
-            # a pruned link costs neither a request nor budget.
-            if selector is not None:
-                decision = selector.check(link)
-                if decision.action == "prune":
-                    stats.note_pruned(decision.rule, origin)
-                    if deref_span is not None:
-                        deref_span.args["outcome"] = "pruned"
-                        deref_span.args["pruned"] = decision.rule
-                    return
-                if decision.action == "defer":
-                    # Parked with the selector: re-queued the moment a
-                    # traversed document declares this link's origin, or
-                    # counted as pruned at quiescence.
-                    selector.defer(link)
-                    if deref_span is not None:
-                        deref_span.args["outcome"] = "deferred"
-                        deref_span.args["pruned"] = decision.rule
-                    return
-            # Origin-budget gate — after span creation, so every refusal
-            # leaves a ``dereference`` span with ``outcome: refused`` for
-            # the trace/stats reconciliation to count.
-            refusal = budgets.admit(origin, policy)
-            if refusal:
-                stats.note_refusal(refusal, origin)
-                if deref_span is not None:
-                    deref_span.args["outcome"] = "refused"
-                    deref_span.args["refused"] = refusal
-                return
-            result = await dereferencer.dereference(
-                link.url,
-                parent_url=link.parent_url,
-                trace_parent=deref_span,
-                tracer=tracer,
-                provenance=link.provenance,
-            )
-            budgets.charge_bytes(origin, result.bytes_fetched)
-            if result.refused:
-                # Per-document cap (client read abort or parse cap): a
-                # deliberate, attributed, never-retried refusal — not a
-                # network failure.
-                stats.note_refusal(result.refused, origin)
-                if deref_span is not None:
-                    deref_span.args["outcome"] = "refused"
-                    deref_span.args["refused"] = result.refused
-                    deref_span.args["error"] = result.error
-                return
-            if not result.ok:
-                stats.documents_failed += 1
-                outcome = "failed"
-                if result.retryable:
-                    # Transient trouble that survived client-level retries
-                    # (e.g. a tripped breaker): give the link another pass
-                    # through the queue instead of discarding the document.
-                    # ``replace`` keeps everything but the attempt count —
-                    # provenance and therefore queue rank survive the retry.
-                    if link.attempts < config.network.max_link_requeues:
-                        queue.requeue(dataclasses.replace(link, attempts=link.attempts + 1))
-                        stats.documents_retried += 1
-                        outcome = "retried"
-                    else:
-                        stats.documents_abandoned += 1
-                        outcome = "abandoned"
-                if deref_span is not None:
-                    deref_span.args["outcome"] = outcome
-                    deref_span.args["error"] = result.error
-                return
-            if selector is not None:
-                # Absorb declarations (hints, specs, admitted origins)
-                # *before* the pipeline and link extraction see the
-                # document, so its own links are judged with its knowledge
-                # already in force; newly admitted origins release their
-                # parked links back into the queue.
-                for released in selector.absorb_document(result.url, result.triples):
-                    queue.requeue(released)
-            on_document(result.url, result.triples)
-            stats.documents_fetched += 1
-            if result.from_store:
-                stats.documents_from_store += 1
-            if deref_span is not None:
-                deref_span.args["outcome"] = "ok"
-                deref_span.args["triples"] = len(result.triples)
-                if result.from_store:
-                    deref_span.args["from_store"] = True
-
-            if policy.max_depth and link.depth >= policy.max_depth:
-                # Attribution only (``document=False``): the document itself
-                # was taken, but its out-links are suppressed at the depth
-                # budget — the completeness report says so without marking
-                # the run incomplete.
-                stats.note_refusal("depth", origin, document=False)
-                return
-            extract_started = clock() if tracer is not None else 0.0
-            links_pushed = 0
-            links_pruned = 0
-            # Extractors may intern one LinkProvenance for many links; the
-            # parent-depth-stamped variant is cached alongside.
-            stamped: dict = {}
-            for extractor in extractors:
-                for url, provenance in extractor.discover(result.url, result.triples, context):
-                    if not url.startswith(("http://", "https://")):
-                        continue
-                    if provenance is not None:
-                        if provenance.parent_depth != link.depth:
-                            cached = stamped.get(provenance)
-                            if cached is None:
-                                cached = stamped[provenance] = dataclasses.replace(
-                                    provenance, parent_depth=link.depth
-                                )
-                            provenance = cached
-                        via = provenance.extractor
-                    else:
-                        via = extractor.name
-                    candidate = Link(
-                        url=url,
-                        parent_url=result.url,
-                        depth=link.depth + 1,
-                        via=via,
-                        provenance=provenance,
-                    )
-                    # Push-time source selection, on static grounds only
-                    # (spec rules, hint relevance): these grow strictly
-                    # more restrictive, so pruning here can never drop a
-                    # link a later document would have justified.  Checked
-                    # for fresh URLs only — duplicates are the dedup's
-                    # business, not a prune.
-                    if selector is not None and not queue.has_seen(url):
-                        decision = selector.check_static(candidate)
-                        if decision.action == "prune":
-                            links_pruned += 1
-                            stats.note_pruned(decision.rule, _origin_of(url))
-                            continue
-                    if queue.push(candidate):
-                        links_pushed += 1
-                        stats.links_by_extractor[via] = (
-                            stats.links_by_extractor.get(via, 0) + 1
-                        )
-            if tracer is not None:
-                tracer.add(
-                    "extract",
-                    extract_started,
-                    clock(),
-                    parent=deref_span,
-                    links=links_pushed,
-                    **({"pruned": links_pruned} if links_pruned else {}),
-                )
-        finally:
-            if deref_span is not None:
-                tracer.end(deref_span)
+        if self.dereferencer is not None:
+            return self.dereferencer
+        return Dereferencer(self.client, lenient=policy.lenient, extra_headers=self._auth_headers)

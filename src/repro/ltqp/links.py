@@ -123,8 +123,8 @@ def provenance_rank(link: Link) -> int:
 class QueuePolicyContext:
     """What a queue-policy factory may draw on when building its queue.
 
-    Every factory — registered in :data:`QUEUE_POLICIES` or injected
-    through the engine's ``queue_factory=`` — takes exactly one of these.
+    Every factory registered in :data:`QUEUE_POLICIES` takes exactly one
+    of these.
     The basic disciplines ignore it; the guided queue scores with both
     fields.  Fields are deliberately loose-typed so the registry keeps no
     import edges into the guided package.

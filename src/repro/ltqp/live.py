@@ -4,9 +4,12 @@ The demo scenario ends where real Solid apps begin: the result set a
 traversal produced is stale the moment a pod changes.  A
 :class:`LiveQuery` runs one ordinary link-traversal execution to
 quiescence — compiled ``live`` so every operator retains signed
-maintenance state — and then keeps the result multiset current:
+maintenance state — keeps that :class:`~repro.ltqp.engine.QueryExecution`
+(the one home of its pipeline, source, dereferencer, tracer and parse
+cap; nothing is copied out of it), and keeps the result multiset current:
 
-* :meth:`refresh` re-dereferences one document with ``revalidate=True``
+* :meth:`refresh` re-dereferences one document *through the execution*
+  (so the refetch and re-parse land in its tracer) with ``revalidate=True``
   (a conditional request that bypasses HTTP-cache freshness), diffs the
   new parse against the document's named graph in the growing source,
   and feeds the resulting *signed* delta through
@@ -34,7 +37,6 @@ from typing import Iterable, Optional, Union as TypingUnion
 
 from ..sparql.algebra import Query
 from ..sparql.bindings import Binding
-from .dereference import Dereferencer
 from .engine import LinkTraversalEngine, QueryExecution, TraversalPolicy
 
 __all__ = ["ResultChange", "ChangeFeed", "LiveQuery"]
@@ -179,25 +181,20 @@ class LiveQuery(ChangeFeed):
         traversal: Optional[TraversalPolicy] = None,
     ) -> None:
         super().__init__()
-        parsed = engine._parse(query)
-        if parsed.form == "CONSTRUCT":
-            raise ValueError(
-                "CONSTRUCT queries cannot be standing queries: constructed-"
-                "triple dedup is additive-only and cannot retract"
-            )
-        self._engine = engine
-        self._tracer = tracer
+        # Lazy — nothing has run if the form check below rejects the query.
         self._execution: QueryExecution = engine.query(
-            parsed,
+            query,
             seeds=seeds,
             tracer=tracer,
             metrics=metrics,
             traversal=traversal,
             live=True,
         )
-        self._pipeline = None
-        self._source = None
-        self._dereferencer: Optional[Dereferencer] = None
+        if self._execution.query.form == "CONSTRUCT":
+            raise ValueError(
+                "CONSTRUCT queries cannot be standing queries: constructed-"
+                "triple dedup is additive-only and cannot retract"
+            )
         self._seq = 0
         self._started = False
         #: Documents flagged by :meth:`notify`, awaiting :meth:`drain`.
@@ -228,22 +225,6 @@ class LiveQuery(ChangeFeed):
             raise RuntimeError("LiveQuery.start() called twice")
         self._started = True
         await self._execution.gather()
-        result = self._execution.result
-        if result.pipeline is None or result.source is None:
-            raise RuntimeError("live execution did not retain its pipeline")
-        self._pipeline = result.pipeline
-        self._source = result.source
-        # Reuse the execution's own dereferencer: its per-URL blank-node
-        # namespaces keep refresh re-parses label-stable against the
-        # traversal's parses, so diffs stay minimal.
-        self._dereferencer = result.dereferencer
-        if self._dereferencer is None:
-            self._dereferencer = Dereferencer(
-                self._engine.client,
-                lenient=True,
-                extra_headers=self._engine._auth_headers,
-                tracer=self._tracer,
-            )
         bindings = self._execution.bindings
         self._publish([(binding, 1) for binding in bindings], url="")
         return bindings
@@ -283,7 +264,8 @@ class LiveQuery(ChangeFeed):
         if self._closed:
             return []
         url = url.split("#", 1)[0]
-        tracer = self._tracer
+        execution = self._execution
+        tracer = execution.tracer
         refresh_started = tracer.clock() if tracer is not None else 0.0
         span = (
             tracer.begin("refresh", start=refresh_started, url=url)
@@ -291,9 +273,7 @@ class LiveQuery(ChangeFeed):
             else None
         )
         try:
-            result = await self._dereferencer.dereference(
-                url, trace_parent=span, tracer=tracer, revalidate=True
-            )
+            result = await execution.dereference(url, span, revalidate=True)
             if result.ok:
                 triples = result.triples
             elif result.status in _GONE_STATUSES:
@@ -304,7 +284,7 @@ class LiveQuery(ChangeFeed):
                     span.args["outcome"] = "failed"
                     span.args["error"] = result.error
                 return []
-            added, removed = self._source.update_document(url, triples)
+            added, removed = execution.source.update_document(url, triples)
             if span is not None:
                 span.args["added"] = len(added)
                 span.args["removed"] = len(removed)
@@ -316,8 +296,8 @@ class LiveQuery(ChangeFeed):
                 # Maintenance batches nest under *this* refresh — the
                 # original query span closed at quiescence, and a span
                 # may not outlive its parent.
-                self._pipeline._trace_parent = span
-            changes = self._pipeline.poll_changes(self._source.dataset)
+                execution.pipeline.enable_tracing(tracer, span)
+            changes = execution.pipeline.poll_changes(execution.source.dataset)
             if span is not None:
                 span.args["outcome"] = "changed"
                 span.args["changes"] = len(changes)

@@ -13,6 +13,11 @@ per-attempt timeouts, retries with seeded exponential backoff,
 governed by the :class:`~repro.net.resilience.NetworkPolicy` passed in
 (or its defaults).  Every attempt is logged individually, so waterfalls
 show retries as separate bars.
+
+One client serves many concurrent query executions, so it holds no
+observer of any of them: the tracer, the metrics registry and the
+:class:`~repro.net.resilience.ResilienceStats` a caller wants its fetches
+counted into travel with each :meth:`HttpClient.fetch` call.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from .log import RequestLog
 from .message import Request, Response, split_url
 from .resilience import (
     BreakerRegistry,
+    CircuitBreaker,
     NetworkPolicy,
     PERMANENT_ERROR_MARKERS,
     RETRYABLE_STATUSES,
@@ -82,6 +88,16 @@ def _is_breaker_failure(response: Response) -> bool:
     return response.status in (408, 429) or response.status >= 500
 
 
+def _note_transition(origin: str, old: str, new: str, metrics, counted) -> None:
+    """Report the breaker transition one call caused to that call's observers."""
+    if new == CircuitBreaker.OPEN:
+        for stats in counted:
+            stats.trips_by_origin[origin] = stats.trips_by_origin.get(origin, 0) + 1
+    if metrics is not None:
+        metrics.counter(f"breaker.transitions.{old}->{new}").inc()
+        metrics.counter(f"breaker.transitions[{origin}]").inc()
+
+
 class HttpClient:
     """Asynchronous client with logging, latency, limits, and retries."""
 
@@ -106,15 +122,12 @@ class HttpClient:
         self._cache = cache
         self._explicit_policy = policy is not None
         self._policy = policy if policy is not None else NetworkPolicy()
-        self._breakers = BreakerRegistry(
-            self._policy.breaker, on_transition=self._on_breaker_transition
-        )
+        self._breakers = BreakerRegistry(self._policy.breaker)
         self._resilience = ResilienceStats()
-        #: Observability hooks (see :mod:`repro.obs`): when set by the
-        #: engine, ``fetch`` records per-attempt trace spans and metrics,
-        #: and all timestamps (including request-log entries) come from
-        #: ``tracer.clock``.  ``None`` (the default) keeps the hot path
-        #: untouched beyond one identity check.
+        #: Fallback observers (see :mod:`repro.obs`) for callers that own
+        #: the client outright and assign them by hand.  A client shared
+        #: by concurrent executions holds none: each ``fetch`` is handed
+        #: its caller's ``tracer=`` / ``metrics=``, which override these.
         self.tracer = None
         self.metrics = None
 
@@ -144,14 +157,7 @@ class HttpClient:
     def apply_policy(self, policy: NetworkPolicy) -> None:
         """Install ``policy``, resetting per-origin breakers to match."""
         self._policy = policy
-        self._breakers = BreakerRegistry(
-            policy.breaker, on_transition=self._on_breaker_transition
-        )
-
-    def _on_breaker_transition(self, origin: str, old: str, new: str) -> None:
-        if self.metrics is not None:
-            self.metrics.counter(f"breaker.transitions.{old}->{new}").inc()
-            self.metrics.counter(f"breaker.transitions[{origin}]").inc()
+        self._breakers = BreakerRegistry(policy.breaker)
 
     @property
     def resilience(self) -> ResilienceStats:
@@ -160,12 +166,6 @@ class HttpClient:
     @property
     def breakers(self) -> BreakerRegistry:
         return self._breakers
-
-    def resilience_snapshot(self) -> dict:
-        """Counters + per-origin breaker trips, for per-execution deltas."""
-        snapshot = self._resilience.as_dict()
-        snapshot["trips_by_origin"] = self._breakers.trips_by_origin()
-        return snapshot
 
     def _semaphore_for(self, origin: str) -> asyncio.Semaphore:
         if origin not in self._semaphores:
@@ -181,6 +181,9 @@ class HttpClient:
         strict: bool = False,
         trace_parent=None,
         revalidate: bool = False,
+        tracer=None,
+        metrics=None,
+        resilience: Optional[ResilienceStats] = None,
     ) -> Response:
         """Fetch a URL through the simulated Web.
 
@@ -196,15 +199,21 @@ class HttpClient:
         ETag is cached): the live-refresh path, where a still-fresh cached
         copy is exactly what must be re-checked against the origin.
 
-        When the client's ``tracer`` is set, the call records a ``fetch``
+        Observers travel with the call: ``tracer`` / ``metrics`` (each
+        falling back to the attribute of the same name) and ``resilience``,
+        a :class:`~repro.net.resilience.ResilienceStats` counted alongside
+        the client's own.  With a tracer, the call records a ``fetch``
         span (nested under ``trace_parent``) with one ``attempt`` child
         per logged request record — identical timestamps, so log and
         trace reconcile exactly — plus ``backoff`` children for retry
         sleeps; all timestamps then come from the tracer's clock.
         """
         origin, _, clean_url = split_url(url)
-        tracer = self.tracer
-        metrics = self.metrics
+        if tracer is None:
+            tracer = self.tracer
+        if metrics is None:
+            metrics = self.metrics
+        counted = (self._resilience,) if resilience is None else (self._resilience, resilience)
         clock = tracer.clock if tracer is not None else time.monotonic
         fetch_span = (
             tracer.begin(
@@ -269,17 +278,23 @@ class HttpClient:
             last_real_response: Optional[Response] = None
             while True:
                 attempt += 1
-                if not breaker.allow():
+                phase = breaker.phase
+                allowed = breaker.allow()
+                if breaker.phase != phase:
+                    _note_transition(origin, phase, breaker.phase, metrics, counted)
+                if not allowed:
                     # Fast-fail: the origin tripped its breaker; don't queue
                     # behind it, and don't retry — the dereferencer may
                     # re-queue the link for after the recovery window.
-                    self._resilience.breaker_fast_fails += 1
+                    for stats in counted:
+                        stats.breaker_fast_fails += 1
                     if metrics is not None:
                         metrics.counter("breaker.fast_fails").inc()
                     started = finished = clock()
                     response = Response(0, {"x-error": "circuit-open"}, b"")
                     break
-                self._resilience.attempts += 1
+                for stats in counted:
+                    stats.attempts += 1
                 if metrics is not None:
                     metrics.counter("http.attempts").inc()
                 semaphore = self._semaphore_for(origin)
@@ -297,7 +312,8 @@ class HttpClient:
                         else:
                             response = await self._internet.dispatch(request)
                     except asyncio.TimeoutError:
-                        self._resilience.timeouts += 1
+                        for stats in counted:
+                            stats.timeouts += 1
                         if metrics is not None:
                             metrics.counter("http.timeouts").inc()
                         response = Response(0, {"x-error": "timeout"}, b"")
@@ -310,7 +326,8 @@ class HttpClient:
                         # ``cap`` bytes and no downstream layer ever holds
                         # the full body.  Permanent — see
                         # ``PERMANENT_ERROR_MARKERS``.
-                        self._resilience.body_cap_aborts += 1
+                        for stats in counted:
+                            stats.body_cap_aborts += 1
                         if metrics is not None:
                             metrics.counter("http.body_cap_aborts").inc()
                         response = Response(
@@ -334,7 +351,8 @@ class HttpClient:
                 if not _is_retryable(response) or attempt >= max_attempts:
                     break
                 if retry.budget and self._resilience.retries >= retry.budget:
-                    self._resilience.budget_exhausted += 1
+                    for stats in counted:
+                        stats.budget_exhausted += 1
                     break
 
                 # -- log the failed attempt, back off, go again ------------
@@ -362,7 +380,8 @@ class HttpClient:
                         error=_error_text(response) or f"HTTP {response.status}",
                         size=len(response.body),
                     )
-                self._resilience.retries += 1
+                for stats in counted:
+                    stats.retries += 1
                 if metrics is not None:
                     metrics.counter("http.retries").inc()
                 backoff = retry.backoff_delay(clean_url, attempt - 1)
@@ -370,7 +389,8 @@ class HttpClient:
                 if retry.respect_retry_after and retry_after:
                     try:
                         backoff = max(backoff, min(float(retry_after), retry.max_retry_after))
-                        self._resilience.retry_after_waits += 1
+                        for stats in counted:
+                            stats.retry_after_waits += 1
                     except ValueError:
                         pass
                 if backoff > 0:
@@ -389,10 +409,13 @@ class HttpClient:
 
             if last_real_response is not None:
                 # Fast-failed requests (no real attempt) carry no health signal.
+                phase = breaker.phase
                 if _is_breaker_failure(last_real_response):
                     breaker.record_failure()
                 else:
                     breaker.record_success()
+                if breaker.phase != phase:
+                    _note_transition(origin, phase, breaker.phase, metrics, counted)
 
             served_from_cache = False
             revalidated = False

@@ -130,7 +130,10 @@ class CircuitBreaker:
     ) -> None:
         self._policy = policy if policy is not None else BreakerPolicy()
         self._clock = clock
-        self._state = self.CLOSED
+        #: The state as last recorded.  Unlike :attr:`state`, reading it
+        #: never moves an expired open breaker to half-open, so a caller can
+        #: compare it around a call to see the transition that call caused.
+        self.phase = self.CLOSED
         self._consecutive_failures = 0
         self._opened_at = 0.0
         self._probes_in_flight = 0
@@ -142,19 +145,19 @@ class CircuitBreaker:
     @property
     def state(self) -> str:
         self._maybe_half_open()
-        return self._state
+        return self.phase
 
     def _set_state(self, new_state: str) -> None:
-        if new_state == self._state:
+        if new_state == self.phase:
             return
-        old_state = self._state
-        self._state = new_state
+        old_state = self.phase
+        self.phase = new_state
         if self.on_transition is not None:
             self.on_transition(old_state, new_state)
 
     def _maybe_half_open(self) -> None:
         if (
-            self._state == self.OPEN
+            self.phase == self.OPEN
             and self._clock() - self._opened_at >= self._policy.recovery_seconds
         ):
             self._set_state(self.HALF_OPEN)
@@ -169,9 +172,9 @@ class CircuitBreaker:
         if not self._policy.enabled:
             return True
         self._maybe_half_open()
-        if self._state == self.CLOSED:
+        if self.phase == self.CLOSED:
             return True
-        if self._state == self.HALF_OPEN:
+        if self.phase == self.HALF_OPEN:
             if self._probes_in_flight < self._policy.half_open_probes:
                 self._probes_in_flight += 1
                 return True
@@ -179,7 +182,7 @@ class CircuitBreaker:
         return False
 
     def record_success(self) -> None:
-        if self._state == self.HALF_OPEN:
+        if self.phase == self.HALF_OPEN:
             self._set_state(self.CLOSED)
         self._consecutive_failures = 0
         self._probes_in_flight = 0
@@ -187,11 +190,11 @@ class CircuitBreaker:
     def record_failure(self) -> None:
         if not self._policy.enabled:
             return
-        if self._state == self.HALF_OPEN:
+        if self.phase == self.HALF_OPEN:
             self._trip()
             return
         self._consecutive_failures += 1
-        if self._state == self.CLOSED and self._consecutive_failures >= self._policy.failure_threshold:
+        if self.phase == self.CLOSED and self._consecutive_failures >= self._policy.failure_threshold:
             self._trip()
 
     def _trip(self) -> None:
@@ -209,28 +212,15 @@ class BreakerRegistry:
         self,
         policy: Optional[BreakerPolicy] = None,
         clock: Callable[[], float] = time.monotonic,
-        on_transition: Optional[Callable[[str, str, str], None]] = None,
     ) -> None:
         self._policy = policy if policy is not None else BreakerPolicy()
         self._clock = clock
         self._breakers: dict[str, CircuitBreaker] = {}
-        #: Observer called with ``(origin, old_state, new_state)``.
-        self.on_transition = on_transition
 
     def for_origin(self, origin: str) -> CircuitBreaker:
         breaker = self._breakers.get(origin)
         if breaker is None:
-            hook = None
-            if self.on_transition is not None:
-                registry = self
-
-                def hook(old: str, new: str, _origin: str = origin) -> None:
-                    if registry.on_transition is not None:
-                        registry.on_transition(_origin, old, new)
-
-            breaker = self._breakers[origin] = CircuitBreaker(
-                self._policy, clock=self._clock, on_transition=hook
-            )
+            breaker = self._breakers[origin] = CircuitBreaker(self._policy, clock=self._clock)
         return breaker
 
     def trips_by_origin(self) -> dict[str, int]:
@@ -278,10 +268,12 @@ class NetworkPolicy:
 
 @dataclass(slots=True)
 class ResilienceStats:
-    """Counters the client maintains across its lifetime.
+    """What the resilience layer had to do: retries, timeouts, trips.
 
-    The engine snapshots these per execution to build the completeness
-    report (see ``ExecutionStats.completeness``).
+    The client keeps one for its lifetime; an execution that wants its
+    own share hands another to each ``HttpClient.fetch`` call, and every
+    event is counted into both — that per-execution instance is what the
+    completeness report (``ExecutionStats.completeness``) is built from.
     """
 
     attempts: int = 0
@@ -293,14 +285,5 @@ class ResilienceStats:
     #: Transfers aborted mid-read because the body exceeded
     #: :attr:`NetworkPolicy.max_response_bytes`.
     body_cap_aborts: int = 0
-
-    def as_dict(self) -> dict:
-        return {
-            "attempts": self.attempts,
-            "retries": self.retries,
-            "timeouts": self.timeouts,
-            "retry_after_waits": self.retry_after_waits,
-            "breaker_fast_fails": self.breaker_fast_fails,
-            "budget_exhausted": self.budget_exhausted,
-            "body_cap_aborts": self.body_cap_aborts,
-        }
+    #: Origin → breaker trips (→ open transitions) these calls caused.
+    trips_by_origin: dict[str, int] = field(default_factory=dict)

@@ -236,7 +236,7 @@ def trace_execution_stats(tracer: Tracer) -> dict:
                 documents_refused += 1
                 kind = span.args.get("refused") or "unknown"
                 refusals_by_kind[kind] = refusals_by_kind.get(kind, 0) + 1
-            else:
+            elif outcome != "over-bound":  # in flight as max_documents filled: uncounted
                 documents_failed += 1
                 if outcome == "retried":
                     documents_retried += 1

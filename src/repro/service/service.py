@@ -22,6 +22,10 @@ queries — concurrently, with admission control — against them:
   source, pipeline, and stats; only the client, caches, and
   parsed-document store are shared — which is exactly what makes warm
   queries fast without letting one query's state leak into another's.
+  That covers the books too: a query's tracer and metrics are handed to
+  the shared client per fetch (it holds neither), and retries, timeouts
+  and breaker trips are counted into the execution that caused them, so
+  ``completeness()`` describes that query and no neighbour.
 
 The handle (:class:`ServiceQuery`), the standing-query handle
 (:class:`ServiceSubscription`) and the registry / counter / status body

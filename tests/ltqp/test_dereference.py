@@ -75,6 +75,12 @@ class TestDereference:
         first = asyncio.run(dereferencer.dereference("https://h/d1"))
         second = asyncio.run(dereferencer.dereference("https://h/d2"))
         assert first.triples[0].subject != second.triples[0].subject
+        # ... and stable per document: another dereferencer (a later
+        # service lifetime, another shard worker) labels it identically.
+        other = Dereferencer(HttpClient(internet, latency=NoLatency()))
+        asyncio.run(other.dereference("https://h/d2"))  # a different parse order
+        again = asyncio.run(other.dereference("https://h/d1"))
+        assert again.triples == first.triples
 
     def test_auth_headers_forwarded(self):
         from repro.net import FunctionApp, Request, Response

@@ -175,7 +175,9 @@ class TestConfiguration:
 
     def test_priority_queue_factory(self, world):
         internet, pod1, _ = world
-        engine = engine_for(internet, queue_factory=queue_factory_for("priority"))
+        engine = engine_for(
+            internet, config=EngineConfig(traversal=TraversalPolicy(queue_policy="priority"))
+        )
         query = SNB + f"SELECT ?c WHERE {{ ?m snvoc:hasCreator <{pod1.webid}> ; snvoc:content ?c }}"
         assert len(engine.query(query).run_sync()) == 2
 
@@ -211,7 +213,10 @@ class TestServiceOrientedEngine:
             engine = engine_for(internet, config=EngineConfig(traversal=TraversalPolicy(queue_policy=policy)))
             assert len(engine.query(query).run_sync()) == 2
 
-    def test_explicit_queue_factory_beats_policy(self, world):
+    def test_registered_policy_is_the_queue_the_run_uses(self, world, monkeypatch):
+        """``QUEUE_POLICIES`` is the one way to choose — and to add — a queue."""
+        from repro.ltqp import QUEUE_POLICIES
+
         internet, pod1, _ = world
         made = []
 
@@ -220,14 +225,15 @@ class TestServiceOrientedEngine:
             made.append(queue)
             return queue
 
+        monkeypatch.setitem(QUEUE_POLICIES, "recording", factory)
         engine = engine_for(
-            internet,
-            queue_factory=factory,
-            config=EngineConfig(traversal=TraversalPolicy(queue_policy="lifo")),
+            internet, config=EngineConfig(traversal=TraversalPolicy(queue_policy="recording"))
         )
         query = SNB + f"SELECT ?c WHERE {{ ?m snvoc:hasCreator <{pod1.webid}> ; snvoc:content ?c }}"
-        assert len(engine.query(query).run_sync()) == 2
-        assert made  # the explicit factory was used, not the policy
+        execution = engine.query(query).run_sync()
+        assert len(execution) == 2
+        (queue,) = made  # the registered factory built this run's queue
+        assert execution.stats.links_queued == queue.pushed_total
 
     def test_injected_dereferencer_is_used(self, world):
         from repro.ltqp.dereference import Dereferencer

@@ -63,6 +63,60 @@ class TestMaxResults:
             assert bounded.stats.result_count == min(cap, total)
 
 
+class TestMaxDocuments:
+    def test_refused_document_is_neither_counted_nor_link_extracted(
+        self, tiny_universe, monkeypatch
+    ):
+        """Workers in flight when ``max_documents`` fills still deliver
+        their documents; the bound turns those away *whole* — not ingested,
+        not counted as fetched or from-store, and not mined for links."""
+        import asyncio
+
+        from repro.ltqp import QUEUE_POLICIES, LinkQueue
+        from repro.net.cache import HttpCache
+        from repro.obs import Tracer, trace_execution_stats
+        from repro.service import QueryService, SharedResources
+
+        pushed = []
+
+        class RecordingQueue(LinkQueue):
+            def push(self, link):
+                pushed.append(link)
+                return super().push(link)
+
+        monkeypatch.setitem(QUEUE_POLICIES, "recording", lambda context: RecordingQueue())
+        # Warm store + always-stale HTTP cache: every document is a 304
+        # revalidation the workers await concurrently, then a store hit.
+        resources = SharedResources.for_universe(
+            tiny_universe,
+            latency=ConstantLatency(rtt_seconds=0.001),
+            http_cache=HttpCache(default_max_age=0),
+        )
+        service = QueryService(
+            resources,
+            config=EngineConfig(traversal=TraversalPolicy(queue_policy="recording")),
+        )
+        query = discover_query(tiny_universe, 1, 5)
+        tracer = Tracer()
+
+        async def scenario():
+            await service.run(query.text, seeds=query.seeds)  # fill the store
+            pushed.clear()
+            return await service.run(
+                query.text, seeds=query.seeds, max_documents=5, tracer=tracer
+            )
+
+        stats = asyncio.run(scenario()).stats
+        assert 0 < stats.documents_from_store <= stats.documents_fetched <= 5
+        spans = [span for span in tracer.spans if span.name == "dereference"]
+        refused = {s.args["url"] for s in spans if s.args["outcome"] == "over-bound"}
+        assert refused, "scenario must overshoot: several workers in flight at the bound"
+        assert not [link for link in pushed if link.parent_url in refused]
+        derived = trace_execution_stats(tracer)
+        assert derived["documents_fetched"] == stats.documents_fetched
+        assert derived["documents_failed"] == stats.documents_failed == 0
+
+
 class TestMaxDuration:
     def test_deadline_cuts_traversal_short(self, tiny_universe):
         query = discover_query(tiny_universe, 8, 1)  # multi-pod, many fetches
@@ -88,12 +142,10 @@ class TestMaxDuration:
 class TestQueueDisciplines:
     def test_lifo_answers_match_fifo(self, tiny_universe):
         query = discover_query(tiny_universe, 1, 1)
-        client = tiny_universe.client(latency=NoLatency())
-        fifo = LinkTraversalEngine(client, queue_factory=queue_factory_for("fifo")).query(
+        fifo = make_engine(tiny_universe, queue_policy="fifo").query(
             query.text, seeds=query.seeds
         ).run_sync()
-        client2 = tiny_universe.client(latency=NoLatency())
-        lifo = LinkTraversalEngine(client2, queue_factory=queue_factory_for("lifo")).query(
+        lifo = make_engine(tiny_universe, queue_policy="lifo").query(
             query.text, seeds=query.seeds
         ).run_sync()
         assert set(fifo.bindings) == set(lifo.bindings)

@@ -369,6 +369,38 @@ class TestLiveQuery:
 
         asyncio.run(run())
 
+    def test_traced_refresh_owns_its_fetch_and_parse(self, live_universe):
+        """The refresh is handed the standing query's tracer with the call:
+        its conditional refetch and re-parse nest under the ``refresh``
+        span instead of vanishing (or landing in whichever tracer some
+        other execution last left on the shared client)."""
+        from repro.obs import Tracer, check_trace_invariants
+
+        async def run():
+            pod = next(iter(live_universe.pods.values()))
+            tracer = Tracer()
+            live = LiveQuery(
+                live_universe.fast_engine(),
+                name_query(pod),
+                seeds=[pod.profile_url],
+                tracer=tracer,
+            )
+            await live.start()
+            await patch_document(
+                live_universe,
+                pod.profile_url,
+                rename_update(pod.webid, pod.owner_name, "Renamed"),
+            )
+            assert len(await live.refresh(pod.profile_url)) == 2
+            return tracer
+
+        tracer = asyncio.run(run())
+        (refresh,) = [span for span in tracer.spans if span.name == "refresh"]
+        children = {child.name: child for child in refresh.children}
+        assert {"fetch", "parse", "apply-batch"} <= set(children)
+        assert [child.name for child in children["fetch"].children] == ["attempt"]
+        assert check_trace_invariants(tracer) == []
+
     def test_unchanged_refresh_is_silent(self, live_universe):
         async def run():
             pod = next(iter(live_universe.pods.values()))

@@ -1,11 +1,17 @@
 """Tests for the unified engine.query() API and the EngineConfig split."""
 
+import ast
 import asyncio
+import dataclasses
+import inspect
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.ltqp import (
     EngineConfig,
+    ExecutionResult,
     LinkTraversalEngine,
     NetworkPolicy,
     QueryExecution,
@@ -96,6 +102,70 @@ class TestQueryExecution:
         internet, pod1, _ = world
         execution = engine_for(internet).query(self.query_text(pod1)).run_sync()
         assert execution.seeds == [pod1.webid]
+
+
+class TestOneHome:
+    """Per-execution state lives on the ``QueryExecution``: nothing is
+    threaded through long parameter lists, parked on a shared object, or
+    handed out through the result value."""
+
+    def test_execution_result_is_the_plain_value_that_crosses_the_pipe(self):
+        fields = {field.name for field in dataclasses.fields(ExecutionResult)}
+        assert fields == {"query", "results", "stats", "seeds"}
+
+    def test_no_private_engine_function_threads_state_or_sprawls(self):
+        from repro.ltqp import engine
+
+        functions = [
+            (name, value)
+            for name, value in vars(engine).items()
+            if inspect.isfunction(value) and value.__module__ == engine.__name__
+        ]
+        for cls in vars(engine).values():
+            if inspect.isclass(cls) and cls.__module__ == engine.__name__:
+                functions += [
+                    (f"{cls.__name__}.{name}", getattr(value, "__func__", value))
+                    for name, value in vars(cls).items()
+                    if inspect.isfunction(getattr(value, "__func__", value))
+                ]
+        # Written in the file, that is — not a dataclass-generated ``__init__``.
+        functions = [
+            (name, function)
+            for name, function in functions
+            if function.__code__.co_filename == engine.__file__
+        ]
+        for name, function in functions:
+            assert len(inspect.getsourcelines(function)[0]) <= 100, name
+            private = name.rsplit(".", 1)[-1].startswith("_") and not name.endswith("__")
+            if private:
+                parameters = [p for p in inspect.signature(function).parameters if p != "self"]
+                assert len(parameters) <= 4, (name, parameters)
+        # The walk really saw the module, the former offenders' heirs included.
+        assert {"QueryExecution._stream", "QueryExecution._process_link"} <= dict(functions).keys()
+
+    def test_shared_objects_are_never_assigned_an_observer(self):
+        """Observers travel with the call: the only ``.tracer`` / ``.metrics``
+        / ``.max_parse_bytes`` attributes ever assigned are an object's own."""
+        source_root = Path(repro.__file__).parent
+        parked, pokes = [], []
+        for path in sorted((source_root / "ltqp").glob("*.py")) + sorted(
+            (source_root / "service").glob("*.py")
+        ):
+            text = path.read_text(encoding="utf-8")
+            if "_trace_parent" in text and path.name not in ("pipeline.py", "adaptive.py"):
+                pokes.append(path.name)
+            for node in ast.walk(ast.parse(text)):
+                if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    for target in targets:
+                        if (
+                            isinstance(target, ast.Attribute)
+                            and target.attr in ("tracer", "metrics", "max_parse_bytes")
+                            and not (isinstance(target.value, ast.Name) and target.value.id == "self")
+                        ):
+                            parked.append(f"{path.name}:{node.lineno}")
+        assert parked == []
+        assert pokes == []
 
 
 class TestRemovedEntryPoints:

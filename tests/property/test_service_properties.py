@@ -5,7 +5,10 @@ plan, running them concurrently through one :class:`QueryService` —
 sharing one client, HTTP cache, and parsed-document store — must yield,
 per query, exactly the result multiset of a serial fault-free run.
 Faults stay masked by retries, and no shared state leaks between
-concurrent executions.
+concurrent executions — not into each other's answers, and not into each
+other's books either: a traced query's span tree holds its own fetches
+and nobody else's, the shared client is left holding no observer, and
+every retry the client made is in exactly one query's statistics.
 """
 
 import asyncio
@@ -17,10 +20,11 @@ from repro.ltqp import EngineConfig, NetworkPolicy
 from repro.net import NoLatency
 from repro.net.faults import FaultPlan
 from repro.net.resilience import RetryPolicy
+from repro.obs import Tracer
 from repro.service import QueryService, SharedResources
 from repro.solidbench import discover_query
 
-_SERIAL_BASELINES: dict[tuple[int, int], list[str]] = {}
+_SERIAL_BASELINES: dict[tuple[int, int], tuple[list[str], int]] = {}
 
 
 def _network() -> NetworkPolicy:
@@ -29,13 +33,17 @@ def _network() -> NetworkPolicy:
     )
 
 
-def serial_baseline(universe, template: int) -> list[str]:
+def serial_baseline(universe, template: int) -> tuple[list[str], int]:
+    """A query's solo, fault-free run: its sorted bindings and request count."""
     key = (id(universe), template)
     if key not in _SERIAL_BASELINES:
         named = discover_query(universe, template, 5)
         engine = universe.fast_engine(config=EngineConfig(network=_network()))
         execution = engine.query(named.text, seeds=named.seeds).run_sync()
-        _SERIAL_BASELINES[key] = sorted(repr(b) for b in execution.bindings)
+        _SERIAL_BASELINES[key] = (
+            sorted(repr(b) for b in execution.bindings),
+            len(engine.client.log.records),
+        )
     return _SERIAL_BASELINES[key]
 
 
@@ -67,10 +75,14 @@ def test_concurrent_service_matches_serial_runs(
             max_concurrent=len(templates),
         )
         queries = [discover_query(tiny_universe, t, 5) for t in templates]
+        tracer = Tracer()  # the first query is traced, its neighbours are not
 
         async def scenario():
             handles = [
-                service.submit(named.text, seeds=named.seeds) for named in queries
+                service.submit(
+                    named.text, seeds=named.seeds, tracer=None if index else tracer
+                )
+                for index, named in enumerate(queries)
             ]
             return await asyncio.gather(*(h.wait() for h in handles))
 
@@ -80,7 +92,26 @@ def test_concurrent_service_matches_serial_runs(
 
     for template, result in zip(templates, results):
         got = sorted(repr(timed.binding) for timed in result.results)
-        assert got == serial_baseline(tiny_universe, template), (
+        assert got == serial_baseline(tiny_universe, template)[0], (
             f"concurrent Discover {template} diverged from its serial run"
         )
     assert service.completed == len(templates)
+
+    # No bleed through the shared client: the traced query's fetch spans
+    # are its own (each under one of its dereferences, as many as it makes
+    # when run alone — masked faults add attempts, not fetches) ...
+    by_id = {span.span_id: span for span in tracer.spans}
+    fetches = [span for span in tracer.spans if span.name == "fetch"]
+    assert all(
+        span.parent_id in by_id and by_id[span.parent_id].name == "dereference"
+        for span in fetches
+    ), "a neighbour's fetch landed in the traced query's span tree"
+    assert len(fetches) == serial_baseline(tiny_universe, templates[0])[1]
+    # ... the client is left holding nobody's observers ...
+    assert resources.client.tracer is None
+    assert resources.client.metrics is None
+    # ... and each retry, timeout and fast-fail belongs to exactly one query.
+    lifetime = resources.client.resilience
+    assert sum(r.stats.http_retries for r in results) == lifetime.retries
+    assert sum(r.stats.http_timeouts for r in results) == lifetime.timeouts
+    assert sum(r.stats.breaker_fast_fails for r in results) == lifetime.breaker_fast_fails

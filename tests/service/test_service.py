@@ -311,6 +311,44 @@ class TestEngineSharing:
         assert resources.client.policy is policy_before
 
 
+class TestNoBleedBetweenQueries:
+    """A query's ``completeness()`` is about that query: retries the shared
+    client spends on a neighbour's flaky pod are the neighbour's."""
+
+    def _run(self, universe, persons):
+        """Discover 1 for each of ``persons`` at once, over one service
+        whose first person's pod answers every URL's first request 503."""
+        from repro.net import ConstantLatency
+        from repro.net.faults import FaultPlan, FaultRule
+
+        flaky_pod = universe.pods[0].base_url
+        universe.internet.install_fault_plan(
+            FaultPlan([FaultRule(kind="status", url_pattern=flaky_pod, fail_attempts=1)])
+        )
+        try:
+            resources = SharedResources.for_universe(
+                universe, latency=ConstantLatency(rtt_seconds=0.001)
+            )
+            service = QueryService(resources, max_concurrent=len(persons))
+            queries = [discover_query(universe, 1, 5, person_index=p) for p in persons]
+
+            async def scenario():
+                handles = [service.submit(q.text, seeds=q.seeds) for q in queries]
+                return await asyncio.gather(*(h.wait() for h in handles))
+
+            return asyncio.run(scenario())
+        finally:
+            universe.internet.install_fault_plan(None)
+
+    def test_healthy_pod_query_reports_no_foreign_retries(self, tiny_universe):
+        (alone,) = self._run(tiny_universe, [1])
+        faulted, beside = self._run(tiny_universe, [0, 1])
+        assert faulted.stats.http_retries > 0  # the fault did fire, next door
+        assert alone.stats.completeness()["http_retries"] == 0
+        assert beside.stats.completeness() == alone.stats.completeness()
+        assert bindings_of(beside) == bindings_of(alone)
+
+
 class TestShutdownErrorSurfacing:
     """Teardown exceptions must not fail queries — but they must not be
     silently swallowed either: they surface query-tagged in

@@ -198,6 +198,48 @@ class TestHttpCacheRestart:
             backend.close()
 
 
+class TestBlankNodesAcrossLifetimes:
+    """A document restored from the store and one parsed fresh in a later
+    lifetime must not share blank-node labels: the label namespace is a
+    function of the document URL, not of a per-process parse counter."""
+
+    QUERY = (
+        'SELECT ?s WHERE { ?s <https://h.example/p> "a" . ?s <https://h.example/p> "b" }'
+    )
+
+    def _lifetime(self, internet, store_path, seeds):
+        import asyncio
+
+        from repro.net import NoLatency
+        from repro.service import QueryService, SharedResources
+
+        resources = SharedResources(internet, latency=NoLatency(), store_path=store_path)
+        try:
+            service = QueryService(resources)
+            return asyncio.run(service.run(self.QUERY, seeds=seeds))
+        finally:
+            resources.close()
+
+    def test_restored_and_fresh_documents_do_not_share_labels(self, tmp_path):
+        from repro.net import Internet, StaticApp
+
+        app = StaticApp()
+        app.put("/a", '_:x <https://h.example/p> "a" .')
+        app.put("/b", '_:x <https://h.example/p> "b" .')
+        internet = Internet()
+        internet.register("https://h.example", app)
+        seeds = ["https://h.example/a", "https://h.example/b"]
+        store_path = str(tmp_path / "store.sqlite")
+
+        one_lifetime = self._lifetime(internet, str(tmp_path / "other.sqlite"), seeds)
+        assert one_lifetime.bindings == []  # two documents, two distinct nodes
+
+        self._lifetime(internet, store_path, seeds[:1])  # lifetime 1 stores /a
+        second = self._lifetime(internet, store_path, seeds)  # restores /a, parses /b
+        assert second.stats.documents_from_store == 1
+        assert second.bindings == []
+
+
 class TestAdoptParity:
     """Satellite 1: HttpCache now has the entries()/adopt() shape."""
 
