@@ -658,8 +658,12 @@ def main(argv: Optional[list[str]] = None) -> int:
             f"retries={log.retry_count()}",
             file=sys.stderr,
         )
-        completeness = execution.stats.completeness()
-        print(f"# completeness: {json.dumps(completeness)}", file=sys.stderr)
+        stats = execution.stats
+        print(
+            f"# triples discovered={stats.triples_discovered} stored={stats.triples_stored}",
+            file=sys.stderr,
+        )
+        print(f"# completeness: {json.dumps(stats.completeness())}", file=sys.stderr)
     return 0
 
 

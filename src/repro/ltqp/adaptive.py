@@ -11,8 +11,10 @@ cardinalities, and when the running join order is badly wrong, *replan* —
 recompile the pipeline with a cardinality-informed order and replay the
 (locally stored) traversal log through it.  The replay re-derives answers
 that were already delivered, so only its surplus over them is passed on;
-replay is cheap because LTQP keeps all fetched triples in the growing
-source.
+replay is possible because the growing source keeps every fetched triple
+the plan can read — and that *read set* is a function of the query, not of
+the join order, so a replanned pipeline finds in the source exactly what
+its predecessor did.
 
 Restriction: replanning applies per BGP — always *below* the plan's
 blocking boundary (BGP join trees are the monotonic feet of the plan;
@@ -142,6 +144,11 @@ class AdaptivePipeline:
         plans.
         """
         return self._pipeline.router
+
+    @property
+    def read_set(self):
+        """What the plan can read (the same for every join order)."""
+        return self._pipeline.read_set
 
     @property
     def blocking_nodes(self):

@@ -392,7 +392,6 @@ class QueryExecution:
             # Opened before the seeds enqueue so their stamps nest inside.
             self._traversal_span = tracer.begin("traversal", parent=self._query_span)
 
-        self.source = GrowingTripleSource()
         policy_context = QueuePolicyContext(
             query=context, hints=self.selector.hints if self.selector is not None else None
         )
@@ -410,6 +409,8 @@ class QueryExecution:
         # sibling links promoted.
         self._note_contribution = getattr(queue, "note_result_contribution", None)
         self.pipeline = self._compile()
+        # The source keeps what the plan can read and nothing else.
+        self.source = GrowingTripleSource(self.pipeline.read_set)
         self.dereferencer = self._engine._resolve_dereferencer(policy)
 
     def _compile(self):
@@ -510,16 +511,17 @@ class QueryExecution:
             await asyncio.sleep(interval)
             self._flush()
 
-    def _ingest(self, result: DereferenceResult) -> bool:
-        """Admit one dereferenced document into the source and pipeline;
-        ``False`` when the hard document bound turns it away."""
-        stats = self.stats
+    def _ingest(self, result: DereferenceResult) -> Optional[int]:
+        """Admit one dereferenced document into the source and pipeline:
+        how many of its quads the plan reads and the source therefore
+        kept, or ``None`` when the hard document bound turns it away."""
+        stats, source = self.stats, self.source
         # Hard document bound: concurrent workers may all pass the pre-fetch
         # check, but only the first max_documents results are admitted.
         doc_limit = self._policy.max_documents
-        if doc_limit and self.source.document_count >= doc_limit:
+        if doc_limit and source.document_count >= doc_limit:
             self._stop.set()
-            return False
+            return None
         if self.selector is not None:
             # Absorb declarations (hints, specs, admitted origins) *before*
             # the pipeline and link extraction see the document, so its own
@@ -527,18 +529,20 @@ class QueryExecution:
             # admitted origins release their parked links back into the queue.
             for released in self.selector.absorb_document(result.url, result.triples):
                 self.queue.requeue(released)
-        added = self.source.add_document(result.url, result.triples)
-        stats.triples_discovered += added
+        kept = source.add_document(result.url, result.triples)
+        stats.triples_discovered = source.triples_discovered
+        stats.triples_stored += kept
         stats.documents_fetched += 1
         if result.from_store:
             stats.documents_from_store += 1
-        if added:
-            self._pending_quads += added
+        if kept:
+            self._pending_quads += kept
             # Flush per document until the first result (TTFR protection),
-            # then coalesce small documents up to the batch threshold.
+            # then coalesce small documents up to the batch threshold.  A
+            # document that kept nothing costs no pipeline pass either way.
             if stats.result_count == 0 or self._pending_quads >= self._batch_quads:
                 self._flush()
-        return True
+        return kept
 
     # -- the run -----------------------------------------------------------
 
@@ -618,6 +622,7 @@ class QueryExecution:
         if metrics is not None:
             metrics.counter("documents.fetched").inc(stats.documents_fetched)
             metrics.counter("triples.discovered").inc(stats.triples_discovered)
+            metrics.counter("triples.stored").inc(stats.triples_stored)
             metrics.counter("results.emitted").inc(stats.result_count)
             if stats.total_time > 0:
                 metrics.gauge("triples.per_s").set(stats.triples_discovered / stats.total_time)
@@ -727,11 +732,12 @@ class QueryExecution:
             return "refused", {"refused": result.refused, "error": result.error}
         if not result.ok:
             return self._give_up(link, result), {"error": result.error}
-        if not self._ingest(result):
+        kept = self._ingest(result)
+        if kept is None:
             # Fetched by a concurrent worker while the document bound
             # filled: neither counted nor link-extracted.
             return "over-bound", {}
-        detail = {"triples": len(result.triples)}
+        detail = {"triples": len(result.triples), "kept": kept}
         if result.from_store:
             detail["from_store"] = True
         if policy.max_depth and link.depth >= policy.max_depth:

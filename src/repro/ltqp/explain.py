@@ -3,7 +3,8 @@
 Renders what the engine will do before it does it: the algebra tree, the
 compiled physical operator tree with the *blocking boundary* marked
 (which operators stream during traversal and which hold output for the
-quiescence finalize pass), the zero-knowledge BGP join order with
+quiescence finalize pass), the plan's read set (what the growing source
+keeps of each document), the zero-knowledge BGP join order with
 per-pattern scores, the seed URLs, and the extractor stack — the
 observability counterpart to Comunica's ``--explain`` flag.
 """
@@ -216,6 +217,15 @@ def explain_plan(
             )
         )
     )
+
+    # What the growing source keeps of each dereferenced document.
+    if pipeline.read_set is None:
+        askers = ", ".join(dict.fromkeys(pipeline.router.wildcards))
+        sections.append(f"reads: everything ({askers})")
+    else:
+        reads = sorted(predicate.value for predicate in pipeline.read_set)
+        sections.append(f"reads: {len(reads)} predicate{'s' if len(reads) != 1 else ''}")
+        sections.extend(f"  {iri}" for iri in reads)
 
     sections.append("seeds:")
     for seed in seed_list:

@@ -11,8 +11,11 @@ cap; nothing is copied out of it), and keeps the result multiset current:
 * :meth:`refresh` re-dereferences one document *through the execution*
   (so the refetch and re-parse land in its tracer) with ``revalidate=True``
   (a conditional request that bypasses HTTP-cache freshness), diffs the
-  new parse against the document's named graph in the growing source,
-  and feeds the resulting *signed* delta through
+  part of the new parse the plan can read against the document's named
+  graph in the growing source (which holds nothing else: a standing
+  query keeps the quads its operators can match, not the pods it
+  crawled, and an edit that touches none of them appends nothing to the
+  signed log), and feeds the resulting *signed* delta through
   :meth:`~repro.ltqp.pipeline.Pipeline.poll_changes`;
 * :meth:`notify` buffers change notifications (e.g. from a
   :class:`~repro.solid.server.SolidServer` change listener) that
@@ -254,8 +257,10 @@ class LiveQuery(ChangeFeed):
 
         Forces a conditional request (``revalidate=True``): an unchanged
         document costs a 304 and produces no events; a changed one is
-        re-parsed, diffed against its named graph in the growing source,
-        and the signed delta is pushed through the pipeline.  A document
+        re-parsed, the triples the plan reads are diffed against its named
+        graph in the growing source, and the signed delta is pushed
+        through the pipeline (``unchanged`` when the edit touched nothing
+        the plan reads).  A document
         that has gone away (404/410) is treated as now-empty; any other
         failure leaves the standing results untouched.
         """

@@ -42,11 +42,15 @@ is where streaming stops: below it, deltas flow and results reach the user
 mid-traversal; on and above it, ``Pipeline.finalize`` releases at
 quiescence.  A plan with no blocking nodes streams everything.
 
-Delta dispatch is *predicate-routed*: at compile time every scan registers
-its concrete predicate with the pipeline's :class:`DeltaRouter`; each
-feed buckets the incoming quads once by predicate (:class:`DeltaBatch`)
-and every scan then reads only its own bucket — wildcard-predicate scans
-get the full delta.
+Delta dispatch is *predicate-routed*: at compile time every node that
+reads quads — a scan or path leaf off the delta, an EXISTS pattern or a
+DESCRIBE off the dataset itself — registers the predicates it can match
+with the pipeline's :class:`DeltaRouter`; each feed buckets the incoming
+quads once by predicate (:class:`DeltaBatch`) and every scan then reads
+only its own bucket — wildcard-predicate scans get the full delta.  The
+same registrations are the plan's *read set* (:attr:`Pipeline.read_set`):
+the growing source stores the quads in it and nothing else, so a read
+that is not registered is a wrong answer, not a slow one.
 
 EXISTS inside expressions is evaluated against the *current* dataset
 through :class:`CurrentDatasetExists`, which lends the snapshot
@@ -78,6 +82,7 @@ from ..sparql.aggregates import (
 from ..sparql.algebra import (
     BGP,
     AggregateExpr,
+    AlternativePath,
     And,
     Arithmetic,
     Compare,
@@ -89,10 +94,13 @@ from ..sparql.algebra import (
     GraphOp,
     GroupBy,
     InExpr,
+    InversePath,
     Join,
     LeftJoin,
     Minus,
+    NegatedPropertySet,
     Not,
+    OneOrMorePath,
     Operator,
     Or,
     OrderBy,
@@ -101,6 +109,7 @@ from ..sparql.algebra import (
     Project,
     Query,
     Reduced,
+    SequencePath,
     Slice,
     SubSelect,
     UnaryMinus,
@@ -108,7 +117,10 @@ from ..sparql.algebra import (
     Union,
     ValuesOp,
     VariableExpr,
+    ZeroOrMorePath,
+    ZeroOrOnePath,
     expression_contains_exists,
+    is_monotonic,
     operator_children,
     operator_variables,
 )
@@ -219,38 +231,60 @@ _QUIESCENT = DeltaBatch((), frozenset())
 
 
 class DeltaRouter:
-    """Compile-time registry of the (predicate, graph) keys scans listen on.
+    """Compile-time registry of what a compiled plan can read.
 
-    The router lives at the :class:`Pipeline` root.  Scans register
-    themselves while the pipeline is built (and re-register automatically
-    when the adaptive engine recompiles, because recompiling constructs a
-    fresh ``Pipeline`` and therefore a fresh router).  Per feed it wraps
-    the raw delta in a :class:`DeltaBatch` restricted to the registered
-    predicates.
+    The router lives at the :class:`Pipeline` root.  Every node that reads
+    quads — a scan or path leaf off the delta, an EXISTS pattern or a
+    DESCRIBE off the dataset itself — registers the predicates it can
+    match while the pipeline is built (and re-registers automatically when
+    the adaptive engine recompiles, because recompiling constructs a fresh
+    ``Pipeline`` and therefore a fresh router).  Two things are derived
+    from the registrations: per feed, :meth:`batch` wraps the raw delta in
+    a :class:`DeltaBatch` restricted to the registered predicates; and
+    :attr:`read_set` tells the growing source which quads are worth
+    keeping at all.
     """
 
-    __slots__ = ("_predicates", "wildcard_listeners", "_frozen")
+    __slots__ = ("_predicates", "wildcards", "_frozen")
 
     def __init__(self) -> None:
         self._predicates: set = set()
-        #: How many listeners asked for every quad.
-        self.wildcard_listeners = 0
+        #: Who asked for every quad (node class names, registration order).
+        self.wildcards: list[str] = []
         self._frozen: Optional[frozenset] = None
 
-    def register(self, predicate: Optional[Term]) -> None:
-        """Declare a listener; ``None`` means wildcard (gets every quad)."""
+    def register(self, predicate: Optional[Term], listener: object = None) -> None:
+        """Declare a read; ``None`` means wildcard (any quad can match)."""
         if predicate is None:
-            self.wildcard_listeners += 1
+            self.wildcards.append(type(listener).__name__)
         else:
             self._predicates.add(predicate)
         self._frozen = None
 
+    def register_reads(self, reads: Optional[Iterable[Term]], listener: object = None) -> None:
+        """Declare everything one listener reads (``None`` = wildcard)."""
+        for predicate in (None,) if reads is None else reads:
+            self.register(predicate, listener)
+
+    @property
+    def wildcard_listeners(self) -> int:
+        """How many listeners asked for every quad."""
+        return len(self.wildcards)
+
     @property
     def predicates(self) -> frozenset:
-        """The concrete predicates any scan listens on."""
+        """The concrete predicates any listener reads."""
         if self._frozen is None:
             self._frozen = frozenset(self._predicates)
         return self._frozen
+
+    @property
+    def read_set(self) -> Optional[frozenset]:
+        """The predicates of every quad the plan can read; ``None`` = all.
+
+        A function of the query alone (join order never changes it), so
+        the growing source is handed it once per execution."""
+        return None if self.wildcards else self.predicates
 
     def batch(self, quads: Sequence[Quad], sign: int = 1) -> DeltaBatch:
         """Wrap one feed's delta for routed dispatch."""
@@ -492,7 +526,7 @@ class ScanNode(IncrementalNode):
         self._graph_variable = graph if isinstance(graph, Variable) else None
 
     def register(self, router: DeltaRouter) -> None:
-        router.register(self._p)
+        router.register(self._p, self)
 
     def _changes(self, delta: DeltaBatch, dataset: Dataset) -> list[Change]:
         quads = delta.for_predicate(self._p) if self._p is not None else delta.quads
@@ -558,19 +592,21 @@ class PathScanNode(IncrementalNode):
         super().__init__(frozenset(pattern.variables()))
         self._pattern = pattern
         self._graph = graph if isinstance(graph, NamedNode) else None
-        self._relevant = path_predicates(pattern.path)
-        self._negated = _is_negated(pattern.path)
+        #: Predicates whose quads can change the answer; ``None`` = any quad.
+        self._reads = _path_reads(pattern)
         self._emitted: dict[tuple[Term, Term], None] = {}
 
     def register(self, router: DeltaRouter) -> None:
-        if self._negated or not self._relevant:
-            router.register(None)  # negated sets can match any predicate
-        else:
-            for predicate in self._relevant:
-                router.register(predicate)
+        router.register_reads(self._reads, self)
 
     def _changes(self, delta: DeltaBatch, dataset: Dataset) -> list[Change]:
-        if not delta.quads or not (self._negated or delta.touches(self._relevant)):
+        if delta is _QUIESCENT:
+            # ``<a> p* ?y`` holds for ``?y = <a>`` over any graph, an empty
+            # one included: a scan that has emitted nothing may never have
+            # been handed a relevant quad to say so.
+            if self._emitted:
+                return []
+        elif not delta.quads or not (self._reads is None or delta.touches(self._reads)):
             return []
         graph = dataset.union if self._graph is None else dataset.get_graph(self._graph)
         if graph is None:
@@ -611,16 +647,6 @@ class PathScanNode(IncrementalNode):
 
 
 def _is_negated(path) -> bool:
-    from ..sparql.algebra import (
-        AlternativePath,
-        InversePath,
-        NegatedPropertySet,
-        OneOrMorePath,
-        SequencePath,
-        ZeroOrMorePath,
-        ZeroOrOnePath,
-    )
-
     if isinstance(path, NegatedPropertySet):
         return True
     if isinstance(path, (InversePath, ZeroOrMorePath, OneOrMorePath, ZeroOrOnePath)):
@@ -630,6 +656,40 @@ def _is_negated(path) -> bool:
     if isinstance(path, AlternativePath):
         return any(_is_negated(option) for option in path.options)
     return False
+
+
+def _matches_empty(path) -> bool:
+    """Whether the path admits the zero-length walk (``p*``, ``p?`` and
+    whatever sequences / alternatives / closures reduce to them)."""
+    if isinstance(path, (ZeroOrMorePath, ZeroOrOnePath)):
+        return True
+    if isinstance(path, (InversePath, OneOrMorePath)):
+        return _matches_empty(path.path)
+    if isinstance(path, SequencePath):
+        return all(_matches_empty(step) for step in path.steps)
+    if isinstance(path, AlternativePath):
+        return any(_matches_empty(option) for option in path.options)
+    return False
+
+
+def _path_reads(pattern: PathPattern) -> Optional[frozenset]:
+    """The predicates of the quads a path pattern's answer depends on, or
+    ``None`` when that is every quad.
+
+    A negated property set matches any predicate outside it.  A path that
+    admits the empty walk relates *every node of the graph* to itself
+    unless an endpoint pins it (``<a> p* ?y`` starts at ``<a>`` whether or
+    not the graph mentions it), so with two variable endpoints any quad —
+    whatever its predicate — contributes its subject and object.
+    """
+    path = pattern.path
+    pinned = any(
+        end is not None and not isinstance(end, Variable)
+        for end in (pattern.subject, pattern.object)
+    )
+    if _is_negated(path) or (_matches_empty(path) and not pinned):
+        return None
+    return frozenset(path_predicates(path))
 
 
 class ValuesNode(IncrementalNode):
@@ -781,11 +841,7 @@ class ExistsFilterNode(IncrementalNode):
         super().register(router)
         # The EXISTS pattern's predicates matter even when no scan wants
         # them: a delta carrying one can flip waiting bindings to passing.
-        if self._exists_predicates is None:
-            router.register(None)
-        else:
-            for predicate in self._exists_predicates:
-                router.register(predicate)
+        router.register_reads(self._exists_predicates, self)
 
     def _changes(self, delta: DeltaBatch, dataset: Dataset, changes: list[Change]) -> list[Change]:
         candidates = self._candidates
@@ -836,7 +892,10 @@ def _exists_eagerly_emittable(expression) -> bool:
     if not expression_contains_exists(expression):
         return True  # dataset-independent subexpression
     if isinstance(expression, ExistsExpr):
-        return not expression.negated
+        # Monotone-true only over a pattern that is itself monotonic: a
+        # NOT EXISTS / MINUS / OPTIONAL nested inside it can turn a proof
+        # found now into a refutation later.
+        return not expression.negated and is_monotonic(expression.pattern)
     if isinstance(expression, (And, Or)):
         return _exists_eagerly_emittable(expression.left) and _exists_eagerly_emittable(
             expression.right
@@ -850,7 +909,7 @@ def _collect_exists_patterns(expression, found: list) -> None:
     elif isinstance(expression, (And, Or, Compare, Arithmetic)):
         _collect_exists_patterns(expression.left, found)
         _collect_exists_patterns(expression.right, found)
-    elif isinstance(expression, (Not, UnaryMinus, UnaryPlus)):
+    elif isinstance(expression, (Not, UnaryMinus, UnaryPlus, AggregateExpr)):
         _collect_exists_patterns(expression.operand, found)
     elif isinstance(expression, FunctionCall):
         for argument in expression.args:
@@ -861,12 +920,28 @@ def _collect_exists_patterns(expression, found: list) -> None:
             _collect_exists_patterns(choice, found)
 
 
-def _exists_pattern_predicates(expression) -> Optional[frozenset]:
-    """Concrete predicates the EXISTS patterns can match; None = wildcard."""
-    patterns: list[Operator] = []
-    _collect_exists_patterns(expression, patterns)
+def _operator_expressions(op: Operator) -> tuple:
+    """The expressions an algebra operator evaluates per solution."""
+    if isinstance(op, (Filter, Extend, LeftJoin)):
+        return (op.expression,)
+    if isinstance(op, OrderBy):
+        return tuple(condition.expression for condition in op.conditions)
+    if isinstance(op, GroupBy):
+        return (
+            *(expression for expression, _ in op.keys),
+            *(expression for _, expression in op.bindings),
+            *op.having,
+        )
+    return ()
+
+
+def _exists_pattern_predicates(*expressions) -> Optional[frozenset]:
+    """Concrete predicates the EXISTS patterns in ``expressions`` can match
+    (EXISTS nested inside those patterns included); None = wildcard."""
+    stack: list[Operator] = []
+    for expression in expressions:
+        _collect_exists_patterns(expression, stack)
     predicates: set = set()
-    stack = list(patterns)
     while stack:
         op = stack.pop()
         if isinstance(op, BGP):
@@ -876,14 +951,14 @@ def _exists_pattern_predicates(expression) -> Optional[frozenset]:
                     return None
                 predicates.add(predicate)
             for path in op.path_patterns:
-                if _is_negated(path.path):
+                reads = _path_reads(path)
+                if reads is None:
                     return None
-                relevant = path_predicates(path.path)
-                if not relevant:
-                    return None
-                predicates.update(relevant)
+                predicates.update(reads)
         else:
             stack.extend(operator_children(op))
+            for expression in _operator_expressions(op):
+                _collect_exists_patterns(expression, stack)
     return frozenset(predicates)
 
 
@@ -964,6 +1039,10 @@ class LeftJoinNode(IncrementalNode):
         #: Left rows tally their partners.
         self._lefts = _KeyedBag(tallied=True)
         self._rights = _KeyedBag()
+
+    def register(self, router: DeltaRouter) -> None:
+        super().register(router)
+        router.register_reads(_exists_pattern_predicates(self._expression), self)
 
     def _try_match(self, left_binding: Binding, right_binding: Binding) -> Optional[Binding]:
         merged = left_binding.merged(right_binding)
@@ -1083,10 +1162,7 @@ class GroupAggregateNode(IncrementalNode):
         for condition in op.having:
             collect_aggregates(condition, aggregates)
         self._aggregates = tuple(aggregates)
-        expressions = [expression for expression, _ in op.keys]
-        expressions += [expression for _, expression in op.bindings]
-        expressions += list(op.having)
-        self._defer = any(expression_contains_exists(e) for e in expressions)
+        self._defer = any(expression_contains_exists(e) for e in _operator_expressions(op))
         #: EXISTS case only: the present member multiset.
         self._held: dict[Binding, int] = {}
         #: Group key → mutable ``[key binding, aggregate states, member count]``.
@@ -1096,6 +1172,12 @@ class GroupAggregateNode(IncrementalNode):
         self._members: dict[tuple, dict[Binding, int]] = {}
         #: Group key → its currently-emitted output row (HAVING-passing).
         self._rows: dict[tuple, Binding] = {}
+
+    def register(self, router: DeltaRouter) -> None:
+        super().register(router)
+        router.register_reads(
+            _exists_pattern_predicates(*_operator_expressions(self._op)), self
+        )
 
     def _new_states(self) -> dict:
         return {aggregate: AggregateState(aggregate) for aggregate in self._aggregates}
@@ -1275,6 +1357,12 @@ class OrderSliceNode(IncrementalNode):
         #: The emitted window, in order.
         self._page: list[Binding] = []
 
+    def register(self, router: DeltaRouter) -> None:
+        super().register(router)
+        router.register_reads(
+            _exists_pattern_predicates(*(c.expression for c in self._conditions)), self
+        )
+
     def _admit(self, binding: Binding, count: int) -> None:
         entries, capacity = self._entries, self._capacity
         if count < 0:
@@ -1374,7 +1462,7 @@ class DescribeNode(IncrementalNode):
     def register(self, router: DeltaRouter) -> None:
         super().register(router)
         # CBD expansion needs every quad whose subject is a known root.
-        router.register(None)
+        router.register(None, self)
 
     def _changes(self, delta: DeltaBatch, dataset: Dataset, changes: list[Change]) -> list[Change]:
         graph = dataset.union
@@ -1559,6 +1647,10 @@ class ExtendNode(IncrementalNode):
         #: Blocking (EXISTS) form only: the input multiset.
         self._candidates: dict[Binding, int] = {}
 
+    def register(self, router: DeltaRouter) -> None:
+        super().register(router)
+        router.register_reads(_exists_pattern_predicates(self._expression), self)
+
     def _extend(self, binding: Binding) -> Optional[Binding]:
         try:
             value = self._evaluator.evaluate(self._expression, binding)
@@ -1656,6 +1748,12 @@ class Pipeline:
         )
         self._tracer = None
         self._trace_parent = None
+
+    @property
+    def read_set(self) -> Optional[frozenset]:
+        """The predicates of every quad this plan can read (``None`` =
+        all of them) — see :attr:`DeltaRouter.read_set`."""
+        return self.router.read_set
 
     def enable_tracing(self, tracer, parent=None) -> None:
         """Record one span per fed batch (under ``parent``) — named

@@ -1,19 +1,19 @@
 """The growing triple source (Fig. 1).
 
-Dereferenced documents feed their triples into one continuously growing
-store; query operators read from it *incrementally*: the pipeline is
-pushed the log window added since its last advance
-(:meth:`~repro.rdf.dataset.Dataset.log_slice`).  Per-document provenance is
-kept (named graphs keyed by document URL) so GRAPH queries and the
-completeness oracle work.
+Dereferenced documents feed their triples — those the compiled plan can
+read — into one continuously growing store; query operators read from it
+*incrementally*: the pipeline is pushed the log window added since its
+last advance (:meth:`~repro.rdf.dataset.Dataset.log_slice`).  Per-document
+provenance is kept (named graphs keyed by document URL) so GRAPH queries
+work.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Collection, Iterable, Optional
 
 from ..rdf.dataset import Dataset
-from ..rdf.terms import intern_iri
+from ..rdf.terms import Term, intern_iri
 from ..rdf.triples import Quad, Triple
 
 __all__ = ["GrowingTripleSource"]
@@ -25,11 +25,21 @@ class GrowingTripleSource:
     Producers call :meth:`add_document` (or :meth:`update_document` on a
     live refresh); the engine then advances the pipeline over
     :attr:`dataset`'s log.
+
+    The store is *plan-aware*: ``read_set`` is the compiled plan's
+    :attr:`~repro.ltqp.pipeline.Pipeline.read_set` — the predicates of the
+    quads some operator can match, or ``None`` when one of them can match
+    any.  Only those triples are stored, logged and diffed; the rest of a
+    document (on a pod crawl, about 11 triples of 12) has done its work
+    once the link extractors have seen it, and is dropped.  Every document
+    still gets its named graph, kept triples or not.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, read_set: Optional[Collection[Term]] = None) -> None:
         self._dataset = Dataset()
+        self._read_set = read_set
         self._document_count = 0
+        self._triples_discovered = 0
 
     @property
     def dataset(self) -> Dataset:
@@ -39,21 +49,37 @@ class GrowingTripleSource:
     def document_count(self) -> int:
         return self._document_count
 
-    def add_document(self, url: str, triples: Iterable[Triple]) -> int:
-        """Ingest one dereferenced document; returns #new quads."""
-        added = self._dataset.add_triples(triples, intern_iri(url))
+    @property
+    def triples_discovered(self) -> int:
+        """Distinct triples of the documents ingested so far, kept or not
+        (a document URL ingested twice counts once)."""
+        return self._triples_discovered
+
+    def _kept(self, triples: Iterable[Triple]) -> Iterable[Triple]:
+        """The triples of one document the plan can read."""
+        read_set = self._read_set
+        if read_set is None:
+            return triples
+        return [triple for triple in triples if triple.predicate in read_set]
+
+    def add_document(self, url: str, triples: Collection[Triple]) -> int:
+        """Ingest one dereferenced document; returns #new quads stored."""
+        graph_name = intern_iri(url)
+        if not self._dataset.has_graph(graph_name):
+            self._triples_discovered += len(set(triples))
         self._document_count += 1
-        return added
+        return self._dataset.add_triples(self._kept(triples), graph_name)
 
     def update_document(
         self, url: str, triples: Iterable[Triple]
     ) -> tuple[list[Triple], list[Triple]]:
         """Replace a document's graph with a new parse, minimally.
 
-        Diffs ``triples`` against the document's current named graph and
-        applies only the difference: removed triples are retracted (signed
-        ``-1`` log entries), new ones inserted.  Returns
-        ``(added, removed)`` — empty/empty when the parse is unchanged.
+        Diffs the triples of the new parse the plan can read against the
+        document's current named graph and applies only the difference:
+        removed triples are retracted (signed ``-1`` log entries), new ones
+        inserted.  Returns ``(added, removed)`` — empty/empty when nothing
+        the plan reads changed.
 
         This is the live-refresh ingest path: unlike :meth:`add_document`
         it may *shrink* the store, so it must only run on executions whose
@@ -61,7 +87,7 @@ class GrowingTripleSource:
         """
         graph_name = intern_iri(url)
         graph = self._dataset.graph(graph_name)
-        new_triples = set(triples)
+        new_triples = set(self._kept(triples))
         # Sorted so the signed log (and every downstream event stream) is
         # deterministic regardless of set iteration order — sharded and
         # unsharded subscriptions must observe identical change sequences.

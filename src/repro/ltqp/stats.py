@@ -47,7 +47,11 @@ class ExecutionStats:
     #: Of the fetched documents, how many skipped the parse because the
     #: shared parsed-document store already held them (warm service runs).
     documents_from_store: int = 0
+    #: Distinct triples of the documents ingested, and how many of them
+    #: carried a predicate the plan reads and were therefore kept in the
+    #: growing source (equal when the plan can read any quad).
     triples_discovered: int = 0
+    triples_stored: int = 0
     links_queued: int = 0
     links_by_extractor: dict[str, int] = field(default_factory=dict)
     queue_samples: list[QueueSample] = field(default_factory=list)
@@ -188,6 +192,7 @@ class ExecutionStats:
             "documents_failed": self.documents_failed,
             "documents_from_store": self.documents_from_store,
             "triples_discovered": self.triples_discovered,
+            "triples_stored": self.triples_stored,
             "links_queued": self.links_queued,
             "links_by_extractor": dict(sorted(self.links_by_extractor.items())),
             "streaming": self.streaming,

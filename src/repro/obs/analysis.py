@@ -190,6 +190,7 @@ def trace_execution_stats(tracer: Tracer) -> dict:
     event history and ``failed_refreshes`` map.
     """
     documents_fetched = 0
+    triples_stored = 0
     documents_failed = 0
     documents_retried = 0
     documents_abandoned = 0
@@ -231,6 +232,7 @@ def trace_execution_stats(tracer: Tracer) -> dict:
             outcome = span.args.get("outcome")
             if outcome == "ok":
                 documents_fetched += 1
+                triples_stored += span.args.get("kept", 0)
             elif outcome == "refused":
                 # A budget refusal is deliberate, not a failure.
                 documents_refused += 1
@@ -261,6 +263,7 @@ def trace_execution_stats(tracer: Tracer) -> dict:
 
     return {
         "documents_fetched": documents_fetched,
+        "triples_stored": triples_stored,
         "documents_failed": documents_failed,
         "documents_retried": documents_retried,
         "documents_abandoned": documents_abandoned,

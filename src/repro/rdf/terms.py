@@ -403,18 +403,22 @@ def escape_string_literal(text: str) -> str:
     return _ESCAPE_RE.sub(lambda match: _ESCAPES[match.group(0)], text)
 
 
+def _unescape(match: re.Match[str]) -> str:
+    body = match.group(1)
+    if body[0] in "uU":
+        return chr(int(body[1:], 16))
+    if body in _UNESCAPES:
+        return _UNESCAPES[body]
+    raise ValueError(f"invalid escape sequence: \\{body}")
+
+
 def unescape_string_literal(text: str) -> str:
     """Reverse :func:`escape_string_literal`, including ``\\uXXXX`` forms."""
-
-    def _sub(match: re.Match[str]) -> str:
-        body = match.group(1)
-        if body[0] in "uU":
-            return chr(int(body[1:], 16))
-        if body in _UNESCAPES:
-            return _UNESCAPES[body]
-        raise ValueError(f"invalid escape sequence: \\{body}")
-
-    return _UNESCAPE_RE.sub(_sub, text)
+    # Almost no literal a parser sees contains an escape: those pay for one
+    # substring test, not a regex pass.
+    if "\\" not in text:
+        return text
+    return _UNESCAPE_RE.sub(_unescape, text)
 
 
 def term_to_ntriples(term: Term) -> str:

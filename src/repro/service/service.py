@@ -142,6 +142,8 @@ class ServiceQuery:
             "results": stats.result_count if stats is not None else 0,
             "documents_fetched": stats.documents_fetched if stats is not None else 0,
             "documents_from_store": stats.documents_from_store if stats is not None else 0,
+            "triples_discovered": stats.triples_discovered if stats is not None else 0,
+            "triples_stored": stats.triples_stored if stats is not None else 0,
             "error": str(self.error) if self.error is not None else None,
         }
 

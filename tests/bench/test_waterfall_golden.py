@@ -9,6 +9,14 @@ renderings must match the committed goldens byte for byte.
 Regenerate after an intentional rendering change with::
 
     REPRO_WRITE_GOLDEN=1 python -m pytest tests/bench/test_waterfall_golden.py
+
+Bar positions, the first-result marker and the total are TickClock reads,
+so a change to *how often the engine reads the clock* moves them too.
+Last regenerated for the plan-aware growing source (PR 20): a document
+that keeps no quad no longer flushes the pipeline before the first result,
+so fewer ``advance-batch`` spans tick the clock (first result 1549 → 1349
+ms cold).  Every count in the goldens — requests, statuses, sizes, bytes,
+retries, cache hits, depth — stayed byte-identical.
 """
 
 import os

@@ -161,6 +161,29 @@ class TestPathStreaming:
         arrived = feed(pipeline, ds, [q(n("s"), n("p"), n("o"), "http://x/never")])
         assert [b[Variable("o")] for b in arrived] == [n("o")]
 
+    def test_unpinned_star_counts_every_node_of_the_graph(self):
+        pipeline, ds = make("SELECT ?x ?y WHERE { ?x ex:knows* ?y }")
+        first = feed(pipeline, ds, [q(n("a"), n("knows"), n("b"))])
+        assert len(first) == 3  # (a,a) (b,b) (a,b)
+        # A quad of another predicate brings two more nodes, so two more
+        # self-pairs: no predicate is irrelevant to this pattern.
+        second = feed(pipeline, ds, [q(n("c"), n("likes"), n("d"))])
+        assert {(b[Variable("x")], b[Variable("y")]) for b in second} == {
+            (n("c"), n("c")),
+            (n("d"), n("d")),
+        }
+
+    def test_pinned_star_holds_without_any_relevant_quad(self):
+        # ``<a> p* ?y`` has the solution ?y = <a> over any graph — said at
+        # quiescence when no ``knows`` quad ever arrived to prompt it.
+        pipeline, ds = make("SELECT ?y WHERE { ex:a ex:knows* ?y }")
+        assert feed(pipeline, ds, [q(n("c"), n("likes"), n("d"))]) == []
+        assert [b[Variable("y")] for b in pipeline.finalize(ds)] == [n("a")]
+        # …and said once: a scan that already evaluated adds nothing.
+        pipeline, ds = make("SELECT ?y WHERE { ex:a ex:knows* ?y }")
+        assert len(feed(pipeline, ds, [q(n("a"), n("knows"), n("b"))])) == 2
+        assert pipeline.finalize(ds) == []
+
     def test_transitive_path_grows_with_data(self):
         pipeline, ds = make("SELECT ?x WHERE { ex:a ex:knows+ ?x }")
         first = feed(pipeline, ds, [q(n("a"), n("knows"), n("b"))])
@@ -208,6 +231,20 @@ class TestNonMonotonicCompiles:
         feed(pipeline, ds, [q(n("a"), n("q"), Literal("1"))])
         results = pipeline.finalize(ds)
         assert [b[Variable("a")] for b in results] == [n("c")]
+
+    def test_positive_exists_streams_only_over_a_monotonic_pattern(self):
+        # A plain EXISTS is monotone-true: its passers stream.
+        pipeline, ds = make("SELECT ?a WHERE { ?a ex:p ?b FILTER EXISTS { ?b ex:q ?c } }")
+        assert len(feed(pipeline, ds, [q(n("a"), n("p"), n("b")), q(n("b"), n("q"), n("c"))])) == 1
+        # With a NOT EXISTS nested in its pattern a proof found now can be
+        # refuted later, so the verdict waits for quiescence.
+        pipeline, ds = make(
+            "SELECT ?a WHERE { ?a ex:p ?b "
+            "FILTER EXISTS { ?b ex:q ?c FILTER NOT EXISTS { ?c ex:r ?d } } }"
+        )
+        assert feed(pipeline, ds, [q(n("a"), n("p"), n("b")), q(n("b"), n("q"), n("c"))]) == []
+        assert feed(pipeline, ds, [q(n("c"), n("r"), n("d"))]) == []
+        assert pipeline.finalize(ds) == []
 
     def test_order_by_sorts_at_finalize(self):
         pipeline, ds = make("SELECT ?b WHERE { ?a ex:p ?b } ORDER BY ?b")

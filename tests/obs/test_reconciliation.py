@@ -52,6 +52,8 @@ def assert_books_agree(execution, tracer, metrics, log):
     assert match_requests_to_attempts(log, tracer) == []
 
     assert derived["documents_fetched"] == stats.documents_fetched
+    # Every ok ``dereference`` span says how many of its quads the plan reads.
+    assert derived["triples_stored"] == stats.triples_stored <= stats.triples_discovered
     assert derived["documents_retried"] == stats.documents_retried
     assert derived["documents_abandoned"] == stats.documents_abandoned
     assert derived["documents_refused"] == stats.documents_refused
@@ -70,6 +72,7 @@ def assert_books_agree(execution, tracer, metrics, log):
     assert derived["time_to_first_result"] == stats.time_to_first_result
 
     assert metrics.counter("documents.fetched").value == stats.documents_fetched
+    assert metrics.counter("triples.stored").value == stats.triples_stored
     assert metrics.counter("results.emitted").value == stats.result_count
     if stats.http_retries:
         assert metrics.counter("http.retries").value == stats.http_retries

@@ -131,6 +131,16 @@ class TestEscaping:
         with pytest.raises(ValueError):
             unescape_string_literal("\\q")
 
+    def test_escape_free_text_is_returned_as_is(self):
+        # The parser's common case: no backslash, no regex pass, no copy.
+        text = "Ann's “quoted” café ☕"
+        assert unescape_string_literal(text) is text
+
+    def test_escapes_beside_plain_text(self):
+        assert unescape_string_literal("a\\tb\\U0001F600c\\\\u0041") == "a\tb😀c\\u0041"
+        with pytest.raises(ValueError):
+            unescape_string_literal("fine so far \\x41")
+
 
 class TestTermToNtriples:
     def test_typed_literal(self):

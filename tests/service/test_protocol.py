@@ -116,6 +116,8 @@ class TestProtocol:
         assert "storage" in document["service"]["http_cache"]
         assert len(document["queries"]) == 1
         assert document["queries"][0]["status"] == "done"
+        # What the query's growing source kept of what the crawl discovered.
+        assert 0 < document["queries"][0]["triples_stored"] < document["queries"][0]["triples_discovered"]
 
 
 def named_query_variables(named):
