@@ -38,7 +38,7 @@ from urllib.parse import urljoin
 
 from ..net.client import HttpClient
 from ..net.message import Response
-from ..net.resilience import PERMANENT_ERROR_MARKERS, RETRYABLE_STATUSES
+from ..net.resilience import _is_retryable
 from ..rdf.ntriples import NTriplesParseError, parse_ntriples
 from ..rdf.triples import Triple
 from ..rdf.turtle import TurtleParseError, parse_turtle
@@ -76,11 +76,6 @@ class DereferenceResult:
     #: read cap when the transfer was aborted) — what per-origin byte
     #: budgets are charged with.
     bytes_fetched: int = 0
-    #: When the document store held a *different* validator for this URL,
-    #: the minimal signed delta between the stale parse and this one
-    #: (:class:`~repro.service.docstore.DocumentDiff`).  ``None`` for
-    #: first fetches, unchanged validators, and store-less dereferencers.
-    diff: Optional[object] = None
 
     @property
     def ok(self) -> bool:
@@ -96,25 +91,12 @@ class Dereferencer:
         lenient: bool = True,
         extra_headers: Optional[dict[str, str]] = None,
         max_redirects: int = 5,
-        tracer=None,
         document_store=None,
-        max_parse_bytes: int = 0,
     ) -> None:
         self._client = client
         self._lenient = lenient
         self._extra_headers = dict(extra_headers or {})
         self._max_redirects = max_redirects
-        #: Global parse-size cap: a body larger than this is refused
-        #: (kind ``"parse-bytes"``) *before* decoding or tokenizing, so a
-        #: hostile document cannot buy CPU with bytes.  ``0`` disables.
-        self.max_parse_bytes = max_parse_bytes
-        #: Optional :class:`~repro.obs.trace.Tracer`; when set, each
-        #: dereference records ``parse`` spans under ``trace_parent``.
-        #: Both are fallbacks: per-call ``tracer=`` / ``max_parse_bytes=``
-        #: arguments override them, so one shared dereferencer serves
-        #: differently traced and differently capped executions and
-        #: holds nothing of any of them.
-        self.tracer = tracer
         #: Optional :class:`~repro.service.docstore.DocumentStore` — the
         #: cross-query parsed-document cache.
         self.document_store = document_store
@@ -139,103 +121,36 @@ class Dereferencer:
         parse the RDF body.  The *final* URL becomes the base IRI and the
         document's provenance — e.g. a slash-less container URL 301s to
         the container, whose members then resolve correctly.
-        ``trace_parent`` nests this dereference's fetch/parse spans.
-        ``tracer`` and ``max_parse_bytes`` override the instance's for
-        this call; ``tracer``, ``metrics`` and ``resilience`` (the calling
-        execution's :class:`~repro.net.resilience.ResilienceStats`) ride
-        on to :meth:`~repro.net.client.HttpClient.fetch`.
+        With a ``tracer``, the fetch spans and the ``parse`` span nest
+        under ``trace_parent``; ``tracer``, ``metrics`` and ``resilience``
+        (the calling execution's
+        :class:`~repro.net.resilience.ResilienceStats`) ride on to
+        :meth:`~repro.net.client.HttpClient.fetch`.  A body larger than
+        ``max_parse_bytes`` is refused (kind ``"parse-bytes"``) *before*
+        decoding or tokenizing, so a hostile document cannot buy CPU with
+        bytes; ``None`` / ``0`` disables the cap.
         ``revalidate=True`` forces a conditional request even while the
         HTTP cache still considers its copy fresh — the live-refresh path,
         where the point is to observe upstream change *now*.
         ``provenance`` (a :class:`~repro.ltqp.links.LinkProvenance`)
         annotates this document's parse span with why the link existed."""
-        if tracer is None:
-            tracer = self.tracer
-        if max_parse_bytes is None:
-            max_parse_bytes = self.max_parse_bytes
-        clean_url = url.split("#", 1)[0]
-        for _ in range(self._max_redirects + 1):
-            try:
-                response = await self._client.fetch(
-                    clean_url,
-                    headers=self._extra_headers,
-                    parent_url=parent_url,
-                    trace_parent=trace_parent,
-                    revalidate=revalidate,
-                    tracer=tracer,
-                    metrics=metrics,
-                    resilience=resilience,
-                )
-            except ValueError as error:
-                # An unsupported scheme or malformed URL is the same class
-                # of lenient failure as a redirect loop — not a crash.
-                return self._failure(clean_url, 0, f"invalid URL: {error}")
-            if response.status in (301, 302, 303, 307, 308):
-                location = response.header("location")
-                if not location:
-                    return self._failure(clean_url, response.status, "redirect without location")
-                parent_url = clean_url
-                # Relative Location headers are legal (RFC 7231 §7.1.2).
-                clean_url = urljoin(clean_url, location).split("#", 1)[0]
-                continue
-            break
-        else:
-            return self._failure(clean_url, 0, "too many redirects")
-        if response.status == 0:
-            if response.header("x-error") == "body-too-large":
-                # The client aborted the transfer at its read cap.  This
-                # is a policy refusal, not a network failure — and it is
-                # permanent: the body is over the cap on every retry.
-                result = self._failure(
-                    clean_url, 0, "refused: response body over read cap"
-                )
-                result.refused = "doc-bytes"
-                try:
-                    result.bytes_fetched = min(
-                        int(response.header("x-refused-bytes") or 0),
-                        self._client.policy.max_response_bytes or 0,
-                    )
-                except ValueError:
-                    result.bytes_fetched = 0
-                return result
-            return self._failure(
-                clean_url, 0, "connection failed", retryable=_response_retryable(response)
-            )
-        if not response.ok:
-            return self._failure(
-                clean_url,
-                response.status,
-                f"HTTP {response.status}",
-                retryable=_response_retryable(response),
-            )
-        body_bytes = len(response.body)
-        if max_parse_bytes and body_bytes > max_parse_bytes:
-            # Checked on the raw byte length before any decode/tokenize
-            # work — an oversized document costs O(1) CPU to refuse.
-            result = self._failure(
-                clean_url,
-                response.status,
-                f"refused: document of {body_bytes} bytes over parse cap",
-            )
-            result.refused = "parse-bytes"
-            result.bytes_fetched = body_bytes
-            return result
-        return self._parse(
-            clean_url, response, trace_parent=trace_parent, tracer=tracer, provenance=provenance
+        url, response, anomaly = await self._follow(
+            url.split("#", 1)[0],
+            parent_url,
+            trace_parent=trace_parent,
+            revalidate=revalidate,
+            tracer=tracer,
+            metrics=metrics,
+            resilience=resilience,
         )
-
-    def _parse(
-        self, url: str, response: Response, trace_parent=None, tracer=None, provenance=None
-    ) -> DereferenceResult:
-        content_type = response.content_type
-        body_bytes = len(response.body)
+        if anomaly:
+            return self._failure(url, response.status if response is not None else 0, anomaly)
+        refusal = self._refusal(url, response, max_parse_bytes)
+        if refusal is not None:
+            return refusal
         store = self.document_store
-        stale = None
         if store is not None:
             validator = store.validator_for(response)
-            # Capture the outgoing parse *before* lookup deletes it on a
-            # validator mismatch — it is the diff base for live refreshes.
-            stale = store.peek(url)
             stored = store.lookup(url, validator)
             if stored is not None:
                 return DereferenceResult(
@@ -243,97 +158,136 @@ class Dereferencer:
                     status=response.status,
                     triples=list(stored.triples),
                     from_store=True,
-                    bytes_fetched=body_bytes,
+                    bytes_fetched=len(response.body),
                 )
-        # The blank-node namespace is a function of the document URL alone:
-        # distinct per document (no collisions in the growing source), and
-        # the same in every parse, process and service lifetime — so a
-        # live re-diff of an edited document stays minimal, and a parse
-        # restored from a persistent store or adopted from another worker
-        # can never share labels with a fresh parse of a different URL.
-        bnode_prefix = f"d{hashlib.sha1(url.encode('utf-8')).hexdigest()[:16]}_"
         parse_started = tracer.clock() if tracer is not None else 0.0
+        error = ""
         try:
-            if content_type in ("application/n-triples", "application/n-quads"):
-                triples = list(parse_ntriples(response.text))
-            elif content_type == "application/trig":
-                from ..rdf.trig import parse_trig
-
-                # Named graphs inside a fetched document flatten into the
-                # document's triples (the source keys provenance by URL).
-                triples = [
-                    quad.triple
-                    for quad in parse_trig(
-                        response.text, base_iri=url, bnode_prefix=bnode_prefix
-                    )
-                ]
-            elif content_type in ("text/turtle", "", "text/plain"):
-                triples = parse_turtle(
-                    response.text, base_iri=url, bnode_prefix=bnode_prefix
+            triples = _parse_body(url, response)
+        except (TurtleParseError, NTriplesParseError, ValueError) as parse_error:
+            error = f"parse error: {parse_error}"
+        else:
+            if triples is None:
+                return self._failure(
+                    url, response.status, f"unsupported content type {response.content_type!r}"
                 )
-            else:
-                return self._failure(url, response.status, f"unsupported content type {content_type!r}")
-        except (TurtleParseError, NTriplesParseError, ValueError) as error:
-            if tracer is not None:
-                tracer.add(
-                    "parse",
-                    parse_started,
-                    tracer.clock(),
-                    parent=trace_parent,
-                    url=url,
-                    format=content_type,
-                    error=f"parse error: {error}",
-                )
-            return self._failure(url, response.status, f"parse error: {error}")
         if tracer is not None:
+            if error:
+                outcome = {"error": error}
+            else:
+                outcome = {"triples": len(triples)}
+                if provenance is not None:
+                    outcome["discovered_via"] = provenance.describe()
             tracer.add(
                 "parse",
                 parse_started,
                 tracer.clock(),
                 parent=trace_parent,
                 url=url,
-                format=content_type,
-                triples=len(triples),
-                **(
-                    {"discovered_via": provenance.describe()}
-                    if provenance is not None
-                    else {}
-                ),
+                format=response.content_type,
+                **outcome,
             )
-        diff = None
+        if error:
+            return self._failure(url, response.status, error)
         if store is not None:
             store.put(url, validator, triples)
-            if stale is not None and stale.validator != validator:
-                diff_started = tracer.clock() if tracer is not None else 0.0
-                diff = store.diff(stale, validator, triples)
-                if tracer is not None:
-                    tracer.add(
-                        "diff",
-                        diff_started,
-                        tracer.clock(),
-                        parent=trace_parent,
-                        url=url,
-                        added=len(diff.added),
-                        removed=len(diff.removed),
-                        unchanged=diff.unchanged,
-                    )
         return DereferenceResult(
-            url=url,
-            status=response.status,
-            triples=triples,
-            bytes_fetched=body_bytes,
-            diff=diff,
+            url=url, status=response.status, triples=triples, bytes_fetched=len(response.body)
         )
 
-    def _failure(
-        self, url: str, status: int, message: str, retryable: bool = False
-    ) -> DereferenceResult:
+    async def _follow(
+        self, url: str, parent_url: Optional[str], **fetch
+    ) -> tuple[str, Optional[Response], str]:
+        """Fetch ``url`` and whatever it redirects to.  Returns the final
+        URL and its response — or, for a redirect anomaly or an unfetchable
+        URL, the URL it happened at, the response if there was one, and
+        what went wrong.  ``fetch`` rides on to the client."""
+        for _ in range(self._max_redirects + 1):
+            try:
+                response = await self._client.fetch(
+                    url, headers=self._extra_headers, parent_url=parent_url, **fetch
+                )
+            except ValueError as error:
+                # An unsupported scheme or malformed URL is the same class
+                # of lenient failure as a redirect loop — not a crash.
+                return url, None, f"invalid URL: {error}"
+            if response.status not in (301, 302, 303, 307, 308):
+                return url, response, ""
+            location = response.header("location")
+            if not location:
+                return url, response, "redirect without location"
+            # Relative Location headers are legal (RFC 7231 §7.1.2).
+            parent_url, url = url, urljoin(url, location).split("#", 1)[0]
+        return url, None, "too many redirects"
+
+    def _refusal(
+        self, url: str, response: Response, max_parse_bytes: Optional[int]
+    ) -> Optional[DereferenceResult]:
+        """The failure a final response amounts to, if it is one: a dead
+        connection, a read-cap abort, an HTTP error, a body over the parse
+        cap.  ``None`` means the body is worth parsing."""
+        if response.status == 0 and response.header("x-error") == "body-too-large":
+            # The client aborted the transfer at its read cap.  This is a
+            # policy refusal, not a network failure — and it is permanent:
+            # the body is over the cap on every retry.
+            try:
+                fetched = min(
+                    int(response.header("x-refused-bytes") or 0),
+                    self._client.policy.max_response_bytes or 0,
+                )
+            except ValueError:
+                fetched = 0
+            return self._failure(
+                url, 0, "refused: response body over read cap", refused="doc-bytes", bytes_fetched=fetched
+            )
+        if not response.ok:
+            message = f"HTTP {response.status}" if response.status else "connection failed"
+            return self._failure(
+                url, response.status, message, retryable=_is_retryable(response)
+            )
+        body_bytes = len(response.body)
+        if max_parse_bytes and body_bytes > max_parse_bytes:
+            # Checked on the raw byte length before any decode/tokenize
+            # work — an oversized document costs O(1) CPU to refuse.
+            return self._failure(
+                url,
+                response.status,
+                f"refused: document of {body_bytes} bytes over parse cap",
+                refused="parse-bytes",
+                bytes_fetched=body_bytes,
+            )
+        return None
+
+    def _failure(self, url: str, status: int, message: str, **fields) -> DereferenceResult:
+        """The lenient contract's one exit: an empty result carrying the
+        error (and any ``retryable`` / ``refused`` / ``bytes_fetched``)."""
         if not self._lenient:
             raise DereferenceError(url, message)
-        return DereferenceResult(url=url, status=status, error=message, retryable=retryable)
+        return DereferenceResult(url=url, status=status, error=message, **fields)
 
 
-def _response_retryable(response: Response) -> bool:
-    if response.status not in RETRYABLE_STATUSES:
-        return False
-    return response.header("x-error") not in PERMANENT_ERROR_MARKERS
+def _parse_body(url: str, response: Response) -> Optional[list[Triple]]:
+    """The triples of an RDF body, by content type; ``None`` for a type
+    that is not RDF.  ``url`` is the base IRI."""
+    content_type = response.content_type
+    if content_type in ("application/n-triples", "application/n-quads"):
+        return list(parse_ntriples(response.text))
+    # The blank-node namespace is a function of the document URL alone:
+    # distinct per document (no collisions in the growing source), and
+    # the same in every parse, process and service lifetime — so a
+    # live re-diff of an edited document stays minimal, and a parse
+    # restored from a persistent store or adopted from another worker
+    # can never share labels with a fresh parse of a different URL.
+    bnode_prefix = f"d{hashlib.sha1(url.encode('utf-8')).hexdigest()[:16]}_"
+    if content_type == "application/trig":
+        from ..rdf.trig import parse_trig
+
+        # Named graphs inside a fetched document flatten into the
+        # document's triples (the source keys provenance by URL).
+        return [
+            quad.triple
+            for quad in parse_trig(response.text, base_iri=url, bnode_prefix=bnode_prefix)
+        ]
+    if content_type in ("text/turtle", "", "text/plain"):
+        return parse_turtle(response.text, base_iri=url, bnode_prefix=bnode_prefix)
+    return None

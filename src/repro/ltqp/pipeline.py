@@ -420,6 +420,10 @@ class IncrementalNode:
 
     #: Class-level default; blocking physical nodes override it.
     blocking = False
+    #: The predicates of the quads this node itself reads, off the delta or
+    #: (EXISTS, DESCRIBE) off the dataset: empty = none, ``None`` = any
+    #: quad.  A node that scans or holds an expression declares its own.
+    reads: Optional[Iterable[Term]] = ()
 
     def __init__(
         self, certain_variables: frozenset[Variable], *inputs: "IncrementalNode"
@@ -476,9 +480,11 @@ class IncrementalNode:
         return changes
 
     def register(self, router: DeltaRouter) -> None:
-        """Declare this subtree's delta interests to the router."""
+        """Declare this subtree's reads to the router — the one body: the
+        source drops what nobody registered, so no node overrides it."""
         for child in self._inputs:
             child.register(router)
+        router.register_reads(self.reads, self)
 
     def children(self) -> tuple["IncrementalNode", ...]:
         return self._inputs
@@ -516,6 +522,7 @@ class ScanNode(IncrementalNode):
 
         self._s = concrete(pattern.subject)
         self._p = concrete(pattern.predicate)
+        self.reads = None if self._p is None else (self._p,)
         self._o = concrete(pattern.object)
         self._var_slots: tuple[tuple[Variable, object], ...] = tuple(
             (term, self._GETTERS[position])
@@ -524,9 +531,6 @@ class ScanNode(IncrementalNode):
         )
         self._graph_concrete = concrete(graph)
         self._graph_variable = graph if isinstance(graph, Variable) else None
-
-    def register(self, router: DeltaRouter) -> None:
-        router.register(self._p, self)
 
     def _changes(self, delta: DeltaBatch, dataset: Dataset) -> list[Change]:
         quads = delta.for_predicate(self._p) if self._p is not None else delta.quads
@@ -593,11 +597,8 @@ class PathScanNode(IncrementalNode):
         self._pattern = pattern
         self._graph = graph if isinstance(graph, NamedNode) else None
         #: Predicates whose quads can change the answer; ``None`` = any quad.
-        self._reads = _path_reads(pattern)
+        self.reads = _path_reads(pattern)
         self._emitted: dict[tuple[Term, Term], None] = {}
-
-    def register(self, router: DeltaRouter) -> None:
-        router.register_reads(self._reads, self)
 
     def _changes(self, delta: DeltaBatch, dataset: Dataset) -> list[Change]:
         if delta is _QUIESCENT:
@@ -606,7 +607,7 @@ class PathScanNode(IncrementalNode):
             # been handed a relevant quad to say so.
             if self._emitted:
                 return []
-        elif not delta.quads or not (self._reads is None or delta.touches(self._reads)):
+        elif not delta.quads or not (self.reads is None or delta.touches(self.reads)):
             return []
         graph = dataset.union if self._graph is None else dataset.get_graph(self._graph)
         if graph is None:
@@ -802,6 +803,7 @@ class FilterNode(IncrementalNode):
         super().__init__(input_node.certain_variables, input_node)
         self._expression = expression
         self._evaluator = evaluator
+        self.reads = _exists_pattern_predicates(expression)
 
     def _changes(self, delta: DeltaBatch, dataset: Dataset, changes: list[Change]) -> list[Change]:
         return [
@@ -832,16 +834,12 @@ class ExistsFilterNode(IncrementalNode):
         self._expression = expression
         self._evaluator = evaluator
         self._eager = _exists_eagerly_emittable(expression)
-        self._exists_predicates = _exists_pattern_predicates(expression)
+        # The EXISTS pattern's predicates matter even when no scan wants
+        # them: a delta carrying one can flip waiting bindings to passing.
+        self.reads = _exists_pattern_predicates(expression)
         #: Every input binding currently present; ``_out`` is the passing
         #: sub-multiset that has been emitted (:meth:`_sync` keeps it so).
         self._candidates: dict[Binding, int] = {}
-
-    def register(self, router: DeltaRouter) -> None:
-        super().register(router)
-        # The EXISTS pattern's predicates matter even when no scan wants
-        # them: a delta carrying one can flip waiting bindings to passing.
-        router.register_reads(self._exists_predicates, self)
 
     def _changes(self, delta: DeltaBatch, dataset: Dataset, changes: list[Change]) -> list[Change]:
         candidates = self._candidates
@@ -849,7 +847,7 @@ class ExistsFilterNode(IncrementalNode):
             _bump(candidates, binding, count)
         if not (self._eager or self.settled):
             return []  # any verdict could still flip
-        predicates = self._exists_predicates
+        predicates = self.reads
         if not (delta and (predicates is None or delta.touches(predicates))):
             # No quad the EXISTS pattern can match (dis)appeared: the
             # verdicts of the bindings already judged stand.
@@ -1035,14 +1033,11 @@ class LeftJoinNode(IncrementalNode):
         self._expression = expression
         self._evaluator = evaluator
         self._defer = expression is not None and expression_contains_exists(expression)
+        self.reads = _exists_pattern_predicates(expression)
         self._key_variables = _join_key(left, right)
         #: Left rows tally their partners.
         self._lefts = _KeyedBag(tallied=True)
         self._rights = _KeyedBag()
-
-    def register(self, router: DeltaRouter) -> None:
-        super().register(router)
-        router.register_reads(_exists_pattern_predicates(self._expression), self)
 
     def _try_match(self, left_binding: Binding, right_binding: Binding) -> Optional[Binding]:
         merged = left_binding.merged(right_binding)
@@ -1163,6 +1158,7 @@ class GroupAggregateNode(IncrementalNode):
             collect_aggregates(condition, aggregates)
         self._aggregates = tuple(aggregates)
         self._defer = any(expression_contains_exists(e) for e in _operator_expressions(op))
+        self.reads = _exists_pattern_predicates(*_operator_expressions(op))
         #: EXISTS case only: the present member multiset.
         self._held: dict[Binding, int] = {}
         #: Group key → mutable ``[key binding, aggregate states, member count]``.
@@ -1172,12 +1168,6 @@ class GroupAggregateNode(IncrementalNode):
         self._members: dict[tuple, dict[Binding, int]] = {}
         #: Group key → its currently-emitted output row (HAVING-passing).
         self._rows: dict[tuple, Binding] = {}
-
-    def register(self, router: DeltaRouter) -> None:
-        super().register(router)
-        router.register_reads(
-            _exists_pattern_predicates(*_operator_expressions(self._op)), self
-        )
 
     def _new_states(self) -> dict:
         return {aggregate: AggregateState(aggregate) for aggregate in self._aggregates}
@@ -1345,6 +1335,7 @@ class OrderSliceNode(IncrementalNode):
         self._defer_keys = any(
             expression_contains_exists(condition.expression) for condition in self._conditions
         )
+        self.reads = _exists_pattern_predicates(*(c.expression for c in self._conditions))
         #: Top-k capacity when pruning; ``None`` keeps every entry.
         self._capacity: Optional[int] = (
             None if live or limit is None or self._defer_keys else offset + limit
@@ -1356,12 +1347,6 @@ class OrderSliceNode(IncrementalNode):
         self._entries: list[tuple] = []
         #: The emitted window, in order.
         self._page: list[Binding] = []
-
-    def register(self, router: DeltaRouter) -> None:
-        super().register(router)
-        router.register_reads(
-            _exists_pattern_predicates(*(c.expression for c in self._conditions)), self
-        )
 
     def _admit(self, binding: Binding, count: int) -> None:
         entries, capacity = self._entries, self._capacity
@@ -1434,6 +1419,9 @@ class DescribeNode(IncrementalNode):
     description from the surviving roots and diffs it.
     """
 
+    #: CBD expansion needs every quad whose subject is a known root.
+    reads = None
+
     _SUBJECT = Variable("subject")
     _PREDICATE = Variable("predicate")
     _OBJECT = Variable("object")
@@ -1458,11 +1446,6 @@ class DescribeNode(IncrementalNode):
         #: WHERE-bound root resource → how many scope bindings support it
         #: (a root drops out when its last supporting solution retracts).
         self._scope_support: dict[Term, int] = {}
-
-    def register(self, router: DeltaRouter) -> None:
-        super().register(router)
-        # CBD expansion needs every quad whose subject is a known root.
-        router.register(None, self)
 
     def _changes(self, delta: DeltaBatch, dataset: Dataset, changes: list[Change]) -> list[Change]:
         graph = dataset.union
@@ -1644,12 +1627,9 @@ class ExtendNode(IncrementalNode):
         self._expression = expression
         self._evaluator = evaluator
         self.blocking = expression_contains_exists(expression)
+        self.reads = _exists_pattern_predicates(expression)
         #: Blocking (EXISTS) form only: the input multiset.
         self._candidates: dict[Binding, int] = {}
-
-    def register(self, router: DeltaRouter) -> None:
-        super().register(router)
-        router.register_reads(_exists_pattern_predicates(self._expression), self)
 
     def _extend(self, binding: Binding) -> Optional[Binding]:
         try:

@@ -24,7 +24,9 @@ from __future__ import annotations
 
 import asyncio
 import time
-from typing import Optional
+from collections import defaultdict
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 from .cache import HttpCache
 from .latency import LatencyModel, SeededJitterLatency
@@ -34,9 +36,9 @@ from .resilience import (
     BreakerRegistry,
     CircuitBreaker,
     NetworkPolicy,
-    PERMANENT_ERROR_MARKERS,
-    RETRYABLE_STATUSES,
     ResilienceStats,
+    _is_breaker_failure,
+    _is_retryable,
 )
 from .router import Internet
 
@@ -68,34 +70,83 @@ def _error_text(response: Response) -> str:
     return "connection failed"
 
 
-def _is_retryable(response: Response) -> bool:
-    """Transient failure worth another attempt?  Transport drops, request
-    timeouts, throttling, and 5xx are; NXDOMAIN and client errors are not."""
-    if response.status not in RETRYABLE_STATUSES:
-        return False
-    return response.header("x-error") not in PERMANENT_ERROR_MARKERS
+@dataclass(slots=True)
+class _Call:
+    """One ``fetch`` call's record: what is asked, on whose behalf, and who
+    is watching.  Every seam of the fetch works on it, so it is the one
+    place an attempt is written down (:meth:`note_attempt`) and the one place an
+    event is counted (:meth:`count`)."""
 
+    log: RequestLog
+    method: str
+    url: str
+    origin: str
+    parent_url: Optional[str]
+    tracer: object
+    metrics: object
+    #: The books events are counted into: the client's own, then the
+    #: caller's when it passed one.  The last is whose retries the retry
+    #: budget is judged against.
+    counted: tuple[ResilienceStats, ...]
+    clock: Callable[[], float]
+    #: The ``fetch`` span attempts and back-offs nest under (traced calls).
+    span: object = None
+    #: The current attempt: its number and its time window.
+    attempt: int = 1
+    started: float = 0.0
+    finished: float = 0.0
 
-def _is_breaker_failure(response: Response) -> bool:
-    """Does this response count against the origin's circuit breaker?
+    def meter(self, name: str) -> None:
+        if self.metrics is not None:
+            self.metrics.counter(name).inc()
 
-    Only origin-health signals do: transport drops, timeouts, 408/429,
-    and 5xx.  A 404/403 is a *healthy* origin answering correctly, and an
-    unknown origin has no server whose health is worth tracking.
-    """
-    if response.status == 0:
-        return response.header("x-error") not in PERMANENT_ERROR_MARKERS
-    return response.status in (408, 429) or response.status >= 500
+    def count(self, stat: str, metric: str = "") -> None:
+        """One more ``stat`` in every book, and on ``metric`` if it has one."""
+        for stats in self.counted:
+            setattr(stats, stat, getattr(stats, stat) + 1)
+        if metric:
+            self.meter(metric)
 
+    def transition(self, old: str, new: str) -> None:
+        """Report the breaker transition this call caused, if it caused one."""
+        if new == old:
+            return
+        if new == CircuitBreaker.OPEN:
+            for stats in self.counted:
+                stats.trips_by_origin[self.origin] = stats.trips_by_origin.get(self.origin, 0) + 1
+        self.meter(f"breaker.transitions.{old}->{new}")
+        self.meter(f"breaker.transitions[{self.origin}]")
 
-def _note_transition(origin: str, old: str, new: str, metrics, counted) -> None:
-    """Report the breaker transition one call caused to that call's observers."""
-    if new == CircuitBreaker.OPEN:
-        for stats in counted:
-            stats.trips_by_origin[origin] = stats.trips_by_origin.get(origin, 0) + 1
-    if metrics is not None:
-        metrics.counter(f"breaker.transitions.{old}->{new}").inc()
-        metrics.counter(f"breaker.transitions[{origin}]").inc()
+    def note_attempt(self, response: Response, error: str = "", **flags: bool) -> None:
+        """Write the current attempt down: one log record and, when traced,
+        one ``attempt`` span with identical timestamps, so log and trace
+        reconcile exactly.  ``flags`` say what kind of attempt it was
+        (``from_cache`` / ``revalidated`` / ``retried``)."""
+        self.log.record(
+            method=self.method,
+            url=self.url,
+            status=response.status,
+            started_at=self.started,
+            finished_at=self.finished,
+            response_size=len(response.body),
+            parent_url=self.parent_url,
+            error=error,
+            from_cache=flags.get("from_cache", False),
+            attempt=self.attempt,
+        )
+        if self.tracer is not None:
+            self.tracer.add(
+                "attempt",
+                self.started,
+                self.finished,
+                parent=self.span,
+                url=self.url,
+                status=response.status,
+                attempt=self.attempt,
+                **flags,
+                error=error,
+                size=len(response.body),
+            )
 
 
 class HttpClient:
@@ -112,18 +163,19 @@ class HttpClient:
         cache: Optional[HttpCache] = None,
         policy: Optional[NetworkPolicy] = None,
     ) -> None:
-        self._internet = internet
+        self.internet = internet
         self._latency = latency if latency is not None else SeededJitterLatency()
         self._latency_scale = latency_scale
-        self._max_per_origin = max_connections_per_origin
-        self._semaphores: dict[str, asyncio.Semaphore] = {}
-        self._log = log if log is not None else RequestLog()
+        self._semaphores = defaultdict(lambda: asyncio.Semaphore(max_connections_per_origin))
+        self.log = log if log is not None else RequestLog()
         self._default_headers = dict(default_headers or {})
-        self._cache = cache
-        self._explicit_policy = policy is not None
-        self._policy = policy if policy is not None else NetworkPolicy()
-        self._breakers = BreakerRegistry(self._policy.breaker)
-        self._resilience = ResilienceStats()
+        self.cache = cache
+        #: Was this client constructed with its own :class:`NetworkPolicy`?
+        #: If not, an engine adopting the client installs its own policy.
+        self.has_explicit_policy = policy is not None
+        self.policy = policy if policy is not None else NetworkPolicy()
+        self.breakers = BreakerRegistry(self.policy.breaker)
+        self.resilience = ResilienceStats()
         #: Fallback observers (see :mod:`repro.obs`) for callers that own
         #: the client outright and assign them by hand.  A client shared
         #: by concurrent executions holds none: each ``fetch`` is handed
@@ -131,46 +183,10 @@ class HttpClient:
         self.tracer = None
         self.metrics = None
 
-    @property
-    def cache(self) -> Optional[HttpCache]:
-        return self._cache
-
-    @property
-    def log(self) -> RequestLog:
-        return self._log
-
-    @property
-    def internet(self) -> Internet:
-        return self._internet
-
-    @property
-    def policy(self) -> NetworkPolicy:
-        return self._policy
-
-    @property
-    def has_explicit_policy(self) -> bool:
-        """Was this client constructed with its own :class:`NetworkPolicy`?
-
-        If not, an engine adopting the client installs its own policy."""
-        return self._explicit_policy
-
     def apply_policy(self, policy: NetworkPolicy) -> None:
         """Install ``policy``, resetting per-origin breakers to match."""
-        self._policy = policy
-        self._breakers = BreakerRegistry(policy.breaker)
-
-    @property
-    def resilience(self) -> ResilienceStats:
-        return self._resilience
-
-    @property
-    def breakers(self) -> BreakerRegistry:
-        return self._breakers
-
-    def _semaphore_for(self, origin: str) -> asyncio.Semaphore:
-        if origin not in self._semaphores:
-            self._semaphores[origin] = asyncio.Semaphore(self._max_per_origin)
-        return self._semaphores[origin]
+        self.policy = policy
+        self.breakers = BreakerRegistry(policy.breaker)
 
     async def fetch(
         self,
@@ -211,261 +227,171 @@ class HttpClient:
         origin, _, clean_url = split_url(url)
         if tracer is None:
             tracer = self.tracer
-        if metrics is None:
-            metrics = self.metrics
-        counted = (self._resilience,) if resilience is None else (self._resilience, resilience)
-        clock = tracer.clock if tracer is not None else time.monotonic
-        fetch_span = (
-            tracer.begin(
+        call = _Call(
+            log=self.log,
+            method=method,
+            url=clean_url,
+            origin=origin,
+            parent_url=parent_url,
+            tracer=tracer,
+            metrics=self.metrics if metrics is None else metrics,
+            counted=(self.resilience,) if resilience is None else (self.resilience, resilience),
+            clock=tracer.clock if tracer is not None else time.monotonic,
+        )
+        if tracer is not None:
+            call.span = tracer.begin(
                 "fetch", parent=trace_parent, url=clean_url, parent_url=parent_url or ""
             )
-            if tracer is not None
-            else None
-        )
         try:
+            # -- cache consultation (the browser "(disk cache)" of Fig. 4) ----
+            cache = self.cache if method == "GET" else None
+            entry = cache.lookup(clean_url) if cache is not None else None
+            if entry is not None and not revalidate and entry.is_fresh():
+                cache.hits += 1
+                call.meter("cache.hits")
+                call.started = call.finished = call.clock()
+                call.note_attempt(entry.response, from_cache=True)
+                return entry.response
+
             request_headers = dict(self._default_headers)
             request_headers.setdefault("accept", "text/turtle, application/n-triples;q=0.8")
             if headers:
                 request_headers.update(headers)
+            if entry is not None and entry.etag:
+                request_headers["if-none-match"] = entry.etag
 
-            # -- cache consultation (the browser "(disk cache)" of Fig. 4) ----
-            cache_entry = None
-            if self._cache is not None and method == "GET":
-                cache_entry = self._cache.lookup(clean_url)
-                if cache_entry is not None and not revalidate and cache_entry.is_fresh():
-                    self._cache.hits += 1
-                    if metrics is not None:
-                        metrics.counter("cache.hits").inc()
-                    now = clock()
-                    self._log.record(
-                        method=method,
-                        url=clean_url,
-                        status=cache_entry.response.status,
-                        started_at=now,
-                        finished_at=now,
-                        response_size=len(cache_entry.response.body),
-                        parent_url=parent_url,
-                        from_cache=True,
-                    )
-                    if tracer is not None:
-                        tracer.add(
-                            "attempt",
-                            now,
-                            now,
-                            parent=fetch_span,
-                            url=clean_url,
-                            status=cache_entry.response.status,
-                            attempt=1,
-                            from_cache=True,
-                            error="",
-                            size=len(cache_entry.response.body),
-                        )
-                    return cache_entry.response
-                if cache_entry is not None and cache_entry.etag:
-                    request_headers["if-none-match"] = cache_entry.etag
+            response = await self._exchange(
+                call, Request(method=method, url=clean_url, headers=request_headers)
+            )
 
-            request = Request(method=method, url=clean_url, headers=request_headers)
-
-            retry = self._policy.retry
-            max_attempts = max(1, retry.max_attempts)
-            breaker = self._breakers.for_origin(origin)
-            attempt = 0
-            started = finished = clock()
-            # The breaker judges the *final* outcome of the last real attempt —
-            # a request that recovers via retries proves the origin is alive,
-            # so transient flakiness never trips it; only requests that stay
-            # failed after the retry loop (or with retries off) count.
-            last_real_response: Optional[Response] = None
-            while True:
-                attempt += 1
-                phase = breaker.phase
-                allowed = breaker.allow()
-                if breaker.phase != phase:
-                    _note_transition(origin, phase, breaker.phase, metrics, counted)
-                if not allowed:
-                    # Fast-fail: the origin tripped its breaker; don't queue
-                    # behind it, and don't retry — the dereferencer may
-                    # re-queue the link for after the recovery window.
-                    for stats in counted:
-                        stats.breaker_fast_fails += 1
-                    if metrics is not None:
-                        metrics.counter("breaker.fast_fails").inc()
-                    started = finished = clock()
-                    response = Response(0, {"x-error": "circuit-open"}, b"")
-                    break
-                for stats in counted:
-                    stats.attempts += 1
-                if metrics is not None:
-                    metrics.counter("http.attempts").inc()
-                semaphore = self._semaphore_for(origin)
-                async with semaphore:
-                    started = clock()
-                    try:
-                        timeout = self._policy.request_timeout
-                        if timeout and timeout > 0:
-                            # asyncio.timeout (3.11+) instead of wait_for: it
-                            # adds no extra task or scheduling point, so an
-                            # in-process app that answers without awaiting
-                            # keeps the exact pre-timeout interleaving.
-                            async with asyncio.timeout(timeout):
-                                response = await self._internet.dispatch(request)
-                        else:
-                            response = await self._internet.dispatch(request)
-                    except asyncio.TimeoutError:
-                        for stats in counted:
-                            stats.timeouts += 1
-                        if metrics is not None:
-                            metrics.counter("http.timeouts").inc()
-                        response = Response(0, {"x-error": "timeout"}, b"")
-                    except Exception as error:  # a buggy app is a 500, not a crash
-                        response = Response(500, {"content-type": "text/plain"}, str(error).encode())
-                    cap = self._policy.max_response_bytes
-                    if cap and len(response.body) > cap:
-                        # Abort the transfer *at* the cap: the oversized tail
-                        # is never read, so latency is paid for at most
-                        # ``cap`` bytes and no downstream layer ever holds
-                        # the full body.  Permanent — see
-                        # ``PERMANENT_ERROR_MARKERS``.
-                        for stats in counted:
-                            stats.body_cap_aborts += 1
-                        if metrics is not None:
-                            metrics.counter("http.body_cap_aborts").inc()
-                        response = Response(
-                            0,
-                            {
-                                "x-error": "body-too-large",
-                                "x-refused-bytes": str(len(response.body)),
-                            },
-                            b"",
-                        )
-                        delay = self._latency.latency_for(clean_url, cap)
-                    else:
-                        delay = self._latency.latency_for(clean_url, len(response.body))
-                    if delay > 0 and self._latency_scale > 0:
-                        await asyncio.sleep(delay * self._latency_scale)
-                    finished = clock()
-                last_real_response = response
-                if metrics is not None:
-                    metrics.histogram("fetch.latency_s").observe(finished - started)
-
-                if not _is_retryable(response) or attempt >= max_attempts:
-                    break
-                if retry.budget and self._resilience.retries >= retry.budget:
-                    for stats in counted:
-                        stats.budget_exhausted += 1
-                    break
-
-                # -- log the failed attempt, back off, go again ------------
-                self._log.record(
-                    method=method,
-                    url=clean_url,
-                    status=response.status,
-                    started_at=started,
-                    finished_at=finished,
-                    response_size=len(response.body),
-                    parent_url=parent_url,
-                    error=_error_text(response) or f"HTTP {response.status}",
-                    attempt=attempt,
-                )
-                if tracer is not None:
-                    tracer.add(
-                        "attempt",
-                        started,
-                        finished,
-                        parent=fetch_span,
-                        url=clean_url,
-                        status=response.status,
-                        attempt=attempt,
-                        retried=True,
-                        error=_error_text(response) or f"HTTP {response.status}",
-                        size=len(response.body),
-                    )
-                for stats in counted:
-                    stats.retries += 1
-                if metrics is not None:
-                    metrics.counter("http.retries").inc()
-                backoff = retry.backoff_delay(clean_url, attempt - 1)
-                retry_after = response.header("retry-after")
-                if retry.respect_retry_after and retry_after:
-                    try:
-                        backoff = max(backoff, min(float(retry_after), retry.max_retry_after))
-                        for stats in counted:
-                            stats.retry_after_waits += 1
-                    except ValueError:
-                        pass
-                if backoff > 0:
-                    if tracer is not None:
-                        backoff_started = clock()
-                        await asyncio.sleep(backoff * self._latency_scale)
-                        tracer.add(
-                            "backoff",
-                            backoff_started,
-                            clock(),
-                            parent=fetch_span,
-                            attempt=attempt,
-                        )
-                    else:
-                        await asyncio.sleep(backoff * self._latency_scale)
-
-            if last_real_response is not None:
-                # Fast-failed requests (no real attempt) carry no health signal.
-                phase = breaker.phase
-                if _is_breaker_failure(last_real_response):
-                    breaker.record_failure()
-                else:
-                    breaker.record_success()
-                if breaker.phase != phase:
-                    _note_transition(origin, phase, breaker.phase, metrics, counted)
-
-            served_from_cache = False
             revalidated = False
-            if self._cache is not None and method == "GET":
-                if response.status == 304 and cache_entry is not None:
+            if cache is not None:
+                if response.status == 304 and entry is not None:
                     # Revalidated: renew and answer with the cached body.
-                    cache_entry.renew(now=clock())
-                    self._cache.revalidations += 1
-                    if metrics is not None:
-                        metrics.counter("cache.revalidations").inc()
-                    response = cache_entry.response
-                    served_from_cache = True
+                    entry.renew(now=call.clock())
+                    cache.revalidations += 1
+                    call.meter("cache.revalidations")
+                    response = entry.response
                     revalidated = True
                 elif response.status == 200:
-                    self._cache.misses += 1
-                    self._cache.store(clean_url, response)
+                    cache.misses += 1
+                    cache.store(clean_url, response)
 
             error_text = _error_text(response)
-            self._log.record(
-                method=method,
-                url=clean_url,
-                status=response.status,
-                started_at=started,
-                finished_at=finished,
-                response_size=len(response.body),
-                parent_url=parent_url,
-                error=error_text,
-                from_cache=served_from_cache,
-                attempt=attempt,
-            )
-            if tracer is not None:
-                tracer.add(
-                    "attempt",
-                    started,
-                    finished,
-                    parent=fetch_span,
-                    url=clean_url,
-                    status=response.status,
-                    attempt=attempt,
-                    from_cache=served_from_cache,
-                    revalidated=revalidated,
-                    error=error_text,
-                    size=len(response.body),
-                )
+            call.note_attempt(response, error_text, from_cache=revalidated, revalidated=revalidated)
             if strict and (response.status == 0 or response.status >= 400):
-                raise FetchError(clean_url, f"HTTP {response.status}" if response.status else error_text)
+                raise FetchError(clean_url, error_text or f"HTTP {response.status}")
             return response
         finally:
-            if fetch_span is not None:
-                tracer.end(fetch_span)
+            if tracer is not None:
+                tracer.end(call.span)
+
+    async def _exchange(self, call: _Call, request: Request) -> Response:
+        """Attempt ``request`` until an answer need not, or may not, be
+        retried.  Each attempt that is retried is written down and backed
+        off from here; the final one is left stamped on ``call`` for
+        :meth:`fetch` to write down once the cache has seen it."""
+        retry = self.policy.retry
+        breaker = self.breakers.for_origin(call.origin)
+        call.started = call.finished = call.clock()
+        # The breaker judges the *final* outcome of the last real attempt —
+        # a request that recovers via retries proves the origin is alive,
+        # so transient flakiness never trips it; only requests that stay
+        # failed after the retry loop (or with retries off) count.
+        last_real_response: Optional[Response] = None
+        while True:
+            phase = breaker.phase
+            allowed = breaker.allow()
+            call.transition(phase, breaker.phase)
+            if not allowed:
+                # Fast-fail: the origin tripped its breaker; don't queue
+                # behind it, and don't retry — the dereferencer may
+                # re-queue the link for after the recovery window.
+                call.count("breaker_fast_fails", "breaker.fast_fails")
+                call.started = call.finished = call.clock()
+                response = Response(0, {"x-error": "circuit-open"}, b"")
+                break
+            response = last_real_response = await self._attempt(call, request)
+            if not _is_retryable(response) or call.attempt >= retry.max_attempts:
+                break
+            # A caller that keeps its own books spends its own budget: one
+            # query's retries never deny a neighbour its first.
+            if retry.budget and call.counted[-1].retries >= retry.budget:
+                call.count("budget_exhausted")
+                break
+            call.note_attempt(response, _error_text(response) or f"HTTP {response.status}", retried=True)
+            call.count("retries", "http.retries")
+            await self._back_off(call, response)
+            call.attempt += 1
+
+        if last_real_response is not None:
+            # Fast-failed requests (no real attempt) carry no health signal.
+            phase = breaker.phase
+            if _is_breaker_failure(last_real_response):
+                breaker.record_failure()
+            else:
+                breaker.record_success()
+            call.transition(phase, breaker.phase)
+        return response
+
+    async def _attempt(self, call: _Call, request: Request) -> Response:
+        """One request on the wire — a connection slot, the timeout, the
+        body cap, the transfer time — with its window stamped on ``call``."""
+        call.count("attempts", "http.attempts")
+        async with self._semaphores[call.origin]:
+            call.started = call.clock()
+            timeout = self.policy.request_timeout
+            try:
+                # asyncio.timeout (3.11+) instead of wait_for: it adds no
+                # extra task or scheduling point, so an in-process app that
+                # answers without awaiting keeps the exact pre-timeout
+                # interleaving.  ``None`` (timeouts off) arms nothing.
+                async with asyncio.timeout(timeout if timeout and timeout > 0 else None):
+                    response = await self.internet.dispatch(request)
+            except asyncio.TimeoutError:
+                call.count("timeouts", "http.timeouts")
+                response = Response(0, {"x-error": "timeout"}, b"")
+            except Exception as error:  # a buggy app is a 500, not a crash
+                response = Response(500, {"content-type": "text/plain"}, str(error).encode())
+            transferred = len(response.body)
+            cap = self.policy.max_response_bytes
+            if cap and transferred > cap:
+                # Abort the transfer *at* the cap: the oversized tail is
+                # never read, so latency is paid for at most ``cap`` bytes
+                # and no downstream layer ever holds the full body.
+                # Permanent — see ``PERMANENT_ERROR_MARKERS``.
+                call.count("body_cap_aborts", "http.body_cap_aborts")
+                response = Response(
+                    0, {"x-error": "body-too-large", "x-refused-bytes": str(transferred)}, b""
+                )
+                transferred = cap
+            delay = self._latency.latency_for(call.url, transferred)
+            if delay > 0 and self._latency_scale > 0:
+                await asyncio.sleep(delay * self._latency_scale)
+            call.finished = call.clock()
+        if call.metrics is not None:
+            call.metrics.histogram("fetch.latency_s").observe(call.finished - call.started)
+        return response
+
+    async def _back_off(self, call: _Call, response: Response) -> None:
+        """Sleep out the gap before the next attempt: the seeded schedule,
+        or the server's ``Retry-After`` when that asks for longer."""
+        retry = self.policy.retry
+        backoff = retry.backoff_delay(call.url, call.attempt - 1)
+        retry_after = response.header("retry-after")
+        if retry.respect_retry_after and retry_after:
+            try:
+                backoff = max(backoff, min(float(retry_after), retry.max_retry_after))
+                call.count("retry_after_waits")
+            except ValueError:
+                pass
+        if backoff > 0:
+            backoff_started = call.clock() if call.tracer is not None else 0.0
+            await asyncio.sleep(backoff * self._latency_scale)
+            if call.tracer is not None:
+                call.tracer.add(
+                    "backoff", backoff_started, call.clock(), parent=call.span, attempt=call.attempt
+                )
 
     async def get_text(self, url: str, strict: bool = True) -> str:
         """Convenience GET returning the body text."""

@@ -51,6 +51,26 @@ RETRYABLE_STATUSES = frozenset({0, 408, 429, 500, 502, 503, 504})
 PERMANENT_ERROR_MARKERS = frozenset({"unknown-origin", "body-too-large"})
 
 
+def _is_retryable(response) -> bool:
+    """Transient failure worth another attempt?  Transport drops, request
+    timeouts, throttling, and 5xx are; NXDOMAIN and client errors are not."""
+    if response.status not in RETRYABLE_STATUSES:
+        return False
+    return response.header("x-error") not in PERMANENT_ERROR_MARKERS
+
+
+def _is_breaker_failure(response) -> bool:
+    """Does this response count against the origin's circuit breaker?
+
+    Only origin-health signals do: transport drops, timeouts, 408/429,
+    and 5xx.  A 404/403 is a *healthy* origin answering correctly, and an
+    unknown origin has no server whose health is worth tracking.
+    """
+    if response.status == 0:
+        return response.header("x-error") not in PERMANENT_ERROR_MARKERS
+    return response.status in (408, 429) or response.status >= 500
+
+
 @dataclass(slots=True)
 class RetryPolicy:
     """Retry/backoff knobs for one client.
@@ -59,9 +79,11 @@ class RetryPolicy:
     backoff before retry *i* (0-based) is
     ``min(max_delay, base_delay * multiplier**i)`` scaled by a seeded
     jitter factor in ``[1 - jitter, 1]`` — deterministic per
-    ``(seed, url, i)``.  ``budget`` caps total retries across a client's
-    lifetime so a widely-broken Web cannot stall traversal indefinitely
-    (``0`` disables the cap).
+    ``(seed, url, i)``.  ``budget`` caps the total retries of whoever keeps
+    the books — the execution whose :class:`ResilienceStats` travels with
+    the fetch, or the client itself for callers that pass none — so a
+    widely-broken Web cannot stall a traversal indefinitely and one
+    query's retries never spend another's (``0`` disables the cap).
     """
 
     max_attempts: int = 4

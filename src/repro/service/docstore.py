@@ -44,7 +44,7 @@ from ..net.message import Response
 from ..rdf.triples import Triple
 from ..storage import StorageBackend, StorageTier
 
-__all__ = ["StoredDocument", "DocumentDiff", "DocumentStore"]
+__all__ = ["StoredDocument", "DocumentStore"]
 
 
 @dataclass(slots=True, frozen=True)
@@ -55,25 +55,6 @@ class StoredDocument:
     validator: str
     triples: tuple[Triple, ...]
     stored_at: float
-
-
-@dataclass(slots=True, frozen=True)
-class DocumentDiff:
-    """The minimal signed delta between two validators of one document.
-
-    Produced by :meth:`DocumentStore.diff` when a re-dereferenced URL comes
-    back with a changed validator: instead of a wholesale replace, the live
-    pipeline retracts ``removed`` and inserts ``added``.  ``unchanged`` is
-    the overlap size — the whole point of diffing (a one-triple PATCH to a
-    thousand-triple profile moves two triples, not two thousand).
-    """
-
-    url: str
-    old_validator: str
-    new_validator: str
-    added: tuple[Triple, ...]
-    removed: tuple[Triple, ...]
-    unchanged: int
 
 
 def encode_stored_document(document: StoredDocument) -> bytes:
@@ -133,9 +114,6 @@ class DocumentStore:
         self.invalidations = 0
         #: Parses that went through the store (cold-path ``put`` calls).
         self.parses = 0
-        #: Validator changes resolved by a minimal signed diff instead of
-        #: a wholesale replace (live re-dereference path).
-        self.diffs = 0
 
     def __len__(self) -> int:
         return len(self._tier)
@@ -170,42 +148,6 @@ class DocumentStore:
             return None
         self.hits += 1
         return entry
-
-    def peek(self, url: str) -> Optional[StoredDocument]:
-        """The stored entry for ``url`` *whatever* its validator.
-
-        Counts neither a hit nor a miss and never invalidates: this is the
-        diff path capturing the stale parse *before* :meth:`lookup` (which
-        would delete it on a validator mismatch).
-        """
-        return self._tier.get(url)
-
-    def diff(
-        self,
-        stale: StoredDocument,
-        validator: str,
-        triples: Iterable[Triple],
-    ) -> DocumentDiff:
-        """The minimal signed delta from a stale entry to a fresh parse.
-
-        Deterministically ordered (sorted by term representation) so every
-        consumer — local pipelines, sharded subscriptions — observes the
-        same change sequence.
-        """
-        new_set = set(triples)
-        old_set = set(stale.triples)
-        sort_key = lambda t: (repr(t.subject), repr(t.predicate), repr(t.object))  # noqa: E731
-        added = tuple(sorted(new_set - old_set, key=sort_key))
-        removed = tuple(sorted(old_set - new_set, key=sort_key))
-        self.diffs += 1
-        return DocumentDiff(
-            url=stale.url,
-            old_validator=stale.validator,
-            new_validator=validator,
-            added=added,
-            removed=removed,
-            unchanged=len(new_set & old_set),
-        )
 
     def put(self, url: str, validator: str, triples: Iterable[Triple]) -> StoredDocument:
         triple_tuple = tuple(triples)
@@ -242,7 +184,7 @@ class DocumentStore:
 
     def clear(self) -> None:
         self._tier.clear()
-        self.hits = self.misses = self.invalidations = self.parses = self.diffs = 0
+        self.hits = self.misses = self.invalidations = self.parses = 0
 
     @property
     def hit_rate(self) -> float:
@@ -256,7 +198,9 @@ class DocumentStore:
             "misses": self.misses,
             "invalidations": self.invalidations,
             "parses": self.parses,
-            "diffs": self.diffs,
+            # One per upstream edit the store noticed; the diff itself is
+            # ``GrowingTripleSource.update_document``'s, per plan read set.
+            "diffs": self.invalidations,
             "hit_rate": round(self.hit_rate, 4),
             "storage": self._tier.statistics(),
         }

@@ -3,6 +3,7 @@
 import ast
 import asyncio
 import dataclasses
+import importlib
 import inspect
 from pathlib import Path
 
@@ -113,35 +114,64 @@ class TestOneHome:
         fields = {field.name for field in dataclasses.fields(ExecutionResult)}
         assert fields == {"query", "results", "stats", "seeds"}
 
-    def test_no_private_engine_function_threads_state_or_sprawls(self):
-        from repro.ltqp import engine
+    #: The traversal loop and the dereference path under it: module → the
+    #: functions the walk must have seen (the former offenders' heirs).
+    SIZED_MODULES = {
+        "repro.ltqp.engine": {"QueryExecution._stream", "QueryExecution._process_link"},
+        "repro.net.client": {"HttpClient.fetch", "HttpClient._attempt", "_Call.note_attempt"},
+        "repro.ltqp.dereference": {"Dereferencer.dereference", "Dereferencer._refusal"},
+        "repro.service.docstore": {"DocumentStore.lookup"},
+    }
 
-        functions = [
-            (name, value)
-            for name, value in vars(engine).items()
-            if inspect.isfunction(value) and value.__module__ == engine.__name__
+    def test_no_private_engine_function_threads_state_or_sprawls(self):
+        for module_name, must_see in self.SIZED_MODULES.items():
+            module = importlib.import_module(module_name)
+            functions = [
+                (name, value)
+                for name, value in vars(module).items()
+                if inspect.isfunction(value) and value.__module__ == module.__name__
+            ]
+            for cls in vars(module).values():
+                if inspect.isclass(cls) and cls.__module__ == module.__name__:
+                    functions += [
+                        (f"{cls.__name__}.{name}", getattr(value, "__func__", value))
+                        for name, value in vars(cls).items()
+                        if inspect.isfunction(getattr(value, "__func__", value))
+                    ]
+            # Written in the file, that is — not a dataclass-generated ``__init__``.
+            functions = [
+                (name, function)
+                for name, function in functions
+                if function.__code__.co_filename == module.__file__
+            ]
+            for name, function in functions:
+                assert len(inspect.getsourcelines(function)[0]) <= 100, name
+                private = name.rsplit(".", 1)[-1].startswith("_") and not name.endswith("__")
+                if private:
+                    parameters = [p for p in inspect.signature(function).parameters if p != "self"]
+                    assert len(parameters) <= 4, (name, parameters)
+            # The walk really saw the module, the former offenders' heirs included.
+            assert must_see <= dict(functions).keys()
+
+    def test_an_attempt_is_written_down_in_one_place(self):
+        """One ``RequestLog.record`` call site and one ``"attempt"`` span
+        site in the client: a field added to one cannot miss the other."""
+        from repro.net import client
+
+        tree = ast.parse(Path(client.__file__).read_text(encoding="utf-8"))
+        record_calls = [
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "record"
         ]
-        for cls in vars(engine).values():
-            if inspect.isclass(cls) and cls.__module__ == engine.__name__:
-                functions += [
-                    (f"{cls.__name__}.{name}", getattr(value, "__func__", value))
-                    for name, value in vars(cls).items()
-                    if inspect.isfunction(getattr(value, "__func__", value))
-                ]
-        # Written in the file, that is — not a dataclass-generated ``__init__``.
-        functions = [
-            (name, function)
-            for name, function in functions
-            if function.__code__.co_filename == engine.__file__
+        attempt_literals = [
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and node.value == "attempt"
         ]
-        for name, function in functions:
-            assert len(inspect.getsourcelines(function)[0]) <= 100, name
-            private = name.rsplit(".", 1)[-1].startswith("_") and not name.endswith("__")
-            if private:
-                parameters = [p for p in inspect.signature(function).parameters if p != "self"]
-                assert len(parameters) <= 4, (name, parameters)
-        # The walk really saw the module, the former offenders' heirs included.
-        assert {"QueryExecution._stream", "QueryExecution._process_link"} <= dict(functions).keys()
+        assert (len(record_calls), len(attempt_literals)) == (1, 1)
 
     def test_shared_objects_are_never_assigned_an_observer(self):
         """Observers travel with the call: the only ``.tracer`` / ``.metrics``

@@ -8,12 +8,15 @@ slow one.  The engine-level cases run against ``SnapshotEvaluator`` over
 the documents the traversal fetched.
 """
 
+import ast
 import asyncio
+import inspect
+import textwrap
 from collections import Counter
 
 import pytest
 
-from repro.ltqp import LinkTraversalEngine, explain_plan
+from repro.ltqp import LinkTraversalEngine, explain_plan, pipeline
 from repro.ltqp.adaptive import AdaptivePipeline
 from repro.ltqp.dereference import Dereferencer
 from repro.ltqp.extractors import MatchIriExtractor
@@ -73,6 +76,53 @@ class TestReadSetOfAPlan:
     def test_construct_and_ask_read_their_where(self):
         assert read_set("CONSTRUCT { ?a ex:made ?b } WHERE { ?a ex:p ?b }") == ex("p")
         assert read_set("ASK { ?a ex:p ?b }") == ex("p")
+
+
+class TestOneRegisterBody:
+    """A read that fails to register is dropped by the source, silently.
+    So registering is not each node's to write: the base class registers
+    whatever the node *declares* it reads, and a node that is handed
+    something to read must declare."""
+
+    #: Constructor parameters that mean "this node reads quads of its own":
+    #: a pattern to scan, an evaluator (its expression may hold an EXISTS
+    #: pattern), a DESCRIBE query.
+    READERS = {"pattern", "evaluator", "query"}
+
+    def node_classes(self):
+        classes = [
+            cls
+            for cls in vars(pipeline).values()
+            if inspect.isclass(cls)
+            and issubclass(cls, pipeline.IncrementalNode)
+            and cls is not pipeline.IncrementalNode
+        ]
+        assert len(classes) >= 16
+        return classes
+
+    def test_no_node_overrides_register(self):
+        assert [cls.__name__ for cls in self.node_classes() if "register" in vars(cls)] == []
+
+    def test_every_node_handed_something_to_read_declares_its_reads(self):
+        undeclared, declared = [], []
+        for cls in self.node_classes():
+            parameters = inspect.signature(cls.__init__).parameters
+            if not self.READERS & parameters.keys():
+                continue
+            assigns_reads = "__init__" in vars(cls) and any(
+                isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Store)
+                and node.attr == "reads"
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "self"
+                for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(cls.__init__))))
+            )
+            (declared if assigns_reads or "reads" in vars(cls) else undeclared).append(cls.__name__)
+        assert undeclared == []
+        assert {
+            "ScanNode", "PathScanNode", "FilterNode", "ExistsFilterNode", "LeftJoinNode",
+            "GroupAggregateNode", "OrderSliceNode", "DescribeNode", "ExtendNode",
+        } == set(declared)
 
 
 class TestPathsThatMatchTheEmptyWalk:

@@ -95,6 +95,72 @@ class TestLogging:
         record = client.log.records[0]
         assert record.status == 0 and record.error
 
+    def test_retried_fetch_reads_the_clock_in_a_pinned_order(self):
+        """Retry → ``Retry-After`` back-off → success under a tick clock:
+        every record, attempt span and back-off span, with its timestamps.
+        The clock is read once per ``fetch`` span edge, once entering the
+        retry loop, twice per attempt and twice per back-off — tick goldens
+        depend on that order, so the seams of ``fetch`` may not move one."""
+        from repro.net.resilience import NetworkPolicy, RetryPolicy
+        from repro.obs import TickClock, Tracer
+
+        served = []
+
+        def handler(request):
+            served.append(request.url)
+            if len(served) == 1:
+                return Response(429, {"content-type": "text/plain", "retry-after": "0.002"}, b"slow down")
+            return Response.ok_turtle("<http://x/a> <http://x/p> <http://x/b> .")
+
+        internet = Internet()
+        internet.register("https://pods.example", FunctionApp(handler))
+        client = HttpClient(
+            internet,
+            latency=NoLatency(),
+            policy=NetworkPolicy(retry=RetryPolicy(base_delay=0.0001, max_delay=0.001)),
+        )
+        tracer = Tracer(clock=TickClock(step=1.0))
+        url, parent = "https://pods.example/doc", "https://pods.example/root"
+        response = run(client.fetch(url, parent_url=parent, tracer=tracer))
+
+        assert response.status == 200 and len(served) == 2
+        assert client.resilience.retry_after_waits == 1
+        size = len(response.body)
+        assert [
+            (r.status, r.attempt, r.started_at, r.finished_at, r.response_size, r.error, r.parent_url)
+            for r in client.log.records
+        ] == [
+            (429, 1, 3.0, 4.0, len(b"slow down"), "HTTP 429", parent),
+            (200, 2, 7.0, 8.0, size, "", parent),
+        ]
+        fetch_span = tracer.roots[0]
+        assert (fetch_span.name, fetch_span.start, fetch_span.end) == ("fetch", 1.0, 9.0)
+        assert fetch_span.args == {"url": url, "parent_url": parent}
+        assert [(s.name, s.start, s.end, s.args) for s in fetch_span.children] == [
+            (
+                "attempt",
+                3.0,
+                4.0,
+                {"url": url, "status": 429, "attempt": 1, "retried": True, "error": "HTTP 429", "size": 9},
+            ),
+            ("backoff", 5.0, 6.0, {"attempt": 1}),
+            (
+                "attempt",
+                7.0,
+                8.0,
+                {
+                    "url": url,
+                    "status": 200,
+                    "attempt": 2,
+                    "from_cache": False,
+                    "revalidated": False,
+                    "error": "",
+                    "size": size,
+                },
+            ),
+        ]
+        assert len(tracer.spans) == 4
+
 
 class TestLatencyAndConcurrency:
     def test_latency_model_delays_requests(self):

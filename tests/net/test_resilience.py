@@ -281,6 +281,39 @@ class TestClientRetries:
         assert client.resilience.retries == 2
         assert client.resilience.budget_exhausted == 1
 
+    def test_retry_budget_is_spent_from_the_callers_own_books(self):
+        """Two callers share one client: the first spends its whole budget
+        on a dead document, the second still gets its retries."""
+        from repro.net.resilience import ResilienceStats
+
+        calls = {"/flaky": 0}
+
+        def handler(request):
+            if request.url.endswith("/dead"):
+                return Response(503, {"content-type": "text/plain"}, b"boom")
+            calls["/flaky"] += 1
+            if calls["/flaky"] == 1:
+                return Response(503, {"content-type": "text/plain"}, b"boom")
+            return Response.ok_turtle("<http://x/a> <http://x/p> <http://x/b> .")
+
+        internet = Internet()
+        internet.register(ORIGIN, FunctionApp(handler))
+        client = HttpClient(
+            internet,
+            latency=NoLatency(),
+            policy=NetworkPolicy(
+                retry=fast_retry(max_attempts=10, budget=2),
+                breaker=BreakerPolicy(failure_threshold=0),
+            ),
+        )
+        first, second = ResilienceStats(), ResilienceStats()
+        assert run(client.fetch(f"{ORIGIN}/dead", resilience=first)).status == 503
+        assert (first.retries, first.budget_exhausted) == (2, 1)
+        assert run(client.fetch(f"{ORIGIN}/flaky", resilience=second)).status == 200
+        assert (second.retries, second.budget_exhausted) == (1, 0)
+        # The client's own books still count everything it ever did.
+        assert (client.resilience.retries, client.resilience.budget_exhausted) == (3, 1)
+
     def test_engine_policy_adoption(self):
         """A client built without an explicit policy adopts the engine's."""
         internet = self.flaky_internet()

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.ltqp import EngineConfig, NetworkPolicy
 from repro.net import NoLatency
-from repro.net.faults import FaultPlan
+from repro.net.faults import FaultPlan, FaultRule
 from repro.net.resilience import RetryPolicy
 from repro.obs import Tracer
 from repro.service import QueryService, SharedResources
@@ -115,3 +115,48 @@ def test_concurrent_service_matches_serial_runs(
     assert sum(r.stats.http_retries for r in results) == lifetime.retries
     assert sum(r.stats.http_timeouts for r in results) == lifetime.timeouts
     assert sum(r.stats.breaker_fast_fails for r in results) == lifetime.breaker_fast_fails
+
+
+def test_a_neighbours_retries_never_spend_this_querys_budget(tiny_universe):
+    """The retry budget is per query, like every other book: with every
+    document failing its first attempt, a query needs one retry per
+    request — and gets them, however many its neighbour on the same
+    client has already spent."""
+    queries = [discover_query(tiny_universe, 1, 5, person_index=i) for i in (0, 1)]
+    solo = []
+    for named in queries:
+        engine = tiny_universe.fast_engine(config=EngineConfig(network=_network()))
+        execution = engine.query(named.text, seeds=named.seeds).run_sync()
+        solo.append(
+            (sorted(repr(b) for b in execution.bindings), len(engine.client.log.records))
+        )
+    # Enough for either query alone, not for both out of one pot.
+    budget = max(requests for _, requests in solo)
+    network = _network()
+    network.retry.budget = budget
+    network.max_link_requeues = 0
+
+    tiny_universe.internet.install_fault_plan(
+        FaultPlan([FaultRule(kind="status", fail_attempts=1)])
+    )
+    try:
+        # The shared client keeps the policy it was built with.
+        resources = SharedResources.for_universe(
+            tiny_universe, latency=NoLatency(), policy=network
+        )
+        service = QueryService(resources, config=EngineConfig(network=network))
+
+        async def back_to_back():
+            return [await service.run(named.text, seeds=named.seeds) for named in queries]
+
+        results = asyncio.run(back_to_back())
+    finally:
+        tiny_universe.internet.install_fault_plan(None)
+
+    for result, (bindings, _) in zip(results, solo):
+        assert sorted(repr(timed.binding) for timed in result.results) == bindings
+        assert 0 < result.stats.http_retries <= budget
+    # Together they spent more than one budget, and nobody was denied.
+    lifetime = resources.client.resilience
+    assert lifetime.retries == sum(r.stats.http_retries for r in results) > budget
+    assert lifetime.budget_exhausted == 0

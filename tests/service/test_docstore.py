@@ -5,6 +5,7 @@ import hashlib
 from repro.net.message import Response
 from repro.rdf.terms import Literal, intern_iri
 from repro.rdf.triples import Triple
+from repro.ltqp.source import GrowingTripleSource
 from repro.service import DocumentStore
 
 
@@ -99,9 +100,11 @@ class TestPersistentRestartInvalidation:
 
     A document edited while the service is *down* must not be served
     from the persisted parse: the restart's first conditional fetch sees
-    a new validator, misses the store, re-parses — and the store diffs
-    the new parse against the persisted stale one (the live-refresh
-    delta source), while untouched documents keep answering parse-free.
+    a new validator, drops the persisted stale parse and re-parses, while
+    untouched documents keep answering parse-free.  The new parse differs
+    from the one persisted before the restart by exactly the edit — what
+    the live path's one diff (``GrowingTripleSource.update_document``)
+    relies on.
     """
 
     def test_doc_changed_while_down_is_rediffed_on_restart(self, tmp_path):
@@ -126,12 +129,15 @@ class TestPersistentRestartInvalidation:
 
         async def first_lifetime():
             resources = open_resources()
+            parsed = {}
             for url in (changed_url, untouched_url):
                 result = await resources.dereferencer.dereference(url)
                 assert result.ok and not result.from_store
+                parsed[url] = result.triples
             resources.close()
+            return parsed[changed_url]
 
-        asyncio.run(first_lifetime())
+        before_edit = asyncio.run(first_lifetime())
 
         async def edit_while_down():
             from urllib.parse import urlsplit
@@ -155,20 +161,26 @@ class TestPersistentRestartInvalidation:
 
         async def second_lifetime():
             resources = open_resources()
+            store = resources.document_store
             changed = await resources.dereferencer.dereference(
                 changed_url, revalidate=True
             )
             assert changed.ok and not changed.from_store
-            # The persisted stale parse is the diff base: one rename is
-            # exactly one retraction plus one addition.
-            assert changed.diff is not None
-            assert len(changed.diff.added) == 1
-            assert len(changed.diff.removed) == 1
+            assert (store.parses, store.invalidations) == (1, 1)
+            assert store.statistics()["diffs"] == 1
             untouched = await resources.dereferencer.dereference(
                 untouched_url, revalidate=True
             )
             assert untouched.ok and untouched.from_store
-            assert untouched.diff is None
+            assert (store.parses, store.invalidations, store.hits) == (1, 1, 1)
+            assert store.statistics()["diffs"] == 1
             resources.close()
+            return changed.triples
 
-        asyncio.run(second_lifetime())
+        after_edit = asyncio.run(second_lifetime())
+        # Blank-node labels are stable across lifetimes, so one rename is
+        # exactly one retraction plus one addition in the one diff there is.
+        source = GrowingTripleSource()
+        source.add_document(changed_url, before_edit)
+        added, removed = source.update_document(changed_url, after_edit)
+        assert (len(added), len(removed)) == (1, 1)
