@@ -264,17 +264,12 @@ def expect_query_suite(runs, rows):
     assert all(r.streaming for r in reports)  # through the monotonic pipeline
 
 
-def _type_index_scoped() -> list:
-    type_index = ltqp.TypeIndexExtractor()
-    return [ltqp.MatchIriExtractor(), ltqp.StorageExtractor(), type_index,
-            ltqp.ScopedLdpContainerExtractor(type_index)]
-
-
 EXTRACTOR_STACKS: dict[str, Optional[Callable[[], list]]] = {
     "solid-aware": None,  # the engine's default: cMatch + LDP + storage + type index
     "cmatch-only": lambda: [ltqp.MatchIriExtractor()],
     "call": lambda: [ltqp.AllIriExtractor()],
-    "type-index": _type_index_scoped,
+    "type-index": lambda: [ltqp.MatchIriExtractor(), ltqp.StorageExtractor(),
+                           ltqp.TypeIndexExtractor(), ltqp.ScopedLdpContainerExtractor()],
     "ldp-crawl": lambda: [ltqp.MatchIriExtractor(), ltqp.StorageExtractor(),
                           ltqp.LdpContainerExtractor()],
 }

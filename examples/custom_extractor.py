@@ -24,26 +24,33 @@ from repro.solidbench import SolidBenchConfig, build_universe, discover_query
 
 
 class FriendExtractor(LinkExtractor):
-    """Follow ``snvoc:knows`` edges to friends' WebIDs, up to a budget.
+    """Follow the first few ``snvoc:knows`` edges of each document to
+    friends' WebIDs.
 
     Not part of the paper's stack — it demonstrates how a five-line module
     changes traversal behaviour: the engine starts exploring the social
     neighbourhood instead of staying inside the seed pod.
+
+    It declares the one predicate it ``reads`` and takes that bucket of the
+    parsed document, so the rest of the document is never looked at; and it
+    keeps nothing between calls — an extractor instance serves every query
+    of its engine.
     """
 
     name = "friends"
 
-    def __init__(self, max_friends: int = 10) -> None:
-        self._budget = max_friends
+    def __init__(self, friends_per_document: int = 10) -> None:
+        self._cap = friends_per_document
 
-    def discover(self, document_url, triples, context):
+    def reads(self, context):
+        return (SNVOC.knows,)
+
+    def discover(self, document_url, document, context):
         provenance = LinkProvenance(extractor=self.name, predicate=SNVOC.knows.value)
-        for triple in triples:
-            if self._budget <= 0:
-                return
-            if triple.predicate == SNVOC.knows and isinstance(triple.object, NamedNode):
-                self._budget -= 1
-                yield triple.object.value, provenance
+        knows = document.select(self.reads(context))  # this bucket only, in document order
+        friends = [triple.object for triple in knows if isinstance(triple.object, NamedNode)]
+        for friend in friends[: self._cap]:
+            yield friend.value, provenance
 
 
 def run(universe, query, extractors, label):
@@ -67,14 +74,7 @@ def main() -> None:
     ]
     run(universe, query, standard, "standard stack")
 
-    # Fresh instances: extractors may carry per-execution state.
-    with_friends = [
-        MatchIriExtractor(),
-        LdpContainerExtractor(),
-        StorageExtractor(),
-        TypeIndexExtractor(),
-        FriendExtractor(max_friends=5),
-    ]
+    with_friends = standard + [FriendExtractor(friends_per_document=2)]
     run(universe, query, with_friends, "standard + friends")
 
     minimal = [MatchIriExtractor(), StorageExtractor(), TypeIndexExtractor()]

@@ -23,7 +23,8 @@ the document URL, not from instance state.  Pass ``document_store`` (see
 documents are remembered keyed by their HTTP validator (ETag, or a body
 hash when the server sends none) — a repeat dereference whose response
 carries the same validator skips the parse entirely and returns the
-stored triples, with ``from_store`` set on the result.  Because the
+stored :class:`~repro.rdf.document.ParsedDocument` itself (predicate index
+included), with ``from_store`` set on the result.  Because the
 validator comes from the response, the existing HTTP-cache revalidation
 machinery is also the store's invalidation: a changed document gets a new
 ETag, misses the store, and is re-parsed.
@@ -32,15 +33,15 @@ ETag, misses the store, and is re-parsed.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 from urllib.parse import urljoin
 
 from ..net.client import HttpClient
 from ..net.message import Response
 from ..net.resilience import _is_retryable
+from ..rdf.document import ParsedDocument
 from ..rdf.ntriples import NTriplesParseError, parse_ntriples
-from ..rdf.triples import Triple
 from ..rdf.turtle import TurtleParseError, parse_turtle
 
 __all__ = ["DereferenceError", "DereferenceResult", "Dereferencer"]
@@ -54,17 +55,22 @@ class DereferenceError(RuntimeError):
         self.url = url
 
 
+#: What a dereference that parsed nothing carries (the value is immutable).
+_NO_DOCUMENT = ParsedDocument()
+
+
 @dataclass(slots=True)
 class DereferenceResult:
     """Outcome of dereferencing one URL."""
 
     url: str
     status: int
-    triples: list[Triple] = field(default_factory=list)
+    #: What the body parsed into (empty for a failure or refusal).
+    document: ParsedDocument = _NO_DOCUMENT
     error: str = ""
     #: Transient failure — retrying (or re-queueing the link) may succeed.
     retryable: bool = False
-    #: Parse was skipped: the triples came from the parsed-document store.
+    #: Parse was skipped: ``document`` is the parsed-document store's own.
     from_store: bool = False
     #: Budget kind that refused this document (``"doc-bytes"`` when the
     #: client aborted the transfer at its read cap, ``"parse-bytes"``
@@ -156,18 +162,18 @@ class Dereferencer:
                 return DereferenceResult(
                     url=url,
                     status=response.status,
-                    triples=list(stored.triples),
+                    document=stored.document,
                     from_store=True,
                     bytes_fetched=len(response.body),
                 )
         parse_started = tracer.clock() if tracer is not None else 0.0
         error = ""
         try:
-            triples = _parse_body(url, response)
+            document = _parse_body(url, response)
         except (TurtleParseError, NTriplesParseError, ValueError) as parse_error:
             error = f"parse error: {parse_error}"
         else:
-            if triples is None:
+            if document is None:
                 return self._failure(
                     url, response.status, f"unsupported content type {response.content_type!r}"
                 )
@@ -175,7 +181,7 @@ class Dereferencer:
             if error:
                 outcome = {"error": error}
             else:
-                outcome = {"triples": len(triples)}
+                outcome = {"triples": len(document)}
                 if provenance is not None:
                     outcome["discovered_via"] = provenance.describe()
             tracer.add(
@@ -190,9 +196,9 @@ class Dereferencer:
         if error:
             return self._failure(url, response.status, error)
         if store is not None:
-            store.put(url, validator, triples)
+            store.put(url, validator, document)
         return DereferenceResult(
-            url=url, status=response.status, triples=triples, bytes_fetched=len(response.body)
+            url=url, status=response.status, document=document, bytes_fetched=len(response.body)
         )
 
     async def _follow(
@@ -266,12 +272,12 @@ class Dereferencer:
         return DereferenceResult(url=url, status=status, error=message, **fields)
 
 
-def _parse_body(url: str, response: Response) -> Optional[list[Triple]]:
-    """The triples of an RDF body, by content type; ``None`` for a type
+def _parse_body(url: str, response: Response) -> Optional[ParsedDocument]:
+    """What an RDF body parses into, by content type; ``None`` for a type
     that is not RDF.  ``url`` is the base IRI."""
     content_type = response.content_type
     if content_type in ("application/n-triples", "application/n-quads"):
-        return list(parse_ntriples(response.text))
+        return ParsedDocument(parse_ntriples(response.text))
     # The blank-node namespace is a function of the document URL alone:
     # distinct per document (no collisions in the growing source), and
     # the same in every parse, process and service lifetime — so a
@@ -284,10 +290,10 @@ def _parse_body(url: str, response: Response) -> Optional[list[Triple]]:
 
         # Named graphs inside a fetched document flatten into the
         # document's triples (the source keys provenance by URL).
-        return [
+        return ParsedDocument(
             quad.triple
             for quad in parse_trig(response.text, base_iri=url, bnode_prefix=bnode_prefix)
-        ]
+        )
     if content_type in ("text/turtle", "", "text/plain"):
-        return parse_turtle(response.text, base_iri=url, bnode_prefix=bnode_prefix)
+        return ParsedDocument(parse_turtle(response.text, base_iri=url, bnode_prefix=bnode_prefix))
     return None

@@ -48,7 +48,6 @@ from dataclasses import dataclass, field
 from typing import AsyncIterator, Awaitable, Iterable, Optional, Union as TypingUnion
 
 from ..net.client import HttpClient
-from ..net.message import split_url
 from ..net.resilience import NetworkPolicy, ResilienceStats
 from ..rdf.terms import NamedNode, Variable
 from ..sparql.algebra import Query
@@ -57,7 +56,7 @@ from ..sparql.eval import construct_triples
 from ..sparql.parser import parse_query
 from .dereference import DereferenceResult, Dereferencer
 from .extractors import LinkExtractor, build_query_context, default_extractors
-from .links import Link, QueuePolicyContext, build_queue, queue_factory_for
+from .links import Link, QueuePolicyContext, build_queue, origin_of, queue_factory_for
 from .pipeline import compile_query_pipeline
 from .source import GrowingTripleSource
 from .stats import ExecutionStats, TimedResult
@@ -140,14 +139,6 @@ class TraversalPolicy:
 
 #: The columns a CONSTRUCT query's triples are returned under.
 _TRIPLE_COLUMNS = (Variable("subject"), Variable("predicate"), Variable("object"))
-
-
-def _origin_of(url: str) -> str:
-    try:
-        origin, _, _ = split_url(url)
-    except ValueError:
-        return ""
-    return origin
 
 
 def _resolve_subweb(value):
@@ -282,7 +273,8 @@ class QueryExecution:
         self.metrics = metrics
         # Per-execution view of the configuration: shared engine state
         # (client, dereferencer, network policy) stays engine-level, while
-        # traversal bounds and extractor state may vary query by query.
+        # traversal bounds and the extractor stack may vary query by query
+        # (what extractors remember of one execution is on its context).
         self._extractors = extractors if extractors is not None else engine.extractors
         self._policy = traversal if traversal is not None else engine.config.traversal
         self._live = live
@@ -527,9 +519,9 @@ class QueryExecution:
             # the pipeline and link extraction see the document, so its own
             # links are judged with its knowledge already in force; newly
             # admitted origins release their parked links back into the queue.
-            for released in self.selector.absorb_document(result.url, result.triples):
+            for released in self.selector.absorb_document(result.url, result.document):
                 self.queue.requeue(released)
-        kept = source.add_document(result.url, result.triples)
+        kept = source.add_document(result.url, result.document)
         stats.triples_discovered = source.triples_discovered
         stats.triples_stored += kept
         stats.documents_fetched += 1
@@ -604,7 +596,7 @@ class QueryExecution:
             # Links still deferred at quiescence: their origins were
             # never declared by any traversed document — pruned.
             for parked in self.selector.drain_deferred():
-                stats.note_pruned("origin:undeclared", _origin_of(parked.url))
+                stats.note_pruned("origin:undeclared", parked.origin)
         stats.finished_at = self._clock()
         stats.queue_samples = self.queue.samples
         stats.links_queued = self.queue.pushed_total
@@ -714,7 +706,7 @@ class QueryExecution:
     async def _visit(self, link: Link, span) -> tuple[str, dict]:
         """What became of ``link``: ``(outcome, span detail)``, stats already noted."""
         policy, stats = self._policy, self.stats
-        origin = _origin_of(link.url)
+        origin = link.origin  # stamped once, by the queue
         # The gates run after span creation, so every prune and refusal
         # leaves a ``dereference`` span with its outcome for the
         # trace/stats reconciliation to count.
@@ -737,7 +729,7 @@ class QueryExecution:
             # Fetched by a concurrent worker while the document bound
             # filled: neither counted nor link-extracted.
             return "over-bound", {}
-        detail = {"triples": len(result.triples), "kept": kept}
+        detail = {"triples": len(result.document), "kept": kept}
         if result.from_store:
             detail["from_store"] = True
         if policy.max_depth and link.depth >= policy.max_depth:
@@ -792,16 +784,20 @@ class QueryExecution:
         return "abandoned"
 
     def _extract(self, link: Link, result: DereferenceResult, span) -> None:
-        """Run every extractor over the document and queue what survives."""
+        """Run every extractor over the document and queue what is new."""
         queue, selector, stats, tracer = self.queue, self.selector, self.stats, self.tracer
         extract_started = self._clock() if tracer is not None else 0.0
         links_pushed = links_pruned = 0
+        has_seen = queue.has_seen
         # Extractors may intern one LinkProvenance for many links; the
         # parent-depth-stamped variant is cached alongside.
         stamped: dict = {}
         for extractor in self._extractors:
-            for url, provenance in extractor.discover(result.url, result.triples, self._context):
-                if not url.startswith(("http://", "https://")):
+            for url, provenance in extractor.discover(result.url, result.document, self._context):
+                # Seen first: most candidates are URLs the queue already
+                # knows, and a duplicate is the dedup's business alone — it
+                # builds no Link, stamps no provenance, meets no selector.
+                if has_seen(url) or not url.startswith(("http://", "https://")):
                     continue
                 if provenance is not None:
                     if provenance.parent_depth != link.depth:
@@ -824,14 +820,12 @@ class QueryExecution:
                 # Push-time source selection, on static grounds only
                 # (spec rules, hint relevance): these grow strictly
                 # more restrictive, so pruning here can never drop a
-                # link a later document would have justified.  Checked
-                # for fresh URLs only — duplicates are the dedup's
-                # business, not a prune.
-                if selector is not None and not queue.has_seen(url):
+                # link a later document would have justified.
+                if selector is not None:
                     decision = selector.check_static(candidate)
                     if decision.action == "prune":
                         links_pruned += 1
-                        stats.note_pruned(decision.rule, _origin_of(url))
+                        stats.note_pruned(decision.rule, origin_of(url))
                         continue
                 if queue.push(candidate):
                     links_pushed += 1
@@ -905,8 +899,8 @@ class LinkTraversalEngine:
 
         ``extractors`` and ``traversal`` override the engine's defaults
         for this execution only — the :class:`~repro.service.QueryService`
-        uses them to give every concurrent query fresh extractor state and
-        its own link/time budgets while the engine (client, dereferencer,
+        uses them to give every concurrent query its own extractor stack and
+        link/time budgets while the engine (client, dereferencer,
         caches) stays shared.
 
         ``live=True`` compiles the pipeline for *standing* execution: the

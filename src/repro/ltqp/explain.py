@@ -4,7 +4,8 @@ Renders what the engine will do before it does it: the algebra tree, the
 compiled physical operator tree with the *blocking boundary* marked
 (which operators stream during traversal and which hold output for the
 quiescence finalize pass), the plan's read set (what the growing source
-keeps of each document), the zero-knowledge BGP join order with
+keeps of each document) and the extractor stack's (what link extraction
+looks at in it), the zero-knowledge BGP join order with
 per-pattern scores, the seed URLs, and the extractor stack — the
 observability counterpart to Comunica's ``--explain`` flag.
 """
@@ -226,6 +227,18 @@ def explain_plan(
         reads = sorted(predicate.value for predicate in pipeline.read_set)
         sections.append(f"reads: {len(reads)} predicate{'s' if len(reads) != 1 else ''}")
         sections.extend(f"  {iri}" for iri in reads)
+    # What link extraction looks at in each document: the stack's declared buckets.
+    if extractors is not None:
+        declared = [(extractor.name, extractor.reads(context)) for extractor in extractors]
+        walkers = [name for name, reads in declared if reads is None]
+        if walkers:
+            sections.append(f"extractors read: every triple ({', '.join(walkers)})")
+        else:
+            reads = sorted({predicate.value for _, reads in declared for predicate in reads})
+            sections.append(
+                f"extractors read: {len(reads)} predicate{'s' if len(reads) != 1 else ''}"
+            )
+            sections.extend(f"  {iri}" for iri in reads)
 
     sections.append("seeds:")
     for seed in seed_list:

@@ -1,7 +1,11 @@
 """Link extraction strategies.
 
-After each document is dereferenced, extractors inspect its triples and
-propose follow-up links.  Each proposal carries a structured
+After each document is dereferenced, extractors inspect it and propose
+follow-up links.  An extractor declares the predicates it :meth:`reads
+<LinkExtractor.reads>` and takes exactly those buckets of the
+:class:`~repro.rdf.document.ParsedDocument`
+(:meth:`~repro.rdf.document.ParsedDocument.select`); only one that can
+match any predicate walks the whole document.  Each proposal carries a structured
 :class:`~repro.ltqp.links.LinkProvenance` — which extractor emitted it,
 on the evidence of which predicate / query pattern / type-index class —
 via the :meth:`LinkExtractor.discover` API; the engine, trace spans,
@@ -29,9 +33,11 @@ effect on links followed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from functools import cached_property
+from typing import Collection, Iterator, Optional
 
 from .links import LinkProvenance
+from ..rdf.document import ParsedDocument
 from ..rdf.namespaces import LDP, PIM, RDF, SOLID
 from ..rdf.terms import NamedNode, Term, Variable
 from ..rdf.triples import Triple, TriplePattern
@@ -80,6 +86,10 @@ class QueryContext:
     ``None`` predicate wildcard).  ``predicates``: concrete predicate IRIs.
     ``classes``: concrete objects of ``rdf:type`` patterns.  ``iris``:
     every IRI constant in the query.
+
+    An execution builds its own context, so this is also where extractor
+    state that must not outlive one execution is kept — extractor
+    *instances* belong to the engine and serve every query it runs.
     """
 
     patterns: tuple[TriplePattern, ...] = ()
@@ -87,10 +97,34 @@ class QueryContext:
     classes: frozenset[NamedNode] = frozenset()
     iris: frozenset[str] = frozenset()
     entity_iris: frozenset[str] = frozenset()
+    #: Type-index registration targets followed so far in this execution
+    #: (:class:`TypeIndexExtractor` fills it;
+    #: :class:`ScopedLdpContainerExtractor` descends only below them).
+    registered_targets: set[str] = field(default_factory=set, compare=False, repr=False)
+    #: cMatch's provenance per (triple predicate, matched pattern):
+    #: documents repeat the same few predicates thousands of times.
+    match_provenance: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def constrains_classes(self) -> bool:
         return bool(self.classes)
+
+    @cached_property
+    def match_patterns(
+        self,
+    ) -> tuple[dict[Term, tuple[TriplePattern, ...]], tuple[TriplePattern, ...]]:
+        """``patterns`` bucketed by concrete predicate, and those with a
+        variable or wildcard predicate — so a triple only ever tests the
+        patterns that could match it."""
+        by_predicate: dict[Term, tuple[TriplePattern, ...]] = {}
+        wildcard: tuple[TriplePattern, ...] = ()
+        for pattern in self.patterns:
+            predicate = pattern.predicate
+            if predicate is None or isinstance(predicate, Variable):
+                wildcard += (pattern,)
+            else:
+                by_predicate[predicate] = by_predicate.get(predicate, ()) + (pattern,)
+        return by_predicate, wildcard
 
 
 def build_query_context(where: Operator) -> QueryContext:
@@ -152,13 +186,22 @@ class LinkExtractor:
 
     name = "abstract"
 
+    def reads(self, context: QueryContext) -> Optional[Collection[Term]]:
+        """The predicates whose triples :meth:`discover` looks at under
+        ``context`` — what it hands to ``document.select`` — or ``None``
+        when it iterates the whole document (an extractor that declares
+        nothing is taken to)."""
+        return None
+
     def discover(
-        self, document_url: str, triples: Iterable[Triple], context: QueryContext
+        self, document_url: str, document: ParsedDocument, context: QueryContext
     ) -> Iterator[tuple[str, Optional[LinkProvenance]]]:
         """Yield ``(url, provenance)`` pairs for follow-up links.
 
         ``provenance`` may be ``None``: the engine then tags the link with
-        this extractor's ``name`` alone.
+        this extractor's ``name`` alone.  Instances serve every execution
+        of their engine: state that belongs to one execution lives on
+        ``context``.
         """
         raise NotImplementedError
 
@@ -190,14 +233,22 @@ def _render_term(term: Term | None) -> str:
     return str(term)
 
 
+#: The buckets the Solid-aware extractors take (``ParsedDocument.select``).
+_CONTAINS = (LDP.contains,)
+_STORAGE = (PIM.storage,)
+_TYPE_INDEX_LINKS = (SOLID.publicTypeIndex, SOLID.privateTypeIndex)
+_REGISTRATION_TARGETS = (SOLID.instance, SOLID.instanceContainer)
+_TYPE_INDEX_READS = _TYPE_INDEX_LINKS + (SOLID.forClass,) + _REGISTRATION_TARGETS
+
+
 class AllIriExtractor(LinkExtractor):
     """cAll reachability: every HTTP(S) IRI in the document is a link."""
 
     name = "all-iris"
 
-    def discover(self, document_url, triples, context):
+    def discover(self, document_url, document, context):
         provenance = LinkProvenance(extractor=self.name)
-        for triple in triples:
+        for triple in document:
             for url in _iris_of(triple):
                 yield url, provenance
 
@@ -212,32 +263,17 @@ class MatchIriExtractor(LinkExtractor):
 
     name = "match"
 
-    def discover(self, document_url, triples, context):
-        if not context.patterns:
-            return
-        # Bucket patterns by concrete predicate so a triple only ever tests
-        # the patterns that could match it — most document triples carry a
-        # predicate no query pattern mentions and fall through for free.
-        by_predicate: dict[Term, list[TriplePattern]] = {}
-        wildcard: list[TriplePattern] = []
-        for pattern in context.patterns:
-            predicate = pattern.predicate
-            if predicate is None or isinstance(predicate, Variable):
-                wildcard.append(pattern)
-            else:
-                by_predicate.setdefault(predicate, []).append(pattern)
-        # Provenance is interned per (predicate, pattern): documents repeat
-        # the same few predicates thousands of times.
-        provenance_cache: dict[tuple[Term, TriplePattern], LinkProvenance] = {}
-        for triple in triples:
-            candidates = by_predicate.get(triple.predicate)
-            if candidates is not None:
-                if wildcard:
-                    candidates = candidates + wildcard
-            elif wildcard:
-                candidates = wildcard
-            else:
-                continue
+    def reads(self, context):
+        by_predicate, wildcard = context.match_patterns
+        return None if wildcard else by_predicate.keys()
+
+    def discover(self, document_url, document, context):
+        by_predicate, wildcard = context.match_patterns
+        provenance_cache = context.match_provenance
+        # Most document triples carry a predicate no query pattern mentions:
+        # without a wildcard pattern they are never looked at.
+        for triple in document if wildcard else document.select(by_predicate):
+            candidates = by_predicate.get(triple.predicate, ()) + wildcard
             for pattern in candidates:
                 if pattern.matches(triple):
                     key = (triple.predicate, pattern)
@@ -262,10 +298,13 @@ class LdpContainerExtractor(LinkExtractor):
 
     name = "ldp-container"
 
-    def discover(self, document_url, triples, context):
+    def reads(self, context):
+        return _CONTAINS
+
+    def discover(self, document_url, document, context):
         provenance = LinkProvenance(extractor=self.name, predicate=LDP.contains.value)
-        for triple in triples:
-            if triple.predicate == LDP.contains and isinstance(triple.object, NamedNode):
+        for triple in document.select(_CONTAINS):
+            if isinstance(triple.object, NamedNode):
                 yield triple.object.value, provenance
 
 
@@ -274,10 +313,13 @@ class StorageExtractor(LinkExtractor):
 
     name = "storage"
 
-    def discover(self, document_url, triples, context):
+    def reads(self, context):
+        return _STORAGE
+
+    def discover(self, document_url, document, context):
         provenance = LinkProvenance(extractor=self.name, predicate=PIM.storage.value)
-        for triple in triples:
-            if triple.predicate == PIM.storage and isinstance(triple.object, NamedNode):
+        for triple in document.select(_STORAGE):
+            if isinstance(triple.object, NamedNode):
                 yield triple.object.value, provenance
 
 
@@ -293,36 +335,35 @@ class TypeIndexExtractor(LinkExtractor):
        but when the query constrains classes, only registrations whose
        ``solid:forClass`` is one of them.
 
-    Followed registration targets accumulate in :attr:`registered_targets`;
-    :class:`ScopedLdpContainerExtractor` uses that set to restrict container
-    descent to type-index-relevant subtrees (the pruning of [14]).  State
-    is per-instance — use a fresh instance per query execution.
+    Followed registration targets accumulate in the execution's
+    ``context.registered_targets``; :class:`ScopedLdpContainerExtractor`
+    uses that set to restrict container descent to type-index-relevant
+    subtrees (the pruning of [14]).
     """
 
     name = "type-index"
 
-    def __init__(self) -> None:
-        self.registered_targets: set[str] = set()
+    def reads(self, context):
+        return _TYPE_INDEX_READS
 
-    def discover(self, document_url, triples, context):
-        triple_list = list(triples)
+    def discover(self, document_url, document, context):
+        triples = document.select(_TYPE_INDEX_READS)  # of most documents, nothing
         index_provenance = None
-        for triple in triple_list:
-            if triple.predicate in (SOLID.publicTypeIndex, SOLID.privateTypeIndex):
-                if isinstance(triple.object, NamedNode):
-                    if index_provenance is None:
-                        index_provenance = LinkProvenance(
-                            extractor=self.name, predicate=triple.predicate.value
-                        )
-                    yield triple.object.value, index_provenance
+        for triple in triples:
+            if triple.predicate in _TYPE_INDEX_LINKS and isinstance(triple.object, NamedNode):
+                if index_provenance is None:
+                    index_provenance = LinkProvenance(
+                        extractor=self.name, predicate=triple.predicate.value
+                    )
+                yield triple.object.value, index_provenance
 
         # Index registrations: group forClass and targets by subject.
         for_class: dict[Term, set[NamedNode]] = {}
         targets: dict[Term, list[NamedNode]] = {}
-        for triple in triple_list:
+        for triple in triples:
             if triple.predicate == SOLID.forClass and isinstance(triple.object, NamedNode):
                 for_class.setdefault(triple.subject, set()).add(triple.object)
-            elif triple.predicate in (SOLID.instance, SOLID.instanceContainer):
+            elif triple.predicate in _REGISTRATION_TARGETS:
                 if isinstance(triple.object, NamedNode):
                     targets.setdefault(triple.subject, []).append(triple.object)
         for registration, links in targets.items():
@@ -335,7 +376,7 @@ class TypeIndexExtractor(LinkExtractor):
                 for_class=min(c.value for c in classes) if classes else None,
             )
             for target in links:
-                self.registered_targets.add(target.value)
+                context.registered_targets.add(target.value)
                 yield target.value, provenance
 
 
@@ -346,22 +387,23 @@ class ScopedLdpContainerExtractor(LinkExtractor):
     sees — including ``noise/`` and ``settings/`` (visible in the paper's
     Fig. 4 waterfall).  This variant descends only into containers under a
     target the type index registered for the query, reproducing the
-    structural pruning of [14].  Pair it with the *same*
-    :class:`TypeIndexExtractor` instance.
+    structural pruning of [14].  Put it in a stack with a
+    :class:`TypeIndexExtractor`: they meet in the execution's
+    ``context.registered_targets``.
     """
 
     name = "ldp-scoped"
 
-    def __init__(self, type_index: TypeIndexExtractor) -> None:
-        self._type_index = type_index
+    def reads(self, context):
+        return _CONTAINS
 
-    def discover(self, document_url, triples, context):
-        targets = self._type_index.registered_targets
+    def discover(self, document_url, document, context):
+        targets = context.registered_targets
         if not any(document_url.startswith(target) for target in targets):
             return
         provenance = LinkProvenance(extractor=self.name, predicate=LDP.contains.value)
-        for triple in triples:
-            if triple.predicate == LDP.contains and isinstance(triple.object, NamedNode):
+        for triple in document.select(_CONTAINS):
+            if isinstance(triple.object, NamedNode):
                 yield triple.object.value, provenance
 
 

@@ -23,6 +23,9 @@ from ...rdf.terms import NamedNode
 
 __all__ = ["HintDiscoveryExtractor"]
 
+#: Where pods advertise their source index and their traversal scope.
+_ADVERTISEMENTS = (SUBWEB.cardinalityIndex, SUBWEB.specification)
+
 
 class HintDiscoveryExtractor(LinkExtractor):
     name = "hint"
@@ -30,14 +33,15 @@ class HintDiscoveryExtractor(LinkExtractor):
     def __init__(self, selector) -> None:
         self._selector = selector
 
-    def discover(self, document_url, triples, context):
-        triple_list = list(triples)
-        for triple in triple_list:
-            if triple.predicate in (SUBWEB.cardinalityIndex, SUBWEB.specification):
-                if isinstance(triple.object, NamedNode):
-                    yield triple.object.value, LinkProvenance(
-                        extractor=self.name, predicate=triple.predicate.value
-                    )
+    def reads(self, context):
+        return _ADVERTISEMENTS
+
+    def discover(self, document_url, document, context):
+        for triple in document.select(_ADVERTISEMENTS):
+            if isinstance(triple.object, NamedNode):
+                yield triple.object.value, LinkProvenance(
+                    extractor=self.name, predicate=triple.predicate.value
+                )
         pod = self._selector.hints.pod_by_source(document_url)
         if pod is not None:
             for hint in self._selector.relevant_containers(pod):

@@ -26,11 +26,12 @@ accurate, the model of the distributed-subweb-specification line of work.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional
+from typing import Mapping, Optional
 
+from ...rdf.document import ParsedDocument
 from ...rdf.namespaces import RDF, SUBWEB
 from ...rdf.terms import Literal, NamedNode, Term, Variable
-from ...rdf.triples import Triple, TriplePattern
+from ...rdf.triples import TriplePattern
 from ...sparql.algebra import (
     BGP,
     AlternativePath,
@@ -99,8 +100,23 @@ class PodHints:
         return best
 
 
-def is_hint_document(triples: Iterable[Triple]) -> bool:
-    return any(triple.predicate == SUBWEB.pod for triple in triples)
+def is_hint_document(document: ParsedDocument) -> bool:
+    return SUBWEB.pod in document.predicates
+
+
+#: The predicates of a source-index document that carry its declarations.
+_INDEX_VOCABULARY = (
+    SUBWEB.pod,
+    SUBWEB.completeIndex,
+    SUBWEB.infra,
+    SUBWEB.container,
+    SUBWEB["class"],
+    SUBWEB.predicate,
+    SUBWEB.documents,
+    SUBWEB.entities,
+    SUBWEB.rangeOf,
+    SUBWEB.rangeClass,
+)
 
 
 class CardinalityHints:
@@ -125,10 +141,9 @@ class CardinalityHints:
         """
         return self._ranges
 
-    def absorb_triples(self, url: str, triples: Iterable[Triple]) -> Optional[PodHints]:
+    def absorb_document(self, url: str, document: ParsedDocument) -> Optional[PodHints]:
         """Parse a source-index document; returns the pod's hints, or None
         when the document carries no ``subweb:pod`` declaration."""
-        triple_list = list(triples)
         pod_base: Optional[str] = None
         complete = False
         infra: set[str] = set()
@@ -136,7 +151,7 @@ class CardinalityHints:
         range_of: dict[Term, str] = {}
         range_classes: dict[Term, set] = {}
         class_predicate = SUBWEB["class"]
-        for triple in triple_list:
+        for triple in document.select(_INDEX_VOCABULARY):
             predicate = triple.predicate
             obj = triple.object
             if predicate == SUBWEB.pod and isinstance(obj, NamedNode):

@@ -37,7 +37,8 @@ from typing import Iterable, Optional
 
 from ..links import Link
 from ...net.message import split_url
-from ...rdf.triples import Triple
+from ...rdf.document import ParsedDocument
+from ...rdf.terms import intern_iri
 from .hints import CardinalityHints, container_relevant, is_hint_document
 from .subweb import SubwebSpecification
 
@@ -80,7 +81,7 @@ class SourceSelector:
             self.scopes = query_scopes(where)
         else:
             self.scopes = ()
-        self._admit_via = frozenset(self.spec.admit_origins_via)
+        self._admit_via = _predicates(self.spec.admit_origins_via)
         self._admitted: set[str] = set()
         for seed in seeds:
             origin = self._source_key(seed)
@@ -136,7 +137,7 @@ class SourceSelector:
 
     # -- knowledge absorption -------------------------------------------------
 
-    def absorb_document(self, url: str, triples: list) -> list:
+    def absorb_document(self, url: str, document: ParsedDocument) -> list:
         """Absorb a fetched document's declarations.
 
         Parses source-index documents into hints, composes discovered
@@ -145,23 +146,20 @@ class SourceSelector:
         links whose origin this document just admitted — the engine
         re-queues them.
         """
-        if is_hint_document(triples):
-            pod = self.hints.absorb_triples(url, triples)
+        if is_hint_document(document):
+            pod = self.hints.absorb_document(url, document)
             if pod is not None and pod.ranges:
                 # New ranges can flip cached "irrelevant under no ranges"
                 # verdicts; recompute lazily.
                 self._relevance.clear()
         else:
-            discovered = SubwebSpecification.from_triples(triples)
+            discovered = SubwebSpecification.from_document(document)
             if discovered is not None:
                 self.spec = self.spec.compose(discovered)
-                self._admit_via = frozenset(self.spec.admit_origins_via)
+                self._admit_via = _predicates(self.spec.admit_origins_via)
         released: list[Link] = []
-        if self.spec.origins == "declared" and self._admit_via:
-            for triple in triples:
-                predicate = triple.predicate
-                if getattr(predicate, "value", None) not in self._admit_via:
-                    continue
+        if self.spec.origins == "declared":
+            for triple in document.select(self._admit_via):
                 obj_value = getattr(triple.object, "value", "")
                 if not obj_value.startswith(("http://", "https://")):
                     continue
@@ -205,3 +203,8 @@ class SourceSelector:
             return origin
         segments = [segment for segment in path.split("?", 1)[0].split("/") if segment]
         return origin + "/" + "/".join(segments[:depth]) + "/"
+
+
+def _predicates(iris: Iterable[str]) -> frozenset:
+    """Predicate IRIs as the terms a document is bucketed by."""
+    return frozenset(intern_iri(iri) for iri in iris)

@@ -32,11 +32,11 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 
+from ...rdf.document import ParsedDocument
 from ...rdf.namespaces import SUBWEB
 from ...rdf.terms import Literal, NamedNode
-from ...rdf.triples import Triple
 
 __all__ = ["SubwebRule", "SubwebSpecification", "glob_to_regex"]
 
@@ -86,6 +86,17 @@ class SubwebRule:
     def matches(self, url: str) -> bool:
         return _compiled(self.match).search(url) is not None
 
+
+#: The predicates of a spec document that carry its declarations.
+_SPEC_VOCABULARY = (
+    SUBWEB.defaultAction,
+    SUBWEB.origins,
+    SUBWEB.admitVia,
+    SUBWEB.sourceDepth,
+    SUBWEB.match,
+    SUBWEB.action,
+    SUBWEB.maxDepth,
+)
 
 # Compiled-glob cache, keyed by pattern text.  Rules are frozen dataclasses
 # that travel through pickle (ShardSpec), so the compiled form lives here
@@ -220,7 +231,7 @@ class SubwebSpecification:
     # -- RDF form (specs discovered as documents inside pods) ----------------
 
     @classmethod
-    def from_triples(cls, triples: Iterable[Triple]) -> Optional["SubwebSpecification"]:
+    def from_document(cls, document: ParsedDocument) -> Optional["SubwebSpecification"]:
         """Parse a spec document (``subweb:`` vocabulary); None if absent.
 
         Shape::
@@ -238,12 +249,8 @@ class SubwebSpecification:
         source_depth = 0
         admit_via: list[str] = []
         rule_fields: dict[object, dict[str, object]] = {}
-        seen_vocab = False
-        for triple in triples:
+        for triple in document.select(_SPEC_VOCABULARY):
             predicate = triple.predicate
-            if not isinstance(predicate, NamedNode) or predicate not in SUBWEB:
-                continue
-            seen_vocab = True
             obj = triple.object
             if predicate == SUBWEB.defaultAction and isinstance(obj, Literal):
                 default_action = obj.value
@@ -265,7 +272,7 @@ class SubwebSpecification:
                     rule_fields.setdefault(triple.subject, {})["max_depth"] = int(obj.value)
                 except ValueError:
                     pass
-        if not seen_vocab or (default_action is None and origins is None and not rule_fields):
+        if default_action is None and origins is None and not rule_fields:
             return None
         rules = tuple(
             SubwebRule(

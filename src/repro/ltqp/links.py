@@ -28,6 +28,7 @@ __all__ = [
     "QUEUE_POLICIES",
     "queue_factory_for",
     "build_queue",
+    "origin_of",
 ]
 
 
@@ -78,7 +79,10 @@ class Link:
     ``queue-wait`` spans measure from it.  ``provenance`` carries the
     structured :class:`LinkProvenance` when the extractor supplied one;
     ``via`` stays as the coarse extractor name so existing span
-    attributes and per-extractor counters keep their meaning.
+    attributes and per-extractor counters keep their meaning.  ``origin``
+    (:func:`origin_of` the URL) is stamped by the queue on admission, once,
+    for everything downstream that accounts per origin — fair lanes,
+    admission, budgets, refusal attribution.
     """
 
     url: str
@@ -88,6 +92,7 @@ class Link:
     attempts: int = 0
     enqueued_at: float = 0.0
     provenance: Optional[LinkProvenance] = None
+    origin: str = ""
 
     @property
     def is_seed(self) -> bool:
@@ -256,7 +261,8 @@ class LinkQueue:
 
     def _admit(self, link: Link, url: str) -> None:
         self._seen.add(url)
-        self._push_impl(replace(link, url=url, enqueued_at=self.clock()))
+        origin = link.origin or origin_of(url)  # a requeued link has its stamp
+        self._push_impl(replace(link, url=url, enqueued_at=self.clock(), origin=origin))
         self._sample()
 
     def pop(self) -> Link:
@@ -321,16 +327,8 @@ class FairLinkQueue(LinkQueue):
         self._rotation: deque[str] = deque()
         self._size = 0
 
-    @staticmethod
-    def _lane_key(url: str) -> str:
-        try:
-            origin, _, _ = split_url(url)
-        except ValueError:
-            return ""  # unparseable URLs share a lane; dereference rejects them
-        return origin
-
     def _push_impl(self, link: Link) -> None:
-        origin = self._lane_key(link.url)
+        origin = link.origin  # "" for unparseable URLs: they share a lane
         lane = self._lanes.get(origin)
         if lane is None:
             lane = self._lanes[origin] = deque()
@@ -398,6 +396,16 @@ def build_queue(
 
 def _strip_fragment(url: str) -> str:
     return url.split("#", 1)[0]
+
+
+def origin_of(url: str) -> str:
+    """``scheme://host[:port]`` of an http(s) URL; ``""`` for anything
+    else (dereferencing rejects it)."""
+    try:
+        origin, _, _ = split_url(url)
+    except ValueError:
+        return ""
+    return origin
 
 
 def _local_name(iri: str) -> str:

@@ -279,17 +279,14 @@ class LiveQuery(ChangeFeed):
         )
         try:
             result = await execution.dereference(url, span, revalidate=True)
-            if result.ok:
-                triples = result.triples
-            elif result.status in _GONE_STATUSES:
-                triples = []
-            else:
+            if not result.ok and result.status not in _GONE_STATUSES:
                 self.failed_refreshes[url] = result.error or f"HTTP {result.status}"
                 if span is not None:
                     span.args["outcome"] = "failed"
                     span.args["error"] = result.error
                 return []
-            added, removed = execution.source.update_document(url, triples)
+            # A document that is gone carries the empty document: now-empty.
+            added, removed = execution.source.update_document(url, result.document)
             if span is not None:
                 span.args["added"] = len(added)
                 span.args["removed"] = len(removed)

@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Collection, Iterable, Optional
 
 from ..rdf.dataset import Dataset
+from ..rdf.document import ParsedDocument
 from ..rdf.terms import Term, intern_iri
 from ..rdf.triples import Quad, Triple
 
@@ -29,10 +30,10 @@ class GrowingTripleSource:
     The store is *plan-aware*: ``read_set`` is the compiled plan's
     :attr:`~repro.ltqp.pipeline.Pipeline.read_set` — the predicates of the
     quads some operator can match, or ``None`` when one of them can match
-    any.  Only those triples are stored, logged and diffed; the rest of a
-    document (on a pod crawl, about 11 triples of 12) has done its work
-    once the link extractors have seen it, and is dropped.  Every document
-    still gets its named graph, kept triples or not.
+    any.  Only those triples are stored, logged and diffed — taken from
+    the document by predicate bucket, so the rest of it (on a pod crawl,
+    about 11 triples of 12) is never looked at here.  Every document still
+    gets its named graph, kept triples or not.
     """
 
     def __init__(self, read_set: Optional[Collection[Term]] = None) -> None:
@@ -55,23 +56,21 @@ class GrowingTripleSource:
         (a document URL ingested twice counts once)."""
         return self._triples_discovered
 
-    def _kept(self, triples: Iterable[Triple]) -> Iterable[Triple]:
-        """The triples of one document the plan can read."""
+    def _kept(self, document: ParsedDocument) -> Iterable[Triple]:
+        """The triples of one document the plan can read, in document order."""
         read_set = self._read_set
-        if read_set is None:
-            return triples
-        return [triple for triple in triples if triple.predicate in read_set]
+        return document if read_set is None else document.select(read_set)
 
-    def add_document(self, url: str, triples: Collection[Triple]) -> int:
+    def add_document(self, url: str, document: ParsedDocument) -> int:
         """Ingest one dereferenced document; returns #new quads stored."""
         graph_name = intern_iri(url)
         if not self._dataset.has_graph(graph_name):
-            self._triples_discovered += len(set(triples))
+            self._triples_discovered += document.distinct
         self._document_count += 1
-        return self._dataset.add_triples(self._kept(triples), graph_name)
+        return self._dataset.add_triples(self._kept(document), graph_name)
 
     def update_document(
-        self, url: str, triples: Iterable[Triple]
+        self, url: str, document: ParsedDocument
     ) -> tuple[list[Triple], list[Triple]]:
         """Replace a document's graph with a new parse, minimally.
 
@@ -87,7 +86,7 @@ class GrowingTripleSource:
         """
         graph_name = intern_iri(url)
         graph = self._dataset.graph(graph_name)
-        new_triples = set(self._kept(triples))
+        new_triples = set(self._kept(document))
         # Sorted so the signed log (and every downstream event stream) is
         # deterministic regardless of set iteration order — sharded and
         # unsharded subscriptions must observe identical change sequences.

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Mapping, Optional
 from urllib.parse import urlsplit
 
@@ -11,10 +12,14 @@ __all__ = ["Request", "Response", "split_url", "TURTLE_CONTENT_TYPE"]
 TURTLE_CONTENT_TYPE = "text/turtle"
 
 
+@lru_cache(maxsize=8192)
 def split_url(url: str) -> tuple[str, str, str]:
     """Split an absolute http(s) URL into (origin, path, fragmentless url).
 
     The fragment is the client's business; the path keeps its query string.
+    Memoized (bounded; strings in, strings out): every layer that accounts
+    per origin — link queue, client, simulated server — splits the same URL,
+    and a service splits the same few thousand for every query.
     """
     parts = urlsplit(url)
     if parts.scheme not in ("http", "https"):

@@ -2,12 +2,14 @@
 
 This subpackage is a self-contained RDF 1.1 stack: term model
 (:mod:`repro.rdf.terms`), triples/quads (:mod:`repro.rdf.triples`), indexed
-in-memory stores (:mod:`repro.rdf.dataset`), Turtle and N-Triples/N-Quads
+in-memory stores (:mod:`repro.rdf.dataset`), the parsed-document value
+(:mod:`repro.rdf.document`), Turtle and N-Triples/N-Quads
 parsing (:mod:`repro.rdf.turtle`, :mod:`repro.rdf.ntriples`), and Turtle
 serialization (:mod:`repro.rdf.writer`).
 """
 
 from .dataset import Dataset, Graph
+from .document import ParsedDocument
 from .isomorphism import find_bnode_bijection, isomorphic
 from .namespaces import (
     ACL,
@@ -56,6 +58,7 @@ __all__ = [
     "Triple",
     "Quad",
     "TriplePattern",
+    "ParsedDocument",
     "Graph",
     "Dataset",
     "Namespace",

@@ -4,29 +4,31 @@ The structural-assumptions evaluation (Taelman & Verborgh 2023) shows
 dereference cost — fetch *plus parse* — dominates LTQP end-to-end time.
 The HTTP cache (:mod:`repro.net.cache`) already amortizes the fetch
 across queries; this store amortizes the parse: it remembers, per URL,
-the triples a response body parsed into, keyed by the response's
-*validator* (its ETag, or a hash of the body when the server sends none).
+the :class:`~repro.rdf.document.ParsedDocument` a response body parsed
+into, keyed by the response's *validator* (its ETag, or a hash of the body
+when the server sends none).
 
 A warm query through the :class:`~repro.service.QueryService` therefore
 touches neither the network (HTTP-cache hit) nor the parser (store hit):
-the dereferencer asks the store before parsing and feeds the stored
-triples straight into the per-query triple source.
+the dereferencer asks the store before parsing and hands the stored
+document — the same object, so its predicate index is built once for
+every query that reads it — to the per-query triple source and the link
+extractors.
 
 Invalidation rides the existing ETag/revalidation machinery: the store
 never guesses at freshness itself.  The HTTP layer decides whether a
 cached response may be reused or must be revalidated; whatever response
 comes out of that machinery carries a validator, and a changed document
 has a changed validator — the store drops the stale entry and the
-document is re-parsed.  Alongside the triples each entry records the
-document's out-going HTTP IRIs (the cAll link superset from which every
-extractor's context-dependent selection draws).
+document is re-parsed.
 
 Bounded memory and (optional) persistence both live in the shared
 :class:`~repro.storage.tier.StorageTier`: hot entries stay decoded in a
 true-LRU in-process cache; with a persistent
 :class:`~repro.storage.StorageBackend` below, entries additionally
 write through in the process-portable term-table wire form
-(:mod:`repro.service.wire`), validator included — so a restarted
+(:mod:`repro.service.wire`; triples and validator, not the index, which
+the decoded value rebuilds on first use) — so a restarted
 service reopens the same store file warm, and the *first* lookup after
 an upstream change still invalidates through the ordinary revalidation
 path.
@@ -41,6 +43,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from ..net.message import Response
+from ..rdf.document import ParsedDocument
 from ..rdf.triples import Triple
 from ..storage import StorageBackend, StorageTier
 
@@ -49,11 +52,11 @@ __all__ = ["StoredDocument", "DocumentStore"]
 
 @dataclass(slots=True, frozen=True)
 class StoredDocument:
-    """One parsed document: its triples and identity validator."""
+    """One parsed document and its identity validator."""
 
     url: str
     validator: str
-    triples: tuple[Triple, ...]
+    document: ParsedDocument
     stored_at: float
 
 
@@ -149,13 +152,14 @@ class DocumentStore:
         self.hits += 1
         return entry
 
-    def put(self, url: str, validator: str, triples: Iterable[Triple]) -> StoredDocument:
-        triple_tuple = tuple(triples)
+    def put(
+        self, url: str, validator: str, document: ParsedDocument | Iterable[Triple]
+    ) -> StoredDocument:
+        """Remember one parse.  Bare triples become the document value here."""
+        if not isinstance(document, ParsedDocument):
+            document = ParsedDocument(document)
         entry = StoredDocument(
-            url=url,
-            validator=validator,
-            triples=triple_tuple,
-            stored_at=time.monotonic(),
+            url=url, validator=validator, document=document, stored_at=time.monotonic()
         )
         self._tier.put(url, entry)
         self.parses += 1

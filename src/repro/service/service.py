@@ -17,9 +17,9 @@ queries — concurrently, with admission control — against them:
 * **Budgets** — per-query link (``max_documents``) and time
   (``max_duration``) budgets override the service defaults through a
   per-execution :class:`~repro.ltqp.engine.TraversalPolicy`.
-* **Isolation** — every execution gets *fresh* extractor instances (some
-  extractors carry per-query state) and its own link queue, triple
-  source, pipeline, and stats; only the client, caches, and
+* **Isolation** — every execution gets its own extractor stack, query
+  context (where extractors keep what they learn during one execution),
+  link queue, triple source, pipeline, and stats; only the client, caches, and
   parsed-document store are shared — which is exactly what makes warm
   queries fast without letting one query's state leak into another's.
   That covers the books too: a query's tracer and metrics are handed to

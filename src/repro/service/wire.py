@@ -13,7 +13,9 @@ A sharded deployment moves two kinds of payload between processes:
   its replacement so the new shard starts warm.  :func:`document_to_wire`
   keeps the response *validator* alongside the triples, so the imported
   entry still participates in ETag/304 revalidation exactly like a
-  locally parsed one.
+  locally parsed one.  The document's predicate index does not travel:
+  the decoded :class:`~repro.rdf.document.ParsedDocument` rebuilds it on
+  first use.
 
 Decoding re-interns: IRIs come back through
 :func:`~repro.rdf.terms.intern_iri`, so within the receiving process
@@ -30,6 +32,7 @@ from typing import Iterable, Optional
 
 from ..ltqp.live import ResultChange
 from ..ltqp.stats import TimedResult
+from ..rdf.document import ParsedDocument
 from ..rdf.ntriples import _parse_term
 from ..rdf.terms import Term, Variable, intern, term_to_ntriples
 from ..rdf.triples import Triple
@@ -217,13 +220,13 @@ def decode_events(block: dict) -> list[ResultChange]:
     return events
 
 
-def document_to_wire(document: StoredDocument) -> dict:
+def document_to_wire(stored: StoredDocument) -> dict:
     """One stored document as a term-table block, validator preserved."""
     table = _TermTable()
-    rows = [[table.add(t) for t in triple] for triple in document.triples]
+    rows = [[table.add(t) for t in triple] for triple in stored.document.triples]
     return {
-        "url": document.url,
-        "validator": document.validator,
+        "url": stored.url,
+        "validator": stored.validator,
         "terms": table.terms,
         "rows": rows,
     }
@@ -238,12 +241,9 @@ def document_from_wire(wire: dict, stored_at: Optional[float] = None) -> StoredD
     import time
 
     terms = [decode_term(text) for text in wire["terms"]]
-    triples = tuple(
-        Triple(terms[s], terms[p], terms[o]) for s, p, o in wire["rows"]
-    )
     return StoredDocument(
         url=wire["url"],
         validator=wire["validator"],
-        triples=triples,
+        document=ParsedDocument(Triple(terms[s], terms[p], terms[o]) for s, p, o in wire["rows"]),
         stored_at=stored_at if stored_at is not None else time.monotonic(),
     )

@@ -28,7 +28,7 @@ def deref(url, lenient=True, client=None):
 class TestDereference:
     def test_parses_turtle(self):
         result = deref("https://h/good")
-        assert result.ok and len(result.triples) == 1
+        assert result.ok and len(result.document.triples) == 1
 
     def test_fragment_stripped(self):
         result = deref("https://h/good#me")
@@ -37,12 +37,12 @@ class TestDereference:
 
     def test_relative_iris_resolved_against_document_url(self):
         result = deref("https://h/relative")
-        assert result.triples[0].subject.value == "https://h/relative"
-        assert result.triples[0].object.value == "https://h/child"
+        assert result.document.triples[0].subject.value == "https://h/relative"
+        assert result.document.triples[0].object.value == "https://h/child"
 
     def test_ntriples_content_type(self):
         result = deref("https://h/ntriples")
-        assert result.ok and len(result.triples) == 1
+        assert result.ok and len(result.document.triples) == 1
 
     def test_404_is_lenient_failure(self):
         result = deref("https://h/missing")
@@ -74,13 +74,13 @@ class TestDereference:
         dereferencer = Dereferencer(client)
         first = asyncio.run(dereferencer.dereference("https://h/d1"))
         second = asyncio.run(dereferencer.dereference("https://h/d2"))
-        assert first.triples[0].subject != second.triples[0].subject
+        assert first.document.triples[0].subject != second.document.triples[0].subject
         # ... and stable per document: another dereferencer (a later
         # service lifetime, another shard worker) labels it identically.
         other = Dereferencer(HttpClient(internet, latency=NoLatency()))
         asyncio.run(other.dereference("https://h/d2"))  # a different parse order
         again = asyncio.run(other.dereference("https://h/d1"))
-        assert again.triples == first.triples
+        assert again.document.triples == first.document.triples
 
     def test_auth_headers_forwarded(self):
         from repro.net import FunctionApp, Request, Response
@@ -153,7 +153,7 @@ class TestRedirects:
         result = asyncio.run(dereferencer.dereference(slashless))
         assert result.ok
         assert result.url == pod.base_url + "posts/"
-        member_subjects = {t.subject.value for t in result.triples}
+        member_subjects = {t.subject.value for t in result.document.triples}
         assert pod.base_url + "posts/" in member_subjects
 
 

@@ -42,6 +42,27 @@ class TestExplainPlan:
         assert "type-index class filter: Post" in text
         assert "zero-knowledge join order" in text
 
+    def test_extractor_read_set_is_printed_next_to_the_plans(self):
+        from repro.ltqp import AllIriExtractor
+
+        text = explain_plan(self.make_query(), extractors=default_extractors())
+        lines = text.splitlines()
+        # cMatch reads the query's three predicates; LDP, storage and the type
+        # index add seven of their own.
+        assert lines[lines.index("reads: 3 predicates") + 4] == "extractors read: 10 predicates"
+        assert "  http://www.w3.org/ns/ldp#contains" in lines
+        assert lines.count("  http://x/creator") == 2  # the plan reads it, and so does cMatch
+        # One extractor that walks the document, and the stack reads everything.
+        walking = explain_plan(
+            self.make_query(), extractors=default_extractors() + [AllIriExtractor()]
+        )
+        assert "extractors read: every triple (all-iris)" in walking
+        variable_predicate = parse_query(EX + "SELECT ?p WHERE { <http://h/card#me> ?p ?o }")
+        assert "extractors read: every triple (match)" in explain_plan(
+            variable_predicate, extractors=default_extractors()
+        )
+        assert "extractors read" not in explain_plan(self.make_query())  # no stack given
+
     def test_join_order_starts_with_most_selective(self):
         text = explain_plan(self.make_query())
         order_section = text.split("zero-knowledge join order")[1]

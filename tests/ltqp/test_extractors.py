@@ -7,12 +7,13 @@ from repro.ltqp.extractors import (
     LdpContainerExtractor,
     MatchIriExtractor,
     QueryContext,
+    ScopedLdpContainerExtractor,
     StorageExtractor,
     TypeIndexExtractor,
     build_query_context,
     default_extractors,
 )
-from repro.rdf import LDP, Literal, NamedNode, PIM, RDF, SNVOC, SOLID, Triple
+from repro.rdf import LDP, Literal, NamedNode, ParsedDocument, PIM, RDF, SNVOC, SOLID, Triple
 from repro.rdf.triples import TriplePattern
 from repro.rdf import Variable
 from repro.sparql import parse_query
@@ -24,8 +25,9 @@ def n(value):
     return NamedNode(value)
 
 
-def extract(extractor, triples, context=QueryContext()):
-    return {url for url, _provenance in extractor.discover(DOC, triples, context)}
+def extract(extractor, triples, context=None):
+    context = context if context is not None else QueryContext()
+    return {url for url, _ in extractor.discover(DOC, ParsedDocument(triples), context)}
 
 
 class TestAllIris:
@@ -141,3 +143,51 @@ class TestDefaults:
     def test_default_stack_is_solid_aware(self):
         names = {extractor.name for extractor in default_extractors()}
         assert names == {"match", "ldp-container", "storage", "type-index"}
+
+
+class TestExtractorStateIsPerExecution:
+    """Extractor *instances* belong to the engine and serve every query it
+    runs; what they remember of one execution lives on that execution's
+    context.  Before, ``TypeIndexExtractor.registered_targets`` grew with
+    every query and a scoped crawl descended into containers a previous
+    query's classes had registered."""
+
+    @staticmethod
+    def typed_query(pod, cls):
+        return (
+            f"SELECT ?m WHERE {{ ?m <{RDF.type.value}> <{cls.value}> ; "
+            f"<{SNVOC.hasCreator.value}> <{pod.webid}> }}"
+        )
+
+    def test_second_query_sees_nothing_of_the_first(self, tiny_universe):
+        pod = next(iter(tiny_universe.pods.values()))
+        seen = []  # the registered-target set each discover call was handed
+
+        class Spy(LdpContainerExtractor):
+            name = "spy"
+
+            def discover(self, document_url, document, context):
+                seen.append(context.registered_targets)
+                return iter(())
+
+        def scoped_engine():
+            stack = [MatchIriExtractor(), StorageExtractor(), TypeIndexExtractor(),
+                     ScopedLdpContainerExtractor(), Spy()]
+            return tiny_universe.fast_engine(extractors=stack)
+
+        # Comments, asked from a seed set that also names the posts container:
+        # nothing registers posts/ for this query, so it is listed, not descended.
+        comments = self.typed_query(pod, SNVOC.Comment)
+        seeds = [pod.profile_url, pod.base_url + "posts/"]
+        alone = scoped_engine().query(comments, seeds=seeds).run_sync()
+        registered_alone = seen[-1]
+        assert registered_alone == {pod.base_url + "comments/"}
+
+        shared = scoped_engine()
+        posts = shared.query(self.typed_query(pod, SNVOC.Post), seeds=[pod.profile_url]).run_sync()
+        assert seen[-1] == {pod.base_url + "posts/"} and len(posts) > 0
+        after = shared.query(comments, seeds=seeds).run_sync()
+        assert seen[-1] == registered_alone and seen[-1] is not registered_alone
+        assert after.stats.documents_fetched == alone.stats.documents_fetched
+        assert after.stats.links_by_extractor == alone.stats.links_by_extractor
+        assert sorted(map(str, after.bindings)) == sorted(map(str, alone.bindings))

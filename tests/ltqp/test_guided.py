@@ -12,6 +12,7 @@ from repro.ltqp.links import (
     build_queue,
     queue_factory_for,
 )
+from repro.rdf.document import ParsedDocument
 from repro.rdf.namespaces import RDF, SNVOC, SUBWEB
 from repro.rdf.terms import Literal, NamedNode
 from repro.rdf.triples import Triple
@@ -21,7 +22,7 @@ POD = "https://solidbench.example/pods/alice/"
 OTHER = "https://solidbench.example/pods/bob/"
 
 
-def hint_triples(pod_base=POD, complete=True):
+def hint_document(pod_base=POD, complete=True):
     doc = pod_base + "settings/cardinality"
     index = NamedNode(doc + "#index")
     posts = NamedNode(doc + "#c-posts")
@@ -44,7 +45,7 @@ def hint_triples(pod_base=POD, complete=True):
     ]
     if complete:
         triples.append(Triple(index, SUBWEB.completeIndex, Literal("true")))
-    return doc, triples
+    return doc, ParsedDocument(triples)
 
 
 def where_of(text: str):
@@ -128,7 +129,7 @@ class TestSubwebSpecification:
             Triple(rule, SUBWEB.action, Literal("allow")),
             Triple(rule, SUBWEB.maxDepth, Literal("3")),
         ]
-        spec = SubwebSpecification.from_triples(triples)
+        spec = SubwebSpecification.from_document(ParsedDocument(triples))
         assert spec is not None
         assert spec.default_action == "deny"
         assert spec.origins == "declared"
@@ -138,14 +139,14 @@ class TestSubwebSpecification:
 
     def test_from_triples_ignores_unrelated_documents(self):
         triples = [Triple(NamedNode("https://h/a"), SNVOC.likes, NamedNode("https://h/b"))]
-        assert SubwebSpecification.from_triples(triples) is None
+        assert SubwebSpecification.from_document(ParsedDocument(triples)) is None
 
 
 class TestCardinalityHints:
     def test_absorb_and_lookup(self):
-        url, triples = hint_triples()
+        url, document = hint_document()
         hints = CardinalityHints()
-        pod = hints.absorb_triples(url, triples)
+        pod = hints.absorb_document(url, document)
         assert pod is not None and pod.complete
         assert hints.pod_for(POD + "posts/2012-01-01") is pod
         assert hints.pod_by_source(url) is pod
@@ -153,15 +154,15 @@ class TestCardinalityHints:
 
     def test_non_hint_document_is_ignored(self):
         hints = CardinalityHints()
-        assert hints.absorb_triples("https://h/x", []) is None
+        assert hints.absorb_document("https://h/x", ParsedDocument()) is None
         assert hints.pod_count == 0
 
 
 class TestRelevance:
     def test_noise_container_is_irrelevant_to_creator_query(self):
-        url, triples = hint_triples()
+        url, document = hint_document()
         hints = CardinalityHints()
-        pod = hints.absorb_triples(url, triples)
+        pod = hints.absorb_document(url, document)
         scopes = query_scopes(where_of(CREATOR_QUERY))
         posts = pod.container_for(POD + "posts/x")
         noise = pod.container_for(POD + "noise/x")
@@ -169,9 +170,9 @@ class TestRelevance:
         assert not container_relevant(noise, scopes, hints.ranges)
 
     def test_no_scopes_means_everything_relevant(self):
-        url, triples = hint_triples()
+        url, document = hint_document()
         hints = CardinalityHints()
-        pod = hints.absorb_triples(url, triples)
+        pod = hints.absorb_document(url, document)
         noise = pod.container_for(POD + "noise/x")
         assert container_relevant(noise, (), hints.ranges)
 
@@ -182,8 +183,8 @@ class TestSourceSelector:
             rules=(SubwebRule(match="**/noise/**", action="deny", label="noise"),)
         )
         selector = SourceSelector(spec=spec, where=where_of(CREATOR_QUERY), seeds=[POD])
-        url, triples = hint_triples()
-        selector.absorb_document(url, triples)
+        url, document = hint_document()
+        selector.absorb_document(url, document)
         assert selector.check_static(Link(POD + "noise/noise-1")).action == "prune"
         assert selector.check_static(Link(POD)).rule == "hint:infra"
         assert selector.check_static(Link(POD + "posts/2012-01-01")).action == "follow"
@@ -201,13 +202,15 @@ class TestSourceSelector:
         assert selector.deferred_count == 1
         released = selector.absorb_document(
             POD + "profile/card",
-            [
-                Triple(
-                    NamedNode(POD + "profile/card#me"),
-                    SNVOC.likes,
-                    NamedNode(OTHER + "posts/2012-01-01#42"),
-                )
-            ],
+            ParsedDocument(
+                [
+                    Triple(
+                        NamedNode(POD + "profile/card#me"),
+                        SNVOC.likes,
+                        NamedNode(OTHER + "posts/2012-01-01#42"),
+                    )
+                ]
+            ),
         )
         assert [link.url for link in released] == [foreign.url]
         assert selector.check(foreign).action == "follow"
@@ -283,9 +286,9 @@ class TestGuidedQueue:
         assert queue.pop().url == "https://h/b/1"
 
     def test_entity_counts_break_ties(self):
-        url, triples = hint_triples()
+        url, document = hint_document()
         hints = CardinalityHints()
-        hints.absorb_triples(url, triples)
+        hints.absorb_document(url, document)
         queue = guided_queue(QueuePolicyContext(hints=hints))
         queue.push(Link(POD + "noise/x", provenance=LinkProvenance(extractor="match")))
         queue.push(Link(POD + "posts/x", provenance=LinkProvenance(extractor="match")))

@@ -175,6 +175,33 @@ class TestFairQueue:
             make("fair").pop()
 
 
+class TestLinkOrigin:
+    """The queue stamps a link's origin once, on admission; what accounts
+    per origin downstream (fair lanes, budgets, refusals) reads the stamp."""
+
+    @pytest.mark.parametrize("policy", sorted(QUEUE_POLICIES))
+    def test_stamped_on_admission_and_kept_through_requeue(self, policy, monkeypatch):
+        from repro.ltqp import links
+
+        splits = []
+        real = links.split_url
+        monkeypatch.setattr(links, "split_url", lambda url: splits.append(url) or real(url))
+        queue = make(policy)
+        assert Link("https://h:8443/pods/a#me").origin == ""  # not queued yet
+        queue.push(Link("https://h:8443/pods/a#me"))
+        popped = queue.pop()
+        assert (popped.url, popped.origin) == ("https://h:8443/pods/a", "https://h:8443")
+        queue.requeue(popped)
+        assert queue.pop().origin == "https://h:8443"
+        assert splits == ["https://h:8443/pods/a"]  # once per link, not per hop
+
+    def test_unparseable_urls_share_the_empty_origin(self):
+        queue = make("fair")
+        queue.push(Link("ftp://elsewhere/x"))
+        queue.push(Link("mailto:someone"))
+        assert [queue.pop().origin, queue.pop().origin] == ["", ""]
+
+
 class TestLink:
     def test_seed_detection(self):
         assert Link("https://h/a").is_seed

@@ -20,6 +20,7 @@ from repro.ltqp.live import LiveQuery, ResultChange
 from repro.ltqp.pipeline import compile_query_pipeline, total_work
 from repro.ltqp.source import GrowingTripleSource
 from repro.net.message import Request
+from repro.rdf import ParsedDocument
 from repro.rdf.turtle import parse_turtle
 from repro.solidbench import SolidBenchConfig, build_universe
 from repro.sparql.parser import parse_query
@@ -40,7 +41,7 @@ def start_live(query_text: str, docs: dict[str, str]):
     source = GrowingTripleSource()
     results = []
     for url, text in docs.items():
-        source.add_document(url, parse_turtle(text, base_iri=url))
+        source.add_document(url, ParsedDocument(parse_turtle(text, base_iri=url)))
         results.extend(pipeline.advance(source.dataset))
     results.extend(pipeline.finalize(source.dataset))
     return pipeline, source, results
@@ -52,7 +53,7 @@ def fresh_results(query_text: str, docs: dict[str, str]):
     pipeline = compile_query_pipeline(query)
     source = GrowingTripleSource()
     for url, text in docs.items():
-        source.add_document(url, parse_turtle(text, base_iri=url))
+        source.add_document(url, ParsedDocument(parse_turtle(text, base_iri=url)))
     results = list(pipeline.advance(source.dataset))
     results.extend(pipeline.finalize(source.dataset))
     return results
@@ -60,7 +61,7 @@ def fresh_results(query_text: str, docs: dict[str, str]):
 
 def apply_edit(pipeline, source, url: str, text: str):
     """One document rewrite -> the signed changes it causes."""
-    source.update_document(url, parse_turtle(text, base_iri=url))
+    source.update_document(url, ParsedDocument(parse_turtle(text, base_iri=url)))
     return pipeline.poll_changes(source.dataset)
 
 

@@ -121,6 +121,7 @@ class TestOneHome:
         "repro.net.client": {"HttpClient.fetch", "HttpClient._attempt", "_Call.note_attempt"},
         "repro.ltqp.dereference": {"Dereferencer.dereference", "Dereferencer._refusal"},
         "repro.service.docstore": {"DocumentStore.lookup"},
+        "repro.ltqp.extractors": {"MatchIriExtractor.discover", "TypeIndexExtractor.discover"},
     }
 
     def test_no_private_engine_function_threads_state_or_sprawls(self):

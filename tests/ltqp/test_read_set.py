@@ -23,7 +23,7 @@ from repro.ltqp.extractors import MatchIriExtractor
 from repro.ltqp.pipeline import compile_query_pipeline
 from repro.ltqp.source import GrowingTripleSource
 from repro.net.latency import NoLatency
-from repro.rdf import NamedNode, Triple
+from repro.rdf import NamedNode, ParsedDocument, Triple
 from repro.solidbench import discover_query
 from repro.sparql import parse_query
 from repro.sparql.eval import SnapshotEvaluator
@@ -210,7 +210,7 @@ class TestReadSetIsAFunctionOfTheQuery:
         triples = [Triple(node(f"n{i}"), node("p"), node("m")) for i in range(8)]
         triples += [Triple(node("m"), node("q"), node("k")), Triple(node("k"), node("r"), node("j"))]
         for index, triple in enumerate(triples):
-            source.add_document(f"https://h/doc{index}", [triple])
+            source.add_document(f"https://h/doc{index}", ParsedDocument([triple]))
             adaptive.advance(source.dataset)
         assert adaptive.replans > 0
         assert adaptive.read_set == before
@@ -243,7 +243,7 @@ def snapshot_over_fetched(universe, engine) -> SnapshotEvaluator:
     async def load() -> None:
         for url in fetched:
             result = await dereferencer.dereference(url)
-            source.add_document(result.url, result.triples)
+            source.add_document(result.url, result.document)
 
     asyncio.run(load())
     return SnapshotEvaluator(source.dataset)

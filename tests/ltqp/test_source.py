@@ -10,7 +10,7 @@ from repro.ltqp import LinkTraversalEngine
 from repro.ltqp.pipeline import compile_pipeline
 from repro.ltqp.source import GrowingTripleSource
 from repro.net.latency import NoLatency
-from repro.rdf import NamedNode, Triple
+from repro.rdf import NamedNode, ParsedDocument, Triple
 from repro.solidbench.queries import discover_query
 from repro.sparql import parse_query
 
@@ -22,19 +22,19 @@ def t(index: int) -> Triple:
 class TestGrowingTripleSource:
     def test_add_document_counts_new_triples(self):
         source = GrowingTripleSource()
-        assert source.add_document("https://h/doc", [t(1), t(2)]) == 2
-        assert source.add_document("https://h/doc2", [t(1)]) == 1  # new in its graph
+        assert source.add_document("https://h/doc", ParsedDocument([t(1), t(2)])) == 2
+        assert source.add_document("https://h/doc2", ParsedDocument([t(1)])) == 1  # new in its graph
         assert source.document_count == 2
         assert source.dataset.union.count() == 2  # deduplicated in union
 
     def test_same_document_duplicates_skipped(self):
         source = GrowingTripleSource()
-        source.add_document("https://h/doc", [t(1), t(1)])
+        source.add_document("https://h/doc", ParsedDocument([t(1), t(1)]))
         assert source.dataset.log_position == 1
 
     def test_per_document_graphs(self):
         source = GrowingTripleSource()
-        source.add_document("https://h/doc", [t(1)])
+        source.add_document("https://h/doc", ParsedDocument([t(1)]))
         assert source.dataset.has_graph(NamedNode("https://h/doc"))
 
 
@@ -50,7 +50,7 @@ class TestIndexOnFirstRead:
         results = 0
         for pod in universe.pods.values():
             for document in pod.documents():
-                source.add_document(pod.document_url(document.path), document.triples)
+                source.add_document(pod.document_url(document.path), ParsedDocument(document.triples))
                 if source.document_count % documents_per_advance == 0:
                     results += len(pipeline.advance(source.dataset))
         results += len(pipeline.advance(source.dataset))
@@ -76,7 +76,7 @@ class TestIndexOnFirstRead:
 
     def test_ingest_allocates_about_one_tracked_object_per_quad(self):
         documents = [
-            (f"https://h/doc{d}", [t(d * 40 + index) for index in range(40)])
+            (f"https://h/doc{d}", ParsedDocument(t(d * 40 + index) for index in range(40)))
             for d in range(50)
         ]
         source = GrowingTripleSource()
@@ -85,7 +85,7 @@ class TestIndexOnFirstRead:
         gc.disable()
         try:
             before = len(gc.get_objects())
-            added = sum(source.add_document(url, triples) for url, triples in documents)
+            added = sum(source.add_document(url, document) for url, document in documents)
             grown = len(gc.get_objects()) - before
         finally:
             if was_enabled:
@@ -107,7 +107,7 @@ class TestPlanAwareSource:
 
     def test_only_read_predicates_are_stored_and_every_triple_is_counted(self):
         source = GrowingTripleSource(self.READS)
-        document = [p(1, "p"), p(2, "noise"), p(2, "noise"), p(3, "p"), p(4, "other")]
+        document = ParsedDocument([p(1, "p"), p(2, "noise"), p(2, "noise"), p(3, "p"), p(4, "other")])
         assert source.add_document("https://h/doc", document) == 2
         assert source.triples_discovered == 4  # distinct triples, kept or not
         assert [quad.triple for quad in source.dataset.quads()] == [p(1, "p"), p(3, "p")]
@@ -117,25 +117,27 @@ class TestPlanAwareSource:
 
     def test_a_document_that_keeps_nothing_still_names_its_graph(self):
         source = GrowingTripleSource(self.READS)
-        assert source.add_document("https://h/noise", [p(1, "noise")]) == 0
+        assert source.add_document("https://h/noise", ParsedDocument([p(1, "noise")])) == 0
         assert source.dataset.has_graph(NamedNode("https://h/noise"))
         assert source.dataset.log_position == 0
 
     def test_refresh_diffs_kept_triples_only(self):
         source = GrowingTripleSource(self.READS)
-        source.add_document("https://h/doc", [p(1, "p"), p(2, "noise")])
+        source.add_document("https://h/doc", ParsedDocument([p(1, "p"), p(2, "noise")]))
         # A noise-only edit appends nothing to the signed log…
         position = source.dataset.log_position
-        assert source.update_document("https://h/doc", [p(1, "p"), p(9, "noise")]) == ([], [])
+        noise_edit = ParsedDocument([p(1, "p"), p(9, "noise")])
+        assert source.update_document("https://h/doc", noise_edit) == ([], [])
         assert source.dataset.log_position == position
         # …an edit of something the plan reads is one retraction, one insertion.
-        added, removed = source.update_document("https://h/doc", [p(5, "p"), p(9, "noise")])
+        read_edit = ParsedDocument([p(5, "p"), p(9, "noise")])
+        added, removed = source.update_document("https://h/doc", read_edit)
         assert (added, removed) == ([p(5, "p")], [p(1, "p")])
         assert source.dataset.log_position == position + 2
 
     def test_no_read_set_keeps_everything(self):
         source = GrowingTripleSource()
-        assert source.add_document("https://h/doc", [p(1, "p"), p(2, "noise")]) == 2
+        assert source.add_document("https://h/doc", ParsedDocument([p(1, "p"), p(2, "noise")])) == 2
         assert source.triples_discovered == 2
 
     def test_one_ingest_path(self):
@@ -146,7 +148,7 @@ class TestPlanAwareSource:
         assert whole.count("self._read_set") == 2  # stored by __init__, read by _kept
         for method in (GrowingTripleSource.add_document, GrowingTripleSource.update_document):
             body = inspect.getsource(method)
-            assert body.count("self._kept(triples)") == 1
+            assert body.count("self._kept(document)") == 1
             assert body.count(".add_triples(") == 1
             assert "read_set" not in body
 

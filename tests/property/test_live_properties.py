@@ -26,7 +26,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.ltqp.pipeline import compile_pipeline
 from repro.ltqp.source import GrowingTripleSource
-from repro.rdf import Graph, Literal, NamedNode, Triple, Variable
+from repro.rdf import Graph, Literal, NamedNode, ParsedDocument, Triple, Variable
 from repro.rdf.triples import TriplePattern
 from repro.sparql.algebra import (
     AggregateExpr,
@@ -158,7 +158,7 @@ def _run_inserts(pipeline, source, docs, settle_after) -> Counter:
             maintained.update(_key(b) for b in pipeline.finalize(source.dataset))
         if index == len(docs):
             break
-        source.add_document(_doc_url(index), docs[index])
+        source.add_document(_doc_url(index), ParsedDocument(docs[index]))
         for binding, delta in pipeline.poll_changes(source.dataset):
             # Open nodes withhold whatever more data could retract.
             assert delta > 0 or index >= settle_after
@@ -183,7 +183,7 @@ class TestLiveMaintenanceEquivalence:
         for doc_index, new_triples in edit_seq:
             index = doc_index % len(docs)
             state[index] = list(new_triples)
-            source.update_document(_doc_url(index), new_triples)
+            source.update_document(_doc_url(index), ParsedDocument(new_triples))
             for binding, delta in pipeline.poll_changes(source.dataset):
                 maintained[_key(binding)] += delta
 
@@ -210,11 +210,11 @@ class TestLiveMaintenanceEquivalence:
         net: Counter = Counter()
         for doc_index, new_triples in edit_seq:
             index = doc_index % len(docs)
-            source.update_document(_doc_url(index), new_triples)
+            source.update_document(_doc_url(index), ParsedDocument(new_triples))
             for binding, delta in pipeline.poll_changes(source.dataset):
                 net[_key(binding)] += delta
         for index, doc in enumerate(docs):
-            source.update_document(_doc_url(index), doc)
+            source.update_document(_doc_url(index), ParsedDocument(doc))
             for binding, delta in pipeline.poll_changes(source.dataset):
                 net[_key(binding)] += delta
 

@@ -33,7 +33,7 @@ from hypothesis import given, settings, strategies as st
 from repro.ltqp.adaptive import AdaptivePipeline
 from repro.ltqp.pipeline import compile_query_pipeline
 from repro.ltqp.source import GrowingTripleSource
-from repro.rdf import BlankNode, Literal, NamedNode, Triple, Variable
+from repro.rdf import BlankNode, Literal, NamedNode, ParsedDocument, Triple, Variable
 from repro.rdf.triples import TriplePattern
 from repro.sparql.algebra import (
     BGP,
@@ -288,7 +288,7 @@ def _oracle(query: Query, state: dict) -> Counter:
     """The fresh answer over every document, nothing dropped."""
     whole = GrowingTripleSource()
     for index, doc in state.items():
-        whole.add_document(_doc_name(index).value, doc)
+        whole.add_document(_doc_name(index).value, ParsedDocument(doc))
     evaluator = SnapshotEvaluator(whole.dataset)
     if query.form == "CONSTRUCT":
         return Counter(map(str, evaluator.construct(query)))
@@ -326,7 +326,7 @@ class TestPlanAwareSourceEquivalence:
         produced = []
         for start in range(0, len(arrival), docs_per_advance):
             for index in arrival[start : start + docs_per_advance]:
-                source.add_document(_doc_name(index).value, docs[index])
+                source.add_document(_doc_name(index).value, ParsedDocument(docs[index]))
             produced.extend(pipeline.advance(source.dataset))
         produced.extend(pipeline.finalize(source.dataset))
 
@@ -350,14 +350,14 @@ class TestPlanAwareSourceEquivalence:
         state = dict(enumerate(docs))
         maintained: Counter = Counter()
         for index, doc in state.items():
-            source.add_document(_doc_name(index).value, doc)
+            source.add_document(_doc_name(index).value, ParsedDocument(doc))
         maintained.update(_key(b) for b in pipeline.finalize(source.dataset))
 
         for doc_index, new_triples in edit_seq:
             index = doc_index % len(docs)
             state[index] = list(new_triples)
             before = source.dataset.log_position
-            added, removed = source.update_document(_doc_name(index).value, new_triples)
+            added, removed = source.update_document(_doc_name(index).value, ParsedDocument(new_triples))
             # Only what the plan reads is diffed, logged — or held at all.
             reads = pipeline.read_set
             assert all(reads is None or t.predicate in reads for t in added + removed)

@@ -44,7 +44,7 @@ class TestLookup:
         store.put("https://pod/doc", "v1", [triple(1), triple(2)])
         entry = store.lookup("https://pod/doc", "v1")
         assert entry is not None
-        assert entry.triples == (triple(1), triple(2))
+        assert entry.document.triples == (triple(1), triple(2))
         assert store.hits == 1 and store.parses == 1
 
     def test_validator_change_invalidates(self):
@@ -133,7 +133,7 @@ class TestPersistentRestartInvalidation:
             for url in (changed_url, untouched_url):
                 result = await resources.dereferencer.dereference(url)
                 assert result.ok and not result.from_store
-                parsed[url] = result.triples
+                parsed[url] = result.document
             resources.close()
             return parsed[changed_url]
 
@@ -175,7 +175,7 @@ class TestPersistentRestartInvalidation:
             assert (store.parses, store.invalidations, store.hits) == (1, 1, 1)
             assert store.statistics()["diffs"] == 1
             resources.close()
-            return changed.triples
+            return changed.document
 
         after_edit = asyncio.run(second_lifetime())
         # Blank-node labels are stable across lifetimes, so one rename is

@@ -4,6 +4,7 @@ import pytest
 
 from repro.ltqp.stats import TimedResult
 from repro.rdf.terms import BlankNode, Literal, NamedNode, Variable, intern_iri
+from repro.rdf.document import ParsedDocument
 from repro.rdf.triples import Triple
 from repro.service.docstore import StoredDocument
 from repro.service.wire import (
@@ -93,7 +94,7 @@ class TestDocumentWire:
         return StoredDocument(
             url="https://solidbench.example/pods/alice/profile",
             validator='W/"abc123"',
-            triples=triples,
+            document=ParsedDocument(triples),
             stored_at=12.5,
         )
 
@@ -104,7 +105,7 @@ class TestDocumentWire:
         # The validator is the 304-revalidation key: it must survive the
         # handoff byte-for-byte or the importing shard re-parses everything.
         assert back.validator == document.validator
-        assert back.triples == document.triples
+        assert back.document == document.document
 
     def test_payload_written_before_links_were_dropped_still_decodes(self):
         # A store file persisted by an older build carries a "links" list

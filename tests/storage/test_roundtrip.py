@@ -58,7 +58,7 @@ class TestDocumentCodec:
         decoded = decode_stored_document(encode_stored_document(document))
         assert decoded.url == document.url
         assert decoded.validator == document.validator
-        assert decoded.triples == tuple(TERM_SHAPE_TRIPLES)
+        assert decoded.document.triples == tuple(TERM_SHAPE_TRIPLES)
 
     def test_age_survives_the_clock_translation(self):
         store = DocumentStore()
@@ -89,7 +89,7 @@ class TestDocumentStoreRestart:
             document = store.lookup(self.URL, 'W/"v1"')
             assert document is not None
             assert store.hits == 1
-            assert document.triples == tuple(TERM_SHAPE_TRIPLES)
+            assert document.document.triples == tuple(TERM_SHAPE_TRIPLES)
             assert document.validator == 'W/"v1"'
         finally:
             backend.close()
