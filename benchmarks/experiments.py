@@ -41,6 +41,7 @@ from repro.ltqp.pipeline import compile_pipeline, total_work
 from repro.obs import TickClock, Tracer
 from repro.rdf import Dataset, Literal, NamedNode, Quad, Variable
 from repro.rdf.namespaces import SNVOC
+from repro.service import SharedResources
 from repro.solidbench import PAPER_SCALE_TARGETS, Fragmentation, SolidBenchConfig
 from repro.solidbench import build_universe, discover_query, discover_suite
 from repro.sparql import parse_query
@@ -369,15 +370,16 @@ def expect_adaptive(runs, rows):
 
 
 def cold_warm_cache(ctx: Context) -> list[dict]:
-    """E11: Discover 1.5 twice through two clients sharing one ``HttpCache``."""
+    """E11: Discover 1.5 twice through two shared stacks over one ``HttpCache``."""
     universe, _ = ctx.universe()
     query = discover_query(universe, 1, 5)
     cache, latency = net.HttpCache(default_max_age=3600), net.SeededJitterLatency(seed=11)
     rows, answers = [], []
     for label in ("cold", "warm"):
         log = net.RequestLog()
-        client = net.HttpClient(universe.internet, latency=latency, log=log, cache=cache)
-        engine = ltqp.LinkTraversalEngine(client)
+        engine = SharedResources.for_universe(
+            universe, latency=latency, log=log, http_cache=cache
+        ).engine
         execution = engine.query(query.text, seeds=query.seeds).run_sync()
         answers.append(set(execution.bindings))
         rows.append({
@@ -533,9 +535,12 @@ EXPERIMENTS = [
                [Config(f"ltqp x{factor}", (1, 1, 3), universe={"scale": factor})
                 for factor in (0.5, 1.0)], measure=federation_baseline, columns=("pods",)),
     Experiment("guided", "DESIGN §4g: fifo vs guided, hinted universe, tick clock", expect_guided,
-               [Config("fifo", universe=HINTED, ticks=True, engine=policy(queue_policy="fifo")),
+               # The wall-clock flush timer is off so that every tick replays exactly.
+               [Config("fifo", universe=HINTED, ticks=True,
+                       engine=policy(queue_policy="fifo", advance_flush_interval=0.0)),
                 Config("guided", universe=HINTED, ticks=True,
-                       engine=policy(queue_policy="guided", subweb=DECLARED_SPEC))],
+                       engine=policy(queue_policy="guided", subweb=DECLARED_SPEC,
+                                     advance_flush_interval=0.0))],
                columns=("links_pruned",)),
 ]
 

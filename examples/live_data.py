@@ -15,8 +15,6 @@ Run:  python examples/live_data.py
 
 import asyncio
 
-from repro.ltqp import LinkTraversalEngine
-from repro.net import NoLatency
 from repro.net.message import Request
 from repro.rdf import SNVOC
 from repro.solidbench import SolidBenchConfig, build_universe, discover_query
@@ -37,7 +35,7 @@ async def write(universe, method, url, body, content_type, session):
 
 
 def count_results(universe, query):
-    engine = LinkTraversalEngine(universe.client(latency=NoLatency()))
+    engine = universe.fast_engine()
     return len(engine.query(query.text, seeds=query.seeds).run_sync())
 
 

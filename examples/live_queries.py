@@ -27,7 +27,6 @@ Run:  python examples/live_queries.py
 import asyncio
 from urllib.parse import urlsplit
 
-from repro.ltqp import LinkTraversalEngine
 from repro.ltqp.live import LiveQuery
 from repro.net import NoLatency
 from repro.net.message import Request
@@ -75,7 +74,7 @@ async def standing_live_query(universe) -> None:
         f"SELECT ?friend ?name WHERE {{ <{pod.webid}> <{FOAF}knows> ?friend . "
         f"?friend <{FOAF}name> ?name }}"
     )
-    engine = LinkTraversalEngine(universe.client(latency=NoLatency()))
+    engine = universe.fast_engine()
     live = LiveQuery(engine, query, seeds=[pod.profile_url])
 
     initial = await live.start()

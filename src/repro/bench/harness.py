@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from ..ltqp.engine import EngineConfig, LinkTraversalEngine, QueryExecution
+from ..ltqp.engine import EngineConfig, QueryExecution
 from ..ltqp.extractors import LinkExtractor
 from ..net.latency import LatencyModel, NoLatency
 from ..obs import Tracer
@@ -89,9 +89,11 @@ def run_query(
     tree, which is returned on the report as ``trace``.  Pass a ``tracer``
     on a :class:`~repro.obs.TickClock` to make every time an event count.
     """
-    client = universe.client(latency=latency if latency is not None else NoLatency())
-    engine = LinkTraversalEngine(
-        client, extractors=extractors, config=engine_config, auth_headers=auth_headers
+    engine = universe.engine(
+        extractors=extractors,
+        config=engine_config,
+        latency=latency if latency is not None else NoLatency(),
+        auth_headers=auth_headers,
     )
     tracer = tracer if tracer is not None else Tracer()
     execution = engine.query(query.text, seeds=query.seeds, tracer=tracer).run_sync()

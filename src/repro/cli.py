@@ -39,7 +39,7 @@ import json
 
 from .bench.waterfall import build_waterfall, render_waterfall
 from .obs import Metrics, Tracer, render_trace_summary, write_chrome_trace
-from .ltqp.engine import EngineConfig, LinkTraversalEngine, TraversalPolicy
+from .ltqp.engine import EngineConfig, TraversalPolicy
 from .net.faults import FaultPlan
 from .net.latency import NoLatency, SeededJitterLatency
 from .net.resilience import NetworkPolicy
@@ -403,7 +403,8 @@ def watch_main(argv: Optional[list[str]] = None) -> int:
 def _engine_config(
     args, network: Optional[NetworkPolicy] = None, **traversal
 ) -> EngineConfig:
-    """The :class:`EngineConfig` the :func:`_add_engine_args` flags spell.
+    """The :class:`EngineConfig` the :func:`_add_engine_args` flags spell,
+    for a stack builder to split (``universe.engine``, ``ShardSpec``).
 
     ``--max-doc-bytes`` installs the same bound on both sides of the
     dereference: the network client aborts oversized transfers
@@ -427,53 +428,36 @@ def _engine_config(
 
 
 def build_service_stack(args):
-    """Wire universe → shared resources → service → host → web UI.
+    """Wire universe → service stack → host → web UI.
 
     Returns the (unstarted) :class:`~repro.webui.DemoServer` whose
     :class:`~repro.service.ServiceHost` is already running.  Split from
     :func:`serve_main` so tests can drive the stack without blocking.
-    ``--workers`` picks the transport; the engine configuration and the
-    admission limits are the same objects either way.
+    The flags become one :class:`~repro.service.ShardSpec`; ``--workers``
+    only picks who builds it — every worker process, or this one.
     """
-    from .service import (
-        QueryService,
-        ServiceHost,
-        ShardedQueryService,
-        ShardSpec,
-        SharedResources,
-    )
+    from .service import ServiceHost, ShardedQueryService, ShardSpec
     from .webui import DemoServer
 
     config = SolidBenchConfig(
         scale=args.simulate, seed=args.bench_seed, emit_hints=args.emit_hints
     )
     universe = build_universe(config)
-    engine_config = _engine_config(args)
-    limits = dict(
+    spec = ShardSpec(
+        config=config,
+        latency=_latency(args),
+        engine=_engine_config(
+            args, max_documents=args.max_documents, max_duration=args.max_duration
+        ),
         max_concurrent=args.max_concurrent,
         max_queued=args.max_queued,
-        default_max_documents=args.max_documents,
-        default_max_duration=args.max_duration,
+        store_path=args.store_path,
+        storage_backend=args.backend,
     )
     if args.workers > 1:
-        spec = ShardSpec(
-            config=config,
-            latency_seed=args.bench_seed,
-            no_latency=args.no_latency,
-            engine=engine_config,
-            store_path=args.store_path,
-            storage_backend=args.backend,
-            **limits,
-        )
         service = ShardedQueryService(spec, workers=args.workers, routing=args.routing)
     else:
-        resources = SharedResources.for_universe(
-            universe,
-            latency=_latency(args),
-            store_path=args.store_path,
-            storage_backend=args.backend,
-        )
-        service = QueryService(resources, config=engine_config, **limits)
+        service = spec.build(universe)
     host = ServiceHost(service).start()
     return DemoServer(universe, host=args.host, port=args.port, service=host)
 
@@ -557,10 +541,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         auth_headers = session.headers
         print(f"# logged in as {session.webid}", file=sys.stderr)
 
-    client = universe.client(latency=_latency(args))
-
     if args.fault_rate > 0:
-        client.internet.install_fault_plan(
+        universe.internet.install_fault_plan(
             FaultPlan.transient(rate=args.fault_rate, seed=args.fault_seed)
         )
         print(
@@ -572,10 +554,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     network = NetworkPolicy.no_retry() if args.no_retry else NetworkPolicy()
     if args.timeout is not None:
         network.request_timeout = args.timeout
-    engine = LinkTraversalEngine(
-        client,
-        config=_engine_config(args, network=network, lenient=args.lenient),
+    engine = universe.engine(
+        config=_engine_config(args, network=network),
+        latency=_latency(args),
         auth_headers=auth_headers,
+        lenient=args.lenient,
     )
 
     query = parse_query(query_text)
@@ -652,7 +635,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     emit_observability()
     if args.stats:
-        log = client.log
+        log = engine.client.log
         print(
             f"# requests={len(log)} bytes={log.total_bytes()} "
             f"depth={log.max_depth()} parallelism={log.max_parallelism()} "

@@ -8,91 +8,22 @@ pod's documents) into a ``GET /sparql?query=...`` endpoint speaking the
 SPARQL JSON results format.
 
 The protocol plumbing (query extraction from GET/POST, parse errors as
-400s) lives in :class:`SparqlProtocolApp` so other back-ends can reuse
-it — the :class:`~repro.service.protocol.ServiceSparqlApp` serves the
-same protocol backed by the live link-traversal
-:class:`~repro.service.QueryService` instead of a fixed dataset.
+400s) is the program's own :class:`~repro.service.protocol.SparqlProtocolApp`,
+which serves the same protocol by live link traversal; this baseline
+answers it from a fixed dataset instead.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Union
-from urllib.parse import parse_qs, unquote_plus, urlsplit
 
 from ..net.message import Request, Response
-from ..net.router import App
 from ..rdf.dataset import Dataset, Graph
+from ..service.protocol import SparqlProtocolApp
 from ..sparql.algebra import Query
 from ..sparql.eval import SnapshotEvaluator
-from ..sparql.parser import SparqlParseError, parse_query
-from ..sparql.results import results_to_sparql_json
 
-__all__ = ["SparqlProtocolApp", "SparqlEndpointApp"]
-
-
-class SparqlProtocolApp(App):
-    """SPARQL-protocol plumbing: request → parsed query → ``answer``.
-
-    Subclasses implement :meth:`answer`; everything protocol-shaped —
-    extracting the query text from ``GET ?query=`` or a POST body
-    (``application/sparql-query`` or form-encoded), 400s for missing or
-    unparsable queries, 405 for other methods — is handled here.
-    """
-
-    def __init__(self, path: str = "/sparql") -> None:
-        self._path = path
-        self.queries_served = 0
-
-    @property
-    def path(self) -> str:
-        return self._path
-
-    async def handle(self, request: Request) -> Response:
-        parts = urlsplit(request.url)
-        if parts.path != self._path:
-            return await self.handle_other(request)
-        if request.method == "GET":
-            query_text = parse_qs(parts.query).get("query", [""])[0]
-        elif request.method == "POST":
-            content_type = request.header("content-type").split(";")[0].strip()
-            body = request.body.decode("utf-8")
-            if content_type == "application/sparql-query":
-                query_text = body
-            else:  # application/x-www-form-urlencoded
-                query_text = parse_qs(body).get("query", [""])[0]
-        else:
-            return Response(405, {"content-type": "text/plain"}, b"Method not allowed")
-        query_text = unquote_plus(query_text) if "%" in query_text else query_text
-        if not query_text:
-            return Response(400, {"content-type": "text/plain"}, b"missing query parameter")
-        try:
-            query = parse_query(query_text)
-        except SparqlParseError as error:
-            return Response(400, {"content-type": "text/plain"}, str(error).encode("utf-8"))
-        self.queries_served += 1
-        return await self.answer(query, request)
-
-    async def handle_other(self, request: Request) -> Response:
-        """Any path other than the endpoint's; 404 unless overridden."""
-        return Response.not_found(request.url)
-
-    async def answer(self, query: Query, request: Request) -> Response:
-        raise NotImplementedError
-
-    @staticmethod
-    def select_response(variables, bindings) -> Response:
-        body = results_to_sparql_json(variables, bindings)
-        return Response(
-            200, {"content-type": "application/sparql-results+json"}, body.encode("utf-8")
-        )
-
-    @staticmethod
-    def ask_response(answer: bool) -> Response:
-        document = json.dumps({"head": {}, "boolean": answer})
-        return Response(
-            200, {"content-type": "application/sparql-results+json"}, document.encode("utf-8")
-        )
+__all__ = ["SparqlEndpointApp"]
 
 
 class SparqlEndpointApp(SparqlProtocolApp):

@@ -13,9 +13,10 @@ Failures are additionally classified as *retryable* (transient transport
 or server trouble — worth re-queueing through the link queue) or
 permanent (the document simply is not there / is not RDF).
 
-A dereferencer may be shared across many query executions (the
-:class:`~repro.service.QueryService` injects one long-lived instance into
-its engine).  A shared instance holds nothing of any execution: tracer,
+The dereferencer is the one home of three settings, given at
+construction: leniency, the extra (auth) request headers, and the
+document store.  An engine is handed one instance and every execution
+fetches through it, so it holds nothing of any execution: tracer,
 metrics, resilience counters and the parse cap arrive with each
 :meth:`Dereferencer.dereference` call, and blank-node labels derive from
 the document URL, not from instance state.  Pass ``document_store`` (see
@@ -89,7 +90,13 @@ class DereferenceResult:
 
 
 class Dereferencer:
-    """Fetch-and-parse with a uniform lenient-error contract."""
+    """Fetch-and-parse with a uniform lenient-error contract.
+
+    Built over the :class:`~repro.net.client.HttpClient` it fetches
+    through (whose network policy it reads, never sets); owns ``lenient``,
+    ``extra_headers`` — sent with every request, e.g. a Solid-OIDC session's
+    — and the optional ``document_store``.
+    """
 
     def __init__(
         self,

@@ -8,7 +8,7 @@ results to the caller while traversal is still running.
 
 Usage::
 
-    engine = LinkTraversalEngine(client)
+    engine = LinkTraversalEngine(Dereferencer(HttpClient(internet)))
     execution = engine.query(query_text)            # a QueryExecution handle
     async for binding in execution:                  # stream results, or
         ...
@@ -26,14 +26,19 @@ operators (OPTIONAL, MINUS, ORDER BY, GROUP BY, …) become blocking
 physical nodes that fold deltas into running state and release their
 held-back output in one O(result) finalize pass at traversal quiescence.
 
-Configuration is split by layer: :class:`TraversalPolicy` bounds the
-crawl (depth, documents, duration, results), while
-:class:`~repro.net.resilience.NetworkPolicy` governs fault handling
-(timeouts, retries, circuit breakers).  :class:`EngineConfig` nests both.
+Each setting lives on the layer that acts on it, given at construction
+(Fig. 1 is a stack — link queue → dereferencer → HTTP — and it is built
+bottom-up): the :class:`~repro.net.client.HttpClient` runs the
+:class:`~repro.net.resilience.NetworkPolicy` (timeouts, retries, breakers,
+read cap); the :class:`~repro.ltqp.dereference.Dereferencer` owns leniency,
+auth headers and the document store; the engine owns the
+:class:`TraversalPolicy` (depth, documents, duration, results, queue) and
+the extractor stack.  :class:`EngineConfig` is only the description a
+stack builder accepts and splits between the first and the last.
 
 State is split by lifetime: :class:`LinkTraversalEngine` is long-lived and
-holds what executions share (client, config, extractors, auth headers, an
-injected dereferencer); a :class:`QueryExecution` is the one home of what
+holds what executions share (the dereferencer it was handed, its traversal
+policy, its extractors); a :class:`QueryExecution` is the one home of what
 Fig. 1 draws per query, and its methods are the run itself: set-up →
 worker loop → per link (admit → dereference → ingest → extract → one
 outcome) → quiescence flush → tear-down.
@@ -104,7 +109,6 @@ class TraversalPolicy:
     #: transfer itself — is ``NetworkPolicy.max_response_bytes``.
     #: ``0`` disables.
     max_parse_bytes: int = 0
-    lenient: bool = True
     adaptive: bool = False
     #: Link-queue discipline: ``"fifo"`` (breadth-first, the paper's
     #: default), ``"lifo"`` (depth-first), ``"priority"`` (shallow +
@@ -189,14 +193,15 @@ class _OriginBudgets:
 
 @dataclass(slots=True)
 class EngineConfig:
-    """Tunables for one engine instance, split into two nested policies.
+    """What a stack builder is told about the two policy-owning layers.
 
-    ``traversal`` (a :class:`TraversalPolicy`) bounds the crawl;
-    ``network`` (a :class:`~repro.net.resilience.NetworkPolicy`) governs
-    timeouts, retries, and circuit breaking::
+    Not something an engine holds: ``universe.engine(config=...)``,
+    :class:`~repro.service.SharedResources` and
+    :class:`~repro.service.ShardSpec` accept one and split it —
+    ``network`` goes to the :class:`~repro.net.client.HttpClient` they
+    construct (its one home), ``traversal`` to the engine::
 
-        EngineConfig(traversal=TraversalPolicy(max_depth=2))
-        config.traversal.worker_count
+        universe.engine(config=EngineConfig(traversal=TraversalPolicy(max_depth=2)))
     """
 
     traversal: TraversalPolicy = field(default_factory=TraversalPolicy)
@@ -238,12 +243,12 @@ class QueryExecution:
 
     Everything Fig. 1 draws once *per query* lives here and nowhere else:
     link ``queue``, growing ``source``, ``pipeline``, guided ``selector``,
-    origin budgets, the ``dereferencer`` in use, clock, ``tracer``,
-    ``metrics`` and resilience counters.  What is shared with other
-    executions (engine, client, a service's dereferencer) is handed this
-    one's observers with each call (:meth:`dereference`) and holds none.
-    Tear-down drops the machinery; a ``live`` run keeps ``pipeline``,
-    ``source`` and ``dereferencer`` for its :class:`~repro.ltqp.live.LiveQuery`.
+    origin budgets, clock, ``tracer``, ``metrics`` and resilience
+    counters.  What is shared with other executions (the engine and its
+    ``dereferencer``, the client under it) is handed this one's observers
+    with each call (:meth:`dereference`) and holds none.  Tear-down drops
+    the machinery; a ``live`` run keeps ``pipeline`` and ``source`` for
+    its :class:`~repro.ltqp.live.LiveQuery`.
     """
 
     def __init__(
@@ -253,7 +258,6 @@ class QueryExecution:
         seeds: Optional[Iterable[str]] = None,
         tracer=None,
         metrics=None,
-        extractors: Optional[list[LinkExtractor]] = None,
         traversal: Optional[TraversalPolicy] = None,
         live: bool = False,
     ) -> None:
@@ -271,19 +275,18 @@ class QueryExecution:
         #: the :class:`~repro.obs.metrics.Metrics` registry in use (or None).
         self.tracer = tracer
         self.metrics = metrics
-        # Per-execution view of the configuration: shared engine state
-        # (client, dereferencer, network policy) stays engine-level, while
-        # traversal bounds and the extractor stack may vary query by query
-        # (what extractors remember of one execution is on its context).
-        self._extractors = extractors if extractors is not None else engine.extractors
-        self._policy = traversal if traversal is not None else engine.config.traversal
+        # The engine's extractors (what they remember of one execution is
+        # on its context) and its traversal policy, unless this query
+        # brought its own bounds.
+        self._extractors = engine.extractors
+        self._policy = traversal if traversal is not None else engine.traversal
         self._live = live
         # Every timestamp in a traced execution (stats, queue samples,
         # request log, spans) comes from the tracer's clock, so a seeded
         # TickClock makes the whole run a deterministic artifact.
         self._clock = tracer.clock if tracer is not None else time.monotonic
         #: Built by the first drive (``None`` until then).
-        self.queue = self.source = self.pipeline = self.selector = self.dereferencer = None
+        self.queue = self.source = self.pipeline = self.selector = None
         self._context = self._note_contribution = None
         self._query_span = self._traversal_span = None
         self._budgets = _OriginBudgets()
@@ -345,7 +348,7 @@ class QueryExecution:
         down to ``HttpClient.fetch`` and are held by nobody on the way, so
         executions sharing a service never see each other's spans or retries.
         """
-        return self.dereferencer.dereference(
+        return self._engine.dereferencer.dereference(
             url,
             parent_url=parent_url,
             trace_parent=trace_parent,
@@ -403,7 +406,6 @@ class QueryExecution:
         self.pipeline = self._compile()
         # The source keeps what the plan can read and nothing else.
         self.source = GrowingTripleSource(self.pipeline.read_set)
-        self.dereferencer = self._engine._resolve_dereferencer(policy)
 
     def _compile(self):
         """The query's incremental pipeline (and its ``plan`` span)."""
@@ -675,6 +677,11 @@ class QueryExecution:
         finally:
             if span is not None:
                 tracer.end(span)
+        if self._wake.is_set():
+            # Rows are waiting for the consumer: hand it the loop before the
+            # next link.  With nothing else to await (no latency, warm
+            # caches) it would otherwise see row 1 when the crawl ends.
+            await asyncio.sleep(0)
 
     def _open_span(self, link: Link, track: int):
         tracer = self.tracer
@@ -776,7 +783,7 @@ class QueryExecution:
         # tripped breaker): give the link another pass through the queue
         # instead of discarding the document.  ``replace`` keeps everything but
         # the attempt count — provenance and therefore queue rank survive.
-        if link.attempts < self._engine.config.network.max_link_requeues:
+        if link.attempts < self._engine.client.policy.max_link_requeues:
             self.queue.requeue(dataclasses.replace(link, attempts=link.attempts + 1))
             stats.documents_retried += 1
             return "retried"
@@ -844,31 +851,28 @@ class QueryExecution:
 class LinkTraversalEngine:
     """Executes SPARQL queries over the Web by link traversal.
 
-    Holds only what executions share; everything one run needs beyond
-    that is on its :class:`QueryExecution`.
+    The top of a stack built bottom-up: it is handed the one
+    :class:`~repro.ltqp.dereference.Dereferencer` every execution fetches
+    through (which owns leniency, auth headers and any document store, over
+    the client that runs the network policy) and owns what is its own —
+    the :class:`TraversalPolicy` and the extractor stack.  Everything one
+    run needs beyond that is on its :class:`QueryExecution`.
     """
 
     def __init__(
         self,
-        client: HttpClient,
+        dereferencer: Dereferencer,
         extractors: Optional[list[LinkExtractor]] = None,
-        config: Optional[EngineConfig] = None,
-        auth_headers: Optional[dict[str, str]] = None,
-        dereferencer: Optional[Dereferencer] = None,
+        traversal: Optional[TraversalPolicy] = None,
     ) -> None:
-        self.client = client
-        self._extractors = extractors if extractors is not None else default_extractors()
-        self.config = config if config is not None else EngineConfig()
-        self._auth_headers = dict(auth_headers or {})
-        #: A shared (service-owned) dereferencer may be injected so many
-        #: engines/executions reuse one parsed-document store; when set, it
-        #: supersedes the per-run default and its own leniency/header
-        #: settings apply instead of this engine's.  ``None``: one per run.
         self.dereferencer = dereferencer
-        # The engine's network policy governs its client, unless the
-        # caller constructed the client with an explicit policy of its own.
-        if not client.has_explicit_policy:
-            client.apply_policy(self.config.network)
+        self._extractors = extractors if extractors is not None else default_extractors()
+        self.traversal = traversal if traversal is not None else TraversalPolicy()
+
+    @property
+    def client(self) -> HttpClient:
+        """The client under the dereferencer (a view, not a second home)."""
+        return self.dereferencer.client
 
     @property
     def extractors(self) -> list[LinkExtractor]:
@@ -880,7 +884,6 @@ class LinkTraversalEngine:
         seeds: Optional[Iterable[str]] = None,
         tracer=None,
         metrics=None,
-        extractors: Optional[list[LinkExtractor]] = None,
         traversal: Optional[TraversalPolicy] = None,
         live: bool = False,
     ) -> QueryExecution:
@@ -897,16 +900,14 @@ class LinkTraversalEngine:
         belong to this execution alone: the shared client is handed them
         per fetch, so a concurrent query's requests never land in them.
 
-        ``extractors`` and ``traversal`` override the engine's defaults
-        for this execution only — the :class:`~repro.service.QueryService`
-        uses them to give every concurrent query its own extractor stack and
-        link/time budgets while the engine (client, dereferencer,
-        caches) stays shared.
+        ``traversal`` replaces the engine's policy for this execution only —
+        the :class:`~repro.service.QueryService` derives one from the
+        engine's when a caller gives a query its own link/time budget.
 
         ``live=True`` compiles the pipeline for *standing* execution: the
         run proceeds to true quiescence (no LIMIT short-circuit), every
         operator retains signed-maintenance state, and after completion
-        ``execution.pipeline`` / ``.source`` / ``.dereferencer`` stay
+        ``execution.pipeline`` / ``.source`` stay
         usable so a :class:`~repro.ltqp.live.LiveQuery` can keep the
         result multiset current as documents change.  Live runs never use
         the adaptive re-planner (its replay is additive-only).
@@ -917,7 +918,6 @@ class LinkTraversalEngine:
             seeds,
             tracer=tracer,
             metrics=metrics,
-            extractors=extractors,
             traversal=traversal,
             live=live,
         )
@@ -941,9 +941,3 @@ class LinkTraversalEngine:
             if isinstance(target, NamedNode) and target.value.startswith(("http://", "https://")):
                 seeds.add(target.value)
         return sorted(seeds)
-
-    def _resolve_dereferencer(self, policy: TraversalPolicy) -> Dereferencer:
-        """The injected shared dereferencer, or a fresh per-run one."""
-        if self.dereferencer is not None:
-            return self.dereferencer
-        return Dereferencer(self.client, lenient=policy.lenient, extra_headers=self._auth_headers)

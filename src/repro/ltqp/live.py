@@ -5,8 +5,8 @@ traversal produced is stale the moment a pod changes.  A
 :class:`LiveQuery` runs one ordinary link-traversal execution to
 quiescence — compiled ``live`` so every operator retains signed
 maintenance state — keeps that :class:`~repro.ltqp.engine.QueryExecution`
-(the one home of its pipeline, source, dereferencer, tracer and parse
-cap; nothing is copied out of it), and keeps the result multiset current:
+(the one home of its pipeline, source, tracer and parse cap; nothing is
+copied out of it), and keeps the result multiset current:
 
 * :meth:`refresh` re-dereferences one document *through the execution*
   (so the refetch and re-parse land in its tracer) with ``revalidate=True``

@@ -159,7 +159,6 @@ class HttpClient:
         max_connections_per_origin: int = 6,
         latency_scale: float = 1.0,
         log: Optional[RequestLog] = None,
-        default_headers: Optional[dict[str, str]] = None,
         cache: Optional[HttpCache] = None,
         policy: Optional[NetworkPolicy] = None,
     ) -> None:
@@ -168,11 +167,9 @@ class HttpClient:
         self._latency_scale = latency_scale
         self._semaphores = defaultdict(lambda: asyncio.Semaphore(max_connections_per_origin))
         self.log = log if log is not None else RequestLog()
-        self._default_headers = dict(default_headers or {})
         self.cache = cache
-        #: Was this client constructed with its own :class:`NetworkPolicy`?
-        #: If not, an engine adopting the client installs its own policy.
-        self.has_explicit_policy = policy is not None
+        #: The one home of the network policy: given here, run by every
+        #: fetch, read (never re-installed) by the layers above.
         self.policy = policy if policy is not None else NetworkPolicy()
         self.breakers = BreakerRegistry(self.policy.breaker)
         self.resilience = ResilienceStats()
@@ -182,11 +179,6 @@ class HttpClient:
         #: its caller's ``tracer=`` / ``metrics=``, which override these.
         self.tracer = None
         self.metrics = None
-
-    def apply_policy(self, policy: NetworkPolicy) -> None:
-        """Install ``policy``, resetting per-origin breakers to match."""
-        self.policy = policy
-        self.breakers = BreakerRegistry(policy.breaker)
 
     async def fetch(
         self,
@@ -253,8 +245,7 @@ class HttpClient:
                 call.note_attempt(entry.response, from_cache=True)
                 return entry.response
 
-            request_headers = dict(self._default_headers)
-            request_headers.setdefault("accept", "text/turtle, application/n-triples;q=0.8")
+            request_headers = {"accept": "text/turtle, application/n-triples;q=0.8"}
             if headers:
                 request_headers.update(headers)
             if entry is not None and entry.etag:

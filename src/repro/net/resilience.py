@@ -12,8 +12,8 @@ them:
   closed → open → half-open state machine, one breaker per origin, so a
   dead pod is fast-failed instead of hammered while healthy pods keep
   being queried;
-* :class:`NetworkPolicy` — the umbrella dataclass the engine's
-  ``EngineConfig`` nests (timeouts, retry, breaker, link re-queue knobs);
+* :class:`NetworkPolicy` — the umbrella dataclass a client is
+  constructed with (timeouts, retry, breaker, link re-queue knobs);
 * :class:`ResilienceStats` — counters the completeness report in
   :class:`~repro.ltqp.stats.ExecutionStats` is built from.
 
@@ -257,9 +257,10 @@ class BreakerRegistry:
 class NetworkPolicy:
     """Everything the network layer needs to know about fault handling.
 
-    Nested inside :class:`~repro.ltqp.engine.EngineConfig` (the
-    traversal-side counterpart is ``TraversalPolicy``), and consumed
-    directly by :class:`~repro.net.client.HttpClient`.
+    Its one home is the :class:`~repro.net.client.HttpClient` it is
+    given to at construction (``client.policy``); the stack builders
+    accept it as the ``network`` half of an
+    :class:`~repro.ltqp.engine.EngineConfig` and hand it there.
     """
 
     #: Per-attempt timeout in simulated seconds (0 disables).

@@ -4,19 +4,20 @@ The paper's demo executes one Discover query at a time; serving heavy
 traffic means many concurrent queries over the *same* pods.  This package
 separates what those queries can share from what they cannot:
 
-* :class:`SharedResources` — one HTTP client, HTTP cache,
-  parsed-document store (:class:`DocumentStore`), dereferencer, and
-  metrics registry, reused across every query;
+* :class:`SharedResources` — the shared stack, built bottom-up once:
+  HTTP cache and parsed-document store (:class:`DocumentStore`), HTTP
+  client, dereferencer, engine, and a metrics registry, reused across
+  every query;
 * :class:`QueryService` — admission control (concurrency cap + waiting
   queue), a bounded query registry with cancellation, and per-query
-  link/time budgets, all over one shared engine;
+  link/time budgets, all on that stack's engine;
 * :class:`ServiceSparqlApp` — the SPARQL-protocol front-end backed by
   link traversal (vs. the fixed-dataset federation endpoint);
 * :class:`ServiceHost` — a background event-loop thread so synchronous
   front-ends (the demo web UI, the CLI ``serve`` command) can drive one
   service from many threads;
 * :class:`ShardedQueryService` — the same surface over N shard worker
-  processes (each its own :class:`SharedResources`, shared-nothing)
+  processes (each the stack :meth:`ShardSpec.build` builds, shared-nothing)
   behind one consistent-hash front-end (:class:`ShardRouter`), with
   crash restart and warm drain-and-restart handoff of the
   parsed-document store.

@@ -1,12 +1,13 @@
 """SPARQL-protocol front-end backed by the link-traversal QueryService.
 
-Where :class:`~repro.federation.endpoint.SparqlEndpointApp` answers from
-a fixed dataset, this app answers by *traversal*: each request becomes a
-query submitted to a shared :class:`~repro.service.QueryService`, so
-repeat and concurrent requests benefit from the service's HTTP cache and
-parsed-document store.
+:class:`SparqlProtocolApp` is the protocol plumbing (request → parsed
+query → ``answer``); :class:`ServiceSparqlApp` answers by *traversal*:
+each request becomes a query submitted to a shared
+:class:`~repro.service.QueryService`, so repeat and concurrent requests
+benefit from the service's HTTP cache and parsed-document store.  (The
+federation baseline answers the same protocol from a fixed dataset.)
 
-Protocol extensions beyond the shared plumbing:
+Protocol extensions beyond the plumbing:
 
 * ``GET /sparql?query=...&seeds=url1,url2`` — optional comma-separated
   seed URLs (without them the engine falls back to IRIs in the query);
@@ -28,15 +29,81 @@ from __future__ import annotations
 import asyncio
 import json
 import time
-from urllib.parse import parse_qs, urlsplit
+from urllib.parse import parse_qs, unquote_plus, urlsplit
 
-from ..federation.endpoint import SparqlProtocolApp
 from ..net.message import Request, Response
+from ..net.router import App
 from ..sparql.algebra import Query
+from ..sparql.parser import SparqlParseError, parse_query
+from ..sparql.results import results_to_sparql_json
 from .service import QueryService, ServiceOverloadedError
 from .wire import encode_term
 
-__all__ = ["ServiceSparqlApp"]
+__all__ = ["SparqlProtocolApp", "ServiceSparqlApp"]
+
+
+class SparqlProtocolApp(App):
+    """SPARQL-protocol plumbing: request → parsed query → ``answer``.
+
+    Subclasses implement :meth:`answer`; everything protocol-shaped —
+    extracting the query text from ``GET ?query=`` or a POST body
+    (``application/sparql-query`` or form-encoded), 400s for missing or
+    unparsable queries, 405 for other methods — is handled here.
+    """
+
+    def __init__(self, path: str = "/sparql") -> None:
+        self._path = path
+        self.queries_served = 0
+
+    @property
+    def path(self) -> str:
+        return self._path
+
+    async def handle(self, request: Request) -> Response:
+        parts = urlsplit(request.url)
+        if parts.path != self._path:
+            return await self.handle_other(request)
+        if request.method == "GET":
+            query_text = parse_qs(parts.query).get("query", [""])[0]
+        elif request.method == "POST":
+            content_type = request.header("content-type").split(";")[0].strip()
+            body = request.body.decode("utf-8")
+            if content_type == "application/sparql-query":
+                query_text = body
+            else:  # application/x-www-form-urlencoded
+                query_text = parse_qs(body).get("query", [""])[0]
+        else:
+            return Response(405, {"content-type": "text/plain"}, b"Method not allowed")
+        query_text = unquote_plus(query_text) if "%" in query_text else query_text
+        if not query_text:
+            return Response(400, {"content-type": "text/plain"}, b"missing query parameter")
+        try:
+            query = parse_query(query_text)
+        except SparqlParseError as error:
+            return Response(400, {"content-type": "text/plain"}, str(error).encode("utf-8"))
+        self.queries_served += 1
+        return await self.answer(query, request)
+
+    async def handle_other(self, request: Request) -> Response:
+        """Any path other than the endpoint's; 404 unless overridden."""
+        return Response.not_found(request.url)
+
+    async def answer(self, query: Query, request: Request) -> Response:
+        raise NotImplementedError
+
+    @staticmethod
+    def select_response(variables, bindings) -> Response:
+        body = results_to_sparql_json(variables, bindings)
+        return Response(
+            200, {"content-type": "application/sparql-results+json"}, body.encode("utf-8")
+        )
+
+    @staticmethod
+    def ask_response(answer: bool) -> Response:
+        document = json.dumps({"head": {}, "boolean": answer})
+        return Response(
+            200, {"content-type": "application/sparql-results+json"}, document.encode("utf-8")
+        )
 
 
 def _event_json(event) -> dict:

@@ -1,9 +1,9 @@
 """Long-lived resources shared by every query a service executes.
 
-The one-shot engine rebuilds its dereferencer and caches per run — fine
-for a demo, wasteful for a service answering many queries over the same
-pods.  :class:`SharedResources` owns the state whose *value grows* with
-reuse:
+The bare stack (``universe.engine``) has no caches — fine for a demo,
+wasteful for a service answering many queries over the same pods.
+:class:`SharedResources` builds the shared stack and owns the state whose
+*value grows* with reuse:
 
 * one :class:`~repro.net.client.HttpClient` (per-origin connection caps
   and circuit breakers keep their history across queries),
@@ -12,6 +12,7 @@ reuse:
 * one :class:`~repro.service.docstore.DocumentStore` (repeat parses
   skipped entirely),
 * one :class:`~repro.ltqp.dereference.Dereferencer` wired to all three,
+* one :class:`~repro.ltqp.engine.LinkTraversalEngine` over it,
 * one :class:`~repro.obs.metrics.Metrics` registry for service-level
   counters and gauges.
 
@@ -24,11 +25,11 @@ from __future__ import annotations
 from typing import Optional
 
 from ..ltqp.dereference import Dereferencer
+from ..ltqp.engine import EngineConfig, LinkTraversalEngine
 from ..net.cache import HttpCache
 from ..net.client import HttpClient
-from ..net.latency import LatencyModel
+from ..net.latency import LatencyModel, SeededJitterLatency
 from ..net.log import RequestLog
-from ..net.resilience import NetworkPolicy
 from ..net.router import Internet
 from ..obs.metrics import Metrics
 from ..storage import StorageBackend, open_backend
@@ -38,7 +39,17 @@ __all__ = ["SharedResources"]
 
 
 class SharedResources:
-    """The shared half of the execution stack: client, caches, metrics.
+    """The shared stack, built bottom-up once — each setting handed to
+    the layer that acts on it and held nowhere else:
+
+    1. the storage backend, and over it the HTTP cache and document store;
+    2. ``client`` — an :class:`~repro.net.client.HttpClient` with that
+       cache, ``latency`` and ``config.network`` (its policy from then on);
+    3. ``dereferencer`` — over the client, owning ``lenient``,
+       ``auth_headers`` and the document store;
+    4. ``engine`` — over the dereferencer, owning ``config.traversal`` and
+       the default extractors; what every query of a
+       :class:`~repro.service.QueryService` runs on.
 
     ``store_path``/``storage_backend`` select the persistence tier under
     both caches (see :mod:`repro.storage`): the default is the in-memory
@@ -53,14 +64,13 @@ class SharedResources:
         self,
         internet: Internet,
         latency: Optional[LatencyModel] = None,
-        policy: Optional[NetworkPolicy] = None,
+        config: Optional[EngineConfig] = None,
         http_cache: Optional[HttpCache] = None,
         document_store: Optional[DocumentStore] = None,
         metrics: Optional[Metrics] = None,
         log: Optional[RequestLog] = None,
         lenient: bool = True,
         auth_headers: Optional[dict[str, str]] = None,
-        max_connections_per_origin: int = 6,
         latency_scale: float = 1.0,
         store_path: Optional[str] = None,
         storage_backend: Optional[str] = None,
@@ -70,7 +80,7 @@ class SharedResources:
         #: service layer can reach origin apps directly (change listeners
         #: on Solid servers, authenticated control-plane updates).
         self.internet = internet
-        self.policy = policy if policy is not None else NetworkPolicy()
+        config = config if config is not None else EngineConfig()
         self.storage = (
             storage
             if storage is not None
@@ -85,17 +95,13 @@ class SharedResources:
             else DocumentStore(backend=self.storage)
         )
         self.metrics = metrics if metrics is not None else Metrics()
-        # The client gets an *explicit* policy so engines adopting it do
-        # not re-install their own (which would reset breaker history on
-        # every query).
         self.client = HttpClient(
             internet,
             latency=latency,
             latency_scale=latency_scale,
-            max_connections_per_origin=max_connections_per_origin,
             log=log,
             cache=self.http_cache,
-            policy=self.policy,
+            policy=config.network,
         )
         self.dereferencer = Dereferencer(
             self.client,
@@ -103,37 +109,16 @@ class SharedResources:
             extra_headers=auth_headers,
             document_store=self.document_store,
         )
+        self.engine = LinkTraversalEngine(self.dereferencer, traversal=config.traversal)
 
     @classmethod
-    def for_universe(cls, universe, **kwargs) -> "SharedResources":
-        """Shared resources over a simulated SolidBench universe."""
-        return cls(universe.internet, **kwargs)
-
-    @classmethod
-    def for_config(
-        cls,
-        config,
-        latency_seed: Optional[int] = None,
-        no_latency: bool = False,
-        **kwargs,
+    def for_universe(
+        cls, universe, latency: Optional[LatencyModel] = None, **kwargs
     ) -> "SharedResources":
-        """Build the universe *and* the resources from a picklable config.
-
-        This is the shard workers' entry point: a worker process receives
-        only primitives (a :class:`~repro.solidbench.config.SolidBenchConfig`
-        plus latency parameters), regenerates the deterministic universe
-        locally, and owns every resource outright — shared-nothing by
-        construction.
-        """
-        from ..net.latency import NoLatency, SeededJitterLatency
-        from ..solidbench.universe import build_universe
-
-        universe = build_universe(config)
-        latency = (
-            NoLatency()
-            if no_latency
-            else SeededJitterLatency(seed=latency_seed if latency_seed is not None else config.seed)
-        )
+        """The shared stack over a simulated SolidBench universe (latency
+        jitter seeded like the universe unless a model is given)."""
+        if latency is None:
+            latency = SeededJitterLatency(seed=universe.config.seed)
         return cls(universe.internet, latency=latency, **kwargs)
 
     def flush(self) -> None:

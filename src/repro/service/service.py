@@ -1,8 +1,9 @@
 """The long-lived multi-query service on top of the LTQP engine.
 
-One :class:`QueryService` owns one engine over one set of
-:class:`~repro.service.resources.SharedResources` and executes many
-queries — concurrently, with admission control — against them:
+One :class:`QueryService` executes many queries — concurrently, with
+admission control — on the engine of one set of
+:class:`~repro.service.resources.SharedResources` (which built the whole
+stack; the service configures none of it):
 
 * **Admission control** — at most ``max_concurrent`` queries traverse at
   once; up to ``max_queued`` more wait their turn; past that,
@@ -14,11 +15,12 @@ queries — concurrently, with admission control — against them:
   cancellation; in-flight handles plus the :data:`FINISHED_WINDOW` most
   recently finished ones are retained, so a long-lived service does not
   pin every answer it ever gave.
-* **Budgets** — per-query link (``max_documents``) and time
-  (``max_duration``) budgets override the service defaults through a
-  per-execution :class:`~repro.ltqp.engine.TraversalPolicy`.
-* **Isolation** — every execution gets its own extractor stack, query
-  context (where extractors keep what they learn during one execution),
+* **Budgets** — a per-query link (``max_documents``) or time
+  (``max_duration``) budget replaces that one value of the engine's
+  :class:`~repro.ltqp.engine.TraversalPolicy` for that execution; what
+  the caller does not give stays the engine's.
+* **Isolation** — every execution gets its own query
+  context (where the engine's stateless extractors keep what they learn during one execution),
   link queue, triple source, pipeline, and stats; only the client, caches, and
   parsed-document store are shared — which is exactly what makes warm
   queries fast without letting one query's state leak into another's.
@@ -46,13 +48,11 @@ from typing import Awaitable, Callable, Iterable, NoReturn, Optional, Union as T
 from urllib.parse import urlsplit
 
 from ..ltqp.engine import (
-    EngineConfig,
     ExecutionResult,
     LinkTraversalEngine,
     QueryExecution,
     TraversalPolicy,
 )
-from ..ltqp.extractors import default_extractors
 from ..ltqp.live import ChangeFeed, LiveQuery, ResultChange
 from ..net.message import Request
 from ..sparql.algebra import Query
@@ -357,26 +357,14 @@ class QueryService(_ServiceCore):
     def __init__(
         self,
         resources: SharedResources,
-        config: Optional[EngineConfig] = None,
-        extractor_factory=default_extractors,
         max_concurrent: int = 8,
         max_queued: int = 32,
-        default_max_documents: int = 0,
-        default_max_duration: float = 0.0,
     ) -> None:
         super().__init__()
         self._resources = resources
-        self._config = config if config is not None else EngineConfig()
-        self._extractor_factory = extractor_factory
+        self._engine = resources.engine
         self._max_concurrent = max(1, max_concurrent)
         self._max_queued = max(0, max_queued)
-        self._default_max_documents = default_max_documents
-        self._default_max_duration = default_max_duration
-        self._engine = LinkTraversalEngine(
-            resources.client,
-            config=self._config,
-            dereferencer=resources.dereferencer,
-        )
         self._semaphore = asyncio.Semaphore(self._max_concurrent)
         self._listening: list = []  # SolidServers we installed listeners on
         self._drain_task: Optional[asyncio.Task] = None
@@ -606,19 +594,11 @@ class QueryService(_ServiceCore):
     def _traversal_for(
         self, max_documents: Optional[int], max_duration: Optional[float]
     ) -> Optional[TraversalPolicy]:
-        """A per-query policy when any budget differs from the engine's."""
-        documents = (
-            max_documents if max_documents is not None else self._default_max_documents
-        )
-        duration = (
-            max_duration if max_duration is not None else self._default_max_duration
-        )
-        base = self._config.traversal
-        if documents == base.max_documents and duration == base.max_duration:
-            return None
-        return dataclasses.replace(
-            base, max_documents=documents, max_duration=duration
-        )
+        """The engine's policy with the budgets this caller gave in place
+        of its own; ``None`` (the engine's, as is) when it gave neither."""
+        budgets = {"max_documents": max_documents, "max_duration": max_duration}
+        given = {name: value for name, value in budgets.items() if value is not None}
+        return dataclasses.replace(self._engine.traversal, **given) if given else None
 
     def _sync_gauges(self) -> None:
         metrics = self._resources.metrics
@@ -651,7 +631,6 @@ class QueryService(_ServiceCore):
                         seeds=handle.seeds,
                         tracer=tracer,
                         metrics=metrics,
-                        extractors=self._extractor_factory(),
                         traversal=traversal,
                     )
                     handle.execution = execution

@@ -2,9 +2,9 @@
 
 One :class:`~repro.service.QueryService` is one asyncio loop — one core,
 no matter the hardware.  This module runs **N worker processes**, each
-owning a complete, private execution stack (its own
-:class:`~repro.service.SharedResources`: HTTP client, HTTP cache,
-parsed-document store, circuit breakers — *shared-nothing*), behind a
+owning a complete, private execution stack (what :meth:`ShardSpec.build`
+builds: HTTP client, HTTP cache, parsed-document store, circuit
+breakers, engine — *shared-nothing*), behind a
 single :class:`ShardedQueryService` front-end.  The front-end is the
 *same service surface* as the in-process one (the shared
 :class:`~repro.service.service._ServiceCore`: one handle, one result and
@@ -47,6 +47,8 @@ from typing import Iterable, Optional, Union as TypingUnion
 
 from ..ltqp.engine import EngineConfig, ExecutionResult
 from ..ltqp.live import ChangeFeed, ResultChange
+from ..net.latency import LatencyModel
+from ..solidbench.universe import build_universe
 from ..sparql.algebra import Query
 from ..sparql.parser import parse_query
 from .resources import SharedResources
@@ -88,36 +90,55 @@ class ShardQueryError(RuntimeError):
 
 @dataclass(frozen=True)
 class ShardSpec:
-    """Everything a worker process needs to build its stack — picklable.
+    """The picklable description of one service stack — and, in
+    :meth:`build`, the one function that turns it into that stack.
 
-    Workers receive primitives only and regenerate the deterministic
-    SolidBench universe locally; nothing live crosses the process
-    boundary at startup.
+    Workers receive this and nothing live: each regenerates the
+    deterministic SolidBench universe from ``config`` and builds, in order,
+    universe → :class:`SharedResources` (storage → client → dereferencer →
+    engine) → :class:`QueryService`.  ``serve --workers 1`` builds the same
+    stack from the same spec in-process, so a flag means one thing under
+    both deployments.
     """
 
     config: object  # SolidBenchConfig (picklable dataclass)
-    latency_seed: Optional[int] = None
-    latency_scale: float = 1.0
-    no_latency: bool = False
-    #: The engine configuration of every worker's ``QueryService`` —
-    #: queue policy, hardening budgets, network policy — applied
-    #: uniformly to every query on every shard, and the same object an
-    #: in-process service would be built with.  Picklable as is: a guided
-    #: ``traversal.subweb`` (DESIGN.md §4g) is a JSON file path or a plain
-    #: dict each worker resolves locally, so routing never changes which
-    #: links a query may follow.  ``traversal.lenient`` also sets the
-    #: worker's shared dereferencer.
+    #: The client's latency model (picklable as is); ``None``: jitter
+    #: seeded like the universe.
+    latency: Optional[LatencyModel] = None
+    #: Split by :class:`SharedResources`: ``engine.network`` is the policy
+    #: the worker's client runs, ``engine.traversal`` the worker engine's —
+    #: queue policy and hardening budgets for every query on every shard.
+    #: A guided ``traversal.subweb`` (DESIGN.md §4g) is a JSON file path or
+    #: a plain dict each worker resolves locally, so routing never changes
+    #: which links a query may follow.
     engine: EngineConfig = field(default_factory=EngineConfig)
+    #: The worker dereferencer's leniency.
+    lenient: bool = True
     max_concurrent: int = 8
     max_queued: int = 32
-    default_max_documents: int = 0
-    default_max_duration: float = 0.0
     #: Persistence tier (see :mod:`repro.storage`).  On the front-end
     #: spec this is a *directory*; each worker receives a copy with its
     #: own file path under it (``<dir>/<shard-name>.sqlite``), so a
     #: respawned worker reopens its predecessor's store warm.
     store_path: Optional[str] = None
     storage_backend: Optional[str] = None
+
+    def build(self, universe=None) -> QueryService:
+        """The stack this spec describes, over ``universe`` (regenerated
+        from ``config`` when the caller has none — a worker process)."""
+        if universe is None:
+            universe = build_universe(self.config)
+        resources = SharedResources.for_universe(
+            universe,
+            latency=self.latency,
+            config=self.engine,
+            lenient=self.lenient,
+            store_path=self.store_path,
+            storage_backend=self.storage_backend,
+        )
+        return QueryService(
+            resources, max_concurrent=self.max_concurrent, max_queued=self.max_queued
+        )
 
     def for_worker(self, name: str) -> "ShardSpec":
         """The per-worker spec: the store directory becomes this worker's file."""
@@ -194,28 +215,13 @@ def _event_forwarder(conn, req_id: str):
 
 async def _worker_loop(conn, spec: ShardSpec) -> None:
     try:
-        resources = SharedResources.for_config(
-            spec.config,
-            latency_seed=spec.latency_seed,
-            no_latency=spec.no_latency,
-            latency_scale=spec.latency_scale,
-            lenient=spec.engine.traversal.lenient,
-            store_path=spec.store_path,
-            storage_backend=spec.storage_backend,
-        )
-        service = QueryService(
-            resources,
-            config=spec.engine,
-            max_concurrent=spec.max_concurrent,
-            max_queued=spec.max_queued,
-            default_max_documents=spec.default_max_documents,
-            default_max_duration=spec.default_max_duration,
-        )
+        service = spec.build()
     except Exception as error:  # noqa: BLE001 — startup failure is fatal
         conn.send(("fatal", f"{type(error).__name__}: {error}"))
         return
     conn.send(("ready", {"pid": os.getpid()}))
 
+    resources = service.resources
     loop = asyncio.get_running_loop()
     inflight: dict[str, object] = {}
     subscriptions: dict[str, object] = {}

@@ -15,6 +15,7 @@ from typing import Optional
 from ..net.client import HttpClient
 from ..net.latency import LatencyModel, NoLatency, SeededJitterLatency
 from ..net.log import RequestLog
+from ..net.resilience import NetworkPolicy
 from ..net.router import Internet, StaticApp
 from ..rdf.dataset import Dataset
 from ..rdf.namespaces import DBPEDIA, RDFS, SNTAG
@@ -24,6 +25,7 @@ from ..rdf.writer import serialize_turtle
 from ..solid.auth import IdentityProvider
 from ..solid.pod import Pod
 from ..solid.server import SolidServer
+from ..ltqp.dereference import Dereferencer
 from ..ltqp.engine import EngineConfig, LinkTraversalEngine
 from ..ltqp.extractors import LinkExtractor
 from .config import SolidBenchConfig
@@ -68,15 +70,15 @@ class SolidBenchUniverse:
         self,
         latency: Optional[LatencyModel] = None,
         log: Optional[RequestLog] = None,
-        latency_scale: float = 1.0,
         cache=None,
+        policy: Optional[NetworkPolicy] = None,
     ) -> HttpClient:
         return HttpClient(
             self.internet,
             latency=latency if latency is not None else SeededJitterLatency(seed=self.config.seed),
-            latency_scale=latency_scale,
             log=log,
             cache=cache,
+            policy=policy,
         )
 
     def engine(
@@ -85,13 +87,17 @@ class SolidBenchUniverse:
         config: Optional[EngineConfig] = None,
         latency: Optional[LatencyModel] = None,
         auth_headers: Optional[dict[str, str]] = None,
+        lenient: bool = True,
     ) -> LinkTraversalEngine:
-        return LinkTraversalEngine(
-            self.client(latency=latency),
-            extractors=extractors,
-            config=config,
-            auth_headers=auth_headers,
-        )
+        """The bare stack, built bottom-up: a client running
+        ``config.network``, a dereferencer owning ``lenient`` and
+        ``auth_headers``, an engine owning ``config.traversal`` and
+        ``extractors`` — no HTTP cache, no document store (the shared
+        stack is :class:`~repro.service.SharedResources`)."""
+        config = config if config is not None else EngineConfig()
+        client = self.client(latency=latency, policy=config.network)
+        dereferencer = Dereferencer(client, lenient=lenient, extra_headers=auth_headers)
+        return LinkTraversalEngine(dereferencer, extractors=extractors, traversal=config.traversal)
 
     def fast_engine(self, **kwargs) -> LinkTraversalEngine:
         """An engine with zero simulated latency (for tests)."""

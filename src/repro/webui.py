@@ -31,7 +31,6 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 from urllib.parse import parse_qs, urlsplit
 
-from .ltqp.engine import LinkTraversalEngine
 from .net.latency import SeededJitterLatency
 from .net.message import Request
 from .obs import Tracer, chrome_trace_events
@@ -408,9 +407,8 @@ class DemoServer:
             traced = {"tracer": tracer} if tracer is not None else {}
             results = self._service_host.execute(query, **traced).results
         else:
-            # One-shot mode: a fresh client + engine per request.
-            client = self._universe.client(latency=SeededJitterLatency())
-            engine = LinkTraversalEngine(client)
+            # One-shot mode: a fresh bare stack per request.
+            engine = self._universe.engine(latency=SeededJitterLatency())
             results = engine.query(query, tracer=tracer).run_sync().results
         self._last_trace = tracer
         variables = query.variables()

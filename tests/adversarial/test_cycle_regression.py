@@ -14,7 +14,7 @@ the store) but never loop.
 from __future__ import annotations
 
 from repro.ltqp.dereference import Dereferencer
-from repro.ltqp.engine import EngineConfig, LinkTraversalEngine, TraversalPolicy
+from repro.ltqp.engine import LinkTraversalEngine, TraversalPolicy
 from repro.net.client import HttpClient
 from repro.net.latency import NoLatency
 from repro.net.router import Internet
@@ -33,9 +33,7 @@ def _cycle_engine():
     client = HttpClient(internet, latency=NoLatency())
     store = DocumentStore()
     dereferencer = Dereferencer(client, document_store=store)
-    engine = LinkTraversalEngine(
-        client, config=EngineConfig(traversal=TraversalPolicy(worker_count=2)), dereferencer=dereferencer
-    )
+    engine = LinkTraversalEngine(dereferencer, traversal=TraversalPolicy(worker_count=2))
     return engine, app, store
 
 

@@ -25,7 +25,7 @@ from pathlib import Path
 import pytest
 
 from repro.bench.waterfall import build_waterfall, render_waterfall
-from repro.ltqp import EngineConfig, LinkTraversalEngine, NetworkPolicy, TraversalPolicy
+from repro.ltqp import Dereferencer, LinkTraversalEngine, NetworkPolicy, TraversalPolicy
 from repro.net.cache import HttpCache
 from repro.net.faults import FaultPlan
 from repro.net.latency import NoLatency
@@ -44,11 +44,13 @@ def golden_scenario(universe):
     try:
         query = discover_query(universe, 1, 5)
         cache = HttpCache(default_max_age=3600)
-        client = universe.client(latency=NoLatency(), cache=cache)
-        config = EngineConfig(
-            network=NetworkPolicy(
-                retry=RetryPolicy(max_attempts=3, base_delay=0.0, max_delay=0.0)
-            ),
+        client = universe.client(
+            latency=NoLatency(),
+            cache=cache,
+            policy=NetworkPolicy(retry=RetryPolicy(max_attempts=3, base_delay=0.0, max_delay=0.0)),
+        )
+        engine = LinkTraversalEngine(
+            Dereferencer(client),
             # Single worker + per-quad advances with the wall-clock flush
             # timer off: the event sequence, and therefore every TickClock
             # timestamp, is a pure function of the seed.
@@ -56,7 +58,6 @@ def golden_scenario(universe):
                 worker_count=1, advance_batch_quads=1, advance_flush_interval=0.0
             ),
         )
-        engine = LinkTraversalEngine(client, config=config)
         tracers = []
         for _ in range(2):
             tracer = Tracer(clock=TickClock(step=0.001))

@@ -141,3 +141,24 @@ class TestFederatedEngine:
         engine = FederatedQueryEngine(tiny_universe.client(latency=NoLatency()), endpoints)
         with pytest.raises(ValueError):
             engine.execute_sync("SELECT ?a WHERE { { ?a ?p 1 } UNION { ?a ?p 2 } }")
+
+
+def test_the_program_does_not_depend_on_its_baseline():
+    """``federation/`` is what E14 compares against: it may build on the
+    program (the protocol plumbing lives in ``repro.service.protocol``),
+    never the other way round."""
+    import ast
+    from pathlib import Path
+
+    import repro
+
+    root = Path(repro.__file__).parent
+    importers = []
+    for path in sorted(root.rglob("*.py")):
+        if path.parent.name == "federation":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            module = getattr(node, "module", None) if isinstance(node, ast.ImportFrom) else None
+            if module and "federation" in module:
+                importers.append(str(path.relative_to(root)))
+    assert importers == []

@@ -4,7 +4,7 @@ import asyncio
 
 import pytest
 
-from repro.ltqp import EngineConfig, LinkTraversalEngine, TraversalPolicy
+from repro.ltqp import Dereferencer, EngineConfig, LinkTraversalEngine, TraversalPolicy
 from repro.net import HttpClient, Internet, NoLatency, StaticApp
 from repro.rdf import Variable
 
@@ -32,7 +32,7 @@ class TestCyclicLinkGraphs:
 
         internet = self.build_cycle_world()
         engine = LinkTraversalEngine(
-            HttpClient(internet, latency=NoLatency()), extractors=[AllIriExtractor()]
+            Dereferencer(HttpClient(internet, latency=NoLatency())), extractors=[AllIriExtractor()]
         )
         result = engine.query(
             "SELECT ?n WHERE { ?s <https://vocab.example/name> ?n }",
@@ -57,7 +57,7 @@ class TestCyclicLinkGraphs:
         app.put("/self", turtle_doc("https://h/self#frag"))
         internet.register("https://h", app)
         engine = LinkTraversalEngine(
-            HttpClient(internet, latency=NoLatency()), extractors=[AllIriExtractor()]
+            Dereferencer(HttpClient(internet, latency=NoLatency())), extractors=[AllIriExtractor()]
         )
         result = engine.query("SELECT ?o WHERE { ?s ?p ?o }", seeds=["https://h/self"]).run_sync()
         assert engine.client.log.records[0].url == "https://h/self"
@@ -93,9 +93,8 @@ class TestWorkerConcurrency:
         from repro.solidbench import discover_query
 
         query = discover_query(tiny_universe, 2, 1)
-        engine = LinkTraversalEngine(
-            tiny_universe.client(latency=NoLatency()),
-            config=EngineConfig(traversal=TraversalPolicy(worker_count=workers)),
+        engine = tiny_universe.fast_engine(
+            config=EngineConfig(traversal=TraversalPolicy(worker_count=workers))
         )
         result = engine.query(query.text, seeds=query.seeds).run_sync()
         baseline = tiny_universe.fast_engine().query(query.text, seeds=query.seeds).run_sync()

@@ -5,8 +5,7 @@ from collections import Counter
 import pytest
 
 from repro.ltqp.adaptive import AdaptivePipeline, observed_cardinality
-from repro.ltqp import EngineConfig, LinkTraversalEngine, TraversalPolicy
-from repro.net import HttpClient, NoLatency
+from repro.ltqp import EngineConfig, TraversalPolicy
 from repro.rdf import Dataset, Literal, NamedNode, Quad, Variable
 from repro.rdf.triples import TriplePattern
 from repro.sparql import parse_query
@@ -152,9 +151,8 @@ class TestEngineIntegration:
         default_engine = tiny_universe.fast_engine()
         default = default_engine.query(query.text, seeds=query.seeds).run_sync()
 
-        adaptive_engine = LinkTraversalEngine(
-            tiny_universe.client(latency=NoLatency()),
-            config=EngineConfig(traversal=TraversalPolicy(adaptive=True)),
+        adaptive_engine = tiny_universe.fast_engine(
+            config=EngineConfig(traversal=TraversalPolicy(adaptive=True))
         )
         adaptive = adaptive_engine.query(query.text, seeds=query.seeds).run_sync()
         assert set(adaptive.bindings) == set(default.bindings)

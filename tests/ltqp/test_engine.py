@@ -6,7 +6,7 @@ import pytest
 
 from repro.ltqp import (
     AllIriExtractor,
-    EngineConfig,
+    Dereferencer,
     LinkTraversalEngine,
     TraversalPolicy,
     queue_factory_for,
@@ -56,7 +56,7 @@ def world():
 
 
 def engine_for(internet, **kwargs):
-    return LinkTraversalEngine(HttpClient(internet, latency=NoLatency()), **kwargs)
+    return LinkTraversalEngine(Dereferencer(HttpClient(internet, latency=NoLatency())), **kwargs)
 
 
 class TestExecution:
@@ -161,14 +161,14 @@ class TestExecution:
 class TestConfiguration:
     def test_max_documents_bounds_traversal(self, world):
         internet, pod1, _ = world
-        engine = engine_for(internet, config=EngineConfig(traversal=TraversalPolicy(max_documents=3)))
+        engine = engine_for(internet, traversal=TraversalPolicy(max_documents=3))
         query = SNB + f"SELECT ?c WHERE {{ ?m snvoc:hasCreator <{pod1.webid}> ; snvoc:content ?c }}"
         result = engine.query(query).run_sync()
         assert result.stats.documents_fetched <= 3
 
     def test_max_depth_bounds_traversal(self, world):
         internet, pod1, _ = world
-        shallow = engine_for(internet, config=EngineConfig(traversal=TraversalPolicy(max_depth=1)))
+        shallow = engine_for(internet, traversal=TraversalPolicy(max_depth=1))
         query = SNB + f"SELECT ?c WHERE {{ ?m snvoc:hasCreator <{pod1.webid}> ; snvoc:content ?c }}"
         result = shallow.query(query).run_sync()
         assert len(result) == 0  # posts live at depth > 1
@@ -176,7 +176,7 @@ class TestConfiguration:
     def test_priority_queue_factory(self, world):
         internet, pod1, _ = world
         engine = engine_for(
-            internet, config=EngineConfig(traversal=TraversalPolicy(queue_policy="priority"))
+            internet, traversal=TraversalPolicy(queue_policy="priority")
         )
         query = SNB + f"SELECT ?c WHERE {{ ?m snvoc:hasCreator <{pod1.webid}> ; snvoc:content ?c }}"
         assert len(engine.query(query).run_sync()) == 2
@@ -204,13 +204,13 @@ class TestConfiguration:
 
 
 class TestServiceOrientedEngine:
-    """The injectable dereferencer + per-execution overrides (service mode)."""
+    """The dereferencer the engine is handed + the per-execution traversal override."""
 
     def test_queue_policy_via_traversal_policy(self, world):
         internet, pod1, _ = world
         query = SNB + f"SELECT ?c WHERE {{ ?m snvoc:hasCreator <{pod1.webid}> ; snvoc:content ?c }}"
         for policy in ("fifo", "lifo", "priority"):
-            engine = engine_for(internet, config=EngineConfig(traversal=TraversalPolicy(queue_policy=policy)))
+            engine = engine_for(internet, traversal=TraversalPolicy(queue_policy=policy))
             assert len(engine.query(query).run_sync()) == 2
 
     def test_registered_policy_is_the_queue_the_run_uses(self, world, monkeypatch):
@@ -227,7 +227,7 @@ class TestServiceOrientedEngine:
 
         monkeypatch.setitem(QUEUE_POLICIES, "recording", factory)
         engine = engine_for(
-            internet, config=EngineConfig(traversal=TraversalPolicy(queue_policy="recording"))
+            internet, traversal=TraversalPolicy(queue_policy="recording")
         )
         query = SNB + f"SELECT ?c WHERE {{ ?m snvoc:hasCreator <{pod1.webid}> ; snvoc:content ?c }}"
         execution = engine.query(query).run_sync()
@@ -236,15 +236,15 @@ class TestServiceOrientedEngine:
         assert execution.stats.links_queued == queue.pushed_total
 
     def test_injected_dereferencer_is_used(self, world):
-        from repro.ltqp.dereference import Dereferencer
         from repro.service import DocumentStore
 
         internet, pod1, _ = world
         client = HttpClient(internet, latency=NoLatency())
         store = DocumentStore()
         dereferencer = Dereferencer(client, document_store=store)
-        engine = LinkTraversalEngine(client, dereferencer=dereferencer)
+        engine = LinkTraversalEngine(dereferencer)
         assert engine.dereferencer is dereferencer
+        assert engine.client is client
         query = SNB + f"SELECT ?c WHERE {{ ?m snvoc:hasCreator <{pod1.webid}> ; snvoc:content ?c }}"
         cold = engine.query(query).run_sync()
         warm = engine.query(query).run_sync()
@@ -252,20 +252,6 @@ class TestServiceOrientedEngine:
         assert cold.stats.documents_from_store == 0
         assert warm.stats.documents_from_store == warm.stats.documents_fetched
         assert store.hits > 0
-
-    def test_per_execution_extractors_override(self, world):
-        internet, pod1, _ = world
-        engine = engine_for(internet)  # default extractor stack
-        query = SNB + f"SELECT ?c WHERE {{ ?m snvoc:hasCreator <{pod1.webid}> ; snvoc:content ?c }}"
-
-        async def run():
-            execution = engine.query(query, extractors=[AllIriExtractor()])
-            await execution.gather()
-            return execution
-
-        execution = asyncio.run(run())
-        assert len(execution.results) == 2
-        assert set(execution.stats.links_by_extractor) <= {"seed", "all-iris"}
 
     def test_per_execution_traversal_override(self, world):
         from repro.ltqp.engine import TraversalPolicy
@@ -281,6 +267,6 @@ class TestServiceOrientedEngine:
 
         bounded = asyncio.run(run(TraversalPolicy(max_documents=2)))
         assert bounded.stats.documents_fetched <= 2
-        # The engine's own config is untouched: a plain run is unbounded.
+        # The engine's own policy is untouched: a plain run is unbounded.
         full = asyncio.run(run(None))
         assert full.stats.documents_fetched > 2

@@ -4,7 +4,6 @@ import pytest
 
 from repro.ltqp import (
     EngineConfig,
-    LinkTraversalEngine,
     QueuePolicyContext,
     TraversalPolicy,
     build_queue,
@@ -15,9 +14,10 @@ from repro.solidbench import discover_query
 
 
 def make_engine(universe, latency=None, **config_kwargs):
-    client = universe.client(latency=latency if latency is not None else NoLatency())
-    config = EngineConfig(traversal=TraversalPolicy(**config_kwargs))
-    return LinkTraversalEngine(client, config=config)
+    return universe.engine(
+        config=EngineConfig(traversal=TraversalPolicy(**config_kwargs)),
+        latency=latency if latency is not None else NoLatency(),
+    )
 
 
 class TestMaxResults:
@@ -91,11 +91,9 @@ class TestMaxDocuments:
             tiny_universe,
             latency=ConstantLatency(rtt_seconds=0.001),
             http_cache=HttpCache(default_max_age=0),
-        )
-        service = QueryService(
-            resources,
             config=EngineConfig(traversal=TraversalPolicy(queue_policy="recording")),
         )
+        service = QueryService(resources)
         query = discover_query(tiny_universe, 1, 5)
         tracer = Tracer()
 

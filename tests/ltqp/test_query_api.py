@@ -11,6 +11,7 @@ import pytest
 
 import repro
 from repro.ltqp import (
+    Dereferencer,
     EngineConfig,
     ExecutionResult,
     LinkTraversalEngine,
@@ -25,7 +26,7 @@ from .test_engine import SNB, build_two_pod_world
 
 
 def engine_for(internet, **kwargs):
-    return LinkTraversalEngine(HttpClient(internet, latency=NoLatency()), **kwargs)
+    return LinkTraversalEngine(Dereferencer(HttpClient(internet, latency=NoLatency())), **kwargs)
 
 
 def _depth(max_depth):
@@ -105,6 +106,46 @@ class TestQueryExecution:
         assert execution.seeds == [pod1.webid]
 
 
+class TestDelivery:
+    """Pipelining reaches the consumer: with nothing to await (no latency)
+    the traversal still hands over the loop when rows are waiting."""
+
+    @pytest.mark.parametrize("workers", [1, 8])
+    def test_consumer_holds_row_one_while_the_crawl_is_running(self, tiny_universe, workers):
+        from repro.obs import TickClock, Tracer
+        from repro.solidbench import discover_query
+
+        query = discover_query(tiny_universe, 1, 5)
+        tracer = Tracer(clock=TickClock())
+        engine = tiny_universe.fast_engine(
+            config=EngineConfig(
+                traversal=TraversalPolicy(worker_count=workers, advance_flush_interval=0.0)
+            )
+        )
+        execution = engine.query(query.text, seeds=query.seeds, tracer=tracer)
+
+        async def consume():
+            first = None
+            async for _ in execution:
+                if first is None:
+                    first = (tracer.clock(), execution.stats.documents_fetched)
+            return first
+
+        received_at, fetched_by_then = asyncio.run(consume())
+        stats = execution.stats
+        # Row 1 was in the consumer's hands before the last document was fetched ...
+        assert fetched_by_then < stats.documents_fetched
+        # ... within one link of its emission: the emitting link finishes its
+        # extraction, and each *other* worker may start one link, before the
+        # consumer's turn on the loop comes.
+        started_between = [
+            span
+            for span in tracer.spans
+            if span.name == "fetch" and stats.first_result_at < span.start < received_at
+        ]
+        assert len(started_between) <= workers - 1
+
+
 class TestOneHome:
     """Per-execution state lives on the ``QueryExecution``: nothing is
     threaded through long parameter lists, parked on a shared object, or
@@ -122,6 +163,10 @@ class TestOneHome:
         "repro.ltqp.dereference": {"Dereferencer.dereference", "Dereferencer._refusal"},
         "repro.service.docstore": {"DocumentStore.lookup"},
         "repro.ltqp.extractors": {"MatchIriExtractor.discover", "TypeIndexExtractor.discover"},
+        # The two stack builders and the service that rides one of them.
+        "repro.solidbench.universe": {"SolidBenchUniverse.engine", "SolidBenchUniverse.client"},
+        "repro.service.resources": {"SharedResources.for_universe"},
+        "repro.service.service": {"QueryService.submit", "QueryService._traversal_for"},
     }
 
     def test_no_private_engine_function_threads_state_or_sprawls(self):
@@ -199,6 +244,47 @@ class TestOneHome:
         assert pokes == []
 
 
+    @staticmethod
+    def _source_trees():
+        for path in sorted(Path(repro.__file__).parent.rglob("*.py")):
+            yield path, ast.parse(path.read_text(encoding="utf-8"))
+
+    def test_the_stack_is_constructed_by_the_two_builders_and_nobody_else(self):
+        """``HttpClient`` → ``Dereferencer`` → ``LinkTraversalEngine``: each is
+        constructed at two sites in ``src/`` — the bare builder
+        (``universe.client`` / ``universe.engine``) and the shared one
+        (``SharedResources``) — so a setting has one way in per stack."""
+        sites: dict[str, list[str]] = {"HttpClient": [], "Dereferencer": [], "LinkTraversalEngine": []}
+        for path, tree in self._source_trees():
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    if name in sites:
+                        sites[name].append(f"{path.parent.name}/{path.name}")
+        builders = ["service/resources.py", "solidbench/universe.py"]
+        assert {name: sorted(found) for name, found in sites.items()} == dict.fromkeys(sites, builders)
+
+    def test_nobody_re_configures_the_client_under_them(self):
+        """The network policy is given to the client at construction: no
+        class offers ``apply_policy``, and ``.policy`` / ``.breakers`` are
+        only ever assigned on ``self``."""
+        offenders = []
+        for path, tree in self._source_trees():
+            for node in ast.walk(tree):
+                if isinstance(node, ast.FunctionDef) and node.name == "apply_policy":
+                    offenders.append(f"{path.name}:{node.lineno} defines apply_policy")
+                if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    offenders += [
+                        f"{path.name}:{node.lineno} assigns .{target.attr}"
+                        for target in targets
+                        if isinstance(target, ast.Attribute)
+                        and target.attr in ("policy", "breakers")
+                        and not (isinstance(target.value, ast.Name) and target.value.id == "self")
+                    ]
+        assert offenders == []
+
+
 class TestRemovedEntryPoints:
     def test_execute_stream_execute_sync_are_gone(self, world):
         internet, _, _ = world
@@ -248,22 +334,24 @@ class TestEngineConfigSplit:
         assert _depth(2) == _depth(2)
         assert _depth(2) != _depth(3)
 
-    def test_engine_installs_network_policy_on_client(self, world):
-        internet, _, _ = world
-        client = HttpClient(internet, latency=NoLatency())
+    def test_engine_installs_network_policy_on_client(self, tiny_universe):
+        """The bare builder hands ``config.network`` to the client it
+        constructs; the engine reads it there and keeps no copy."""
         config = EngineConfig(network=NetworkPolicy(request_timeout=2.5))
-        engine = LinkTraversalEngine(client, config=config)
-        assert client.policy.request_timeout == 2.5
-        assert engine.config.network is client.policy
+        engine = tiny_universe.engine(config=config)
+        assert engine.client.policy is config.network
+        assert not hasattr(engine, "config")
 
     def test_explicit_client_policy_wins(self, world):
+        """A client's policy is the one it was constructed with: stacking a
+        dereferencer and an engine on it re-installs nothing."""
         internet, _, _ = world
         own = NetworkPolicy(request_timeout=9.9)
         client = HttpClient(internet, latency=NoLatency(), policy=own)
-        LinkTraversalEngine(
-            client, config=EngineConfig(network=NetworkPolicy(request_timeout=1.0))
-        )
-        assert client.policy is own
+        breakers = client.breakers
+        engine = LinkTraversalEngine(Dereferencer(client))
+        assert engine.client.policy is own
+        assert client.breakers is breakers
 
     def test_breaker_knobs_reachable_flat(self):
         config = EngineConfig(

@@ -60,9 +60,7 @@ def tick_run(universe, template, monkeypatch, subweb=None):
     policy = TraversalPolicy(
         worker_count=1, advance_batch_quads=1, advance_flush_interval=0.0, subweb=subweb
     )
-    engine = LinkTraversalEngine(
-        universe.client(latency=NoLatency()), config=EngineConfig(traversal=policy)
-    )
+    engine = universe.fast_engine(config=EngineConfig(traversal=policy))
     tracer = Tracer(clock=TickClock(step=0.001))
     with monkeypatch.context() as patch:
         patch.setattr(engine_module, "Link", counting_link)
@@ -145,9 +143,7 @@ class TestNobodyWalksADocument:
         monkeypatch.setattr(CountingDocument, "reader_walks", 0)
         store = DocumentStore()
         client = small_universe.client(latency=NoLatency())
-        engine = LinkTraversalEngine(
-            client, dereferencer=Dereferencer(client, document_store=store)
-        )
+        engine = LinkTraversalEngine(Dereferencer(client, document_store=store))
         query = discover_query(small_universe, 1, 1)
 
         first = engine.query(query.text, seeds=query.seeds).run_sync()

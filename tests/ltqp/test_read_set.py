@@ -16,7 +16,7 @@ from collections import Counter
 
 import pytest
 
-from repro.ltqp import LinkTraversalEngine, explain_plan, pipeline
+from repro.ltqp import explain_plan, pipeline
 from repro.ltqp.adaptive import AdaptivePipeline
 from repro.ltqp.dereference import Dereferencer
 from repro.ltqp.extractors import MatchIriExtractor
@@ -259,9 +259,7 @@ class TestNullablePathThroughTheEngine:
         return discover_query(small_universe, 1, 1).seeds
 
     def run(self, universe, seeds, text):
-        engine = LinkTraversalEngine(
-            universe.client(latency=NoLatency()), extractors=[MatchIriExtractor()]
-        )
+        engine = universe.fast_engine(extractors=[MatchIriExtractor()])
         execution = engine.query(FOAF + text, seeds=seeds).run_sync()
         expected = snapshot_over_fetched(universe, engine).select(parse_query(FOAF + text))
         assert Counter(execution.bindings) == Counter(expected)

@@ -6,10 +6,8 @@ import inspect
 
 import pytest
 
-from repro.ltqp import LinkTraversalEngine
 from repro.ltqp.pipeline import compile_pipeline
 from repro.ltqp.source import GrowingTripleSource
-from repro.net.latency import NoLatency
 from repro.rdf import NamedNode, ParsedDocument, Triple
 from repro.solidbench.queries import discover_query
 from repro.sparql import parse_query
@@ -168,7 +166,7 @@ class TestPlanAwareSource:
 
     @staticmethod
     def run(universe, query, seeds):
-        engine = LinkTraversalEngine(universe.client(latency=NoLatency()))
+        engine = universe.fast_engine()
         return engine.query(query, seeds=seeds).run_sync().stats
 
     @pytest.mark.parametrize("template", sorted(PINNED))

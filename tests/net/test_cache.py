@@ -244,12 +244,12 @@ class TestSolidServerEtags:
         assert cache.revalidations == 1
 
     def test_repeated_query_execution_hits_cache(self, tiny_universe):
-        from repro.ltqp import LinkTraversalEngine
+        from repro.ltqp import Dereferencer, LinkTraversalEngine
         from repro.solidbench import discover_query
 
         cache = HttpCache(default_max_age=300)
         client = HttpClient(tiny_universe.internet, latency=NoLatency(), cache=cache)
-        engine = LinkTraversalEngine(client)
+        engine = LinkTraversalEngine(Dereferencer(client))
         query = discover_query(tiny_universe, 1, 1)
 
         first = engine.query(query.text, seeds=query.seeds).run_sync()

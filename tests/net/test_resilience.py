@@ -313,14 +313,3 @@ class TestClientRetries:
         assert (second.retries, second.budget_exhausted) == (1, 0)
         # The client's own books still count everything it ever did.
         assert (client.resilience.retries, client.resilience.budget_exhausted) == (3, 1)
-
-    def test_engine_policy_adoption(self):
-        """A client built without an explicit policy adopts the engine's."""
-        internet = self.flaky_internet()
-        implicit = HttpClient(internet, latency=NoLatency())
-        assert not implicit.has_explicit_policy
-        explicit = HttpClient(internet, latency=NoLatency(), policy=NetworkPolicy.no_retry())
-        assert explicit.has_explicit_policy
-        custom = NetworkPolicy(request_timeout=1.23)
-        implicit.apply_policy(custom)
-        assert implicit.policy.request_timeout == 1.23

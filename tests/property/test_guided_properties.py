@@ -17,9 +17,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.ltqp import EngineConfig, LinkTraversalEngine, TraversalPolicy
+from repro.ltqp import EngineConfig, TraversalPolicy
 from repro.ltqp.guided import SubwebRule, SubwebSpecification
-from repro.net import NoLatency
 from repro.obs import TickClock, Tracer
 from repro.rdf.namespaces import SNVOC
 from repro.solidbench import SolidBenchConfig, build_universe, discover_query
@@ -39,9 +38,7 @@ def hinted_universe():
 
 def run(universe, template, variant, tracer=None, **config_kwargs):
     query = discover_query(universe, template, variant)
-    engine = LinkTraversalEngine(
-        universe.client(latency=NoLatency()), config=EngineConfig(traversal=TraversalPolicy(**config_kwargs))
-    )
+    engine = universe.fast_engine(config=EngineConfig(traversal=TraversalPolicy(**config_kwargs)))
     return engine.query(query.text, seeds=query.seeds, tracer=tracer).run_sync()
 
 

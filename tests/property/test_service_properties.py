@@ -68,12 +68,10 @@ def test_concurrent_service_matches_serial_runs(
     )
     tiny_universe.internet.install_fault_plan(plan)
     try:
-        resources = SharedResources.for_universe(tiny_universe, latency=NoLatency())
-        service = QueryService(
-            resources,
-            config=EngineConfig(network=_network()),
-            max_concurrent=len(templates),
+        resources = SharedResources.for_universe(
+            tiny_universe, latency=NoLatency(), config=EngineConfig(network=_network())
         )
+        service = QueryService(resources, max_concurrent=len(templates))
         queries = [discover_query(tiny_universe, t, 5) for t in templates]
         tracer = Tracer()  # the first query is traced, its neighbours are not
 
@@ -140,11 +138,10 @@ def test_a_neighbours_retries_never_spend_this_querys_budget(tiny_universe):
         FaultPlan([FaultRule(kind="status", fail_attempts=1)])
     )
     try:
-        # The shared client keeps the policy it was built with.
         resources = SharedResources.for_universe(
-            tiny_universe, latency=NoLatency(), policy=network
+            tiny_universe, latency=NoLatency(), config=EngineConfig(network=network)
         )
-        service = QueryService(resources, config=EngineConfig(network=network))
+        service = QueryService(resources)
 
         async def back_to_back():
             return [await service.run(named.text, seeds=named.seeds) for named in queries]

@@ -10,6 +10,7 @@ import asyncio
 
 import pytest
 
+from repro.net import NoLatency
 from repro.service import ServiceHost, ShardSpec, ShardedQueryService
 from repro.solidbench import SolidBenchConfig
 
@@ -17,7 +18,7 @@ CONFIG = SolidBenchConfig(scale=0.005, seed=7)
 
 
 def make_spec(**overrides):
-    defaults = dict(config=CONFIG, no_latency=True)
+    defaults = dict(config=CONFIG, latency=NoLatency())
     defaults.update(overrides)
     return ShardSpec(**defaults)
 

@@ -4,7 +4,7 @@ import asyncio
 
 import pytest
 
-from repro.ltqp.engine import EngineConfig
+from repro.ltqp.engine import EngineConfig, TraversalPolicy
 from repro.net import HttpClient, Internet, NoLatency, StaticApp
 from repro.service import (
     QueryService,
@@ -15,8 +15,8 @@ from repro.service import (
 from repro.solidbench import discover_query
 
 
-def make_service(universe, **kwargs):
-    resources = SharedResources.for_universe(universe, latency=NoLatency())
+def make_service(universe, config=None, **kwargs):
+    resources = SharedResources.for_universe(universe, latency=NoLatency(), config=config)
     return QueryService(resources, **kwargs)
 
 
@@ -155,7 +155,9 @@ class TestBudgetsAndRegistry:
         assert unbounded.stats.documents_fetched > bounded.stats.documents_fetched
 
     def test_service_default_budget(self, tiny_universe):
-        service = make_service(tiny_universe, default_max_documents=2)
+        service = make_service(
+            tiny_universe, config=EngineConfig(traversal=TraversalPolicy(max_documents=2))
+        )
         named = discover_query(tiny_universe, 1, 5)
         result = asyncio.run(service.run(named.text, seeds=named.seeds))
         assert result.stats.documents_fetched <= 2
@@ -306,9 +308,10 @@ class TestEngineSharing:
         resources = SharedResources.for_universe(tiny_universe, latency=NoLatency())
         # Building a service must not install a fresh policy on the shared
         # client (which would reset circuit-breaker history).
-        policy_before = resources.client.policy
-        QueryService(resources, config=EngineConfig())
+        policy_before, breakers_before = resources.client.policy, resources.client.breakers
+        QueryService(resources)
         assert resources.client.policy is policy_before
+        assert resources.client.breakers is breakers_before
 
 
 class TestNoBleedBetweenQueries:

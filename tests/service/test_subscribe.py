@@ -273,7 +273,7 @@ class TestShardedSubscribeParity:
             # Workers rebuild the same deterministic universe from CONFIG.
             pod = next(iter(universe.pods.values()))
             service = ShardedQueryService(
-                ShardSpec(config=CONFIG, no_latency=True), workers=2
+                ShardSpec(config=CONFIG, latency=NoLatency()), workers=2
             )
             await service.start()
             try:

@@ -164,11 +164,11 @@ class TestLiveRequery:
     def test_traversal_sees_updates(self, setup):
         """The paper's 'live data' point: no indexes to refresh — a repeat
         traversal immediately reflects pod changes."""
-        from repro.ltqp import LinkTraversalEngine
+        from repro.ltqp import Dereferencer, LinkTraversalEngine
 
         idp, pod, client = setup
         session = idp.login(pod.webid)
-        engine = LinkTraversalEngine(client)
+        engine = LinkTraversalEngine(Dereferencer(client))
         query = SNB + "SELECT ?id WHERE { ?m snvoc:id ?id }"
 
         before = engine.query(query, seeds=[pod.webid]).run_sync()
@@ -176,7 +176,7 @@ class TestLiveRequery:
         body = SNB + f"INSERT DATA {{ <{url}#m> snvoc:id 99 }}"
         run(_patch(client, url, body, {
             "content-type": "application/sparql-update", **session.headers}))
-        after = LinkTraversalEngine(client).query(query, seeds=[pod.webid]).run_sync()
+        after = LinkTraversalEngine(Dereferencer(client)).query(query, seeds=[pod.webid]).run_sync()
         assert len(after) == len(before) + 1
 
 
