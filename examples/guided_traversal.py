@@ -1,14 +1,17 @@
-"""Guided traversal: same answers, a fraction of the dereferences.
+"""Source selection: same answers, a fraction of the dereferences.
 
-Builds a *hinted* SolidBench universe — every pod publishes a
+Every pod of the default SolidBench universe publishes a
 ``settings/cardinality`` source index describing its containers
-(classes, predicates, document/entity counts) and its infrastructure —
-and runs the same Discover query three ways:
+(classes, predicates, document/entity counts) and its infrastructure,
+and every execution reads what the pods it meets publish.  The same
+Discover query, three ways:
 
-* fifo — the zero-knowledge baseline; crawls everything reachable;
-* guided — provenance-scored queue plus the hint documents: prunes
-  infrastructure and query-irrelevant containers, orders the rest;
-* guided + subweb spec — additionally scopes traversal to declared
+* paper-shaped pods (``emit_hints=False``) — nothing published, so the
+  engine crawls everything reachable: the paper's zero-knowledge run;
+* default pods, the same fifo engine — the index prunes infrastructure
+  and query-irrelevant containers (whatever the queue order);
+* default pods, guided order + a subweb spec — the queue additionally
+  ranks what is left, and the caller's spec scopes traversal to declared
   sources: foreign pods are only admitted when an already-fetched
   triple links to them via one of the spec's predicates.
 
@@ -47,21 +50,20 @@ def run(universe, query, **config_kwargs):
 
 
 def main() -> None:
-    universe = build_universe(
-        SolidBenchConfig(scale=0.01, seed=42, emit_hints=True)
-    )
+    universe = build_universe(SolidBenchConfig(scale=0.01, seed=42))
+    paper = build_universe(SolidBenchConfig(scale=0.01, seed=42, emit_hints=False))
     query = discover_query(universe, template=1, variant=1)
     print(f"running {query.name}: {query.description}")
 
-    fifo = run(universe, query, queue_policy="fifo")
+    fifo = run(paper, query)
     print(
-        f"\nfifo baseline:   {len(fifo)} results, "
+        f"\npaper-shaped pods, fifo:   {len(fifo)} results, "
         f"{fifo.stats.documents_fetched} documents fetched"
     )
 
-    guided = run(universe, query, queue_policy="guided")
+    guided = run(universe, query)
     print(
-        f"guided (hints):  {len(guided)} results, "
+        f"default pods, fifo:        {len(guided)} results, "
         f"{guided.stats.documents_fetched} documents fetched"
     )
 
@@ -69,7 +71,7 @@ def main() -> None:
         universe, query, queue_policy="guided", subweb=declared_spec()
     )
     print(
-        f"guided + spec:   {len(scoped)} results, "
+        f"default, guided + spec:    {len(scoped)} results, "
         f"{scoped.stats.documents_fetched} documents fetched"
     )
 

@@ -112,12 +112,6 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
         "path must be readable by each of them)",
     )
     parser.add_argument(
-        "--emit-hints",
-        action="store_true",
-        help="generate per-pod cardinality-hint documents in the simulated "
-        "universe (source summaries the guided queue exploits)",
-    )
-    parser.add_argument(
         "--max-depth",
         type=int,
         default=0,
@@ -439,9 +433,7 @@ def build_service_stack(args):
     from .service import ServiceHost, ShardedQueryService, ShardSpec
     from .webui import DemoServer
 
-    config = SolidBenchConfig(
-        scale=args.simulate, seed=args.bench_seed, emit_hints=args.emit_hints
-    )
+    config = SolidBenchConfig(scale=args.simulate, seed=args.bench_seed)
     universe = build_universe(config)
     spec = ShardSpec(
         config=config,
@@ -525,9 +517,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_arg_parser().parse_args(argv)
 
     universe = build_universe(
-        SolidBenchConfig(
-            scale=args.simulate, seed=args.bench_seed, emit_hints=args.emit_hints
-        )
+        SolidBenchConfig(scale=args.simulate, seed=args.bench_seed)
     )
     resolved = _resolve_query(args, universe)
     if resolved is None:

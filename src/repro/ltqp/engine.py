@@ -61,6 +61,7 @@ from ..sparql.eval import construct_triples
 from ..sparql.parser import parse_query
 from .dereference import DereferenceResult, Dereferencer
 from .extractors import LinkExtractor, build_query_context, default_extractors
+from .guided import HintDiscoveryExtractor, SourceSelector, SubwebSpecification
 from .links import Link, QueuePolicyContext, build_queue, origin_of, queue_factory_for
 from .pipeline import compile_query_pipeline
 from .source import GrowingTripleSource
@@ -110,23 +111,25 @@ class TraversalPolicy:
     #: ``0`` disables.
     max_parse_bytes: int = 0
     adaptive: bool = False
-    #: Link-queue discipline: ``"fifo"`` (breadth-first, the paper's
-    #: default), ``"lifo"`` (depth-first), ``"priority"`` (shallow +
-    #: Solid-metadata links first), ``"fair"`` (round-robin across
-    #: origins), or ``"guided"`` (provenance/hint scoring with
-    #: result-contribution feedback; see
+    #: Link-queue discipline — the *order* links are dereferenced in, never
+    #: which: ``"fifo"`` (breadth-first, the paper's default), ``"lifo"``
+    #: (depth-first), ``"priority"`` (shallow + Solid-metadata links
+    #: first), ``"fair"`` (round-robin across origins), or ``"guided"``
+    #: (provenance/hint scoring with result-contribution feedback; see
     #: :class:`~repro.ltqp.guided.GuidedLinkQueue`) — the registry, and
     #: the extension point for further disciplines, is
     #: :data:`~repro.ltqp.links.QUEUE_POLICIES`.
     queue_policy: str = "fifo"
-    #: Subweb specification governing source selection (DESIGN.md §4g):
-    #: a :class:`~repro.ltqp.guided.SubwebSpecification`, a dict in its
-    #: JSON shape, or a path to a JSON spec file (the CLI's ``--subweb``).
-    #: Installing one activates the :class:`~repro.ltqp.guided
-    #: .SourceSelector` — links outside the declared subweb are pruned
-    #: *before* they cost a dereference, attributed in
-    #: ``ExecutionStats.completeness()``.  ``None`` plus a non-guided
-    #: queue policy leaves traversal exactly as before.
+    #: The caller's subweb specification (DESIGN.md §4g): a
+    #: :class:`~repro.ltqp.guided.SubwebSpecification`, a dict in its JSON
+    #: shape, or a path to a JSON spec file (the CLI's ``--subweb``).
+    #: Source selection itself is not switched on by it — every execution
+    #: has a :class:`~repro.ltqp.guided.SourceSelector`, which prunes what
+    #: the pods it meets declare irrelevant (their published source index)
+    #: or out of scope (their published specs) *before* it costs a
+    #: dereference, attributed in ``ExecutionStats.completeness()``; this
+    #: adds the caller's own rules to those.  Pods that publish nothing
+    #: are crawled in full, as in the paper.
     subweb: Optional[object] = None
     #: Micro-batching of pipeline advancement: documents accumulate in the
     #: growing source until at least this many new quads are pending, then
@@ -149,8 +152,6 @@ def _resolve_subweb(value):
     """Normalize ``TraversalPolicy.subweb`` to a SubwebSpecification."""
     if value is None:
         return None
-    from .guided import SubwebSpecification
-
     if isinstance(value, SubwebSpecification):
         return value
     if isinstance(value, dict):
@@ -369,16 +370,13 @@ class QueryExecution:
         self._context = context = build_query_context(query.where)
         seeds, requested = self.seeds, self._requested_seeds
         seeds += requested if requested is not None else self._engine.seeds_from_query(query)
-        # Guided source selection: a subweb spec and/or the guided queue
-        # policy installs a per-execution SourceSelector, and the hint
-        # extractor so pods' source indexes and published specs are
-        # discovered and absorbed during traversal.
-        spec = _resolve_subweb(policy.subweb)
-        if spec is not None or policy.queue_policy == "guided":
-            from .guided import HintDiscoveryExtractor, SourceSelector
-
-            self.selector = SourceSelector(spec=spec, where=query.where, seeds=seeds)
-            self._extractors = [HintDiscoveryExtractor(self.selector)] + list(self._extractors)
+        # Source selection: the per-execution selector judges every link
+        # by the caller's spec and by what pods publish, and the hint
+        # extractor finds those source indexes and specs during traversal.
+        self.selector = SourceSelector(
+            spec=_resolve_subweb(policy.subweb), where=query.where, seeds=seeds
+        )
+        self._extractors = [HintDiscoveryExtractor(self.selector), *self._extractors]
         stats.started_at = self._clock()
         if tracer is not None:
             self._query_span = tracer.begin(
@@ -387,9 +385,7 @@ class QueryExecution:
             # Opened before the seeds enqueue so their stamps nest inside.
             self._traversal_span = tracer.begin("traversal", parent=self._query_span)
 
-        policy_context = QueuePolicyContext(
-            query=context, hints=self.selector.hints if self.selector is not None else None
-        )
+        policy_context = QueuePolicyContext(query=context, hints=self.selector.hints)
         self.queue = queue = build_queue(queue_factory_for(policy.queue_policy), policy_context)
         queue.clock = self._clock
         if self.metrics is not None:
@@ -516,13 +512,12 @@ class QueryExecution:
         if doc_limit and source.document_count >= doc_limit:
             self._stop.set()
             return None
-        if self.selector is not None:
-            # Absorb declarations (hints, specs, admitted origins) *before*
-            # the pipeline and link extraction see the document, so its own
-            # links are judged with its knowledge already in force; newly
-            # admitted origins release their parked links back into the queue.
-            for released in self.selector.absorb_document(result.url, result.document):
-                self.queue.requeue(released)
+        # Absorb declarations (hints, specs, admitted origins) *before* the
+        # pipeline and link extraction see the document, so its own links are
+        # judged with its knowledge already in force; the parked links whose
+        # wait it ends go back into the queue.
+        for released in self.selector.absorb_document(result.url, result.document):
+            self.queue.requeue(released)
         kept = source.add_document(result.url, result.document)
         stats.triples_discovered = source.triples_discovered
         stats.triples_stored += kept
@@ -594,11 +589,11 @@ class QueryExecution:
         stats, tracer, metrics = self.stats, self.tracer, self.metrics
         await self._reap(timer, "flush-timer")
         await self._reap(traversal, "traversal")
-        if self.selector is not None:
-            # Links still deferred at quiescence: their origins were
-            # never declared by any traversed document — pruned.
-            for parked in self.selector.drain_deferred():
-                stats.note_pruned("origin:undeclared", parked.origin)
+        # Links still deferred at quiescence: their origins were never
+        # declared by any traversed document — pruned.
+        for parked in self.selector.drain_deferred():
+            stats.note_pruned("origin:undeclared", parked.origin)
+        stats.declarations_rejected = self.selector.hints.rejected
         stats.finished_at = self._clock()
         stats.queue_samples = self.queue.samples
         stats.links_queued = self.queue.pushed_total
@@ -648,6 +643,11 @@ class QueryExecution:
             async with idle:
                 while queue.empty and self._in_flight and not stop.is_set():
                     await idle.wait()
+                if queue.empty and not stop.is_set():
+                    # About to quiesce: links still waiting for a source index
+                    # that never arrived go ahead unjudged — the full crawl.
+                    for released in self.selector.release_unjudged():
+                        queue.requeue(released)
                 if queue.empty or stop.is_set():  # quiescent, or told to stop
                     idle.notify_all()
                     return
@@ -752,20 +752,20 @@ class QueryExecution:
         """Source selection, then the origin budgets: the outcome that
         turns ``link`` away, or ``None`` to dereference it."""
         selector, stats = self.selector, self.stats
-        # Source selection (pop time: origin admission needs the
-        # knowledge absorbed so far).  Before the origin-budget gate —
-        # a pruned link costs neither a request nor budget.
-        if selector is not None:
-            decision = selector.check(link)
-            if decision.action == "prune":
-                stats.note_pruned(decision.rule, origin)
-                return "pruned", {"pruned": decision.rule}
-            if decision.action == "defer":
-                # Parked with the selector: re-queued the moment a
-                # traversed document declares this link's origin, or
-                # counted as pruned at quiescence.
-                selector.defer(link)
-                return "deferred", {"pruned": decision.rule}
+        # Source selection (pop time: what a link waits for depends on the
+        # knowledge absorbed so far).  Before the origin-budget gate — a
+        # pruned link costs neither a request nor budget.
+        decision = selector.check(link)
+        if decision.action == "prune":
+            stats.note_pruned(decision.rule, origin)
+            return "pruned", {"pruned": decision.rule}
+        if decision.action == "defer":
+            # Parked with the selector: re-queued the moment a traversed
+            # document ends its wait (declares this link's origin, turns out
+            # to be the source index it is to be judged by), or — for an
+            # origin never declared — counted as pruned at quiescence.
+            selector.defer(link)
+            return "deferred", {"pruned": decision.rule}
         refusal = self._budgets.admit(origin, self._policy)
         if refusal:
             stats.note_refusal(refusal, origin)
@@ -828,12 +828,11 @@ class QueryExecution:
                 # (spec rules, hint relevance): these grow strictly
                 # more restrictive, so pruning here can never drop a
                 # link a later document would have justified.
-                if selector is not None:
-                    decision = selector.check_static(candidate)
-                    if decision.action == "prune":
-                        links_pruned += 1
-                        stats.note_pruned(decision.rule, origin_of(url))
-                        continue
+                decision = selector.check_static(candidate)
+                if decision.action == "prune":
+                    links_pruned += 1
+                    stats.note_pruned(decision.rule, origin_of(url))
+                    continue
                 if queue.push(candidate):
                     links_pushed += 1
                     stats.links_by_extractor[via] = stats.links_by_extractor.get(via, 0) + 1

@@ -1,7 +1,7 @@
-"""Link extraction for guided traversal's own metadata documents.
+"""Link extraction for source selection's own metadata documents.
 
-Two jobs, both only active when a :class:`~.selector.SourceSelector` is
-installed (the engine adds this extractor in that case):
+Two jobs (the engine puts this extractor ahead of its stack in every
+execution, next to the :class:`~.selector.SourceSelector` it serves):
 
 1. In *any* document: follow ``subweb:cardinalityIndex`` and
    ``subweb:specification`` objects — pods advertise their source index
@@ -11,7 +11,9 @@ installed (the engine adds this extractor in that case):
    extraction runs): emit links to the pod's summarized containers that
    are relevant to the query — ``"hint-container"`` tier, carrying the
    container's class as provenance.  With a complete index this replaces
-   the LDP infrastructure crawl the selector prunes.
+   the LDP infrastructure crawl the selector prunes — the type index
+   included, so each such container is also recorded as a registration
+   (``context.registered_targets``) for a scoped LDP extractor to descend.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ class HintDiscoveryExtractor(LinkExtractor):
         if pod is not None:
             for hint in self._selector.relevant_containers(pod):
                 first_class = min(hint.classes) if hint.classes else None
+                context.registered_targets.add(hint.container)
                 yield hint.container, LinkProvenance(
                     extractor="hint-container", for_class=first_class
                 )

@@ -21,6 +21,12 @@ required predicates.  Irrelevant containers are pruned before
 dereferencing — sound under subject-local fragmentation (all triples of
 an entity live in its container's documents) and trusting summaries to be
 accurate, the model of the distributed-subweb-specification line of work.
+
+An index speaks for its own pod only: a declaration is accepted when the
+declared base is a directory prefix of the index document's own URL,
+entries outside that base are dropped, and its ranges bear on that pod's
+containers alone.  A pod that lies about itself loses its own rows —
+attributed ``hint:*`` in ``completeness()`` — and nobody else's.
 """
 
 from __future__ import annotations
@@ -89,15 +95,32 @@ class PodHints:
     #: redundant when ``complete`` (root/profile/settings listings, type
     #: index).
     infra: frozenset = frozenset()
+    #: Predicate → classes of its objects, as far as this pod's containers
+    #: are concerned.
     ranges: Mapping[str, frozenset] = field(default_factory=dict)
+    _by_url: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_by_url", {hint.container: hint for hint in self.containers})
 
     def container_for(self, url: str) -> Optional[ContainerHint]:
-        best = None
-        for hint in self.containers:
-            if url.startswith(hint.container):
-                if best is None or len(hint.container) > len(best.container):
-                    best = hint
-        return best
+        """The summary covering ``url`` (no fragment): the innermost
+        summarized container above it, or the document itself."""
+        return _innermost(self._by_url, url)
+
+
+def _innermost(table: Mapping[str, object], url: str):
+    """The entry keyed by ``url`` itself or else by the longest of its
+    directory prefixes (``…/a/b/`` before ``…/a/``) — a few probes per
+    URL however many keys the table holds."""
+    entry = table.get(url)
+    cut = len(url)
+    while entry is None:
+        cut = url.rfind("/", 0, cut)
+        if cut < 8:  # inside "https://": no directory left
+            return None
+        entry = table.get(url[: cut + 1])
+    return entry
 
 
 def is_hint_document(document: ParsedDocument) -> bool:
@@ -125,25 +148,18 @@ class CardinalityHints:
     def __init__(self) -> None:
         self._pods: dict[str, PodHints] = {}
         self._by_source: dict[str, PodHints] = {}
-        self._ranges: dict[str, frozenset] = {}
+        #: Declarations turned away because the index document lies outside
+        #: the pod it claims to describe.
+        self.rejected = 0
 
     @property
     def pod_count(self) -> int:
         return len(self._pods)
 
-    @property
-    def ranges(self) -> Mapping[str, frozenset]:
-        """Declared predicate ranges, unioned across every absorbed index.
-
-        Trusted as universe-wide: a declared range is assumed accurate for
-        the predicate wherever it occurs (the summaries-are-authoritative
-        assumption; DESIGN.md §4g discusses the trust model).
-        """
-        return self._ranges
-
     def absorb_document(self, url: str, document: ParsedDocument) -> Optional[PodHints]:
         """Parse a source-index document; returns the pod's hints, or None
-        when the document carries no ``subweb:pod`` declaration."""
+        when the document carries no ``subweb:pod`` declaration or declares
+        a pod it is not served from (counted in :attr:`rejected`)."""
         pod_base: Optional[str] = None
         complete = False
         infra: set[str] = set()
@@ -178,6 +194,9 @@ class CardinalityHints:
                 range_classes.setdefault(triple.subject, set()).add(obj.value)
         if pod_base is None:
             return None
+        if not (pod_base.endswith("/") and url.startswith(pod_base)):
+            self.rejected += 1
+            return None
         containers = tuple(
             ContainerHint(
                 container=str(fields["container"]),
@@ -187,14 +206,14 @@ class CardinalityHints:
                 entities=int(fields.get("entities", 0)),
             )
             for _, fields in sorted(summaries.items(), key=lambda item: str(item[0]))
-            if "container" in fields
+            if fields.get("container", "").startswith(pod_base)
         )
         pod = PodHints(
             pod=pod_base,
             source_url=url,
             complete=complete,
             containers=containers,
-            infra=frozenset(infra),
+            infra=frozenset(entry for entry in infra if entry.startswith(pod_base)),
             ranges={
                 predicate: frozenset(range_classes.get(subject, ()))
                 for subject, predicate in range_of.items()
@@ -203,8 +222,6 @@ class CardinalityHints:
         )
         self._pods[pod_base] = pod
         self._by_source[url.split("#", 1)[0]] = pod
-        for predicate, classes in pod.ranges.items():
-            self._ranges[predicate] = self._ranges.get(predicate, frozenset()) | classes
         return pod
 
     def pod_by_source(self, url: str) -> Optional[PodHints]:
@@ -212,11 +229,9 @@ class CardinalityHints:
         return self._by_source.get(url.split("#", 1)[0])
 
     def pod_for(self, url: str) -> Optional[PodHints]:
-        best = None
-        for base, pod in self._pods.items():
-            if url.startswith(base) and (best is None or len(base) > len(best.pod)):
-                best = pod
-        return best
+        """The absorbed pod ``url`` lies in — the innermost, when declared
+        bases nest."""
+        return _innermost(self._pods, url)
 
 
 def _safe_int(text: str) -> int:

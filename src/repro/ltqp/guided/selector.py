@@ -18,13 +18,22 @@ known:
     justified.
 
 ``check(link)``
-    The full decision, adding origin admission, evaluated at pop time.
-    Origin knowledge is *monotone in the other direction* — absorbing
-    documents admits origins, never revokes them — so a link denied only
-    for its origin is not dropped but **deferred**: parked with the
-    selector and re-queued the moment some traversed document declares
-    its origin.  Links still deferred when traversal quiesces were never
-    going to be admitted; the engine counts them as pruned.
+    The full decision, evaluated at pop time: static grounds plus what a
+    link may have to *wait* for — it is not dropped but **deferred**,
+    parked with the selector and re-queued when the wait is over.  Two
+    things are waited for.  *Origin admission* is monotone in the other
+    direction — absorbing documents admits origins, never revokes them —
+    so a link denied only for its origin waits until some traversed
+    document declares it; links still waiting when traversal quiesces
+    were never going to be admitted, and the engine counts them as
+    pruned.  A pod's *source index*: the links of a document that
+    advertises one (``subweb:cardinalityIndex``) wait until the index has
+    been absorbed, so they are judged with it whichever response lands
+    first and whatever order the queue pops in — the document set is a
+    function of the inputs, not of timing.  If the index never arrives
+    (failed, refused, pruned, not an index) the engine, about to quiesce,
+    takes them back through ``release_unjudged``: the full crawl is the
+    fallback.
 
 The engine feeds every fetched document through ``absorb_document``
 *before* link extraction, so a document's own links are always judged
@@ -38,8 +47,9 @@ from typing import Iterable, Optional
 from ..links import Link
 from ...net.message import split_url
 from ...rdf.document import ParsedDocument
-from ...rdf.terms import intern_iri
-from .hints import CardinalityHints, container_relevant, is_hint_document
+from ...rdf.namespaces import SUBWEB
+from ...rdf.terms import NamedNode, intern_iri
+from .hints import CardinalityHints, container_relevant, is_hint_document, query_scopes
 from .subweb import SubwebSpecification
 
 __all__ = ["LinkDecision", "SourceSelector"]
@@ -63,6 +73,11 @@ class LinkDecision:
 
 
 _FOLLOW = LinkDecision(LinkDecision.FOLLOW)
+_AWAIT_ORIGIN = LinkDecision(LinkDecision.DEFER, "origin:undeclared")
+_AWAIT_INDEX = LinkDecision(LinkDecision.DEFER, "index:pending")
+
+#: Where a document names the source index its own links should be judged by.
+_INDEX_ADVERTISEMENT = (SUBWEB.cardinalityIndex,)
 
 
 class SourceSelector:
@@ -75,23 +90,22 @@ class SourceSelector:
     ) -> None:
         self.spec = spec or SubwebSpecification()
         self.hints = hints if hints is not None else CardinalityHints()
-        if where is not None:
-            from .hints import query_scopes
-
-            self.scopes = query_scopes(where)
-        else:
-            self.scopes = ()
+        self.scopes = query_scopes(where) if where is not None else ()
         self._admit_via = _predicates(self.spec.admit_origins_via)
         self._admitted: set[str] = set()
         for seed in seeds:
             origin = self._source_key(seed)
             if origin:
                 self._admitted.add(origin)
-        #: Links parked awaiting origin admission, keyed by origin.
+        #: Links parked by what they wait for: an origin's admission (its
+        #: source key) or a source index's arrival (its URL).
         self._deferred: dict[str, list[Link]] = {}
-        #: Relevance verdicts are stable per container (scopes are fixed;
-        #: ranges only grow, and a grown range can only *relax* a class
-        #: constraint it already satisfied — cache by container URL).
+        #: Document URL → the source indexes it advertised, and of those
+        #: the ones still waited for.
+        self._advertised: dict[str, tuple[str, ...]] = {}
+        self._awaited: set[str] = set()
+        #: Relevance verdicts per container URL; dropped whenever an index
+        #: is absorbed (it may re-declare a pod).
         self._relevance: dict[str, bool] = {}
 
     # -- decisions ------------------------------------------------------------
@@ -101,37 +115,53 @@ class SourceSelector:
         allowed, rule = self.spec.decide(link.url, link.depth)
         if not allowed:
             return LinkDecision(LinkDecision.PRUNE, f"spec:{rule}")
-        pod = self.hints.pod_for(link.url)
-        if pod is not None:
-            if pod.complete and link.url in pod.infra:
-                return LinkDecision(LinkDecision.PRUNE, "hint:infra")
-            hint = pod.container_for(link.url)
-            if hint is not None and not self._container_relevant(hint):
-                return LinkDecision(LinkDecision.PRUNE, "hint:irrelevant")
+        hints = self.hints
+        if hints.pod_count:
+            url = link.url.partition("#")[0]
+            pod = hints.pod_for(url)
+            if pod is not None:
+                if pod.complete and url in pod.infra:
+                    return LinkDecision(LinkDecision.PRUNE, "hint:infra")
+                hint = pod.container_for(url)
+                if hint is not None and not self._container_relevant(pod, hint):
+                    return LinkDecision(LinkDecision.PRUNE, "hint:irrelevant")
         return _FOLLOW
 
     def check(self, link: Link) -> LinkDecision:
-        """Pop-time check: static grounds plus origin admission."""
+        """Pop-time check: static grounds, then what the link must wait for."""
         decision = self.check_static(link)
         if decision.action != LinkDecision.FOLLOW:
             return decision
+        return self._waits_for(link)[1]
+
+    def _waits_for(self, link: Link) -> tuple[str, LinkDecision]:
+        """``(key to park it under, the deferring decision)``: a source
+        index its parent document advertised that has not arrived (unless
+        the link *is* one of those), else its undeclared origin, else
+        ``("", follow)``."""
+        if self._awaited:
+            advertised = self._advertised.get(link.parent_url, ())
+            if link.url not in advertised:
+                for index in advertised:
+                    if index in self._awaited:
+                        return index, _AWAIT_INDEX
         if self.spec.origins == "declared":
             origin = self._source_key(link.url)
             if origin and origin not in self._admitted:
-                return LinkDecision(LinkDecision.DEFER, "origin:undeclared")
-        return _FOLLOW
+                return origin, _AWAIT_ORIGIN
+        return "", _FOLLOW
 
-    def _container_relevant(self, hint) -> bool:
+    def _container_relevant(self, pod, hint) -> bool:
         verdict = self._relevance.get(hint.container)
         if verdict is None:
-            verdict = container_relevant(hint, self.scopes, self.hints.ranges)
+            verdict = container_relevant(hint, self.scopes, pod.ranges)
             self._relevance[hint.container] = verdict
         return verdict
 
     def relevant_containers(self, pod) -> list:
         """The pod's summarized containers worth traversing, best first
         (most entities) — the hint extractor turns these into links."""
-        relevant = [hint for hint in pod.containers if self._container_relevant(hint)]
+        relevant = [hint for hint in pod.containers if self._container_relevant(pod, hint)]
         relevant.sort(key=lambda hint: (-hint.entities, hint.container))
         return relevant
 
@@ -141,23 +171,37 @@ class SourceSelector:
         """Absorb a fetched document's declarations.
 
         Parses source-index documents into hints, composes discovered
-        subweb specs, and admits origins declared via the spec's
-        ``admit_origins_via`` predicates.  Returns any previously deferred
-        links whose origin this document just admitted — the engine
-        re-queues them.
+        subweb specs, notes the source index the document advertises, and
+        admits origins declared via the spec's ``admit_origins_via``
+        predicates.  Returns the deferred links this document ends the
+        wait of — those parked for it as a source index, those whose
+        origin it just admitted — for the engine to re-queue.
         """
+        released: list[Link] = []
+        if url in self._awaited:
+            # Arrived: whatever it turns out to say, nobody waits for it longer.
+            self._awaited.remove(url)
+            released.extend(self._deferred.pop(url, ()))
         if is_hint_document(document):
-            pod = self.hints.absorb_document(url, document)
-            if pod is not None and pod.ranges:
-                # New ranges can flip cached "irrelevant under no ranges"
-                # verdicts; recompute lazily.
-                self._relevance.clear()
+            self.hints.absorb_document(url, document)
+            self._relevance.clear()
         else:
             discovered = SubwebSpecification.from_document(document)
             if discovered is not None:
                 self.spec = self.spec.compose(discovered)
                 self._admit_via = _predicates(self.spec.admit_origins_via)
-        released: list[Link] = []
+        advertisements = document.select(_INDEX_ADVERTISEMENT)  # of most documents, none
+        if advertisements:
+            self._advertised[url] = advertised = tuple(
+                triple.object.value.partition("#")[0]
+                for triple in advertisements
+                if isinstance(triple.object, NamedNode)
+                and triple.object.value.startswith(("http://", "https://"))
+            )
+            self._awaited.update(
+                index for index in advertised
+                if index != url and self.hints.pod_by_source(index) is None
+            )
         if self.spec.origins == "declared":
             for triple in document.select(self._admit_via):
                 obj_value = getattr(triple.object, "value", "")
@@ -172,23 +216,31 @@ class SourceSelector:
     # -- deferral -------------------------------------------------------------
 
     def defer(self, link: Link) -> None:
-        origin = self._source_key(link.url)
-        self._deferred.setdefault(origin, []).append(link)
+        """Park ``link`` under what :meth:`check` said it waits for."""
+        self._deferred.setdefault(self._waits_for(link)[0], []).append(link)
+
+    def release_unjudged(self) -> list:
+        """Traversal is about to quiesce: the source indexes still awaited
+        are not coming, so the links parked for them go ahead without."""
+        waiting = [index for index in self._deferred if index in self._awaited]
+        self._awaited.clear()
+        return [link for index in waiting for link in self._deferred.pop(index)]
 
     def drain_deferred(self) -> list:
-        """Take every still-deferred link (traversal is quiescing; their
-        origins were never declared — they count as pruned)."""
-        drained = [link for links in self._deferred.values() for link in links]
+        """Take every link still waiting for its origin's admission
+        (traversal has quiesced; the origin was never declared — they
+        count as pruned).  Links a bounded run left waiting for an index
+        are dropped like those it left in the queue."""
+        drained = [
+            link for key, links in self._deferred.items() if key not in self._awaited
+            for link in links
+        ]
         self._deferred.clear()
         return drained
 
     @property
     def deferred_count(self) -> int:
         return sum(len(links) for links in self._deferred.values())
-
-    @property
-    def restricts(self) -> bool:
-        return self.spec.restricts or self.hints.pod_count > 0
 
     def _source_key(self, url: str) -> str:
         """The admission unit of a URL — its origin, extended by the

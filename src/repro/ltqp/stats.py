@@ -104,6 +104,10 @@ class ExecutionStats:
     pruned_by_rule: dict[str, int] = field(default_factory=dict)
     #: Origin → pruned-link count.
     pruned_by_origin: dict[str, int] = field(default_factory=dict)
+    #: Source-index declarations turned away: the document claimed to
+    #: describe a pod it is not served from (an index speaks for its own
+    #: pod only), so nothing it said was used.
+    declarations_rejected: int = 0
 
     def note_pruned(self, rule: str, origin: str) -> None:
         """Attribute one selector-pruned link to its rule and origin."""
@@ -164,6 +168,7 @@ class ExecutionStats:
             "links_pruned": self.links_pruned,
             "pruned_by_rule": dict(sorted(self.pruned_by_rule.items())),
             "pruned_by_origin": dict(sorted(self.pruned_by_origin.items())),
+            "declarations_rejected": self.declarations_rejected,
             "documents_attempted": self.documents_attempted,
             "documents_fetched": self.documents_fetched,
             "documents_retried": self.documents_retried,

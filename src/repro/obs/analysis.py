@@ -238,7 +238,9 @@ def trace_execution_stats(tracer: Tracer) -> dict:
                 documents_refused += 1
                 kind = span.args.get("refused") or "unknown"
                 refusals_by_kind[kind] = refusals_by_kind.get(kind, 0) + 1
-            elif outcome != "over-bound":  # in flight as max_documents filled: uncounted
+            # Uncounted: in flight as max_documents filled; turned away or
+            # parked by source selection, which is scoping, not failure.
+            elif outcome not in ("over-bound", "pruned", "deferred"):
                 documents_failed += 1
                 if outcome == "retried":
                     documents_retried += 1

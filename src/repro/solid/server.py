@@ -107,6 +107,20 @@ class SolidServer(App):
         for listener in list(self._change_listeners):
             listener(url)
 
+    def _written(self, pod: Pod, relative: str) -> None:
+        """An accepted write to ``relative`` is in place: drop renderings,
+        stamp the document — and, when it now says something the pod's
+        published source index does not, the rewritten index too (a new
+        validator, so caches and standing queries see it)."""
+        from ..solidbench.hints import HINT_DOCUMENT_PATH, index_after_write
+
+        self._render_cache.clear()
+        self._record_write(pod.base_url + relative)
+        index = index_after_write(pod, relative)
+        if index is not None:
+            pod.add_document(HINT_DOCUMENT_PATH, index)
+            self._record_write(pod.base_url + HINT_DOCUMENT_PATH)
+
     # ------------------------------------------------------------------
     # pod management
     # ------------------------------------------------------------------
@@ -260,8 +274,7 @@ class SolidServer(App):
         graph = Graph(document.triples)
         counts = apply_update(graph, operations)
         document.triples[:] = list(graph)
-        self._render_cache.clear()
-        self._record_write(pod.base_url + relative)
+        self._written(pod, relative)
         body = f"added {counts['added']}, removed {counts['removed']}".encode("utf-8")
         return Response(200, {"content-type": "text/plain"}, body)
 
@@ -290,8 +303,7 @@ class SolidServer(App):
             return Response(400, {"content-type": "text/plain"}, str(error).encode("utf-8"))
         existed = pod.has_document(relative)
         pod.add_document(relative, triples)
-        self._render_cache.clear()
-        self._record_write(pod.base_url + relative)
+        self._written(pod, relative)
         return Response(204 if existed else 201, {"content-type": "text/plain"}, b"")
 
     # ------------------------------------------------------------------

@@ -67,11 +67,12 @@ class SolidBenchConfig:
 
     #: Publish a per-pod source index at ``settings/cardinality`` (class
     #: partitions, predicate sets, cardinalities, predicate ranges) linked
-    #: from the WebID via ``subweb:cardinalityIndex`` — the summary side of
-    #: guided traversal (DESIGN.md §4g).  Off by default: a hinted universe
-    #: has extra documents/triples per pod, which would shift the baseline
-    #: zero-knowledge benchmarks.
-    emit_hints: bool = False
+    #: from the WebID via ``subweb:cardinalityIndex`` — what a pod must
+    #: publish for source selection, which runs in every execution, to skip
+    #: its irrelevant containers (DESIGN.md §4g).  ``False`` builds the
+    #: paper-shaped pods — no index, so every reachable document is
+    #: crawled — that E1–E14 and the waterfall goldens reproduce.
+    emit_hints: bool = True
 
     @property
     def person_count(self) -> int:

@@ -29,6 +29,7 @@ from ..rdf.terms import BlankNode, Literal, NamedNode, XSD_DATETIME, XSD_LONG, i
 from ..rdf.triples import Triple
 from ..solid.pod import Pod
 from .config import Fragmentation, SolidBenchConfig
+from .hints import HINT_DOCUMENT_PATH, build_hint_triples, cardinality_index_url
 from .social import MessageData, PersonData, SocialNetwork
 
 __all__ = ["PodFragmenter"]
@@ -100,8 +101,6 @@ class PodFragmenter:
         if self._config.emit_hints:
             # Content documents are in place; the hint builder summarizes
             # them, so it must run before (only) the profile/type index.
-            from .hints import HINT_DOCUMENT_PATH, build_hint_triples
-
             pod.add_document(
                 HINT_DOCUMENT_PATH, build_hint_triples(pod, ranges=self._hint_ranges())
             )
@@ -164,8 +163,6 @@ class PodFragmenter:
             Triple(me, SNVOC.browserUsed, Literal(person.browser)),
         ]
         if self._config.emit_hints:
-            from .hints import cardinality_index_url
-
             triples.append(
                 Triple(
                     me,

@@ -80,8 +80,9 @@ def check_golden(name: str, rendered: str) -> None:
 
 class TestGoldenWaterfall:
     @pytest.fixture(scope="class")
-    def tracers(self, tiny_universe):
-        return golden_scenario(tiny_universe)
+    def tracers(self, paper_tiny_universe):
+        # The goldens are the paper's Fig. 4 crawl: pods that publish no index.
+        return golden_scenario(paper_tiny_universe)
 
     def test_traces_well_formed(self, tracers):
         for tracer in tracers:

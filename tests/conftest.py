@@ -9,7 +9,8 @@ from repro.solidbench import SolidBenchConfig, build_universe
 
 @pytest.fixture(scope="session")
 def tiny_universe():
-    """~15 pods; enough for every Discover template to return results."""
+    """~15 pods; enough for every Discover template to return results.
+    Default pods: each publishes its source index."""
     return build_universe(SolidBenchConfig(scale=0.01, seed=7))
 
 
@@ -17,6 +18,20 @@ def tiny_universe():
 def small_universe():
     """~31 pods; used by heavier integration tests."""
     return build_universe(SolidBenchConfig(scale=0.02, seed=42))
+
+
+@pytest.fixture(scope="session")
+def paper_tiny_universe():
+    """``tiny_universe`` with the paper-shaped pods — no published source
+    index, so traversal is the paper's full crawl.  For tests that pin that
+    crawl's counts, pop order or waterfall."""
+    return build_universe(SolidBenchConfig(scale=0.01, seed=7, emit_hints=False))
+
+
+@pytest.fixture(scope="session")
+def paper_small_universe():
+    """``small_universe`` with the paper-shaped pods (see ``paper_tiny_universe``)."""
+    return build_universe(SolidBenchConfig(scale=0.02, seed=42, emit_hints=False))
 
 
 @pytest.fixture()

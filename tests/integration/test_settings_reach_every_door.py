@@ -224,3 +224,19 @@ def test_owner_headers_read_what_a_stranger_is_refused(open_door, reference, doo
     assert status == 200 and results > 0
     assert read_as(owner + 1) == (403, 0)  # authenticated, not authorized
     assert read_as(None) == (401, 0)
+
+
+@pytest.mark.parametrize("door", DOORS)
+def test_source_selection_runs_behind_every_door_with_no_setting(open_door, reference, door):
+    """Not a setting at all: every door's pods publish their index and every
+    door's engine reads it, so the same query prunes the same links."""
+    query = discover_query(reference, 1, 1)
+    bare = reference.fast_engine().query(query.text, seeds=query.seeds).run_sync().stats
+    assert bare.pruned_by_rule == {"hint:infra": 2}
+    stats = open_door(door).run(query.text, list(query.seeds)).stats
+    assert (stats.pruned_by_rule, stats.documents_fetched, stats.result_count) == (
+        bare.pruned_by_rule, bare.documents_fetched, bare.result_count
+    )
+    paper = build_universe(dataclasses.replace(CONFIG, emit_hints=False))
+    crawl = paper.fast_engine().query(query.text, seeds=query.seeds).run_sync().stats
+    assert crawl.links_pruned == 0 and crawl.documents_fetched > 2 * bare.documents_fetched

@@ -65,11 +65,13 @@ class TestMaxResults:
 
 class TestMaxDocuments:
     def test_refused_document_is_neither_counted_nor_link_extracted(
-        self, tiny_universe, monkeypatch
+        self, paper_tiny_universe, monkeypatch
     ):
         """Workers in flight when ``max_documents`` fills still deliver
         their documents; the bound turns those away *whole* — not ingested,
-        not counted as fetched or from-store, and not mined for links."""
+        not counted as fetched or from-store, and not mined for links.
+        (The paper-shaped crawl: its root listing fans out wide enough to
+        have eight fetches in flight when the fifth document lands.)"""
         import asyncio
 
         from repro.ltqp import QUEUE_POLICIES, LinkQueue
@@ -88,13 +90,13 @@ class TestMaxDocuments:
         # Warm store + always-stale HTTP cache: every document is a 304
         # revalidation the workers await concurrently, then a store hit.
         resources = SharedResources.for_universe(
-            tiny_universe,
+            paper_tiny_universe,
             latency=ConstantLatency(rtt_seconds=0.001),
             http_cache=HttpCache(default_max_age=0),
             config=EngineConfig(traversal=TraversalPolicy(queue_policy="recording")),
         )
         service = QueryService(resources)
-        query = discover_query(tiny_universe, 1, 5)
+        query = discover_query(paper_tiny_universe, 1, 5)
         tracer = Tracer()
 
         async def scenario():

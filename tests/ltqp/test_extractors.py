@@ -191,3 +191,30 @@ class TestExtractorStateIsPerExecution:
         assert after.stats.documents_fetched == alone.stats.documents_fetched
         assert after.stats.links_by_extractor == alone.stats.links_by_extractor
         assert sorted(map(str, after.bindings)) == sorted(map(str, alone.bindings))
+
+
+class TestAHintContainerLinkIsARegistration:
+    """E8's ``type-index`` stack reaches containers only through what the
+    type index *registers* (``ScopedLdpContainerExtractor`` descends nowhere
+    else).  On a pod with a complete source index the type index is pruned
+    as redundant, so the containers the index names must register too — it
+    used to list ``posts/`` via ``hint-container`` and return 0 of 28 rows."""
+
+    @pytest.mark.parametrize("template", [1, 2, 6])
+    def test_the_scoped_stack_is_oracle_equal_on_default_pods(self, tiny_universe, template):
+        from repro.bench.harness import oracle_bindings
+        from repro.solidbench import discover_query
+
+        assert tiny_universe.config.emit_hints
+        query = discover_query(tiny_universe, template, 1)
+        stack = [MatchIriExtractor(), StorageExtractor(), TypeIndexExtractor(),
+                 ScopedLdpContainerExtractor()]
+        execution = tiny_universe.fast_engine(extractors=stack).query(
+            query.text, seeds=query.seeds
+        ).run_sync()
+        expected = oracle_bindings(tiny_universe, query)
+        assert expected and set(execution.bindings) == expected
+        assert execution.stats.pruned_by_rule == {"hint:infra": 2}  # root, type index
+        assert execution.stats.links_by_extractor["ldp-scoped"] > 0
+        # The type index itself was linked, then pruned unread: no registration came from it.
+        assert execution.stats.links_by_extractor["type-index"] == 1

@@ -157,6 +157,92 @@ class TestCardinalityHints:
         assert hints.absorb_document("https://h/x", ParsedDocument()) is None
         assert hints.pod_count == 0
 
+    @pytest.mark.parametrize(
+        "served_from",
+        [
+            OTHER + "settings/cardinality",  # another pod on the same host
+            "https://elsewhere.example/pods/alice/settings/cardinality",
+            POD.rstrip("/") + "-evil/settings/cardinality",  # a string prefix, not a directory
+        ],
+    )
+    def test_an_index_served_from_outside_the_pod_it_declares_is_rejected(self, served_from):
+        _, document = hint_document(POD)
+        hints = CardinalityHints()
+        assert hints.absorb_document(served_from, document) is None
+        assert (hints.pod_count, hints.rejected) == (0, 1)
+        assert hints.pod_for(POD + "posts/2012-01-01") is None
+        assert hints.pod_by_source(served_from) is None
+
+    def test_a_base_that_is_no_directory_is_rejected(self):
+        base = POD.rstrip("/")
+        _, document = hint_document(base)
+        hints = CardinalityHints()
+        assert hints.absorb_document(base + "/settings/cardinality", document) is None
+        assert hints.rejected == 1
+
+    def test_entries_outside_the_declared_base_are_dropped(self):
+        url, document = hint_document()
+        foreign = NamedNode(url + "#c-foreign")
+        document = ParsedDocument(
+            list(document)
+            + [
+                Triple(NamedNode(url + "#index"), SUBWEB.infra, NamedNode(OTHER)),
+                Triple(foreign, SUBWEB.container, NamedNode(OTHER + "posts/")),
+                Triple(foreign, SUBWEB.predicate, NamedNode("https://x/nothing")),
+            ]
+        )
+        hints = CardinalityHints()
+        pod = hints.absorb_document(url, document)
+        assert OTHER not in pod.infra and POD in pod.infra
+        assert {hint.container for hint in pod.containers} == {POD + "posts/", POD + "noise/"}
+        assert hints.pod_for(OTHER + "posts/2012-01-01") is None
+        assert hints.rejected == 0
+
+    def test_nested_bases_resolve_to_the_innermost(self):
+        hints = CardinalityHints()
+        outer_url, outer_document = hint_document("https://solidbench.example/pods/")
+        outer = hints.absorb_document(outer_url, outer_document)
+        inner = hints.absorb_document(*hint_document(POD))
+        assert hints.pod_for(POD + "posts/2012-01-01") is inner
+        assert hints.pod_for(POD) is inner
+        assert hints.pod_for(OTHER + "posts/x") is outer
+        assert hints.pod_for("https://solidbench.example/elsewhere") is None
+        assert hints.pod_for("https://other.example/pods/alice/posts/x") is None
+
+    def test_lookups_probe_the_urls_own_prefixes_not_every_pod(self):
+        """Absorbing more pods must not make a lookup look at more keys."""
+
+        class CountingDict(dict):
+            probes = 0
+
+            def get(self, key, default=None):
+                CountingDict.probes += 1
+                return super().get(key, default)
+
+        hints = CardinalityHints()
+        hints._pods = CountingDict()
+        for index in range(200):
+            hints.absorb_document(*hint_document(f"https://solidbench.example/pods/p{index}/"))
+        CountingDict.probes = 0
+        assert hints.pod_for("https://solidbench.example/pods/p7/posts/2012-01-01").pod.endswith("/p7/")
+        assert hints.pod_for("https://solidbench.example/nowhere/else/at/all") is None
+        assert CountingDict.probes <= 10
+
+    def test_a_root_level_document_is_its_own_summary_unit(self):
+        url = POD + "settings/cardinality"
+        unit = NamedNode(url + "#c-posts")
+        document = ParsedDocument(
+            [
+                Triple(NamedNode(url + "#index"), SUBWEB.pod, NamedNode(POD)),
+                Triple(unit, SUBWEB.container, NamedNode(POD + "posts")),
+                Triple(unit, SUBWEB.entities, Literal("12")),
+            ]
+        )
+        pod = CardinalityHints().absorb_document(url, document)
+        assert pod.container_for(POD + "posts").entities == 12
+        assert pod.container_for(POD + "posts-elsewhere") is None
+        assert pod.container_for(POD + "posts/2012") is None
+
 
 class TestRelevance:
     def test_noise_container_is_irrelevant_to_creator_query(self):
@@ -166,15 +252,115 @@ class TestRelevance:
         scopes = query_scopes(where_of(CREATOR_QUERY))
         posts = pod.container_for(POD + "posts/x")
         noise = pod.container_for(POD + "noise/x")
-        assert container_relevant(posts, scopes, hints.ranges)
-        assert not container_relevant(noise, scopes, hints.ranges)
+        assert container_relevant(posts, scopes, pod.ranges)
+        assert not container_relevant(noise, scopes, pod.ranges)
 
     def test_no_scopes_means_everything_relevant(self):
         url, document = hint_document()
         hints = CardinalityHints()
         pod = hints.absorb_document(url, document)
         noise = pod.container_for(POD + "noise/x")
-        assert container_relevant(noise, (), hints.ranges)
+        assert container_relevant(noise, (), pod.ranges)
+
+
+class TestRangesAreThePodsOwn:
+    REPLY_QUERY = (
+        f"PREFIX snvoc: <{SNVOC.hasCreator.value.rsplit('hasCreator', 1)[0]}>\n"
+        "SELECT ?c WHERE { ?m snvoc:hasReply ?r . ?r snvoc:content ?c }"
+    )
+
+    @staticmethod
+    def index_with_posts(pod_base, range_class=None):
+        url = pod_base + "settings/cardinality"
+        posts = NamedNode(url + "#c-posts")
+        triples = [
+            Triple(NamedNode(url + "#index"), SUBWEB.pod, NamedNode(pod_base)),
+            Triple(posts, SUBWEB.container, NamedNode(pod_base + "posts/")),
+            Triple(posts, SUBWEB["class"], SNVOC.Post),
+            # No hasReply in there: only ``?r`` could bind from this container.
+            Triple(posts, SUBWEB.predicate, SNVOC.content),
+        ]
+        if range_class is not None:
+            declared = NamedNode(url + "#r0")
+            triples += [
+                Triple(declared, SUBWEB.rangeOf, SNVOC.hasReply),
+                Triple(declared, SUBWEB.rangeClass, range_class),
+            ]
+        return url, ParsedDocument(triples)
+
+    def test_one_pods_ranges_do_not_judge_anothers_containers(self):
+        """Alice declares every ``hasReply`` object a Comment, which makes
+        her Post container irrelevant to ``?r``; Bob declares nothing and
+        his stays relevant — her word is not universe-wide."""
+        selector = SourceSelector(where=where_of(self.REPLY_QUERY))
+        selector.absorb_document(*self.index_with_posts(POD, SNVOC.Comment))
+        selector.absorb_document(*self.index_with_posts(OTHER))
+        assert selector.check_static(Link(POD + "posts/x")).rule == "hint:irrelevant"
+        assert selector.check_static(Link(OTHER + "posts/x")).action == "follow"
+
+
+class TestLinksWaitForTheIndexTheirDocumentAdvertises:
+    CARD = POD + "profile/card"
+    INDEX = POD + "settings/cardinality"
+
+    def card(self):
+        return ParsedDocument(
+            [Triple(NamedNode(self.CARD + "#me"), SUBWEB.cardinalityIndex, NamedNode(self.INDEX))]
+        )
+
+    def selector_past_the_card(self):
+        selector = SourceSelector(where=where_of(CREATOR_QUERY), seeds=[self.CARD])
+        assert selector.absorb_document(self.CARD, self.card()) == []
+        return selector
+
+    def test_siblings_wait_the_index_link_itself_does_not(self):
+        selector = self.selector_past_the_card()
+        root = Link(POD, parent_url=self.CARD, via="storage")
+        index = Link(self.INDEX, parent_url=self.CARD, via="hint")
+        unrelated = Link(POD, parent_url=OTHER + "profile/card")
+        decision = selector.check(root)
+        assert (decision.action, decision.rule) == ("defer", "index:pending")
+        assert selector.check(index).action == "follow"
+        assert selector.check(unrelated).action == "follow"
+
+    def test_the_index_arriving_releases_them_to_be_judged_by_it(self):
+        selector = self.selector_past_the_card()
+        root = Link(POD, parent_url=self.CARD, via="storage")
+        posts = Link(POD + "posts/2012-01-01", parent_url=self.CARD, via="match")
+        for link in (root, posts):
+            assert selector.check(link).action == "defer"
+            selector.defer(link)
+        released = selector.absorb_document(*hint_document())
+        assert [link.url for link in released] == [root.url, posts.url]
+        assert selector.check(root).rule == "hint:infra"
+        assert selector.check(posts).action == "follow"
+        assert selector.deferred_count == 0
+
+    def test_whatever_arrives_at_the_index_url_ends_the_wait(self):
+        selector = self.selector_past_the_card()
+        root = Link(POD, parent_url=self.CARD)
+        selector.defer(root)
+        assert selector.absorb_document(self.INDEX, ParsedDocument()) == [root]
+        assert selector.check(root).action == "follow"
+
+    def test_an_index_that_never_arrives_is_given_up_on_at_quiescence(self):
+        selector = self.selector_past_the_card()
+        root = Link(POD, parent_url=self.CARD)
+        selector.defer(root)
+        assert selector.release_unjudged() == [root]
+        assert selector.check(root).action == "follow"  # unjudged: no hints arrived
+        assert selector.release_unjudged() == []
+
+    def test_links_a_bounded_run_left_waiting_are_not_drained_as_pruned(self):
+        selector = self.selector_past_the_card()
+        selector.defer(Link(POD, parent_url=self.CARD))
+        assert selector.drain_deferred() == []
+
+    def test_an_index_already_absorbed_is_not_waited_for(self):
+        selector = SourceSelector(where=where_of(CREATOR_QUERY), seeds=[self.CARD])
+        selector.absorb_document(*hint_document())
+        selector.absorb_document(self.CARD, self.card())
+        assert selector.check(Link(POD + "posts/x", parent_url=self.CARD)).action == "follow"
 
 
 class TestSourceSelector:

@@ -264,6 +264,41 @@ class TestOneHome:
         builders = ["service/resources.py", "solidbench/universe.py"]
         assert {name: sorted(found) for name, found in sites.items()} == dict.fromkeys(sites, builders)
 
+    def test_the_queue_policy_orders_and_selects_nothing(self):
+        """Source selection is no mode: ``engine.py`` reads ``queue_policy``
+        once, to build the queue, and decides nowhere whether an execution
+        has a selector — ``_set_up`` builds one unconditionally and nothing
+        tests for its absence."""
+        from repro.ltqp import engine
+
+        source = Path(engine.__file__).read_text(encoding="utf-8")
+        tree = ast.parse(source)
+        reads = [
+            node for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "queue_policy"
+        ]
+        factory_calls = [
+            node for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "queue_factory_for"
+        ]
+        assert len(reads) == len(factory_calls) == 1
+        assert reads[0] in factory_calls[0].args
+        set_up = next(
+            node for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == "_set_up"
+        )
+        built = lambda node: [  # noqa: E731
+            name for name in ast.walk(node)
+            if isinstance(name, ast.Name) and name.id in ("SourceSelector", "HintDiscoveryExtractor")
+        ]
+        assert len(built(set_up)) == 2
+        assert not [
+            branch for branch in ast.walk(set_up)
+            if isinstance(branch, (ast.If, ast.IfExp)) and built(branch)
+        ]
+        assert "selector is not None" not in source and "selector is None" not in source
+        assert TraversalPolicy().queue_policy == "fifo"
+
     def test_nobody_re_configures_the_client_under_them(self):
         """The network policy is given to the client at construction: no
         class offers ``apply_policy``, and ``.policy`` / ``.breakers`` are

@@ -151,8 +151,9 @@ class TestPlanAwareSource:
             assert "read_set" not in body
 
     #: template → (documents fetched, triples discovered, triples stored) for
-    #: variant 1 at scale 0.02 / seed 42.  The first two are the parent
-    #: commit's numbers (PR 19, which stored every triple it discovered).
+    #: variant 1 at scale 0.02 / seed 42, paper-shaped pods (the full crawl).
+    #: The first two are the parent commit's numbers (PR 19, which stored
+    #: every triple it discovered).
     PINNED = {
         1: (101, 2379, 483),
         2: (109, 2569, 220),
@@ -170,22 +171,22 @@ class TestPlanAwareSource:
         return engine.query(query, seeds=seeds).run_sync().stats
 
     @pytest.mark.parametrize("template", sorted(PINNED))
-    def test_discover_counts(self, small_universe, template):
-        query = discover_query(small_universe, template, 1)
-        stats = self.run(small_universe, query.text, query.seeds)
+    def test_discover_counts(self, paper_small_universe, template):
+        query = discover_query(paper_small_universe, template, 1)
+        stats = self.run(paper_small_universe, query.text, query.seeds)
         assert (
             stats.documents_fetched, stats.triples_discovered, stats.triples_stored
         ) == self.PINNED[template]
         assert stats.completeness()["complete"]
 
-    def test_wildcard_plan_stores_all_it_discovers(self, small_universe):
+    def test_wildcard_plan_stores_all_it_discovers(self, paper_small_universe):
         # The same WHERE (so the same traversal) under DESCRIBE, whose CBD
         # walk can read any quad.
-        query = discover_query(small_universe, 8, 1)
+        query = discover_query(paper_small_universe, 8, 1)
         describe = dataclasses.replace(
             parse_query(query.text), form="DESCRIBE", describe_targets=(NamedNode(query.seeds[0]),)
         )
-        stats = self.run(small_universe, describe, query.seeds)
+        stats = self.run(paper_small_universe, describe, query.seeds)
         assert (stats.documents_fetched, stats.triples_discovered, stats.triples_stored) == (
             3483, 79775, 79775,
         )

@@ -142,6 +142,7 @@ def scan_hints(selector):
         if pod is not None:
             for hint in selector.relevant_containers(pod):
                 first_class = min(hint.classes) if hint.classes else None
+                targets.add(hint.container)  # a hint-container link is a registration
                 yield hint.container, LinkProvenance(
                     extractor="hint-container", for_class=first_class
                 )

@@ -31,9 +31,10 @@ DISCIPLINES = ["lifo", "priority", "fair", "guided"]
 
 
 @pytest.fixture(scope="module")
-def hinted_universe():
-    """Tiny universe whose pods publish cardinality-hint documents."""
-    return build_universe(SolidBenchConfig(scale=0.01, seed=7, emit_hints=True))
+def hinted_universe(tiny_universe):
+    """Default pods: each publishes its cardinality-hint document."""
+    assert tiny_universe.config.emit_hints
+    return tiny_universe
 
 
 def run(universe, template, variant, tracer=None, **config_kwargs):
@@ -89,13 +90,13 @@ class TestDisciplineEquivalence:
         query=st.sampled_from(QUERIES),
     )
     def test_hinted_guided_matches_unhinted_fifo(
-        self, tiny_universe, hinted_universe, discipline, query
+        self, paper_tiny_universe, hinted_universe, discipline, query
     ):
         # Hints prune infrastructure and irrelevant containers, never
         # answer-contributing documents: the hinted universe must answer
         # exactly like the plain one, under every discipline.
         template, variant = query
-        plain = run(tiny_universe, template, variant, queue_policy="fifo")
+        plain = run(paper_tiny_universe, template, variant, queue_policy="fifo")
         hinted = run(hinted_universe, template, variant, queue_policy=discipline)
         assert multiset(hinted) == multiset(plain)
 
@@ -141,47 +142,54 @@ class TestSpecRestrictedAnswer:
 
 
 class TestGuidedCostPinned:
-    """What guiding buys, as counts on a tick clock: variant 1 of every
-    single-pod template, fifo vs guided + the declared-origins spec on the
-    hinted scale-0.02 / seed-42 universe.  No latency and a TickClock make
-    dereference counts and times-to-first-result (in trace events) exact
-    replay properties; the rows are those of the ``guided`` experiment in
-    ``EXPERIMENTS.json``."""
+    """What source selection buys, and what guided order plus a caller's
+    spec add to it, as counts on a tick clock: variant 1 of every
+    single-pod template as the three columns of the ``guided`` experiment
+    in ``EXPERIMENTS.json`` — the paper's fifo crawl of pods that publish
+    nothing, the same fifo engine on default pods (each publishes its
+    source index), and default pods under guided order + the
+    declared-origins spec — on the scale-0.02 / seed-42 universe.  No
+    latency and a TickClock make dereference counts and
+    times-to-first-result (in trace events) exact replay properties."""
 
-    #: template → (results, fifo derefs, guided derefs, fifo TTFR ticks,
-    #: guided TTFR ticks, links pruned).  The two TTFR columns count clock
-    #: reads, and were re-pinned when the growing source became plan-aware
-    #: (PR 20): a document that keeps no quad no longer flushes the pipeline
-    #: before the first result, so fewer ``advance-batch`` spans read the
-    #: clock on the way there (template 7 fifo 1.687 → 1.407).  The four
-    #: count columns did not move.
+    #: template → (results; dereferences paper / default / guided+spec;
+    #: TTFR ticks paper / default / guided+spec; links pruned default /
+    #: guided+spec).  The guided+spec columns are what PR 23 pinned; its fifo
+    #: column was this paper column plus one document, the index fifo then
+    #: fetched and ignored.
     PINNED = {
-        1: (26, 102, 29, 1.609, 0.157, 8),
-        2: (70, 110, 74, 0.361, 0.236, 5),
-        3: (52, 177, 137, 2.897, 0.329, 8),
-        4: (25, 157, 98, 0.385, 0.271, 29),
-        5: (18, 143, 46, 1.589, 0.179, 24),
-        6: (7, 100, 33, 1.505, 0.583, 6),
-        7: (1, 117, 60, 1.407, 1.282, 7),
+        1: (26, 101, 34, 29, 1.607, 0.175, 0.157, 2, 8),
+        2: (70, 109, 77, 74, 0.359, 0.245, 0.236, 2, 5),
+        3: (52, 176, 142, 137, 2.883, 2.227, 0.329, 2, 8),
+        4: (25, 156, 125, 98, 0.383, 0.271, 0.271, 2, 29),
+        5: (18, 142, 67, 46, 1.587, 0.197, 0.179, 2, 24),
+        6: (7, 99, 37, 33, 1.503, 0.589, 0.583, 2, 6),
+        7: (1, 116, 65, 60, 1.405, 1.297, 1.282, 2, 7),
     }
 
     @pytest.fixture(scope="class")
-    def universe(self):
-        return build_universe(SolidBenchConfig(scale=0.02, seed=42, emit_hints=True))
+    def universes(self):
+        return {
+            publishing: build_universe(
+                SolidBenchConfig(scale=0.02, seed=42, emit_hints=publishing)
+            )
+            for publishing in (False, True)
+        }
 
     @pytest.mark.parametrize("template", sorted(PINNED))
-    def test_dereferences_ttfr_and_pruning_are_exact(self, universe, template):
-        fifo = run(universe, template, 1, Tracer(clock=TickClock()), queue_policy="fifo")
-        guided = run(
-            universe, template, 1, Tracer(clock=TickClock()),
-            queue_policy="guided", subweb=declared_spec(),
-        )
-        assert multiset(guided) == multiset(fifo)
+    def test_dereferences_ttfr_and_pruning_are_exact(self, universes, template):
+        def ticked(publishing, **policy):
+            return run(universes[publishing], template, 1, Tracer(clock=TickClock()), **policy)
+
+        paper = ticked(False, queue_policy="fifo")
+        default = ticked(True, queue_policy="fifo")
+        guided = ticked(True, queue_policy="guided", subweb=declared_spec())
+        assert multiset(default) == multiset(guided) == multiset(paper)
+        assert paper.stats.links_pruned == 0
         assert (
-            len(fifo.bindings),
-            fifo.stats.documents_fetched,
-            guided.stats.documents_fetched,
-            round(fifo.stats.time_to_first_result, 4),
-            round(guided.stats.time_to_first_result, 4),
+            len(paper.bindings),
+            *(e.stats.documents_fetched for e in (paper, default, guided)),
+            *(round(e.stats.time_to_first_result, 4) for e in (paper, default, guided)),
+            default.stats.links_pruned,
             guided.stats.links_pruned,
         ) == self.PINNED[template]

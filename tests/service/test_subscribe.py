@@ -12,7 +12,7 @@ from urllib.parse import quote
 
 import pytest
 
-from repro.net import NoLatency
+from repro.net import ConstantLatency, NoLatency
 from repro.net.message import Request
 from repro.rdf.terms import term_to_ntriples
 from repro.service import (
@@ -28,8 +28,8 @@ FOAF = "http://xmlns.com/foaf/0.1/"
 CONFIG = SolidBenchConfig(scale=0.005, seed=7)
 
 
-def make_service(universe, **kwargs):
-    resources = SharedResources.for_universe(universe, latency=NoLatency())
+def make_service(universe, latency=None, **kwargs):
+    resources = SharedResources.for_universe(universe, latency=latency or NoLatency())
     return QueryService(resources, **kwargs)
 
 
@@ -143,7 +143,11 @@ class TestServiceSubscribe:
 
         async def scenario():
             pod = next(iter(universe.pods.values()))
-            service = make_service(universe, max_concurrent=1, max_queued=0)
+            # A few documents at 20 ms each: the first is still traversing
+            # when the second asks (without latency it is done in 5 ms).
+            service = make_service(
+                universe, ConstantLatency(rtt_seconds=0.02), max_concurrent=1, max_queued=0
+            )
             first = asyncio.ensure_future(
                 service.subscribe(name_query(pod), seeds=[pod.profile_url])
             )
