@@ -40,6 +40,7 @@ import json
 from .bench.waterfall import build_waterfall, render_waterfall
 from .obs import Metrics, Tracer, render_trace_summary, write_chrome_trace
 from .ltqp.engine import EngineConfig, TraversalPolicy
+from .ltqp.guided import SubwebSpecification
 from .net.faults import FaultPlan
 from .net.latency import NoLatency, SeededJitterLatency
 from .net.resilience import NetworkPolicy
@@ -90,6 +91,14 @@ def _add_query_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _subweb_file(path: str) -> SubwebSpecification:
+    """``--subweb PATH``, read once where the arguments are parsed."""
+    try:
+        return SubwebSpecification.from_file(path)
+    except (OSError, ValueError, KeyError) as error:
+        raise argparse.ArgumentTypeError(f"cannot read subweb spec {path!r}: {error}") from None
+
+
 def _add_engine_args(parser: argparse.ArgumentParser) -> None:
     """Queue discipline, guided traversal and the hardening budgets —
     applied to the one query ``main`` runs or to every query ``serve``
@@ -106,10 +115,10 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--subweb",
         metavar="PATH",
+        type=_subweb_file,
         help="subweb-specification JSON file scoping traversal to declared "
         "sources (guided traversal; pruned links are reported in the "
-        "completeness stats; shard workers load it independently, so the "
-        "path must be readable by each of them)",
+        "completeness stats)",
     )
     parser.add_argument(
         "--max-depth",

@@ -59,6 +59,9 @@ class DereferenceError(RuntimeError):
 #: What a dereference that parsed nothing carries (the value is immutable).
 _NO_DOCUMENT = ParsedDocument()
 
+#: Redirects followed before a chain counts as a loop.
+_MAX_REDIRECTS = 5
+
 
 @dataclass(slots=True)
 class DereferenceResult:
@@ -103,13 +106,11 @@ class Dereferencer:
         client: HttpClient,
         lenient: bool = True,
         extra_headers: Optional[dict[str, str]] = None,
-        max_redirects: int = 5,
         document_store=None,
     ) -> None:
         self._client = client
         self._lenient = lenient
         self._extra_headers = dict(extra_headers or {})
-        self._max_redirects = max_redirects
         #: Optional :class:`~repro.service.docstore.DocumentStore` — the
         #: cross-query parsed-document cache.
         self.document_store = document_store
@@ -215,7 +216,7 @@ class Dereferencer:
         URL and its response — or, for a redirect anomaly or an unfetchable
         URL, the URL it happened at, the response if there was one, and
         what went wrong.  ``fetch`` rides on to the client."""
-        for _ in range(self._max_redirects + 1):
+        for _ in range(_MAX_REDIRECTS + 1):
             try:
                 response = await self._client.fetch(
                     url, headers=self._extra_headers, parent_url=parent_url, **fetch

@@ -120,9 +120,8 @@ class TraversalPolicy:
     #: the extension point for further disciplines, is
     #: :data:`~repro.ltqp.links.QUEUE_POLICIES`.
     queue_policy: str = "fifo"
-    #: The caller's subweb specification (DESIGN.md §4g): a
-    #: :class:`~repro.ltqp.guided.SubwebSpecification`, a dict in its JSON
-    #: shape, or a path to a JSON spec file (the CLI's ``--subweb``).
+    #: The caller's subweb specification (DESIGN.md §4g; the CLI's
+    #: ``--subweb`` reads one from a JSON file).
     #: Source selection itself is not switched on by it — every execution
     #: has a :class:`~repro.ltqp.guided.SourceSelector`, which prunes what
     #: the pods it meets declare irrelevant (their published source index)
@@ -130,7 +129,7 @@ class TraversalPolicy:
     #: dereference, attributed in ``ExecutionStats.completeness()``; this
     #: adds the caller's own rules to those.  Pods that publish nothing
     #: are crawled in full, as in the paper.
-    subweb: Optional[object] = None
+    subweb: Optional[SubwebSpecification] = None
     #: Micro-batching of pipeline advancement: documents accumulate in the
     #: growing source until at least this many new quads are pending, then
     #: one ``advance`` feeds them all — tiny documents coalesce instead of
@@ -146,19 +145,6 @@ class TraversalPolicy:
 
 #: The columns a CONSTRUCT query's triples are returned under.
 _TRIPLE_COLUMNS = (Variable("subject"), Variable("predicate"), Variable("object"))
-
-
-def _resolve_subweb(value):
-    """Normalize ``TraversalPolicy.subweb`` to a SubwebSpecification."""
-    if value is None:
-        return None
-    if isinstance(value, SubwebSpecification):
-        return value
-    if isinstance(value, dict):
-        return SubwebSpecification.from_json(value)
-    if isinstance(value, str):
-        return SubwebSpecification.from_file(value)
-    raise TypeError(f"subweb must be a SubwebSpecification, dict, or path; got {value!r}")
 
 
 class _OriginBudgets:
@@ -373,9 +359,7 @@ class QueryExecution:
         # Source selection: the per-execution selector judges every link
         # by the caller's spec and by what pods publish, and the hint
         # extractor finds those source indexes and specs during traversal.
-        self.selector = SourceSelector(
-            spec=_resolve_subweb(policy.subweb), where=query.where, seeds=seeds
-        )
+        self.selector = SourceSelector(spec=policy.subweb, where=query.where, seeds=seeds)
         self._extractors = [HintDiscoveryExtractor(self.selector), *self._extractors]
         stats.started_at = self._clock()
         if tracer is not None:
@@ -593,7 +577,7 @@ class QueryExecution:
         # declared by any traversed document — pruned.
         for parked in self.selector.drain_deferred():
             stats.note_pruned("origin:undeclared", parked.origin)
-        stats.declarations_rejected = self.selector.hints.rejected
+        stats.declarations_rejected = self.selector.declarations_rejected
         stats.finished_at = self._clock()
         stats.queue_samples = self.queue.samples
         stats.links_queued = self.queue.pushed_total

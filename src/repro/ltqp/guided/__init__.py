@@ -11,9 +11,10 @@ Three cooperating pieces:
 * :class:`SubwebSpecification` — declarative per-origin allow/deny/depth
   rules, loadable from a JSON file (CLI ``--subweb``) or discovered as RDF
   documents inside pods.
-* :class:`CardinalityHints` — per-pod source summaries (class partitions,
-  predicate sets, cardinalities per container) published by pods at a
-  ``subweb:cardinalityIndex`` document; SolidBench emits them.
+* :class:`CardinalityHints` — the per-pod source indexes (class
+  partitions, predicate sets, cardinalities per container; the format is
+  :mod:`repro.solid.index`) an execution has absorbed; SolidBench pods
+  publish one each.
 * :class:`SourceSelector` — combines both with the query's subject groups
   to decide, per link, *follow*, *defer* (origin not yet admitted), or
   *prune* — before the link ever costs a dereference.  Every pruned link
@@ -25,15 +26,13 @@ cardinalities, and result-contribution feedback from the pipeline.
 """
 
 from .discovery import HintDiscoveryExtractor
-from .hints import CardinalityHints, ContainerHint, PodHints, query_scopes
+from .hints import CardinalityHints, query_scopes
 from .queue import GuidedLinkQueue
 from .selector import LinkDecision, SourceSelector
 from .subweb import SubwebRule, SubwebSpecification
 
 __all__ = [
     "CardinalityHints",
-    "ContainerHint",
-    "PodHints",
     "query_scopes",
     "GuidedLinkQueue",
     "HintDiscoveryExtractor",

@@ -22,11 +22,12 @@ from ..extractors import LinkExtractor
 from ..links import LinkProvenance
 from ...rdf.namespaces import SUBWEB
 from ...rdf.terms import NamedNode
+from ...solid.index import ADVERTISEMENT
 
 __all__ = ["HintDiscoveryExtractor"]
 
 #: Where pods advertise their source index and their traversal scope.
-_ADVERTISEMENTS = (SUBWEB.cardinalityIndex, SUBWEB.specification)
+_ADVERTISEMENTS = (ADVERTISEMENT, SUBWEB.specification)
 
 
 class HintDiscoveryExtractor(LinkExtractor):

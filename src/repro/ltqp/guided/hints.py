@@ -1,15 +1,9 @@
-"""Per-pod cardinality hints (source summaries) and query subject groups.
+"""The per-execution side of source indexes, and query subject groups.
 
-A pod may publish a *source index* document (SolidBench emits one per pod
-at ``settings/cardinality``, linked from the WebID profile via
-``subweb:cardinalityIndex``) describing each content container: the RDF
-classes of the entities stored there, the set of predicates that occur,
-and document/entity counts.  It may also declare predicate *ranges*
-(``subweb:rangeOf`` / ``subweb:rangeClass`` — e.g. every object of
-``snvoc:containerOf`` is a ``snvoc:Post``) and, with
-``subweb:completeIndex true``, that the summary covers the pod's whole
-content tree so the LDP infrastructure crawl (root container, profile and
-settings listings, type index) is redundant.
+What a pod's source index says — and how it is read — lives in
+:mod:`repro.solid.index`; :class:`CardinalityHints` only collects the
+indexes one execution absorbs, keyed so that finding a link's pod costs
+a few dict probes.
 
 The consuming side is VoID-style source selection: the query's WHERE
 clause decomposes into *subject groups* — per conjunctive scope, the set
@@ -21,23 +15,21 @@ required predicates.  Irrelevant containers are pruned before
 dereferencing — sound under subject-local fragmentation (all triples of
 an entity live in its container's documents) and trusting summaries to be
 accurate, the model of the distributed-subweb-specification line of work.
-
-An index speaks for its own pod only: a declaration is accepted when the
-declared base is a directory prefix of the index document's own URL,
-entries outside that base are dropped, and its ranges bear on that pod's
-containers alone.  A pod that lies about itself loses its own rows —
-attributed ``hint:*`` in ``completeness()`` — and nobody else's.
+A pod's ranges bear on that pod's containers alone, so a pod that lies
+about itself loses its own rows — attributed ``hint:*`` in
+``completeness()`` — and nobody else's.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from ...rdf.document import ParsedDocument
-from ...rdf.namespaces import RDF, SUBWEB
-from ...rdf.terms import Literal, NamedNode, Term, Variable
+from ...rdf.namespaces import RDF
+from ...rdf.terms import NamedNode, Term
 from ...rdf.triples import TriplePattern
+from ...solid.index import ContainerSummary, SourceIndex, innermost
 from ...sparql.algebra import (
     BGP,
     AlternativePath,
@@ -61,93 +53,21 @@ from ...sparql.algebra import (
 )
 
 __all__ = [
-    "ContainerHint",
-    "PodHints",
     "CardinalityHints",
     "SubjectGroup",
     "QueryScope",
     "query_scopes",
     "container_relevant",
-    "is_hint_document",
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class ContainerHint:
-    """Summary of one content container."""
-
-    container: str
-    classes: frozenset = frozenset()
-    predicates: frozenset = frozenset()
-    documents: int = 0
-    entities: int = 0
-
-
-@dataclass(frozen=True, slots=True)
-class PodHints:
-    """Everything one source-index document declared about its pod."""
-
-    pod: str
-    source_url: str
-    complete: bool = False
-    containers: tuple = ()
-    #: Exact URLs of LDP infrastructure documents the index makes
-    #: redundant when ``complete`` (root/profile/settings listings, type
-    #: index).
-    infra: frozenset = frozenset()
-    #: Predicate → classes of its objects, as far as this pod's containers
-    #: are concerned.
-    ranges: Mapping[str, frozenset] = field(default_factory=dict)
-    _by_url: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_by_url", {hint.container: hint for hint in self.containers})
-
-    def container_for(self, url: str) -> Optional[ContainerHint]:
-        """The summary covering ``url`` (no fragment): the innermost
-        summarized container above it, or the document itself."""
-        return _innermost(self._by_url, url)
-
-
-def _innermost(table: Mapping[str, object], url: str):
-    """The entry keyed by ``url`` itself or else by the longest of its
-    directory prefixes (``…/a/b/`` before ``…/a/``) — a few probes per
-    URL however many keys the table holds."""
-    entry = table.get(url)
-    cut = len(url)
-    while entry is None:
-        cut = url.rfind("/", 0, cut)
-        if cut < 8:  # inside "https://": no directory left
-            return None
-        entry = table.get(url[: cut + 1])
-    return entry
-
-
-def is_hint_document(document: ParsedDocument) -> bool:
-    return SUBWEB.pod in document.predicates
-
-
-#: The predicates of a source-index document that carry its declarations.
-_INDEX_VOCABULARY = (
-    SUBWEB.pod,
-    SUBWEB.completeIndex,
-    SUBWEB.infra,
-    SUBWEB.container,
-    SUBWEB["class"],
-    SUBWEB.predicate,
-    SUBWEB.documents,
-    SUBWEB.entities,
-    SUBWEB.rangeOf,
-    SUBWEB.rangeClass,
-)
-
-
 class CardinalityHints:
-    """Accumulates :class:`PodHints` as source-index documents arrive."""
+    """The source indexes one execution has absorbed, by pod base and by
+    the URL each was read from."""
 
     def __init__(self) -> None:
-        self._pods: dict[str, PodHints] = {}
-        self._by_source: dict[str, PodHints] = {}
+        self._pods: dict[str, SourceIndex] = {}
+        self._by_source: dict[str, SourceIndex] = {}
         #: Declarations turned away because the index document lies outside
         #: the pod it claims to describe.
         self.rejected = 0
@@ -156,89 +76,28 @@ class CardinalityHints:
     def pod_count(self) -> int:
         return len(self._pods)
 
-    def absorb_document(self, url: str, document: ParsedDocument) -> Optional[PodHints]:
-        """Parse a source-index document; returns the pod's hints, or None
+    def absorb_document(self, url: str, document: ParsedDocument) -> Optional[SourceIndex]:
+        """Read a source-index document; returns the pod's index, or None
         when the document carries no ``subweb:pod`` declaration or declares
         a pod it is not served from (counted in :attr:`rejected`)."""
-        pod_base: Optional[str] = None
-        complete = False
-        infra: set[str] = set()
-        summaries: dict[Term, dict] = {}
-        range_of: dict[Term, str] = {}
-        range_classes: dict[Term, set] = {}
-        class_predicate = SUBWEB["class"]
-        for triple in document.select(_INDEX_VOCABULARY):
-            predicate = triple.predicate
-            obj = triple.object
-            if predicate == SUBWEB.pod and isinstance(obj, NamedNode):
-                pod_base = obj.value
-            elif predicate == SUBWEB.completeIndex and isinstance(obj, Literal):
-                complete = obj.value == "true"
-            elif predicate == SUBWEB.infra and isinstance(obj, NamedNode):
-                infra.add(obj.value)
-            elif predicate == SUBWEB.container and isinstance(obj, NamedNode):
-                summaries.setdefault(triple.subject, {})["container"] = obj.value
-            elif predicate == class_predicate and isinstance(obj, NamedNode):
-                summaries.setdefault(triple.subject, {}).setdefault("classes", set()).add(obj.value)
-            elif predicate == SUBWEB.predicate and isinstance(obj, NamedNode):
-                summaries.setdefault(triple.subject, {}).setdefault("predicates", set()).add(
-                    obj.value
-                )
-            elif predicate == SUBWEB.documents and isinstance(obj, Literal):
-                summaries.setdefault(triple.subject, {})["documents"] = _safe_int(obj.value)
-            elif predicate == SUBWEB.entities and isinstance(obj, Literal):
-                summaries.setdefault(triple.subject, {})["entities"] = _safe_int(obj.value)
-            elif predicate == SUBWEB.rangeOf and isinstance(obj, NamedNode):
-                range_of[triple.subject] = obj.value
-            elif predicate == SUBWEB.rangeClass and isinstance(obj, NamedNode):
-                range_classes.setdefault(triple.subject, set()).add(obj.value)
-        if pod_base is None:
-            return None
-        if not (pod_base.endswith("/") and url.startswith(pod_base)):
+        try:
+            pod = SourceIndex.from_document(url, document)
+        except ValueError:
             self.rejected += 1
             return None
-        containers = tuple(
-            ContainerHint(
-                container=str(fields["container"]),
-                classes=frozenset(fields.get("classes", ())),
-                predicates=frozenset(fields.get("predicates", ())),
-                documents=int(fields.get("documents", 0)),
-                entities=int(fields.get("entities", 0)),
-            )
-            for _, fields in sorted(summaries.items(), key=lambda item: str(item[0]))
-            if fields.get("container", "").startswith(pod_base)
-        )
-        pod = PodHints(
-            pod=pod_base,
-            source_url=url,
-            complete=complete,
-            containers=containers,
-            infra=frozenset(entry for entry in infra if entry.startswith(pod_base)),
-            ranges={
-                predicate: frozenset(range_classes.get(subject, ()))
-                for subject, predicate in range_of.items()
-                if range_classes.get(subject)
-            },
-        )
-        self._pods[pod_base] = pod
-        self._by_source[url.split("#", 1)[0]] = pod
+        if pod is not None:
+            self._pods[pod.pod] = pod
+            self._by_source[url.split("#", 1)[0]] = pod
         return pod
 
-    def pod_by_source(self, url: str) -> Optional[PodHints]:
-        """The pod hints absorbed from exactly this source-index URL."""
+    def pod_by_source(self, url: str) -> Optional[SourceIndex]:
+        """The index absorbed from exactly this source-index URL."""
         return self._by_source.get(url.split("#", 1)[0])
 
-    def pod_for(self, url: str) -> Optional[PodHints]:
+    def pod_for(self, url: str) -> Optional[SourceIndex]:
         """The absorbed pod ``url`` lies in — the innermost, when declared
         bases nest."""
-        return _innermost(self._pods, url)
-
-
-def _safe_int(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        return 0
+        return innermost(self._pods, url)
 
 
 # -- query subject groups ------------------------------------------------------
@@ -394,7 +253,7 @@ def _build_groups(items: list) -> list:
 
 
 def container_relevant(
-    hint: ContainerHint, scopes: tuple, ranges: Mapping[str, frozenset]
+    hint: ContainerSummary, scopes: tuple, ranges: Mapping[str, frozenset]
 ) -> bool:
     """Could any subject group bind entities out of this container?"""
     if not scopes:
@@ -406,7 +265,7 @@ def container_relevant(
     return False
 
 
-def _group_matches(group: SubjectGroup, hint: ContainerHint, ranges) -> bool:
+def _group_matches(group: SubjectGroup, hint: ContainerSummary, ranges) -> bool:
     # Class partition: every class constraint — declared rdf:type plus
     # range-derived ones — must intersect the container's classes.
     if hint.classes:

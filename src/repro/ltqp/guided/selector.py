@@ -4,8 +4,9 @@ One :class:`SourceSelector` serves one query execution.  It combines
 
 * a :class:`~repro.ltqp.guided.subweb.SubwebSpecification` (CLI-supplied
   and/or discovered inside pods),
-* :class:`~repro.ltqp.guided.hints.CardinalityHints` absorbed from
-  source-index documents as traversal encounters them, and
+* the pods' source indexes (:class:`~repro.solid.index.SourceIndex`),
+  collected in :class:`~repro.ltqp.guided.hints.CardinalityHints` as
+  traversal encounters them, and
 * the query's subject groups (:func:`~repro.ltqp.guided.hints.query_scopes`)
 
 into a per-link decision.  Checks split by *when* their grounds are
@@ -47,9 +48,9 @@ from typing import Iterable, Optional
 from ..links import Link
 from ...net.message import split_url
 from ...rdf.document import ParsedDocument
-from ...rdf.namespaces import SUBWEB
 from ...rdf.terms import NamedNode, intern_iri
-from .hints import CardinalityHints, container_relevant, is_hint_document, query_scopes
+from ...solid.index import ADVERTISEMENT, is_index_document
+from .hints import CardinalityHints, container_relevant, query_scopes
 from .subweb import SubwebSpecification
 
 __all__ = ["LinkDecision", "SourceSelector"]
@@ -75,9 +76,6 @@ class LinkDecision:
 _FOLLOW = LinkDecision(LinkDecision.FOLLOW)
 _AWAIT_ORIGIN = LinkDecision(LinkDecision.DEFER, "origin:undeclared")
 _AWAIT_INDEX = LinkDecision(LinkDecision.DEFER, "index:pending")
-
-#: Where a document names the source index its own links should be judged by.
-_INDEX_ADVERTISEMENT = (SUBWEB.cardinalityIndex,)
 
 
 class SourceSelector:
@@ -107,6 +105,8 @@ class SourceSelector:
         #: Relevance verdicts per container URL; dropped whenever an index
         #: is absorbed (it may re-declare a pod).
         self._relevance: dict[str, bool] = {}
+        #: Spec documents turned away because they do not parse.
+        self._specs_rejected = 0
 
     # -- decisions ------------------------------------------------------------
 
@@ -182,15 +182,19 @@ class SourceSelector:
             # Arrived: whatever it turns out to say, nobody waits for it longer.
             self._awaited.remove(url)
             released.extend(self._deferred.pop(url, ()))
-        if is_hint_document(document):
+        if is_index_document(document):
             self.hints.absorb_document(url, document)
             self._relevance.clear()
         else:
-            discovered = SubwebSpecification.from_document(document)
+            try:
+                discovered = SubwebSpecification.from_document(document)
+            except ValueError:  # a rule action / mode outside the vocabulary
+                self._specs_rejected += 1
+                discovered = None
             if discovered is not None:
                 self.spec = self.spec.compose(discovered)
                 self._admit_via = _predicates(self.spec.admit_origins_via)
-        advertisements = document.select(_INDEX_ADVERTISEMENT)  # of most documents, none
+        advertisements = document.select((ADVERTISEMENT,))  # of most documents, none
         if advertisements:
             self._advertised[url] = advertised = tuple(
                 triple.object.value.partition("#")[0]
@@ -237,6 +241,12 @@ class SourceSelector:
         ]
         self._deferred.clear()
         return drained
+
+    @property
+    def declarations_rejected(self) -> int:
+        """Source indexes declaring a foreign pod plus spec documents that
+        do not parse: each is ignored, as if never fetched."""
+        return self.hints.rejected + self._specs_rejected
 
     @property
     def deferred_count(self) -> int:

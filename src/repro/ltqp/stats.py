@@ -104,9 +104,9 @@ class ExecutionStats:
     pruned_by_rule: dict[str, int] = field(default_factory=dict)
     #: Origin → pruned-link count.
     pruned_by_origin: dict[str, int] = field(default_factory=dict)
-    #: Source-index declarations turned away: the document claimed to
-    #: describe a pod it is not served from (an index speaks for its own
-    #: pod only), so nothing it said was used.
+    #: Pod declarations turned away, so nothing they said was used: a
+    #: source index describing a pod it is not served from (an index
+    #: speaks for its own pod only), or a subweb spec that does not parse.
     declarations_rejected: int = 0
 
     def note_pruned(self, rule: str, origin: str) -> None:

@@ -30,7 +30,7 @@ import json
 import re
 import time
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from ..storage import StorageBackend, StorageTier
 from .message import Response
@@ -48,10 +48,6 @@ class CacheEntry:
     etag: str
     stored_at: float
     max_age: float
-    #: The request URL the entry answers — carried on the entry so the
-    #: cache can export/adopt entries wholesale (shard handoff parity
-    #: with :class:`~repro.service.docstore.StoredDocument`).
-    url: str = ""
 
     def is_fresh(self, now: Optional[float] = None) -> bool:
         if self.max_age <= 0:
@@ -66,7 +62,6 @@ class CacheEntry:
 def encode_cache_entry(entry: CacheEntry) -> bytes:
     """Storage-backend bytes: response + validators, wall-clock stamped."""
     payload = {
-        "url": entry.url,
         "status": entry.response.status,
         "headers": entry.response.headers,
         "body": base64.b64encode(entry.response.body).decode("ascii"),
@@ -89,7 +84,6 @@ def decode_cache_entry(raw: bytes) -> CacheEntry:
         etag=payload["etag"],
         stored_at=time.monotonic() - age,
         max_age=float(payload["max_age"]),
-        url=payload.get("url", ""),
     )
 
 
@@ -157,37 +151,9 @@ class HttpCache:
             etag=response.header("etag"),
             stored_at=time.monotonic(),
             max_age=max_age,
-            url=url,
         )
         self._tier.put(url, entry)
         return entry
-
-    def entries(self) -> list[CacheEntry]:
-        """All cached responses, oldest first (export order)."""
-        entries = []
-        for url, entry in self._tier.items():
-            if not entry.url:
-                entry.url = url
-            entries.append(entry)
-        return sorted(entries, key=lambda entry: entry.stored_at)
-
-    def adopt(self, entry: CacheEntry) -> None:
-        """Install an entry cached elsewhere (shard handoff parity).
-
-        Counts as neither a hit nor a miss: no request was answered.
-        Freshness and revalidation behave exactly as for a locally
-        stored entry.
-        """
-        if not entry.url:
-            raise ValueError("cannot adopt a CacheEntry without a url")
-        self._tier.put(entry.url, entry)
-
-    def adopt_all(self, entries: Iterable[CacheEntry]) -> int:
-        count = 0
-        for entry in entries:
-            self.adopt(entry)
-            count += 1
-        return count
 
     def flush(self) -> None:
         """Commit pending backend writes (no-op without persistence)."""

@@ -33,6 +33,7 @@ from .latency import LatencyModel, SeededJitterLatency
 from .log import RequestLog
 from .message import Request, Response, split_url
 from .resilience import (
+    MAX_RETRY_AFTER,
     BreakerRegistry,
     CircuitBreaker,
     NetworkPolicy,
@@ -370,9 +371,9 @@ class HttpClient:
         retry = self.policy.retry
         backoff = retry.backoff_delay(call.url, call.attempt - 1)
         retry_after = response.header("retry-after")
-        if retry.respect_retry_after and retry_after:
+        if retry_after:
             try:
-                backoff = max(backoff, min(float(retry_after), retry.max_retry_after))
+                backoff = max(backoff, min(float(retry_after), MAX_RETRY_AFTER))
                 call.count("retry_after_waits")
             except ValueError:
                 pass

@@ -71,6 +71,11 @@ def _is_breaker_failure(response) -> bool:
     return response.status in (408, 429) or response.status >= 500
 
 
+#: A server-sent ``Retry-After`` is honoured up to this many (simulated)
+#: seconds.
+MAX_RETRY_AFTER = 1.0
+
+
 @dataclass(slots=True)
 class RetryPolicy:
     """Retry/backoff knobs for one client.
@@ -92,9 +97,6 @@ class RetryPolicy:
     max_delay: float = 0.25
     jitter: float = 0.5
     seed: int = 42
-    respect_retry_after: bool = True
-    #: Cap honoured for a server-sent ``Retry-After`` (simulated seconds).
-    max_retry_after: float = 1.0
     budget: int = 1024
 
     @property

@@ -129,19 +129,9 @@ def _json_response(document: dict, status: int = 200) -> Response:
 class ServiceSparqlApp(SparqlProtocolApp):
     """``/sparql`` over live link traversal, with a ``/service/status`` view."""
 
-    def __init__(
-        self,
-        service: QueryService,
-        path: str = "/sparql",
-        status_path: str = "/service/status",
-        subscribe_path: str = "/subscribe",
-        update_path: str = "/update",
-    ) -> None:
+    def __init__(self, service: QueryService, path: str = "/sparql") -> None:
         super().__init__(path)
         self._service = service
-        self._status_path = status_path
-        self._subscribe_path = subscribe_path
-        self._update_path = update_path
 
     @property
     def service(self) -> QueryService:
@@ -149,13 +139,13 @@ class ServiceSparqlApp(SparqlProtocolApp):
 
     async def handle_other(self, request: Request) -> Response:
         path = urlsplit(request.url).path
-        if path == self._status_path:
+        if path == "/service/status":
             # A sharded front-end polls every worker first, so the
             # document aggregates *current* shard gauges.
             return _json_response(await self._service.status())
-        if path == self._subscribe_path:
+        if path == "/subscribe":
             return await self._handle_subscribe(request)
-        if path == self._update_path:
+        if path == "/update":
             return await self._handle_update(request)
         return Response.not_found(request.url)
 

@@ -79,6 +79,10 @@ __all__ = [
 #: Result rows per streamed ``rows`` message (worker → front-end).
 ROW_CHUNK = 512
 
+#: Seconds a spawned worker may take to regenerate its universe and
+#: report ready.
+_READY_TIMEOUT = 120.0
+
 
 class WorkerCrashedError(RuntimeError):
     """The worker owning a query died before answering it."""
@@ -108,9 +112,8 @@ class ShardSpec:
     #: Split by :class:`SharedResources`: ``engine.network`` is the policy
     #: the worker's client runs, ``engine.traversal`` the worker engine's —
     #: queue policy and hardening budgets for every query on every shard.
-    #: A guided ``traversal.subweb`` (DESIGN.md §4g) is a JSON file path or
-    #: a plain dict each worker resolves locally, so routing never changes
-    #: which links a query may follow.
+    #: A ``traversal.subweb`` (DESIGN.md §4g) is a frozen spec that pickles
+    #: as is, so every worker follows the same links whatever the routing.
     engine: EngineConfig = field(default_factory=EngineConfig)
     #: The worker dereferencer's leniency.
     lenient: bool = True
@@ -595,23 +598,15 @@ class ShardedQueryService(_ServiceCore):
     event loop.
     """
 
-    def __init__(
-        self,
-        spec: ShardSpec,
-        workers: int = 4,
-        routing: str = "query",
-        auto_restart: bool = True,
-        start_method: str = "spawn",
-        ready_timeout: float = 120.0,
-    ) -> None:
+    def __init__(self, spec: ShardSpec, workers: int = 4, routing: str = "query") -> None:
         if workers < 1:
             raise ValueError("need at least one worker")
         super().__init__()
         self._spec = spec
         self._routing = routing
-        self._auto_restart = auto_restart
-        self._ready_timeout = ready_timeout
-        self._context = multiprocessing.get_context(start_method)
+        # Spawned, never forked: a worker regenerates what it needs from
+        # the spec instead of inheriting the front-end's heap and loop.
+        self._context = multiprocessing.get_context("spawn")
         names = [f"shard-{index}" for index in range(workers)]
         # The ring starts empty; shards join as they report ready.
         self._router = ShardRouter((), mode=routing)
@@ -631,7 +626,7 @@ class ShardedQueryService(_ServiceCore):
             worker.spawn(loop)
         await asyncio.wait_for(
             asyncio.gather(*(w.ready for w in self._workers.values())),
-            timeout=self._ready_timeout,
+            timeout=_READY_TIMEOUT,
         )
         for name in self._workers:
             self._router.add_shard(name)
@@ -648,9 +643,9 @@ class ShardedQueryService(_ServiceCore):
         await asyncio.gather(*(w.stop() for w in self._workers.values()))
 
     def _worker_crashed(self, worker: _ShardWorker) -> None:
-        """Loop-thread callback: drop the shard, optionally respawn it."""
+        """Loop-thread callback: drop the shard and respawn it (cold)."""
         self._router.remove_shard(worker.name)
-        if self._auto_restart and self._started:
+        if self._started:
             self._restarts += 1
             asyncio.ensure_future(self._respawn(worker))
 
@@ -658,14 +653,14 @@ class ShardedQueryService(_ServiceCore):
         loop = asyncio.get_running_loop()
         worker.spawn(loop)
         try:
-            await asyncio.wait_for(worker.ready, timeout=self._ready_timeout)
+            await asyncio.wait_for(worker.ready, timeout=_READY_TIMEOUT)
         except Exception:  # noqa: BLE001 — stays off the ring; next health check retries
             return
         if self._started and worker.state == "ready":
             self._router.add_shard(worker.name)
 
     async def health_check(self) -> dict[str, bool]:
-        """Ping every worker; respawn dead ones when auto-restart is on."""
+        """Ping every worker (a crashed one is already being respawned)."""
         health: dict[str, bool] = {}
         for name, worker in self._workers.items():
             if worker.state != "ready":
@@ -714,7 +709,7 @@ class ShardedQueryService(_ServiceCore):
             await worker.stop()
         loop = asyncio.get_running_loop()
         worker.spawn(loop)
-        await asyncio.wait_for(worker.ready, timeout=self._ready_timeout)
+        await asyncio.wait_for(worker.ready, timeout=_READY_TIMEOUT)
         if exported:
             imported = await worker.request("import_store", exported, timeout=60.0)
             report["documents"] = imported["imported"]

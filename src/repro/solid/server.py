@@ -18,11 +18,13 @@ from typing import Optional
 
 from ..net.message import Request, Response
 from ..net.router import App
+from ..rdf.document import ParsedDocument
 from ..rdf.ntriples import serialize_ntriples
 from ..rdf.writer import serialize_turtle
 from .acl import AccessControlList, AccessMode, acl_document_triples
 from .auth import IdentityProvider
-from .pod import Pod
+from .index import INDEX_PATH, SourceIndex, index_url
+from .pod import Pod, PodDocument
 
 __all__ = ["SolidServer"]
 
@@ -65,6 +67,9 @@ class SolidServer(App):
         # Called with the document URL after every accepted write — the
         # change-notification hook standing queries subscribe through.
         self._change_listeners: list = []
+        # Pod base → (its index document, the index it declares), kept so
+        # a write checks the written document alone.
+        self._indexes: dict[str, tuple[PodDocument, Optional[SourceIndex]]] = {}
 
     # ------------------------------------------------------------------
     # change notification
@@ -110,16 +115,37 @@ class SolidServer(App):
     def _written(self, pod: Pod, relative: str) -> None:
         """An accepted write to ``relative`` is in place: drop renderings,
         stamp the document — and, when it now says something the pod's
-        published source index does not, the rewritten index too (a new
+        published source index does not, the widened index too (a new
         validator, so caches and standing queries see it)."""
-        from ..solidbench.hints import HINT_DOCUMENT_PATH, index_after_write
-
         self._render_cache.clear()
         self._record_write(pod.base_url + relative)
-        index = index_after_write(pod, relative)
-        if index is not None:
-            pod.add_document(HINT_DOCUMENT_PATH, index)
-            self._record_write(pod.base_url + HINT_DOCUMENT_PATH)
+        if relative == INDEX_PATH:  # rewritten as a document: read it afresh
+            self._indexes.pop(pod.base_url, None)
+        index = self._published_index(pod)
+        if index is None:
+            return
+        widened = index.widened(relative, pod.document(relative).triples)
+        if widened is not index:
+            document = pod.add_document(INDEX_PATH, widened.to_triples())
+            self._indexes[pod.base_url] = (document, widened)
+            self._record_write(index_url(pod.base_url))
+
+    def _published_index(self, pod: Pod) -> Optional[SourceIndex]:
+        """The source index ``pod`` serves, read once per document it holds
+        there (``None``: it publishes none, or one that is not its own)."""
+        published = pod.document(INDEX_PATH)
+        if published is None:
+            return None
+        held = self._indexes.get(pod.base_url)
+        if held is None or held[0] is not published:
+            try:
+                index = SourceIndex.from_document(
+                    index_url(pod.base_url), ParsedDocument(published.triples)
+                )
+            except ValueError:
+                index = None
+            held = self._indexes[pod.base_url] = (published, index)
+        return held[1]
 
     # ------------------------------------------------------------------
     # pod management

@@ -24,12 +24,12 @@ from __future__ import annotations
 import random
 from typing import Iterable
 
-from ..rdf.namespaces import DBPEDIA, FOAF, RDF, SNTAG, SNVOC, SUBWEB
+from ..rdf.namespaces import DBPEDIA, FOAF, RDF, SNTAG, SNVOC
 from ..rdf.terms import BlankNode, Literal, NamedNode, XSD_DATETIME, XSD_LONG, intern_iri
 from ..rdf.triples import Triple
+from ..solid.index import ADVERTISEMENT, INDEX_PATH, SourceIndex, index_url
 from ..solid.pod import Pod
 from .config import Fragmentation, SolidBenchConfig
-from .hints import HINT_DOCUMENT_PATH, build_hint_triples, cardinality_index_url
 from .social import MessageData, PersonData, SocialNetwork
 
 __all__ = ["PodFragmenter"]
@@ -99,10 +99,10 @@ class PodFragmenter:
         self._add_forum_documents(pod, person)
         self._add_noise_documents(pod, person)
         if self._config.emit_hints:
-            # Content documents are in place; the hint builder summarizes
-            # them, so it must run before (only) the profile/type index.
+            # Content documents are in place; the index summarizes them, so
+            # it must be built before (only) the profile/type index.
             pod.add_document(
-                HINT_DOCUMENT_PATH, build_hint_triples(pod, ranges=self._hint_ranges())
+                INDEX_PATH, SourceIndex.of_pod(pod, ranges=self._hint_ranges()).to_triples()
             )
         pod.build_profile(extra_triples=self._profile_triples(person))
         pod.build_type_index(
@@ -164,11 +164,7 @@ class PodFragmenter:
         ]
         if self._config.emit_hints:
             triples.append(
-                Triple(
-                    me,
-                    SUBWEB.cardinalityIndex,
-                    intern_iri(cardinality_index_url(self.pod_base(person))),
-                )
+                Triple(me, ADVERTISEMENT, intern_iri(index_url(self.pod_base(person))))
             )
         for friend_index in person.knows:
             friend = intern_iri(self.webid(friend_index))

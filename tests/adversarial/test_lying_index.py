@@ -28,7 +28,7 @@ from repro.rdf.terms import Literal, NamedNode, Variable
 from repro.rdf.triples import Triple
 from repro.rdf.writer import serialize_turtle
 from repro.solidbench import SolidBenchConfig, build_universe, discover_query
-from repro.solidbench.hints import HINT_DOCUMENT_PATH
+from repro.solid.index import INDEX_PATH
 
 HOSTILE = "https://adv-liar-0.example"
 NONSENSE = NamedNode(HOSTILE + "/vocab#Nothing")
@@ -119,7 +119,7 @@ def test_a_pod_lying_about_itself_loses_its_own_rows_attributed(universe):
     victim = creators_pod(universe, query)
     (liar,) = [pod for pod in universe.pods.values() if pod.base_url == victim]
     liar.add_document(
-        HINT_DOCUMENT_PATH, lying_index(victim, victim + HINT_DOCUMENT_PATH)
+        INDEX_PATH, lying_index(victim, victim + INDEX_PATH)
     )
 
     execution = universe.fast_engine().query(query.text, seeds=query.seeds).run_sync()

@@ -10,7 +10,7 @@ import pytest
 
 from repro.bench.harness import run_query
 from repro.solidbench import Fragmentation, SolidBenchConfig, build_universe, discover_query
-from repro.solidbench.hints import HINT_DOCUMENT_PATH
+from repro.solid.index import INDEX_PATH
 
 SCALE = 0.01
 SEED = 21
@@ -68,7 +68,7 @@ class TestFragmentationInvariance:
                 len(document.triples)
                 for pod in universe.pods.values()
                 for document in pod.documents()
-                if document.path != HINT_DOCUMENT_PATH
+                if document.path != INDEX_PATH
             )
             for mode, universe in universes.items()
         }

@@ -21,7 +21,7 @@ from repro.rdf.namespaces import SNVOC
 from repro.rdf.terms import Literal, NamedNode, term_to_ntriples
 from repro.service import QueryService, SharedResources
 from repro.solidbench import SolidBenchConfig, build_universe
-from repro.solidbench.hints import HINT_DOCUMENT_PATH
+from repro.solid.index import INDEX_PATH
 
 MOOD = "https://vocab.example/mood"
 QUERY = f"SELECT ?s ?o WHERE {{ ?s <{MOOD}> ?o }}"
@@ -53,9 +53,9 @@ def patch(universe, url: str, update: str):
 
 
 def summary(pod, unit: str):
-    index_url = pod.base_url + HINT_DOCUMENT_PATH
+    index_url = pod.base_url + INDEX_PATH
     hints = CardinalityHints().absorb_document(
-        index_url, ParsedDocument(pod.document(HINT_DOCUMENT_PATH).triples)
+        index_url, ParsedDocument(pod.document(INDEX_PATH).triples)
     )
     return hints.container_for(pod.base_url + unit)
 
@@ -71,8 +71,8 @@ class TestTheServerKeepsTheIndexTrue:
         path = next(p for p in pod.document_paths() if p.startswith("posts/"))
         document = pod.document(path)
         old = next(t for t in document.triples if t.predicate == SNVOC.content)
-        index_url = pod.base_url + HINT_DOCUMENT_PATH
-        before = list(pod.document(HINT_DOCUMENT_PATH).triples), etag(universe, index_url)
+        index_url = pod.base_url + INDEX_PATH
+        before = list(pod.document(INDEX_PATH).triples), etag(universe, index_url)
         patch(
             universe,
             pod.base_url + path,
@@ -82,10 +82,10 @@ class TestTheServerKeepsTheIndexTrue:
         )
         assert universe.server.document_version(pod.base_url + path) == 1
         assert universe.server.document_version(index_url) == 0
-        assert (list(pod.document(HINT_DOCUMENT_PATH).triples), etag(universe, index_url)) == before
+        assert (list(pod.document(INDEX_PATH).triples), etag(universe, index_url)) == before
 
     def test_a_new_predicate_rewrites_the_units_summary_with_a_new_validator(self, universe, pod):
-        index_url = pod.base_url + HINT_DOCUMENT_PATH
+        index_url = pod.base_url + INDEX_PATH
         assert MOOD not in summary(pod, "noise/noise-0").predicates
         stale = etag(universe, index_url)
         noise = pod.base_url + "noise/noise-0"
@@ -117,18 +117,18 @@ class TestTheServerKeepsTheIndexTrue:
             unit = summary(pod, path)
             assert unit is not None and MOOD in unit.predicates
             assert unit.documents == 1
-        assert universe.server.document_version(pod.base_url + HINT_DOCUMENT_PATH) == 2
+        assert universe.server.document_version(pod.base_url + INDEX_PATH) == 2
 
     def test_pods_that_publish_nothing_and_plumbing_documents_need_no_index_work(self):
         paper = build_universe(SolidBenchConfig(scale=0.005, seed=7, emit_hints=False))
         pod = paper.pod_of(0)
         noise = pod.base_url + "noise/noise-0"
         patch(paper, noise, f'INSERT DATA {{ <{noise}#entity0> <{MOOD}> "curious" }}')
-        assert not pod.has_document(HINT_DOCUMENT_PATH)
+        assert not pod.has_document(INDEX_PATH)
 
     def test_a_write_to_the_profile_is_not_summarized(self, universe, pod):
         patch(universe, pod.profile_url, f'INSERT DATA {{ <{pod.webid}> <{MOOD}> "fine" }}')
-        index_url = pod.base_url + HINT_DOCUMENT_PATH
+        index_url = pod.base_url + INDEX_PATH
         assert universe.server.document_version(index_url) == 0
 
 

@@ -25,6 +25,7 @@ import pytest
 from repro.bench.harness import oracle_bindings
 from repro.cli import build_arg_parser, build_serve_arg_parser
 from repro.ltqp import QUEUE_POLICIES, EngineConfig, TraversalPolicy
+from repro.ltqp.guided import SubwebRule, SubwebSpecification
 from repro.net import NoLatency, SeededJitterLatency
 from repro.net.faults import FaultPlan, FaultRule
 from repro.solidbench import (
@@ -34,7 +35,7 @@ from repro.solidbench import (
     discover_query,
     discover_suite,
 )
-from repro.solidbench.hints import HINT_DOCUMENT_PATH
+from repro.solid.index import INDEX_PATH
 
 POLICIES = sorted(QUEUE_POLICIES)
 LATENCIES = {
@@ -159,7 +160,7 @@ class TestAnIndexThatNeverArrives:
         query = discover_query(universes[True], 1, 1)
         paper, paper_documents = execute(universes[False], query)
         universes[True].internet.install_fault_plan(
-            FaultPlan([FaultRule(kind="status", status=status, url_pattern=HINT_DOCUMENT_PATH)])
+            FaultPlan([FaultRule(kind="status", status=status, url_pattern=INDEX_PATH)])
         )
         try:
             execution, documents = execute(universes[True], query, queue_policy=policy)
@@ -174,7 +175,9 @@ class TestAnIndexThatNeverArrives:
         assert getattr(execution.stats, counter) == getattr(paper.stats, counter) + 1
 
     def test_an_index_the_callers_spec_denies_is_not_waited_for(self, universes):
-        spec = {"rules": [{"match": "**/settings/cardinality", "action": "deny", "label": "index"}]}
+        spec = SubwebSpecification(
+            rules=(SubwebRule(match="**/settings/cardinality", action="deny", label="index"),)
+        )
         query = discover_query(universes[True], 1, 1)
         paper, paper_documents = execute(universes[False], query)
         execution, documents = execute(universes[True], query, subweb=spec)

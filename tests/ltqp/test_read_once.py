@@ -35,7 +35,7 @@ from repro.ltqp import dereference as dereference_module
 from repro.ltqp import engine as engine_module
 from repro.ltqp.dereference import DereferenceResult, Dereferencer
 from repro.ltqp.extractors import QueryContext
-from repro.ltqp.guided import HintDiscoveryExtractor
+from repro.ltqp.guided import HintDiscoveryExtractor, SubwebRule, SubwebSpecification
 from repro.ltqp.source import GrowingTripleSource
 from repro.net.latency import NoLatency
 from repro.obs import TickClock, Tracer
@@ -44,7 +44,9 @@ from repro.rdf.triples import TriplePattern
 from repro.service.docstore import DocumentStore, StoredDocument
 from repro.solidbench import discover_query
 
-NOISE_DENIED = {"rules": [{"match": "**/noise/**", "action": "deny", "label": "noise"}]}
+NOISE_DENIED = SubwebSpecification(
+    rules=(SubwebRule(match="**/noise/**", action="deny", label="noise"),)
+)
 
 
 def tick_run(universe, template, monkeypatch, subweb=None):

@@ -13,6 +13,7 @@ import time
 import pytest
 
 from repro.ltqp.engine import EngineConfig, TraversalPolicy
+from repro.ltqp.guided import SubwebRule, SubwebSpecification
 from repro.service import (
     QueryService,
     ServiceHost,
@@ -171,7 +172,9 @@ class TestHardenedShards:
                 max_depth=3,
                 max_origin_derefs=5,
                 max_parse_bytes=1024,
-                subweb={"include": ["https://solidbench.example/"]},
+                subweb=SubwebSpecification(
+                    rules=(SubwebRule(match="https://solidbench.example/**"),)
+                ),
             )
         )
         engine.network.max_response_bytes = 1024

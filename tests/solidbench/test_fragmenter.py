@@ -5,7 +5,7 @@ import pytest
 from repro.rdf import LDP, NamedNode, PIM, RDF, SNVOC, SOLID
 from repro.solidbench.config import Fragmentation, SolidBenchConfig
 from repro.solidbench.fragmenter import PodFragmenter
-from repro.solidbench.hints import HINT_DOCUMENT_PATH
+from repro.solid.index import INDEX_PATH
 from repro.solidbench.social import generate_social_network
 
 
@@ -125,7 +125,7 @@ class TestFragmentationModes:
                     len(document.triples)
                     for pod in pods.values()
                     for document in pod.documents()
-                    if document.path != HINT_DOCUMENT_PATH
+                    if document.path != INDEX_PATH
                 )
             )
         assert len(set(totals)) == 1

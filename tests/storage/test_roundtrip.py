@@ -10,8 +10,6 @@ nodes, embedded quotes/newlines) cannot hide behind the in-memory LRU.
 
 import time
 
-import pytest
-
 from repro.net.cache import CacheEntry, HttpCache, decode_cache_entry, encode_cache_entry
 from repro.net.message import Response
 from repro.rdf.terms import (
@@ -141,13 +139,11 @@ class TestCacheEntryCodec:
             etag='"v1"',
             stored_at=time.monotonic(),
             max_age=max_age,
-            url="https://pod.example/doc",
         )
 
     def test_round_trip(self):
         entry = self._entry()
         decoded = decode_cache_entry(encode_cache_entry(entry))
-        assert decoded.url == entry.url
         assert decoded.etag == entry.etag
         assert decoded.max_age == entry.max_age
         assert decoded.response.status == 200
@@ -239,21 +235,3 @@ class TestBlankNodesAcrossLifetimes:
         assert second.stats.documents_from_store == 1
         assert second.bindings == []
 
-
-class TestAdoptParity:
-    """Satellite 1: HttpCache now has the entries()/adopt() shape."""
-
-    def test_cache_export_import(self):
-        source = HttpCache()
-        source.store("https://pod.example/a", Response(200, {"etag": '"a"'}, b"a"))
-        source.store("https://pod.example/b", Response(200, {"etag": '"b"'}, b"b"))
-        target = HttpCache()
-        assert target.adopt_all(source.entries()) == 2
-        assert target.lookup("https://pod.example/a").response.body == b"a"
-        # Adoption answers no request: neither hits nor misses move.
-        assert target.hits == 0 and target.misses == 0
-
-    def test_adopt_requires_url(self):
-        entry = CacheEntry(Response(200), etag="", stored_at=0.0, max_age=0.0)
-        with pytest.raises(ValueError):
-            HttpCache().adopt(entry)
