@@ -107,10 +107,11 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
         "--queue-policy",
         choices=sorted(QUEUE_POLICIES),
         default="fifo",
-        help="link queue discipline: fifo = breadth-first (default), "
-        "lifo = depth-first, priority = shallowest-link-first, "
-        "fair = round-robin across origins (starvation-resistant), "
-        "guided = provenance/cardinality-scored (see --subweb)",
+        help="link queue order, a score taken once per link: fifo = "
+        "breadth-first (default), lifo = depth-first, priority = "
+        "shallowest-link-first, fair = an origin's n-th link before any "
+        "origin's later ones (starvation-resistant), guided = by provenance, "
+        "links from the query's predicates promoted",
     )
     parser.add_argument(
         "--subweb",
@@ -284,13 +285,6 @@ def build_serve_arg_parser() -> argparse.ArgumentParser:
         "(a SQLite file; with --workers N, a directory holding one file "
         "per shard); restarting against the same path starts warm",
     )
-    parser.add_argument(
-        "--backend",
-        choices=["memory", "sqlite"],
-        default=None,
-        help="storage backend under the caches (default: memory, or "
-        "sqlite when --store-path is given)",
-    )
     return parser
 
 
@@ -453,7 +447,6 @@ def build_service_stack(args):
         max_concurrent=args.max_concurrent,
         max_queued=args.max_queued,
         store_path=args.store_path,
-        storage_backend=args.backend,
     )
     if args.workers > 1:
         service = ShardedQueryService(spec, workers=args.workers, routing=args.routing)

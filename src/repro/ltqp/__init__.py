@@ -33,7 +33,6 @@ from .extractors import (
 )
 from .guided import (
     CardinalityHints,
-    GuidedLinkQueue,
     HintDiscoveryExtractor,
     SourceSelector,
     SubwebRule,
@@ -41,7 +40,6 @@ from .guided import (
 )
 from .links import (
     EXTRACTOR_RANK,
-    FairLinkQueue,
     Link,
     LinkProvenance,
     LinkQueue,
@@ -81,8 +79,6 @@ __all__ = [
     "Link",
     "LinkProvenance",
     "LinkQueue",
-    "FairLinkQueue",
-    "GuidedLinkQueue",
     "QUEUE_POLICIES",
     "QueuePolicyContext",
     "queue_factory_for",

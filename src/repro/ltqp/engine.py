@@ -112,13 +112,13 @@ class TraversalPolicy:
     max_parse_bytes: int = 0
     adaptive: bool = False
     #: Link-queue discipline — the *order* links are dereferenced in, never
-    #: which: ``"fifo"`` (breadth-first, the paper's default), ``"lifo"``
-    #: (depth-first), ``"priority"`` (shallow + Solid-metadata links
-    #: first), ``"fair"`` (round-robin across origins), or ``"guided"``
-    #: (provenance/hint scoring with result-contribution feedback; see
-    #: :class:`~repro.ltqp.guided.GuidedLinkQueue`) — the registry, and
-    #: the extension point for further disciplines, is
-    #: :data:`~repro.ltqp.links.QUEUE_POLICIES`.
+    #: which; each is a score the one queue takes of a link once, on
+    #: admission: ``"fifo"`` (breadth-first, the paper's default),
+    #: ``"lifo"`` (depth-first), ``"priority"`` (shallow + Solid-metadata
+    #: links first), ``"fair"`` (an origin's n-th link before any origin's
+    #: n+1-th), or ``"guided"`` (provenance tier, with links produced by a
+    #: query predicate promoted).  The registry, and the extension point
+    #: for further disciplines, is :data:`~repro.ltqp.links.QUEUE_POLICIES`.
     queue_policy: str = "fifo"
     #: The caller's subweb specification (DESIGN.md §4g; the CLI's
     #: ``--subweb`` reads one from a JSON file).
@@ -274,7 +274,7 @@ class QueryExecution:
         self._clock = tracer.clock if tracer is not None else time.monotonic
         #: Built by the first drive (``None`` until then).
         self.queue = self.source = self.pipeline = self.selector = None
-        self._context = self._note_contribution = None
+        self._context = None
         self._query_span = self._traversal_span = None
         self._budgets = _OriginBudgets()
         self._resilience = ResilienceStats()
@@ -369,7 +369,7 @@ class QueryExecution:
             # Opened before the seeds enqueue so their stamps nest inside.
             self._traversal_span = tracer.begin("traversal", parent=self._query_span)
 
-        policy_context = QueuePolicyContext(query=context, hints=self.selector.hints)
+        policy_context = QueuePolicyContext(query=context)
         self.queue = queue = build_queue(queue_factory_for(policy.queue_policy), policy_context)
         queue.clock = self._clock
         if self.metrics is not None:
@@ -379,10 +379,6 @@ class QueryExecution:
             if queue.push(Link(url=seed, via="seed")):
                 stats.links_queued += 1
                 stats.links_by_extractor["seed"] = stats.links_by_extractor.get("seed", 0) + 1
-        # Result-contribution feedback (guided queue only): the documents
-        # whose entities appear in an emitted binding get their pending
-        # sibling links promoted.
-        self._note_contribution = getattr(queue, "note_result_contribution", None)
         self.pipeline = self._compile()
         # The source keeps what the plan can read and nothing else.
         self.source = GrowingTripleSource(self.pipeline.read_set)
@@ -444,11 +440,6 @@ class QueryExecution:
                 self.tracer.instant("first-result", parent=self._query_span, ts=now)
         stats.result_count = count + 1
         self.results.append(TimedResult(binding=binding, elapsed=now - stats.started_at))
-        if self._note_contribution is not None:
-            for _var, term in binding.items():
-                value = getattr(term, "value", None)
-                if isinstance(value, str) and value.startswith(("http://", "https://")):
-                    self._note_contribution(value.split("#", 1)[0])
         self._wake.set()
         if limit and count + 1 >= limit:
             self._stop.set()

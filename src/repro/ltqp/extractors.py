@@ -257,8 +257,8 @@ class MatchIriExtractor(LinkExtractor):
     """cMatch reachability: IRIs from triples matching some query pattern.
 
     Provenance records the predicate of the producing triple and a compact
-    rendering of the query pattern it matched — the guided queue scores
-    cMatch links by *which* pattern justified them.
+    rendering of the query pattern it matched — the guided score promotes
+    a cMatch link whose producing predicate the query uses.
     """
 
     name = "match"

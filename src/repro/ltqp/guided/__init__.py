@@ -1,7 +1,7 @@
 """Guided traversal: the source-selection subsystem (DESIGN.md §4g).
 
 Zero-knowledge LTQP dereferences every reachable document; the guided
-subsystem prunes and prioritizes instead, following two lines of work
+subsystem prunes instead, following two lines of work
 cited in PAPERS.md: *Guided Link-Traversal-Based Query Processing*
 (arXiv:2005.02239) and *Distributed Subweb Specifications for Traversing
 the Web* (arXiv:2302.14411).
@@ -20,21 +20,20 @@ Three cooperating pieces:
   *prune* — before the link ever costs a dereference.  Every pruned link
   is attributed in ``ExecutionStats.completeness()``.
 
-The :class:`GuidedLinkQueue` (``queue_policy="guided"``) scores surviving
-links from their :class:`~repro.ltqp.links.LinkProvenance`, hint
-cardinalities, and result-contribution feedback from the pipeline.
+Pruning is the selector's job, not the queue's: the ``guided`` queue
+policy only orders what survives, by a score of each link's
+:class:`~repro.ltqp.links.LinkProvenance` taken once on admission (it
+lives with the other disciplines in :mod:`repro.ltqp.links`).
 """
 
 from .discovery import HintDiscoveryExtractor
 from .hints import CardinalityHints, query_scopes
-from .queue import GuidedLinkQueue
 from .selector import LinkDecision, SourceSelector
 from .subweb import SubwebRule, SubwebSpecification
 
 __all__ = [
     "CardinalityHints",
     "query_scopes",
-    "GuidedLinkQueue",
     "HintDiscoveryExtractor",
     "LinkDecision",
     "SourceSelector",

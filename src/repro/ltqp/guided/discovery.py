@@ -5,7 +5,7 @@ execution, next to the :class:`~.selector.SourceSelector` it serves):
 
 1. In *any* document: follow ``subweb:cardinalityIndex`` and
    ``subweb:specification`` objects — pods advertise their source index
-   and traversal scope from the WebID profile, and the guided queue ranks
+   and traversal scope from the WebID profile, and the guided score ranks
    these links ahead of data (tier ``"hint"``).
 2. In a *source-index* document (the selector absorbed it just before
    extraction runs): emit links to the pod's summarized containers that

@@ -1,17 +1,18 @@
-"""Links and link queues.
+"""Links and the link queue.
 
 The link queue is the central data structure of LTQP (Fig. 1): seed URLs
 initialize it, the dereferencer drains it, and link extractors append to
-it.  Queues deduplicate (a URL is traversed at most once per execution) and
-record statistics for the queue-evolution analysis (bench E9, after [34]).
+it.  The queue deduplicates (a URL is traversed at most once per execution)
+and records statistics for the queue-evolution analysis (bench E9, after
+[34]).  There is one queue; a discipline is the score it takes of a link
+once, on admission.
 """
 
 from __future__ import annotations
 
 import heapq
 import time
-from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 from ..net.message import split_url
@@ -20,10 +21,10 @@ __all__ = [
     "Link",
     "LinkProvenance",
     "LinkQueue",
-    "FairLinkQueue",
     "QueueSample",
     "QueuePolicyContext",
     "EXTRACTOR_RANK",
+    "QUERY_MATCH_TIER",
     "provenance_rank",
     "QUEUE_POLICIES",
     "queue_factory_for",
@@ -81,7 +82,7 @@ class Link:
     ``via`` stays as the coarse extractor name so existing span
     attributes and per-extractor counters keep their meaning.  ``origin``
     (:func:`origin_of` the URL) is stamped by the queue on admission, once,
-    for everything downstream that accounts per origin — fair lanes,
+    for everything downstream that accounts per origin — the fair score,
     admission, budgets, refusal attribution.
     """
 
@@ -117,6 +118,10 @@ EXTRACTOR_RANK: dict[str, int] = {
 #: Rank for extractors absent from :data:`EXTRACTOR_RANK`.
 UNKNOWN_EXTRACTOR_RANK = 9
 
+#: The guided tier of a data link produced by a predicate the query itself
+#: uses — ahead of type-index/container structure (3), after storage (2).
+QUERY_MATCH_TIER = 2.5
+
 
 def provenance_rank(link: Link) -> int:
     """The shared coarse rank of a link's producing extractor."""
@@ -129,16 +134,12 @@ class QueuePolicyContext:
     """What a queue-policy factory may draw on when building its queue.
 
     Every factory registered in :data:`QUEUE_POLICIES` takes exactly one
-    of these.
-    The basic disciplines ignore it; the guided queue scores with both
-    fields.  Fields are deliberately loose-typed so the registry keeps no
-    import edges into the guided package.
+    of these; only the guided score reads it.
     """
 
-    #: The :class:`~repro.ltqp.extractors.QueryContext` of the query (or None).
+    #: The :class:`~repro.ltqp.extractors.QueryContext` of the query (or
+    #: None) — loose-typed so this module imports nothing above it.
     query: Optional[object] = None
-    #: The execution's :class:`~repro.ltqp.guided.CardinalityHints` (or None).
-    hints: Optional[object] = None
 
 
 @dataclass(slots=True)
@@ -151,8 +152,9 @@ class QueueSample:
     popped_total: int
 
 
-#: A queue discipline: maps a pending link and its push sequence number
-#: to a sortable key — smaller pops first, ties by sequence number.
+#: A queue discipline: maps an admitted link and its admission sequence
+#: number to a sortable key — smaller pops first, ties by sequence number.
+#: Called exactly once per admission, in admission order.
 Score = Callable[[Link, int], tuple]
 
 
@@ -179,22 +181,61 @@ def _priority(link: Link, seq: int) -> tuple:
     return (link.depth, provenance_rank(link))
 
 
+def _fair() -> Score:
+    """Anti-starvation: how many links of this link's origin were admitted
+    before it (requeues included).
+
+    An origin's n-th link never waits behind another origin's n-th or
+    later, so an origin holding 1000 links cannot delay another origin's
+    first dereference by more than one pop per origin: a hostile pod
+    lengthens its own tail, never the queue (DESIGN.md §4e).
+    """
+    admitted: dict[str, int] = {}
+
+    def score(link: Link, seq: int) -> tuple:
+        count = admitted.get(link.origin, 0)  # "" for unparseable URLs: shared
+        admitted[link.origin] = count + 1
+        return (count,)
+
+    return score
+
+
+def _guided(context: QueuePolicyContext) -> Score:
+    """Rank a link by what its provenance says (Guided LTQP,
+    arXiv:2005.02239): the :data:`EXTRACTOR_RANK` tier — seeds, then
+    source-index documents, storage and type-index pointers, then data
+    links — except that a data link produced by a predicate the query
+    itself uses (``likes``, ``hasPost``, …) is a join edge, promoted to
+    :data:`QUERY_MATCH_TIER`.  Without the promotion a query whose first
+    answer lives across a ``likes`` hop (Discover template 8) drains every
+    container of the seed pod before taking the one hop that produces a
+    result."""
+    joins = frozenset(
+        predicate.value for predicate in getattr(context.query, "predicates", ())
+    )
+
+    def score(link: Link, seq: int) -> tuple:
+        tier = provenance_rank(link)
+        provenance = link.provenance
+        if provenance is not None and provenance.predicate in joins and tier > QUERY_MATCH_TIER:
+            return (QUERY_MATCH_TIER,)
+        return (tier,)
+
+    return score
+
+
 class LinkQueue:
-    """The ordered link queue: a deduplicating heap of ``(score, seq, link)``.
+    """The link queue: a deduplicating heap of ``(score, seq, link)``.
 
     A discipline is a :data:`Score` function, not a class — ``score``
-    defaults to push order (fifo).  Scores are computed on push; a
-    discipline whose scores depend on state that changes while links wait
-    (the guided queue's result-contribution boosts) calls :meth:`rescore`,
-    and the next pop re-scores every pending entry once, keeping each
-    entry's sequence number.
+    defaults to push order (fifo).  The score is taken once, when a link
+    is admitted (push or requeue), and never revisited.
     """
 
     def __init__(self, score: Score = _fifo) -> None:
         self._score = score
         self._heap: list[tuple[tuple, int, Link]] = []
         self._seq = 0
-        self._stale = False
         self._seen: set[str] = set()
         self._pushed = 0
         self._popped = 0
@@ -205,35 +246,8 @@ class LinkQueue:
         #: Optional per-sample callback (queue-depth gauge wiring).
         self.observer: Optional[Callable[[QueueSample], None]] = None
 
-    # -- storage (overridden by the one non-score discipline) -----------------
-
-    def _push_impl(self, link: Link) -> None:
-        self._seq += 1
-        heapq.heappush(self._heap, (self._score(link, self._seq), self._seq, link))
-
-    def _pop_impl(self) -> Link:
-        if self._stale:
-            # A promotion can lift entries buried anywhere in the heap,
-            # which top-of-heap lazy re-scoring cannot see; many rescore()
-            # calls between two pops coalesce into this one O(n) re-heap.
-            self._heap = [
-                (self._score(link, seq), seq, link) for _, seq, link in self._heap
-            ]
-            heapq.heapify(self._heap)
-            self._stale = False
-        if not self._heap:
-            raise IndexError("pop from empty link queue")
-        return heapq.heappop(self._heap)[2]
-
     def __len__(self) -> int:
         return len(self._heap)
-
-    def rescore(self) -> None:
-        """The score function's inputs changed: re-score pending links
-        before the next pop."""
-        self._stale = True
-
-    # -- public API -------------------------------------------------------------
 
     def push(self, link: Link) -> bool:
         """Enqueue unless the URL was already seen; returns True if enqueued."""
@@ -262,12 +276,16 @@ class LinkQueue:
     def _admit(self, link: Link, url: str) -> None:
         self._seen.add(url)
         origin = link.origin or origin_of(url)  # a requeued link has its stamp
-        self._push_impl(replace(link, url=url, enqueued_at=self.clock(), origin=origin))
+        link = replace(link, url=url, enqueued_at=self.clock(), origin=origin)
+        self._seq += 1
+        heapq.heappush(self._heap, (self._score(link, self._seq), self._seq, link))
         self._sample()
 
     def pop(self) -> Link:
         """Dequeue the next link; raises IndexError when empty."""
-        link = self._pop_impl()
+        if not self._heap:
+            raise IndexError("pop from empty link queue")
+        link = heapq.heappop(self._heap)[2]
         self._popped += 1
         self._sample()
         return link
@@ -304,67 +322,6 @@ class LinkQueue:
             self.observer(sample)
 
 
-class FairLinkQueue(LinkQueue):
-    """Round-robin across origins — the anti-starvation discipline, and
-    the one that is a rotation rather than an order (so not a score).
-
-    Each origin gets its own FIFO lane; ``pop`` serves one link from the
-    origin at the head of a rotation, then moves that origin to the back.
-    Within a round, every origin with pending links is served exactly
-    once, so an origin holding 1000 links cannot delay another origin's
-    first dereference by more than one round.  This is the queue-side
-    half of the adversarial hardening (DESIGN.md §4e): a hostile pod can
-    fill its own lane, never the queue.
-
-    Newly seen origins join the *back* of the rotation (they wait at most
-    one full round), and an origin whose lane drains leaves the rotation
-    until it has links again.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._lanes: dict[str, deque[Link]] = {}
-        self._rotation: deque[str] = deque()
-        self._size = 0
-
-    def _push_impl(self, link: Link) -> None:
-        origin = link.origin  # "" for unparseable URLs: they share a lane
-        lane = self._lanes.get(origin)
-        if lane is None:
-            lane = self._lanes[origin] = deque()
-            self._rotation.append(origin)
-        lane.append(link)
-        self._size += 1
-
-    def _pop_impl(self) -> Link:
-        while self._rotation:
-            origin = self._rotation[0]
-            lane = self._lanes.get(origin)
-            if not lane:
-                # Lane drained since its last turn: retire it.  A later
-                # push for this origin re-creates lane and rotation entry
-                # together, so the two structures never disagree.
-                self._rotation.popleft()
-                self._lanes.pop(origin, None)
-                continue
-            link = lane.popleft()
-            self._rotation.rotate(-1)
-            self._size -= 1
-            return link
-        raise IndexError("pop from empty link queue")
-
-    def __len__(self) -> int:
-        return self._size
-
-
-def _make_guided(context: QueuePolicyContext) -> LinkQueue:
-    # Imported lazily: the guided package imports this module for Link and
-    # the ranking table, so a top-level import here would be circular.
-    from .guided import GuidedLinkQueue
-
-    return GuidedLinkQueue(context)
-
-
 #: Named queue disciplines selectable via ``TraversalPolicy.queue_policy``
 #: (and the CLI ``--queue-policy`` flag).  Every factory has the one
 #: signature ``(QueuePolicyContext) -> LinkQueue``.
@@ -372,8 +329,8 @@ QUEUE_POLICIES: dict[str, Callable[[QueuePolicyContext], LinkQueue]] = {
     "fifo": lambda context: LinkQueue(_fifo),
     "lifo": lambda context: LinkQueue(_lifo),
     "priority": lambda context: LinkQueue(_priority),
-    "fair": lambda context: FairLinkQueue(),
-    "guided": _make_guided,
+    "fair": lambda context: LinkQueue(_fair()),
+    "guided": lambda context: LinkQueue(_guided(context)),
 }
 
 

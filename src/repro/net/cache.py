@@ -14,8 +14,8 @@ consults it when constructed with ``cache=HttpCache()``.
 
 Like the parsed-document store, the cache rides the shared
 :class:`~repro.storage.tier.StorageTier` discipline: a bounded true-LRU
-set of decoded entries in memory and — when a persistent
-:class:`~repro.storage.StorageBackend` is attached — a write-through
+set of decoded entries in memory and — when a
+:class:`~repro.storage.SqliteBackend` is attached — a write-through
 durable copy, so a restarted service answers repeat requests from the
 store file exactly like the browser's disk cache answers them across
 browser restarts.  Persisted entries carry wall-clock timestamps;
@@ -32,7 +32,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from ..storage import StorageBackend, StorageTier
+from ..storage import SqliteBackend, StorageTier
 from .message import Response
 
 __all__ = ["CacheEntry", "HttpCache"]
@@ -93,7 +93,7 @@ class HttpCache:
     Only successful ``GET`` responses are cached.  ``default_max_age``
     applies when the server sends no ``Cache-Control``; pass ``0`` to
     force revalidation on every reuse.  ``max_entries`` bounds the
-    in-memory LRU; a persistent ``backend`` keeps evicted and
+    in-memory LRU; a ``backend`` keeps evicted and
     across-restart entries reachable.
     """
 
@@ -101,7 +101,7 @@ class HttpCache:
         self,
         default_max_age: float = 300.0,
         max_entries: int = 100_000,
-        backend: Optional[StorageBackend] = None,
+        backend: Optional[SqliteBackend] = None,
     ) -> None:
         self._tier = StorageTier(
             "http",

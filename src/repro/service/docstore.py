@@ -24,8 +24,8 @@ document is re-parsed.
 
 Bounded memory and (optional) persistence both live in the shared
 :class:`~repro.storage.tier.StorageTier`: hot entries stay decoded in a
-true-LRU in-process cache; with a persistent
-:class:`~repro.storage.StorageBackend` below, entries additionally
+true-LRU in-process cache; with a
+:class:`~repro.storage.SqliteBackend` below, entries additionally
 write through in the process-portable term-table wire form
 (:mod:`repro.service.wire`; triples and validator, not the index, which
 the decoded value rebuilds on first use) — so a restarted
@@ -45,7 +45,7 @@ from typing import Iterable, Optional
 from ..net.message import Response
 from ..rdf.document import ParsedDocument
 from ..rdf.triples import Triple
-from ..storage import StorageBackend, StorageTier
+from ..storage import SqliteBackend, StorageTier
 
 __all__ = ["StoredDocument", "DocumentStore"]
 
@@ -92,7 +92,7 @@ class DocumentStore:
     ``max_documents`` bounds *memory*: beyond it the least-recently-used
     entry leaves the in-process cache (the same
     :class:`~repro.storage.tier.StorageTier` discipline as
-    :class:`~repro.net.cache.HttpCache`).  With a persistent ``backend``
+    :class:`~repro.net.cache.HttpCache`).  With a ``backend``
     the evicted entry stays reachable on disk — capacity outgrows RAM
     and survives restarts.  Counters (``hits``/``misses``/
     ``invalidations``) feed the service's doc-store hit-rate metrics.
@@ -101,7 +101,7 @@ class DocumentStore:
     def __init__(
         self,
         max_documents: int = 100_000,
-        backend: Optional[StorageBackend] = None,
+        backend: Optional[SqliteBackend] = None,
     ) -> None:
         self._tier = StorageTier(
             "documents",

@@ -32,7 +32,7 @@ from ..net.latency import LatencyModel, SeededJitterLatency
 from ..net.log import RequestLog
 from ..net.router import Internet
 from ..obs.metrics import Metrics
-from ..storage import StorageBackend, open_backend
+from ..storage import SqliteBackend
 from .docstore import DocumentStore
 
 __all__ = ["SharedResources"]
@@ -42,7 +42,7 @@ class SharedResources:
     """The shared stack, built bottom-up once — each setting handed to
     the layer that acts on it and held nowhere else:
 
-    1. the storage backend, and over it the HTTP cache and document store;
+    1. the store (if any), and over it the HTTP cache and document store;
     2. ``client`` — an :class:`~repro.net.client.HttpClient` with that
        cache, ``latency`` and ``config.network`` (its policy from then on);
     3. ``dereferencer`` — over the client, owning ``lenient``,
@@ -51,13 +51,12 @@ class SharedResources:
        the default extractors; what every query of a
        :class:`~repro.service.QueryService` runs on.
 
-    ``store_path``/``storage_backend`` select the persistence tier under
-    both caches (see :mod:`repro.storage`): the default is the in-memory
-    backend (nothing survives the process); a store path opens — or
-    reopens, warm — a single SQLite file holding both the HTTP cache and
-    the parsed-document store.  Call :meth:`close` (or :meth:`flush`) to
-    make pending writes durable; a crash in between loses only the
-    un-flushed window, never the file.
+    ``storage`` is the store under both caches (see :mod:`repro.storage`),
+    or ``None``, the default: memory only, nothing survives the process.
+    ``store_path`` opens — or reopens, warm — a single SQLite file holding
+    both the HTTP cache and the parsed-document store.  Call :meth:`close`
+    (or :meth:`flush`) to make pending writes durable; a crash in between
+    loses only the un-flushed window, never the file.
     """
 
     def __init__(
@@ -73,19 +72,16 @@ class SharedResources:
         auth_headers: Optional[dict[str, str]] = None,
         latency_scale: float = 1.0,
         store_path: Optional[str] = None,
-        storage_backend: Optional[str] = None,
-        storage: Optional[StorageBackend] = None,
+        storage: Optional[SqliteBackend] = None,
     ) -> None:
         #: The simulated Web this service answers from — retained so the
         #: service layer can reach origin apps directly (change listeners
         #: on Solid servers, authenticated control-plane updates).
         self.internet = internet
         config = config if config is not None else EngineConfig()
-        self.storage = (
-            storage
-            if storage is not None
-            else open_backend(storage_backend, path=store_path)
-        )
+        if storage is None and store_path is not None:
+            storage = SqliteBackend(store_path)
+        self.storage = storage
         self.http_cache = (
             http_cache if http_cache is not None else HttpCache(backend=self.storage)
         )
@@ -122,17 +118,19 @@ class SharedResources:
         return cls(universe.internet, latency=latency, **kwargs)
 
     def flush(self) -> None:
-        """Commit pending storage writes (no-op on the memory backend)."""
-        self.storage.flush()
+        """Commit pending storage writes (no-op without a store)."""
+        if self.storage is not None:
+            self.storage.flush()
 
     def close(self) -> None:
-        """Flush and release the storage backend."""
-        self.storage.close()
+        """Flush and release the store (no-op without one)."""
+        if self.storage is not None:
+            self.storage.close()
 
     def statistics(self) -> dict:
         return {
             "http_cache": self.http_cache.statistics(),
             "document_store": self.document_store.statistics(),
-            "storage": self.storage.statistics(),
+            "storage": self.storage.statistics() if self.storage is not None else {},
             "requests": len(self.client.log),
         }

@@ -124,7 +124,6 @@ class ShardSpec:
     #: own file path under it (``<dir>/<shard-name>.sqlite``), so a
     #: respawned worker reopens its predecessor's store warm.
     store_path: Optional[str] = None
-    storage_backend: Optional[str] = None
 
     def build(self, universe=None) -> QueryService:
         """The stack this spec describes, over ``universe`` (regenerated
@@ -137,7 +136,6 @@ class ShardSpec:
             config=self.engine,
             lenient=self.lenient,
             store_path=self.store_path,
-            storage_backend=self.storage_backend,
         )
         return QueryService(
             resources, max_concurrent=self.max_concurrent, max_queued=self.max_queued
@@ -153,7 +151,7 @@ class ShardSpec:
 
     @property
     def persistent(self) -> bool:
-        return self.store_path is not None or self.storage_backend == "sqlite"
+        return self.store_path is not None
 
 
 # ---------------------------------------------------------------------------

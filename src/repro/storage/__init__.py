@@ -12,35 +12,27 @@ capacity was bounded by RAM.
 This package separates *store* from *layout* (after lakesuperior's
 store/layout split):
 
-* :class:`StorageBackend` — the store: a tiny namespaced key/value
-  protocol (``get``/``put``/``delete``/``scan``/``count``/``clear``/
-  ``flush``/``close``) over opaque byte values;
-* :class:`MemoryBackend` — the default: plain dicts, nothing survives
-  the process (exactly the pre-persistence behavior);
-* :class:`SqliteBackend` — embedded, single-file, WAL-mode, crash-safe;
-  a restart against the same path starts *warm* and capacity is bounded
-  by disk, not RAM;
+* :class:`SqliteBackend` — the store: one embedded, single-file,
+  WAL-mode, crash-safe namespaced key/value file over opaque byte
+  values; a restart against the same path starts *warm* and capacity is
+  bounded by disk, not RAM;
 * :class:`StorageTier` — the layout: a bounded in-process LRU of
-  *decoded* entries above a backend keyspace, with read-through on
-  miss and write-through on put.  Both ``DocumentStore`` and
-  ``HttpCache`` ride this one discipline, which is also where their
-  previously duplicated eviction/statistics surface now lives.
+  *decoded* entries, over one namespace of a store when it has one
+  (read-through on miss, write-through on put) and authoritative when it
+  has none.  Both ``DocumentStore`` and ``HttpCache`` ride this one
+  discipline, which is also where their previously duplicated
+  eviction/statistics surface now lives.
 
-Serialization stays at the caller: the tier takes ``encode``/``decode``
-callables, so the document store reuses the process-portable term-table
-codec from :mod:`repro.service.wire` — validator keys survive a restart
-and invalidation keeps riding the ETag/304-revalidation machinery.
+Without a store nothing survives the process and nothing is encoded:
+that is the default of every cache and of
+:class:`~repro.service.SharedResources`.  Serialization stays at the
+caller: the tier takes ``encode``/``decode`` callables, so the document
+store reuses the process-portable term-table codec from
+:mod:`repro.service.wire` — validator keys survive a restart and
+invalidation keeps riding the ETag/304-revalidation machinery.
 """
 
-from .backend import Keyspace, MemoryBackend, StorageBackend, open_backend
 from .sqlite import SqliteBackend
 from .tier import StorageTier
 
-__all__ = [
-    "StorageBackend",
-    "MemoryBackend",
-    "SqliteBackend",
-    "Keyspace",
-    "StorageTier",
-    "open_backend",
-]
+__all__ = ["SqliteBackend", "StorageTier"]

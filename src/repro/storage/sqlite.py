@@ -46,7 +46,6 @@ class SqliteBackend:
     """Crash-safe namespaced key/value store in one SQLite file."""
 
     kind = "sqlite"
-    persistent = True
 
     def __init__(self, path: str, auto_flush: int = 256) -> None:
         self.path = str(path)
@@ -89,7 +88,7 @@ class SqliteBackend:
         if self.pending_writes >= self._auto_flush:
             self._commit_locked()
 
-    # -- protocol -------------------------------------------------------
+    # -- the store ------------------------------------------------------
 
     def get(self, namespace: str, key: str) -> Optional[bytes]:
         with self._lock:
@@ -183,7 +182,6 @@ class SqliteBackend:
     def statistics(self) -> dict:
         return {
             "kind": self.kind,
-            "persistent": self.persistent,
             "path": self.path,
             "namespaces": self.namespaces() if not self._closed else {},
             "puts": self.puts,

@@ -1,4 +1,4 @@
-"""The shared cache discipline above a storage backend.
+"""The shared cache discipline above the SQLite store.
 
 :class:`StorageTier` is the one eviction/statistics surface both the
 parsed-document store and the HTTP cache used to duplicate (each had its
@@ -6,14 +6,15 @@ own ``max_*`` bound and an O(n) ``min(..., key=stored_at)`` oldest-entry
 scan).  The tier keeps *decoded* entries in a bounded
 :class:`~collections.OrderedDict` in true LRU order — a hit refreshes
 recency in O(1), eviction pops the least-recently-used entry in O(1) —
-and, when a persistent backend sits below, spills beyond the bound to it:
+and, when a :class:`~repro.storage.sqlite.SqliteBackend` sits below (a
+tier is persistent iff it has one), spills beyond the bound to its own
+namespace of that store:
 
 * **put** inserts into the LRU and write-throughs the encoded bytes;
 * **get** answers from the LRU, else reads through (decode + promote);
-* **eviction** only forgets the in-memory copy when the backend is
-  persistent — capacity becomes disk-bounded, not RAM-bounded;
-* with no persistent backend the LRU is authoritative and eviction
-  discards, which is exactly the pre-persistence behavior.
+* **eviction** only forgets the in-memory copy when there is a backend —
+  capacity becomes disk-bounded, not RAM-bounded;
+* with no backend the LRU is authoritative and eviction discards.
 
 The LRU holds live objects: callers may mutate an entry in place (the
 HTTP cache renews validator timestamps on 304) and such mutations are
@@ -27,13 +28,14 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Callable, Iterator, Optional
 
-from .backend import Keyspace, StorageBackend
+from .sqlite import SqliteBackend
 
 __all__ = ["StorageTier"]
 
 
 class StorageTier:
-    """Bounded-LRU cache of decoded entries over an optional keyspace."""
+    """Bounded-LRU cache of decoded entries over an optional namespace of
+    a SQLite store."""
 
     def __init__(
         self,
@@ -41,19 +43,13 @@ class StorageTier:
         max_entries: int,
         encode: Callable[[object], bytes],
         decode: Callable[[bytes], object],
-        backend: Optional[StorageBackend] = None,
+        backend: Optional[SqliteBackend] = None,
     ) -> None:
         self.namespace = namespace
         self._max_entries = max(1, max_entries)
         self._encode = encode
         self._decode = decode
-        # Only a persistent backend earns the encode/decode round trip:
-        # a memory backend below a memory LRU would double-store.
-        self._keyspace = (
-            Keyspace(backend, namespace)
-            if backend is not None and backend.persistent
-            else None
-        )
+        self._backend = backend
         self._lru: "OrderedDict[str, object]" = OrderedDict()
         self.evictions = 0
         self.backend_reads = 0
@@ -63,7 +59,7 @@ class StorageTier:
 
     @property
     def persistent(self) -> bool:
-        return self._keyspace is not None
+        return self._backend is not None
 
     @property
     def max_memory_entries(self) -> int:
@@ -71,8 +67,8 @@ class StorageTier:
 
     def __len__(self) -> int:
         """Total reachable entries (disk-backed when persistent)."""
-        if self._keyspace is not None:
-            return self._keyspace.count()
+        if self._backend is not None:
+            return self._backend.count(self.namespace)
         return len(self._lru)
 
     def memory_entries(self) -> int:
@@ -81,14 +77,15 @@ class StorageTier:
     def __contains__(self, key: str) -> bool:
         if key in self._lru:
             return True
-        return self._keyspace is not None and self._keyspace.get(key) is not None
+        backend = self._backend
+        return backend is not None and backend.get(self.namespace, key) is not None
 
     # -- the discipline -------------------------------------------------
 
     def _admit(self, key: str, entry: object) -> None:
-        # With a persistent keyspace below, eviction only forgets the
-        # in-memory copy (the durable one remains reachable); without
-        # one, eviction is deletion — the old in-memory bound.
+        # With a backend below, eviction only forgets the in-memory copy
+        # (the durable one remains reachable); without one, eviction is
+        # deletion.
         self._lru[key] = entry
         self._lru.move_to_end(key)
         while len(self._lru) > self._max_entries:
@@ -100,8 +97,8 @@ class StorageTier:
         if entry is not None:
             self._lru.move_to_end(key)
             return entry
-        if self._keyspace is not None:
-            raw = self._keyspace.get(key)
+        if self._backend is not None:
+            raw = self._backend.get(self.namespace, key)
             if raw is not None:
                 entry = self._decode(raw)
                 self.backend_reads += 1
@@ -114,8 +111,8 @@ class StorageTier:
         entry = self._lru.get(key)
         if entry is not None:
             return entry
-        if self._keyspace is not None:
-            raw = self._keyspace.get(key)
+        if self._backend is not None:
+            raw = self._backend.get(self.namespace, key)
             if raw is not None:
                 self.backend_reads += 1
                 return self._decode(raw)
@@ -123,22 +120,22 @@ class StorageTier:
 
     def put(self, key: str, entry: object) -> None:
         self._admit(key, entry)
-        if self._keyspace is not None:
-            self._keyspace.put(key, self._encode(entry))
+        if self._backend is not None:
+            self._backend.put(self.namespace, key, self._encode(entry))
             self.backend_writes += 1
 
     def delete(self, key: str) -> None:
         self._lru.pop(key, None)
-        if self._keyspace is not None:
-            self._keyspace.delete(key)
+        if self._backend is not None:
+            self._backend.delete(self.namespace, key)
 
     def items(self) -> Iterator[tuple[str, object]]:
         """Every reachable entry, in-memory copies winning over stored ones."""
-        if self._keyspace is None:
+        if self._backend is None:
             yield from list(self._lru.items())
             return
         seen: set[str] = set()
-        for key, raw in self._keyspace.scan():
+        for key, raw in self._backend.scan(self.namespace):
             seen.add(key)
             entry = self._lru.get(key)
             yield key, entry if entry is not None else self._decode(raw)
@@ -151,12 +148,12 @@ class StorageTier:
         self.evictions = 0
         self.backend_reads = 0
         self.backend_writes = 0
-        if self._keyspace is not None:
-            self._keyspace.clear()
+        if self._backend is not None:
+            self._backend.clear(self.namespace)
 
     def flush(self) -> None:
-        if self._keyspace is not None:
-            self._keyspace.flush()
+        if self._backend is not None:
+            self._backend.flush()
 
     def statistics(self) -> dict:
         stats = {
@@ -168,6 +165,6 @@ class StorageTier:
             "backend_reads": self.backend_reads,
             "backend_writes": self.backend_writes,
         }
-        if self._keyspace is not None:
-            stats["backend"] = self._keyspace.backend.kind
+        if self._backend is not None:
+            stats["backend"] = self._backend.kind
         return stats

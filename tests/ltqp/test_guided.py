@@ -464,22 +464,6 @@ class TestGuidedQueue:
             "https://h/bob/card",
         ]
 
-    def test_result_contribution_boost_reorders_siblings(self):
-        queue = guided_queue()
-        queue.push(Link("https://h/a/1", provenance=LinkProvenance(extractor="match")))
-        queue.push(Link("https://h/b/1", provenance=LinkProvenance(extractor="match")))
-        queue.note_result_contribution("https://h/b/0")
-        assert queue.pop().url == "https://h/b/1"
-
-    def test_entity_counts_break_ties(self):
-        url, document = hint_document()
-        hints = CardinalityHints()
-        hints.absorb_document(url, document)
-        queue = guided_queue(QueuePolicyContext(hints=hints))
-        queue.push(Link(POD + "noise/x", provenance=LinkProvenance(extractor="match")))
-        queue.push(Link(POD + "posts/x", provenance=LinkProvenance(extractor="match")))
-        assert queue.pop().url == POD + "posts/x"
-
     def test_requeue_preserves_provenance_and_rank(self):
         # Regression: a retryable failure must not demote the link — the
         # requeued copy keeps its provenance and therefore its queue rank.

@@ -1,10 +1,12 @@
-"""Unit tests for links and link queues."""
+"""Unit tests for links and the link queue."""
+
+import ast
+from pathlib import Path
 
 import pytest
 
 from repro.ltqp.links import (
     QUEUE_POLICIES,
-    FairLinkQueue,
     Link,
     LinkQueue,
     QueuePolicyContext,
@@ -156,11 +158,16 @@ class TestFairQueue:
         queue = make("fair")
         queue.push(Link("https://a.example/0"))
         queue.push(Link("https://a.example/1"))
+        queue.push(Link("https://c.example/0"))
         assert queue.pop().url == "https://a.example/0"
         queue.push(Link("https://b.example/0"))
-        # b arrives mid-round: it waits for a's turn, then is served.
-        assert queue.pop().url == "https://a.example/1"
-        assert queue.pop().url == "https://b.example/0"
+        # b arrives mid-round: its first link waits behind the first links
+        # already waiting (c's), and pops before any earlier origin's next.
+        assert [queue.pop().url for _ in range(3)] == [
+            "https://c.example/0",
+            "https://b.example/0",
+            "https://a.example/1",
+        ]
 
     def test_requeue_and_dedup_still_apply(self):
         queue = make("fair")
@@ -177,7 +184,7 @@ class TestFairQueue:
 
 class TestLinkOrigin:
     """The queue stamps a link's origin once, on admission; what accounts
-    per origin downstream (fair lanes, budgets, refusals) reads the stamp."""
+    per origin downstream (the fair score, budgets, refusals) reads the stamp."""
 
     @pytest.mark.parametrize("policy", sorted(QUEUE_POLICIES))
     def test_stamped_on_admission_and_kept_through_requeue(self, policy, monkeypatch):
@@ -210,15 +217,28 @@ class TestLink:
 
 class TestQueuePolicyRegistry:
     def test_policies_map_to_queue_classes(self):
-        from repro.ltqp import GuidedLinkQueue
-
         assert set(QUEUE_POLICIES) == {"fifo", "lifo", "priority", "fair", "guided"}
-        # One ordered queue for the three plain score disciplines; the
-        # rotation and the stateful score each keep a subclass.
-        for policy in ("fifo", "lifo", "priority"):
+        # One queue class: every discipline is a score it takes on admission.
+        for policy in QUEUE_POLICIES:
             assert type(make(policy)) is LinkQueue
-        assert type(make("fair")) is FairLinkQueue
-        assert type(make("guided")) is GuidedLinkQueue
+
+    def test_src_defines_no_queue_subclass_and_no_rescore(self):
+        # A discipline that needs a subclass or a re-score is a second
+        # queue; it is a score taken once per admission instead.
+        import repro
+
+        subclasses, rescores = [], []
+        for path in sorted(Path(repro.__file__).parent.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ClassDef) and any(
+                    getattr(base, "id", getattr(base, "attr", None)) == "LinkQueue"
+                    for base in node.bases
+                ):
+                    subclasses.append(f"{path.name}:{node.name}")
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    if node.name == "rescore":
+                        rescores.append(path.name)
+        assert subclasses == [] and rescores == []
 
     def test_unknown_policy_raises(self):
         with pytest.raises(ValueError, match="unknown queue policy"):

@@ -1,19 +1,17 @@
-"""Property test: every score discipline pops in its reference-model order.
+"""Property test: every queue discipline pops in its reference-model order.
 
-``LinkQueue`` is one heap keyed by a per-policy score function; the guided
-policy's scores move while links wait (result-contribution boosts) and
-are refreshed by the queue's one re-score mechanism.  The reference model
-below keeps no heap and no staleness flag: it re-scores *every* pending
-link at *every* pop and takes the minimum, ties broken by push order.  If
-a score tuple is transcribed wrong, or a boost fails to trigger a
-re-score, the two pop sequences diverge.  (``fair`` is a rotation, not a
-score; its order is pinned by the unit tests in ``tests/ltqp``.)
+``LinkQueue`` is one heap keyed by a per-policy score taken once, when a
+link is admitted (push or requeue).  The reference model below keeps no
+heap and no running counters: it scores each admission from the history
+of admissions before it and, at every pop, takes the minimum score over
+the pending links, ties broken by admission order.  If a score tuple is
+transcribed wrong — fair counting by URL instead of by origin, guided
+losing its query-predicate promotion — the two pop sequences diverge.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +20,7 @@ from hypothesis import strategies as st
 from repro.ltqp.extractors import QueryContext
 from repro.ltqp.links import (
     EXTRACTOR_RANK,
+    QUEUE_POLICIES,
     Link,
     LinkProvenance,
     QueuePolicyContext,
@@ -33,28 +32,18 @@ from repro.rdf import NamedNode
 QUERY_PREDICATE = "http://x/likes"
 CONTAINERS = ["https://a.example/pods/1/posts/", "https://a.example/pods/1/noise/",
               "https://b.example/pods/2/posts/"]
-ENTITIES = {CONTAINERS[0]: 7, CONTAINERS[2]: 3}
 
 
-class Hints:
-    """Duck-typed stand-in for CardinalityHints: entities per container."""
-
-    def pod_for(self, url):
-        return self
-
-    def container_for(self, url):
-        count = ENTITIES.get(url[: url.rfind("/") + 1])
-        return SimpleNamespace(entities=count) if count else None
-
-
-def reference_score(policy, link, seq, boosts):
+def reference_score(policy, link, seq, history):
+    """The score of ``link``, admitted ``seq``-th after the links in ``history``."""
     kind = link.provenance.extractor if link.provenance else link.via
     rank = EXTRACTOR_RANK.get(kind, 9)
     if policy == "guided":
         joins = link.provenance is not None and link.provenance.predicate == QUERY_PREDICATE
-        tier = 2.5 if joins and rank > 2.5 else rank
-        container = link.url[: link.url.rfind("/") + 1]
-        return (tier, -boosts.get(container, 0), link.depth, -ENTITIES.get(container, 0))
+        return (2.5 if joins and rank > 2.5 else rank,)
+    if policy == "fair":
+        host = link.url.split("/")[2]
+        return (sum(1 for earlier in history if earlier.url.split("/")[2] == host),)
     return {"fifo": (), "lifo": (-seq,), "priority": (link.depth, rank)}[policy]
 
 
@@ -77,43 +66,41 @@ operations = st.lists(
         st.tuples(st.just("push"), links),
         st.tuples(st.just("pop"), st.none()),
         st.tuples(st.just("requeue"), st.none()),
-        st.tuples(st.just("contribute"), st.sampled_from(CONTAINERS)),
     ),
     max_size=60,
 )
 
 
-@pytest.mark.parametrize("policy", ["fifo", "lifo", "priority", "guided"])
+@pytest.mark.parametrize("policy", sorted(QUEUE_POLICIES))
 @settings(max_examples=150, deadline=None)
 @given(operations=operations)
 def test_pop_order_matches_reference_model(policy, operations):
     context = QueuePolicyContext(
-        query=QueryContext(predicates=frozenset({NamedNode(QUERY_PREDICATE)})), hints=Hints()
+        query=QueryContext(predicates=frozenset({NamedNode(QUERY_PREDICATE)}))
     )
     queue = build_queue(queue_factory_for(policy), context)
-    pending, seen, boosts, popped, seq = [], set(), {}, [], 0
+    pending, admitted, seen, popped = [], [], set(), []
+
+    def admit(link):
+        seq = len(admitted) + 1
+        pending.append((reference_score(policy, link, seq, admitted), seq, link))
+        admitted.append(link)
+
     for action, argument in operations + [("pop", None)] * len(operations):
         if action == "push":
             assert queue.push(argument) == (argument.url not in seen)
             if argument.url not in seen:
                 seen.add(argument.url)
-                seq += 1
-                pending.append((seq, argument))
+                admit(argument)
         elif action == "requeue" and popped:
             retry = dataclasses.replace(popped.pop(), attempts=1)
             queue.requeue(retry)
-            seq += 1
-            pending.append((seq, retry))
-        elif action == "contribute" and policy == "guided":
-            queue.note_result_contribution(argument + "some-post")
-            boosts[argument] = boosts.get(argument, 0) + 1
+            admit(retry)
         elif action == "pop" and pending:
-            expected = min(
-                pending, key=lambda e: (reference_score(policy, e[1], e[0], boosts), e[0])
-            )
+            expected = min(pending, key=lambda entry: entry[:2])
             pending.remove(expected)
             got = queue.pop()
-            assert (got.url, got.attempts) == (expected[1].url, expected[1].attempts)
+            assert (got.url, got.attempts) == (expected[2].url, expected[2].attempts)
             popped.append(got)
         assert len(queue) == len(pending)
     assert queue.empty

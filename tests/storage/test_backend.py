@@ -1,31 +1,23 @@
-"""Unit tests for the storage-backend protocol and its implementations."""
+"""Unit tests for the SQLite store and how a stack opens it."""
 
 import pytest
 
-from repro.storage import (
-    Keyspace,
-    MemoryBackend,
-    SqliteBackend,
-    StorageBackend,
-    open_backend,
-)
+from repro.cli import build_serve_arg_parser
+from repro.service import SharedResources
+from repro.storage import SqliteBackend, StorageTier
 
 
 @pytest.fixture(params=["memory", "sqlite"])
 def backend(request, tmp_path):
-    if request.param == "memory":
-        built = MemoryBackend()
-    else:
-        built = SqliteBackend(str(tmp_path / "store.sqlite"))
+    """The store over an in-memory database and over a file."""
+    path = ":memory:" if request.param == "memory" else str(tmp_path / "store.sqlite")
+    built = SqliteBackend(path)
     yield built
     built.close()
 
 
 class TestProtocolBehavior:
-    """Every backend satisfies the same observable contract."""
-
-    def test_satisfies_protocol(self, backend):
-        assert isinstance(backend, StorageBackend)
+    """The store keeps the same observable contract in memory and on disk."""
 
     def test_get_put_delete(self, backend):
         assert backend.get("ns", "k") is None
@@ -59,8 +51,7 @@ class TestProtocolBehavior:
 
         backend.put("ns", "k", b"v")
         stats = backend.statistics()
-        assert stats["kind"] == backend.kind
-        assert stats["persistent"] == backend.persistent
+        assert stats["kind"] == backend.kind == "sqlite"
         assert stats["namespaces"] == {"ns": 1}
         json.dumps(stats)  # must serialize for /service/status
 
@@ -119,43 +110,62 @@ class TestSqlitePersistence:
 
 
 class TestKeyspace:
-    def test_binds_one_namespace(self):
-        backend = MemoryBackend()
-        documents = Keyspace(backend, "documents")
-        http = Keyspace(backend, "http")
-        documents.put("k", b"doc")
-        assert documents.get("k") == b"doc"
-        assert http.get("k") is None
-        assert documents.count() == 1
-        assert dict(documents.scan()) == {"k": b"doc"}
-        documents.delete("k")
-        assert documents.count() == 0
-        assert documents.persistent is False
+    def test_binds_one_namespace(self, tmp_path):
+        # Each tier reads and writes its own namespace of the one store.
+        backend = SqliteBackend(str(tmp_path / "store.sqlite"))
+        try:
+            documents, http = (
+                StorageTier(namespace, 4, str.encode, bytes.decode, backend=backend)
+                for namespace in ("documents", "http")
+            )
+            documents.put("k", "doc")
+            assert backend.get("documents", "k") == b"doc"
+            assert http.get("k") is None
+            assert len(documents) == 1 and len(http) == 0
+            assert dict(documents.items()) == {"k": "doc"}
+            documents.delete("k")
+            assert len(documents) == 0
+            assert documents.persistent and http.persistent
+        finally:
+            backend.close()
 
 
 class TestOpenBackend:
-    def test_default_is_memory(self):
-        assert open_backend().kind == "memory"
-        assert open_backend("memory").kind == "memory"
+    """A stack opens a store only from a path; without one it has none."""
 
-    def test_path_infers_sqlite(self, tmp_path):
-        backend = open_backend(path=str(tmp_path / "s.sqlite"))
-        assert backend.kind == "sqlite" and backend.persistent
-        backend.close()
+    def test_default_is_memory(self, tiny_universe):
+        resources = SharedResources.for_universe(tiny_universe)
+        assert resources.storage is None
+        assert not resources.http_cache.tier.persistent
+        assert not resources.document_store.tier.persistent
+        assert resources.statistics()["storage"] == {}
+        resources.flush()
+        resources.close()  # no store: both are no-ops
 
-    def test_explicit_sqlite(self, tmp_path):
-        backend = open_backend("sqlite", path=str(tmp_path / "s.sqlite"))
-        assert backend.kind == "sqlite"
-        backend.close()
+    def test_path_infers_sqlite(self, tiny_universe, tmp_path):
+        resources = SharedResources.for_universe(
+            tiny_universe, store_path=str(tmp_path / "s.sqlite")
+        )
+        try:
+            assert isinstance(resources.storage, SqliteBackend)
+            assert resources.http_cache.tier.persistent
+            assert resources.document_store.tier.persistent
+            assert resources.statistics()["storage"]["kind"] == "sqlite"
+        finally:
+            resources.close()
 
-    def test_memory_rejects_path(self, tmp_path):
-        with pytest.raises(ValueError):
-            open_backend("memory", path=str(tmp_path / "s.sqlite"))
+    def test_explicit_sqlite(self, tiny_universe, tmp_path):
+        backend = SqliteBackend(str(tmp_path / "s.sqlite"))
+        resources = SharedResources.for_universe(tiny_universe, storage=backend)
+        try:
+            assert resources.storage is backend
+            assert resources.document_store.tier.persistent
+        finally:
+            resources.close()
 
     def test_sqlite_requires_path(self):
-        with pytest.raises(ValueError):
-            open_backend("sqlite")
-
-    def test_unknown_backend(self):
-        with pytest.raises(ValueError):
-            open_backend("lmdb")
+        # The serve door has no backend switch: a store is a --store-path.
+        parser = build_serve_arg_parser()
+        assert parser.parse_args([]).store_path is None
+        with pytest.raises(SystemExit):
+            parser.parse_args(["--backend", "sqlite"])

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.storage import MemoryBackend, SqliteBackend, StorageTier
+from repro.storage import SqliteBackend, StorageTier
 
 
 def make_tier(max_entries=3, backend=None):
@@ -16,7 +16,7 @@ def make_tier(max_entries=3, backend=None):
 
 
 class TestMemoryOnly:
-    """No backend (or a non-persistent one): the LRU is authoritative."""
+    """No backend: the LRU is authoritative."""
 
     def test_true_lru_eviction_order(self):
         tier = make_tier(max_entries=2)
@@ -35,16 +35,6 @@ class TestMemoryOnly:
         tier.put("b", "B")
         assert len(tier) == 1
         assert "a" not in tier
-
-    def test_memory_backend_is_not_written_through(self):
-        backend = MemoryBackend()
-        tier = make_tier(backend=backend)
-        tier.put("a", "A")
-        # A memory backend under a memory LRU would just double-store:
-        # the tier must bypass it entirely.
-        assert not tier.persistent
-        assert backend.puts == 0
-        assert tier.get("a") == "A"
 
     def test_items_and_contains(self):
         tier = make_tier()
