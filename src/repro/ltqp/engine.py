@@ -49,6 +49,7 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import AsyncIterator, Awaitable, Iterable, Optional, Union as TypingUnion
 
@@ -81,13 +82,17 @@ __all__ = [
 class TraversalPolicy:
     """Bounds and behaviour of the traversal itself.
 
-    ``worker_count`` parallel dereferencers (the browser demo fetches with
-    ~6-way parallelism per origin; the client enforces the per-origin cap,
-    this caps global parallelism).  ``max_documents``/``max_depth`` bound
-    traversal on the open Web; ``0`` disables the bound.
+    ``worker_count`` caps how many links are dereferenced at once.  ``0``
+    (the default) sets no global cap: the pool grows while a link whose
+    origin has a free connection slot finds every worker busy, so
+    parallelism is bounded by the client's per-origin cap (the browser
+    demo's ~6 per origin) times the origins in play.  ``1`` makes a
+    traversal strictly serial (the waterfall goldens).
+    ``max_documents``/``max_depth`` bound traversal on the open Web; ``0``
+    disables the bound.
     """
 
-    worker_count: int = 8
+    worker_count: int = 0
     max_documents: int = 0
     max_depth: int = 0
     max_duration: float = 0.0
@@ -281,7 +286,12 @@ class QueryExecution:
         self._constructed: set = set()
         self._batch_quads = max(1, self._policy.advance_batch_quads)
         self._pending_quads = 0
+        # The worker pool (see _take): links being dereferenced (the workers
+        # not holding one are idle), and links popped while their origin had
+        # no free slot.
         self._in_flight = 0
+        self._workers: list[asyncio.Task] = []
+        self._held: dict[str, deque] = {}
         self._idle = asyncio.Condition()  # workers: queue refilled / link done
         self._stop = asyncio.Event()  # bound hit, LIMIT satisfied
         self._wake = asyncio.Event()  # consumer: new result / traversal over
@@ -594,46 +604,117 @@ class QueryExecution:
         # of them); the traversal machinery must not, nor — unless a
         # LiveQuery is about to maintain them — the store and operator state.
         self.queue = self.selector = self._extractors = self._constructed = None
+        self._held.clear()
+        self._workers.clear()
         if not self._live:
             self.source = self.pipeline = None
 
     # -- traversal ---------------------------------------------------------
 
     async def _traverse(self) -> None:
-        """The dereferencer pool: ``worker_count`` workers drain the queue."""
-        workers = [
-            asyncio.create_task(self._worker(index + 1))
-            for index in range(self._policy.worker_count)
-        ]
+        """The dereferencer pool: long-lived workers, one to start with and
+        more as :meth:`_take` finds them all busy; over when all are."""
+        workers = self._workers
+        self._spawn()
         try:
-            await asyncio.gather(*workers)
+            while running := [task for task in workers if not task.done()]:
+                done, _ = await asyncio.wait(running, return_when=asyncio.FIRST_EXCEPTION)
+                for task in done:
+                    task.result()  # re-raise a worker's exception
         finally:
             for task in workers:
                 if not task.done():
                     task.cancel()
 
+    def _spawn(self) -> None:
+        """One more worker; it counts as idle until it takes a link."""
+        self._workers.append(asyncio.create_task(self._worker(len(self._workers) + 1)))
+
     async def _worker(self, track: int) -> None:
-        queue, idle, stop = self.queue, self._idle, self._stop
+        idle = self._idle
         while True:
             async with idle:
-                while queue.empty and self._in_flight and not stop.is_set():
-                    await idle.wait()
-                if queue.empty and not stop.is_set():
-                    # About to quiesce: links still waiting for a source index
-                    # that never arrived go ahead unjudged — the full crawl.
-                    for released in self.selector.release_unjudged():
-                        queue.requeue(released)
-                if queue.empty or stop.is_set():  # quiescent, or told to stop
+                link = await self._take()
+                if link is None:  # quiescent, or told to stop
                     idle.notify_all()
                     return
-                link = queue.pop()
-                self._in_flight += 1
             try:
                 await self._process_link(link, track)
             finally:
                 async with idle:
                     self._in_flight -= 1
                     idle.notify_all()
+            if self._wake.is_set():
+                # Rows are waiting for the consumer: hand it the loop before the
+                # next link.  With nothing else to await (no latency, warm
+                # caches) it would otherwise see row 1 when the crawl ends.
+                await asyncio.sleep(0)
+
+    async def _take(self) -> Optional[Link]:
+        """The next link for the calling worker (it holds ``_idle``), or
+        ``None`` once traversal is over.  Waits while nothing can be
+        dispatched and links are in flight; about to quiesce, lets the links
+        still waiting for a source index that never arrived go ahead
+        unjudged — the full crawl.  Grows the pool when it hands out a link
+        with more dispatchable work behind it and no idle worker left."""
+        queue, stop = self.queue, self._stop
+        while not stop.is_set():
+            link = self._dispatchable()
+            if link is None and not self._in_flight:
+                if self._held:
+                    # Every slot of the held origins is another execution's
+                    # (this one has nothing in flight): wait in the client.
+                    link = self._unhold(self._held_origin(free=False))
+                else:
+                    released = self.selector.release_unjudged()
+                    if not released:
+                        return None
+                    for parked in released:
+                        queue.requeue(parked)
+                    continue
+            if link is None:
+                await self._idle.wait()
+                continue
+            self._in_flight += 1
+            workers, cap = len(self._workers), self._policy.worker_count
+            if workers == self._in_flight and (not cap or workers < cap) and (
+                not queue.empty or self._held_origin() is not None
+            ):
+                self._spawn()
+            return link
+        return None
+
+    def _dispatchable(self) -> Optional[Link]:
+        """The oldest held link whose origin has a free connection slot,
+        else the best queued link whose origin has one.  A link popped for a
+        full origin is held, per origin in pop order; slots and the cap are
+        read from the client (their one home), which counts every
+        execution's requests."""
+        origin = self._held_origin()
+        if origin is not None:
+            return self._unhold(origin)
+        queue, client, held = self.queue, self._engine.client, self._held
+        slots = client.origin_slots
+        while not queue.empty:
+            link = queue.pop()
+            if client.in_flight(link.origin) < slots:  # so none of its links is held
+                return link
+            held.setdefault(link.origin, deque()).append((queue.popped_total, link))
+        return None
+
+    def _held_origin(self, free: bool = True) -> Optional[str]:
+        """Of the origins with held links (and, if ``free``, a free slot),
+        the one whose next held link was popped first."""
+        client, held = self._engine.client, self._held
+        origins = [o for o in held if not free or client.in_flight(o) < client.origin_slots]
+        return min(origins, key=lambda origin: held[origin][0][0], default=None)
+
+    def _unhold(self, origin: str) -> Link:
+        held = self._held[origin]
+        link = held.popleft()[1]
+        if not held:
+            del self._held[origin]
+        return link
 
     async def _process_link(self, link: Link, track: int) -> None:
         """One popped link: admit → dereference → ingest → extract, and the
@@ -652,11 +733,6 @@ class QueryExecution:
         finally:
             if span is not None:
                 tracer.end(span)
-        if self._wake.is_set():
-            # Rows are waiting for the consumer: hand it the loop before the
-            # next link.  With nothing else to await (no latency, warm
-            # caches) it would otherwise see row 1 when the crawl ends.
-            await asyncio.sleep(0)
 
     def _open_span(self, link: Link, track: int):
         tracer = self.tracer

@@ -8,12 +8,15 @@ execution, next to the :class:`~.selector.SourceSelector` it serves):
    and traversal scope from the WebID profile, and the guided score ranks
    these links ahead of data (tier ``"hint"``).
 2. In a *source-index* document (the selector absorbed it just before
-   extraction runs): emit links to the pod's summarized containers that
-   are relevant to the query — ``"hint-container"`` tier, carrying the
-   container's class as provenance.  With a complete index this replaces
-   the LDP infrastructure crawl the selector prunes — the type index
-   included, so each such container is also recorded as a registration
-   (``context.registered_targets``) for a scoped LDP extractor to descend.
+   extraction runs): emit links for the pod's summary units that are
+   relevant to the query, best unit first, each carrying the unit's class
+   as provenance.  A complete index that lists a unit's members yields
+   those documents (``"hint-member"``, in URL order): the chain is card →
+   index → document, and the selector prunes the unit's container as
+   redundant.  Any other unit yields its container (``"hint-container"``),
+   which is also recorded as a registration
+   (``context.registered_targets``) so that a scoped LDP extractor
+   descends into it — the type index it replaces is pruned.
 """
 
 from __future__ import annotations
@@ -31,6 +34,10 @@ _ADVERTISEMENTS = (ADVERTISEMENT, SUBWEB.specification)
 
 
 class HintDiscoveryExtractor(LinkExtractor):
+    """Advertised indexes and specs from any document; from an absorbed
+    source index, the members of each relevant unit that lists them, else
+    the unit's container (see the module docstring)."""
+
     name = "hint"
 
     def __init__(self, selector) -> None:
@@ -49,6 +56,11 @@ class HintDiscoveryExtractor(LinkExtractor):
         if pod is not None:
             for hint in self._selector.relevant_containers(pod):
                 first_class = min(hint.classes) if hint.classes else None
+                if pod.complete and hint.members:
+                    provenance = LinkProvenance(extractor="hint-member", for_class=first_class)
+                    for member in sorted(hint.members):
+                        yield member, provenance
+                    continue
                 context.registered_targets.add(hint.container)
                 yield hint.container, LinkProvenance(
                     extractor="hint-container", for_class=first_class

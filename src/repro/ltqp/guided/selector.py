@@ -13,7 +13,9 @@ into a per-link decision.  Checks split by *when* their grounds are
 known:
 
 ``check_static(link)``
-    Spec path/depth rules and hint-based container relevance — grounds
+    Spec path/depth rules, what a complete index makes redundant (its
+    infrastructure documents, the containers whose members it lists) and
+    hint-based container relevance — grounds
     that only ever **deny** more as knowledge grows, so applying them at
     push time can never prune a link a later document would have
     justified.
@@ -120,7 +122,7 @@ class SourceSelector:
             url = link.url.partition("#")[0]
             pod = hints.pod_for(url)
             if pod is not None:
-                if pod.complete and url in pod.infra:
+                if pod.redundant(url):
                     return LinkDecision(LinkDecision.PRUNE, "hint:infra")
                 hint = pod.container_for(url)
                 if hint is not None and not self._container_relevant(pod, hint):

@@ -109,6 +109,7 @@ EXTRACTOR_RANK: dict[str, int] = {
     "storage": 2,
     "type-index": 3,
     "hint-container": 3,
+    "hint-member": 3,
     "ldp-container": 4,
     "ldp-scoped": 4,
     "match": 5,

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import asyncio
 import time
-from collections import defaultdict
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -69,6 +69,60 @@ def _error_text(response: Response) -> str:
     if response.header("x-fault"):
         return f"connection failed (injected {response.header('x-fault')})"
     return "connection failed"
+
+
+class _OriginSlots:
+    """The per-origin connection cap: at most ``cap`` requests of one
+    origin hold a slot at once, and the rest wait in arrival order.
+
+    Bound to no event loop — a waiter is a future of whichever loop is
+    running when it queues — so one client serves successive
+    ``asyncio.run`` calls."""
+
+    __slots__ = ("cap", "_held", "_waiting")
+
+    def __init__(self, cap: int) -> None:
+        self.cap = cap
+        self._held: dict[str, int] = {}
+        self._waiting: dict[str, deque] = {}
+
+    def in_flight(self, origin: str) -> int:
+        """Requests of ``origin`` holding a slot or waiting for one."""
+        return self._held.get(origin, 0) + len(self._waiting.get(origin, ()))
+
+    async def acquire(self, origin: str) -> None:
+        held = self._held.get(origin, 0)
+        if held < self.cap and origin not in self._waiting:
+            self._held[origin] = held + 1
+            return
+        waiter = asyncio.get_running_loop().create_future()
+        queue = self._waiting.setdefault(origin, deque())
+        queue.append(waiter)
+        try:
+            await waiter  # the releasing request hands its slot over
+        except BaseException:
+            if waiter.done() and not waiter.cancelled():
+                self.release(origin)  # handed over just as this request was cancelled
+            elif waiter in queue:
+                queue.remove(waiter)
+                if not queue and self._waiting.get(origin) is queue:
+                    del self._waiting[origin]
+            raise
+
+    def release(self, origin: str) -> None:
+        queue = self._waiting.get(origin)
+        while queue:
+            waiter = queue.popleft()
+            if not queue:
+                del self._waiting[origin]
+            if not waiter.done() and not waiter.get_loop().is_closed():
+                waiter.set_result(None)
+                return
+        held = self._held[origin] - 1
+        if held:
+            self._held[origin] = held
+        else:
+            del self._held[origin]
 
 
 @dataclass(slots=True)
@@ -166,7 +220,7 @@ class HttpClient:
         self.internet = internet
         self._latency = latency if latency is not None else SeededJitterLatency()
         self._latency_scale = latency_scale
-        self._semaphores = defaultdict(lambda: asyncio.Semaphore(max_connections_per_origin))
+        self._slots = _OriginSlots(max_connections_per_origin)
         self.log = log if log is not None else RequestLog()
         self.cache = cache
         #: The one home of the network policy: given here, run by every
@@ -180,6 +234,16 @@ class HttpClient:
         #: its caller's ``tracer=`` / ``metrics=``, which override these.
         self.tracer = None
         self.metrics = None
+
+    @property
+    def origin_slots(self) -> int:
+        """The per-origin connection cap (a browser's ~6)."""
+        return self._slots.cap
+
+    def in_flight(self, origin: str) -> int:
+        """Requests to ``origin`` on the wire or waiting for a slot — over
+        every caller sharing this client."""
+        return self._slots.in_flight(origin)
 
     async def fetch(
         self,
@@ -330,7 +394,8 @@ class HttpClient:
         """One request on the wire — a connection slot, the timeout, the
         body cap, the transfer time — with its window stamped on ``call``."""
         call.count("attempts", "http.attempts")
-        async with self._semaphores[call.origin]:
+        await self._slots.acquire(call.origin)
+        try:
             call.started = call.clock()
             timeout = self.policy.request_timeout
             try:
@@ -361,6 +426,8 @@ class HttpClient:
             if delay > 0 and self._latency_scale > 0:
                 await asyncio.sleep(delay * self._latency_scale)
             call.finished = call.clock()
+        finally:
+            self._slots.release(call.origin)
         if call.metrics is not None:
             call.metrics.histogram("fetch.latency_s").observe(call.finished - call.started)
         return response

@@ -9,8 +9,11 @@ declare predicate *ranges* (every object of ``snvoc:containerOf`` is a
 ``snvoc:Post``) and, with ``subweb:completeIndex true``, that the units
 cover the pod's whole content tree, so the LDP infrastructure documents
 it lists as ``subweb:infra`` (root, ``profile/`` and ``settings/``
-listings, the type index) are redundant.  The WebID profile points at it
-with :data:`ADVERTISEMENT`.
+listings, the type index) are redundant.  A unit that is a container may
+list its member documents (``subweb:member``); a complete index that does
+makes that container's listing redundant too, so a reader goes from the
+index straight to the documents.  The WebID profile points at it with
+:data:`ADVERTISEMENT`.
 
 :class:`SourceIndex` is that document as a frozen value, with the four
 things anyone does with one: compute it from a built pod
@@ -19,8 +22,9 @@ read it back from a fetched document (:meth:`~SourceIndex.from_document`)
 and keep it true after a write (:meth:`~SourceIndex.widened`).
 
 An index speaks for its own pod only: a declaration is accepted when the
-declared base is a directory prefix of the index document's own URL, and
-``container`` / ``infra`` entries outside that base are dropped.
+declared base is a directory prefix of the index document's own URL,
+``container`` / ``infra`` entries outside that base are dropped, and so
+are ``member`` entries outside their unit's container.
 """
 
 from __future__ import annotations
@@ -66,6 +70,7 @@ _ROLES = {
     SUBWEB.predicate: "predicates",
     SUBWEB.documents: "documents",
     SUBWEB.entities: "entities",
+    SUBWEB.member: "members",
     SUBWEB.rangeOf: "rangeOf",
     SUBWEB.rangeClass: "rangeClass",
 }
@@ -102,6 +107,9 @@ class ContainerSummary:
     predicates: frozenset = frozenset()
     documents: int = 0
     entities: int = 0
+    #: URLs of the unit's documents, listed only when the unit is a
+    #: container; empty means not listed — read the container.
+    members: frozenset = frozenset()
 
 
 @dataclass(frozen=True, slots=True)
@@ -128,6 +136,15 @@ class SourceIndex:
         summarized container above it, or the document itself."""
         return innermost(self._by_url, url)
 
+    def redundant(self, url: str) -> bool:
+        """Whether a complete index makes the document at ``url`` (no
+        fragment) redundant: a listed infrastructure document, or the
+        container of a unit whose members it lists."""
+        if not self.complete:
+            return False
+        unit = self._by_url.get(url)
+        return url in self.infra or (unit is not None and bool(unit.members))
+
     # -- publishing -----------------------------------------------------------
 
     @classmethod
@@ -142,17 +159,22 @@ class SourceIndex:
             if unit is None:
                 continue
             classes, predicates, entities = _described(document.triples)
-            summary = units.setdefault(unit, [set(), set(), 0, 0])
+            summary = units.setdefault(unit, [set(), set(), 0, 0, set()])
             summary[0] |= classes
             summary[1] |= predicates
             summary[2] += 1
             summary[3] += entities
+            if unit.endswith("/"):
+                summary[4].add(base + document.path)
         return cls(
             pod=base,
             complete=True,
             containers=tuple(
-                ContainerSummary(base + unit, frozenset(classes), frozenset(predicates), *counts)
-                for unit, (classes, predicates, *counts) in sorted(units.items())
+                ContainerSummary(
+                    base + unit, frozenset(classes), frozenset(predicates), documents, entities,
+                    frozenset(members),
+                )
+                for unit, (classes, predicates, documents, entities, members) in sorted(units.items())
             ),
             infra=frozenset((base, base + "profile/", base + "settings/", pod.type_index_url)),
             ranges={
@@ -176,6 +198,7 @@ class SourceIndex:
             triples += _objects(node, SUBWEB.predicate, unit.predicates)
             triples.append(Triple(node, SUBWEB.documents, Literal(str(unit.documents))))
             triples.append(Triple(node, SUBWEB.entities, Literal(str(unit.entities))))
+            triples += _objects(node, SUBWEB.member, unit.members)
         for position, (predicate, classes) in enumerate(sorted(self.ranges.items())):
             node = NamedNode(f"{document_url}#r{position}")
             triples.append(Triple(node, SUBWEB.rangeOf, intern_iri(predicate)))
@@ -209,7 +232,7 @@ class SourceIndex:
                     infra.add(obj.value)
                 elif role == "container":
                     units.setdefault(subject, {})[role] = obj.value
-                elif role in ("classes", "predicates"):
+                elif role in ("classes", "predicates", "members"):
                     units.setdefault(subject, {}).setdefault(role, set()).add(obj.value)
                 elif role == "rangeOf":
                     range_of[subject] = obj.value
@@ -226,6 +249,10 @@ class SourceIndex:
                 predicates=frozenset(fields.get("predicates", ())),
                 documents=fields.get("documents", 0),
                 entities=fields.get("entities", 0),
+                members=frozenset(
+                    member for member in fields.get("members", ())
+                    if _inside(member, fields["container"])
+                ),
             )
             for fields in units.values()
             if fields.get("container", "").startswith(pod_base)
@@ -247,30 +274,45 @@ class SourceIndex:
     def widened(self, path: str, triples: Iterable[Triple]) -> "SourceIndex":
         """This index made true again after the document at pod-relative
         ``path`` was written with ``triples`` — or ``self`` when the
-        document is plumbing or (the usual content edit) uses no class or
-        predicate its unit's summary lacks.  Only the written document is
-        read.  Summaries over-approximate: what an edit removes stays
-        declared, and counts are not maintained."""
+        document is plumbing or (the usual content edit) an existing member
+        using no class or predicate its unit's summary lacks.  Only the
+        written document is read.  A document the write creates joins its
+        unit's member list, if the unit lists members (a new container unit
+        starts one).  Summaries over-approximate: what an edit removes
+        stays declared, and counts are not maintained."""
         unit = _summary_unit(path)
         if unit is None:
             return self
         classes, predicates, entities = _described(triples)
-        summary = self._by_url.get(self.pod + unit)
+        container, url = self.pod + unit, self.pod + path
+        joins = frozenset({url}) if _inside(url, container) else frozenset()
+        summary = self._by_url.get(container)
         if summary is None:
-            summary = ContainerSummary(self.pod + unit, documents=1, entities=entities)
-        elif classes <= summary.classes and predicates <= summary.predicates:
-            return self
+            summary = ContainerSummary(container, documents=1, entities=entities)
+        else:
+            if not summary.members:
+                joins = frozenset()  # a unit that lists none starts no partial list
+            if classes <= summary.classes and predicates <= summary.predicates and joins <= summary.members:
+                return self
         units = {
             **self._by_url,
-            summary.container: replace(
-                summary, classes=summary.classes | classes, predicates=summary.predicates | predicates
+            container: replace(
+                summary,
+                classes=summary.classes | classes,
+                predicates=summary.predicates | predicates,
+                members=summary.members | joins,
             ),
         }
-        return replace(self, containers=tuple(units[url] for url in sorted(units)))
+        return replace(self, containers=tuple(units[unit] for unit in sorted(units)))
 
 
 def _objects(subject: NamedNode, predicate: NamedNode, iris: Iterable[str]) -> list[Triple]:
     return [Triple(subject, predicate, intern_iri(iri)) for iri in sorted(iris)]
+
+
+def _inside(url: str, container: str) -> bool:
+    """Whether ``url`` is a document below the container ``container``."""
+    return container.endswith("/") and url.startswith(container) and url != container
 
 
 def _summary_unit(path: str) -> Optional[str]:

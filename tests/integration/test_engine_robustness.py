@@ -5,8 +5,11 @@ import asyncio
 import pytest
 
 from repro.ltqp import Dereferencer, EngineConfig, LinkTraversalEngine, TraversalPolicy
+from repro.ltqp.links import origin_of
 from repro.net import HttpClient, Internet, NoLatency, StaticApp
 from repro.rdf import Variable
+
+from .test_origin_dispatch import peak_overlap
 
 
 def turtle_doc(*links: str, extra: str = "") -> str:
@@ -88,17 +91,29 @@ class TestProvenanceQueries:
 
 
 class TestWorkerConcurrency:
-    @pytest.mark.parametrize("workers", [1, 4, 16])
+    @pytest.mark.parametrize("workers", [0, 1, 4, 16])
     def test_answers_independent_of_worker_count(self, tiny_universe, workers):
+        from repro.net import SeededJitterLatency
         from repro.solidbench import discover_query
 
         query = discover_query(tiny_universe, 2, 1)
-        engine = tiny_universe.fast_engine(
-            config=EngineConfig(traversal=TraversalPolicy(worker_count=workers))
+        engine = tiny_universe.engine(
+            config=EngineConfig(traversal=TraversalPolicy(worker_count=workers)),
+            latency=SeededJitterLatency(seed=9, min_rtt_seconds=0.002, max_rtt_seconds=0.008),
         )
         result = engine.query(query.text, seeds=query.seeds).run_sync()
-        baseline = tiny_universe.fast_engine().query(query.text, seeds=query.seeds).run_sync()
+        baseline = tiny_universe.fast_engine(
+            config=EngineConfig(traversal=TraversalPolicy(worker_count=1))
+        ).query(query.text, seeds=query.seeds).run_sync()
         assert set(result.bindings) == set(baseline.bindings)
+        assert result.stats.documents_fetched == baseline.stats.documents_fetched
+        # Never more at once than the cap — the global one, else the client's per origin.
+        records = engine.client.log.records
+        peak = max(peak_overlap(records, origin_of(record.url)) for record in records)
+        assert 1 <= peak <= (workers or engine.client.origin_slots)
+
+    def test_the_default_sets_no_global_cap(self):
+        assert TraversalPolicy().worker_count == 0
 
     def test_concurrent_executions_do_not_interfere(self, tiny_universe):
         from repro.solidbench import discover_query

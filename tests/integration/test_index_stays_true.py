@@ -117,7 +117,20 @@ class TestTheServerKeepsTheIndexTrue:
             unit = summary(pod, path)
             assert unit is not None and MOOD in unit.predicates
             assert unit.documents == 1
+            assert unit.members == ({url} if "/" in path else set())
         assert universe.server.document_version(pod.base_url + INDEX_PATH) == 2
+
+    def test_a_document_created_in_a_unit_joins_its_members_once(self, universe, pod):
+        index_url = pod.base_url + INDEX_PATH
+        noise = summary(pod, "noise/")
+        listed, url = noise.members, pod.base_url + "noise/noise-new"
+        assert url not in listed
+        body = f'<{url}#entity0> <{min(noise.predicates)}> "new" .'  # nothing new but the document
+        write(universe, "PUT", url, body, "text/turtle")
+        assert summary(pod, "noise/").members == listed | {url}
+        assert universe.server.document_version(index_url) == 1
+        write(universe, "PUT", url, body, "text/turtle")  # an edit to a member
+        assert universe.server.document_version(index_url) == 1
 
     def test_pods_that_publish_nothing_and_plumbing_documents_need_no_index_work(self):
         paper = build_universe(SolidBenchConfig(scale=0.005, seed=7, emit_hints=False))
@@ -163,9 +176,46 @@ class TestQueriesSeeWhatWasWritten:
 
         assert rows(after.bindings) == [row]
         assert after.stats.completeness()["complete"]
-        # The rewritten index made noise/ relevant — its listing and its
-        # documents — and nothing else.
-        crawled = 2 + 1 + universe.config.noise_files_per_person
+        # The rewritten index made noise/ relevant — its documents, which the
+        # index lists, so not its listing — and nothing else.
+        crawled = 2 + universe.config.noise_files_per_person
         assert after.stats.documents_fetched == crawled
         assert report["events"] == 1
         assert rows(standing.current_results()) == rows(late.current_results()) == [row]
+
+    def test_a_document_created_after_a_standing_query_started_is_found_by_its_url(
+        self, universe, pod
+    ):
+        """No container listing is read on the way: the server lists the new
+        document in the widened index, whose member list a query starting
+        later follows, and a standing query refreshes the URL it is told of."""
+        resources = SharedResources.for_universe(universe, latency=NoLatency())
+        service = QueryService(resources)
+        created = pod.base_url + "noise/noise-late"
+        row = {"s": NamedNode(created + "#entity0"), "o": Literal("late")}
+        body = f'<{created}#entity0> <{MOOD}> "late" .'.encode("utf-8")
+        server = universe.server
+        headers = {"content-type": "text/turtle", **server.login_owner(created[len(server.origin):])}
+
+        async def scenario():
+            standing = await service.subscribe(QUERY, seeds=[pod.profile_url])
+            assert standing.current_results() == {}
+            response = await universe.internet.dispatch(Request("PUT", created, headers, body))
+            assert response.status < 300
+            await service.drain_subscriptions()
+            requests_before = len(resources.client.log)
+            after = await service.run(QUERY, seeds=[pod.profile_url])
+            return standing, after, resources.client.log.records[requests_before:]
+
+        standing, after, requests = asyncio.run(scenario())
+
+        def rows(bindings):
+            return [{var.value: term for var, term in b.items()} for b in bindings]
+
+        assert rows(standing.current_results()) == rows(after.bindings) == [row]
+        assert summary(pod, "noise/").members >= {created}
+        fetched = {record.url for record in requests}
+        assert created in fetched
+        assert pod.base_url + "noise/" not in fetched
+        assert after.stats.links_by_extractor["hint-member"] > 0
+        assert after.stats.completeness()["complete"]

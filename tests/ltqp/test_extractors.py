@@ -159,7 +159,10 @@ class TestExtractorStateIsPerExecution:
             f"<{SNVOC.hasCreator.value}> <{pod.webid}> }}"
         )
 
-    def test_second_query_sees_nothing_of_the_first(self, tiny_universe):
+    def test_second_query_sees_nothing_of_the_first(self, paper_tiny_universe):
+        # Paper-shaped pods: registrations come from the type index (on
+        # default pods the source index lists members, and registers nothing).
+        tiny_universe = paper_tiny_universe
         pod = next(iter(tiny_universe.pods.values()))
         seen = []  # the registered-target set each discover call was handed
 
@@ -197,24 +200,55 @@ class TestAHintContainerLinkIsARegistration:
     """E8's ``type-index`` stack reaches containers only through what the
     type index *registers* (``ScopedLdpContainerExtractor`` descends nowhere
     else).  On a pod with a complete source index the type index is pruned
-    as redundant, so the containers the index names must register too — it
-    used to list ``posts/`` via ``hint-container`` and return 0 of 28 rows."""
+    as redundant, so what the index names must stand in for it: the
+    members it lists, or a container it names, which registers — it used
+    to list ``posts/`` via ``hint-container`` and return 0 of 28 rows."""
 
-    @pytest.mark.parametrize("template", [1, 2, 6])
-    def test_the_scoped_stack_is_oracle_equal_on_default_pods(self, tiny_universe, template):
+    @staticmethod
+    def scoped_run(universe, template):
         from repro.bench.harness import oracle_bindings
         from repro.solidbench import discover_query
 
-        assert tiny_universe.config.emit_hints
-        query = discover_query(tiny_universe, template, 1)
+        query = discover_query(universe, template, 1)
         stack = [MatchIriExtractor(), StorageExtractor(), TypeIndexExtractor(),
                  ScopedLdpContainerExtractor()]
-        execution = tiny_universe.fast_engine(extractors=stack).query(
+        execution = universe.fast_engine(extractors=stack).query(
             query.text, seeds=query.seeds
         ).run_sync()
-        expected = oracle_bindings(tiny_universe, query)
+        expected = oracle_bindings(universe, query)
         assert expected and set(execution.bindings) == expected
-        assert execution.stats.pruned_by_rule == {"hint:infra": 2}  # root, type index
-        assert execution.stats.links_by_extractor["ldp-scoped"] > 0
+        return execution.stats
+
+    @pytest.mark.parametrize("template", [1, 2, 6])
+    def test_the_scoped_stack_is_oracle_equal_on_default_pods(
+        self, tiny_universe, paper_tiny_universe, template
+    ):
+        assert tiny_universe.config.emit_hints
+        stats = self.scoped_run(tiny_universe, template)
+        assert stats.pruned_by_rule == {"hint:infra": 2}  # root, type index
+        assert stats.links_by_extractor["hint-member"] > 0
         # The type index itself was linked, then pruned unread: no registration came from it.
-        assert execution.stats.links_by_extractor["type-index"] == 1
+        assert stats.links_by_extractor["type-index"] == 1
+        # Where no index stands in, the type index registers and the scoped extractor descends.
+        assert self.scoped_run(paper_tiny_universe, template).links_by_extractor["ldp-scoped"] > 0
+
+    def test_a_unit_without_members_is_a_registration(self, tiny_universe):
+        """An index that names a container but not its members (an older
+        index): the container link registers, and the scoped stack descends."""
+        from repro.ltqp.guided import HintDiscoveryExtractor, SourceSelector
+        from repro.rdf.namespaces import SUBWEB
+
+        pod = next(iter(tiny_universe.pods.values()))
+        url = pod.base_url + "settings/cardinality"
+        listed = ParsedDocument(pod.document("settings/cardinality").triples)
+        unlisted = ParsedDocument([t for t in listed if t.predicate != SUBWEB.member])
+        links = {}
+        for name, document in (("listed", listed), ("unlisted", unlisted)):
+            selector, context = SourceSelector(), QueryContext()
+            selector.absorb_document(url, document)
+            links[name] = list(HintDiscoveryExtractor(selector).discover(url, document, context))
+            links[name + " registers"] = context.registered_targets
+        assert {provenance.extractor for _, provenance in links["listed"]} == {"hint-member"}
+        assert {provenance.extractor for _, provenance in links["unlisted"]} == {"hint-container"}
+        assert links["listed registers"] == set()
+        assert links["unlisted registers"] == {target for target, _ in links["unlisted"]}

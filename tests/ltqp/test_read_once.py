@@ -153,18 +153,18 @@ class TestNobodyWalksADocument:
         first = engine.query(query.text, seeds=query.seeds).run_sync()
         documents = [entry.document for entry in store.entries()]
         # Default pods: the card, its source index (read by bucket like any
-        # other document), the posts/ listing and the 31 dated documents.
-        assert len(documents) == first.stats.documents_fetched == 34
+        # other document) and the 31 dated documents it lists under posts/.
+        assert len(documents) == first.stats.documents_fetched == 33
         assert all(type(document) is CountingDocument for document in documents)
         assert CountingDocument.reader_walks == 0
         # The value's own: the predicate index and the distinct count.
-        assert [document.triples.walks for document in documents] == [2] * 34
+        assert [document.triples.walks for document in documents] == [2] * 33
 
         second = engine.query(query.text, seeds=query.seeds).run_sync()
-        assert second.stats.documents_from_store == 34
+        assert second.stats.documents_from_store == 33
         assert second.bindings == first.bindings
         assert CountingDocument.reader_walks == 0
-        assert [document.triples.walks for document in documents] == [2] * 34
+        assert [document.triples.walks for document in documents] == [2] * 33
 
     def test_a_wildcard_reader_is_the_one_that_walks(self):
         document = CountingDocument()

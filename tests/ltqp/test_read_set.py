@@ -250,16 +250,16 @@ def snapshot_over_fetched(universe, engine) -> SnapshotEvaluator:
 
 
 class TestNullablePathThroughTheEngine:
-    """The query the naive predicate filter got wrong (961 of 7,761 rows:
-    the 31 × 31 ``knows`` closure without the 6,800 other nodes' self-pairs).
-    Discover 1.1's seed, cMatch-only extraction on default pods: the 31
-    profile documents, the 31 source indexes they advertise and — no
-    container being irrelevant to a bare path — the 124 container listings
-    those name (which a stack without an LDP extractor does not descend)."""
+    """The query the naive predicate filter got wrong (961 of 3,627 rows:
+    the 31 × 31 ``knows`` closure without the 2,666 other nodes'
+    self-pairs).  Discover 1.1's seed, cMatch-only extraction on the
+    paper-shaped pods: the 31 profile documents ``knows`` reaches.  (On
+    default pods no unit is irrelevant to a bare path, and each source index
+    lists its units' members: the crawl is every document of every pod.)"""
 
     @pytest.fixture(scope="class")
-    def seeds(self, small_universe):
-        return discover_query(small_universe, 1, 1).seeds
+    def seeds(self, paper_small_universe):
+        return discover_query(paper_small_universe, 1, 1).seeds
 
     def run(self, universe, seeds, text):
         engine = universe.fast_engine(extractors=[MatchIriExtractor()])
@@ -269,31 +269,33 @@ class TestNullablePathThroughTheEngine:
         assert execution.stats.completeness()["complete"]
         return execution
 
-    def test_star_between_two_variables(self, small_universe, seeds):
-        execution = self.run(small_universe, seeds, "SELECT ?x ?y WHERE { ?x foaf:knows* ?y }")
-        assert len(execution.bindings) == 7761
-        assert execution.stats.documents_fetched == 186
-        assert execution.stats.triples_stored == execution.stats.triples_discovered == 13368
-
-    def test_values_bound_start(self, small_universe, seeds):
+    def test_star_between_two_variables(self, paper_small_universe, seeds):
         execution = self.run(
-            small_universe,
+            paper_small_universe, seeds, "SELECT ?x ?y WHERE { ?x foaf:knows* ?y }"
+        )
+        assert len(execution.bindings) == 3627
+        assert execution.stats.documents_fetched == 31
+        assert execution.stats.triples_stored == execution.stats.triples_discovered == 4490
+
+    def test_values_bound_start(self, paper_small_universe, seeds):
+        execution = self.run(
+            paper_small_universe,
             seeds,
             f"SELECT ?x ?y WHERE {{ VALUES ?x {{ <{seeds[0]}> }} ?x foaf:knows* ?y }}",
         )
         assert len(execution.bindings) == 31
 
-    def test_filter_exists(self, small_universe, seeds):
+    def test_filter_exists(self, paper_small_universe, seeds):
         execution = self.run(
-            small_universe,
+            paper_small_universe,
             seeds,
             "SELECT ?x ?n WHERE { ?x foaf:name ?n FILTER EXISTS { ?x foaf:knows* ?y } }",
         )
         assert len(execution.bindings) > 0
 
-    def test_pinned_start_stores_only_the_path_predicate(self, small_universe, seeds):
+    def test_pinned_start_stores_only_the_path_predicate(self, paper_small_universe, seeds):
         execution = self.run(
-            small_universe, seeds, f"SELECT ?y WHERE {{ <{seeds[0]}> foaf:knows* ?y }}"
+            paper_small_universe, seeds, f"SELECT ?y WHERE {{ <{seeds[0]}> foaf:knows* ?y }}"
         )
         assert len(execution.bindings) == 31
-        assert execution.stats.triples_stored < execution.stats.triples_discovered == 13368
+        assert execution.stats.triples_stored < execution.stats.triples_discovered == 4490

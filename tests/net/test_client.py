@@ -199,6 +199,59 @@ class TestLatencyAndConcurrency:
         run(many())
         assert active["peak"] <= 2
 
+    def test_the_connection_cap_outlives_an_event_loop(self):
+        """Each ``asyncio.run`` is a new loop; the slot table belongs to none
+        (an ``asyncio.Semaphore`` binds to the first loop contending on it)."""
+        active = {"now": 0, "peak": 0}
+
+        async def slow(request: Request) -> Response:
+            active["now"] += 1
+            active["peak"] = max(active["peak"], active["now"])
+            await asyncio.sleep(0.002)
+            active["now"] -= 1
+            return Response(200, {"content-type": "text/plain"}, b"x")
+
+        internet = Internet()
+        internet.register("https://slow.example", FunctionApp(slow))
+        client = HttpClient(internet, latency=NoLatency(), max_connections_per_origin=2)
+
+        async def many():
+            responses = await asyncio.gather(
+                *[client.fetch(f"https://slow.example/{i}") for i in range(6)]
+            )
+            return [response.status for response in responses]
+
+        for _ in range(3):
+            assert run(many()) == [200] * 6
+        assert active["peak"] == 2
+        assert client.in_flight("https://slow.example") == 0
+
+    def test_in_flight_counts_holders_and_waiters_and_a_cancelled_waiter_leaves(self):
+        async def scenario():
+            opened = asyncio.Event()
+
+            async def held(request: Request) -> Response:
+                await opened.wait()
+                return Response(200, {"content-type": "text/plain"}, b"x")
+
+            internet = Internet()
+            internet.register("https://held.example", FunctionApp(held))
+            client = HttpClient(internet, latency=NoLatency(), max_connections_per_origin=2)
+            assert client.origin_slots == 2
+            tasks = [
+                asyncio.create_task(client.fetch(f"https://held.example/{i}")) for i in range(4)
+            ]
+            await asyncio.sleep(0)
+            assert client.in_flight("https://held.example") == 4  # two on the wire, two waiting
+            tasks[3].cancel()
+            await asyncio.sleep(0)
+            assert client.in_flight("https://held.example") == 3
+            opened.set()
+            statuses = [response.status for response in await asyncio.gather(*tasks[:3])]
+            return statuses, client.in_flight("https://held.example")
+
+        assert run(scenario()) == ([200, 200, 200], 0)
+
     def test_get_text_convenience(self):
         client = HttpClient(make_internet(), latency=NoLatency())
         assert "<http://x/a>" in run(client.get_text("https://pods.example/doc"))

@@ -142,6 +142,12 @@ def scan_hints(selector):
         if pod is not None:
             for hint in selector.relevant_containers(pod):
                 first_class = min(hint.classes) if hint.classes else None
+                if pod.complete and hint.members:  # listed members replace the container
+                    for member in sorted(hint.members):
+                        yield member, LinkProvenance(
+                            extractor="hint-member", for_class=first_class
+                        )
+                    continue
                 targets.add(hint.container)  # a hint-container link is a registration
                 yield hint.container, LinkProvenance(
                     extractor="hint-container", for_class=first_class
@@ -208,17 +214,25 @@ class TestSelect:
 
 
 def _selector_that_knows(url):
-    """A selector that has absorbed a source index published at ``url``."""
+    """A selector that has absorbed a complete source index published at
+    ``url``: one unit listing its members, one not."""
     index, posts = NamedNode(url + "#index"), NamedNode(url + "#c-posts")
+    comments = NamedNode(url + "#c-comments")
     selector = SourceSelector()
     selector.absorb_document(
         url,
         ParsedDocument(
             [
                 Triple(index, SUBWEB.pod, NamedNode("https://h/pods/1/")),
+                Triple(index, SUBWEB.completeIndex, Literal("true")),
                 Triple(posts, SUBWEB.container, NamedNode("https://h/pods/1/posts/")),
                 Triple(posts, SUBWEB["class"], SNVOC.Post),
                 Triple(posts, SUBWEB.entities, Literal("9")),
+                Triple(posts, SUBWEB.member, NamedNode("https://h/pods/1/posts/2013")),
+                Triple(posts, SUBWEB.member, NamedNode("https://h/pods/1/posts/2012")),
+                Triple(comments, SUBWEB.container, NamedNode("https://h/pods/1/comments/")),
+                Triple(comments, SUBWEB["class"], SNVOC.Comment),
+                Triple(comments, SUBWEB.entities, Literal("3")),
             ]
         ),
     )
