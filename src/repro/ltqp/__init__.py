@@ -7,7 +7,6 @@ source) while a pipelined query plan streams results in parallel —
 the architecture of the paper's Fig. 1.
 """
 
-from .adaptive import AdaptivePipeline, observed_cardinality
 from .dereference import DereferenceError, DereferenceResult, Dereferencer
 from .engine import (
     EngineConfig,
@@ -107,8 +106,6 @@ __all__ = [
     "build_query_context",
     "QueryContext",
     "Pipeline",
-    "AdaptivePipeline",
-    "observed_cardinality",
     "explain_algebra",
     "explain_physical",
     "explain_plan",

@@ -89,7 +89,9 @@ class TraversalPolicy:
     demo's ~6 per origin) times the origins in play.  ``1`` makes a
     traversal strictly serial (the waterfall goldens).
     ``max_documents``/``max_depth`` bound traversal on the open Web; ``0``
-    disables the bound.
+    disables the bound.  Join order is no setting: every execution's BGPs
+    re-order themselves from their scans' counts
+    (:class:`~repro.ltqp.pipeline.Pipeline`).
     """
 
     worker_count: int = 0
@@ -115,7 +117,6 @@ class TraversalPolicy:
     #: transfer itself — is ``NetworkPolicy.max_response_bytes``.
     #: ``0`` disables.
     max_parse_bytes: int = 0
-    adaptive: bool = False
     #: Link-queue discipline — the *order* links are dereferenced in, never
     #: which; each is a score the one queue takes of a link once, on
     #: admission: ``"fifo"`` (breadth-first, the paper's default),
@@ -402,17 +403,9 @@ class QueryExecution:
         # at quiescence via Pipeline.finalize.
         query, tracer, seed_iris = self.query, self.tracer, self._context.iris
         plan_started = self._clock() if tracer is not None else 0.0
-        if self._live:
-            # Signed maintenance needs per-operator live state; the
-            # adaptive re-planner's replay is additive-only, so live
-            # executions always compile the static live pipeline.
-            pipeline = compile_query_pipeline(query, seed_iris=seed_iris, live=True)
-        elif self._policy.adaptive:
-            from .adaptive import AdaptivePipeline
-
-            pipeline = AdaptivePipeline(query.where, seed_iris=seed_iris, query=query)
-        else:
-            pipeline = compile_query_pipeline(query, seed_iris=seed_iris)
+        # Signed maintenance needs per-operator live state; either way each
+        # BGP re-orders itself while the plan is open.
+        pipeline = compile_query_pipeline(query, seed_iris=seed_iris, live=self._live)
         # "Streaming" now means the plan holds nothing back: no blocking
         # operators, so every result can reach the caller mid-traversal.
         self.stats.streaming = not pipeline.blocking_nodes
@@ -424,7 +417,6 @@ class QueryExecution:
                 parent=self._query_span,
                 streaming=self.stats.streaming,
                 blocking=len(pipeline.blocking_nodes),
-                adaptive=self._policy.adaptive,
             )
             pipeline.enable_tracing(tracer, self._query_span)
         return pipeline
@@ -582,7 +574,7 @@ class QueryExecution:
         stats.finished_at = self._clock()
         stats.queue_samples = self.queue.samples
         stats.links_queued = self.queue.pushed_total
-        stats.replans = getattr(self.pipeline, "replans", 0)
+        stats.replans = self.pipeline.replans
         stats.http_retries = self._resilience.retries
         stats.http_timeouts = self._resilience.timeouts
         stats.breaker_fast_fails = self._resilience.breaker_fast_fails
@@ -959,8 +951,9 @@ class LinkTraversalEngine:
         operator retains signed-maintenance state, and after completion
         ``execution.pipeline`` / ``.source`` stay
         usable so a :class:`~repro.ltqp.live.LiveQuery` can keep the
-        result multiset current as documents change.  Live runs never use
-        the adaptive re-planner (its replay is additive-only).
+        result multiset current as documents change.  Live or not, each BGP
+        re-orders itself from its scans' counts until quiescence
+        (``stats.replans`` counts the re-orders).
         """
         return QueryExecution(
             self,

@@ -67,7 +67,7 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from ..rdf.dataset import Dataset
@@ -143,6 +143,7 @@ __all__ = [
     "OrderSliceNode",
     "DescribeNode",
     "Pipeline",
+    "BGPChain",
     "compile_pipeline",
     "compile_query_pipeline",
     "total_work",
@@ -236,9 +237,8 @@ class DeltaRouter:
     The router lives at the :class:`Pipeline` root.  Every node that reads
     quads — a scan or path leaf off the delta, an EXISTS pattern or a
     DESCRIBE off the dataset itself — registers the predicates it can
-    match while the pipeline is built (and re-registers automatically when
-    the adaptive engine recompiles, because recompiling constructs a fresh
-    ``Pipeline`` and therefore a fresh router).  Two things are derived
+    match while the pipeline is built; a re-ordered BGP keeps its scans, so
+    its registrations stand.  Two things are derived
     from the registrations: per feed, :meth:`batch` wraps the raw delta in
     a :class:`DeltaBatch` restricted to the registered predicates; and
     :attr:`read_set` tells the growing source which quads are worth
@@ -532,6 +532,15 @@ class ScanNode(IncrementalNode):
         self._graph_concrete = concrete(graph)
         self._graph_variable = graph if isinstance(graph, Variable) else None
 
+    @property
+    def cardinality(self) -> int:
+        """How many distinct bindings the scan holds now."""
+        return len(self._support)
+
+    def rows(self) -> list[Change]:
+        """The scan's output multiset so far: each binding it holds, once."""
+        return [(binding, 1) for binding in self._support]
+
     def _changes(self, delta: DeltaBatch, dataset: Dataset) -> list[Change]:
         quads = delta.for_predicate(self._p) if self._p is not None else delta.quads
         if not quads:
@@ -599,6 +608,19 @@ class PathScanNode(IncrementalNode):
         #: Predicates whose quads can change the answer; ``None`` = any quad.
         self.reads = _path_reads(pattern)
         self._emitted: dict[tuple[Term, Term], None] = {}
+
+    @property
+    def cardinality(self) -> int:
+        """How many endpoint pairs the scan holds now."""
+        return len(self._emitted)
+
+    def rows(self) -> list[Change]:
+        """The scan's output multiset so far: each pair's binding, once."""
+        return [
+            (binding, 1)
+            for pair in self._emitted
+            if (binding := self._pair_binding(*pair)) is not None
+        ]
 
     def _changes(self, delta: DeltaBatch, dataset: Dataset) -> list[Change]:
         if delta is _QUIESCENT:
@@ -1675,10 +1697,41 @@ def total_work(node: IncrementalNode) -> int:
     """Sum of changes produced by every node in a pipeline tree.
 
     A proxy for evaluation effort: bad join orders inflate intermediate
-    results, which this counter exposes (used by the adaptive-planning
-    bench E10).
+    results, which this counter exposes (E10).  A re-ordered BGP's new
+    chain carries the work of the joins it retired.
     """
     return sum(each.produced_total for each in _walk(node))
+
+
+#: A BGP re-orders when its leading scan holds at least this many times
+#: the bindings of its smallest non-empty scan…
+_REORDER_FACTOR = 4
+#: …and at most this many times.
+_MAX_REORDERS = 2
+
+
+@dataclass(eq=False)
+class BGPChain:
+    """One BGP of two or more patterns: its scans in join order, and the
+    top of the left-deep join chain over them — what
+    :meth:`Pipeline.reorder` re-wires."""
+
+    scans: list
+    top: IncrementalNode
+    reorders: int = 0
+
+
+def _ascending(scans: Sequence[IncrementalNode]) -> list[IncrementalNode]:
+    """``scans`` by ascending cardinality, keeping the chain connected: a
+    scan sharing no variable with those before it waits while one does."""
+    remaining, ordered, bound = list(scans), [], set()
+    while remaining:
+        connected = [scan for scan in remaining if scan.certain_variables & bound]
+        best = min(connected or remaining, key=lambda scan: scan.cardinality)
+        remaining.remove(best)
+        ordered.append(best)
+        bound |= best.certain_variables
+    return ordered
 
 
 def _bindings(changes: list[Change]) -> list[Binding]:
@@ -1707,6 +1760,13 @@ class Pipeline:
     plus the quiescence release).  ``blocking_nodes`` lists the physical
     operators that withhold output until :meth:`finalize` — empty means
     the whole plan streams.
+
+    While the plan is open, each BGP re-orders itself on its own evidence:
+    after every fed batch, a BGP whose leading scan holds at least
+    ``_REORDER_FACTOR`` times the bindings of its smallest non-empty scan
+    is rebuilt by ascending scan cardinality (:meth:`reorder`), at most
+    ``_MAX_REORDERS`` times.  The counts are the scans' own state; the
+    operators above a BGP see nothing of it.
     """
 
     def __init__(
@@ -1714,6 +1774,7 @@ class Pipeline:
         root: IncrementalNode,
         exists_context: Optional[CurrentDatasetExists] = None,
         live: bool = False,
+        bgps: Sequence[BGPChain] = (),
     ) -> None:
         self.root = root
         #: Live pipelines retain what retractions need (see the ``live``
@@ -1726,6 +1787,12 @@ class Pipeline:
         self.blocking_nodes: tuple[IncrementalNode, ...] = tuple(
             node for node in _walk(root) if node.blocking
         )
+        #: Every BGP of two or more patterns, as its re-orderable chain.
+        self.bgps: tuple[BGPChain, ...] = tuple(bgps)
+        #: BGP re-orders so far (``ExecutionStats.replans``).
+        self.replans = 0
+        #: The BGPs that may still re-order; emptied when the plan settles.
+        self._watched = list(self.bgps)
         self._tracer = None
         self._trace_parent = None
 
@@ -1782,19 +1849,71 @@ class Pipeline:
             runs = [(1, dataset.log_slice(start, position))]
         if self._exists is not None:
             self._exists.bind(dataset)
-        root = self.root
         changes: list[Change] = []
         if self._tracer is None:  # the per-batch hot path: no span bookkeeping
             for sign, quads in runs:
-                changes += root.apply(self.router.batch(quads, sign), dataset)
+                changes += self.root.apply(self.router.batch(quads, sign), dataset)
+                if self._watched:
+                    self._reorder_skewed()
             return changes
-        name = "apply-batch" if root.settled else "advance-batch"
+        name = "apply-batch" if self.root.settled else "advance-batch"
         for sign, quads in runs:
             with self._span(name, quads=len(quads), sign=sign) as span:
-                produced = root.apply(self.router.batch(quads, sign), dataset)
+                produced = self.root.apply(self.router.batch(quads, sign), dataset)
                 span.args["changes"] = len(produced)
+                if self._watched and (reordered := self._reorder_skewed()):
+                    span.args["reordered"] = reordered
             changes += produced
         return changes
+
+    def _reorder_skewed(self) -> int:
+        """Re-order every watched BGP whose leading scan holds at least
+        ``_REORDER_FACTOR`` times its smallest non-empty scan; returns how
+        many were rebuilt."""
+        rebuilt = 0
+        for bgp in self._watched:
+            lead = bgp.scans[0].cardinality
+            if lead < _REORDER_FACTOR:
+                continue
+            smallest = min(
+                (count for scan in bgp.scans if (count := scan.cardinality)), default=0
+            )
+            if lead >= _REORDER_FACTOR * smallest:
+                self.reorder(bgp, _ascending(bgp.scans))
+                rebuilt += 1
+        if rebuilt:
+            self._watched = [bgp for bgp in self._watched if bgp.reorders < _MAX_REORDERS]
+        return rebuilt
+
+    def reorder(self, bgp: BGPChain, scans: Sequence[IncrementalNode]) -> None:
+        """Re-wire ``bgp``'s scans into a new left-deep join chain in
+        ``scans`` order (any permutation of ``bgp.scans``).
+
+        The new joins are fed the scans' current outputs bottom-up.  A
+        symmetric hash join's output over the same inputs does not depend
+        on their order, so the new chain holds exactly what the old one
+        emitted: the node above is handed the new chain and receives
+        nothing, and no answer is derived twice.  No clock, span or dataset
+        is read; the retired joins' work moves onto the new top.
+        """
+        old = bgp.top
+        retired = sum(node.produced_total for node in _walk(old) if isinstance(node, JoinNode))
+        top, rows = scans[0], scans[0].rows()
+        for scan in scans[1:]:
+            top = JoinNode(top, scan)
+            rows = top._changes(_QUIESCENT, None, rows, scan.rows())
+            top.produced_total = len(rows)
+            if self._tracer is not None:
+                top._tracer = self._tracer
+        top.produced_total += retired
+        if self.root is old:
+            self.root = top
+        else:
+            parent = next(node for node in _walk(self.root) if old in node._inputs)
+            parent._inputs = tuple(top if child is old else child for child in parent._inputs)
+        bgp.scans, bgp.top = list(scans), top
+        bgp.reorders += 1
+        self.replans += 1
 
     def advance(self, dataset: Dataset) -> list[Binding]:
         """Feed all quads logged since the last call; return new solutions.
@@ -1810,8 +1929,9 @@ class Pipeline:
         Returns the tail of the result stream — any solutions from the
         final delta plus everything the blocking operators withheld — and
         settles every node.  Runs in O(withheld results); no operator
-        re-scans its inputs.
+        re-scans its inputs.  A settled plan keeps its join orders.
         """
+        self._watched = []
         produced = self.advance(dataset)
         if self._exists is not None:
             self._exists.bind(dataset)
@@ -1830,6 +1950,8 @@ class _CompileContext:
     bgp_order: Callable
     graph: Optional[Term] = None
     live: bool = False
+    #: Every multi-pattern BGP compiled so far (shared by ``replace`` copies).
+    bgps: list = field(default_factory=list)
 
     def compile(self, op: Operator) -> IncrementalNode:
         builder = _BUILDERS.get(type(op))
@@ -1852,11 +1974,15 @@ def _build_bgp(context: _CompileContext, op: BGP) -> IncrementalNode:
     patterns = context.bgp_order(list(op.patterns) + list(op.path_patterns))
     if not patterns:
         return ValuesNode(ValuesOp((), ((),)))
-    root: Optional[IncrementalNode] = None
-    for pattern in patterns:
-        scan = PathScanNode if isinstance(pattern, PathPattern) else ScanNode
-        node = scan(pattern, graph=context.graph)
-        root = node if root is None else JoinNode(root, node)
+    scans = [
+        (PathScanNode if isinstance(pattern, PathPattern) else ScanNode)(pattern, graph=context.graph)
+        for pattern in patterns
+    ]
+    root = scans[0]
+    for scan in scans[1:]:
+        root = JoinNode(root, scan)
+    if len(scans) > 1:
+        context.bgps.append(BGPChain(scans, root))
     return root
 
 
@@ -1924,12 +2050,12 @@ def compile_pipeline(
     at traversal quiescence.  ``live`` makes the nodes retain what signed
     maintenance past quiescence needs (``Pipeline.poll_changes``).
 
-    ``bgp_order`` optionally overrides join ordering: a callable taking the
-    list of (triple & path) patterns of a BGP and returning them in the
-    order the left-deep join tree should use.  The default is the
-    zero-knowledge planner.  The adaptive engine (see
-    :mod:`repro.ltqp.adaptive`) re-compiles with a cardinality-informed
-    order mid-execution.
+    ``bgp_order`` optionally chooses each BGP's *starting* join order: a
+    callable taking the list of (triple & path) patterns of a BGP and
+    returning them in the order the left-deep join tree should use.  The
+    default is the zero-knowledge planner.  Either way the pipeline
+    re-orders a BGP from its scans' counts while the plan is open (see
+    :class:`Pipeline`).
     """
     exists_context: Optional[CurrentDatasetExists] = None
     if evaluator is None:
@@ -1941,8 +2067,9 @@ def compile_pipeline(
         def bgp_order(patterns):
             return plan_bgp_order(patterns, seed_iris=seeds)
 
-    root = _CompileContext(evaluator, bgp_order, live=live).compile(where)
-    return Pipeline(root, exists_context, live=live)
+    context = _CompileContext(evaluator, bgp_order, live=live)
+    root = context.compile(where)
+    return Pipeline(root, exists_context, live=live, bgps=context.bgps)
 
 
 def compile_query_pipeline(
@@ -1965,5 +2092,7 @@ def compile_query_pipeline(
         where = Slice(Project(where, ()), offset=0, limit=1)
     pipeline = compile_pipeline(where, seed_iris=seed_iris, bgp_order=bgp_order, live=live)
     if query.form == "DESCRIBE":
-        pipeline = Pipeline(DescribeNode(pipeline.root, query), pipeline._exists, live=live)
+        pipeline = Pipeline(
+            DescribeNode(pipeline.root, query), pipeline._exists, live=live, bgps=pipeline.bgps
+        )
     return pipeline

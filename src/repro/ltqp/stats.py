@@ -58,6 +58,7 @@ class ExecutionStats:
     #: True when the compiled plan has no blocking operators — every result
     #: can stream during traversal instead of waiting for the finalize pass.
     streaming: bool = True
+    #: BGP join re-orders the pipeline made while the plan was open.
     replans: int = 0
     #: Errors raised while tearing down background tasks (flush timer,
     #: traversal).  Shutdown must not fail the query, but swallowing these

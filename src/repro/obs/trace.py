@@ -16,9 +16,10 @@ tree per traced execution:
             │   └─ ``backoff``      (retry sleeps)
             ├─ ``parse``
             └─ ``extract``
-    └─ ``advance-batch``            (one per pipeline advance)
+    └─ ``advance-batch``            (one per pipeline advance; ``reordered``
+        │                            when BGPs re-ordered after it)
         └─ ``join``                 (per join operator, nested)
-    plus instant markers: ``first-result``, ``replan``.
+    plus the instant marker ``first-result``.
 
 Design constraints:
 

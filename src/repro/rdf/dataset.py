@@ -170,39 +170,6 @@ class Graph:
             return
         yield from self._triples
 
-    def count(
-        self,
-        subject: Optional[Term] = None,
-        predicate: Optional[Term] = None,
-        object: Optional[Term] = None,
-    ) -> int:
-        """Number of triples matching the pattern.
-
-        Answered from index bucket sizes — O(1) for 0-2 bound positions with
-        at most one bucket walk, never materialising the matching triples.
-        The planner calls this on every BGP ordering decision, so it must
-        stay cheap even on multi-million-triple stores.
-        """
-        s = subject if _is_concrete(subject) else None
-        p = predicate if _is_concrete(predicate) else None
-        o = object if _is_concrete(object) else None
-
-        if s is not None and p is not None and o is not None:
-            return 1 if Triple(s, p, o) in self._triples else 0  # type: ignore[arg-type]
-        if s is not None and p is not None:
-            return len(self._index("spo").get(s, {}).get(p, ()))
-        if p is not None and o is not None:
-            return len(self._index("pos").get(p, {}).get(o, ()))
-        if s is not None and o is not None:
-            return len(self._index("osp").get(o, {}).get(s, ()))
-        if s is not None:
-            return sum(len(objs) for objs in self._index("spo").get(s, {}).values())
-        if p is not None:
-            return sum(len(subjs) for subjs in self._index("pos").get(p, {}).values())
-        if o is not None:
-            return sum(len(preds) for preds in self._index("osp").get(o, {}).values())
-        return len(self._triples)
-
     def subjects(self, predicate: Optional[Term] = None, object: Optional[Term] = None) -> Iterator[SubjectTerm]:
         seen: set[SubjectTerm] = set()
         for triple in self.match(None, predicate, object):

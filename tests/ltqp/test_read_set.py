@@ -17,7 +17,6 @@ from collections import Counter
 import pytest
 
 from repro.ltqp import explain_plan, pipeline
-from repro.ltqp.adaptive import AdaptivePipeline
 from repro.ltqp.dereference import Dereferencer
 from repro.ltqp.extractors import MatchIriExtractor
 from repro.ltqp.pipeline import compile_query_pipeline
@@ -202,8 +201,8 @@ class TestReadSetIsAFunctionOfTheQuery:
             EX + "SELECT * WHERE { ?a ex:p ?b . ?b ex:q ?c . ?c ex:r ?d "
             "FILTER EXISTS { ?d ex:s ?e } }"
         )
-        adaptive = AdaptivePipeline(query.where, check_interval=1, replan_factor=1.0, query=query)
-        before = adaptive.read_set
+        pipeline = compile_query_pipeline(query)
+        before = pipeline.read_set
         assert before == ex("p", "q", "r", "s")
         source = GrowingTripleSource(before)
         node = lambda name: NamedNode(f"http://x/{name}")  # noqa: E731
@@ -211,9 +210,12 @@ class TestReadSetIsAFunctionOfTheQuery:
         triples += [Triple(node("m"), node("q"), node("k")), Triple(node("k"), node("r"), node("j"))]
         for index, triple in enumerate(triples):
             source.add_document(f"https://h/doc{index}", ParsedDocument([triple]))
-            adaptive.advance(source.dataset)
-        assert adaptive.replans > 0
-        assert adaptive.read_set == before
+            pipeline.advance(source.dataset)
+        assert pipeline.replans > 0
+        assert pipeline.read_set == before
+        (bgp,) = pipeline.bgps
+        pipeline.reorder(bgp, bgp.scans[::-1])
+        assert pipeline.read_set == before
 
 
 class TestExplainSaysWhatIsKept:

@@ -23,7 +23,7 @@ class TestGrowingTripleSource:
         assert source.add_document("https://h/doc", ParsedDocument([t(1), t(2)])) == 2
         assert source.add_document("https://h/doc2", ParsedDocument([t(1)])) == 1  # new in its graph
         assert source.document_count == 2
-        assert source.dataset.union.count() == 2  # deduplicated in union
+        assert len(source.dataset.union) == 2  # deduplicated in union
 
     def test_same_document_duplicates_skipped(self):
         source = GrowingTripleSource()

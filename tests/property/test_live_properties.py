@@ -46,6 +46,8 @@ from repro.sparql.algebra import (
 )
 from repro.sparql.eval import SnapshotEvaluator
 
+from .conftest import rebuild_one_bgp
+
 # Same tiny closed world as the other property suites: dense joins, few names.
 nodes = st.sampled_from([NamedNode(f"http://x/n{i}") for i in range(6)])
 predicates = st.sampled_from([NamedNode(f"http://x/p{i}") for i in range(3)])
@@ -97,7 +99,7 @@ def operator_trees(draw):
         return base
     if kind == "project":
         # Projecting a dense star down to its centre: the shape where a
-        # non-DISTINCT answer gets duplicate rows (and a replan has a
+        # non-DISTINCT answer gets duplicate rows (and a rebuild has a
         # two-pattern join order to change).
         a, b, c = Variable("a"), Variable("b"), Variable("c")
         star = BGP(
@@ -148,9 +150,10 @@ def _doc_url(index: int) -> str:
 settle_points = st.integers(0, DOC_COUNT)
 
 
-def _run_inserts(pipeline, source, docs, settle_after) -> Counter:
+def _run_inserts(pipeline, source, docs, settle_after, rng=None) -> Counter:
     """Feed ``docs`` one per batch, finalizing after ``settle_after`` of
-    them; returns the result multiset maintained across both phases."""
+    them; returns the result multiset maintained across both phases.  With
+    ``rng``, each batch before quiescence first rebuilds a random BGP."""
     maintained: Counter = Counter()
     settle_after = min(settle_after, len(docs))
     for index in range(len(docs) + 1):
@@ -158,12 +161,32 @@ def _run_inserts(pipeline, source, docs, settle_after) -> Counter:
             maintained.update(_key(b) for b in pipeline.finalize(source.dataset))
         if index == len(docs):
             break
+        if rng is not None and index < settle_after:
+            rebuild_one_bgp(pipeline, rng)
         source.add_document(_doc_url(index), ParsedDocument(docs[index]))
         for binding, delta in pipeline.poll_changes(source.dataset):
             # Open nodes withhold whatever more data could retract.
             assert delta > 0 or index >= settle_after
             maintained[_key(binding)] += delta
     return maintained
+
+
+def _check_maintenance(tree, docs, settle_after, edit_seq, rng=None) -> None:
+    pipeline = compile_pipeline(tree, live=True)
+    source = GrowingTripleSource()
+    state = {index: list(doc) for index, doc in enumerate(docs)}
+    maintained = _run_inserts(pipeline, source, docs, settle_after, rng)
+
+    for doc_index, new_triples in edit_seq:
+        index = doc_index % len(docs)
+        state[index] = list(new_triples)
+        source.update_document(_doc_url(index), ParsedDocument(new_triples))
+        for binding, delta in pipeline.poll_changes(source.dataset):
+            maintained[_key(binding)] += delta
+
+    surviving = [t for doc in state.values() for t in doc]
+    expected = SnapshotEvaluator(Graph(surviving)).evaluate(tree)
+    assert +maintained == _multiset(expected)
 
 
 class TestLiveMaintenanceEquivalence:
@@ -175,21 +198,16 @@ class TestLiveMaintenanceEquivalence:
         """Any tree × any initial docs × any settle point × any rewrite
         sequence ⇒ the maintained multiset is the fresh answer over the
         final state."""
-        pipeline = compile_pipeline(tree, live=True)
-        source = GrowingTripleSource()
-        state = {index: list(doc) for index, doc in enumerate(docs)}
-        maintained = _run_inserts(pipeline, source, docs, settle_after)
+        _check_maintenance(tree, docs, settle_after, edit_seq)
 
-        for doc_index, new_triples in edit_seq:
-            index = doc_index % len(docs)
-            state[index] = list(new_triples)
-            source.update_document(_doc_url(index), ParsedDocument(new_triples))
-            for binding, delta in pipeline.poll_changes(source.dataset):
-                maintained[_key(binding)] += delta
-
-        surviving = [t for doc in state.values() for t in doc]
-        expected = SnapshotEvaluator(Graph(surviving)).evaluate(tree)
-        assert +maintained == _multiset(expected)
+    @given(operator_trees(), documents, settle_points, edits, st.randoms(use_true_random=False))
+    @settings(max_examples=120, deadline=None)
+    def test_maintained_matches_fresh_after_rebuilds_during_the_traversal(
+        self, tree, docs, settle_after, edit_seq, rng
+    ):
+        """The same, with random BGPs rebuilt into random join orders while
+        the plan is open: the settled chains maintain like compiled ones."""
+        _check_maintenance(tree, docs, settle_after, edit_seq, rng)
 
     @given(documents, settle_points, edits)
     @settings(max_examples=60, deadline=None)

@@ -10,7 +10,8 @@ family over a source handed ``pipeline.read_set`` and compares with a
 :class:`SnapshotEvaluator` over a dataset holding all the documents whole:
 
 * one-shot: any query form × any document arrival order × any number of
-  documents per advance (× replanning at every opportunity);
+  documents per advance (× forced rebuilds of a random BGP into a random
+  permutation at random points in the feed);
 * live: any initial documents × any sequence of document rewrites — the
   replay of initial results plus every signed change equals the fresh answer
   over the final state.
@@ -30,7 +31,6 @@ from collections import Counter
 
 from hypothesis import given, settings, strategies as st
 
-from repro.ltqp.adaptive import AdaptivePipeline
 from repro.ltqp.pipeline import compile_query_pipeline
 from repro.ltqp.source import GrowingTripleSource
 from repro.rdf import BlankNode, Literal, NamedNode, ParsedDocument, Triple, Variable
@@ -70,6 +70,8 @@ from repro.sparql.algebra import (
     operator_variables,
 )
 from repro.sparql.eval import SnapshotEvaluator, construct_triples
+
+from .conftest import rebuild_one_bgp
 
 # A closed world smaller and denser than the sibling suites' (most patterns
 # match something, so most answers are non-empty and a dropped quad shows),
@@ -312,22 +314,21 @@ class TestPlanAwareSourceEquivalence:
     )
     @settings(max_examples=500, deadline=None)
     def test_one_shot_matches_snapshot_over_all_documents(
-        self, query, docs, rng, docs_per_advance, adaptive
+        self, query, docs, rng, docs_per_advance, rebuild
     ):
         arrival = list(range(len(docs)))
         rng.shuffle(arrival)
-        if adaptive:
-            pipeline = AdaptivePipeline(
-                query.where, check_interval=1, replan_factor=1.0, query=query
-            )
-        else:
-            pipeline = compile_query_pipeline(query)
+        pipeline = compile_query_pipeline(query)
         source = GrowingTripleSource(pipeline.read_set)
         produced = []
         for start in range(0, len(arrival), docs_per_advance):
+            if rebuild:
+                rebuild_one_bgp(pipeline, rng)
             for index in arrival[start : start + docs_per_advance]:
                 source.add_document(_doc_name(index).value, ParsedDocument(docs[index]))
             produced.extend(pipeline.advance(source.dataset))
+        if rebuild:
+            rebuild_one_bgp(pipeline, rng)
         produced.extend(pipeline.finalize(source.dataset))
 
         assert _answer(query, produced) == _oracle(query, dict(enumerate(docs)))

@@ -16,15 +16,13 @@ Notes on determinism:
   sort on ties (ties are identical bindings).
 * Aggregates are restricted to COUNT(*) / COUNT(?v) [DISTINCT], whose
   results are arrival-order independent (SAMPLE and GROUP_CONCAT are not).
-* The property runs over both the static pipeline and an
-  ``AdaptivePipeline`` set to replan at every opportunity
-  (``check_interval=1, replan_factor=1.0``): a replay must preserve the
-  answer multiset exactly like any other schedule.
+* Half the runs also force BGP rebuilds through ``Pipeline.reorder`` — a
+  random BGP into a random permutation, at random points in the feed —
+  which must preserve the answer multiset exactly like any other schedule.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from repro.ltqp.adaptive import AdaptivePipeline
 from repro.ltqp.pipeline import compile_pipeline
 from repro.rdf import Dataset, Graph, Literal, NamedNode, Quad, Triple, Variable
 from repro.rdf.triples import TriplePattern
@@ -45,6 +43,8 @@ from repro.sparql.algebra import (
     operator_variables,
 )
 from repro.sparql.eval import SnapshotEvaluator
+
+from .conftest import rebuild_one_bgp
 
 # Same tiny closed world as the other property suites: dense joins, few names.
 nodes = st.sampled_from([NamedNode(f"http://x/n{i}") for i in range(6)])
@@ -84,7 +84,7 @@ def operator_trees(draw):
         return base
     if kind == "project":
         # Projecting a dense star down to its centre: the shape where a
-        # non-DISTINCT answer gets duplicate rows (and a replan has a
+        # non-DISTINCT answer gets duplicate rows (and a rebuild has a
         # two-pattern join order to change).
         a, b, c = Variable("a"), Variable("b"), Variable("c")
         star = BGP(
@@ -137,21 +137,20 @@ class TestUnifiedEquivalence:
     )
     @settings(max_examples=120, deadline=None)
     def test_incremental_matches_snapshot(
-        self, tree, docs, rng, docs_per_advance, faults, adaptive
+        self, tree, docs, rng, docs_per_advance, faults, rebuild
     ):
-        """Any tree × any arrival order × any fault plan × replanning or
-        not ⇒ snapshot answers."""
+        """Any tree × any arrival order × any fault plan × forced
+        rebuilds or not ⇒ snapshot answers."""
         dropped = {index for index in faults if index < len(docs)}
         arrival = [index for index in range(len(docs)) if index not in dropped]
         rng.shuffle(arrival)
 
-        if adaptive:
-            pipeline = AdaptivePipeline(tree, check_interval=1, replan_factor=1.0)
-        else:
-            pipeline = compile_pipeline(tree)
+        pipeline = compile_pipeline(tree)
         dataset = Dataset()
         produced = []
         for start in range(0, len(arrival), docs_per_advance):
+            if rebuild:
+                rebuild_one_bgp(pipeline, rng)
             for doc_index in arrival[start : start + docs_per_advance]:
                 graph = NamedNode(f"https://h/doc{doc_index}")
                 for triple in docs[doc_index]:
@@ -159,6 +158,8 @@ class TestUnifiedEquivalence:
                         Quad(triple.subject, triple.predicate, triple.object, graph)
                     )
             produced.extend(pipeline.advance(dataset))
+        if rebuild:
+            rebuild_one_bgp(pipeline, rng)
         produced.extend(pipeline.finalize(dataset))
 
         surviving = [t for i, doc in enumerate(docs) if i not in dropped for t in doc]

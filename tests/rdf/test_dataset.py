@@ -41,19 +41,19 @@ class TestGraph:
         assert predicates == {n("p")}
 
     def test_match_single_position(self, graph):
-        assert graph.count(n("a"), None, None) == 3
-        assert graph.count(None, n("p"), None) == 3
-        assert graph.count(None, None, n("c")) == 2
+        assert len(list(graph.match(n("a"), None, None))) == 3
+        assert len(list(graph.match(None, n("p"), None))) == 3
+        assert len(list(graph.match(None, None, n("c")))) == 2
 
     def test_match_all(self, graph):
-        assert graph.count() == 4
+        assert len(list(graph.match())) == 4
 
     def test_discard_updates_all_indexes(self, graph):
         assert graph.discard(Triple(n("a"), n("p"), n("b")))
         assert not graph.discard(Triple(n("a"), n("p"), n("b")))
-        assert graph.count(n("a"), n("p"), None) == 1
-        assert graph.count(None, n("p"), n("b")) == 0
-        assert graph.count(n("a"), None, n("b")) == 0
+        assert len(list(graph.match(n("a"), n("p"), None))) == 1
+        assert list(graph.match(None, n("p"), n("b"))) == []
+        assert list(graph.match(n("a"), None, n("b"))) == []
 
     def test_discard_then_match_empty_bucket(self, graph):
         graph.discard(Triple(n("b"), n("p"), n("c")))
@@ -81,20 +81,20 @@ class TestGraph:
         graph.add(Triple(n("z"), n("p"), n("z")))
         graph.discard(Triple(n("z"), n("p"), n("z")))
         assert Triple(n("a"), n("p"), n("b")) in graph and len(graph) == 4
-        assert len(list(graph.match())) == 4 and graph.count() == 4
-        assert graph.count(n("a"), n("p"), n("b")) == 1
+        assert len(list(graph.match())) == 4
+        assert len(list(graph.match(n("a"), n("p"), n("b")))) == 1
         assert graph.built_indexes == ()
-        assert graph.count(n("a"), n("p")) == 2
+        assert len(list(graph.match(n("a"), n("p")))) == 2
         assert graph.built_indexes == ("spo",)
         assert len(list(graph.match(predicate=n("p")))) == 3
         assert graph.built_indexes == ("spo", "pos")
         assert graph.value(None, n("p"), n("b")) == n("a")
         assert graph.built_indexes == ("spo", "pos")  # POS again, not a new family
-        assert graph.count(n("a"), None, n("c")) == 1
+        assert len(list(graph.match(n("a"), None, n("c")))) == 1
         assert graph.built_indexes == ("spo", "pos", "osp")
 
     def test_built_indexes_follow_later_writes(self, graph):
-        assert graph.count(n("a"), n("p")) == 2  # builds SPO before the writes
+        assert len(list(graph.match(n("a"), n("p")))) == 2  # builds SPO before the writes
         graph.add(Triple(n("a"), n("p"), n("d")))
         graph.discard(Triple(n("a"), n("p"), n("b")))
         assert set(graph.objects(n("a"), n("p"))) == {n("c"), n("d")}
@@ -109,7 +109,7 @@ class TestDataset:
         triple = Triple(n("a"), n("p"), n("b"))
         assert ds.add(Quad(triple.subject, triple.predicate, triple.object, n("g1")))
         assert ds.add(Quad(triple.subject, triple.predicate, triple.object, n("g2")))
-        assert ds.union.count() == 1
+        assert len(ds.union) == 1
         assert len(ds) == 2  # per-graph provenance preserved
 
     def test_duplicate_in_same_graph_rejected(self):
@@ -122,7 +122,7 @@ class TestDataset:
         ds = Dataset()
         ds.add(Quad(n("a"), n("p"), n("b"), n("g1")))
         ds.add(Quad(n("c"), n("p"), n("d"), n("g2")))
-        assert ds.union.count() == 2
+        assert len(ds.union) == 2
         assert list(ds.match(graph=n("g1"))) == [Triple(n("a"), n("p"), n("b"))]
         assert list(ds.match(graph=n("missing"))) == []
 
@@ -173,7 +173,7 @@ class TestDataset:
         # The same triples in another document are novelties *there*: logged
         # per graph, deduplicated in the union.
         assert ds.add_triples(triples, graph=n("other")) == 2
-        assert ds.log_position == 4 and ds.union.count() == 2
+        assert ds.log_position == 4 and len(ds.union) == 2
 
     def test_get_graph_reads_without_creating(self):
         ds = Dataset()

@@ -73,7 +73,7 @@ class TestTriG:
         dataset = Dataset()
         dataset.update(quads)
         assert dataset.has_graph(n("g"))
-        assert dataset.union.count() == 1
+        assert len(dataset.union) == 1
 
     def test_unterminated_block_raises(self):
         with pytest.raises(TurtleParseError):
