@@ -555,17 +555,13 @@ EXPERIMENTS = [
                 for factor in (0.5, 1.0)], measure=federation_baseline, columns=("pods",)),
     Experiment("guided", "DESIGN §4g: paper crawl / source selection / + a spec / + guided order",
                expect_guided,
-               # The wall-clock flush timer is off so that every tick replays exactly.
-               [Config("paper fifo", ticks=True,
-                       engine=policy(queue_policy="fifo", advance_flush_interval=0.0)),
+               [Config("paper fifo", ticks=True, engine=policy(queue_policy="fifo")),
                 Config("default fifo", universe=PUBLISHING, ticks=True,
-                       engine=policy(queue_policy="fifo", advance_flush_interval=0.0)),
+                       engine=policy(queue_policy="fifo")),
                 Config("default fifo+spec", universe=PUBLISHING, ticks=True,
-                       engine=policy(queue_policy="fifo", subweb=DECLARED_SPEC,
-                                     advance_flush_interval=0.0)),
+                       engine=policy(queue_policy="fifo", subweb=DECLARED_SPEC)),
                 Config("default guided+spec", universe=PUBLISHING, ticks=True,
-                       engine=policy(queue_policy="guided", subweb=DECLARED_SPEC,
-                                     advance_flush_interval=0.0))],
+                       engine=policy(queue_policy="guided", subweb=DECLARED_SPEC))],
                columns=("links_pruned",)),
 ]
 

@@ -38,7 +38,7 @@ def sparkline(values: Sequence[float], width: int = 60) -> str:
 
 
 def queue_sparkline(samples: Sequence[QueueSample], width: int = 60) -> str:
-    """Queue length over time as a sparkline, annotated with the peak."""
+    """Queue length over time as a sparkline, with the peak marked."""
     lengths = [sample.queue_length for sample in samples]
     if not lengths:
         return "(no samples)"

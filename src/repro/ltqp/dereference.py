@@ -147,7 +147,7 @@ class Dereferencer:
         HTTP cache still considers its copy fresh — the live-refresh path,
         where the point is to observe upstream change *now*.
         ``provenance`` (a :class:`~repro.ltqp.links.LinkProvenance`)
-        annotates this document's parse span with why the link existed."""
+        tells this document's parse span why the link existed."""
         url, response, anomaly = await self._follow(
             url.split("#", 1)[0],
             parent_url,

@@ -91,7 +91,8 @@ class TraversalPolicy:
     ``max_documents``/``max_depth`` bound traversal on the open Web; ``0``
     disables the bound.  Join order is no setting: every execution's BGPs
     re-order themselves from their scans' counts
-    (:class:`~repro.ltqp.pipeline.Pipeline`).
+    (:class:`~repro.ltqp.pipeline.Pipeline`).  Nor is when the pipeline is
+    fed: one rule that reads no clock (:meth:`QueryExecution._ingest`).
     """
 
     worker_count: int = 0
@@ -136,18 +137,11 @@ class TraversalPolicy:
     #: adds the caller's own rules to those.  Pods that publish nothing
     #: are crawled in full, as in the paper.
     subweb: Optional[SubwebSpecification] = None
-    #: Micro-batching of pipeline advancement: documents accumulate in the
-    #: growing source until at least this many new quads are pending, then
-    #: one ``advance`` feeds them all — tiny documents coalesce instead of
-    #: each paying a full pipeline pass.  Until the first result is emitted
-    #: the engine flushes per document, so time-to-first-result is not
-    #: traded away.  ``<= 1`` restores strict per-document advancement.
-    advance_batch_quads: int = 192
-    #: Upper bound on how long a partial batch may sit before a timer
-    #: flushes it (seconds; ``0`` disables the timer).  Quiescence always
-    #: flushes regardless.
-    advance_flush_interval: float = 0.02
 
+
+#: Pending quads at which a document feeds the pipeline itself; below
+#: it (once a row is out) the feed waits for the loop's next turn.
+FEED_BATCH_QUADS = 192
 
 #: The columns a CONSTRUCT query's triples are returned under.
 _TRIPLE_COLUMNS = (Variable("subject"), Variable("predicate"), Variable("object"))
@@ -285,8 +279,10 @@ class QueryExecution:
         self._budgets = _OriginBudgets()
         self._resilience = ResilienceStats()
         self._constructed: set = set()
-        self._batch_quads = max(1, self._policy.advance_batch_quads)
         self._pending_quads = 0
+        # The feed ``_ingest`` left for the loop's next turn, and what it raised.
+        self._feed: Optional[asyncio.Handle] = None
+        self._feed_error: Optional[Exception] = None
         # The worker pool (see _take): links being dereferenced (the workers
         # not holding one are idle), and links popped while their origin had
         # no free slot.
@@ -472,11 +468,13 @@ class QueryExecution:
         if self.pipeline.complete:
             self._stop.set()
 
-    async def _flush_timer(self) -> None:
-        interval = self._policy.advance_flush_interval
-        while not self._stop.is_set():
-            await asyncio.sleep(interval)
+    def _scheduled_flush(self) -> None:
+        self._feed = None
+        try:
             self._flush()
+        except Exception as error:  # fails the execution, as an _ingest feed does
+            self._feed_error = error
+            self._wake.set()
 
     def _ingest(self, result: DereferenceResult) -> Optional[int]:
         """Admit one dereferenced document into the source and pipeline:
@@ -503,11 +501,15 @@ class QueryExecution:
             stats.documents_from_store += 1
         if kept:
             self._pending_quads += kept
-            # Flush per document until the first result (TTFR protection),
-            # then coalesce small documents up to the batch threshold.  A
-            # document that kept nothing costs no pipeline pass either way.
-            if stats.result_count == 0 or self._pending_quads >= self._batch_quads:
+            # Feed per document until the first result (TTFR protection) and
+            # once a batch is full; otherwise once, before the loop next waits
+            # — the documents that land until then coalesce, and a row is
+            # never held while the engine waits on the network.  A document
+            # that kept nothing costs no pipeline pass either way.
+            if stats.result_count == 0 or self._pending_quads >= FEED_BATCH_QUADS:
                 self._flush()
+            elif self._feed is None:
+                self._feed = asyncio.get_running_loop().call_soon(self._scheduled_flush)
         return kept
 
     # -- the run -----------------------------------------------------------
@@ -517,9 +519,6 @@ class QueryExecution:
         self._set_up()
         traversal = asyncio.create_task(self._traverse())
         traversal.add_done_callback(lambda _task: self._wake.set())
-        timer: Optional[asyncio.Task] = None
-        if self._batch_quads > 1 and self._policy.advance_flush_interval > 0:
-            timer = asyncio.create_task(self._flush_timer())
         # Delivery is a cursor over the list ``_emit`` appends to, plus one
         # wake-up (a new result, or the traversal's end).
         results = self.results
@@ -529,6 +528,8 @@ class QueryExecution:
                 while delivered < len(results):
                     delivered += 1
                     yield results[delivered - 1].binding
+                if self._feed_error is not None:
+                    raise self._feed_error
                 if traversal.done():
                     break
                 self._wake.clear()
@@ -536,36 +537,38 @@ class QueryExecution:
             await traversal  # re-raise worker exceptions
             if self.tracer is not None:
                 self.tracer.end(self._traversal_span)
-            # Quiescence flush: feed whatever landed after the last batched
-            # advance (the cursor makes this exact, batching or not), then
-            # release everything the blocking operators held back.
+            # Quiescence flush: feed whatever landed after the last feed (the
+            # cursor makes this exact), then release everything the blocking
+            # operators held back.
             self._pending_quads = 0
             self._deliver(self.pipeline.finalize(self.source.dataset))
             for timed in results[delivered:]:
                 yield timed.binding
         finally:
-            await self._tear_down(traversal, timer)
+            await self._tear_down(traversal)
 
-    async def _reap(self, task: Optional[asyncio.Task], stage: str) -> None:
+    async def _reap(self, traversal: asyncio.Task) -> None:
         # CancelledError is a BaseException (not an Exception) on modern
         # Python, so it needs its own clause; the expected outcome of
         # cancelling is the task raising it.  Anything else is a real
         # teardown bug — shutdown must not fail the query, but the error
         # is recorded in the stats instead of being swallowed silently.
-        if task is None or task.done():
+        if traversal.done():
             return
-        task.cancel()
+        traversal.cancel()
         try:
-            await task
+            await traversal
         except asyncio.CancelledError:
             pass
         except Exception as error:
-            self.stats.note_shutdown_error(stage, error)
+            self.stats.note_shutdown_error("traversal", error)
 
-    async def _tear_down(self, traversal: asyncio.Task, timer: Optional[asyncio.Task]) -> None:
+    async def _tear_down(self, traversal: asyncio.Task) -> None:
         stats, tracer, metrics = self.stats, self.tracer, self.metrics
-        await self._reap(timer, "flush-timer")
-        await self._reap(traversal, "traversal")
+        if self._feed is not None:  # it must not run against a dropped pipeline
+            self._feed.cancel()
+            self._feed = None
+        await self._reap(traversal)
         # Links still deferred at quiescence: their origins were never
         # declared by any traversed document — pruned.
         for parked in self.selector.drain_deferred():

@@ -156,7 +156,7 @@ def explain_physical(
 ) -> str:
     """Indented rendering of a compiled physical operator tree.
 
-    Blocking operators are annotated; the lowest ones — those whose inputs
+    Blocking operators are marked; the lowest ones — those whose inputs
     are fully streaming — are the *blocking boundary*: everything below
     them delivers results mid-traversal, everything on or above flushes at
     quiescence via the finalize pass.

@@ -37,8 +37,9 @@ that is not monotone-true), :class:`GroupAggregateNode` (group rows) and
 member multisets, ORDER BY keep-all vs top-k pruning, the LIMIT refill
 pool, and ``Pipeline.complete`` early termination.
 
-The *blocking boundary* (see :func:`repro.sparql.planner.blocking_boundary`)
-is where streaming stops: below it, deltas flow and results reach the user
+The *blocking boundary* (the lowest of :attr:`Pipeline.blocking_nodes`,
+as :func:`repro.ltqp.explain.explain_physical` marks them) is where
+streaming stops: below it, deltas flow and results reach the user
 mid-traversal; on and above it, ``Pipeline.finalize`` releases at
 quiescence.  A plan with no blocking nodes streams everything.
 

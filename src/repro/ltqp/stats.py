@@ -28,7 +28,7 @@ __all__ = ["TimedResult", "ExecutionStats"]
 
 @dataclass(slots=True)
 class TimedResult:
-    """One query result annotated with its arrival time (seconds from start)."""
+    """One query result with its arrival time (seconds from start)."""
 
     binding: "object"
     elapsed: float
@@ -60,9 +60,9 @@ class ExecutionStats:
     streaming: bool = True
     #: BGP join re-orders the pipeline made while the plan was open.
     replans: int = 0
-    #: Errors raised while tearing down background tasks (flush timer,
-    #: traversal).  Shutdown must not fail the query, but swallowing these
-    #: silently hides real bugs — they are recorded here instead.
+    #: Errors raised while tearing down the traversal task.  Shutdown must
+    #: not fail the query, but swallowing these silently hides real bugs —
+    #: they are recorded here instead.
     shutdown_errors: list[str] = field(default_factory=list)
 
     # -- degradation accounting (lenient mode under faults) ----------------

@@ -64,7 +64,6 @@ __all__ = [
     "SubSelect",
     "Query",
     "is_monotonic",
-    "is_blocking",
     "expression_contains_exists",
     "operator_children",
     "operator_variables",
@@ -496,34 +495,6 @@ def expression_contains_exists(expression: Expression) -> bool:
 def _expression_monotonic(expression: Expression) -> bool:
     """EXISTS / NOT EXISTS make a filter non-monotonic; everything else is fine."""
     return not expression_contains_exists(expression)
-
-
-def is_blocking(op: Operator) -> bool:
-    """True when *this* operator must hold (some) results until quiescence.
-
-    Blocking operators still consume deltas incrementally — the unified
-    pipeline compiles them into stateful physical nodes — but part (or
-    all) of their output can only be emitted once the underlying data has
-    stopped growing:
-
-    * ``LeftJoin`` — matched merges are monotonic, but the bare-left rows
-      for never-matched solutions are only known at the end.
-    * ``Minus`` — a late right-side solution can retract a left row.
-    * ``OrderBy`` / ``Slice`` with ``OFFSET`` — position depends on the
-      full result.
-    * ``GroupBy`` — group membership and aggregates finalize at the end.
-    * ``Filter`` / ``Extend`` whose expression mentions ``EXISTS``.
-
-    Note this is a property of the operator itself, not its subtree; use
-    :func:`repro.sparql.planner.annotate` for subtree-level analysis.
-    """
-    if isinstance(op, (LeftJoin, Minus, OrderBy, GroupBy)):
-        return True
-    if isinstance(op, Slice):
-        return op.offset != 0
-    if isinstance(op, (Filter, Extend)):
-        return expression_contains_exists(op.expression)
-    return False
 
 
 def operator_children(op: Operator) -> tuple[Operator, ...]:

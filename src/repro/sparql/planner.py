@@ -23,79 +23,17 @@ builds a left-deep join tree in that order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ..rdf.terms import NamedNode, Term, Variable
 from ..rdf.triples import TriplePattern
-from .algebra import Operator, PathPattern, is_blocking, operator_children
+from .algebra import PathPattern
 
-__all__ = [
-    "plan_bgp_order",
-    "pattern_score",
-    "LogicalNode",
-    "annotate",
-    "blocking_operators",
-    "blocking_boundary",
-]
+__all__ = ["plan_bgp_order", "pattern_score"]
 
 _SUBJECT_WEIGHT = 4
 _OBJECT_WEIGHT = 2
 _PREDICATE_WEIGHT = 1
-
-
-# ---------------------------------------------------------------------------
-# Logical plan: monotonicity annotation + blocking boundary
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class LogicalNode:
-    """One algebra operator annotated for the logical→physical compiler.
-
-    ``blocking`` marks operators that hold (part of) their output until
-    traversal quiescence; ``monotonic`` means the whole subtree streams —
-    every emitted solution stays valid as the data grows.  The *blocking
-    boundary* of a plan is the set of lowest blocking nodes: everything
-    beneath the boundary streams during traversal, everything on or above
-    it participates in the finalize phase.
-    """
-
-    op: Operator
-    monotonic: bool
-    blocking: bool
-    children: tuple["LogicalNode", ...]
-
-
-def annotate(op: Operator) -> LogicalNode:
-    """Annotate an algebra tree bottom-up with monotonicity/blocking flags."""
-    children = tuple(annotate(child) for child in operator_children(op))
-    blocking = is_blocking(op)
-    monotonic = not blocking and all(child.monotonic for child in children)
-    return LogicalNode(op, monotonic, blocking, children)
-
-
-def blocking_operators(plan: LogicalNode) -> list[LogicalNode]:
-    """Every blocking node in the plan, in pre-order."""
-    found: list[LogicalNode] = []
-    stack = [plan]
-    while stack:
-        node = stack.pop()
-        if node.blocking:
-            found.append(node)
-        stack.extend(reversed(node.children))
-    return found
-
-
-def blocking_boundary(plan: LogicalNode) -> list[LogicalNode]:
-    """The lowest blocking nodes — the streaming/finalize frontier.
-
-    A boundary node is a blocking operator all of whose children are fully
-    monotonic subtrees: deltas stream freely up to (and into) it, and its
-    held-back output is released by the finalize phase.  An empty list
-    means the whole plan streams.
-    """
-    return [node for node in blocking_operators(plan) if all(c.monotonic for c in node.children)]
 
 
 def pattern_score(

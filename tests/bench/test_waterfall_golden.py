@@ -12,10 +12,12 @@ Regenerate after an intentional rendering change with::
 
 Bar positions, the first-result marker and the total are TickClock reads,
 so a change to *how often the engine reads the clock* moves them too.
-Last regenerated for the plan-aware growing source (PR 20): a document
-that keeps no quad no longer flushes the pipeline before the first result,
-so fewer ``advance-batch`` spans tick the clock (first result 1549 → 1349
-ms cold).  Every count in the goldens — requests, statuses, sizes, bytes,
+Last regenerated for the clockless feed rule: after row 1, documents that
+leave quads pending coalesce into one feed per turn of the event loop
+instead of one feed each (the former per-quad setting), so fewer
+``advance-batch`` spans tick the clock.  Only bar positions and totals
+moved (cold 2.150 → 1.798 s, warm 1.913 → 1.561 s); the first result
+(1349.0 ms cold) and every count — requests, statuses, sizes, bytes,
 retries, cache hits, depth — stayed byte-identical.
 """
 
@@ -51,12 +53,9 @@ def golden_scenario(universe):
         )
         engine = LinkTraversalEngine(
             Dereferencer(client),
-            # Single worker + per-quad advances with the wall-clock flush
-            # timer off: the event sequence, and therefore every TickClock
-            # timestamp, is a pure function of the seed.
-            traversal=TraversalPolicy(
-                worker_count=1, advance_batch_quads=1, advance_flush_interval=0.0
-            ),
+            # Single worker: the event sequence, and therefore every
+            # TickClock timestamp, is a pure function of the seed.
+            traversal=TraversalPolicy(worker_count=1),
         )
         tracers = []
         for _ in range(2):

@@ -118,9 +118,7 @@ class TestDelivery:
         query = discover_query(tiny_universe, 1, 5)
         tracer = Tracer(clock=TickClock())
         engine = tiny_universe.fast_engine(
-            config=EngineConfig(
-                traversal=TraversalPolicy(worker_count=workers, advance_flush_interval=0.0)
-            )
+            config=EngineConfig(traversal=TraversalPolicy(worker_count=workers))
         )
         execution = engine.query(query.text, seeds=query.seeds, tracer=tracer)
 

@@ -59,9 +59,7 @@ def tick_run(universe, template, monkeypatch, subweb=None):
         return built[-1]
 
     query = discover_query(universe, template, 1)
-    policy = TraversalPolicy(
-        worker_count=1, advance_batch_quads=1, advance_flush_interval=0.0, subweb=subweb
-    )
+    policy = TraversalPolicy(worker_count=1, subweb=subweb)
     engine = universe.fast_engine(config=EngineConfig(traversal=policy))
     tracer = Tracer(clock=TickClock(step=0.001))
     with monkeypatch.context() as patch:

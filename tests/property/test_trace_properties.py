@@ -12,7 +12,7 @@ and (d) is deterministic — the same seed yields the identical tree.
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.ltqp import EngineConfig, NetworkPolicy, TraversalPolicy
+from repro.ltqp import EngineConfig, NetworkPolicy
 from repro.net.faults import FaultPlan
 from repro.net.resilience import RetryPolicy
 from repro.obs import (
@@ -27,17 +27,11 @@ from repro.solidbench import discover_query
 
 
 def _engine_config(deterministic: bool = False) -> EngineConfig:
-    network = NetworkPolicy(
-        retry=RetryPolicy(max_attempts=4, base_delay=0.0001, max_delay=0.001)
-    )
-    if deterministic:
-        # Per-quad advances with the wall-clock flush timer disabled make
-        # the pipeline spans a pure function of the delta sequence.
-        return EngineConfig(
-            network=network,
-            traversal=TraversalPolicy(advance_batch_quads=1, advance_flush_interval=0.0),
-        )
-    return EngineConfig(network=network)
+    # Zero back-off puts no timer on the loop, so the event sequence — and
+    # with it the span tree — is a pure function of the fault plan.
+    delays = (0.0, 0.0) if deterministic else (0.0001, 0.001)
+    retry = RetryPolicy(max_attempts=4, base_delay=delays[0], max_delay=delays[1])
+    return EngineConfig(network=NetworkPolicy(retry=retry))
 
 
 def traced_run(universe, plan, deterministic: bool = False):

@@ -384,10 +384,10 @@ class TestShutdownErrorSurfacing:
         async def scenario():
             subscription = await service.subscribe(named.text, seeds=named.seeds)
             subscription.live.execution.stats.note_shutdown_error(
-                "flush-timer", OSError("disk gone")
+                "traversal", OSError("disk gone")
             )
             assert service.shutdown_errors() == [
-                f"{subscription.id}: flush-timer: OSError: disk gone"
+                f"{subscription.id}: traversal: OSError: disk gone"
             ]
             # ...and through the status document (schema 2).
             app = ServiceSparqlApp(service)
@@ -396,7 +396,7 @@ class TestShutdownErrorSurfacing:
 
             document = json.loads(response.body)
             assert document["service"]["shutdown_errors"] == [
-                f"{subscription.id}: flush-timer: OSError: disk gone"
+                f"{subscription.id}: traversal: OSError: disk gone"
             ]
             await subscription.close()
 
