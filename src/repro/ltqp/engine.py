@@ -55,10 +55,9 @@ from typing import AsyncIterator, Awaitable, Iterable, Optional, Union as Typing
 
 from ..net.client import HttpClient
 from ..net.resilience import NetworkPolicy, ResilienceStats
-from ..rdf.terms import NamedNode, Variable
+from ..rdf.terms import NamedNode
 from ..sparql.algebra import Query
 from ..sparql.bindings import Binding
-from ..sparql.eval import construct_triples
 from ..sparql.parser import parse_query
 from .dereference import DereferenceResult, Dereferencer
 from .extractors import LinkExtractor, build_query_context, default_extractors
@@ -142,9 +141,6 @@ class TraversalPolicy:
 #: Pending quads at which a document feeds the pipeline itself; below
 #: it (once a row is out) the feed waits for the loop's next turn.
 FEED_BATCH_QUADS = 192
-
-#: The columns a CONSTRUCT query's triples are returned under.
-_TRIPLE_COLUMNS = (Variable("subject"), Variable("predicate"), Variable("object"))
 
 
 class _OriginBudgets:
@@ -278,7 +274,6 @@ class QueryExecution:
         self._query_span = self._traversal_span = None
         self._budgets = _OriginBudgets()
         self._resilience = ResilienceStats()
-        self._constructed: set = set()
         self._pending_quads = 0
         # The feed ``_ingest`` left for the loop's next turn, and what it raised.
         self._feed: Optional[asyncio.Handle] = None
@@ -394,7 +389,7 @@ class QueryExecution:
         """The query's incremental pipeline (and its ``plan`` span)."""
         # One compiler for every query form: ASK wraps in LIMIT 1 over an
         # empty projection, DESCRIBE streams CBD triples, CONSTRUCT streams
-        # its WHERE bindings and instantiates the template per new solution.
+        # its template's triples per solution.
         # Non-monotonic operators become blocking physical nodes that flush
         # at quiescence via Pipeline.finalize.
         query, tracer, seed_iris = self.query, self.tracer, self._context.iris
@@ -442,29 +437,12 @@ class QueryExecution:
         if limit and count + 1 >= limit:
             self._stop.set()
 
-    def _deliver(self, bindings) -> None:
-        """Emit one pipeline pass's output as what the query form returns."""
-        if self.query.form == "CONSTRUCT":
-            bindings = self._construct(bindings)
-        for binding in bindings:
-            self._emit(binding)
-
-    def _construct(self, bindings) -> list[Binding]:
-        """Instantiate the CONSTRUCT template per new solution, deduped."""
-        template, constructed = self.query.construct_template, self._constructed
-        output = []
-        for binding in bindings:
-            for triple in construct_triples(template, binding, len(constructed)):
-                if triple not in constructed:
-                    constructed.add(triple)
-                    output.append(Binding(dict(zip(_TRIPLE_COLUMNS, triple))))
-        return output
-
     def _flush(self) -> None:
         if self._pending_quads == 0:
             return
         self._pending_quads = 0
-        self._deliver(self.pipeline.advance(self.source.dataset))
+        for binding in self.pipeline.advance(self.source.dataset):
+            self._emit(binding)
         if self.pipeline.complete:
             self._stop.set()
 
@@ -541,7 +519,8 @@ class QueryExecution:
             # cursor makes this exact), then release everything the blocking
             # operators held back.
             self._pending_quads = 0
-            self._deliver(self.pipeline.finalize(self.source.dataset))
+            for binding in self.pipeline.finalize(self.source.dataset):
+                self._emit(binding)
             for timed in results[delivered:]:
                 yield timed.binding
         finally:
@@ -598,7 +577,7 @@ class QueryExecution:
         # Finished handles outlive the run (a service registry keeps a window
         # of them); the traversal machinery must not, nor — unless a
         # LiveQuery is about to maintain them — the store and operator state.
-        self.queue = self.selector = self._extractors = self._constructed = None
+        self.queue = self.selector = self._extractors = None
         self._held.clear()
         self._workers.clear()
         if not self._live:

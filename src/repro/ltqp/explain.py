@@ -35,9 +35,10 @@ from ..sparql.algebra import (
     Union,
     ValuesOp,
 )
-from ..sparql.planner import pattern_score, plan_bgp_order
+from ..sparql.planner import pattern_score
 from .extractors import LinkExtractor, build_query_context
 from .pipeline import (
+    ConstructNode,
     DescribeNode,
     DistinctNode,
     ExistsFilterNode,
@@ -53,7 +54,9 @@ from .pipeline import (
     PathScanNode,
     Pipeline,
     ProjectNode,
+    RederivedNode,
     ScanNode,
+    _HeldNode,
     UnionNode,
     ValuesNode,
     compile_query_pipeline,
@@ -128,7 +131,7 @@ _PHYSICAL_LABELS = {
     MinusNode: _keyed("Minus", "scan"),
     UnionNode: lambda n: "Union",
     FilterNode: lambda n: "Filter",
-    ExistsFilterNode: lambda n: f"ExistsFilter ({'eager' if n._eager else 'deferred'})",
+    ExistsFilterNode: lambda n: "ExistsFilter (streaming)",
     GroupAggregateNode: lambda n: (
         f"GroupAggregate ({len(n._op.keys)} keys, {len(n._aggregates)} aggregates)"
     ),
@@ -136,6 +139,9 @@ _PHYSICAL_LABELS = {
         f"OrderSlice ({len(n._conditions)} keys, offset={n._offset}, limit={n._limit})"
     ),
     DescribeNode: lambda n: f"Describe ({len(n._constants)} constant targets)",
+    ConstructNode: lambda n: f"Construct ({len(n._template)} template triples)",
+    RederivedNode: lambda n: f"{_physical_label(n.template)} (re-derived: EXISTS)",
+    _HeldNode: lambda n: f"Held ({len(n.rows)} rows)",
     ExtendNode: lambda n: f"Extend ?{n._variable.value}",
     ProjectNode: lambda n: "Project [" + " ".join(f"?{v.value}" for v in n._variables) + "]",
     DistinctNode: lambda n: "Distinct",
@@ -177,21 +183,6 @@ def explain_physical(
 
     render(node, indent)
     return "\n".join(lines)
-
-
-def _find_bgps(op: Operator, out: list[BGP]) -> None:
-    if isinstance(op, BGP):
-        out.append(op)
-        return
-    if isinstance(op, (Join, Union, LeftJoin, Minus)):
-        _find_bgps(op.left, out)
-        _find_bgps(op.right, out)
-        return
-    if isinstance(op, (Filter, Extend, Project, Distinct, Reduced, Slice, OrderBy, GroupBy, GraphOp)):
-        _find_bgps(op.input, out)
-        return
-    if isinstance(op, SubSelect):
-        _find_bgps(op.query.where, out)
 
 
 def explain_plan(
@@ -259,16 +250,12 @@ def explain_plan(
     sections.append("\nphysical plan:")
     sections.append(explain_physical(pipeline, indent=1))
 
-    bgps: list[BGP] = []
-    _find_bgps(query.where, bgps)
-    for index, bgp in enumerate(bgps):
-        patterns = list(bgp.patterns) + list(bgp.path_patterns)
-        if len(patterns) < 2:
-            continue
-        ordered = plan_bgp_order(patterns, seed_iris=context.iris)
+    # The compiled plan's own starting orders (a BGP re-orders itself on
+    # its scans' counts once data arrives).
+    for index, bgp in enumerate(pipeline.bgps):
         sections.append(f"\nzero-knowledge join order (BGP {index}):")
         bound: set[Variable] = set()
-        for position, pattern in enumerate(ordered):
+        for position, pattern in enumerate(scan._pattern for scan in bgp.scans):
             score = pattern_score(pattern, frozenset(bound), frozenset(context.iris))
             rendered = (
                 str(pattern)

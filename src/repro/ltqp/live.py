@@ -169,9 +169,8 @@ class LiveQuery(ChangeFeed):
         queue = live.subscribe()              # replayed + future events
         live.close()
 
-    SELECT, ASK, and DESCRIBE are supported.  CONSTRUCT is rejected:
-    its output dedupes constructed triples additively across the whole
-    execution, which has no meaningful retraction semantics.
+    Every query form is supported: CONSTRUCT and DESCRIBE triples come
+    and go as ``?subject ?predicate ?object`` changes.
     """
 
     def __init__(
@@ -184,7 +183,6 @@ class LiveQuery(ChangeFeed):
         traversal: Optional[TraversalPolicy] = None,
     ) -> None:
         super().__init__()
-        # Lazy — nothing has run if the form check below rejects the query.
         self._execution: QueryExecution = engine.query(
             query,
             seeds=seeds,
@@ -193,11 +191,6 @@ class LiveQuery(ChangeFeed):
             traversal=traversal,
             live=True,
         )
-        if self._execution.query.form == "CONSTRUCT":
-            raise ValueError(
-                "CONSTRUCT queries cannot be standing queries: constructed-"
-                "triple dedup is additive-only and cannot retract"
-            )
         self._seq = 0
         self._started = False
         #: Documents flagged by :meth:`notify`, awaiting :meth:`drain`.

@@ -6,8 +6,8 @@ continuously growing internal triple source", with "pipelined
 implementations of all monotonic SPARQL operators".  This module provides
 exactly that, plus incremental physical forms of the *non-monotonic*
 operators, so every query — OPTIONAL, MINUS, ORDER BY, GROUP BY, EXISTS,
-DESCRIBE included — compiles into one operator tree fed by one stream of
-signed deltas.
+DESCRIBE and CONSTRUCT included — compiles into one operator tree fed by
+one stream of signed deltas.
 
 **One protocol.**  A node consumes signed :class:`DeltaBatch`es and
 returns ``list[Change]`` — ``(binding, ±n)`` adjustments to its output
@@ -26,12 +26,21 @@ negative change leaves ``advance`` during an insert-only traversal;
 settled nodes emit compensating changes immediately, from the same state.
 Streaming forms: :class:`ScanNode`, :class:`PathScanNode`,
 :class:`JoinNode` (symmetric hash join), Union / Filter / Extend / Project /
-Distinct / Limit / Values, and :class:`DescribeNode` (CBD triples stream as
-roots are discovered).  Blocking forms, and what each withholds while open:
-:class:`LeftJoinNode` (bare unmatched lefts; matched merges stream),
-:class:`MinusNode` (survivors), :class:`ExistsFilterNode` (every verdict
-that is not monotone-true), :class:`GroupAggregateNode` (group rows) and
-:class:`OrderSliceNode` (the ORDER BY page).
+Distinct / Limit / Values, :class:`ExistsFilterNode` (a positive EXISTS
+reached through AND/OR: passers stream, the rest wait for data),
+:class:`DescribeNode` (CBD triples stream as roots are discovered) and
+:class:`ConstructNode` (template triples stream per solution).  Blocking
+forms, and what each withholds while open: :class:`LeftJoinNode` (bare
+unmatched lefts; matched merges stream), :class:`MinusNode` (survivors),
+:class:`GroupAggregateNode` (group rows), :class:`OrderSliceNode` (the
+ORDER BY page) and :class:`RederivedNode` (everything).
+
+**EXISTS is decided by the compiler, once.**  An expression holding
+EXISTS reads the dataset, so its verdict can flip with any delta.  The
+operator evaluating it (a FILTER that is not a streaming positive EXISTS,
+BIND, OPTIONAL's ON, HAVING, ORDER BY) is compiled as the *template* of a
+:class:`RederivedNode`, which holds its inputs and re-derives the whole
+output from them; no other node knows EXISTS exists.
 
 ``live`` decides only *what to retain*, never which algorithm runs: group
 member multisets, ORDER BY keep-all vs top-k pruning, the LIMIT refill
@@ -126,7 +135,7 @@ from ..sparql.algebra import (
     operator_variables,
 )
 from ..sparql.bindings import EMPTY_BINDING, Binding
-from ..sparql.eval import SnapshotEvaluator, order_sort_key
+from ..sparql.eval import SnapshotEvaluator, construct_triples, order_sort_key
 from ..sparql.expr import DescendingKey, ExpressionError, ExpressionEvaluator
 from ..sparql.paths import evaluate_path, path_predicates
 from ..sparql.planner import plan_bgp_order
@@ -142,7 +151,9 @@ __all__ = [
     "ExistsFilterNode",
     "GroupAggregateNode",
     "OrderSliceNode",
+    "RederivedNode",
     "DescribeNode",
+    "ConstructNode",
     "Pipeline",
     "BGPChain",
     "compile_pipeline",
@@ -434,8 +445,7 @@ class IncrementalNode:
         #: Changes emitted over the node's lifetime, both phases.
         self.produced_total = 0
         self.settled = False
-        #: The emitted multiset, kept only by bodies that re-derive their
-        #: whole output and diff it (:meth:`_rediff`).
+        #: The emitted multiset, kept only by bodies that diff against it.
         self._out: dict[Binding, int] = {}
 
     def apply(self, delta: DeltaBatch, dataset: Dataset) -> list[Change]:
@@ -473,12 +483,6 @@ class IncrementalNode:
     def _release(self, dataset: Dataset) -> list[Change]:
         """The output withheld while open (blocking nodes only)."""
         return []
-
-    def _rediff(self, output: dict[Binding, int]) -> list[Change]:
-        """Adopt a freshly derived output multiset; return what changed."""
-        changes = _diff_multisets(self._out, output)
-        self._out = output
-        return changes
 
     def register(self, router: DeltaRouter) -> None:
         """Declare this subtree's reads to the router — the one body: the
@@ -816,17 +820,15 @@ class UnionNode(IncrementalNode):
 
 
 class FilterNode(IncrementalNode):
-    """EXISTS-free FILTER; EXISTS filters compile to :class:`ExistsFilterNode`.
-
-    The verdict depends only on the binding, so a retraction filters
-    exactly as its original insertion did.
+    """FILTER: the verdict depends only on the binding, so a retraction
+    filters exactly as its original insertion did.  An EXISTS filter is an
+    :class:`ExistsFilterNode` or the template of a :class:`RederivedNode`.
     """
 
     def __init__(self, input_node: IncrementalNode, expression, evaluator: ExpressionEvaluator) -> None:
         super().__init__(input_node.certain_variables, input_node)
         self._expression = expression
         self._evaluator = evaluator
-        self.reads = _exists_pattern_predicates(expression)
 
     def _changes(self, delta: DeltaBatch, dataset: Dataset, changes: list[Change]) -> list[Change]:
         return [
@@ -837,26 +839,19 @@ class FilterNode(IncrementalNode):
 
 
 class ExistsFilterNode(IncrementalNode):
-    """FILTER whose expression contains (NOT) EXISTS.
+    """FILTER whose every EXISTS is positive and reached through AND/OR.
 
-    A positive ``EXISTS`` is monotone-true over a growing dataset: once a
-    binding passes, it passes for as long as data is only added.  When
-    every EXISTS in the expression is non-negated and reached only through
-    AND/OR (*eager*), passers stream immediately and the rest wait, retested
-    when an insertion touches the EXISTS pattern's predicates and once more
-    at quiescence.  ``NOT EXISTS`` (or EXISTS under negation) can flip from
-    true to false as data arrives, so those verdicts are withheld while
-    open.  Once settled — or when a retraction hits an eager filter — a
-    relevant delta re-judges every candidate.
+    Such a verdict is monotone-true over a growing dataset: once a binding
+    passes, it passes for as long as data is only added.  So passers
+    stream immediately and the rest wait, retested when an insertion
+    touches the EXISTS pattern's predicates; a retraction re-judges every
+    candidate.  Every other EXISTS filter is re-derived (:class:`RederivedNode`).
     """
-
-    blocking = True
 
     def __init__(self, input_node: IncrementalNode, expression, evaluator: ExpressionEvaluator) -> None:
         super().__init__(input_node.certain_variables, input_node)
         self._expression = expression
         self._evaluator = evaluator
-        self._eager = _exists_eagerly_emittable(expression)
         # The EXISTS pattern's predicates matter even when no scan wants
         # them: a delta carrying one can flip waiting bindings to passing.
         self.reads = _exists_pattern_predicates(expression)
@@ -868,23 +863,18 @@ class ExistsFilterNode(IncrementalNode):
         candidates = self._candidates
         for binding, count in changes:
             _bump(candidates, binding, count)
-        if not (self._eager or self.settled):
-            return []  # any verdict could still flip
         predicates = self.reads
         if not (delta and (predicates is None or delta.touches(predicates))):
             # No quad the EXISTS pattern can match (dis)appeared: the
             # verdicts of the bindings already judged stand.
             return self._sync([binding for binding, _ in changes])
-        if self._eager and delta.sign > 0:
+        if delta.sign > 0:
             return self._sync(self._lagging())  # an insertion only turns verdicts true
         return self._sync({**self._out, **candidates})  # any verdict may have flipped
 
-    def _release(self, dataset: Dataset) -> list[Change]:
-        return self._sync(self._lagging())
-
     def _lagging(self) -> list[Binding]:
-        """Bindings emitted fewer (or more) times than they are present:
-        the waiters of an eager filter, everything for an open deferred one."""
+        """Bindings emitted a different number of times than they are
+        present: the waiters, and whatever an input just retracted."""
         candidates, passing = self._candidates, self._out
         return [
             binding
@@ -1036,9 +1026,7 @@ class LeftJoinNode(IncrementalNode):
 
     Matched merges stream the moment both sides exist; bare (unmatched)
     left rows are withheld until quiescence and compensated after — see
-    :func:`_outer_changes`.  An ON-expression containing EXISTS can change
-    verdict with any delta: that (rare) form withholds everything while
-    open and re-derives its whole output per delta once settled.
+    :func:`_outer_changes`.
     """
 
     blocking = True
@@ -1055,8 +1043,6 @@ class LeftJoinNode(IncrementalNode):
         super().__init__(left.certain_variables, left, right)
         self._expression = expression
         self._evaluator = evaluator
-        self._defer = expression is not None and expression_contains_exists(expression)
-        self.reads = _exists_pattern_predicates(expression)
         self._key_variables = _join_key(left, right)
         #: Left rows tally their partners.
         self._lefts = _KeyedBag(tallied=True)
@@ -1075,32 +1061,10 @@ class LeftJoinNode(IncrementalNode):
     def _changes(
         self, delta: DeltaBatch, dataset: Dataset, left: list[Change], right: list[Change]
     ) -> list[Change]:
-        if not self._defer:
-            return _outer_changes(self, left, right, self._try_match, emit_pairs=True)
-        for bag, changes in ((self._lefts, left), (self._rights, right)):
-            for binding, count in changes:
-                bag.add(binding.key(self._key_variables), binding, count)
-        if not self.settled or not (delta or left or right):
-            return []
-        return self._rediff(self._output())
+        return _outer_changes(self, left, right, self._try_match, emit_pairs=True)
 
     def _release(self, dataset: Dataset) -> list[Change]:
-        return self._rediff(self._output()) if self._defer else self._lefts.untallied()
-
-    def _output(self) -> dict[Binding, int]:
-        """The whole output, every pair re-matched against the current dataset."""
-        output: dict[Binding, int] = {}
-        for key, bucket in self._lefts.items():
-            for binding in bucket[::2]:
-                matched = False
-                for other in self._rights.get(key, ()):
-                    merged = self._try_match(binding, other)
-                    if merged is not None:
-                        matched = True
-                        _bump(output, merged, 1)
-                if not matched:
-                    _bump(output, binding, 1)
-        return output
+        return self._lefts.untallied()
 
 
 class MinusNode(IncrementalNode):
@@ -1150,9 +1114,7 @@ class GroupAggregateNode(IncrementalNode):
     still change them — and once settled each touched group swaps its old
     row for its new one.  ``live`` retains every group's member multiset,
     so a retraction no :meth:`AggregateState.retract` can absorb (DISTINCT,
-    MIN/MAX, …) rebuilds the states from the survivors.  Expressions
-    containing EXISTS are dataset-dependent, so that (rare) case holds the
-    members and re-folds them all whenever it re-derives its rows.
+    MIN/MAX, …) rebuilds the states from the survivors.
     """
 
     blocking = True
@@ -1180,12 +1142,11 @@ class GroupAggregateNode(IncrementalNode):
         for condition in op.having:
             collect_aggregates(condition, aggregates)
         self._aggregates = tuple(aggregates)
-        self._defer = any(expression_contains_exists(e) for e in _operator_expressions(op))
-        self.reads = _exists_pattern_predicates(*_operator_expressions(op))
-        #: EXISTS case only: the present member multiset.
-        self._held: dict[Binding, int] = {}
-        #: Group key → mutable ``[key binding, aggregate states, member count]``.
-        self._groups = self._no_groups()
+        #: Group key → mutable ``[key binding, aggregate states, member
+        #: count]``; aggregates over no keys make one row of zero members.
+        self._groups: dict[tuple, list] = (
+            {} if op.keys else {(): [EMPTY_BINDING, self._new_states(), 0]}
+        )
         self._live = live
         #: Live only: group key → its member multiset (the rebuild source).
         self._members: dict[tuple, dict[Binding, int]] = {}
@@ -1194,12 +1155,6 @@ class GroupAggregateNode(IncrementalNode):
 
     def _new_states(self) -> dict:
         return {aggregate: AggregateState(aggregate) for aggregate in self._aggregates}
-
-    def _no_groups(self) -> dict[tuple, list]:
-        if self._op.keys:
-            return {}
-        # Aggregates over no keys produce one row even for zero members.
-        return {(): [EMPTY_BINDING, self._new_states(), 0]}
 
     def _key_of(self, member: Binding) -> tuple[tuple, Binding]:
         """The group key and key binding one member falls into."""
@@ -1222,18 +1177,12 @@ class GroupAggregateNode(IncrementalNode):
         return tuple(key_terms), Binding(items)
 
     def _changes(self, delta: DeltaBatch, dataset: Dataset, changes: list[Change]) -> list[Change]:
-        if self._defer:
-            for member, count in changes:
-                _bump(self._held, member, count)
-            if not self.settled or not (delta or changes):
-                return []
-            return self._swap_rows(self._refold())
         # A dict, not a set: change order stays deterministic across processes.
         touched = dict.fromkeys(self._fold(member, count) for member, count in changes)
         return self._swap_rows(touched) if self.settled else []
 
     def _release(self, dataset: Dataset) -> list[Change]:
-        return self._swap_rows(self._refold() if self._defer else list(self._groups))
+        return self._swap_rows(list(self._groups))
 
     def _swap_rows(self, keys: Iterable[tuple]) -> list[Change]:
         """Replace each of these groups' emitted row by its current one."""
@@ -1249,14 +1198,6 @@ class GroupAggregateNode(IncrementalNode):
                 produced.append((new_row, 1))
                 self._rows[key] = new_row
         return produced
-
-    def _refold(self) -> dict[tuple, object]:
-        """EXISTS case: re-fold the held members against the current
-        dataset; returns every key that had or now has a row."""
-        self._groups, self._members = self._no_groups(), {}
-        for member, count in self._held.items():
-            self._fold(member, count)
-        return {**self._rows, **self._groups}
 
     def _fold(self, member: Binding, count: int) -> tuple:
         """Fold one signed member change into its group; returns the key."""
@@ -1334,9 +1275,7 @@ class OrderSliceNode(IncrementalNode):
     entries in a bounded heap (the common ORDER BY + LIMIT page costs
     O(n log k) instead of buffering everything), while ``live`` keeps
     every entry, because a retraction inside the page must be refillable
-    from below it.  ORDER conditions containing EXISTS are keyed only when
-    the window is derived (no pruning), since a key can change with the
-    dataset.
+    from below it.
     """
 
     blocking = True
@@ -1355,14 +1294,8 @@ class OrderSliceNode(IncrementalNode):
         self._offset = offset
         self._limit = limit
         self._evaluator = evaluator
-        self._defer_keys = any(
-            expression_contains_exists(condition.expression) for condition in self._conditions
-        )
-        self.reads = _exists_pattern_predicates(*(c.expression for c in self._conditions))
         #: Top-k capacity when pruning; ``None`` keeps every entry.
-        self._capacity: Optional[int] = (
-            None if live or limit is None or self._defer_keys else offset + limit
-        )
+        self._capacity: Optional[int] = None if live or limit is None else offset + limit
         self._seq = 0
         #: Keep-all: ``(rank, binding)`` in arrival order.  Pruning: a heap
         #: of ``(DescendingKey(rank), binding)`` with the worst kept entry
@@ -1387,7 +1320,7 @@ class OrderSliceNode(IncrementalNode):
                 else:
                     raise ValueError(f"retraction of unseen ordered binding {binding!r}")
             return
-        key = () if self._defer_keys else self._sort_key(binding)
+        key = order_sort_key(self._conditions, binding, self._evaluator)
         for _ in range(count):
             rank = (key, self._seq)
             self._seq += 1
@@ -1398,17 +1331,10 @@ class OrderSliceNode(IncrementalNode):
             elif capacity and rank < entries[0][0].key:
                 heapq.heapreplace(entries, (DescendingKey(rank), binding))
 
-    def _sort_key(self, binding: Binding) -> tuple:
-        return order_sort_key(self._conditions, binding, self._evaluator)
-
     def _window(self) -> list[Binding]:
         """The OFFSET/LIMIT window of the retained entries, in order."""
         ranked: Iterable[tuple] = self._entries
-        if self._defer_keys:
-            ranked = (
-                ((self._sort_key(binding), rank[1]), binding) for rank, binding in ranked
-            )
-        elif self._capacity is not None:
+        if self._capacity is not None:
             ranked = ((wrapped.key, binding) for wrapped, binding in ranked)
         ranked = sorted(ranked, key=lambda entry: entry[0])
         stop = None if self._limit is None else self._offset + self._limit
@@ -1417,7 +1343,7 @@ class OrderSliceNode(IncrementalNode):
     def _changes(self, delta: DeltaBatch, dataset: Dataset, changes: list[Change]) -> list[Change]:
         for binding, count in changes:
             self._admit(binding, count)
-        if not self.settled or not (changes or (self._defer_keys and delta)):
+        if not self.settled or not changes:
             return []
         before, self._page = self._page, self._window()
         return _diff_multisets(Counter(before), Counter(self._page))
@@ -1425,6 +1351,79 @@ class OrderSliceNode(IncrementalNode):
     def _release(self, dataset: Dataset) -> list[Change]:
         self._page = self._window()  # in order, and unhashed: a one-shot run ends here
         return [(binding, 1) for binding in self._page]
+
+
+class _HeldNode(IncrementalNode):
+    """One input of a :class:`RederivedNode`: its held multiset, emitted
+    whole each time a derivation drives it."""
+
+    def __init__(self, certain_variables: frozenset[Variable]) -> None:
+        super().__init__(certain_variables)
+        self.rows: dict[Binding, int] = {}
+
+    def _changes(self, delta: DeltaBatch, dataset: Dataset) -> list[Change]:
+        return list(self.rows.items())
+
+
+class RederivedNode(IncrementalNode):
+    """An operator whose expression holds EXISTS, re-derived whole.
+
+    An EXISTS verdict reads the dataset, so any delta can flip it, in
+    either direction.  This node holds each input's multiset and withholds
+    its output while open; its output is what a fresh ``make(*held
+    inputs)`` — the *template*, the operator's ordinary physical form —
+    returns when driven to quiescence over the current dataset, so the
+    release keeps the template's emission order (an ORDER BY page stays in
+    order).  Once settled it re-derives and diffs whenever an input changes
+    or a delta touches ``reads``, the EXISTS patterns' predicates.
+    """
+
+    blocking = True
+
+    def __init__(
+        self,
+        make: Callable[..., IncrementalNode],
+        children: Sequence[IncrementalNode],
+        reads: Optional[frozenset],
+    ) -> None:
+        self._make = make
+        self._held = tuple(_HeldNode(child.certain_variables) for child in children)
+        #: The operator this node re-derives, over the held inputs.
+        self.template = make(*self._held)
+        super().__init__(self.template.certain_variables, *children)
+        self.reads = reads
+
+    def _changes(self, delta: DeltaBatch, dataset: Dataset, *inputs: list[Change]) -> list[Change]:
+        for held, changes in zip(self._held, inputs):
+            for binding, count in changes:
+                _bump(held.rows, binding, count)
+        reads = self.reads
+        if not self.settled or not (
+            any(inputs) or (delta and (reads is None or delta.touches(reads)))
+        ):
+            return []
+        output: dict[Binding, int] = {}
+        for binding, count in self._derive(dataset):
+            _bump(output, binding, count)
+        changes, self._out = _diff_multisets(self._out, output), output
+        return changes
+
+    def _release(self, dataset: Dataset) -> list[Change]:
+        changes = self._derive(dataset)
+        for binding, count in changes:
+            _bump(self._out, binding, count)
+        return changes
+
+    def _derive(self, dataset: Dataset) -> list[Change]:
+        return self._make(*self._held).finalize(dataset)
+
+
+#: The columns DESCRIBE and CONSTRUCT return their triples under.
+_TRIPLE_COLUMNS = (Variable("subject"), Variable("predicate"), Variable("object"))
+
+
+def _triple_binding(triple: Triple) -> Binding:
+    return Binding(dict(zip(_TRIPLE_COLUMNS, triple)))
 
 
 class DescribeNode(IncrementalNode):
@@ -1445,14 +1444,8 @@ class DescribeNode(IncrementalNode):
     #: CBD expansion needs every quad whose subject is a known root.
     reads = None
 
-    _SUBJECT = Variable("subject")
-    _PREDICATE = Variable("predicate")
-    _OBJECT = Variable("object")
-
     def __init__(self, input_node: IncrementalNode, query: Query) -> None:
-        super().__init__(
-            frozenset((self._SUBJECT, self._PREDICATE, self._OBJECT)), input_node
-        )
+        super().__init__(frozenset(_TRIPLE_COLUMNS), input_node)
         targets = query.describe_targets
         variables = [t for t in targets if isinstance(t, Variable)]
         self._constants = [t for t in targets if not isinstance(t, Variable)]
@@ -1495,7 +1488,7 @@ class DescribeNode(IncrementalNode):
                 obj = triple.object
                 if isinstance(obj, BlankNode):
                     self._add_root(obj, graph, produced)
-        return [(self._to_binding(triple), 1) for triple in produced]
+        return [(_triple_binding(triple), 1) for triple in produced]
 
     def _add_root(self, resource: Term, graph, produced: list[Triple]) -> None:
         if resource in self.roots:
@@ -1520,18 +1513,52 @@ class DescribeNode(IncrementalNode):
         for resource in (*self._constants, *self._scope_support):
             self._add_root(resource, graph, [])
         after = self._emitted
-        changes = [(self._to_binding(t), -1) for t in before if t not in after]
-        changes.extend((self._to_binding(t), 1) for t in after if t not in before)
+        changes = [(_triple_binding(t), -1) for t in before if t not in after]
+        changes.extend((_triple_binding(t), 1) for t in after if t not in before)
         return changes
 
-    def _to_binding(self, triple: Triple) -> Binding:
-        return Binding(
-            {
-                self._SUBJECT: triple.subject,
-                self._PREDICATE: triple.predicate,
-                self._OBJECT: triple.object,
-            }
-        )
+
+class ConstructNode(IncrementalNode):
+    """CONSTRUCT as a streaming pipeline root: the template's triples.
+
+    Each solution occurrence instantiates the template in a blank-node
+    scope of its own (``construct_triples``), which its retraction removes
+    again.  A triple is output while at least one occurrence makes it —
+    counted per triple — so the output is the constructed graph as a set,
+    and a standing query retracts exactly the triples no surviving
+    solution makes.
+    """
+
+    def __init__(self, input_node: IncrementalNode, template: Sequence[TriplePattern]) -> None:
+        super().__init__(frozenset(_TRIPLE_COLUMNS), input_node)
+        self._template = tuple(template)
+        #: Solution → the triples each of its occurrences made, oldest first.
+        self._scopes: dict[Binding, list[list[Triple]]] = {}
+        #: Constructed triple → how many occurrences make it.
+        self._support: dict[Triple, int] = {}
+        #: Occurrences instantiated so far; names each scope's blank nodes.
+        self._made = 0
+
+    def _changes(self, delta: DeltaBatch, dataset: Dataset, changes: list[Change]) -> list[Change]:
+        produced: list[Change] = []
+        support = self._support
+        for binding, count in changes:
+            scopes = self._scopes.setdefault(binding, [])
+            for _ in range(count):
+                scopes.append(list(construct_triples(self._template, binding, self._made)))
+                self._made += 1
+                for triple in scopes[-1]:
+                    if _bump(support, triple, 1) == 1:
+                        produced.append((_triple_binding(triple), 1))
+            if -count > len(scopes):
+                raise ValueError(f"retraction of unseen solution {binding!r}")
+            for _ in range(-count):
+                for triple in scopes.pop():
+                    if not _bump(support, triple, -1):
+                        produced.append((_triple_binding(triple), -1))
+            if not scopes:
+                del self._scopes[binding]
+        return produced
 
 
 class ProjectNode(IncrementalNode):
@@ -1630,12 +1657,7 @@ class LimitNode(IncrementalNode):
 
 
 class ExtendNode(IncrementalNode):
-    """BIND / projection expressions: one extra variable per solution.
-
-    ``BIND(EXISTS{…} AS ?x)`` can change value with any delta, so that form
-    is blocking: it holds its inputs, withholds its output while open, and
-    re-derives and diffs it per delta once settled.
-    """
+    """BIND / projection expressions: one extra variable per solution."""
 
     def __init__(
         self,
@@ -1649,10 +1671,6 @@ class ExtendNode(IncrementalNode):
         self._variable = variable
         self._expression = expression
         self._evaluator = evaluator
-        self.blocking = expression_contains_exists(expression)
-        self.reads = _exists_pattern_predicates(expression)
-        #: Blocking (EXISTS) form only: the input multiset.
-        self._candidates: dict[Binding, int] = {}
 
     def _extend(self, binding: Binding) -> Optional[Binding]:
         try:
@@ -1664,28 +1682,11 @@ class ExtendNode(IncrementalNode):
         return binding.extended(self._variable, value)
 
     def _changes(self, delta: DeltaBatch, dataset: Dataset, changes: list[Change]) -> list[Change]:
-        if not self.blocking:
-            return [
-                (extended, count)
-                for binding, count in changes
-                if (extended := self._extend(binding)) is not None
-            ]
-        for binding, count in changes:
-            _bump(self._candidates, binding, count)
-        if not self.settled or not (delta or changes):
-            return []
-        return self._rediff(self._output())
-
-    def _release(self, dataset: Dataset) -> list[Change]:
-        return self._rediff(self._output()) if self.blocking else []
-
-    def _output(self) -> dict[Binding, int]:
-        output: dict[Binding, int] = {}
-        for binding, count in self._candidates.items():
-            extended = self._extend(binding)
-            if extended is not None:
-                _bump(output, extended, count)
-        return output
+        return [
+            (extended, count)
+            for binding, count in changes
+            if (extended := self._extend(binding)) is not None
+        ]
 
 
 def _walk(node: IncrementalNode) -> Iterator[IncrementalNode]:
@@ -1821,7 +1822,8 @@ class Pipeline:
 
     @property
     def complete(self) -> bool:
-        """True once a top-level LIMIT has been satisfied.
+        """True once a top-level LIMIT has been satisfied (CONSTRUCT's
+        template reads nothing past its solutions, so one below it counts).
 
         Always false for live pipelines: maintenance needs the traversal
         to reach true quiescence (a satisfied LIMIT still pools surplus
@@ -1829,7 +1831,8 @@ class Pipeline:
         """
         if self.live:
             return False
-        return isinstance(self.root, LimitNode) and self.root.satisfied
+        top = self.root._inputs[0] if isinstance(self.root, ConstructNode) else self.root
+        return isinstance(top, LimitNode) and top.satisfied
 
     def poll_changes(self, dataset: Dataset) -> list[Change]:
         """Feed signed log growth since the last call through the tree.
@@ -1962,12 +1965,26 @@ class _CompileContext:
             )
         return builder(self, op)
 
+    def node(
+        self, make: Callable[..., IncrementalNode], inputs: Sequence[Operator], *expressions
+    ) -> IncrementalNode:
+        """``make`` over the compiled ``inputs`` — or, when one of the
+        operator's ``expressions`` holds EXISTS, a :class:`RederivedNode`
+        with that as its template: the one place EXISTS decides a form."""
+        children = [self.compile(op) for op in inputs]
+        if not any(map(expression_contains_exists, expressions)):
+            return make(*children)
+        return RederivedNode(make, children, _exists_pattern_predicates(*expressions))
+
     def order_slice(
         self, order: OrderBy, offset: int = 0, limit: Optional[int] = None
-    ) -> OrderSliceNode:
-        node = self.compile(order.input)
-        return OrderSliceNode(
-            node, order.conditions, offset, limit, self.evaluator, live=self.live
+    ) -> IncrementalNode:
+        return self.node(
+            lambda node: OrderSliceNode(
+                node, order.conditions, offset, limit, self.evaluator, live=self.live
+            ),
+            (order.input,),
+            *(condition.expression for condition in order.conditions),
         )
 
 
@@ -1988,8 +2005,10 @@ def _build_bgp(context: _CompileContext, op: BGP) -> IncrementalNode:
 
 
 def _build_filter(context: _CompileContext, op: Filter) -> IncrementalNode:
-    node = ExistsFilterNode if expression_contains_exists(op.expression) else FilterNode
-    return node(context.compile(op.input), op.expression, context.evaluator)
+    expression, evaluator = op.expression, context.evaluator
+    if expression_contains_exists(expression) and _exists_eagerly_emittable(expression):
+        return ExistsFilterNode(context.compile(op.input), expression, evaluator)
+    return context.node(lambda node: FilterNode(node, expression, evaluator), (op.input,), expression)
 
 
 def _build_slice(context: _CompileContext, op: Slice) -> IncrementalNode:
@@ -2013,14 +2032,18 @@ def _build_slice(context: _CompileContext, op: Slice) -> IncrementalNode:
 _BUILDERS: dict[type, Callable[[_CompileContext, Operator], IncrementalNode]] = {
     BGP: _build_bgp,
     Join: lambda c, op: JoinNode(c.compile(op.left), c.compile(op.right)),
-    LeftJoin: lambda c, op: LeftJoinNode(
-        c.compile(op.left), c.compile(op.right), op.expression, c.evaluator
+    LeftJoin: lambda c, op: c.node(
+        lambda left, right: LeftJoinNode(left, right, op.expression, c.evaluator),
+        (op.left, op.right),
+        op.expression,
     ),
     Union: lambda c, op: UnionNode(c.compile(op.left), c.compile(op.right)),
     Minus: lambda c, op: MinusNode(c.compile(op.left), c.compile(op.right)),
     Filter: _build_filter,
-    Extend: lambda c, op: ExtendNode(
-        c.compile(op.input), op.variable, op.expression, c.evaluator
+    Extend: lambda c, op: c.node(
+        lambda node: ExtendNode(node, op.variable, op.expression, c.evaluator),
+        (op.input,),
+        op.expression,
     ),
     GraphOp: lambda c, op: replace(c, graph=op.name).compile(op.input),
     ValuesOp: lambda c, op: ValuesNode(op),
@@ -2030,8 +2053,10 @@ _BUILDERS: dict[type, Callable[[_CompileContext, Operator], IncrementalNode]] = 
     Reduced: lambda c, op: DistinctNode(c.compile(op.input)),
     OrderBy: lambda c, op: c.order_slice(op),
     Slice: _build_slice,
-    GroupBy: lambda c, op: GroupAggregateNode(
-        c.compile(op.input), op, c.evaluator, live=c.live
+    GroupBy: lambda c, op: c.node(
+        lambda node: GroupAggregateNode(node, op, c.evaluator, live=c.live),
+        (op.input,),
+        *_operator_expressions(op),
     ),
     SubSelect: lambda c, op: c.compile(op.query.where),
 }
@@ -2081,19 +2106,22 @@ def compile_query_pipeline(
 ) -> Pipeline:
     """Compile a full parsed query — any form — into one pipeline.
 
-    * SELECT/CONSTRUCT use the WHERE tree directly (CONSTRUCT's template is
-      instantiated by the engine per solution).
+    * SELECT uses the WHERE tree directly.
     * ASK wraps the WHERE tree in ``LIMIT 1`` over an empty projection: one
       empty binding means true, none means false — and a monotonic body
       still stops traversal at the first proof.
-    * DESCRIBE wraps the WHERE tree in a streaming :class:`DescribeNode`.
+    * DESCRIBE wraps the WHERE tree in a streaming :class:`DescribeNode`,
+      CONSTRUCT in a streaming :class:`ConstructNode`; both return triples
+      as ``?subject ?predicate ?object`` bindings.
     """
     where = query.where
     if query.form == "ASK":
         where = Slice(Project(where, ()), offset=0, limit=1)
     pipeline = compile_pipeline(where, seed_iris=seed_iris, bgp_order=bgp_order, live=live)
     if query.form == "DESCRIBE":
-        pipeline = Pipeline(
-            DescribeNode(pipeline.root, query), pipeline._exists, live=live, bgps=pipeline.bgps
-        )
-    return pipeline
+        root = DescribeNode(pipeline.root, query)
+    elif query.form == "CONSTRUCT":
+        root = ConstructNode(pipeline.root, query.construct_template)
+    else:
+        return pipeline
+    return Pipeline(root, pipeline._exists, live=live, bgps=pipeline.bgps)

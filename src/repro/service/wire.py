@@ -3,7 +3,8 @@
 A sharded deployment moves two kinds of payload between processes:
 
 * **result rows** (worker → front-end): every query answered by a shard
-  streams its bindings back over a pipe.  :func:`encode_results` packs a
+  streams its bindings back over a pipe (CONSTRUCT and DESCRIBE triples
+  are ``?subject ?predicate ?object`` bindings like any other row).  :func:`encode_results` packs a
   result list into a *term-table* block — each distinct RDF term is
   serialized once (N-Triples surface syntax) and rows are index tuples —
   so a thousand rows over the same few IRIs cost a thousand small int
@@ -82,142 +83,99 @@ class _TermTable:
         return index
 
 
+class _RowPacker:
+    """Rows over one term table: a row holds one term index per variable
+    the block has seen so far (``-1`` = unbound), padded as new ones appear."""
+
+    def __init__(self) -> None:
+        self.table = _TermTable()
+        self.variables: list[str] = []
+        self._slots: dict[Variable, int] = {}
+        self.rows: list[list[int]] = []
+
+    def add(self, binding: Binding) -> None:
+        row = [-1] * len(self.variables)
+        for variable, term in binding.items():
+            slot = self._slots.get(variable)
+            if slot is None:
+                slot = self._slots[variable] = len(self.variables)
+                self.variables.append(variable.value)
+                for other in self.rows:
+                    other.append(-1)
+                row.append(-1)
+            row[slot] = self.table.add(term)
+        self.rows.append(row)
+
+    def block(self, **columns) -> dict:
+        return {"vars": self.variables, "terms": self.table.terms, "rows": self.rows, **columns}
+
+
+def _unpack(block: dict) -> list[Binding]:
+    """A block's rows as bindings, re-interning every term."""
+    terms = [decode_term(text) for text in block["terms"]]
+    variables = [Variable(name) for name in block["vars"]]
+    return [
+        Binding({variables[slot]: terms[index] for slot, index in enumerate(row) if index >= 0})
+        for row in block["rows"]
+    ]
+
+
 def encode_results(results: Iterable[TimedResult]) -> dict:
-    """Pack a result list (bindings or construct triples) into a block."""
-    table = _TermTable()
-    variables: list[str] = []
-    var_index: dict[Variable, int] = {}
-    rows: list[list[int]] = []
-    elapsed: list[float] = []
-    kind = "bindings"
+    """Pack a result list into a block."""
+    packer, elapsed = _RowPacker(), []
     for timed in results:
-        value = timed.binding
-        if isinstance(value, Triple):
-            kind = "triples"
-            rows.append([table.add(t) for t in value])
-        else:
-            row_width = len(variables)
-            row = [-1] * row_width
-            for variable, term in value.items():
-                slot = var_index.get(variable)
-                if slot is None:
-                    slot = len(variables)
-                    var_index[variable] = slot
-                    variables.append(variable.value)
-                    for other in rows:
-                        other.append(-1)
-                    row.append(-1)
-                row[slot] = table.add(term)
-            rows.append(row)
+        packer.add(timed.binding)
         elapsed.append(timed.elapsed)
-    return {
-        "kind": kind,
-        "vars": variables,
-        "terms": table.terms,
-        "rows": rows,
-        "elapsed": elapsed,
-    }
+    return packer.block(elapsed=elapsed)
 
 
 def decode_results(block: dict) -> list[TimedResult]:
     """Rebuild the result list, re-interning every term."""
-    terms = [decode_term(text) for text in block["terms"]]
-    elapsed = block["elapsed"]
-    results: list[TimedResult] = []
-    if block["kind"] == "triples":
-        for row, when in zip(block["rows"], elapsed):
-            triple = Triple(terms[row[0]], terms[row[1]], terms[row[2]])
-            results.append(TimedResult(binding=triple, elapsed=when))
-        return results
-    variables = [Variable(name) for name in block["vars"]]
-    for row, when in zip(block["rows"], elapsed):
-        items = {
-            variables[slot]: terms[index]
-            for slot, index in enumerate(row)
-            if index >= 0
-        }
-        results.append(TimedResult(binding=Binding(items), elapsed=when))
-    return results
+    return [
+        TimedResult(binding=binding, elapsed=when)
+        for binding, when in zip(_unpack(block), block["elapsed"])
+    ]
 
 
 def encode_events(events: Iterable[ResultChange]) -> dict:
     """Pack signed result-change events into a term-table block.
 
-    Same term-table layout as :func:`encode_results`, but every row
-    carries its *sign* — the signed multiplicity delta — plus its event
-    sequence number and the index of the document URL that caused it
-    (``-1`` for initial results).  Replaying a decoded block therefore
-    reconstructs the subscriber-visible result multiset exactly.
+    Same rows as :func:`encode_results`, but every row carries its *sign*
+    — the signed multiplicity delta — plus its event sequence number and
+    the index of the document URL that caused it (``-1`` for initial
+    results).  Replaying a decoded block therefore reconstructs the
+    subscriber-visible result multiset exactly.
     """
-    table = _TermTable()
-    variables: list[str] = []
-    var_index: dict[Variable, int] = {}
+    packer = _RowPacker()
     urls: list[str] = []
     url_index: dict[str, int] = {}
-    rows: list[list[int]] = []
     signs: list[int] = []
     seqs: list[int] = []
     url_refs: list[int] = []
     for event in events:
-        row_width = len(variables)
-        row = [-1] * row_width
-        for variable, term in event.binding.items():
-            slot = var_index.get(variable)
-            if slot is None:
-                slot = len(variables)
-                var_index[variable] = slot
-                variables.append(variable.value)
-                for other in rows:
-                    other.append(-1)
-                row.append(-1)
-            row[slot] = table.add(term)
-        rows.append(row)
+        packer.add(event.binding)
         signs.append(event.delta)
         seqs.append(event.seq)
         if event.url:
             ref = url_index.get(event.url)
             if ref is None:
-                ref = len(urls)
-                url_index[event.url] = ref
+                ref = url_index[event.url] = len(urls)
                 urls.append(event.url)
             url_refs.append(ref)
         else:
             url_refs.append(-1)
-    return {
-        "kind": "events",
-        "vars": variables,
-        "terms": table.terms,
-        "rows": rows,
-        "signs": signs,
-        "seqs": seqs,
-        "urls": urls,
-        "url_refs": url_refs,
-    }
+    return packer.block(signs=signs, seqs=seqs, urls=urls, url_refs=url_refs)
 
 
 def decode_events(block: dict) -> list[ResultChange]:
     """Rebuild the signed event list, re-interning every term."""
-    terms = [decode_term(text) for text in block["terms"]]
-    variables = [Variable(name) for name in block["vars"]]
     urls = block["urls"]
-    events: list[ResultChange] = []
-    for row, sign, seq, ref in zip(
-        block["rows"], block["signs"], block["seqs"], block["url_refs"]
-    ):
-        items = {
-            variables[slot]: terms[index]
-            for slot, index in enumerate(row)
-            if index >= 0
-        }
-        events.append(
-            ResultChange(
-                seq=seq,
-                binding=Binding(items),
-                delta=sign,
-                url=urls[ref] if ref >= 0 else "",
-            )
+    return [
+        ResultChange(seq=seq, binding=binding, delta=sign, url=urls[ref] if ref >= 0 else "")
+        for binding, sign, seq, ref in zip(
+            _unpack(block), block["signs"], block["seqs"], block["url_refs"]
         )
-    return events
+    ]
 
 
 def document_to_wire(stored: StoredDocument) -> dict:

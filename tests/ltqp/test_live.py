@@ -20,9 +20,11 @@ from repro.ltqp.live import LiveQuery, ResultChange
 from repro.ltqp.pipeline import compile_query_pipeline, total_work
 from repro.ltqp.source import GrowingTripleSource
 from repro.net.message import Request
-from repro.rdf import ParsedDocument
+from repro.rdf import ParsedDocument, Triple, Variable
+from repro.rdf.isomorphism import isomorphic
 from repro.rdf.turtle import parse_turtle
 from repro.solidbench import SolidBenchConfig, build_universe
+from repro.sparql.eval import SnapshotEvaluator
 from repro.sparql.parser import parse_query
 
 EX = "http://example.org/"
@@ -510,14 +512,46 @@ class TestLiveQuery:
 
         asyncio.run(run())
 
-    def test_construct_rejected(self, live_universe):
-        engine = live_universe.fast_engine()
-        with pytest.raises(ValueError, match="CONSTRUCT"):
-            LiveQuery(
-                engine,
-                f"CONSTRUCT {{ ?s <{FOAF}name> ?n }} "
-                f"WHERE {{ ?s <{FOAF}name> ?n }}",
+    def test_standing_construct_replays_to_a_fresh_run(self, live_universe):
+        """CONSTRUCT stands like any other form: every solution occurrence
+        mints blank nodes of its own and takes them along when it goes, and
+        a triple stays while any occurrence still makes it."""
+        pod = next(iter(live_universe.pods.values()))
+        # The UNION makes every solution twice: each ground triple has two
+        # makers, and each occurrence has a blank node of its own.
+        query = (
+            f"CONSTRUCT {{ ?s <{EX}called> ?n . _:entry <{EX}names> ?n }} "
+            f"WHERE {{ {{ <{pod.webid}> <{FOAF}name> ?n BIND(<{pod.webid}> AS ?s) }} "
+            f"UNION {{ ?s <{FOAF}name> ?n FILTER(?s = <{pod.webid}>) }} }}"
+        )
+        columns = [Variable(name) for name in ("subject", "predicate", "object")]
+
+        def graph(rows) -> list[Triple]:
+            return [Triple(*(row[column] for column in columns)) for row in rows]
+
+        async def run():
+            live = LiveQuery(live_universe.fast_engine(), query, seeds=[pod.profile_url])
+            initial = await live.start()
+            await patch_document(
+                live_universe,
+                pod.profile_url,
+                rename_update(pod.webid, pod.owner_name, "Renamed"),
             )
+            events = await live.refresh(pod.profile_url)
+            fresh = LiveQuery(live_universe.fast_engine(), query, seeds=[pod.profile_url])
+            fresh_rows = await fresh.start()
+            evaluator = SnapshotEvaluator(fresh.execution.source.dataset)
+            oracle = list(evaluator.construct(parse_query(query)))
+            return initial, events, live.current_results(), fresh_rows, oracle
+
+        initial, events, current, fresh_rows, oracle = asyncio.run(run())
+        # One ground triple and two blank-node triples, before and after.
+        assert len(initial) == len(oracle) == 3
+        assert sorted(event.delta for event in events) == [-1, -1, -1, 1, 1, 1]
+        assert set(current.values()) == {1}  # a graph: each triple once
+        assert isomorphic(graph(current), oracle)
+        assert isomorphic(graph(fresh_rows), oracle)
+        assert "Renamed" in repr(oracle)
 
     def test_lifecycle_guards(self, live_universe):
         async def run():

@@ -3,9 +3,23 @@
 import pytest
 
 from repro.ltqp.explain import _PHYSICAL_LABELS
-from repro.ltqp.pipeline import IncrementalNode, NotStreamable, compile_pipeline
+from repro.ltqp.pipeline import (
+    ExistsFilterNode,
+    ExtendNode,
+    FilterNode,
+    GroupAggregateNode,
+    IncrementalNode,
+    LeftJoinNode,
+    NotStreamable,
+    OrderSliceNode,
+    RederivedNode,
+    _operator_expressions,
+    _walk,
+    compile_pipeline,
+)
 from repro.rdf import Dataset, Literal, NamedNode, Quad, Variable
 from repro.sparql import parse_query
+from repro.sparql.algebra import expression_contains_exists
 from repro.sparql.bindings import Binding
 
 EX = "PREFIX ex: <http://x/>\n"
@@ -292,6 +306,72 @@ class TestNonMonotonicCompiles:
         in_graph = feed(pipeline, ds, [q(n("a"), n("p"), Literal("1"), "https://h/d1")])
         other_graph = feed(pipeline, ds, [q(n("a"), n("p"), Literal("2"), "https://h/d2")])
         assert len(in_graph) == 1 and len(other_graph) == 0
+
+
+#: The operators that evaluate an expression, and what each one holds.
+_EXPRESSIONS = {
+    FilterNode: lambda node: (node._expression,),
+    ExtendNode: lambda node: (node._expression,),
+    LeftJoinNode: lambda node: (node._expression,),
+    GroupAggregateNode: lambda node: _operator_expressions(node._op),
+    OrderSliceNode: lambda node: [condition.expression for condition in node._conditions],
+}
+
+
+class TestExistsIsDecidedAtCompileTime:
+    """The compiler alone decides what an EXISTS means: each operator that
+    evaluates one (but a streaming FILTER EXISTS) is the template of one
+    :class:`RederivedNode`, and no node in the plan holds EXISTS otherwise."""
+
+    @pytest.mark.parametrize(
+        "text, template",
+        [
+            ("SELECT ?a WHERE { ?a ex:p ?b FILTER NOT EXISTS { ?b ex:q ?c } }", FilterNode),
+            ("SELECT * WHERE { ?a ex:p ?b BIND(EXISTS { ?b ex:q ?c } AS ?e) }", ExtendNode),
+            (
+                "SELECT * WHERE { ?a ex:p ?b "
+                "OPTIONAL { ?b ex:r ?d FILTER EXISTS { ?d ex:q ?c } } }",
+                LeftJoinNode,
+            ),
+            (
+                "SELECT ?a (COUNT(?b) AS ?n) WHERE { ?a ex:p ?b } "
+                "GROUP BY ?a HAVING (EXISTS { ?a ex:q ?c })",
+                GroupAggregateNode,
+            ),
+            (
+                "SELECT ?a WHERE { ?a ex:p ?b } ORDER BY (EXISTS { ?b ex:q ?c }) ?a LIMIT 2",
+                OrderSliceNode,
+            ),
+        ],
+    )
+    def test_each_form_compiles_to_one_rederived_node(self, text, template):
+        pipeline, _ = make(text)
+        nodes = list(_walk(pipeline.root))
+        (rederived,) = [node for node in nodes if isinstance(node, RederivedNode)]
+        assert type(rederived.template) is template
+        assert rederived.reads == frozenset({n("q")})
+        assert rederived in pipeline.blocking_nodes
+        for node in nodes:
+            if type(node) in _EXPRESSIONS:
+                assert not any(
+                    expression_contains_exists(expression)
+                    for expression in _EXPRESSIONS[type(node)](node)
+                    if expression is not None
+                ), type(node).__name__
+
+    def test_a_positive_exists_filter_streams_unwrapped(self):
+        pipeline, _ = make("SELECT * WHERE { ?a ex:p ?b FILTER (EXISTS { ?b ex:q ?c } || ?a = ?b) }")
+        assert ExistsFilterNode in {type(node) for node in _walk(pipeline.root)}
+        assert not pipeline.blocking_nodes
+
+    def test_release_keeps_the_template_order(self):
+        # Rows with a partner sort first; ties fall back to ?b.
+        pipeline, ds = make(
+            "SELECT ?b WHERE { ?a ex:p ?b } ORDER BY DESC(EXISTS { ?b ex:q ?c }) ?b"
+        )
+        quads = [q(n("a"), n("p"), Literal(str(index))) for index in (3, 1, 2)]
+        assert feed(pipeline, ds, [*quads, q(Literal("2"), n("q"), n("c"))]) == []
+        assert [b[Variable("b")].value for b in pipeline.finalize(ds)] == ["2", "1", "3"]
 
 
 def _all_subclasses(cls):

@@ -69,7 +69,7 @@ from repro.sparql.algebra import (
     ZeroOrOnePath,
     operator_variables,
 )
-from repro.sparql.eval import SnapshotEvaluator, construct_triples
+from repro.sparql.eval import SnapshotEvaluator
 
 from .conftest import rebuild_one_bgp
 
@@ -253,11 +253,11 @@ generic_leaves = st.builds(
 
 
 @st.composite
-def queries(draw, live=False):
+def queries(draw):
     if draw(st.booleans()):
         return Query("SELECT", draw(operator_trees(DATASET_READERS, generic_leaves)))
     where = draw(operator_trees())
-    forms = ["SELECT"] * 5 + ["ASK", "DESCRIBE"] + ([] if live else ["CONSTRUCT"])
+    forms = ["SELECT"] * 5 + ["ASK", "DESCRIBE", "CONSTRUCT"]
     form = draw(st.sampled_from(forms))
     if form == "CONSTRUCT":
         in_scope = sorted(operator_variables(where), key=lambda v: v.value) or [IRIS[0]]
@@ -274,31 +274,16 @@ def _key(binding):
     return tuple(sorted((v.value, str(t)) for v, t in binding.items()))
 
 
-def _answer(query: Query, bindings) -> Counter:
-    """Pipeline output as the multiset the query form returns."""
-    if query.form == "CONSTRUCT":
-        # What ``QueryExecution._construct`` does: instantiate, dedupe.
-        made: dict = {}
-        for binding in bindings:
-            for triple in construct_triples(query.construct_template, binding, len(made)):
-                made.setdefault(triple)
-        return Counter(map(str, made))
-    return Counter(_key(binding) for binding in bindings)
-
-
 def _oracle(query: Query, state: dict) -> Counter:
     """The fresh answer over every document, nothing dropped."""
     whole = GrowingTripleSource()
     for index, doc in state.items():
         whole.add_document(_doc_name(index).value, ParsedDocument(doc))
     evaluator = SnapshotEvaluator(whole.dataset)
-    if query.form == "CONSTRUCT":
-        return Counter(map(str, evaluator.construct(query)))
-    if query.form == "DESCRIBE":
+    if query.form in ("CONSTRUCT", "DESCRIBE"):
+        triples = evaluator.construct(query) if query.form == "CONSTRUCT" else evaluator.describe(query)
         columns = ("subject", "predicate", "object")
-        return Counter(
-            tuple(sorted(zip(columns, map(str, triple)))) for triple in evaluator.describe(query)
-        )
+        return Counter(tuple(sorted(zip(columns, map(str, triple)))) for triple in triples)
     if query.form == "ASK":
         return Counter({(): 1}) if evaluator.ask(query) else Counter()
     return Counter(_key(binding) for binding in evaluator.select(query))
@@ -331,7 +316,7 @@ class TestPlanAwareSourceEquivalence:
             rebuild_one_bgp(pipeline, rng)
         produced.extend(pipeline.finalize(source.dataset))
 
-        assert _answer(query, produced) == _oracle(query, dict(enumerate(docs)))
+        assert Counter(map(_key, produced)) == _oracle(query, dict(enumerate(docs)))
         # Dropping is by predicate and nothing else.
         reads = pipeline.read_set
         kept = {(q.triple, q.graph) for q in source.dataset.quads()}
@@ -343,7 +328,7 @@ class TestPlanAwareSourceEquivalence:
         }
         assert source.triples_discovered == sum(len(set(doc)) for doc in docs)
 
-    @given(queries(live=True), documents, edits)
+    @given(queries(), documents, edits)
     @settings(max_examples=400, deadline=None)
     def test_live_replay_matches_fresh_answer_over_final_state(self, query, docs, edit_seq):
         pipeline = compile_query_pipeline(query, live=True)

@@ -72,12 +72,6 @@ class TestResultCodec:
     def test_empty(self):
         assert decode_results(encode_results([])) == []
 
-    def test_construct_triples_roundtrip(self):
-        rows = [TimedResult(Triple(ALICE, NAME, Literal("Alice")), 0.0)]
-        back = decode_results(encode_results(rows))
-        assert back[0].binding == rows[0].binding
-        assert isinstance(back[0].binding, Triple)
-
     def test_ask_empty_binding_roundtrip(self):
         rows = [TimedResult(Binding(()), 0.0)]
         back = decode_results(encode_results(rows))
