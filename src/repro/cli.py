@@ -556,10 +556,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     query = parse_query(query_text)
     variables = query.variables()
 
-    # The waterfall is trace-driven: any of these flags turns tracing on
-    # for this run (the engine is a strict no-op when tracer is None).
+    # The waterfall and its footer (--stats) are trace-driven: any of these
+    # flags turns tracing on for this run (the engine is a strict no-op
+    # when tracer is None).
     tracer: Optional[Tracer] = None
-    if args.trace or args.trace_summary or args.waterfall:
+    if args.trace or args.trace_summary or args.waterfall or args.stats:
         tracer = Tracer()
     metrics: Optional[Metrics] = Metrics() if args.metrics else None
 
@@ -627,11 +628,11 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     emit_observability()
     if args.stats:
-        log = engine.client.log
+        summary = build_waterfall(tracer).summary()
         print(
-            f"# requests={len(log)} bytes={log.total_bytes()} "
-            f"depth={log.max_depth()} parallelism={log.max_parallelism()} "
-            f"retries={log.retry_count()}",
+            f"# requests={summary['requests']} bytes={summary['total_bytes']} "
+            f"depth={summary['max_depth']} parallelism={summary['max_parallelism']} "
+            f"retries={summary['retries']}",
             file=sys.stderr,
         )
         stats = execution.stats

@@ -122,6 +122,7 @@ from ..sparql.algebra import (
     SequencePath,
     Slice,
     SubSelect,
+    TRIPLE_COLUMNS,
     UnaryMinus,
     UnaryPlus,
     Union,
@@ -1418,12 +1419,8 @@ class RederivedNode(IncrementalNode):
         return self._make(*self._held).finalize(dataset)
 
 
-#: The columns DESCRIBE and CONSTRUCT return their triples under.
-_TRIPLE_COLUMNS = (Variable("subject"), Variable("predicate"), Variable("object"))
-
-
 def _triple_binding(triple: Triple) -> Binding:
-    return Binding(dict(zip(_TRIPLE_COLUMNS, triple)))
+    return Binding(dict(zip(TRIPLE_COLUMNS, triple)))
 
 
 class DescribeNode(IncrementalNode):
@@ -1445,7 +1442,7 @@ class DescribeNode(IncrementalNode):
     reads = None
 
     def __init__(self, input_node: IncrementalNode, query: Query) -> None:
-        super().__init__(frozenset(_TRIPLE_COLUMNS), input_node)
+        super().__init__(frozenset(TRIPLE_COLUMNS), input_node)
         targets = query.describe_targets
         variables = [t for t in targets if isinstance(t, Variable)]
         self._constants = [t for t in targets if not isinstance(t, Variable)]
@@ -1530,7 +1527,7 @@ class ConstructNode(IncrementalNode):
     """
 
     def __init__(self, input_node: IncrementalNode, template: Sequence[TriplePattern]) -> None:
-        super().__init__(frozenset(_TRIPLE_COLUMNS), input_node)
+        super().__init__(frozenset(TRIPLE_COLUMNS), input_node)
         self._template = tuple(template)
         #: Solution → the triples each of its occurrences made, oldest first.
         self._scopes: dict[Binding, list[list[Triple]]] = {}

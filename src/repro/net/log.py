@@ -1,14 +1,16 @@
-"""Request logging: the data source for Resource Waterfalls (Figs. 4-5).
+"""Request logging: every HTTP exchange the client performs.
 
 Every request the simulated client performs is recorded with timing,
-status, size, and — crucially for the waterfall's dependency arrows — the
-*parent* URL: the document whose links led the engine to this one.
+status, size, and the *parent* URL: the document whose links led the
+engine to this one.  The Resource Waterfall (Figs. 4-5) and its footer
+are built from the execution trace (:mod:`repro.bench.waterfall`); the
+log is what counters and the trace cross-check read.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 __all__ = ["RequestRecord", "RequestLog"]
@@ -100,67 +102,3 @@ class RequestLog:
     def records(self) -> list[RequestRecord]:
         with self._lock:
             return list(self._records)
-
-    # -- aggregate statistics used by benches --------------------------------
-
-    def total_bytes(self) -> int:
-        return sum(r.response_size for r in self.records)
-
-    def count_by_status(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for record in self.records:
-            counts[record.status] = counts.get(record.status, 0) + 1
-        return counts
-
-    def retry_count(self) -> int:
-        """How many records are retries (attempt > 1)."""
-        return sum(1 for r in self.records if r.attempt > 1)
-
-    def origins(self) -> set[str]:
-        from .message import split_url
-
-        result: set[str] = set()
-        for record in self.records:
-            try:
-                result.add(split_url(record.url)[0])
-            except ValueError:
-                continue
-        return result
-
-    def dependency_depths(self) -> dict[str, int]:
-        """Depth of each URL in the discovered-from tree (seeds are 0)."""
-        records = self.records
-        parents = {r.url: r.parent_url for r in records}
-        depths: dict[str, int] = {}
-
-        def depth_of(url: str, guard: int = 0) -> int:
-            if url in depths:
-                return depths[url]
-            parent = parents.get(url)
-            if parent is None or guard > len(parents):
-                depths[url] = 0
-                return 0
-            value = depth_of(parent, guard + 1) + 1
-            depths[url] = value
-            return value
-
-        for record in records:
-            depth_of(record.url)
-        return depths
-
-    def max_depth(self) -> int:
-        depths = self.dependency_depths()
-        return max(depths.values(), default=0)
-
-    def max_parallelism(self) -> int:
-        """Largest number of requests simultaneously in flight."""
-        events: list[tuple[float, int]] = []
-        for record in self.records:
-            events.append((record.started_at, 1))
-            events.append((record.finished_at, -1))
-        events.sort()
-        current = best = 0
-        for _, delta in events:
-            current += delta
-            best = max(best, current)
-        return best

@@ -1,8 +1,9 @@
 """Run a QueryService on a dedicated event-loop thread.
 
-The :class:`~repro.service.QueryService` is asyncio-native; the demo web
-UI (:mod:`repro.webui`) is a threaded ``http.server``.  This bridge owns
-a background event loop so synchronous callers (HTTP handler threads, the
+The :class:`~repro.service.QueryService` is asyncio-native; the socket
+bridge (:class:`~repro.net.RealHttpServer`) answers on threads.  This
+host owns a background event loop so synchronous callers (HTTP handler
+threads — the demo app moves each request onto :attr:`loop` — and the
 CLI) can submit queries into one long-lived service::
 
     host = ServiceHost(service).start()

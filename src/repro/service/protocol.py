@@ -121,7 +121,7 @@ def _event_json(event) -> dict:
     }
 
 
-def _json_response(document: dict, status: int = 200) -> Response:
+def json_response(document: dict, status: int = 200) -> Response:
     body = json.dumps(document).encode("utf-8")
     return Response(status, {"content-type": "application/json"}, body)
 
@@ -132,22 +132,27 @@ class ServiceSparqlApp(SparqlProtocolApp):
     def __init__(self, service: QueryService, path: str = "/sparql") -> None:
         super().__init__(path)
         self._service = service
+        #: Every route besides the endpoint's; subclasses add their own.
+        self._routes = {
+            "/service/status": self._handle_status,
+            "/subscribe": self._handle_subscribe,
+            "/update": self._handle_update,
+        }
 
     @property
     def service(self) -> QueryService:
         return self._service
 
     async def handle_other(self, request: Request) -> Response:
-        path = urlsplit(request.url).path
-        if path == "/service/status":
-            # A sharded front-end polls every worker first, so the
-            # document aggregates *current* shard gauges.
-            return _json_response(await self._service.status())
-        if path == "/subscribe":
-            return await self._handle_subscribe(request)
-        if path == "/update":
-            return await self._handle_update(request)
-        return Response.not_found(request.url)
+        route = self._routes.get(urlsplit(request.url).path)
+        if route is None:
+            return Response.not_found(request.url)
+        return await route(request)
+
+    async def _handle_status(self, request: Request) -> Response:
+        # A sharded front-end polls every worker first, so the document
+        # aggregates *current* shard gauges.
+        return json_response(await self._service.status())
 
     # -- standing queries over HTTP -------------------------------------
 
@@ -182,7 +187,7 @@ class ServiceSparqlApp(SparqlProtocolApp):
                     400, {"content-type": "text/plain"}, str(error).encode("utf-8")
                 )
             events = list(subscription.events)
-            return _json_response(
+            return json_response(
                 {
                     "subscription": subscription.id,
                     "events": [_event_json(event) for event in events],
@@ -194,7 +199,7 @@ class ServiceSparqlApp(SparqlProtocolApp):
             return Response(404, {"content-type": "text/plain"}, b"unknown subscription")
         if params.get("close", [""])[0]:
             await subscription.close()
-            return _json_response({"subscription": sub_id, "closed": True})
+            return json_response({"subscription": sub_id, "closed": True})
         after = int(params.get("after", ["-1"])[0])
         wait = float(params.get("wait", ["0"])[0])
 
@@ -209,7 +214,7 @@ class ServiceSparqlApp(SparqlProtocolApp):
         while not events and not subscription.closed and time.monotonic() < deadline:
             await asyncio.sleep(0.05)
             events = await fresh_events()
-        return _json_response(
+        return json_response(
             {
                 "subscription": sub_id,
                 "events": [_event_json(event) for event in events],
@@ -231,7 +236,7 @@ class ServiceSparqlApp(SparqlProtocolApp):
             report = await self._service.apply_update(url, update)
         except RuntimeError as error:
             return Response(409, {"content-type": "text/plain"}, str(error).encode("utf-8"))
-        return _json_response(report)
+        return json_response(report)
 
     async def answer(self, query: Query, request: Request) -> Response:
         if query.form not in ("SELECT", "ASK"):

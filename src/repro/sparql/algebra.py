@@ -63,6 +63,7 @@ __all__ = [
     "GroupBy",
     "SubSelect",
     "Query",
+    "TRIPLE_COLUMNS",
     "is_monotonic",
     "expression_contains_exists",
     "operator_children",
@@ -386,13 +387,17 @@ class SubSelect(Operator):
     query: "Query"
 
 
+#: The columns DESCRIBE and CONSTRUCT return their triples under.
+TRIPLE_COLUMNS = (Variable("subject"), Variable("predicate"), Variable("object"))
+
+
 @dataclass(frozen=True, slots=True)
 class Query:
     """A parsed SPARQL query.
 
-    ``form`` is one of ``SELECT``, ``ASK``, ``CONSTRUCT``.  ``where`` is the
-    full algebra tree including solution modifiers (Project/Distinct/Slice
-    etc. are part of the tree, rooted at ``where``).
+    ``form`` is one of ``SELECT``, ``ASK``, ``CONSTRUCT``, ``DESCRIBE``.
+    ``where`` is the full algebra tree including solution modifiers
+    (Project/Distinct/Slice etc. are part of the tree, rooted at ``where``).
     """
 
     form: str
@@ -409,7 +414,10 @@ class Query:
     text: str = field(default="", compare=False)
 
     def variables(self) -> tuple[Variable, ...]:
-        """Projected variables (for SELECT), in projection order."""
+        """The columns of this query's rows: the projected variables in
+        projection order, or :data:`TRIPLE_COLUMNS` for the triple forms."""
+        if self.form in ("CONSTRUCT", "DESCRIBE"):
+            return TRIPLE_COLUMNS
         node = self.where
         while True:
             if isinstance(node, Project):

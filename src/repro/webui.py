@@ -5,20 +5,19 @@ editor, a dropdown of the 37 Discover queries, and a streaming result
 list.  This module reproduces that experience locally:
 
 * :func:`render_page` produces the static HTML page (editor + dropdown +
-  results pane), and
-* :class:`DemoServer` serves it plus a ``/execute`` endpoint that runs the
-  engine against the simulated pods, streaming results as NDJSON — the
-  same incremental display the demo's Web worker provides.
+  results pane),
+* :class:`DemoApp` answers every route of the demo over one
+  :class:`~repro.service.QueryService` — the page, ``/execute`` (result
+  lines as NDJSON, the same incremental display the demo's Web worker
+  provides), ``/trace.json``, ``/status.json`` — beside the service's
+  protocol routes (``/sparql``, ``/update``, ``/subscribe``,
+  ``/service/status``), so repeat queries hit the shared HTTP cache and
+  parsed-document store, and
+* :class:`DemoServer` puts that app on the socket bridge
+  (:class:`~repro.net.RealHttpServer`).
 
-By default every ``/execute`` builds a fresh client and engine (the
-paper's one-shot demo).  Pass a started
-:class:`~repro.service.ServiceHost` to run in **service mode** instead:
-executions go through the shared :class:`~repro.service.QueryService`
-(so repeat queries hit the HTTP cache and parsed-document store), the
-SPARQL protocol is exposed over real HTTP at ``/sparql``, and
-``/status.json`` reports live service statistics.
-
-Run ``python -m repro.webui`` and open the printed URL.
+``python -m repro.webui`` is ``repro-sparql-ltqp serve`` with its
+defaults; open the printed URL.
 """
 
 from __future__ import annotations
@@ -26,21 +25,20 @@ from __future__ import annotations
 import asyncio
 import html
 import json
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 from urllib.parse import parse_qs, urlsplit
 
-from .net.latency import SeededJitterLatency
-from .net.message import Request
+from .net.message import Request, Response
+from .net.realserver import RealHttpServer
 from .obs import Tracer, chrome_trace_events
+from .service import ServiceHost, ServiceSparqlApp, ShardSpec
+from .service.protocol import json_response
 from .sparql.parser import SparqlParseError, parse_query
 from .sparql.results import binding_to_cli_line
-from .solidbench.config import SolidBenchConfig
 from .solidbench.queries import discover_suite
-from .solidbench.universe import SolidBenchUniverse, build_universe
+from .solidbench.universe import SolidBenchUniverse
 
-__all__ = ["render_page", "DemoServer"]
+__all__ = ["render_page", "DemoApp", "DemoServer"]
 
 _PAGE_TEMPLATE = """<!DOCTYPE html>
 <html lang="en">
@@ -289,202 +287,114 @@ def render_page(universe: SolidBenchUniverse) -> str:
     )
 
 
-class DemoServer:
-    """Serves the demo page and executes queries over the simulation."""
+class DemoApp(ServiceSparqlApp):
+    """Every route of the demo, over one running service.
 
-    def __init__(
-        self,
-        universe: Optional[SolidBenchUniverse] = None,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        service=None,
-    ) -> None:
-        self._universe = universe if universe is not None else build_universe(
-            SolidBenchConfig(scale=0.02)
-        )
+    The page, ``/execute``, ``/trace.json`` and ``/status.json`` join the
+    protocol routes in one routing table; ``/status.json`` is the
+    ``/service/status`` handler under the demo's older name.  Each request
+    runs on the host's event loop, where the service's admission control
+    and shared caches live.
+    """
+
+    def __init__(self, universe: SolidBenchUniverse, host: ServiceHost) -> None:
+        super().__init__(host.service)
         self._host = host
-        self._requested_port = port
-        self._server: Optional[ThreadingHTTPServer] = None
-        self._thread: Optional[threading.Thread] = None
-        self._page = render_page(self._universe)
+        self._page = render_page(universe).encode("utf-8")
         #: Tracer of the most recent ``/execute`` run, served at /trace.json.
         self._last_trace: Optional[Tracer] = None
-        #: A started :class:`~repro.service.ServiceHost` (service mode) or
-        #: ``None`` (one-shot mode, the paper's original demo).
-        self._service_host = service
-        self._sparql_app = None
         #: Why ``/execute`` records no trace, when it cannot: only an
         #: in-process service writes into the caller's tracer.
         self._untraced: Optional[str] = None
-        if service is not None:
-            from .service import ServiceSparqlApp
+        if host.service.statistics()["mode"] != "single":
+            self._untraced = "tracing is worker-local in sharded mode"
+        self._routes.update(
+            {
+                "/": self._serve_page,
+                "/execute": self._execute,
+                "/trace.json": self._serve_trace,
+                "/status.json": self._handle_status,
+            }
+        )
 
-            self._sparql_app = ServiceSparqlApp(service.service)
-            if service.statistics()["mode"] != "single":
-                self._untraced = "tracing is worker-local in sharded mode"
+    async def handle(self, request: Request) -> Response:
+        future = asyncio.run_coroutine_threadsafe(super().handle(request), self._host.loop)
+        return await asyncio.wrap_future(future)
+
+    async def _serve_page(self, request: Request) -> Response:
+        return Response(200, {"content-type": "text/html; charset=utf-8"}, self._page)
+
+    async def _execute(self, request: Request) -> Response:
+        """The query's result lines, one JSON object each (NDJSON)."""
+        query_text = parse_qs(urlsplit(request.url).query).get("query", [""])[0]
+        try:
+            query = parse_query(query_text)
+        except SparqlParseError as error:
+            return json_response({"error": str(error)}, 400)
+        tracer = Tracer() if self._untraced is None else None
+        traced = {"tracer": tracer} if tracer is not None else {}
+        result = await self.service.run(query, **traced)
+        self._last_trace = tracer
+        variables = query.variables()
+        lines = "".join(
+            binding_to_cli_line(timed.binding, variables) + "\n" for timed in result.results
+        )
+        return Response(200, {"content-type": "application/x-ndjson"}, lines.encode("utf-8"))
+
+    async def _serve_trace(self, request: Request) -> Response:
+        """Chrome trace-event JSON for the most recent execution."""
+        if self._last_trace is None:
+            return json_response({"error": self._untraced or "no execution traced yet"}, 404)
+        return json_response(
+            {"traceEvents": chrome_trace_events(self._last_trace), "displayTimeUnit": "ms"}
+        )
+
+
+class DemoServer:
+    """The demo's :class:`DemoApp` on the socket bridge.
+
+    ``service`` is a started :class:`~repro.service.ServiceHost` the
+    caller owns.  Without one the demo owns a host over the stack
+    ``serve --workers 1`` builds with its defaults, started in
+    :meth:`start` and stopped in :meth:`stop`.
+    """
+
+    def __init__(
+        self,
+        universe: SolidBenchUniverse,
+        host: str = "127.0.0.1",
+        port: int = 0,
+        service: Optional[ServiceHost] = None,
+    ) -> None:
+        self._universe = universe
+        self._owns_host = service is None
+        if service is None:
+            service = ServiceHost(ShardSpec(config=universe.config).build(universe))
+        self._service_host = service
+        self._bridge = RealHttpServer(DemoApp(universe, service), host, port)
 
     @property
     def universe(self) -> SolidBenchUniverse:
         return self._universe
 
     @property
-    def service_host(self):
+    def service_host(self) -> ServiceHost:
         return self._service_host
 
     @property
     def url(self) -> str:
-        if self._server is None:
-            raise RuntimeError("server is not running")
-        return f"http://{self._host}:{self._server.server_address[1]}/"
+        return self._bridge.base_url + "/"
 
     def start(self) -> "DemoServer":
-        demo = self
-
-        class _Handler(BaseHTTPRequestHandler):
-            def log_message(self, format: str, *args) -> None:
-                pass
-
-            def do_GET(self) -> None:
-                parts = urlsplit(self.path)
-                if parts.path == "/":
-                    body = demo._page.encode("utf-8")
-                    self.send_response(200)
-                    self.send_header("content-type", "text/html; charset=utf-8")
-                    self.send_header("content-length", str(len(body)))
-                    self.end_headers()
-                    self.wfile.write(body)
-                    return
-                if parts.path == "/execute":
-                    query_text = parse_qs(parts.query).get("query", [""])[0]
-                    demo._execute(self, query_text)
-                    return
-                if parts.path == "/trace.json":
-                    demo._serve_trace(self)
-                    return
-                if parts.path == "/status.json":
-                    demo._serve_status(self)
-                    return
-                if demo._sparql_app is not None and parts.path in (
-                    "/sparql",
-                    "/service/status",
-                    "/subscribe",
-                ):
-                    demo._serve_sparql(self)
-                    return
-                self.send_response(404)
-                self.end_headers()
-
-            def do_POST(self) -> None:
-                parts = urlsplit(self.path)
-                if demo._sparql_app is not None and parts.path in (
-                    "/sparql",
-                    "/update",
-                ):
-                    demo._serve_sparql(self)
-                    return
-                self.send_response(404)
-                self.end_headers()
-
-        self._server = ThreadingHTTPServer((self._host, self._requested_port), _Handler)
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
-        self._thread.start()
+        if self._owns_host:
+            self._service_host.start()
+        self._bridge.start()
         return self
 
-    def _execute(self, handler: BaseHTTPRequestHandler, query_text: str) -> None:
-        try:
-            query = parse_query(query_text)
-        except SparqlParseError as error:
-            body = json.dumps({"error": str(error)}).encode("utf-8")
-            handler.send_response(400)
-            handler.send_header("content-type", "application/json")
-            handler.send_header("content-length", str(len(body)))
-            handler.end_headers()
-            handler.wfile.write(body)
-            return
-        tracer = Tracer() if self._untraced is None else None
-        if self._service_host is not None:
-            # Service mode: the shared engine, caches, and document store.
-            traced = {"tracer": tracer} if tracer is not None else {}
-            results = self._service_host.execute(query, **traced).results
-        else:
-            # One-shot mode: a fresh bare stack per request.
-            engine = self._universe.engine(latency=SeededJitterLatency())
-            results = engine.query(query, tracer=tracer).run_sync().results
-        self._last_trace = tracer
-        variables = query.variables()
-        handler.send_response(200)
-        handler.send_header("content-type", "application/x-ndjson")
-        handler.end_headers()
-        for timed in results:
-            line = binding_to_cli_line(timed.binding, variables) + "\n"
-            handler.wfile.write(line.encode("utf-8"))
-            handler.wfile.flush()
-
-    def _serve_status(self, handler: BaseHTTPRequestHandler) -> None:
-        """The schema-2 status document (or the one-shot marker)."""
-        from .service.status import STATUS_SCHEMA_VERSION, build_status
-
-        if self._service_host is None:
-            document = {
-                "schema": STATUS_SCHEMA_VERSION,
-                "mode": "one-shot",
-                "service": None,
-            }
-        else:
-            document = build_status(self._service_host.service)
-        body = json.dumps(document).encode("utf-8")
-        handler.send_response(200)
-        handler.send_header("content-type", "application/json")
-        handler.send_header("content-length", str(len(body)))
-        handler.end_headers()
-        handler.wfile.write(body)
-
-    def _serve_sparql(self, handler: BaseHTTPRequestHandler) -> None:
-        """Bridge real HTTP to the simulated SPARQL-protocol app."""
-        length = int(handler.headers.get("content-length") or 0)
-        request = Request(
-            handler.command,
-            f"http://service.local{handler.path}",
-            {k.lower(): v for k, v in handler.headers.items()},
-            handler.rfile.read(length) if length else b"",
-        )
-        future = asyncio.run_coroutine_threadsafe(
-            self._sparql_app.handle(request), self._service_host.loop
-        )
-        response = future.result()
-        handler.send_response(response.status)
-        for name, value in response.headers.items():
-            if name.lower() != "content-length":
-                handler.send_header(name, value)
-        handler.send_header("content-length", str(len(response.body)))
-        handler.end_headers()
-        handler.wfile.write(response.body)
-
-    def _serve_trace(self, handler: BaseHTTPRequestHandler) -> None:
-        """Chrome trace-event JSON for the most recent execution."""
-        tracer = self._last_trace
-        if tracer is None:
-            reason = self._untraced or "no execution traced yet"
-            body = json.dumps({"error": reason}).encode("utf-8")
-            handler.send_response(404)
-        else:
-            body = json.dumps(
-                {"traceEvents": chrome_trace_events(tracer), "displayTimeUnit": "ms"}
-            ).encode("utf-8")
-            handler.send_response(200)
-        handler.send_header("content-type", "application/json")
-        handler.send_header("content-length", str(len(body)))
-        handler.end_headers()
-        handler.wfile.write(body)
-
     def stop(self) -> None:
-        if self._server is not None:
-            self._server.shutdown()
-            self._server.server_close()
-            self._server = None
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-            self._thread = None
+        self._bridge.stop()
+        if self._owns_host:
+            self._service_host.stop()
 
     def __enter__(self) -> "DemoServer":
         return self.start()
@@ -493,18 +403,7 @@ class DemoServer:
         self.stop()
 
 
-def main() -> int:
-    server = DemoServer(port=8765)
-    server.start()
-    print(f"Demo UI running at {server.url} — Ctrl-C to stop")
-    try:
-        threading.Event().wait()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.stop()
-    return 0
-
-
 if __name__ == "__main__":
-    raise SystemExit(main())
+    from .cli import serve_main
+
+    raise SystemExit(serve_main([]))

@@ -176,7 +176,7 @@ class TestClientRetries:
         assert client.resilience.retries == 2
         # Every attempt is in the log: two failures plus the success.
         assert len(client.log) == 3
-        assert client.log.retry_count() == 2
+        assert sum(1 for record in client.log.records if record.is_retry) == 2
 
     def test_no_retry_policy_preserves_single_attempt(self):
         client = HttpClient(

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_arg_parser, main as ltqp_main
+from repro.net import NoLatency
 from repro.solidbench.cli import main as solidbench_main
 
 
@@ -57,6 +58,82 @@ class TestLtqpCli:
     def test_arg_parser_defaults(self):
         args = build_arg_parser().parse_args([])
         assert args.simulate == 0.02 and args.idp == "void"
+
+
+class TestTripleForms:
+    """CONSTRUCT and DESCRIBE rows are ``?subject ?predicate ?object``
+    bindings, and every front door prints them under those columns."""
+
+    TRIPLE_KEYS = {"subject", "predicate", "object"}
+
+    def construct(self, webid):
+        return (
+            "CONSTRUCT { ?s <http://example.org/named> ?o } "
+            f"WHERE {{ <{webid}> <http://xmlns.com/foaf/0.1/name> ?o . BIND(<{webid}> AS ?s) }}"
+        )
+
+    def rows(self, out):
+        return [json.loads(line) for line in out.strip().splitlines()]
+
+    def test_describe_rows_carry_the_triple_columns(self, capsys, tiny_universe):
+        webid = tiny_universe.webid(0)
+        base = ["--simulate", "0.01", "--bench-seed", "7", "--no-latency"]
+        assert ltqp_main([*base, "--query", f"DESCRIBE <{webid}>", webid]) == 0
+        rows = self.rows(capsys.readouterr().out)
+        assert rows and all(set(row) == self.TRIPLE_KEYS for row in rows)
+        assert any(row["subject"] == webid for row in rows)
+
+    def test_construct_rows_carry_the_triple_columns(self, capsys, tiny_universe):
+        webid = tiny_universe.webid(0)
+        base = ["--simulate", "0.01", "--bench-seed", "7", "--no-latency"]
+        assert ltqp_main([*base, "--query", self.construct(webid), webid]) == 0
+        (row,) = self.rows(capsys.readouterr().out)
+        assert row["subject"] == webid and row["predicate"] == "http://example.org/named"
+
+    def test_csv_header_is_the_triple_columns(self, capsys, tiny_universe):
+        webid = tiny_universe.webid(0)
+        argv = ["--simulate", "0.01", "--bench-seed", "7", "--no-latency", "--format", "csv"]
+        assert ltqp_main([*argv, "--query", self.construct(webid), webid]) == 0
+        header, row = capsys.readouterr().out.strip().splitlines()
+        assert header == "subject,predicate,object"
+        assert row.startswith(f"{webid},http://example.org/named,")
+
+    def test_watch_prints_describe_rows_with_the_triple_columns(self, capsys):
+        from repro.cli import watch_main
+        from repro.solidbench import SolidBenchConfig, build_universe
+
+        webid = build_universe(SolidBenchConfig(scale=0.005, seed=42)).webid(0)
+        argv = ["--simulate", "0.005", "--no-latency", "--query", f"DESCRIBE <{webid}>", webid]
+        assert watch_main(argv) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines and all(line.startswith("+1 {") for line in lines)
+        assert all(set(json.loads(line[3:])) == self.TRIPLE_KEYS for line in lines)
+
+
+class TestStatsFlag:
+    def test_stats_footer_is_the_waterfall_summary(self, capsys):
+        """``--stats`` prints the numbers ``--waterfall`` is built from."""
+        from repro.bench.waterfall import build_waterfall
+        from repro.obs import Tracer
+        from repro.solidbench import SolidBenchConfig, build_universe, discover_query
+
+        argv = ["--simulate", "0.01", "--discover", "1.1", "--no-latency", "--stats"]
+        assert ltqp_main(argv) == 0
+        footer = next(
+            line for line in capsys.readouterr().err.splitlines()
+            if line.startswith("# requests=")
+        )
+        universe = build_universe(SolidBenchConfig(scale=0.01, seed=42))
+        named = discover_query(universe, 1, 1)
+        tracer = Tracer()
+        engine = universe.engine(latency=NoLatency())
+        engine.query(named.text, seeds=named.seeds, tracer=tracer).run_sync()
+        summary = build_waterfall(tracer).summary()
+        assert footer == (
+            f"# requests={summary['requests']} bytes={summary['total_bytes']} "
+            f"depth={summary['max_depth']} parallelism={summary['max_parallelism']} "
+            f"retries={summary['retries']}"
+        )
 
 
 class TestSolidbenchCli:
