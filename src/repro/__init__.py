@@ -23,8 +23,8 @@ Subpackages
     The paper's engine: link queue + dereferencer + extractors feeding a
     growing triple source, with pipelined incremental query execution.
 ``repro.obs``
-    Structured tracing (span trees, Chrome trace-event export) and a
-    counters/gauges/histograms metrics registry.
+    Structured tracing (span trees, Chrome trace-event export, a text
+    summary).
 ``repro.bench``
     Benchmark harness: suite runners, resource waterfalls, tables.
 
@@ -49,7 +49,7 @@ from .ltqp.engine import (
 )
 from .net.faults import FaultPlan, FaultRule
 from .net.resilience import NetworkPolicy, RetryPolicy, BreakerPolicy
-from .obs import Metrics, Tracer
+from .obs import Tracer
 
 __version__ = "1.0.0"
 
@@ -65,6 +65,5 @@ __all__ = [
     "QueryExecution",
     "ExecutionResult",
     "Tracer",
-    "Metrics",
     "__version__",
 ]

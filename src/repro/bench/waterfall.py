@@ -76,6 +76,11 @@ class Waterfall:
             "retries": self.retries,
         }
 
+    def network_latencies(self) -> list[float]:
+        """The durations of the rows that touched the network (every row
+        not ``from_cache``), ascending, in seconds."""
+        return sorted(row.end - row.start for row in self.rows if not row.from_cache)
+
 
 def _short_name(url: str) -> str:
     path = url.split("://", 1)[-1]

@@ -36,9 +36,10 @@ import time
 from typing import Optional
 
 import json
+import math
 
 from .bench.waterfall import build_waterfall, render_waterfall
-from .obs import Metrics, Tracer, render_trace_summary, write_chrome_trace
+from .obs import Tracer, render_trace_summary, write_chrome_trace
 from .ltqp.engine import EngineConfig, TraversalPolicy
 from .ltqp.guided import SubwebSpecification
 from .net.faults import FaultPlan
@@ -205,11 +206,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "--trace-summary",
         action="store_true",
         help="print a flamegraph-style text summary of the recorded trace",
-    )
-    parser.add_argument(
-        "--metrics",
-        action="store_true",
-        help="collect counters/gauges/histograms and print them after the run",
     )
     parser.add_argument("--limit", type=int, default=0, help="stop after N results (0 = all)")
     parser.add_argument(
@@ -562,9 +558,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     tracer: Optional[Tracer] = None
     if args.trace or args.trace_summary or args.waterfall or args.stats:
         tracer = Tracer()
-    metrics: Optional[Metrics] = Metrics() if args.metrics else None
 
-    def emit_observability() -> None:
+    def emit_observability(execution) -> None:
         if tracer is not None and args.waterfall:
             print(
                 render_waterfall(build_waterfall(tracer), show_via=True),
@@ -575,8 +570,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             print(f"# trace: {events} events -> {args.trace}", file=sys.stderr)
         if tracer is not None and args.trace_summary:
             print(render_trace_summary(tracer), file=sys.stderr)
-        if metrics is not None:
-            print(metrics.render(), file=sys.stderr)
+        if args.stats:
+            _print_stats_footer(build_waterfall(tracer), execution.stats)
 
     if args.explain:
         from .ltqp.explain import explain_plan
@@ -592,9 +587,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             results_to_tsv,
         )
 
-        execution = engine.query(
-            query, seeds=seeds or None, tracer=tracer, metrics=metrics
-        ).run_sync()
+        execution = engine.query(query, seeds=seeds or None, tracer=tracer).run_sync()
         bindings = execution.bindings
         if args.limit:
             bindings = bindings[: args.limit]
@@ -606,10 +599,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         }
         print(renderers[args.format](variables, bindings), end="")
         print(f"# {len(bindings)} results", file=sys.stderr)
-        emit_observability()
+        emit_observability(execution)
         return 0
 
-    execution = engine.query(query, seeds=seeds or None, tracer=tracer, metrics=metrics)
+    execution = engine.query(query, seeds=seeds or None, tracer=tracer)
 
     async def run() -> int:
         count = 0
@@ -626,22 +619,38 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     asyncio.run(run())
 
-    emit_observability()
-    if args.stats:
-        summary = build_waterfall(tracer).summary()
-        print(
-            f"# requests={summary['requests']} bytes={summary['total_bytes']} "
-            f"depth={summary['max_depth']} parallelism={summary['max_parallelism']} "
-            f"retries={summary['retries']}",
-            file=sys.stderr,
-        )
-        stats = execution.stats
-        print(
-            f"# triples discovered={stats.triples_discovered} stored={stats.triples_stored}",
-            file=sys.stderr,
-        )
-        print(f"# completeness: {json.dumps(stats.completeness())}", file=sys.stderr)
+    emit_observability(execution)
     return 0
+
+
+def _print_stats_footer(waterfall, stats) -> None:
+    """The ``--stats`` footer: the waterfall's summary, the latency of its
+    network rows, the deepest the link queue got, and the run's own
+    statistics — every number read from a book the run already keeps."""
+    summary = waterfall.summary()
+    print(
+        f"# requests={summary['requests']} bytes={summary['total_bytes']} "
+        f"depth={summary['max_depth']} parallelism={summary['max_parallelism']} "
+        f"retries={summary['retries']}",
+        file=sys.stderr,
+    )
+    latencies = waterfall.network_latencies()
+    queue_max = max((sample.queue_length for sample in stats.queue_samples), default=0)
+    print(
+        f"# network={len(latencies)} latency_p50={_nearest_rank(latencies, 0.5):.4f}s "
+        f"latency_p95={_nearest_rank(latencies, 0.95):.4f}s queue_max={queue_max}",
+        file=sys.stderr,
+    )
+    print(
+        f"# triples discovered={stats.triples_discovered} stored={stats.triples_stored}",
+        file=sys.stderr,
+    )
+    print(f"# completeness: {json.dumps(stats.completeness())}", file=sys.stderr)
+
+
+def _nearest_rank(ordered: list[float], q: float) -> float:
+    """The ``q`` quantile of an ascending list by nearest rank; 0.0 when empty."""
+    return ordered[max(0, math.ceil(q * len(ordered)) - 1)] if ordered else 0.0
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ The dereferencer is the one home of three settings, given at
 construction: leniency, the extra (auth) request headers, and the
 document store.  An engine is handed one instance and every execution
 fetches through it, so it holds nothing of any execution: tracer,
-metrics, resilience counters and the parse cap arrive with each
+resilience counters and the parse cap arrive with each
 :meth:`Dereferencer.dereference` call, and blank-node labels derive from
 the document URL, not from instance state.  Pass ``document_store`` (see
 :class:`~repro.service.docstore.DocumentStore`) and successfully parsed
@@ -127,7 +127,6 @@ class Dereferencer:
         tracer=None,
         revalidate: bool = False,
         provenance=None,
-        metrics=None,
         resilience=None,
         max_parse_bytes: Optional[int] = None,
     ) -> DereferenceResult:
@@ -136,10 +135,9 @@ class Dereferencer:
         document's provenance — e.g. a slash-less container URL 301s to
         the container, whose members then resolve correctly.
         With a ``tracer``, the fetch spans and the ``parse`` span nest
-        under ``trace_parent``; ``tracer``, ``metrics`` and ``resilience``
-        (the calling execution's
-        :class:`~repro.net.resilience.ResilienceStats`) ride on to
-        :meth:`~repro.net.client.HttpClient.fetch`.  A body larger than
+        under ``trace_parent``; ``tracer`` and ``resilience`` (the calling
+        execution's :class:`~repro.net.resilience.ResilienceStats`) ride
+        on to :meth:`~repro.net.client.HttpClient.fetch`.  A body larger than
         ``max_parse_bytes`` is refused (kind ``"parse-bytes"``) *before*
         decoding or tokenizing, so a hostile document cannot buy CPU with
         bytes; ``None`` / ``0`` disables the cap.
@@ -154,7 +152,6 @@ class Dereferencer:
             trace_parent=trace_parent,
             revalidate=revalidate,
             tracer=tracer,
-            metrics=metrics,
             resilience=resilience,
         )
         if anomaly:

@@ -226,10 +226,10 @@ class QueryExecution:
 
     Everything Fig. 1 draws once *per query* lives here and nowhere else:
     link ``queue``, growing ``source``, ``pipeline``, guided ``selector``,
-    origin budgets, clock, ``tracer``, ``metrics`` and resilience
-    counters.  What is shared with other executions (the engine and its
-    ``dereferencer``, the client under it) is handed this one's observers
-    with each call (:meth:`dereference`) and holds none.  Tear-down drops
+    origin budgets, clock, ``tracer`` and resilience counters.  What is
+    shared with other executions (the engine and its ``dereferencer``, the
+    client under it) is handed this one's observers with each call
+    (:meth:`dereference`) and holds none.  Tear-down drops
     the machinery; a ``live`` run keeps ``pipeline`` and ``source`` for
     its :class:`~repro.ltqp.live.LiveQuery`.
     """
@@ -240,7 +240,6 @@ class QueryExecution:
         query: Query,
         seeds: Optional[Iterable[str]] = None,
         tracer=None,
-        metrics=None,
         traversal: Optional[TraversalPolicy] = None,
         live: bool = False,
     ) -> None:
@@ -254,10 +253,8 @@ class QueryExecution:
         self.seeds: list[str] = self.result.seeds
         self.done = self.cancelled = False
         self._requested_seeds = seeds
-        #: The :class:`~repro.obs.trace.Tracer` recording this execution and
-        #: the :class:`~repro.obs.metrics.Metrics` registry in use (or None).
+        #: The :class:`~repro.obs.trace.Tracer` recording this execution (or None).
         self.tracer = tracer
-        self.metrics = metrics
         # The engine's extractors (what they remember of one execution is
         # on its context) and its traversal policy, unless this query
         # brought its own bounds.
@@ -286,6 +283,9 @@ class QueryExecution:
         self._held: dict[str, deque] = {}
         self._idle = asyncio.Condition()  # workers: queue refilled / link done
         self._stop = asyncio.Event()  # bound hit, LIMIT satisfied
+        # The traversal bound that stopped the run (``max-documents`` /
+        # ``max-duration``), if one did: the links it left are its refusals.
+        self._bound = ""
         self._wake = asyncio.Event()  # consumer: new result / traversal over
         self._generator = self._stream()
 
@@ -333,7 +333,7 @@ class QueryExecution:
         """Dereference ``url`` on this execution's behalf (await the result).
 
         The one place its observers meet the shared layers: tracer,
-        metrics, resilience counters and parse cap travel with the call
+        resilience counters and parse cap travel with the call
         down to ``HttpClient.fetch`` and are held by nobody on the way, so
         executions sharing a service never see each other's spans or retries.
         """
@@ -344,7 +344,6 @@ class QueryExecution:
             tracer=self.tracer,
             revalidate=revalidate,
             provenance=provenance,
-            metrics=self.metrics,
             resilience=self._resilience,
             max_parse_bytes=self._policy.max_parse_bytes,
         )
@@ -374,9 +373,6 @@ class QueryExecution:
         policy_context = QueuePolicyContext(query=context)
         self.queue = queue = build_queue(queue_factory_for(policy.queue_policy), policy_context)
         queue.clock = self._clock
-        if self.metrics is not None:
-            depth_gauge = self.metrics.gauge("queue.depth")
-            queue.observer = lambda sample: depth_gauge.set(sample.queue_length)
         for seed in seeds:
             if queue.push(Link(url=seed, via="seed")):
                 stats.links_queued += 1
@@ -463,7 +459,7 @@ class QueryExecution:
         # check, but only the first max_documents results are admitted.
         doc_limit = self._policy.max_documents
         if doc_limit and source.document_count >= doc_limit:
-            self._stop.set()
+            self._halt("max-documents")
             return None
         # Absorb declarations (hints, specs, admitted origins) *before* the
         # pipeline and link extraction see the document, so its own links are
@@ -543,11 +539,17 @@ class QueryExecution:
             self.stats.note_shutdown_error("traversal", error)
 
     async def _tear_down(self, traversal: asyncio.Task) -> None:
-        stats, tracer, metrics = self.stats, self.tracer, self.metrics
+        stats, tracer = self.stats, self.tracer
         if self._feed is not None:  # it must not run against a dropped pipeline
             self._feed.cancel()
             self._feed = None
         await self._reap(traversal)
+        if self._bound:
+            # What the bound left unfetched: queued, held for a slot, or
+            # parked for a source index.  Attribution only, like depth.
+            held = [link for links in self._held.values() for _, link in links]
+            for link in [*self.queue.pending(), *held, *self.selector.release_unjudged()]:
+                stats.note_refusal(self._bound, link.origin, document=False)
         # Links still deferred at quiescence: their origins were never
         # declared by any traversed document — pruned.
         for parked in self.selector.drain_deferred():
@@ -567,13 +569,6 @@ class QueryExecution:
             tracer.end(self._traversal_span, end=stats.finished_at)
             tracer.end(self._query_span, end=stats.finished_at, results=stats.result_count)
             tracer.close_open_spans(end=stats.finished_at)
-        if metrics is not None:
-            metrics.counter("documents.fetched").inc(stats.documents_fetched)
-            metrics.counter("triples.discovered").inc(stats.triples_discovered)
-            metrics.counter("triples.stored").inc(stats.triples_stored)
-            metrics.counter("results.emitted").inc(stats.result_count)
-            if stats.total_time > 0:
-                metrics.gauge("triples.per_s").set(stats.triples_discovered / stats.total_time)
         # Finished handles outlive the run (a service registry keeps a window
         # of them); the traversal machinery must not, nor — unless a
         # LiveQuery is about to maintain them — the store and operator state.
@@ -694,9 +689,14 @@ class QueryExecution:
         """One popped link: admit → dereference → ingest → extract, and the
         single outcome of that stamped once on its ``dereference`` span."""
         policy, stats, tracer = self._policy, self.stats, self.tracer
+        bound = ""
         if policy.max_documents and stats.documents_fetched >= policy.max_documents:
-            return
-        if policy.max_duration and self._clock() - stats.started_at > policy.max_duration:
+            bound = "max-documents"
+        elif policy.max_duration and self._clock() - stats.started_at > policy.max_duration:
+            bound = "max-duration"
+        if bound:
+            stats.note_refusal(bound, link.origin, document=False)
+            self._halt(bound)
             return
         span = self._open_span(link, track) if tracer is not None else None
         try:
@@ -707,6 +707,11 @@ class QueryExecution:
         finally:
             if span is not None:
                 tracer.end(span)
+
+    def _halt(self, bound: str) -> None:
+        """Stop the traversal at a bound; the first bound hit names it."""
+        self._bound = self._bound or bound
+        self._stop.set()
 
     def _open_span(self, link: Link, track: int):
         tracer = self.tracer
@@ -907,7 +912,6 @@ class LinkTraversalEngine:
         query: TypingUnion[str, Query],
         seeds: Optional[Iterable[str]] = None,
         tracer=None,
-        metrics=None,
         traversal: Optional[TraversalPolicy] = None,
         live: bool = False,
     ) -> QueryExecution:
@@ -918,11 +922,10 @@ class LinkTraversalEngine:
         .cancel()`` to stop early — ``.stats`` is live throughout.
 
         Pass a :class:`~repro.obs.trace.Tracer` to record the execution's
-        span tree and/or a :class:`~repro.obs.metrics.Metrics` registry
-        for counters/gauges/histograms; with neither, no instrumentation
-        code runs (the observability layer is strictly opt-in).  Both
-        belong to this execution alone: the shared client is handed them
-        per fetch, so a concurrent query's requests never land in them.
+        span tree; without one, no instrumentation code runs (tracing is
+        strictly opt-in).  It belongs to this execution alone: the shared
+        client is handed it per fetch, so a concurrent query's requests
+        never land in it.  The counts every run keeps are on ``.stats``.
 
         ``traversal`` replaces the engine's policy for this execution only —
         the :class:`~repro.service.QueryService` derives one from the
@@ -942,7 +945,6 @@ class LinkTraversalEngine:
             self._parse(query),
             seeds,
             tracer=tracer,
-            metrics=metrics,
             traversal=traversal,
             live=live,
         )

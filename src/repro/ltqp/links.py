@@ -244,8 +244,6 @@ class LinkQueue:
         #: Timestamp source for samples and ``Link.enqueued_at`` stamps;
         #: the engine swaps in the tracer's clock on traced executions.
         self.clock: Callable[[], float] = time.monotonic
-        #: Optional per-sample callback (queue-depth gauge wiring).
-        self.observer: Optional[Callable[[QueueSample], None]] = None
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -291,6 +289,10 @@ class LinkQueue:
         self._sample()
         return link
 
+    def pending(self) -> list[Link]:
+        """The links still queued, in no particular order."""
+        return [entry[2] for entry in self._heap]
+
     def has_seen(self, url: str) -> bool:
         return _strip_fragment(url) in self._seen
 
@@ -319,8 +321,6 @@ class LinkQueue:
             popped_total=self._popped,
         )
         self._samples.append(sample)
-        if self.observer is not None:
-            self.observer(sample)
 
 
 #: Named queue disciplines selectable via ``TraversalPolicy.queue_policy``

@@ -179,7 +179,6 @@ class LiveQuery(ChangeFeed):
         query: TypingUnion[str, Query],
         seeds: Optional[Iterable[str]] = None,
         tracer=None,
-        metrics=None,
         traversal: Optional[TraversalPolicy] = None,
     ) -> None:
         super().__init__()
@@ -187,7 +186,6 @@ class LiveQuery(ChangeFeed):
             query,
             seeds=seeds,
             tracer=tracer,
-            metrics=metrics,
             traversal=traversal,
             live=True,
         )

@@ -87,8 +87,10 @@ class ExecutionStats:
     documents_refused: int = 0
     #: Budget kind → refusal count.  Kinds: ``origin-derefs``,
     #: ``origin-bytes``, ``doc-bytes`` (client read cap), ``parse-bytes``
-    #: (parse cap), ``depth`` (link-extraction suppressed at max depth —
-    #: attribution only, not counted in ``documents_refused``).
+    #: (parse cap); attribution only, not counted in ``documents_refused``:
+    #: ``depth`` (link extraction suppressed at max depth) and
+    #: ``max-documents`` / ``max-duration`` (one per link the bound left
+    #: unfetched).
     refusals_by_kind: dict[str, int] = field(default_factory=dict)
     #: Origin → refusal count (same attribution, sliced by who caused it).
     refusals_by_origin: dict[str, int] = field(default_factory=dict)
@@ -120,7 +122,8 @@ class ExecutionStats:
         """Attribute one budget refusal to ``kind`` and ``origin``.
 
         ``document=False`` records attribution without counting a refused
-        document (depth suppression: the document itself was taken)."""
+        document (depth suppression: the document itself was taken; a
+        whole-run bound: no document was refused, the run stopped)."""
         if document:
             self.documents_refused += 1
         self.refusals_by_kind[kind] = self.refusals_by_kind.get(kind, 0) + 1

@@ -15,7 +15,7 @@ governed by the :class:`~repro.net.resilience.NetworkPolicy` passed in
 show retries as separate bars.
 
 One client serves many concurrent query executions, so it holds no
-observer of any of them: the tracer, the metrics registry and the
+observer of any of them: the tracer and the
 :class:`~repro.net.resilience.ResilienceStats` a caller wants its fetches
 counted into travel with each :meth:`HttpClient.fetch` call.
 """
@@ -138,7 +138,6 @@ class _Call:
     origin: str
     parent_url: Optional[str]
     tracer: object
-    metrics: object
     #: The books events are counted into: the client's own, then the
     #: caller's when it passed one.  The last is whose retries the retry
     #: budget is judged against.
@@ -151,26 +150,16 @@ class _Call:
     started: float = 0.0
     finished: float = 0.0
 
-    def meter(self, name: str) -> None:
-        if self.metrics is not None:
-            self.metrics.counter(name).inc()
-
-    def count(self, stat: str, metric: str = "") -> None:
-        """One more ``stat`` in every book, and on ``metric`` if it has one."""
+    def count(self, stat: str) -> None:
+        """One more ``stat`` in every book."""
         for stats in self.counted:
             setattr(stats, stat, getattr(stats, stat) + 1)
-        if metric:
-            self.meter(metric)
 
     def transition(self, old: str, new: str) -> None:
-        """Report the breaker transition this call caused, if it caused one."""
-        if new == old:
-            return
-        if new == CircuitBreaker.OPEN:
+        """Count the breaker trip this call caused, if it caused one."""
+        if new != old and new == CircuitBreaker.OPEN:
             for stats in self.counted:
                 stats.trips_by_origin[self.origin] = stats.trips_by_origin.get(self.origin, 0) + 1
-        self.meter(f"breaker.transitions.{old}->{new}")
-        self.meter(f"breaker.transitions[{self.origin}]")
 
     def note_attempt(self, response: Response, error: str = "", **flags: bool) -> None:
         """Write the current attempt down: one log record and, when traced,
@@ -228,12 +217,11 @@ class HttpClient:
         self.policy = policy if policy is not None else NetworkPolicy()
         self.breakers = BreakerRegistry(self.policy.breaker)
         self.resilience = ResilienceStats()
-        #: Fallback observers (see :mod:`repro.obs`) for callers that own
-        #: the client outright and assign them by hand.  A client shared
-        #: by concurrent executions holds none: each ``fetch`` is handed
-        #: its caller's ``tracer=`` / ``metrics=``, which override these.
+        #: Fallback tracer (see :mod:`repro.obs`) for callers that own the
+        #: client outright and assign it by hand.  A client shared by
+        #: concurrent executions holds none: each ``fetch`` is handed its
+        #: caller's ``tracer=``, which overrides this.
         self.tracer = None
-        self.metrics = None
 
     @property
     def origin_slots(self) -> int:
@@ -255,7 +243,6 @@ class HttpClient:
         trace_parent=None,
         revalidate: bool = False,
         tracer=None,
-        metrics=None,
         resilience: Optional[ResilienceStats] = None,
     ) -> Response:
         """Fetch a URL through the simulated Web.
@@ -272,8 +259,8 @@ class HttpClient:
         ETag is cached): the live-refresh path, where a still-fresh cached
         copy is exactly what must be re-checked against the origin.
 
-        Observers travel with the call: ``tracer`` / ``metrics`` (each
-        falling back to the attribute of the same name) and ``resilience``,
+        Observers travel with the call: ``tracer`` (falling back to the
+        attribute of the same name) and ``resilience``,
         a :class:`~repro.net.resilience.ResilienceStats` counted alongside
         the client's own.  With a tracer, the call records a ``fetch``
         span (nested under ``trace_parent``) with one ``attempt`` child
@@ -291,7 +278,6 @@ class HttpClient:
             origin=origin,
             parent_url=parent_url,
             tracer=tracer,
-            metrics=self.metrics if metrics is None else metrics,
             counted=(self.resilience,) if resilience is None else (self.resilience, resilience),
             clock=tracer.clock if tracer is not None else time.monotonic,
         )
@@ -305,7 +291,6 @@ class HttpClient:
             entry = cache.lookup(clean_url) if cache is not None else None
             if entry is not None and not revalidate and entry.is_fresh():
                 cache.hits += 1
-                call.meter("cache.hits")
                 call.started = call.finished = call.clock()
                 call.note_attempt(entry.response, from_cache=True)
                 return entry.response
@@ -326,7 +311,6 @@ class HttpClient:
                     # Revalidated: renew and answer with the cached body.
                     entry.renew(now=call.clock())
                     cache.revalidations += 1
-                    call.meter("cache.revalidations")
                     response = entry.response
                     revalidated = True
                 elif response.status == 200:
@@ -363,7 +347,7 @@ class HttpClient:
                 # Fast-fail: the origin tripped its breaker; don't queue
                 # behind it, and don't retry — the dereferencer may
                 # re-queue the link for after the recovery window.
-                call.count("breaker_fast_fails", "breaker.fast_fails")
+                call.count("breaker_fast_fails")
                 call.started = call.finished = call.clock()
                 response = Response(0, {"x-error": "circuit-open"}, b"")
                 break
@@ -376,7 +360,7 @@ class HttpClient:
                 call.count("budget_exhausted")
                 break
             call.note_attempt(response, _error_text(response) or f"HTTP {response.status}", retried=True)
-            call.count("retries", "http.retries")
+            call.count("retries")
             await self._back_off(call, response)
             call.attempt += 1
 
@@ -393,7 +377,7 @@ class HttpClient:
     async def _attempt(self, call: _Call, request: Request) -> Response:
         """One request on the wire — a connection slot, the timeout, the
         body cap, the transfer time — with its window stamped on ``call``."""
-        call.count("attempts", "http.attempts")
+        call.count("attempts")
         await self._slots.acquire(call.origin)
         try:
             call.started = call.clock()
@@ -406,7 +390,7 @@ class HttpClient:
                 async with asyncio.timeout(timeout if timeout and timeout > 0 else None):
                     response = await self.internet.dispatch(request)
             except asyncio.TimeoutError:
-                call.count("timeouts", "http.timeouts")
+                call.count("timeouts")
                 response = Response(0, {"x-error": "timeout"}, b"")
             except Exception as error:  # a buggy app is a 500, not a crash
                 response = Response(500, {"content-type": "text/plain"}, str(error).encode())
@@ -417,7 +401,7 @@ class HttpClient:
                 # never read, so latency is paid for at most ``cap`` bytes
                 # and no downstream layer ever holds the full body.
                 # Permanent — see ``PERMANENT_ERROR_MARKERS``.
-                call.count("body_cap_aborts", "http.body_cap_aborts")
+                call.count("body_cap_aborts")
                 response = Response(
                     0, {"x-error": "body-too-large", "x-refused-bytes": str(transferred)}, b""
                 )
@@ -428,8 +412,6 @@ class HttpClient:
             call.finished = call.clock()
         finally:
             self._slots.release(call.origin)
-        if call.metrics is not None:
-            call.metrics.histogram("fetch.latency_s").observe(call.finished - call.started)
         return response
 
     async def _back_off(self, call: _Call, response: Response) -> None:

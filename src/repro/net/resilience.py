@@ -150,7 +150,6 @@ class CircuitBreaker:
         self,
         policy: Optional[BreakerPolicy] = None,
         clock: Callable[[], float] = time.monotonic,
-        on_transition: Optional[Callable[[str, str], None]] = None,
     ) -> None:
         self._policy = policy if policy is not None else BreakerPolicy()
         self._clock = clock
@@ -162,29 +161,18 @@ class CircuitBreaker:
         self._opened_at = 0.0
         self._probes_in_flight = 0
         self.trips = 0  # closed→open transitions
-        #: Observer called with ``(old_state, new_state)`` on every change
-        #: (metrics wiring: breaker state-transition counters).
-        self.on_transition = on_transition
 
     @property
     def state(self) -> str:
         self._maybe_half_open()
         return self.phase
 
-    def _set_state(self, new_state: str) -> None:
-        if new_state == self.phase:
-            return
-        old_state = self.phase
-        self.phase = new_state
-        if self.on_transition is not None:
-            self.on_transition(old_state, new_state)
-
     def _maybe_half_open(self) -> None:
         if (
             self.phase == self.OPEN
             and self._clock() - self._opened_at >= self._policy.recovery_seconds
         ):
-            self._set_state(self.HALF_OPEN)
+            self.phase = self.HALF_OPEN
             self._probes_in_flight = 0
 
     def allow(self) -> bool:
@@ -207,7 +195,7 @@ class CircuitBreaker:
 
     def record_success(self) -> None:
         if self.phase == self.HALF_OPEN:
-            self._set_state(self.CLOSED)
+            self.phase = self.CLOSED
         self._consecutive_failures = 0
         self._probes_in_flight = 0
 
@@ -222,7 +210,7 @@ class CircuitBreaker:
             self._trip()
 
     def _trip(self) -> None:
-        self._set_state(self.OPEN)
+        self.phase = self.OPEN
         self._opened_at = self._clock()
         self._consecutive_failures = 0
         self._probes_in_flight = 0

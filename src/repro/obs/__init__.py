@@ -1,19 +1,19 @@
-"""Zero-dependency observability: structured tracing + metrics.
+"""Zero-dependency observability: structured tracing.
 
 The engine's execution telemetry layer (see DESIGN.md §"Observability"):
 
 * :mod:`repro.obs.trace` — :class:`Tracer` / :class:`Span` /
   :class:`TickClock`: one well-formed span tree per query execution;
-* :mod:`repro.obs.metrics` — :class:`Metrics` registry of counters,
-  gauges, and histograms;
 * :mod:`repro.obs.export` — Chrome trace-event JSON and a text
   flamegraph summary;
 * :mod:`repro.obs.analysis` — trace invariants, canonical signatures,
   and trace-derived execution stats for the test harness.
 
-Everything is opt-in: pass ``tracer=``/``metrics=`` to
-``LinkTraversalEngine.query``; without them no instrumentation code runs
-beyond one ``is None`` check per site.
+Tracing is opt-in: pass ``tracer=`` to ``LinkTraversalEngine.query``;
+without one no instrumentation code runs beyond one ``is None`` check per
+site.  The counts every run keeps — ``ExecutionStats``, the client's
+``RequestLog`` and ``ResilienceStats``, a service's ``statistics()`` —
+are the one set of books; a trace is a view over the same events.
 """
 
 from .analysis import (
@@ -23,17 +23,12 @@ from .analysis import (
     trace_execution_stats,
 )
 from .export import chrome_trace_events, render_trace_summary, write_chrome_trace
-from .metrics import Counter, Gauge, Histogram, Metrics
 from .trace import Span, TickClock, Tracer
 
 __all__ = [
     "Span",
     "Tracer",
     "TickClock",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "Metrics",
     "chrome_trace_events",
     "write_chrome_trace",
     "render_trace_summary",

@@ -6,8 +6,9 @@ separates what those queries can share from what they cannot:
 
 * :class:`SharedResources` — the shared stack, built bottom-up once:
   HTTP cache and parsed-document store (:class:`DocumentStore`), HTTP
-  client, dereferencer, engine, and a metrics registry, reused across
-  every query;
+  client, dereferencer and engine, reused across every query, whose
+  counters :meth:`QueryService.statistics` reads back on either
+  deployment;
 * :class:`QueryService` — admission control (concurrency cap + waiting
   queue), a bounded query registry with cancellation, and per-query
   link/time budgets, all on that stack's engine;

@@ -95,7 +95,7 @@ class DocumentStore:
     :class:`~repro.net.cache.HttpCache`).  With a ``backend``
     the evicted entry stays reachable on disk — capacity outgrows RAM
     and survives restarts.  Counters (``hits``/``misses``/
-    ``invalidations``) feed the service's doc-store hit-rate metrics.
+    ``invalidations``) feed :meth:`statistics`, the service's book.
     """
 
     def __init__(

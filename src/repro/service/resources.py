@@ -12,9 +12,9 @@ wasteful for a service answering many queries over the same pods.
 * one :class:`~repro.service.docstore.DocumentStore` (repeat parses
   skipped entirely),
 * one :class:`~repro.ltqp.dereference.Dereferencer` wired to all three,
-* one :class:`~repro.ltqp.engine.LinkTraversalEngine` over it,
-* one :class:`~repro.obs.metrics.Metrics` registry for service-level
-  counters and gauges.
+* one :class:`~repro.ltqp.engine.LinkTraversalEngine` over it.
+
+Their counters are read back by :meth:`SharedResources.statistics`.
 
 Everything *per-query* — link queue, triple source, pipeline, stats,
 tracer — stays inside :class:`~repro.ltqp.engine.QueryExecution`.
@@ -31,7 +31,6 @@ from ..net.client import HttpClient
 from ..net.latency import LatencyModel, SeededJitterLatency
 from ..net.log import RequestLog
 from ..net.router import Internet
-from ..obs.metrics import Metrics
 from ..storage import SqliteBackend
 from .docstore import DocumentStore
 
@@ -66,7 +65,6 @@ class SharedResources:
         config: Optional[EngineConfig] = None,
         http_cache: Optional[HttpCache] = None,
         document_store: Optional[DocumentStore] = None,
-        metrics: Optional[Metrics] = None,
         log: Optional[RequestLog] = None,
         lenient: bool = True,
         auth_headers: Optional[dict[str, str]] = None,
@@ -90,7 +88,6 @@ class SharedResources:
             if document_store is not None
             else DocumentStore(backend=self.storage)
         )
-        self.metrics = metrics if metrics is not None else Metrics()
         self.client = HttpClient(
             internet,
             latency=latency,

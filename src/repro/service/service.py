@@ -24,8 +24,8 @@ stack; the service configures none of it):
   link queue, triple source, pipeline, and stats; only the client, caches, and
   parsed-document store are shared — which is exactly what makes warm
   queries fast without letting one query's state leak into another's.
-  That covers the books too: a query's tracer and metrics are handed to
-  the shared client per fetch (it holds neither), and retries, timeouts
+  That covers the books too: a query's tracer is handed to the shared
+  client per fetch (it holds none), and retries, timeouts
   and breaker trips are counted into the execution that caused them, so
   ``completeness()`` describes that query and no neighbour.
 
@@ -436,10 +436,6 @@ class QueryService(_ServiceCore):
             **self._resources.statistics(),
         }
 
-    def _bump(self, counter: str) -> None:
-        super()._bump(counter)
-        self._resources.metrics.counter(f"service.{counter}").inc()
-
     # -- submission -----------------------------------------------------
 
     def submit(
@@ -449,7 +445,6 @@ class QueryService(_ServiceCore):
         max_documents: Optional[int] = None,
         max_duration: Optional[float] = None,
         tracer=None,
-        metrics=None,
     ) -> ServiceQuery:
         """Admit a query (or raise :class:`ServiceOverloadedError`).
 
@@ -461,10 +456,9 @@ class QueryService(_ServiceCore):
         self._check_capacity()
         handle = self._admit(self._engine._parse(query), seeds)
         self._queued += 1
-        self._sync_gauges()
         traversal = self._traversal_for(max_documents, max_duration)
         task = asyncio.create_task(
-            self._drive(handle, traversal, tracer, metrics),
+            self._drive(handle, traversal, tracer),
             name=f"query-service-{handle.id}",
         )
         # Cancel the driving task, never the execution's own generator: a
@@ -487,7 +481,6 @@ class QueryService(_ServiceCore):
         query: TypingUnion[str, Query],
         seeds: Optional[Iterable[str]] = None,
         tracer=None,
-        metrics=None,
         max_documents: Optional[int] = None,
         max_duration: Optional[float] = None,
     ) -> ServiceSubscription:
@@ -503,27 +496,17 @@ class QueryService(_ServiceCore):
         """
         self._check_capacity()
         traversal = self._traversal_for(max_documents, max_duration)
-        live = LiveQuery(
-            self._engine,
-            query,
-            seeds=seeds,
-            tracer=tracer,
-            metrics=metrics,
-            traversal=traversal,
-        )
+        live = LiveQuery(self._engine, query, seeds=seeds, tracer=tracer, traversal=traversal)
         self._active += 1
-        self._sync_gauges()
         try:
             await live.start()
         finally:
             self._active -= 1
-            self._sync_gauges()
 
         async def close() -> None:
             live.close()
 
         subscription = self._register_subscription(live.query, live, close)
-        self._resources.metrics.counter("service.subscriptions").inc()
         self._ensure_change_listeners()
         return subscription
 
@@ -600,20 +583,11 @@ class QueryService(_ServiceCore):
         given = {name: value for name, value in budgets.items() if value is not None}
         return dataclasses.replace(self._engine.traversal, **given) if given else None
 
-    def _sync_gauges(self) -> None:
-        metrics = self._resources.metrics
-        metrics.gauge("service.queries.active").set(self._active)
-        metrics.gauge("service.queries.queued").set(self._queued)
-        metrics.gauge("service.docstore.hit_rate").set(
-            self._resources.document_store.hit_rate
-        )
-
     async def _drive(
         self,
         handle: ServiceQuery,
         traversal: Optional[TraversalPolicy],
         tracer,
-        metrics,
     ) -> None:
         dequeued = False
         outcome, error = "failed", None  # unless the body says otherwise
@@ -624,13 +598,11 @@ class QueryService(_ServiceCore):
                 self._active += 1
                 handle.status = "running"
                 handle.started_at = time.monotonic()
-                self._sync_gauges()
                 try:
                     execution = self._engine.query(
                         handle.query,
                         seeds=handle.seeds,
                         tracer=tracer,
-                        metrics=metrics,
                         traversal=traversal,
                     )
                     handle.execution = execution
@@ -653,4 +625,3 @@ class QueryService(_ServiceCore):
             error = failure
         finally:
             self._finish(handle, outcome, error)
-            self._sync_gauges()

@@ -566,7 +566,9 @@ _SHARD_GAUGES = {
 
 
 def _sum_stats(documents: Iterable[dict]) -> dict:
-    """Merge shard statistics: sum numbers, concatenate lists, recurse."""
+    """Merge shard statistics: sum numbers, concatenate lists, recurse.
+    A ``hit_rate`` is not a count: it is recomputed from the summed
+    ``hits`` / ``misses`` beside it."""
     total: dict = {}
     for document in documents:
         for key, value in document.items():
@@ -580,6 +582,9 @@ def _sum_stats(documents: Iterable[dict]) -> dict:
                 # Error lists (e.g. shutdown_errors) aggregate by concat,
                 # so per-shard teardown failures stay visible in totals.
                 total[key] = total.get(key, []) + value
+    if "hit_rate" in total:
+        lookups = total.get("hits", 0) + total.get("misses", 0)
+        total["hit_rate"] = round(total.get("hits", 0) / lookups, 4) if lookups else 0.0
     return total
 
 
@@ -591,7 +596,7 @@ class ShardedQueryService(_ServiceCore):
     :class:`~repro.service.service._ServiceCore`); what differs is the
     transport: a query executes as a routed pipe request, an edit is a
     broadcast, admission is per worker, and the pool has a lifecycle.
-    No ``tracer=`` / ``metrics=``: tracing is worker-local.  Must be
+    No ``tracer=``: tracing is worker-local.  Must be
     started (:meth:`start`) and stopped (:meth:`stop`) on a running
     event loop.
     """

@@ -139,6 +139,36 @@ class TestMaxDuration:
         assert set(result.bindings) <= set(full.bindings)
 
 
+class TestBoundsAreReported:
+    """A run cut short by ``max_documents`` / ``max_duration`` says so in
+    ``completeness()``: one refusal of the bound's kind per link it left
+    unfetched — attribution only, so ``complete`` keeps its meaning."""
+
+    def test_document_bound_refuses_every_link_it_leaves(self, tiny_universe):
+        query = discover_query(tiny_universe, 8, 1)
+        full = make_engine(tiny_universe).query(query.text, seeds=query.seeds).run_sync()
+        bounded = make_engine(tiny_universe, max_documents=20).query(
+            query.text, seeds=query.seeds
+        ).run_sync()
+        stats = bounded.stats
+        assert len(bounded) < len(full)
+        report = stats.completeness()
+        left = stats.links_queued - stats.documents_fetched
+        assert left > 0
+        assert report["refusals_by_kind"] == {"max-documents": left}
+        assert sum(report["refusals_by_origin"].values()) == left
+        assert report["documents_refused"] == 0 and report["complete"]
+
+    def test_deadline_refuses_every_link_and_stops(self, tiny_universe):
+        query = discover_query(tiny_universe, 8, 1)
+        bounded = make_engine(tiny_universe, max_duration=1e-9).query(
+            query.text, seeds=query.seeds
+        ).run_sync()
+        stats = bounded.stats
+        assert len(bounded) == 0 and stats.documents_fetched == 0
+        assert stats.completeness()["refusals_by_kind"] == {"max-duration": stats.links_queued}
+
+
 class TestQueueDisciplines:
     def test_lifo_answers_match_fifo(self, tiny_universe):
         query = discover_query(tiny_universe, 1, 1)

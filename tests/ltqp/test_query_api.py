@@ -218,8 +218,8 @@ class TestOneHome:
         assert (len(record_calls), len(attempt_literals)) == (1, 1)
 
     def test_shared_objects_are_never_assigned_an_observer(self):
-        """Observers travel with the call: the only ``.tracer`` / ``.metrics``
-        / ``.max_parse_bytes`` attributes ever assigned are an object's own."""
+        """Observers travel with the call: the only ``.tracer`` /
+        ``.max_parse_bytes`` attributes ever assigned are an object's own."""
         source_root = Path(repro.__file__).parent
         parked, pokes = [], []
         for path in sorted((source_root / "ltqp").glob("*.py")) + sorted(
@@ -234,12 +234,30 @@ class TestOneHome:
                     for target in targets:
                         if (
                             isinstance(target, ast.Attribute)
-                            and target.attr in ("tracer", "metrics", "max_parse_bytes")
+                            and target.attr in ("tracer", "max_parse_bytes")
                             and not (isinstance(target.value, ast.Name) and target.value.id == "self")
                         ):
                             parked.append(f"{path.name}:{node.lineno}")
         assert parked == []
         assert pokes == []
+
+    def test_one_set_of_books(self):
+        """No registry beside the books a run keeps (stats, request log,
+        resilience counters, trace): no parameter anywhere is named
+        ``metrics``, and ``repro.obs`` exports no registry."""
+        import repro.obs
+
+        parameters = [
+            f"{path.name}:{node.lineno}"
+            for path, tree in self._source_trees()
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for arg in [*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs]
+            if arg.arg == "metrics"
+        ]
+        assert parameters == []
+        assert not {"Metrics", "Counter", "Gauge", "Histogram"} & set(repro.obs.__all__)
+        assert not hasattr(repro.obs, "metrics") and "Metrics" not in repro.__all__
 
 
     @staticmethod

@@ -1,19 +1,18 @@
-"""Trace/stats/metrics reconciliation on real engine executions.
+"""Trace/stats/log reconciliation on real engine executions.
 
 The trace is only trustworthy if it agrees with every other account of
-the same run: the engine's :class:`ExecutionStats`, the client's
-:class:`RequestLog`, and the metrics registry must all derive the same
-numbers.  These tests run Discover queries (clean and under injected
-faults) and cross-check all four books.
+the same run: the engine's :class:`ExecutionStats` and the client's
+:class:`RequestLog` must derive the same numbers.  These tests run
+Discover queries (clean and under injected faults) and cross-check all
+three books.
 """
 
 import pytest
 
 from repro.ltqp import EngineConfig, NetworkPolicy
 from repro.net.faults import FaultPlan
-from repro.net.resilience import BreakerPolicy, CircuitBreaker, RetryPolicy
+from repro.net.resilience import BreakerPolicy, RetryPolicy
 from repro.obs import (
-    Metrics,
     Tracer,
     check_trace_invariants,
     match_requests_to_attempts,
@@ -29,11 +28,8 @@ def traced_discover(universe, template=1, variant=5, plan=None, network=None):
         config = EngineConfig(network=network) if network is not None else None
         engine = universe.fast_engine(config=config)
         tracer = Tracer()
-        metrics = Metrics()
-        execution = engine.query(
-            query.text, seeds=query.seeds, tracer=tracer, metrics=metrics
-        ).run_sync()
-        return execution, tracer, metrics, engine.client.log
+        execution = engine.query(query.text, seeds=query.seeds, tracer=tracer).run_sync()
+        return execution, tracer, engine.client.log
     finally:
         universe.internet.install_fault_plan(None)
 
@@ -44,7 +40,7 @@ def fast_retry() -> NetworkPolicy:
     )
 
 
-def assert_books_agree(execution, tracer, metrics, log):
+def assert_books_agree(execution, tracer, log):
     stats = execution.stats
     derived = trace_execution_stats(tracer)
 
@@ -57,35 +53,33 @@ def assert_books_agree(execution, tracer, metrics, log):
     assert derived["documents_retried"] == stats.documents_retried
     assert derived["documents_abandoned"] == stats.documents_abandoned
     assert derived["documents_refused"] == stats.documents_refused
-    # Depth suppression is attribution-only (the document itself was
-    # taken, so there is no refused dereference span); every other kind
+    # Depth suppression and the links a document / time bound left are
+    # attribution-only (no refused dereference span); every other kind
     # must reconcile count-for-count with the trace.
     engine_kinds = {
         kind: count
         for kind, count in stats.refusals_by_kind.items()
-        if kind != "depth"
+        if kind not in ("depth", "max-documents", "max-duration")
     }
     assert derived["refusals_by_kind"] == engine_kinds
     assert derived["http_retries"] == stats.http_retries
     assert derived["http_timeouts"] == stats.http_timeouts
     assert derived["breaker_fast_fails"] == stats.breaker_fast_fails
     assert derived["time_to_first_result"] == stats.time_to_first_result
-
-    assert metrics.counter("documents.fetched").value == stats.documents_fetched
-    assert metrics.counter("triples.stored").value == stats.triples_stored
-    assert metrics.counter("results.emitted").value == stats.result_count
-    if stats.http_retries:
-        assert metrics.counter("http.retries").value == stats.http_retries
+    # Every log record past a request's first attempt follows one retry
+    # the execution counted.
+    assert sum(1 for record in log.records if record.attempt > 1) == stats.http_retries
+    assert stats.result_count == len(execution.results)
 
 
 class TestCleanRun:
     def test_all_books_agree(self, tiny_universe):
-        execution, tracer, metrics, log = traced_discover(tiny_universe)
+        execution, tracer, log = traced_discover(tiny_universe)
         assert len(execution) > 0
-        assert_books_agree(execution, tracer, metrics, log)
+        assert_books_agree(execution, tracer, log)
 
     def test_first_result_marker_matches_stats_exactly(self, tiny_universe):
-        execution, tracer, _, _ = traced_discover(tiny_universe)
+        execution, tracer, _ = traced_discover(tiny_universe)
         markers = [s for s in tracer.spans if s.name == "first-result"]
         assert len(markers) == 1
         query_span = next(s for s in tracer.spans if s.name == "query")
@@ -93,7 +87,7 @@ class TestCleanRun:
         assert derived_ttfr == execution.stats.time_to_first_result
 
     def test_one_dereference_span_per_fetched_document(self, tiny_universe):
-        execution, tracer, _, _ = traced_discover(tiny_universe)
+        execution, tracer, _ = traced_discover(tiny_universe)
         ok_derefs = [
             s
             for s in tracer.spans
@@ -102,24 +96,30 @@ class TestCleanRun:
         assert len(ok_derefs) == execution.stats.documents_fetched
 
     def test_http_attempt_metric_matches_log(self, tiny_universe):
-        _, tracer, metrics, log = traced_discover(tiny_universe)
+        """The ``--stats`` latency percentiles are read from the waterfall's
+        network rows: one per log record that touched the network, with the
+        record's own duration."""
+        from repro.bench.waterfall import build_waterfall
+
+        _, tracer, log = traced_discover(tiny_universe)
         network_records = [r for r in log.records if not r.from_cache]
-        assert metrics.counter("http.attempts").value == len(network_records)
-        assert metrics.histogram("fetch.latency_s").count == len(network_records)
+        assert build_waterfall(tracer).network_latencies() == sorted(
+            r.finished_at - r.started_at for r in network_records
+        )
 
 
 class TestFaultedRun:
     def test_books_agree_under_transient_faults(self, tiny_universe):
         plan = FaultPlan.transient(rate=0.3, seed=13, fail_attempts=2)
-        execution, tracer, metrics, log = traced_discover(
+        execution, tracer, log = traced_discover(
             tiny_universe, plan=plan, network=fast_retry()
         )
         assert execution.stats.http_retries > 0  # faults actually fired
-        assert_books_agree(execution, tracer, metrics, log)
+        assert_books_agree(execution, tracer, log)
 
     def test_retry_attempts_carry_backoff_spans(self, tiny_universe):
         plan = FaultPlan.transient(rate=0.3, seed=13, fail_attempts=2)
-        execution, tracer, _, _ = traced_discover(
+        execution, tracer, _ = traced_discover(
             tiny_universe, plan=plan, network=fast_retry()
         )
         backoffs = [s for s in tracer.spans if s.name == "backoff"]
@@ -128,11 +128,11 @@ class TestFaultedRun:
             assert span.end >= span.start
 
     def test_answer_unchanged_but_trace_differs(self, tiny_universe):
-        clean_exec, clean_trace, _, _ = traced_discover(
+        clean_exec, clean_trace, _ = traced_discover(
             tiny_universe, network=fast_retry()
         )
         plan = FaultPlan.transient(rate=0.3, seed=13, fail_attempts=2)
-        faulted_exec, faulted_trace, _, _ = traced_discover(
+        faulted_exec, faulted_trace, _ = traced_discover(
             tiny_universe, plan=plan, network=fast_retry()
         )
         assert sorted(map(repr, clean_exec.bindings)) == sorted(
@@ -144,7 +144,7 @@ class TestFaultedRun:
 
 
 class TestRefusedRun:
-    """Budget refusals must keep all four books in agreement.
+    """Budget refusals must keep all three books in agreement.
 
     A link-trap origin is lured into an origin-budgeted traversal: every
     refusal the engine counts must appear in the trace as a dereference
@@ -172,26 +172,24 @@ class TestRefusedRun:
             )
             engine = universe.fast_engine(config=config)
             tracer = Tracer()
-            metrics = Metrics()
             execution = engine.query(
                 query.text,
                 seeds=list(query.seeds) + list(deployment.lures),
                 tracer=tracer,
-                metrics=metrics,
             ).run_sync()
-            return execution, tracer, metrics, engine.client.log
+            return execution, tracer, engine.client.log
         finally:
             deployment.uninstall()
 
     def test_books_agree_under_refusals(self, tiny_universe):
-        execution, tracer, metrics, log = self._refused_run(tiny_universe)
+        execution, tracer, log = self._refused_run(tiny_universe)
         stats = execution.stats
         assert stats.documents_refused > 0  # the budget actually fired
         assert stats.refusals_by_kind.get("origin-derefs", 0) > 0
-        assert_books_agree(execution, tracer, metrics, log)
+        assert_books_agree(execution, tracer, log)
 
     def test_every_refusal_leaves_an_attributed_span(self, tiny_universe):
-        execution, tracer, _, _ = self._refused_run(tiny_universe)
+        execution, tracer, _ = self._refused_run(tiny_universe)
         refused_spans = [
             s
             for s in tracer.spans
@@ -207,7 +205,7 @@ class TestRefusedRun:
             )
 
     def test_refusals_are_not_failures_in_any_book(self, tiny_universe):
-        execution, tracer, _, _ = self._refused_run(tiny_universe)
+        execution, tracer, _ = self._refused_run(tiny_universe)
         derived = trace_execution_stats(tracer)
         # Refusals never double-count as failures: both books agree on
         # the (benign, pre-existing) failure count, and no failed span
@@ -221,30 +219,6 @@ class TestRefusedRun:
             and s.args.get("outcome") not in ("ok", "refused")
         ]
         assert not [s for s in failed_spans if "adv-rec" in s.args.get("url", "")]
-
-
-class TestBreakerTransitionMetrics:
-    def test_transitions_counted(self):
-        metrics = Metrics()
-
-        def hook(old: str, new: str) -> None:
-            metrics.counter(f"breaker.transitions.{old}->{new}").inc()
-
-        clock_now = [0.0]
-        breaker = CircuitBreaker(
-            BreakerPolicy(failure_threshold=2, recovery_seconds=1.0),
-            clock=lambda: clock_now[0],
-            on_transition=hook,
-        )
-        breaker.record_failure()
-        breaker.record_failure()  # trips: closed -> open
-        clock_now[0] = 2.0
-        assert breaker.allow()  # recovery elapsed: open -> half-open probe
-        breaker.record_success()  # half-open -> closed
-        snapshot = metrics.as_dict()
-        assert snapshot["breaker.transitions.closed->open"]["value"] == 1
-        assert snapshot["breaker.transitions.open->half-open"]["value"] == 1
-        assert snapshot["breaker.transitions.half-open->closed"]["value"] == 1
 
 
 class TestLiveRun:

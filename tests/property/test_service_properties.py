@@ -107,7 +107,6 @@ def test_concurrent_service_matches_serial_runs(
     assert len(fetches) == serial_baseline(tiny_universe, templates[0])[1]
     # ... the client is left holding nobody's observers ...
     assert resources.client.tracer is None
-    assert resources.client.metrics is None
     # ... and each retry, timeout and fast-fail belongs to exactly one query.
     lifetime = resources.client.resilience
     assert sum(r.stats.http_retries for r in results) == lifetime.retries

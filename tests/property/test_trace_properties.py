@@ -16,7 +16,6 @@ from repro.ltqp import EngineConfig, NetworkPolicy
 from repro.net.faults import FaultPlan
 from repro.net.resilience import RetryPolicy
 from repro.obs import (
-    Metrics,
     Tracer,
     check_trace_invariants,
     match_requests_to_attempts,
@@ -41,10 +40,7 @@ def traced_run(universe, plan, deterministic: bool = False):
         query = discover_query(universe, 1, 5)
         engine = universe.fast_engine(config=_engine_config(deterministic))
         tracer = Tracer()
-        metrics = Metrics()
-        execution = engine.query(
-            query.text, seeds=query.seeds, tracer=tracer, metrics=metrics
-        ).run_sync()
+        execution = engine.query(query.text, seeds=query.seeds, tracer=tracer).run_sync()
         return execution, tracer, engine.client.log
     finally:
         universe.internet.install_fault_plan(None)

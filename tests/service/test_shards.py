@@ -161,6 +161,33 @@ class TestOneSurfaceShapes:
         assert remote.completeness() == local.completeness()
 
 
+class TestSummedStatistics:
+    """The front-end's totals over its shards' last reports (no process spawned)."""
+
+    @staticmethod
+    def report(hits, misses):
+        block = {"hits": hits, "misses": misses, "hit_rate": round(hits / (hits + misses), 4)}
+        return {"statistics": {"http_cache": dict(block), "document_store": dict(block)}}
+
+    def test_hit_rates_are_recomputed_from_summed_hits_and_misses(self):
+        service = ShardedQueryService(make_spec(), workers=2)
+        first, second = service._workers.values()
+        first.last_status = self.report(hits=9, misses=1)  # 0.9
+        second.last_status = self.report(hits=24, misses=6)  # 0.8
+        statistics = service.statistics()
+        for book in ("http_cache", "document_store"):
+            assert statistics[book]["hits"] == 33
+            assert statistics[book]["misses"] == 7
+            assert statistics[book]["hit_rate"] == round(33 / 40, 4)
+
+    def test_no_lookups_is_a_zero_hit_rate(self):
+        service = ShardedQueryService(make_spec(), workers=2)
+        empty = {"hits": 0, "misses": 0, "hit_rate": 0.0}
+        for worker in service._workers.values():
+            worker.last_status = {"statistics": {"document_store": dict(empty)}}
+        assert service.statistics()["document_store"]["hit_rate"] == 0.0
+
+
 class TestHardenedShards:
     """Traversal-hardening budgets cross the process boundary intact."""
 

@@ -34,7 +34,7 @@ IN_PROCESS_ONLY = {"resources", "engine", "active_count", "queued_count"}
 
 #: Worker-local by design: a sharded service has no such parameters, so
 #: passing one is a TypeError (asserted by call in tests/test_webui.py).
-UNSHIPPED_PARAMETERS = {"tracer", "metrics"}
+UNSHIPPED_PARAMETERS = {"tracer"}
 
 
 def public_names(cls) -> set[str]:

@@ -136,6 +136,22 @@ class TestStatsFlag:
         )
 
 
+    @pytest.mark.parametrize("fmt", ["cli", "csv"])
+    def test_footer_is_printed_for_every_format(self, fmt, capsys):
+        """Discover 1.5 at the default scale: 48 requests, all on the
+        network, and a link queue 44 deep at its deepest."""
+        argv = ["--discover", "1.5", "--no-latency", "--stats", "--format", fmt]
+        assert ltqp_main(argv) == 0
+        footer = [line for line in capsys.readouterr().err.splitlines() if line.startswith("# ")]
+        assert any(line.startswith("# requests=48 ") for line in footer)
+        latency = next(line for line in footer if line.startswith("# network="))
+        tokens = dict(token.split("=", 1) for token in latency[2:].split())
+        assert set(tokens) == {"network", "latency_p50", "latency_p95", "queue_max"}
+        assert tokens["network"] == "48" and tokens["queue_max"] == "44"
+        assert float(tokens["latency_p50"][:-1]) <= float(tokens["latency_p95"][:-1])
+        assert any(line.startswith("# completeness: ") for line in footer)
+
+
 class TestSolidbenchCli:
     def test_stats_report(self, capsys):
         code = solidbench_main(["--scale", "0.01"])
