@@ -42,7 +42,8 @@ from ..net.client import HttpClient
 from ..net.message import Response
 from ..net.resilience import _is_retryable
 from ..rdf.document import ParsedDocument
-from ..rdf.ntriples import NTriplesParseError, parse_ntriples
+from ..rdf.ntriples import NTriplesParseError, parse_nquads, parse_ntriples
+from ..rdf.trig import parse_trig
 from ..rdf.turtle import TurtleParseError, parse_turtle
 
 __all__ = ["DereferenceError", "DereferenceResult", "Dereferencer"]
@@ -281,8 +282,8 @@ def _parse_body(url: str, response: Response) -> Optional[ParsedDocument]:
     """What an RDF body parses into, by content type; ``None`` for a type
     that is not RDF.  ``url`` is the base IRI."""
     content_type = response.content_type
-    if content_type in ("application/n-triples", "application/n-quads"):
-        return ParsedDocument(parse_ntriples(response.text))
+    if content_type not in _RDF_CONTENT_TYPES:
+        return None
     # The blank-node namespace is a function of the document URL alone:
     # distinct per document (no collisions in the growing source), and
     # the same in every parse, process and service lifetime — so a
@@ -290,15 +291,28 @@ def _parse_body(url: str, response: Response) -> Optional[ParsedDocument]:
     # restored from a persistent store or adopted from another worker
     # can never share labels with a fresh parse of a different URL.
     bnode_prefix = f"d{hashlib.sha1(url.encode('utf-8')).hexdigest()[:16]}_"
+    text = response.text
+    if content_type == "application/n-triples":
+        return ParsedDocument(parse_ntriples(text, bnode_prefix))
+    # Named graphs inside a fetched document flatten into the document's
+    # triples (the source keys provenance by URL).
+    if content_type == "application/n-quads":
+        return ParsedDocument(quad.triple for quad in parse_nquads(text, bnode_prefix))
     if content_type == "application/trig":
-        from ..rdf.trig import parse_trig
-
-        # Named graphs inside a fetched document flatten into the
-        # document's triples (the source keys provenance by URL).
         return ParsedDocument(
-            quad.triple
-            for quad in parse_trig(response.text, base_iri=url, bnode_prefix=bnode_prefix)
+            quad.triple for quad in parse_trig(text, base_iri=url, bnode_prefix=bnode_prefix)
         )
-    if content_type in ("text/turtle", "", "text/plain"):
-        return ParsedDocument(parse_turtle(response.text, base_iri=url, bnode_prefix=bnode_prefix))
-    return None
+    return ParsedDocument(parse_turtle(text, base_iri=url, bnode_prefix=bnode_prefix))
+
+
+#: The bodies :func:`_parse_body` reads; any other type is not RDF.
+_RDF_CONTENT_TYPES = frozenset(
+    {
+        "text/turtle",
+        "",
+        "text/plain",
+        "application/trig",
+        "application/n-triples",
+        "application/n-quads",
+    }
+)

@@ -39,7 +39,9 @@ class NTriplesParseError(ValueError):
         self.line_number = line_number
 
 
-def _parse_term(line: str, pos: int, line_number: int) -> tuple[object, int]:
+def _parse_term(
+    line: str, pos: int, line_number: int, bnode_prefix: str = ""
+) -> tuple[object, int]:
     while pos < len(line) and line[pos] in " \t":
         pos += 1
     if pos >= len(line):
@@ -57,7 +59,7 @@ def _parse_term(line: str, pos: int, line_number: int) -> tuple[object, int]:
         match = _BNODE_RE.match(line, pos)
         if not match:
             raise NTriplesParseError("malformed blank node", line_number)
-        return BlankNode(match.group(1)), match.end()
+        return BlankNode(bnode_prefix + match.group(1)), match.end()
     if char == '"':
         match = _LITERAL_RE.match(line, pos)
         if not match:
@@ -74,14 +76,14 @@ def _parse_term(line: str, pos: int, line_number: int) -> tuple[object, int]:
 
 
 def _parse_line(
-    line: str, line_number: int, allow_graph: bool
+    line: str, line_number: int, allow_graph: bool, bnode_prefix: str
 ) -> Optional[tuple[SubjectTerm, NamedNode, ObjectTerm, Optional[NamedNode]]]:
     stripped = line.strip()
     if not stripped or stripped.startswith("#"):
         return None
-    subject, pos = _parse_term(line, 0, line_number)
-    predicate, pos = _parse_term(line, pos, line_number)
-    obj, pos = _parse_term(line, pos, line_number)
+    subject, pos = _parse_term(line, 0, line_number, bnode_prefix)
+    predicate, pos = _parse_term(line, pos, line_number, bnode_prefix)
+    obj, pos = _parse_term(line, pos, line_number, bnode_prefix)
     graph: Optional[NamedNode] = None
     rest = line[pos:].strip()
     if allow_graph and rest.startswith("<"):
@@ -99,24 +101,26 @@ def _parse_line(
     return subject, predicate, obj, graph  # type: ignore[return-value]
 
 
-def parse_ntriples(text: str) -> Iterator[Triple]:
+def parse_ntriples(text: str, bnode_prefix: str = "") -> Iterator[Triple]:
     """Parse N-Triples text, yielding triples line by line.
 
     Lines are split on ``\n`` only — ``str.splitlines`` would also split on
     Unicode separators (U+001E, U+2028, ...) that may occur raw inside
-    literals.
+    literals.  A blank node ``_:x`` is ``BlankNode(bnode_prefix + "x")``:
+    give each document its own prefix to keep its blank nodes its own.
     """
     for line_number, line in enumerate(text.split("\n"), start=1):
-        parsed = _parse_line(line, line_number, allow_graph=False)
+        parsed = _parse_line(line, line_number, allow_graph=False, bnode_prefix=bnode_prefix)
         if parsed is not None:
             subject, predicate, obj, _ = parsed
             yield Triple(subject, predicate, obj)
 
 
-def parse_nquads(text: str) -> Iterator[Quad]:
-    """Parse N-Quads text, yielding quads line by line."""
+def parse_nquads(text: str, bnode_prefix: str = "") -> Iterator[Quad]:
+    """Parse N-Quads text, yielding quads line by line (blank nodes as in
+    :func:`parse_ntriples`)."""
     for line_number, line in enumerate(text.split("\n"), start=1):
-        parsed = _parse_line(line, line_number, allow_graph=True)
+        parsed = _parse_line(line, line_number, allow_graph=True, bnode_prefix=bnode_prefix)
         if parsed is not None:
             subject, predicate, obj, graph = parsed
             yield Quad(subject, predicate, obj, graph)

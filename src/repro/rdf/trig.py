@@ -8,17 +8,17 @@ Supports the TriG constructs relevant to dataset exchange:
 * ``GRAPH <graph> { ... }`` (SPARQL-style keyword)
 
 Everything inside a block is full Turtle (lists, blank nodes, literals),
-reusing :class:`~repro.rdf.turtle.TurtleParser` — blocks simply decide
-which graph the parsed triples land in.
+and the final ``.`` of a block's last statement is optional.  The parse is
+:class:`~repro.rdf.turtle.TurtleParser`'s own scanner and grammar loop
+with ``{``, ``}`` and ``GRAPH`` switched on; the loop notes where each
+block starts and ends, and those boundaries decide which graph each
+triple lands in.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-from .terms import NamedNode
 from .triples import Quad
-from .turtle import TurtleParseError, TurtleParser
+from .turtle import TurtleParser
 
 __all__ = ["TriGParser", "parse_trig"]
 
@@ -26,103 +26,17 @@ __all__ = ["TriGParser", "parse_trig"]
 class TriGParser(TurtleParser):
     """Parses a TriG document into quads."""
 
-    def __init__(self, text: str, base_iri: str = "", bnode_prefix: str = "b") -> None:
-        super().__init__(text, base_iri=base_iri, bnode_prefix=bnode_prefix)
-        self._quads: list[Quad] = []
+    _graph_blocks = True
 
     def parse_quads(self) -> list[Quad]:
         """Parse the whole document, returning quads in order."""
-        self._skip_ws()
-        while self._pos < self._length:
-            self._parse_trig_statement()
-            self._skip_ws()
-        return self._quads
-
-    # ------------------------------------------------------------------
-
-    def _parse_trig_statement(self) -> None:
-        if self._peek_is("@prefix"):
-            self._expect_token("@prefix")
-            self._parse_prefix_directive(require_dot=True)
-            return
-        if self._peek_is("@base"):
-            self._expect_token("@base")
-            self._parse_base_directive(require_dot=True)
-            return
-        if self._peek_keyword_ci("PREFIX"):
-            self._parse_prefix_directive(require_dot=False)
-            return
-        if self._peek_keyword_ci("BASE"):
-            self._parse_base_directive(require_dot=False)
-            return
-        if self._peek_keyword_ci("GRAPH"):
-            self._skip_ws()
-            graph = self._read_graph_label()
-            self._parse_graph_block(graph)
-            return
-        if self._peek_char() == "{":
-            self._parse_graph_block(None)
-            return
-
-        # Either "<label> { ... }" or a plain default-graph Turtle statement.
-        checkpoint = self._pos
-        char = self._peek_char()
-        if char == "<" or (char not in "[(_\"'0123456789+-." and not self._peek_is("true") and not self._peek_is("false")):
-            try:
-                graph = self._read_graph_label()
-            except TurtleParseError:
-                self._pos = checkpoint
-            else:
-                self._skip_ws()
-                if self._peek_char(eof_ok=True) == "{":
-                    self._parse_graph_block(graph)
-                    return
-                self._pos = checkpoint  # it was a subject, not a label
-
-        self._parse_triples_block()
-        self._drain(None)
-
-    def _read_graph_label(self) -> NamedNode:
-        char = self._peek_char()
-        if char == "<":
-            return NamedNode(self._read_iriref())
-        return self._read_prefixed_name()
-
-    def _parse_graph_block(self, graph: Optional[NamedNode]) -> None:
-        self._skip_ws()
-        self._expect_char("{")
-        self._skip_ws()
-        while self._peek_char() != "}":
-            subject = self._parse_subject_entry()
-            self._skip_ws()
-            if self._peek_char() == ".":
-                self._advance()
-                self._skip_ws()
-            del subject
-        self._advance()  # consume "}"
-        self._drain(graph)
-
-    def _parse_subject_entry(self) -> None:
-        """One triples statement inside a block (final '.' optional)."""
-        char = self._peek_char()
-        if char == "[":
-            subject = self._parse_blank_node_property_list()
-            self._skip_ws()
-            if self._peek_char() not in ".}":
-                self._parse_predicate_object_list(subject)
-        elif char == "(":
-            subject = self._parse_collection()
-            self._skip_ws()
-            self._parse_predicate_object_list(subject)
-        else:
-            subject = self._parse_subject()
-            self._skip_ws()
-            self._parse_predicate_object_list(subject)
-
-    def _drain(self, graph: Optional[NamedNode]) -> None:
-        for triple in self._triples:
-            self._quads.append(Quad(triple.subject, triple.predicate, triple.object, graph))
-        self._triples.clear()
+        triples = self.parse()
+        quads: list[Quad] = []
+        begin, graph = 0, None
+        for end, following in self._graph_starts + [(len(triples), None)]:
+            quads.extend(Quad(t.subject, t.predicate, t.object, graph) for t in triples[begin:end])
+            begin, graph = end, following
+        return quads
 
 
 def parse_trig(text: str, base_iri: str = "", bnode_prefix: str = "b") -> list[Quad]:

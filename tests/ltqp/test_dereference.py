@@ -245,3 +245,58 @@ class TestRetryableClassification:
     def test_parse_error_is_not_retryable(self):
         result = deref("https://h/broken")
         assert not result.ok and not result.retryable
+
+
+class TestLineFormats:
+    """N-Triples and N-Quads bodies are documents like Turtle ones: their
+    blank nodes are their own, and graph terms flatten into the document."""
+
+    NAMES = "SELECT ?name ?age WHERE { ?x <https://h/name> ?name . ?x <https://h/age> ?age }"
+
+    def _rows(self, content_type: str) -> int:
+        from repro.ltqp import LinkTraversalEngine
+
+        internet = Internet()
+        app = StaticApp()
+        app.put("/d1", '_:x <https://h/name> "A" .\n_:x <https://h/age> "1" .\n', content_type)
+        app.put("/d2", '_:x <https://h/name> "B" .\n_:x <https://h/age> "2" .\n', content_type)
+        internet.register("https://h", app)
+        engine = LinkTraversalEngine(Dereferencer(HttpClient(internet, latency=NoLatency())))
+        return len(engine.query(self.NAMES, seeds=["https://h/d1", "https://h/d2"]).run_sync())
+
+    def test_ntriples_blank_nodes_are_scoped_to_their_document(self):
+        assert self._rows("text/turtle") == 2
+        assert self._rows("application/n-triples") == 2
+
+    def test_ntriples_blank_node_labels_follow_the_document_url(self):
+        internet = Internet()
+        app = StaticApp()
+        app.put("/d1", "_:x <https://h/p> _:y .\n", "application/n-triples")
+        app.put("/t1", "_:x <https://h/p> _:y .\n")
+        internet.register("https://h", app)
+        client = HttpClient(internet, latency=NoLatency())
+        lines = asyncio.run(Dereferencer(client).dereference("https://h/d1")).document.triples
+        turtle = asyncio.run(Dereferencer(client).dereference("https://h/t1")).document.triples
+        assert lines[0].subject.value.endswith("_x") and lines[0].object.value.endswith("_y")
+        assert lines[0].subject.value.startswith("d") and lines[0].subject != turtle[0].subject
+
+    def test_nquads_graph_terms_flatten_into_the_document(self):
+        internet = Internet()
+        app = StaticApp()
+        app.put(
+            "/quads",
+            "<https://h/a> <https://h/p> <https://h/b> <https://h/g1> .\n"
+            "<https://h/a> <https://h/p> <https://h/c> .\n"
+            '_:n <https://h/p> "x" <https://h/g2> .\n',
+            "application/n-quads",
+        )
+        internet.register("https://h", app)
+        result = asyncio.run(
+            Dereferencer(HttpClient(internet, latency=NoLatency())).dereference("https://h/quads")
+        )
+        assert result.ok, result.error
+        assert [t.object.value for t in result.document.triples] == [
+            "https://h/b",
+            "https://h/c",
+            "x",
+        ]
