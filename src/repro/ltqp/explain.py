@@ -17,23 +17,16 @@ from typing import Iterable, Optional, Union as TypingUnion
 from ..rdf.terms import Variable
 from ..sparql.algebra import (
     BGP,
-    Distinct,
     Extend,
-    Filter,
     GraphOp,
     GroupBy,
-    Join,
-    LeftJoin,
-    Minus,
     Operator,
     OrderBy,
     Project,
     Query,
-    Reduced,
     Slice,
-    SubSelect,
-    Union,
     ValuesOp,
+    operator_children,
 )
 from ..sparql.planner import pattern_score
 from .extractors import LinkExtractor, build_query_context
@@ -75,41 +68,22 @@ def explain_algebra(op: Operator, indent: int = 0) -> str:
         for path_pattern in op.path_patterns:
             lines.append(f"{pad}  {path_pattern.subject} <path> {path_pattern.object}")
         return "\n".join(lines)
-    if isinstance(op, (Join, Union, LeftJoin, Minus)):
-        name = type(op).__name__
-        return (
-            f"{pad}{name}\n"
-            + explain_algebra(op.left, indent + 1)
-            + "\n"
-            + explain_algebra(op.right, indent + 1)
-        )
-    if isinstance(op, Filter):
-        return f"{pad}Filter\n" + explain_algebra(op.input, indent + 1)
-    if isinstance(op, Extend):
-        return f"{pad}Extend ?{op.variable.value}\n" + explain_algebra(op.input, indent + 1)
-    if isinstance(op, GraphOp):
-        return f"{pad}Graph {op.name}\n" + explain_algebra(op.input, indent + 1)
-    if isinstance(op, ValuesOp):
-        return f"{pad}Values ({len(op.rows)} rows)"
-    if isinstance(op, Project):
-        variables = " ".join(f"?{v.value}" for v in op.variables)
-        return f"{pad}Project [{variables}]\n" + explain_algebra(op.input, indent + 1)
-    if isinstance(op, (Distinct, Reduced)):
-        return f"{pad}{type(op).__name__}\n" + explain_algebra(op.input, indent + 1)
-    if isinstance(op, Slice):
-        return (
-            f"{pad}Slice offset={op.offset} limit={op.limit}\n"
-            + explain_algebra(op.input, indent + 1)
-        )
-    if isinstance(op, OrderBy):
-        return f"{pad}OrderBy ({len(op.conditions)} keys)\n" + explain_algebra(op.input, indent + 1)
-    if isinstance(op, GroupBy):
-        return f"{pad}GroupBy ({len(op.keys)} keys, {len(op.bindings)} aggregates)\n" + explain_algebra(
-            op.input, indent + 1
-        )
-    if isinstance(op, SubSelect):
-        return f"{pad}SubSelect\n" + explain_algebra(op.query.where, indent + 1)
-    return f"{pad}{type(op).__name__}"
+    label = _ALGEBRA_LABELS.get(type(op), lambda op: type(op).__name__)(op)
+    return "\n".join(
+        [f"{pad}{label}", *(explain_algebra(child, indent + 1) for child in operator_children(op))]
+    )
+
+
+#: Algebra class → its one-line label, where more than its name.
+_ALGEBRA_LABELS = {
+    Extend: lambda op: f"Extend ?{op.variable.value}",
+    GraphOp: lambda op: f"Graph {op.name}",
+    ValuesOp: lambda op: f"Values ({len(op.rows)} rows)",
+    Project: lambda op: "Project [" + " ".join(f"?{v.value}" for v in op.variables) + "]",
+    Slice: lambda op: f"Slice offset={op.offset} limit={op.limit}",
+    OrderBy: lambda op: f"OrderBy ({len(op.conditions)} keys)",
+    GroupBy: lambda op: f"GroupBy ({len(op.keys)} keys, {len(op.bindings)} aggregates)",
+}
 
 
 def _keyed(name: str, unkeyed: str):

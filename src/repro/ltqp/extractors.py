@@ -41,27 +41,8 @@ from ..rdf.document import ParsedDocument
 from ..rdf.namespaces import LDP, PIM, RDF, SOLID
 from ..rdf.terms import NamedNode, Term, Variable
 from ..rdf.triples import Triple, TriplePattern
-from ..sparql.algebra import (
-    BGP,
-    Extend,
-    Filter,
-    GraphOp,
-    GroupBy,
-    Join,
-    LeftJoin,
-    Minus,
-    Operator,
-    OrderBy,
-    PathPattern,
-    Project,
-    Distinct,
-    Reduced,
-    Slice,
-    SubSelect,
-    Union,
-    ValuesOp,
-)
-from ..sparql.paths import path_predicates
+from ..sparql.algebra import Operator, PathPattern, read_patterns
+from ..sparql.paths import path_predicates, path_reads
 
 __all__ = [
     "QueryContext",
@@ -82,8 +63,10 @@ __all__ = [
 class QueryContext:
     """What the query asks for — extractors use it to filter links.
 
-    ``patterns``: all triple patterns in the query (paths appear with a
-    ``None`` predicate wildcard).  ``predicates``: concrete predicate IRIs.
+    ``patterns``: all triple patterns in the query, EXISTS bodies included
+    (a path appears as one pattern per member predicate, or with a ``None``
+    predicate wildcard when it can match any quad).  ``predicates``:
+    concrete predicate IRIs.
     ``classes``: concrete objects of ``rdf:type`` patterns.  ``iris``:
     every IRI constant in the query.
 
@@ -128,9 +111,20 @@ class QueryContext:
 
 
 def build_query_context(where: Operator) -> QueryContext:
-    """Derive a :class:`QueryContext` from an algebra tree."""
+    """Derive a :class:`QueryContext` from an algebra tree: every pattern
+    :func:`~repro.sparql.algebra.read_patterns` names, EXISTS bodies
+    included."""
     patterns: list[TriplePattern] = []
-    _collect_patterns(where, patterns)
+    for pattern in read_patterns(where):
+        if not isinstance(pattern, PathPattern):
+            patterns.append(pattern)
+        elif path_reads(pattern) is None:
+            # A path that can match any quad matches like a variable predicate.
+            patterns.append(TriplePattern(pattern.subject, None, pattern.object))
+        else:
+            # Its member predicates, as individual patterns for matching.
+            for predicate in path_predicates(pattern.path):
+                patterns.append(TriplePattern(pattern.subject, predicate, pattern.object))
     predicates: set[NamedNode] = set()
     classes: set[NamedNode] = set()
     iris: set[str] = set()
@@ -155,30 +149,6 @@ def build_query_context(where: Operator) -> QueryContext:
         iris=frozenset(iris),
         entity_iris=frozenset(entity_iris),
     )
-
-
-def _collect_patterns(op: Operator, out: list[TriplePattern]) -> None:
-    if isinstance(op, BGP):
-        out.extend(op.patterns)
-        for path_pattern in op.path_patterns:
-            # Paths contribute a wildcard-predicate pattern plus their
-            # member predicates as individual patterns for matching.
-            for predicate in path_predicates(path_pattern.path):
-                out.append(TriplePattern(path_pattern.subject, predicate, path_pattern.object))
-        return
-    if isinstance(op, (Join, LeftJoin, Union, Minus)):
-        _collect_patterns(op.left, out)
-        _collect_patterns(op.right, out)
-        return
-    if isinstance(op, (Filter, Extend, Project, Distinct, Reduced, Slice, OrderBy, GroupBy, GraphOp)):
-        _collect_patterns(op.input, out)
-        return
-    if isinstance(op, SubSelect):
-        _collect_patterns(op.query.where, out)
-        return
-    if isinstance(op, ValuesOp):
-        return
-    raise TypeError(f"unknown operator: {op!r}")
 
 
 class LinkExtractor:

@@ -33,24 +33,18 @@ from ...solid.index import ContainerSummary, SourceIndex, innermost
 from ...sparql.algebra import (
     BGP,
     AlternativePath,
-    Distinct,
-    Extend,
-    Filter,
-    GraphOp,
-    GroupBy,
     Join,
     LeftJoin,
     Minus,
     Operator,
-    OrderBy,
+    PathPattern,
     PredicatePath,
-    Project,
-    Reduced,
-    Slice,
-    SubSelect,
-    Union,
     ValuesOp,
+    exists_patterns,
+    operator_children,
+    operator_expressions,
 )
+from ...sparql.paths import path_reads
 
 __all__ = [
     "CardinalityHints",
@@ -139,57 +133,76 @@ def query_scopes(where: Operator) -> tuple:
     """Decompose a WHERE tree into conjunctive scopes of subject groups.
 
     Union branches become separate scopes; Joins combine their children's
-    scopes pairwise; optional/minus parts are kept as their own scopes
-    (conservative: each part is source-selected as if required on its
-    own, so no container an optional part needs is ever pruned).
+    scopes pairwise.  OPTIONAL and MINUS right-hand parts and EXISTS
+    bodies are scopes of their own that no surrounding Join strengthens
+    (conservative: each part is source-selected as if it were a query on
+    its own, so no container such a part needs is ever pruned).
     """
     scopes = []
-    for items in _conjunctions(where):
+    required, apart = _conjunctions(where)
+    for items in required + apart:
         groups = _build_groups(items)
         if groups:
             scopes.append(QueryScope(groups=tuple(groups)))
     return tuple(scopes)
 
 
-def _conjunctions(op: Operator) -> list:
-    """Lists of pattern items, one list per conjunctive scope.
+def _conjunctions(op: Operator) -> tuple[list, list]:
+    """``(required, apart)``: lists of pattern items, one list per
+    conjunctive scope — those every solution of ``op`` joins, and those of
+    the parts evaluated on their own (OPTIONAL / MINUS right-hand sides and
+    the EXISTS bodies of every expression ``op`` evaluates).
 
-    An item is ``("p", TriplePattern)`` or ``("any", subject, predicates,
-    object)`` for an alternation path with the given predicate options.
-    Unanalyzable paths are skipped — omitting a constraint only ever makes
-    more containers look relevant, never fewer.
+    An item is ``("p", TriplePattern)``, ``("any", subject, predicates,
+    object)`` for an alternation path with the given predicate options, or
+    ``("path", predicates)`` for any other path (:func:`_path_item`).
     """
     if isinstance(op, BGP):
         items = [("p", pattern) for pattern in op.patterns]
-        for path_pattern in op.path_patterns:
-            path = path_pattern.path
-            if isinstance(path, PredicatePath):
-                items.append(
-                    ("p", TriplePattern(path_pattern.subject, path.predicate, path_pattern.object))
-                )
-            elif isinstance(path, AlternativePath) and all(
-                isinstance(option, PredicatePath) for option in path.options
-            ):
-                predicates = frozenset(option.predicate.value for option in path.options)
-                items.append(("any", path_pattern.subject, predicates, path_pattern.object))
-        return [items]
-    if isinstance(op, Join):
-        left = _conjunctions(op.left)
-        right = _conjunctions(op.right)
-        if len(left) * len(right) <= _MAX_SCOPES:
-            return [a + b for a in left for b in right]
-        return left + right
-    if isinstance(op, Union):
-        return _conjunctions(op.left) + _conjunctions(op.right)
-    if isinstance(op, (LeftJoin, Minus)):
-        return _conjunctions(op.left) + _conjunctions(op.right)
-    if isinstance(op, (Filter, Extend, Project, Distinct, Reduced, Slice, OrderBy, GroupBy, GraphOp)):
-        return _conjunctions(op.input)
-    if isinstance(op, SubSelect):
-        return _conjunctions(op.query.where)
+        items.extend(_path_item(path_pattern) for path_pattern in op.path_patterns)
+        return [items], []
     if isinstance(op, ValuesOp):
-        return [[]]
-    raise TypeError(f"unknown operator: {op!r}")
+        return [[]], []
+    if isinstance(op, Join):
+        left, apart = _conjunctions(op.left)
+        right, right_apart = _conjunctions(op.right)
+        if len(left) * len(right) <= _MAX_SCOPES:
+            required = [a + b for a in left for b in right]
+        else:
+            required = left + right
+        apart = apart + right_apart
+    elif isinstance(op, (LeftJoin, Minus)):
+        required, apart = _conjunctions(op.left)
+        right, right_apart = _conjunctions(op.right)
+        apart = apart + right + right_apart
+    else:
+        required, apart = [], []
+        for child in operator_children(op):
+            child_required, child_apart = _conjunctions(child)
+            required, apart = required + child_required, apart + child_apart
+    for expression in operator_expressions(op):
+        for body in exists_patterns(expression):
+            body_required, body_apart = _conjunctions(body)
+            apart = apart + body_required + body_apart
+    return required, apart
+
+
+def _path_item(pattern: PathPattern) -> tuple:
+    """A path pattern's item.  A predicate or an alternation of predicates
+    constrains the pattern's subject.  Any other path reads triples whose
+    subjects are intermediate nodes, so it is a subject group of its own
+    that needs one of the path's predicates — or nothing, when the path can
+    match any quad (:func:`~repro.sparql.paths.path_reads` is ``None``)."""
+    path = pattern.path
+    if isinstance(path, PredicatePath):
+        return ("p", TriplePattern(pattern.subject, path.predicate, pattern.object))
+    if isinstance(path, AlternativePath) and all(
+        isinstance(option, PredicatePath) for option in path.options
+    ):
+        predicates = frozenset(option.predicate.value for option in path.options)
+        return ("any", pattern.subject, predicates, pattern.object)
+    reads = path_reads(pattern)
+    return ("path", frozenset() if reads is None else frozenset(p.value for p in reads))
 
 
 def _build_groups(items: list) -> list:
@@ -203,8 +216,11 @@ def _build_groups(items: list) -> list:
             subjects.append(term)
         return store.setdefault(term, set() if store is not any_of else [])
 
+    paths = []
     for item in items:
-        if item[0] == "p":
+        if item[0] == "path":
+            paths.append(SubjectGroup(subject="(path)", any_of=(item[1],) if item[1] else ()))
+        elif item[0] == "p":
             pattern = item[1]
             subject = pattern.subject
             predicate = pattern.predicate
@@ -233,7 +249,7 @@ def _build_groups(items: list) -> list:
             if pattern.object in known and isinstance(pattern.predicate, NamedNode):
                 if pattern.predicate != RDF.type:
                     object_of.setdefault(pattern.object, set()).add(pattern.predicate.value)
-        else:
+        elif item[0] == "any":
             _, _subject, options, obj = item
             if obj in known:
                 object_of_any.setdefault(obj, []).append(options)
@@ -249,7 +265,7 @@ def _build_groups(items: list) -> list:
                 object_of_any=tuple(object_of_any.get(subject, ())),
             )
         )
-    return groups
+    return groups + paths
 
 
 def container_relevant(

@@ -92,25 +92,16 @@ from ..sparql.aggregates import (
 from ..sparql.algebra import (
     BGP,
     AggregateExpr,
-    AlternativePath,
     And,
-    Arithmetic,
-    Compare,
     Distinct,
     ExistsExpr,
     Extend,
     Filter,
-    FunctionCall,
     GraphOp,
     GroupBy,
-    InExpr,
-    InversePath,
     Join,
     LeftJoin,
     Minus,
-    NegatedPropertySet,
-    Not,
-    OneOrMorePath,
     Operator,
     Or,
     OrderBy,
@@ -119,26 +110,23 @@ from ..sparql.algebra import (
     Project,
     Query,
     Reduced,
-    SequencePath,
     Slice,
     SubSelect,
     TRIPLE_COLUMNS,
-    UnaryMinus,
-    UnaryPlus,
     Union,
     ValuesOp,
     VariableExpr,
-    ZeroOrMorePath,
-    ZeroOrOnePath,
+    exists_patterns,
     expression_contains_exists,
     is_monotonic,
-    operator_children,
+    operator_expressions,
     operator_variables,
+    read_patterns,
 )
 from ..sparql.bindings import EMPTY_BINDING, Binding
 from ..sparql.eval import SnapshotEvaluator, construct_triples, order_sort_key
 from ..sparql.expr import DescendingKey, ExpressionError, ExpressionEvaluator
-from ..sparql.paths import evaluate_path, path_predicates
+from ..sparql.paths import evaluate_path, path_reads
 from ..sparql.planner import plan_bgp_order
 
 __all__ = [
@@ -612,7 +600,7 @@ class PathScanNode(IncrementalNode):
         self._pattern = pattern
         self._graph = graph if isinstance(graph, NamedNode) else None
         #: Predicates whose quads can change the answer; ``None`` = any quad.
-        self.reads = _path_reads(pattern)
+        self.reads = path_reads(pattern)
         self._emitted: dict[tuple[Term, Term], None] = {}
 
     @property
@@ -673,52 +661,6 @@ class PathScanNode(IncrementalNode):
                 return None
             items[object_term] = end
         return Binding(items)
-
-
-def _is_negated(path) -> bool:
-    if isinstance(path, NegatedPropertySet):
-        return True
-    if isinstance(path, (InversePath, ZeroOrMorePath, OneOrMorePath, ZeroOrOnePath)):
-        return _is_negated(path.path)
-    if isinstance(path, SequencePath):
-        return any(_is_negated(step) for step in path.steps)
-    if isinstance(path, AlternativePath):
-        return any(_is_negated(option) for option in path.options)
-    return False
-
-
-def _matches_empty(path) -> bool:
-    """Whether the path admits the zero-length walk (``p*``, ``p?`` and
-    whatever sequences / alternatives / closures reduce to them)."""
-    if isinstance(path, (ZeroOrMorePath, ZeroOrOnePath)):
-        return True
-    if isinstance(path, (InversePath, OneOrMorePath)):
-        return _matches_empty(path.path)
-    if isinstance(path, SequencePath):
-        return all(_matches_empty(step) for step in path.steps)
-    if isinstance(path, AlternativePath):
-        return any(_matches_empty(option) for option in path.options)
-    return False
-
-
-def _path_reads(pattern: PathPattern) -> Optional[frozenset]:
-    """The predicates of the quads a path pattern's answer depends on, or
-    ``None`` when that is every quad.
-
-    A negated property set matches any predicate outside it.  A path that
-    admits the empty walk relates *every node of the graph* to itself
-    unless an endpoint pins it (``<a> p* ?y`` starts at ``<a>`` whether or
-    not the graph mentions it), so with two variable endpoints any quad —
-    whatever its predicate — contributes its subject and object.
-    """
-    path = pattern.path
-    pinned = any(
-        end is not None and not isinstance(end, Variable)
-        for end in (pattern.subject, pattern.object)
-    )
-    if _is_negated(path) or (_matches_empty(path) and not pinned):
-        return None
-    return frozenset(path_predicates(path))
 
 
 class ValuesNode(IncrementalNode):
@@ -855,7 +797,7 @@ class ExistsFilterNode(IncrementalNode):
         self._evaluator = evaluator
         # The EXISTS pattern's predicates matter even when no scan wants
         # them: a delta carrying one can flip waiting bindings to passing.
-        self.reads = _exists_pattern_predicates(expression)
+        self.reads = _exists_reads(expression)
         #: Every input binding currently present; ``_out`` is the passing
         #: sub-multiset that has been emitted (:meth:`_sync` keeps it so).
         self._candidates: dict[Binding, int] = {}
@@ -915,62 +857,22 @@ def _exists_eagerly_emittable(expression) -> bool:
     return False
 
 
-def _collect_exists_patterns(expression, found: list) -> None:
-    if isinstance(expression, ExistsExpr):
-        found.append(expression.pattern)
-    elif isinstance(expression, (And, Or, Compare, Arithmetic)):
-        _collect_exists_patterns(expression.left, found)
-        _collect_exists_patterns(expression.right, found)
-    elif isinstance(expression, (Not, UnaryMinus, UnaryPlus, AggregateExpr)):
-        _collect_exists_patterns(expression.operand, found)
-    elif isinstance(expression, FunctionCall):
-        for argument in expression.args:
-            _collect_exists_patterns(argument, found)
-    elif isinstance(expression, InExpr):
-        _collect_exists_patterns(expression.operand, found)
-        for choice in expression.choices:
-            _collect_exists_patterns(choice, found)
-
-
-def _operator_expressions(op: Operator) -> tuple:
-    """The expressions an algebra operator evaluates per solution."""
-    if isinstance(op, (Filter, Extend, LeftJoin)):
-        return (op.expression,)
-    if isinstance(op, OrderBy):
-        return tuple(condition.expression for condition in op.conditions)
-    if isinstance(op, GroupBy):
-        return (
-            *(expression for expression, _ in op.keys),
-            *(expression for _, expression in op.bindings),
-            *op.having,
-        )
-    return ()
-
-
-def _exists_pattern_predicates(*expressions) -> Optional[frozenset]:
-    """Concrete predicates the EXISTS patterns in ``expressions`` can match
-    (EXISTS nested inside those patterns included); None = wildcard."""
-    stack: list[Operator] = []
-    for expression in expressions:
-        _collect_exists_patterns(expression, stack)
+def _exists_reads(*expressions) -> Optional[frozenset]:
+    """The predicates of the quads the EXISTS patterns in ``expressions``
+    can match (EXISTS nested inside those patterns included); None = any."""
     predicates: set = set()
-    while stack:
-        op = stack.pop()
-        if isinstance(op, BGP):
-            for pattern in op.patterns:
-                predicate = pattern.predicate
-                if predicate is None or isinstance(predicate, Variable):
-                    return None
-                predicates.add(predicate)
-            for path in op.path_patterns:
-                reads = _path_reads(path)
+    for expression in expressions:
+        for body in exists_patterns(expression):
+            for pattern in read_patterns(body):
+                if isinstance(pattern, PathPattern):
+                    reads = path_reads(pattern)
+                elif isinstance(pattern.predicate, NamedNode):
+                    reads = (pattern.predicate,)
+                else:
+                    reads = None
                 if reads is None:
                     return None
                 predicates.update(reads)
-        else:
-            stack.extend(operator_children(op))
-            for expression in _operator_expressions(op):
-                _collect_exists_patterns(expression, stack)
     return frozenset(predicates)
 
 
@@ -1971,7 +1873,7 @@ class _CompileContext:
         children = [self.compile(op) for op in inputs]
         if not any(map(expression_contains_exists, expressions)):
             return make(*children)
-        return RederivedNode(make, children, _exists_pattern_predicates(*expressions))
+        return RederivedNode(make, children, _exists_reads(*expressions))
 
     def order_slice(
         self, order: OrderBy, offset: int = 0, limit: Optional[int] = None
@@ -1981,7 +1883,7 @@ class _CompileContext:
                 node, order.conditions, offset, limit, self.evaluator, live=self.live
             ),
             (order.input,),
-            *(condition.expression for condition in order.conditions),
+            *operator_expressions(order),
         )
 
 
@@ -2032,7 +1934,7 @@ _BUILDERS: dict[type, Callable[[_CompileContext, Operator], IncrementalNode]] = 
     LeftJoin: lambda c, op: c.node(
         lambda left, right: LeftJoinNode(left, right, op.expression, c.evaluator),
         (op.left, op.right),
-        op.expression,
+        *operator_expressions(op),
     ),
     Union: lambda c, op: UnionNode(c.compile(op.left), c.compile(op.right)),
     Minus: lambda c, op: MinusNode(c.compile(op.left), c.compile(op.right)),
@@ -2040,7 +1942,7 @@ _BUILDERS: dict[type, Callable[[_CompileContext, Operator], IncrementalNode]] = 
     Extend: lambda c, op: c.node(
         lambda node: ExtendNode(node, op.variable, op.expression, c.evaluator),
         (op.input,),
-        op.expression,
+        *operator_expressions(op),
     ),
     GraphOp: lambda c, op: replace(c, graph=op.name).compile(op.input),
     ValuesOp: lambda c, op: ValuesNode(op),
@@ -2053,7 +1955,7 @@ _BUILDERS: dict[type, Callable[[_CompileContext, Operator], IncrementalNode]] = 
     GroupBy: lambda c, op: c.node(
         lambda node: GroupAggregateNode(node, op, c.evaluator, live=c.live),
         (op.input,),
-        *_operator_expressions(op),
+        *operator_expressions(op),
     ),
     SubSelect: lambda c, op: c.compile(op.query.where),
 }

@@ -114,7 +114,8 @@ _LITERAL = (
     f"(?:@[a-zA-Z]+(?:-[a-zA-Z0-9]+)*|\\^\\^(?:{_IRIREF}|{_PNAME}))?"
 )
 # DOUBLE, DECIMAL, INTEGER: "1." is the integer 1 and a statement's dot.
-_NUMBER = (
+# SPARQL's numerals are the same terminals (``repro.sparql.tokens``).
+NUMBER = (
     r"[+-]?(?:(?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)[eE][+-]?[0-9]+"
     r"|[0-9]*\.[0-9]+|[0-9]+)(?![0-9]|\.[0-9]|[eE][+-]?[0-9])"
 )
@@ -127,12 +128,12 @@ _PUNCT = f";(?:{_WS};)*|[.,\\[\\]()]|[{{}}]"
 _KEYWORD = "@prefix|@base|(?i:prefix|base|graph)(?=[ \\t\\r\\n<#]|\\Z)"
 
 _VERB_TERM = f"{_IRIREF}|{_PNAME}|{_A}"
-_OBJECT = f"{_IRIREF}|{_LITERAL}|{_PNAME}|{_BLANK_LABEL}|{_NUMBER}|{_BOOLEAN}"
+_OBJECT = f"{_IRIREF}|{_LITERAL}|{_PNAME}|{_BLANK_LABEL}|{NUMBER}|{_BOOLEAN}"
 _END = f";(?:{_WS};)*|[,.\\]}}]"
 
 #: Every terminal; ``match.lastindex`` names the one read.
 _TOKEN = re.compile(
-    f"(?:({_IRIREF})|({_LITERAL})|({_PNAME})|({_BLANK_LABEL})|({_NUMBER})"
+    f"(?:({_IRIREF})|({_LITERAL})|({_PNAME})|({_BLANK_LABEL})|({NUMBER})"
     f"|({_BOOLEAN})|({_A})|({_PUNCT})|({_KEYWORD})){_WS}"
 )
 (

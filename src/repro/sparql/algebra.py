@@ -11,7 +11,7 @@ representation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from ..rdf.terms import NamedNode, Term, Variable  # noqa: F401 (Term used in Query)
 from ..rdf.triples import TriplePattern
@@ -65,9 +65,12 @@ __all__ = [
     "Query",
     "TRIPLE_COLUMNS",
     "is_monotonic",
+    "exists_patterns",
     "expression_contains_exists",
     "operator_children",
+    "operator_expressions",
     "operator_variables",
+    "read_patterns",
 ]
 
 
@@ -436,9 +439,6 @@ class Query:
 # Introspection helpers
 # ---------------------------------------------------------------------------
 
-_MONOTONIC_SAFE = (BGP, Join, Union, Filter, Extend, ValuesOp, Project, Distinct, Reduced, GraphOp)
-
-
 def is_monotonic(op: Operator) -> bool:
     """True when the operator tree yields only monotonic results.
 
@@ -446,29 +446,40 @@ def is_monotonic(op: Operator) -> bool:
     grows — previously emitted solutions remain valid.  This is the class of
     queries the paper's engine evaluates fully pipelined during traversal;
     non-monotonic operators (OPTIONAL, MINUS, ORDER BY, GROUP BY, OFFSET)
-    must wait for traversal quiescence.
+    must wait for traversal quiescence, and so must an expression holding
+    EXISTS.
 
     LIMIT without OFFSET is monotonic (any N answers are a valid prefix).
     """
-    if isinstance(op, BGP):
-        return True
-    if isinstance(op, (Join, Union)):
-        return is_monotonic(op.left) and is_monotonic(op.right)
-    if isinstance(op, Filter):
-        return _expression_monotonic(op.expression) and is_monotonic(op.input)
-    if isinstance(op, Extend):
-        return _expression_monotonic(op.expression) and is_monotonic(op.input)
-    if isinstance(op, (Project, Distinct, Reduced)):
-        return is_monotonic(op.input)
-    if isinstance(op, GraphOp):
-        return is_monotonic(op.input)
-    if isinstance(op, ValuesOp):
-        return True
-    if isinstance(op, Slice):
-        return op.offset == 0 and is_monotonic(op.input)
-    if isinstance(op, SubSelect):
-        return is_monotonic(op.query.where)
-    return False
+    if isinstance(op, (LeftJoin, Minus, OrderBy, GroupBy)) or (
+        isinstance(op, Slice) and op.offset
+    ):
+        return False
+    return not any(map(expression_contains_exists, operator_expressions(op))) and all(
+        map(is_monotonic, operator_children(op))
+    )
+
+
+def exists_patterns(expression: Optional[Expression]) -> Iterator[Operator]:
+    """The pattern of every ``EXISTS`` / ``NOT EXISTS`` in ``expression``.
+
+    The walk does not enter those patterns: an EXISTS nested inside one is
+    reached through the operators of the pattern (:func:`read_patterns`).
+    """
+    if isinstance(expression, ExistsExpr):
+        yield expression.pattern
+    elif isinstance(expression, (And, Or, Compare, Arithmetic)):
+        yield from exists_patterns(expression.left)
+        yield from exists_patterns(expression.right)
+    elif isinstance(expression, (Not, UnaryMinus, UnaryPlus, AggregateExpr)):
+        yield from exists_patterns(expression.operand)
+    elif isinstance(expression, FunctionCall):
+        for argument in expression.args:
+            yield from exists_patterns(argument)
+    elif isinstance(expression, InExpr):
+        yield from exists_patterns(expression.operand)
+        for choice in expression.choices:
+            yield from exists_patterns(choice)
 
 
 def expression_contains_exists(expression: Expression) -> bool:
@@ -479,30 +490,7 @@ def expression_contains_exists(expression: Expression) -> bool:
     arrive (and vice versa for ``NOT EXISTS``), so any operator evaluating
     them must hold its verdict until traversal quiescence.
     """
-    if isinstance(expression, ExistsExpr):
-        return True
-    if isinstance(expression, (And, Or, Compare, Arithmetic)):
-        return expression_contains_exists(expression.left) or expression_contains_exists(
-            expression.right
-        )
-    if isinstance(expression, (Not, UnaryMinus, UnaryPlus)):
-        return expression_contains_exists(expression.operand)
-    if isinstance(expression, FunctionCall):
-        return any(expression_contains_exists(a) for a in expression.args)
-    if isinstance(expression, InExpr):
-        return expression_contains_exists(expression.operand) or any(
-            expression_contains_exists(c) for c in expression.choices
-        )
-    if isinstance(expression, AggregateExpr):
-        return expression.operand is not None and expression_contains_exists(
-            expression.operand
-        )
-    return False
-
-
-def _expression_monotonic(expression: Expression) -> bool:
-    """EXISTS / NOT EXISTS make a filter non-monotonic; everything else is fine."""
-    return not expression_contains_exists(expression)
+    return any(exists_patterns(expression))
 
 
 def operator_children(op: Operator) -> tuple[Operator, ...]:
@@ -515,7 +503,47 @@ def operator_children(op: Operator) -> tuple[Operator, ...]:
         return (op.input,)
     if isinstance(op, SubSelect):
         return (op.query.where,)
+    if isinstance(op, (BGP, ValuesOp)):
+        return ()
+    raise TypeError(f"unknown operator: {op!r}")
+
+
+def operator_expressions(op: Operator) -> tuple[Expression, ...]:
+    """The expressions an algebra operator evaluates per solution."""
+    if isinstance(op, (Filter, Extend)):
+        return (op.expression,)
+    if isinstance(op, LeftJoin):
+        return () if op.expression is None else (op.expression,)
+    if isinstance(op, OrderBy):
+        return tuple(condition.expression for condition in op.conditions)
+    if isinstance(op, GroupBy):
+        return (
+            *(expression for expression, _ in op.keys),
+            *(expression for _, expression in op.bindings),
+            *op.having,
+        )
     return ()
+
+
+def read_patterns(op: Operator) -> Iterator[TriplePattern | PathPattern]:
+    """Every triple and path pattern the answer of ``op`` depends on.
+
+    BGP patterns come in tree order (left before right, triple patterns
+    before path patterns); after an operator's children come the patterns
+    of each EXISTS its expressions evaluate — in FILTER, BIND, OPTIONAL's
+    ON, GROUP BY / HAVING or ORDER BY, nested EXISTS included.  This is
+    the one answer to "what does this query read": link extraction, source
+    selection and the pipeline's read set all derive theirs from it.
+    """
+    if isinstance(op, BGP):
+        yield from op.patterns
+        yield from op.path_patterns
+        return
+    for child in operator_children(op):
+        yield from read_patterns(child)
+    for expression in operator_expressions(op):
+        for pattern in exists_patterns(expression):
+            yield from read_patterns(pattern)
 
 
 def operator_variables(op: Operator) -> set[Variable]:

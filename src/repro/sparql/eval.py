@@ -21,30 +21,24 @@ Generator-based: every operator yields :class:`Binding` solutions lazily.
 
 from __future__ import annotations
 
+from dataclasses import fields, replace
 from typing import Iterable, Iterator, Optional, Union as TypingUnion
 
 from ..rdf.dataset import Dataset, Graph
 from ..rdf.terms import BlankNode, Literal, NamedNode, Term, Variable
 from ..rdf.triples import Triple, TriplePattern
 from .algebra import (
-    AggregateExpr,
-    And,
-    Arithmetic,
     BGP,
-    Compare,
     Distinct,
     ExistsExpr,
     Expression,
     Extend,
     Filter,
-    FunctionCall,
     GraphOp,
     GroupBy,
-    InExpr,
     Join,
     LeftJoin,
     Minus,
-    Not,
     Operator,
     OrderBy,
     PathPattern,
@@ -54,8 +48,6 @@ from .algebra import (
     Slice,
     SubSelect,
     TermExpr,
-    UnaryMinus,
-    UnaryPlus,
     Union,
     ValuesOp,
     VariableExpr,
@@ -71,6 +63,7 @@ __all__ = [
     "evaluate_query",
     "construct_triples",
     "order_sort_key",
+    "substitute_expression",
     "substitute_operator",
 ]
 
@@ -521,38 +514,100 @@ def _keys_compatible(left: tuple, right: tuple) -> bool:
 
 
 def substitute_operator(op: Operator, binding: Binding) -> Operator:
-    """Inject bound variable values into a pattern (for EXISTS)."""
+    """Inject bound variable values into a pattern (for EXISTS).
+
+    Every in-scope occurrence of a bound variable becomes its value: in
+    triple and path patterns, GRAPH names, VALUES rows (only the rows that
+    agree remain) and the expressions the pattern evaluates, nested EXISTS
+    included.  A variable an operator *assigns* (BIND, a GROUP BY alias)
+    stays a variable, and a sub-select sees only the bound variables it
+    projects: the others are its own.
+    """
     if isinstance(op, BGP):
-        new_patterns = tuple(
-            TriplePattern(
-                _substitute(p.subject, binding) if isinstance(p.subject, Variable) and p.subject in binding else p.subject,
-                _substitute(p.predicate, binding) if isinstance(p.predicate, Variable) and p.predicate in binding else p.predicate,
-                _substitute(p.object, binding) if isinstance(p.object, Variable) and p.object in binding else p.object,
-            )
-            for p in op.patterns
+        return BGP(
+            tuple(
+                TriplePattern(*(binding.get(term, term) for term in pattern))
+                for pattern in op.patterns
+            ),
+            tuple(
+                PathPattern(
+                    binding.get(pattern.subject, pattern.subject),
+                    pattern.path,
+                    binding.get(pattern.object, pattern.object),
+                )
+                for pattern in op.path_patterns
+            ),
         )
-        new_paths = tuple(
-            PathPattern(
-                binding.get(p.subject, p.subject) if isinstance(p.subject, Variable) else p.subject,
-                p.path,
-                binding.get(p.object, p.object) if isinstance(p.object, Variable) else p.object,
-            )
-            for p in op.path_patterns
-        )
-        return BGP(new_patterns, new_paths)
-    if isinstance(op, Join):
-        return Join(substitute_operator(op.left, binding), substitute_operator(op.right, binding))
-    if isinstance(op, Union):
-        return Union(substitute_operator(op.left, binding), substitute_operator(op.right, binding))
-    if isinstance(op, Filter):
-        return Filter(op.expression, substitute_operator(op.input, binding))
+    if isinstance(op, (Join, Union, Minus)):
+        return type(op)(substitute_operator(op.left, binding), substitute_operator(op.right, binding))
     if isinstance(op, LeftJoin):
         return LeftJoin(
             substitute_operator(op.left, binding),
             substitute_operator(op.right, binding),
-            op.expression,
+            None if op.expression is None else substitute_expression(op.expression, binding),
         )
-    return op
+    if isinstance(op, GraphOp):
+        name = binding.get(op.name, op.name)
+        if not isinstance(name, (NamedNode, Variable)):
+            return ValuesOp((), ())  # no named graph has that name
+        return GraphOp(name, substitute_operator(op.input, binding))
+    if isinstance(op, ValuesOp):
+        return ValuesOp(
+            op.variables,
+            tuple(
+                row
+                for row in op.rows
+                if all(
+                    term is None or binding.get(variable, term) == term
+                    for variable, term in zip(op.variables, row)
+                )
+            ),
+        )
+    if isinstance(op, SubSelect):
+        own = binding.projected(op.query.variables())
+        return SubSelect(replace(op.query, where=substitute_operator(op.query.where, own)))
+    inner = substitute_operator(op.input, binding)
+    if isinstance(op, Filter):
+        return Filter(substitute_expression(op.expression, binding), inner)
+    if isinstance(op, Extend):
+        return Extend(inner, op.variable, substitute_expression(op.expression, binding))
+    if isinstance(op, OrderBy):
+        return OrderBy(
+            inner,
+            tuple(
+                replace(condition, expression=substitute_expression(condition.expression, binding))
+                for condition in op.conditions
+            ),
+        )
+    if isinstance(op, GroupBy):
+        return GroupBy(
+            inner,
+            tuple((substitute_expression(key, binding), alias) for key, alias in op.keys),
+            tuple(
+                (variable, substitute_expression(expression, binding))
+                for variable, expression in op.bindings
+            ),
+            tuple(substitute_expression(having, binding) for having in op.having),
+        )
+    return replace(op, input=inner)  # Project, Distinct, Reduced, Slice
+
+
+def substitute_expression(expression: Expression, binding: Binding) -> Expression:
+    """:func:`substitute_operator` for an expression: a bound variable
+    becomes its value (``BOUND`` of it, true) in every sub-expression."""
+    if isinstance(expression, VariableExpr):
+        term = binding.get(expression.variable)
+        return expression if term is None else TermExpr(term)
+    if isinstance(expression, ExistsExpr):
+        return replace(expression, pattern=substitute_operator(expression.pattern, binding))
+    changes = {}
+    for name in (f.name for f in fields(expression)):
+        value = getattr(expression, name)
+        if isinstance(value, Expression):
+            changes[name] = substitute_expression(value, binding)
+        elif isinstance(value, tuple):  # FunctionCall.args, InExpr.choices
+            changes[name] = tuple(substitute_expression(item, binding) for item in value)
+    return replace(expression, **changes)
 
 
 def construct_triples(

@@ -390,6 +390,8 @@ class ExpressionEvaluator:
 
         if name == "BOUND":
             argument = call.args[0]
+            if isinstance(argument, TermExpr):
+                return _boolean(True)  # a variable an EXISTS substituted
             if not isinstance(argument, VariableExpr):
                 raise ExpressionError("BOUND requires a variable")
             return _boolean(argument.variable in binding)

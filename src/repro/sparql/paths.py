@@ -19,13 +19,14 @@ from .algebra import (
     NegatedPropertySet,
     OneOrMorePath,
     Path,
+    PathPattern,
     PredicatePath,
     SequencePath,
     ZeroOrMorePath,
     ZeroOrOnePath,
 )
 
-__all__ = ["evaluate_path", "path_predicates"]
+__all__ = ["evaluate_path", "path_predicates", "path_reads"]
 
 
 def _concrete(term: Optional[Term]) -> Optional[Term]:
@@ -218,3 +219,49 @@ def path_predicates(path: Path) -> set:
     if isinstance(path, NegatedPropertySet):
         return set(path.forward) | set(path.inverse)
     raise TypeError(f"unknown path: {path!r}")
+
+
+def _is_negated(path: Path) -> bool:
+    if isinstance(path, NegatedPropertySet):
+        return True
+    if isinstance(path, (InversePath, ZeroOrMorePath, OneOrMorePath, ZeroOrOnePath)):
+        return _is_negated(path.path)
+    if isinstance(path, SequencePath):
+        return any(_is_negated(step) for step in path.steps)
+    if isinstance(path, AlternativePath):
+        return any(_is_negated(option) for option in path.options)
+    return False
+
+
+def _matches_empty(path: Path) -> bool:
+    """Whether the path admits the zero-length walk (``p*``, ``p?`` and
+    whatever sequences / alternatives / closures reduce to them)."""
+    if isinstance(path, (ZeroOrMorePath, ZeroOrOnePath)):
+        return True
+    if isinstance(path, (InversePath, OneOrMorePath)):
+        return _matches_empty(path.path)
+    if isinstance(path, SequencePath):
+        return all(_matches_empty(step) for step in path.steps)
+    if isinstance(path, AlternativePath):
+        return any(_matches_empty(option) for option in path.options)
+    return False
+
+
+def path_reads(pattern: PathPattern) -> Optional[frozenset]:
+    """The predicates of the quads a path pattern's answer depends on, or
+    ``None`` when that is every quad.
+
+    A negated property set matches any predicate outside it.  A path that
+    admits the empty walk relates *every node of the graph* to itself
+    unless an endpoint pins it (``<a> p* ?y`` starts at ``<a>`` whether or
+    not the graph mentions it), so with two variable endpoints any quad —
+    whatever its predicate — contributes its subject and object.
+    """
+    path = pattern.path
+    pinned = any(
+        end is not None and not isinstance(end, Variable)
+        for end in (pattern.subject, pattern.object)
+    )
+    if _is_negated(path) or (_matches_empty(path) and not pinned):
+        return None
+    return frozenset(path_predicates(path))

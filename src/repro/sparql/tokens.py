@@ -28,6 +28,7 @@ import re
 from dataclasses import dataclass
 
 from ..rdf.terms import unescape_string_literal
+from ..rdf.turtle import NUMBER
 
 __all__ = ["Token", "TokenizeError", "tokenize"]
 
@@ -56,7 +57,7 @@ _IRIREF = re.compile(r"<([^<>\"{}|^`\\\x00-\x20]*)>")
 _VAR = re.compile(r"[?$]([A-Za-z0-9_À-￿]+)")
 _BLANK = re.compile(r"_:([A-Za-z0-9_\-.À-￿]+)")
 _PNAME = re.compile(r"([A-Za-z0-9_\-.À-￿]*):([A-Za-z0-9_\-.%À-￿]*)")
-_NUMBER = re.compile(r"[+-]?(?:\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)")
+_NUMBER = re.compile(NUMBER)  # "1." is the integer 1 and a triple's dot
 _WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _LANGTAG = re.compile(r"@([a-zA-Z]+(?:-[a-zA-Z0-9]+)*)")
 _ANON = re.compile(r"\[\s*\]")

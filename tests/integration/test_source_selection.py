@@ -18,9 +18,13 @@ the index declares irrelevant or redundant, whatever the queue discipline:
 
 from __future__ import annotations
 
+import ast
 from collections import Counter
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.bench.harness import oracle_bindings
 from repro.cli import build_arg_parser, build_serve_arg_parser
@@ -28,6 +32,7 @@ from repro.ltqp import QUEUE_POLICIES, EngineConfig, TraversalPolicy
 from repro.ltqp.guided import SubwebRule, SubwebSpecification
 from repro.net import NoLatency, SeededJitterLatency
 from repro.net.faults import FaultPlan, FaultRule
+from repro.rdf.namespaces import SNVOC
 from repro.solidbench import (
     Fragmentation,
     SolidBenchConfig,
@@ -195,3 +200,65 @@ class TestAnIndexThatNeverArrives:
         execution, _ = execute(universes[True], query, max_documents=1)
         assert execution.stats.documents_fetched == 1
         assert execution.stats.links_pruned == 0
+
+
+class TestExistsBodiesAreSelected:
+    """An EXISTS body reads the web like any other pattern: the containers
+    it needs are not pruned, so ``FILTER EXISTS {inner}`` answers what the
+    join with ``inner`` does and ``FILTER NOT EXISTS {inner}`` the rest.
+    The forum containers hold none of the outer pattern's predicates — the
+    selector pruned them when its scopes never saw the body."""
+
+    #: (template, variant) → rows of the outer pattern joined with ``inner``.
+    JOINED = {(6, 1): 21, (6, 2): 48, (6, 3): 46, (6, 4): 31, (7, 1): 48, (7, 2): 36}
+    #: ... and rows of the outer pattern alone.
+    ALL = {(6, 1): 63, (6, 2): 79, (6, 3): 93, (6, 4): 72, (7, 1): 77, (7, 2): 85}
+
+    def rows(self, universe, seeds, where):
+        text = (
+            f"PREFIX snvoc: <{SNVOC.base}>\n"
+            f"SELECT DISTINCT ?message ?messageId WHERE {{ {where} }}"
+        )
+        execution = universe.fast_engine().query(text, seeds=seeds).run_sync()
+        assert execution.stats.completeness()["complete"]
+        return set(execution.bindings)
+
+    @pytest.mark.parametrize("template, variant", sorted(JOINED))
+    def test_exists_is_the_join_and_not_exists_the_rest(self, small_universe, template, variant):
+        seeds = discover_query(small_universe, template, variant).seeds
+        outer = f"?message snvoc:hasCreator <{seeds[0]}> ; snvoc:id ?messageId ."
+        inner = "?forum snvoc:containerOf ?message ; snvoc:title ?t ."
+        if template == 7:
+            inner += " ?forum snvoc:hasModerator ?m . ?m snvoc:firstName ?f ."
+        everything = self.rows(small_universe, seeds, outer)
+        joined = self.rows(small_universe, seeds, f"{outer} {inner}")
+        assert (len(joined), len(everything)) == (
+            self.JOINED[template, variant],
+            self.ALL[template, variant],
+        )
+        assert self.rows(small_universe, seeds, f"{outer} FILTER EXISTS {{ {inner} }}") == joined
+        assert (
+            self.rows(small_universe, seeds, f"{outer} FILTER NOT EXISTS {{ {inner} }}")
+            == everything - joined
+        )
+
+
+def test_exists_is_interpreted_in_the_query_layer_and_the_plan_only():
+    """Whoever else needs an EXISTS body asks ``repro.sparql`` for it
+    (``exists_patterns`` / ``read_patterns``) instead of walking one."""
+    src = Path(repro.__file__).parent
+    naming = []
+    for path in sorted(src.rglob("*.py")):
+        relative = path.relative_to(src).as_posix()
+        if relative.startswith("sparql/") or relative == "ltqp/pipeline.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, (ast.Attribute, ast.alias)):
+                name = node.attr if isinstance(node, ast.Attribute) else node.name
+            else:
+                continue
+            if name == "ExistsExpr":
+                naming.append(f"{relative}:{node.lineno}")
+    assert naming == []

@@ -13,13 +13,12 @@ from repro.ltqp.pipeline import (
     NotStreamable,
     OrderSliceNode,
     RederivedNode,
-    _operator_expressions,
     _walk,
     compile_pipeline,
 )
 from repro.rdf import Dataset, Literal, NamedNode, Quad, Variable
 from repro.sparql import parse_query
-from repro.sparql.algebra import expression_contains_exists
+from repro.sparql.algebra import expression_contains_exists, operator_expressions
 from repro.sparql.bindings import Binding
 
 EX = "PREFIX ex: <http://x/>\n"
@@ -313,7 +312,7 @@ _EXPRESSIONS = {
     FilterNode: lambda node: (node._expression,),
     ExtendNode: lambda node: (node._expression,),
     LeftJoinNode: lambda node: (node._expression,),
-    GroupAggregateNode: lambda node: _operator_expressions(node._op),
+    GroupAggregateNode: lambda node: operator_expressions(node._op),
     OrderSliceNode: lambda node: [condition.expression for condition in node._conditions],
 }
 

@@ -18,7 +18,7 @@ import pytest
 
 from repro.ltqp import explain_plan, pipeline
 from repro.ltqp.dereference import Dereferencer
-from repro.ltqp.extractors import MatchIriExtractor
+from repro.ltqp.extractors import MatchIriExtractor, build_query_context
 from repro.ltqp.pipeline import compile_query_pipeline
 from repro.ltqp.source import GrowingTripleSource
 from repro.net.latency import NoLatency
@@ -245,11 +245,26 @@ def snapshot_over_fetched(universe, engine) -> SnapshotEvaluator:
     return SnapshotEvaluator(source.dataset)
 
 
+class KnowsMatch(MatchIriExtractor):
+    """cMatch over ``?x foaf:knows ?y`` whatever the query: the links of the
+    ``knows`` triples.  cMatch itself follows every IRI for a path that can
+    match any quad (an unpinned ``knows*``), which crawls every pod."""
+
+    _context = build_query_context(parse_query(FOAF + "SELECT * WHERE { ?x foaf:knows ?y }").where)
+
+    def reads(self, context):
+        return super().reads(self._context)
+
+    def discover(self, document_url, document, context):
+        return super().discover(document_url, document, self._context)
+
+
 class TestNullablePathThroughTheEngine:
     """The query the naive predicate filter got wrong (961 of 3,627 rows:
     the 31 × 31 ``knows`` closure without the 2,666 other nodes'
-    self-pairs).  Discover 1.1's seed, cMatch-only extraction on the
-    paper-shaped pods: the 31 profile documents ``knows`` reaches.  (On
+    self-pairs).  Discover 1.1's seed, cMatch over the ``knows`` triples on
+    the paper-shaped pods: the 31 profile documents ``knows`` reaches (plain
+cMatch for the pinned path).  (On
     default pods no unit is irrelevant to a bare path, and each source index
     lists its units' members: the crawl is every document of every pod.)"""
 
@@ -257,8 +272,8 @@ class TestNullablePathThroughTheEngine:
     def seeds(self, paper_small_universe):
         return discover_query(paper_small_universe, 1, 1).seeds
 
-    def run(self, universe, seeds, text):
-        engine = universe.fast_engine(extractors=[MatchIriExtractor()])
+    def run(self, universe, seeds, text, extractor=KnowsMatch):
+        engine = universe.fast_engine(extractors=[extractor()])
         execution = engine.query(FOAF + text, seeds=seeds).run_sync()
         expected = snapshot_over_fetched(universe, engine).select(parse_query(FOAF + text))
         assert Counter(execution.bindings) == Counter(expected)
@@ -291,7 +306,10 @@ class TestNullablePathThroughTheEngine:
 
     def test_pinned_start_stores_only_the_path_predicate(self, paper_small_universe, seeds):
         execution = self.run(
-            paper_small_universe, seeds, f"SELECT ?y WHERE {{ <{seeds[0]}> foaf:knows* ?y }}"
+            paper_small_universe,
+            seeds,
+            f"SELECT ?y WHERE {{ <{seeds[0]}> foaf:knows* ?y }}",
+            MatchIriExtractor,
         )
         assert len(execution.bindings) == 31
         assert execution.stats.triples_stored < execution.stats.triples_discovered == 4490

@@ -55,6 +55,10 @@ class TestBGP:
         # ?x knows ?x: nobody knows themself.
         assert rows(graph, "SELECT ?x WHERE { ?x foaf:knows ?x }") == []
 
+    def test_integer_object_before_the_triple_dot(self, graph):
+        # "30." is the integer 30 and the end of the triple, not 30.0.
+        assert values(graph, "SELECT ?n WHERE { ?p ex:age 30. ?p foaf:name ?n }", "n") == ["Alice"]
+
     def test_variable_predicate(self, graph):
         predicates = values(graph, "SELECT ?p WHERE { ex:dave ?p ?o }", "p")
         assert predicates == ["http://xmlns.com/foaf/0.1/name"]
@@ -222,6 +226,68 @@ class TestExists:
             "n",
         )
         assert result == ["Carol", "Dave"]
+
+    def test_correlated_filter_inside_exists(self, graph):
+        # The oldest: nobody's age exceeds theirs.  ``?a`` is the outer one.
+        result = values(
+            graph,
+            "SELECT ?n WHERE { ?p foaf:name ?n ; ex:age ?a "
+            "FILTER NOT EXISTS { ?q ex:age ?b FILTER(?b > ?a) } }",
+            "n",
+        )
+        assert result == ["Carol"]
+
+    def test_sub_select_keeps_its_unprojected_variables(self, graph):
+        # The sub-select projects ?x only: its ?p is not the outer ?p.
+        result = values(
+            graph,
+            "SELECT ?n WHERE { ?p foaf:name ?n "
+            "FILTER EXISTS { { SELECT ?x WHERE { ?p foaf:knows ?x } } } }",
+            "n",
+        )
+        assert result == ["Alice", "Bob", "Carol", "Dave"]
+
+
+class TestExistsSubstitutesEveryOccurrence:
+    """``a p b`` and ``c p d`` in g1, ``a q "1"`` in g2: of the two ``?s``,
+    only ``a`` has a ``q`` — in any graph — and ``c`` has none."""
+
+    @pytest.fixture(scope="class")
+    def dataset(self):
+        x = lambda name: NamedNode(f"http://x/{name}")  # noqa: E731
+        ds = Dataset()
+        ds.add(Quad(x("a"), x("p"), x("b"), x("g1")))
+        ds.add(Quad(x("c"), x("p"), x("d"), x("g1")))
+        ds.add(Quad(x("a"), x("q"), Literal("1"), x("g2")))
+        return ds
+
+    def subjects(self, dataset, exists):
+        query = parse_query(
+            "PREFIX : <http://x/>\n"
+            f"SELECT ?s WHERE {{ GRAPH ?h {{ ?s :p ?o }} FILTER {exists} }}"
+        )
+        return sorted(b[Variable("s")].value.rsplit("/", 1)[-1] for b in evaluate_query(dataset, query))
+
+    def test_inside_a_graph_pattern(self, dataset):
+        assert self.subjects(dataset, "EXISTS { GRAPH ?g { ?s :q ?v } }") == ["a"]
+
+    def test_under_a_bind(self, dataset):
+        assert self.subjects(dataset, "EXISTS { ?s :q ?v BIND(1 AS ?k) }") == ["a"]
+
+    def test_under_a_minus(self, dataset):
+        assert self.subjects(dataset, "NOT EXISTS { ?s :q ?v MINUS { ?s :zz ?w } }") == ["c"]
+
+    def test_under_the_solution_modifiers(self, dataset):
+        assert self.subjects(
+            dataset, "EXISTS { { SELECT DISTINCT ?s WHERE { ?s :q ?v } ORDER BY ?v LIMIT 5 } }"
+        ) == ["a"]
+
+    def test_a_graph_name_the_outer_row_binds(self, dataset):
+        # ``a`` has its ``p`` in g1 and its ``q`` in g2: not in one graph.
+        assert self.subjects(dataset, "EXISTS { GRAPH ?h { ?s :q ?v } }") == []
+
+    def test_values_rows_that_disagree_are_dropped(self, dataset):
+        assert self.subjects(dataset, "EXISTS { VALUES ?s { :c :e } }") == ["c"]
 
 
 class TestAskConstruct:

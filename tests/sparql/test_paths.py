@@ -2,18 +2,19 @@
 
 import pytest
 
-from repro.rdf import Graph, NamedNode, Triple, parse_turtle
+from repro.rdf import Graph, NamedNode, Triple, Variable, parse_turtle
 from repro.sparql.algebra import (
     AlternativePath,
     InversePath,
     NegatedPropertySet,
     OneOrMorePath,
+    PathPattern,
     PredicatePath,
     SequencePath,
     ZeroOrMorePath,
     ZeroOrOnePath,
 )
-from repro.sparql.paths import evaluate_path, path_predicates
+from repro.sparql.paths import evaluate_path, path_predicates, path_reads
 
 DATA = """
 @prefix ex: <http://x/> .
@@ -115,3 +116,40 @@ class TestPathPredicates:
 
     def test_negated_set_predicates(self):
         assert path_predicates(NegatedPropertySet((n("p"),), (n("q"),))) == {n("p"), n("q")}
+
+
+class TestPathReads:
+    """The one rule for which quads can change a path pattern's answer."""
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            NegatedPropertySet((n("p"),)),
+            SequencePath((P, NegatedPropertySet((), (n("q"),)))),
+            ZeroOrMorePath(P),
+            ZeroOrOnePath(P),
+            OneOrMorePath(ZeroOrMorePath(P)),
+            InversePath(ZeroOrOnePath(P)),
+            SequencePath((ZeroOrMorePath(P), ZeroOrOnePath(Q))),
+            AlternativePath((P, ZeroOrMorePath(Q))),
+            ZeroOrOnePath(SequencePath((P, Q))),
+        ],
+    )
+    def test_any_quad_between_two_variables(self, path):
+        assert path_reads(PathPattern(Variable("a"), path, Variable("b"))) is None
+
+    def test_a_negated_set_reads_any_quad_even_pinned(self):
+        assert path_reads(PathPattern(n("a"), NegatedPropertySet((n("p"),)), Variable("b"))) is None
+
+    @pytest.mark.parametrize(
+        "subject, path, object, reads",
+        [
+            (n("a"), ZeroOrMorePath(P), Variable("b"), {"p"}),
+            (Variable("a"), ZeroOrOnePath(P), n("b"), {"p"}),
+            (Variable("a"), OneOrMorePath(P), Variable("b"), {"p"}),
+            (Variable("a"), SequencePath((ZeroOrMorePath(P), Q)), Variable("b"), {"p", "q"}),
+            (Variable("a"), AlternativePath((P, InversePath(Q))), Variable("b"), {"p", "q"}),
+        ],
+    )
+    def test_pinned_or_non_nullable_reads_its_predicates(self, subject, path, object, reads):
+        assert path_reads(PathPattern(subject, path, object)) == {n(name) for name in reads}

@@ -64,6 +64,15 @@ class TestStringsAndNumbers:
     def test_dot_is_punct_not_number(self):
         assert kinds(".")[0] == ("PUNCT", ".")
 
+    @pytest.mark.parametrize("text, number", [("1.", "1"), ("1. ", "1"), ("1.}", "1"), ("-2.\n", "-2")])
+    def test_a_trailing_dot_ends_the_triple_not_the_integer(self, text, number):
+        # DECIMAL needs a digit after its "." (the Turtle terminal, shared).
+        assert kinds(text)[:2] == [("NUMBER", number), ("PUNCT", ".")]
+
+    @pytest.mark.parametrize("number", ["1.e3", "1.5.", "12"])
+    def test_the_longest_numeral_wins(self, number):
+        assert kinds(number)[0] == ("NUMBER", number.rstrip("."))
+
     def test_minus_between_vars_is_operator(self):
         assert kinds("?a - ?b") == [("VAR", "a"), ("PUNCT", "-"), ("VAR", "b")]
 
