@@ -381,8 +381,9 @@ class CurrentDatasetExists:
     quiescence, against the complete snapshot).  This binder lends a
     :class:`SnapshotEvaluator` over the live dataset: the dataset grows in
     place and its union graph is maintained incrementally, so one evaluator
-    stays valid for the whole execution — ``bind`` only rebuilds it when
-    pointed at a different dataset object.
+    stays valid for the whole execution.  ``bind`` only remembers the
+    dataset; the evaluator is built by the first EXISTS evaluated over it,
+    so a query without one builds none.
     """
 
     __slots__ = ("_dataset", "_evaluator")
@@ -394,12 +395,14 @@ class CurrentDatasetExists:
     def bind(self, dataset: Dataset) -> None:
         if dataset is not self._dataset:
             self._dataset = dataset
-            self._evaluator = SnapshotEvaluator(dataset)
+            self._evaluator = None
 
     def __call__(self, pattern: Operator, binding: Binding) -> bool:
         evaluator = self._evaluator
         if evaluator is None:
-            raise ExpressionError("EXISTS evaluated before any data arrived")
+            if self._dataset is None:
+                raise ExpressionError("EXISTS evaluated before any data arrived")
+            evaluator = self._evaluator = SnapshotEvaluator(self._dataset)
         return evaluator.exists(pattern, binding)
 
 

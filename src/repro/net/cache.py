@@ -25,7 +25,6 @@ window simply revalidates through the ordinary ETag/304 path.
 
 from __future__ import annotations
 
-import base64
 import json
 import re
 import time
@@ -59,31 +58,40 @@ class CacheEntry:
         self.stored_at = now if now is not None else time.monotonic()
 
 
+#: The form marker every persisted entry starts with; a JSON header line
+#: (status, headers, validators, wall-clock stamp) and the raw body follow.
+#: :func:`decode_cache_entry` reads this form and no other.
+ENTRY_FORM = b"repro.http/raw-body\n"
+
+
 def encode_cache_entry(entry: CacheEntry) -> bytes:
     """Storage-backend bytes: response + validators, wall-clock stamped."""
-    payload = {
+    header = {
         "status": entry.response.status,
         "headers": entry.response.headers,
-        "body": base64.b64encode(entry.response.body).decode("ascii"),
         "etag": entry.etag,
         "max_age": entry.max_age,
         "stored_wall": time.time() - (time.monotonic() - entry.stored_at),
     }
-    return json.dumps(payload).encode("utf-8")
+    return b"".join(
+        (ENTRY_FORM, json.dumps(header).encode("utf-8"), b"\n", entry.response.body)
+    )
 
 
 def decode_cache_entry(raw: bytes) -> CacheEntry:
-    payload = json.loads(raw.decode("utf-8"))
-    age = max(0.0, time.time() - float(payload["stored_wall"]))
+    """Rebuild an entry; :class:`ValueError` on bytes in any other form
+    (an older build's store file, a corrupt row), which the storage tier
+    answers as a miss."""
+    if not raw.startswith(ENTRY_FORM):
+        raise ValueError("not an HTTP cache entry in this build's form")
+    end = raw.index(b"\n", len(ENTRY_FORM))
+    header = json.loads(raw[len(ENTRY_FORM) : end])
+    age = max(0.0, time.time() - float(header["stored_wall"]))
     return CacheEntry(
-        response=Response(
-            payload["status"],
-            dict(payload["headers"]),
-            base64.b64decode(payload["body"]),
-        ),
-        etag=payload["etag"],
+        response=Response(header["status"], header["headers"], raw[end + 1 :]),
+        etag=header["etag"],
         stored_at=time.monotonic() - age,
-        max_age=float(payload["max_age"]),
+        max_age=float(header["max_age"]),
     )
 
 

@@ -235,7 +235,7 @@ class Dataset:
     same-polarity runs for incremental view maintenance.
     """
 
-    __slots__ = ("_graphs", "_union", "_log", "_signs", "_retractions")
+    __slots__ = ("_graphs", "_union", "_log", "_signs", "_retractions", "__weakref__")
 
     def __init__(self) -> None:
         self._graphs: dict[Optional[NamedNode], Graph] = {}

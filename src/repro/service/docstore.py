@@ -60,8 +60,14 @@ class StoredDocument:
     stored_at: float
 
 
+#: The form marker every persisted document payload starts with: the wire
+#: block of :mod:`repro.service.wire` (kind-tagged term table) as JSON.
+#: :func:`decode_stored_document` reads this form and no other.
+DOCUMENT_FORM = b"repro.document/tagged-terms\n"
+
+
 def encode_stored_document(document: StoredDocument) -> bytes:
-    """Wire form plus a wall-clock timestamp, as storage-backend bytes.
+    """Form marker, then the wire block plus a wall-clock timestamp as JSON.
 
     ``stored_at`` is monotonic (meaningless across processes); the
     persisted form carries the equivalent wall-clock instant so a
@@ -71,19 +77,23 @@ def encode_stored_document(document: StoredDocument) -> bytes:
 
     payload = document_to_wire(document)
     payload["stored_wall"] = time.time() - (time.monotonic() - document.stored_at)
-    return json.dumps(payload).encode("utf-8")
+    return DOCUMENT_FORM + json.dumps(payload).encode("utf-8")
 
 
 def decode_stored_document(raw: bytes) -> StoredDocument:
-    """Rebuild a document, re-interning terms in this process."""
+    """Rebuild a document, re-interning terms in this process.
+
+    Raises :class:`ValueError` on bytes in any other form — a store file
+    written by an older build, a corrupt row — which the storage tier
+    answers as a miss.
+    """
     from .wire import document_from_wire
 
-    payload = json.loads(raw.decode("utf-8"))
-    stored_wall = payload.get("stored_wall")
-    stored_at: Optional[float] = None
-    if stored_wall is not None:
-        stored_at = time.monotonic() - max(0.0, time.time() - float(stored_wall))
-    return document_from_wire(payload, stored_at=stored_at)
+    if not raw.startswith(DOCUMENT_FORM):
+        raise ValueError("not a stored document in this build's form")
+    payload = json.loads(raw[len(DOCUMENT_FORM) :])
+    age = max(0.0, time.time() - float(payload["stored_wall"]))
+    return document_from_wire(payload, stored_at=time.monotonic() - age)
 
 
 class DocumentStore:

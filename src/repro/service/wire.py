@@ -6,9 +6,9 @@ A sharded deployment moves two kinds of payload between processes:
   streams its bindings back over a pipe (CONSTRUCT and DESCRIBE triples
   are ``?subject ?predicate ?object`` bindings like any other row).  :func:`encode_results` packs a
   result list into a *term-table* block — each distinct RDF term is
-  serialized once (N-Triples surface syntax) and rows are index tuples —
-  so a thousand rows over the same few IRIs cost a thousand small int
-  tuples, not a thousand copies of the IRIs.
+  written once and rows are index tuples — so a thousand rows over the
+  same few IRIs cost a thousand small int tuples, not a thousand copies
+  of the IRIs.
 * **stored documents** (worker ↔ worker, via the front-end): a graceful
   drain-and-restart hands the outgoing worker's parsed-document store to
   its replacement so the new shard starts warm.  :func:`document_to_wire`
@@ -16,33 +16,55 @@ A sharded deployment moves two kinds of payload between processes:
   entry still participates in ETag/304 revalidation exactly like a
   locally parsed one.  The document's predicate index does not travel:
   the decoded :class:`~repro.rdf.document.ParsedDocument` rebuilds it on
-  first use.
+  first use.  The same block is what the document store persists.
+
+Every block writes its terms in one *kind-tagged* JSON form, chosen so
+that decoding parses no term text:
+
+* an IRI is its string;
+* a literal is a list of :class:`~repro.rdf.terms.Literal`'s own
+  arguments — ``[value]``, ``[value, language]`` or
+  ``[value, "", datatype]`` (a language tag, or a datatype other than
+  ``xsd:string``, only when present);
+* a blank node is ``{"_": label}`` and a variable ``{"?": name}``.
 
 Decoding re-interns: IRIs come back through
 :func:`~repro.rdf.terms.intern_iri`, so within the receiving process
 every occurrence of an IRI is one object again (identity-shortcut
-equality, one cached hash) no matter how many messages mentioned it.
-The slotted term classes' cached hashes are salted by per-process string
-hash randomization, which is exactly why the wire forms carry lexical
-surface forms, never raw object state.
+equality, one cached hash) no matter how many messages mentioned it;
+a literal or blank node is one constructor call and one lookup in the
+generic pool, so a document decoded again shares its literals with the
+copy decoded before instead of adding objects for the collector to
+trace.  The slotted term classes' cached hashes are salted by
+per-process string hash randomization, which is exactly why the wire
+forms carry values, never raw object state.
 """
 
 from __future__ import annotations
 
+import time
 from typing import Iterable, Optional
 
 from ..ltqp.live import ResultChange
 from ..ltqp.stats import TimedResult
 from ..rdf.document import ParsedDocument
-from ..rdf.ntriples import _parse_term
-from ..rdf.terms import Term, Variable, intern, term_to_ntriples
+from ..rdf.terms import (
+    XSD_STRING,
+    BlankNode,
+    Literal,
+    NamedNode,
+    Term,
+    Variable,
+    intern,
+    intern_iri,
+    term_to_ntriples,
+)
 from ..rdf.triples import Triple
 from ..sparql.bindings import Binding
 from .docstore import StoredDocument
 
 __all__ = [
     "encode_term",
-    "decode_term",
     "encode_results",
     "decode_results",
     "encode_events",
@@ -53,25 +75,53 @@ __all__ = [
 
 
 def encode_term(term: Term) -> str:
-    """One term as its N-Triples surface form (``?var`` for variables)."""
+    """One term as its N-Triples surface form (``?var`` for variables) —
+    the HTTP front door's JSON, not a wire block."""
     return term_to_ntriples(term)
 
 
-def decode_term(text: str) -> Term:
-    """Parse a term back, re-interning it in the receiving process."""
-    if text.startswith("?"):
-        return Variable(text[1:])
-    term, _ = _parse_term(text, 0, 0)
-    # _parse_term already interns IRIs; route the rest (literals, blank
-    # nodes) through the generic pool so repeated terms share one object.
-    return intern(term)  # type: ignore[arg-type]
+def _tagged(term: Term) -> object:
+    """One term in the kind-tagged table form (see the module docstring)."""
+    kind = term.__class__
+    if kind is NamedNode:
+        return term.value
+    if kind is Literal:
+        if term.language:
+            return [term.value, term.language]
+        if term.datatype != XSD_STRING:
+            return [term.value, "", term.datatype]
+        return [term.value]
+    if kind is BlankNode:
+        return {"_": term.value}
+    if kind is Variable:
+        return {"?": term.value}
+    raise TypeError(f"not an RDF term: {term!r}")
+
+
+def _untagged(entry: object) -> Term:
+    """The literal, blank node or variable of one table entry."""
+    kind = entry.__class__
+    if kind is list:
+        return intern(Literal(*entry))  # type: ignore[misc]
+    if kind is dict and len(entry) == 1:  # type: ignore[arg-type]
+        ((tag, label),) = entry.items()  # type: ignore[union-attr]
+        if tag == "_":
+            return intern(BlankNode(label))
+        if tag == "?":
+            return Variable(label)
+    raise ValueError(f"not a term table entry: {entry!r}")
+
+
+def _decode_terms(table: list) -> list[Term]:
+    """A table's terms, in order; no term text is parsed."""
+    return [intern_iri(entry) if entry.__class__ is str else _untagged(entry) for entry in table]
 
 
 class _TermTable:
-    """Builds the per-block term table: each distinct term encoded once."""
+    """Builds the per-block term table: each distinct term written once."""
 
     def __init__(self) -> None:
-        self.terms: list[str] = []
+        self.terms: list[object] = []
         self._index: dict[Term, int] = {}
 
     def add(self, term: Term) -> int:
@@ -79,7 +129,7 @@ class _TermTable:
         if index is None:
             index = len(self.terms)
             self._index[term] = index
-            self.terms.append(encode_term(term))
+            self.terms.append(_tagged(term))
         return index
 
 
@@ -112,10 +162,12 @@ class _RowPacker:
 
 def _unpack(block: dict) -> list[Binding]:
     """A block's rows as bindings, re-interning every term."""
-    terms = [decode_term(text) for text in block["terms"]]
+    terms = _decode_terms(block["terms"])
     variables = [Variable(name) for name in block["vars"]]
     return [
-        Binding({variables[slot]: terms[index] for slot, index in enumerate(row) if index >= 0})
+        Binding._adopt(
+            {variables[slot]: terms[index] for slot, index in enumerate(row) if index >= 0}
+        )
         for row in block["rows"]
     ]
 
@@ -179,29 +231,31 @@ def decode_events(block: dict) -> list[ResultChange]:
 
 
 def document_to_wire(stored: StoredDocument) -> dict:
-    """One stored document as a term-table block, validator preserved."""
+    """One stored document as a term-table block, validator preserved.
+
+    ``triples`` is flat: three term indexes per triple, in document order.
+    """
     table = _TermTable()
-    rows = [[table.add(t) for t in triple] for triple in stored.document.triples]
+    add = table.add
+    triples = []
+    for triple in stored.document.triples:
+        triples += (add(triple.subject), add(triple.predicate), add(triple.object))
     return {
         "url": stored.url,
         "validator": stored.validator,
         "terms": table.terms,
-        "rows": rows,
+        "triples": triples,
     }
 
 
 def document_from_wire(wire: dict, stored_at: Optional[float] = None) -> StoredDocument:
-    """Rebuild a stored document with terms interned in this process.
-
-    Reads only the keys it names: a payload persisted before the ``links``
-    field was dropped still decodes, so an older store file reopens warm.
-    """
-    import time
-
-    terms = [decode_term(text) for text in wire["terms"]]
+    """Rebuild a stored document with terms interned in this process."""
+    terms = _decode_terms(wire["terms"])
+    indexes = iter(wire["triples"])
+    triples = zip(indexes, indexes, indexes, strict=True)
     return StoredDocument(
         url=wire["url"],
         validator=wire["validator"],
-        document=ParsedDocument(Triple(terms[s], terms[p], terms[o]) for s, p, o in wire["rows"]),
+        document=ParsedDocument([Triple(terms[s], terms[p], terms[o]) for s, p, o in triples]),
         stored_at=stored_at if stored_at is not None else time.monotonic(),
     )

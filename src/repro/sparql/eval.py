@@ -21,6 +21,7 @@ Generator-based: every operator yields :class:`Binding` solutions lazily.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import fields, replace
 from typing import Iterable, Iterator, Optional, Union as TypingUnion
 
@@ -83,12 +84,13 @@ class SnapshotEvaluator:
             self._dataset = None
             self._graph = data
         self._seed_iris = tuple(seed_iris)
-        self._expressions = ExpressionEvaluator(exists_evaluator=self.exists)
-
-    @property
-    def expressions(self) -> ExpressionEvaluator:
-        """The expression evaluator wired to this snapshot's EXISTS scope."""
-        return self._expressions
+        # EXISTS calls back into this evaluator through a weak reference:
+        # a bound method would make every evaluator a reference cycle that
+        # only a full collection frees, and with it the data it reads.
+        this = weakref.ref(self)
+        self._expressions = ExpressionEvaluator(
+            exists_evaluator=lambda pattern, binding: this().exists(pattern, binding)
+        )
 
     # ------------------------------------------------------------------
     # public API

@@ -14,7 +14,10 @@ namespace of that store:
 * **get** answers from the LRU, else reads through (decode + promote);
 * **eviction** only forgets the in-memory copy when there is a backend —
   capacity becomes disk-bounded, not RAM-bounded;
-* with no backend the LRU is authoritative and eviction discards.
+* with no backend the LRU is authoritative and eviction discards;
+* a stored value the decoder rejects (a form this build does not write,
+  a corrupt row) is a miss: the key is deleted and counted as
+  ``discarded``, and the caller re-fetches as for a never-seen key.
 
 The LRU holds live objects: callers may mutate an entry in place (the
 HTTP cache renews validator timestamps on 304) and such mutations are
@@ -31,6 +34,11 @@ from typing import Callable, Iterator, Optional
 from .sqlite import SqliteBackend
 
 __all__ = ["StorageTier"]
+
+#: What a decoder raises on bytes it cannot read: a foreign form marker or
+#: malformed JSON (ValueError), a missing field or index (LookupError), a
+#: value of the wrong shape (TypeError).
+_UNDECODABLE = (ValueError, LookupError, TypeError)
 
 
 class StorageTier:
@@ -54,6 +62,7 @@ class StorageTier:
         self.evictions = 0
         self.backend_reads = 0
         self.backend_writes = 0
+        self.discarded = 0
 
     # -- capacity -------------------------------------------------------
 
@@ -92,6 +101,18 @@ class StorageTier:
             self._lru.popitem(last=False)
             self.evictions += 1
 
+    def _read(self, key: str, raw: bytes) -> Optional[object]:
+        """Decode one stored value; an undecodable one is deleted, counted
+        and answered as a miss."""
+        try:
+            entry = self._decode(raw)
+        except _UNDECODABLE:
+            self.delete(key)
+            self.discarded += 1
+            return None
+        self.backend_reads += 1
+        return entry
+
     def get(self, key: str) -> Optional[object]:
         entry = self._lru.get(key)
         if entry is not None:
@@ -100,9 +121,9 @@ class StorageTier:
         if self._backend is not None:
             raw = self._backend.get(self.namespace, key)
             if raw is not None:
-                entry = self._decode(raw)
-                self.backend_reads += 1
-                self._admit(key, entry)
+                entry = self._read(key, raw)
+                if entry is not None:
+                    self._admit(key, entry)
                 return entry
         return None
 
@@ -114,8 +135,7 @@ class StorageTier:
         if self._backend is not None:
             raw = self._backend.get(self.namespace, key)
             if raw is not None:
-                self.backend_reads += 1
-                return self._decode(raw)
+                return self._read(key, raw)
         return None
 
     def put(self, key: str, entry: object) -> None:
@@ -138,7 +158,10 @@ class StorageTier:
         for key, raw in self._backend.scan(self.namespace):
             seen.add(key)
             entry = self._lru.get(key)
-            yield key, entry if entry is not None else self._decode(raw)
+            if entry is None:
+                entry = self._read(key, raw)
+            if entry is not None:
+                yield key, entry
         for key, entry in list(self._lru.items()):
             if key not in seen:
                 yield key, entry
@@ -148,6 +171,7 @@ class StorageTier:
         self.evictions = 0
         self.backend_reads = 0
         self.backend_writes = 0
+        self.discarded = 0
         if self._backend is not None:
             self._backend.clear(self.namespace)
 
@@ -164,6 +188,7 @@ class StorageTier:
             "persistent": self.persistent,
             "backend_reads": self.backend_reads,
             "backend_writes": self.backend_writes,
+            "discarded": self.discarded,
         }
         if self._backend is not None:
             stats["backend"] = self._backend.kind

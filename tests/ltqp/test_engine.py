@@ -1,6 +1,8 @@
 """Unit/integration tests for the link-traversal engine."""
 
 import asyncio
+import gc
+import weakref
 
 import pytest
 
@@ -270,3 +272,41 @@ class TestServiceOrientedEngine:
         # The engine's own policy is untouched: a plain run is unbounded.
         full = asyncio.run(run(None))
         assert full.stats.documents_fetched > 2
+
+
+class TestExecutionFreesItsDataset:
+    """A finished execution's dataset goes by reference counting alone: no
+    reference cycle holds it until the next full collection."""
+
+    @staticmethod
+    def dataset_ref(engine, text, seeds):
+        async def run():
+            execution = engine.query(text, seeds=seeds)
+            ref = None
+            async for _ in execution:
+                if ref is None:
+                    ref = weakref.ref(execution.source.dataset)
+            return execution, ref
+
+        execution, ref = asyncio.run(run())
+        assert ref is not None and len(execution) > 0
+        return execution, ref
+
+    @pytest.mark.parametrize("exists", [False, True])
+    def test_dataset_is_dead_once_the_execution_is_dropped(self, tiny_universe, exists):
+        from repro.solidbench import discover_query
+
+        seeds = discover_query(tiny_universe, 6, 1).seeds
+        where = f"?message snvoc:hasCreator <{seeds[0]}> ; snvoc:id ?messageId ."
+        if exists:
+            where += " FILTER EXISTS { ?forum snvoc:containerOf ?message ; snvoc:title ?t }"
+        text = SNB + f"SELECT ?message WHERE {{ {where} }}"
+        engine = tiny_universe.fast_engine()
+        gc.collect()
+        gc.disable()
+        try:
+            execution, ref = self.dataset_ref(engine, text, seeds)
+            del execution
+            assert ref() is None
+        finally:
+            gc.enable()

@@ -235,3 +235,72 @@ class TestBlankNodesAcrossLifetimes:
         assert second.stats.documents_from_store == 1
         assert second.bindings == []
 
+
+
+class TestUndecodableEntriesAreMisses:
+    """A stored value the decoder rejects is dropped, counted and answered
+    as a miss: one bad row never breaks a lookup, and the caller re-fetches."""
+
+    URL = "https://pod.example/doc"
+
+    def test_corrupt_document_row(self, tmp_path):
+        backend = SqliteBackend(str(tmp_path / "store.sqlite"))
+        try:
+            store = DocumentStore(backend=backend)
+            backend.put("documents", self.URL, b"{not json")
+            assert store.lookup(self.URL, "v") is None
+            assert store.misses == 1
+            assert store.statistics()["storage"]["discarded"] == 1
+            assert backend.get("documents", self.URL) is None
+            # The re-parse stores the document again, and it reads back.
+            store.put(self.URL, "v", TERM_SHAPE_TRIPLES)
+            assert store.tier.peek(self.URL).document.triples == tuple(TERM_SHAPE_TRIPLES)
+        finally:
+            backend.close()
+
+    def test_corrupt_rows_are_skipped_by_peek_and_entries(self, tmp_path):
+        backend = SqliteBackend(str(tmp_path / "store.sqlite"))
+        try:
+            store = DocumentStore(backend=backend)
+            store.put(self.URL, "v", TERM_SHAPE_TRIPLES[:1])
+            backend.put("documents", self.URL + "/bad", b"\xff\xfe")
+            backend.put("documents", self.URL + "/worse", b"garbage")
+            assert store.tier.peek(self.URL + "/bad") is None
+            assert [entry.url for entry in store.entries()] == [self.URL]
+            assert store.tier.statistics()["discarded"] == 2
+            assert backend.namespaces() == {"documents": 1}
+        finally:
+            backend.close()
+
+    def test_corrupt_http_row(self, tmp_path):
+        backend = SqliteBackend(str(tmp_path / "store.sqlite"))
+        try:
+            cache = HttpCache(backend=backend)
+            backend.put("http", self.URL, b"\x00garbage")
+            assert cache.lookup(self.URL) is None
+            assert cache.statistics()["storage"]["discarded"] == 1
+            assert self.URL not in cache
+        finally:
+            backend.close()
+
+    def test_http_entry_in_an_older_form_is_a_miss(self, tmp_path):
+        # The body as base64 inside one JSON object, no form marker.
+        import base64
+        import json
+
+        older = {
+            "status": 200,
+            "headers": {"etag": '"v1"'},
+            "body": base64.b64encode(b"payload").decode("ascii"),
+            "etag": '"v1"',
+            "max_age": 300.0,
+            "stored_wall": time.time(),
+        }
+        backend = SqliteBackend(str(tmp_path / "store.sqlite"))
+        try:
+            cache = HttpCache(backend=backend)
+            backend.put("http", self.URL, json.dumps(older).encode("utf-8"))
+            assert cache.lookup(self.URL) is None
+            assert cache.statistics()["storage"]["discarded"] == 1
+        finally:
+            backend.close()
