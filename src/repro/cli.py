@@ -332,10 +332,10 @@ def watch_main(argv: Optional[list[str]] = None) -> int:
     :class:`~repro.service.QueryService` ``serve`` hosts: the edit is a
     real owner-authenticated PATCH against the simulated Solid server
     (:meth:`~repro.service.QueryService.apply_update`), whose change
-    listener notifies the standing query; the drain re-dereferences the
-    changed document (conditional request), diffs it against what the
-    growing source holds of it, and pushes the signed delta through the
-    retained pipeline.
+    listener notifies the standing query if it reads the document; the
+    drain re-dereferences the changed document (conditional request),
+    diffs it against what the growing source holds of it, and pushes the
+    signed delta through the retained pipeline.
     """
     from .service import QueryService, SharedResources
 

@@ -230,8 +230,9 @@ class QueryExecution:
     shared with other executions (the engine and its ``dereferencer``, the
     client under it) is handed this one's observers with each call
     (:meth:`dereference`) and holds none.  Tear-down drops
-    the machinery; a ``live`` run keeps ``pipeline`` and ``source`` for
-    its :class:`~repro.ltqp.live.LiveQuery`.
+    the machinery; a ``live`` run keeps ``pipeline`` and ``source``, and
+    its read scope (``seen``, ``hints``), for its
+    :class:`~repro.ltqp.live.LiveQuery`.
     """
 
     def __init__(
@@ -267,6 +268,10 @@ class QueryExecution:
         self._clock = tracer.clock if tracer is not None else time.monotonic
         #: Built by the first drive (``None`` until then).
         self.queue = self.source = self.pipeline = self.selector = None
+        #: What the run has read, beyond the documents its ``source`` names:
+        #: the fragment-free URLs its queue saw (dereferenced, queued,
+        #: deferred or pruned at pop) and the source indexes it absorbed.
+        self.seen = self.hints = None
         self._context = None
         self._query_span = self._traversal_span = None
         self._budgets = _OriginBudgets()
@@ -361,6 +366,7 @@ class QueryExecution:
         # by the caller's spec and by what pods publish, and the hint
         # extractor finds those source indexes and specs during traversal.
         self.selector = SourceSelector(spec=policy.subweb, where=query.where, seeds=seeds)
+        self.hints = self.selector.hints
         self._extractors = [HintDiscoveryExtractor(self.selector), *self._extractors]
         stats.started_at = self._clock()
         if tracer is not None:
@@ -373,6 +379,7 @@ class QueryExecution:
         policy_context = QueuePolicyContext(query=context)
         self.queue = queue = build_queue(queue_factory_for(policy.queue_policy), policy_context)
         queue.clock = self._clock
+        self.seen = queue.seen
         for seed in seeds:
             if queue.push(Link(url=seed, via="seed")):
                 stats.links_queued += 1
@@ -571,12 +578,13 @@ class QueryExecution:
             tracer.close_open_spans(end=stats.finished_at)
         # Finished handles outlive the run (a service registry keeps a window
         # of them); the traversal machinery must not, nor — unless a
-        # LiveQuery is about to maintain them — the store and operator state.
+        # LiveQuery is about to maintain them — the store, the operator
+        # state and the read scope.
         self.queue = self.selector = self._extractors = None
         self._held.clear()
         self._workers.clear()
         if not self._live:
-            self.source = self.pipeline = None
+            self.source = self.pipeline = self.seen = self.hints = None
 
     # -- traversal ---------------------------------------------------------
 

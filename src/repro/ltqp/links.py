@@ -13,7 +13,7 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import AbstractSet, Callable, Optional
 
 from ..net.message import split_url
 
@@ -295,6 +295,11 @@ class LinkQueue:
 
     def has_seen(self, url: str) -> bool:
         return _strip_fragment(url) in self._seen
+
+    @property
+    def seen(self) -> AbstractSet[str]:
+        """Every fragment-free URL ever admitted (a live view, not a copy)."""
+        return self._seen
 
     @property
     def empty(self) -> bool:

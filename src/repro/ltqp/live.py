@@ -19,7 +19,8 @@ copied out of it), and keeps the result multiset current:
   :meth:`~repro.ltqp.pipeline.Pipeline.poll_changes`;
 * :meth:`notify` buffers change notifications (e.g. from a
   :class:`~repro.solid.server.SolidServer` change listener) that
-  :meth:`drain` then turns into refreshes;
+  :meth:`drain` then turns into refreshes — for the documents
+  :meth:`reads` admits, the subweb the traversal reached, and no other;
 * every change is published into the query's :class:`ChangeFeed` — the
   one ordered, replayable history (initial results as additions, then
   every maintenance event) that queues, listeners and
@@ -29,7 +30,10 @@ copied out of it), and keeps the result multiset current:
   tell where its standing query runs.
 
 Maintenance cost is O(changed triples × affected operators), not
-O(re-execution): the whole point of the signed-delta machinery.
+O(re-execution): the whole point of the signed-delta machinery.  A
+service holding many standing queries pays it once per write, not once
+per subscription: a write reaches only the queries whose :meth:`reads`
+admits it, each check a few dictionary probes per path segment.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ import asyncio
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union as TypingUnion
 
+from ..rdf.terms import NamedNode
 from ..sparql.algebra import Query
 from ..sparql.bindings import Binding
 from .engine import LinkTraversalEngine, QueryExecution, TraversalPolicy
@@ -225,10 +230,49 @@ class LiveQuery(ChangeFeed):
 
     # -- change intake -------------------------------------------------
 
-    def notify(self, url: str) -> None:
-        """Flag ``url`` as changed; the next :meth:`drain` refreshes it."""
-        if not self._closed:
-            self._pending[url.split("#", 1)[0]] = None
+    def reads(self, url: str) -> bool:
+        """Whether a write to ``url`` is this standing query's business.
+
+        A fresh run from the same seeds reaches a document only through
+        one the query already holds, and a write to *that* document
+        reaches the query itself; so a written document is admitted when
+        its (fragment-free) URL
+
+        * was seen by the traversal's link queue — dereferenced, queued,
+          deferred or pruned at pop — or names a graph in the source;
+        * lies under a container the traversal dereferenced (how pods
+          that publish no source index are read); or
+        * lies in a pod whose source index the traversal absorbed.
+
+        A few dictionary probes per path segment, however many documents
+        the query holds.  Nothing is admitted before :meth:`start`.
+        """
+        execution = self._execution
+        seen = execution.seen
+        if seen is None:
+            return False
+        url = url.split("#", 1)[0]
+        if url in seen:
+            return True
+        graphs = execution.source.dataset
+        # The document itself, then each ancestor container, innermost first.
+        cut = len(url)
+        while True:
+            if graphs.has_graph(NamedNode(url[:cut])):
+                return True
+            cut = url.rfind("/", 0, cut - 1) + 1
+            if cut <= len("https://"):
+                break
+        return execution.hints.pod_for(url) is not None
+
+    def notify(self, url: str) -> bool:
+        """Flag ``url`` as changed if :meth:`reads` admits it; the next
+        :meth:`drain` refreshes it.  Returns whether it was flagged."""
+        url = url.split("#", 1)[0]
+        if self._closed or not self.reads(url):
+            return False
+        self._pending[url] = None
+        return True
 
     @property
     def pending(self) -> list[str]:

@@ -235,11 +235,15 @@ class Dataset:
     same-polarity runs for incremental view maintenance.
     """
 
-    __slots__ = ("_graphs", "_union", "_log", "_signs", "_retractions", "__weakref__")
+    __slots__ = ("_graphs", "_union", "_shared", "_log", "_signs", "_retractions", "__weakref__")
 
     def __init__(self) -> None:
         self._graphs: dict[Optional[NamedNode], Graph] = {}
         self._union = Graph()
+        #: Triple → how many graphs beyond the first hold it, for the
+        #: triples more than one graph holds: a retraction asks this, not
+        #: every graph, whether the union keeps the triple.
+        self._shared: dict[Triple, int] = {}
         self._log: list[Quad] = []
         #: Parallel to ``_log``: +1 for insertions, -1 for retractions.
         self._signs: list[int] = []
@@ -284,7 +288,8 @@ class Dataset:
         triple = quad.triple
         if not self.graph(quad.graph).add(triple):
             return False
-        self._union.add(triple)
+        if not self._union.add(triple):
+            self._shared[triple] = self._shared.get(triple, 0) + 1
         self._log.append(quad)
         self._signs.append(1)
         return True
@@ -303,11 +308,13 @@ class Dataset:
         triple = quad.triple
         if not graph.discard(triple):
             return False
-        for name, other in self._graphs.items():
-            if name != quad.graph and triple in other:
-                break
-        else:
+        others = self._shared.get(triple)
+        if others is None:
             self._union.discard(triple)
+        elif others == 1:
+            del self._shared[triple]
+        else:
+            self._shared[triple] = others - 1
         self._log.append(quad)
         self._signs.append(-1)
         self._retractions += 1
@@ -324,12 +331,14 @@ class Dataset:
         """
         add = self.graph(graph).add
         union_add = self._union.add
+        shared = self._shared
         log_append = self._log.append
         signs_append = self._signs.append
         added = 0
         for triple in triples:
             if add(triple):
-                union_add(triple)
+                if not union_add(triple):
+                    shared[triple] = shared.get(triple, 0) + 1
                 log_append(Quad(triple.subject, triple.predicate, triple.object, graph))
                 signs_append(1)
                 added += 1

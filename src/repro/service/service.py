@@ -490,8 +490,10 @@ class QueryService(_ServiceCore):
         The returned :class:`ServiceSubscription` exposes the signed
         event stream (:meth:`ServiceSubscription.queue`); change intake
         is automatic — every :class:`~repro.solid.server.SolidServer` on
-        the service's internet notifies the subscription on accepted
-        writes, and a drain task turns notifications into refreshes.
+        the service's internet reports accepted writes, the subscription
+        is notified of those its query reads
+        (:meth:`~repro.ltqp.live.LiveQuery.reads`), and a drain task
+        turns notifications into refreshes.
         Counts against the same admission capacity as :meth:`submit`.
         """
         self._check_capacity()
@@ -559,13 +561,10 @@ class QueryService(_ServiceCore):
             self._listening.append(app)
 
     def _on_document_changed(self, url: str) -> None:
-        """Solid-server write listener: flag the document, schedule a drain."""
-        notified = False
-        for subscription in self._subscriptions.values():
-            if not subscription.closed:
-                subscription.live.notify(url)
-                notified = True
-        if notified:
+        """Solid-server write listener: flag the document for the standing
+        queries that read it (:meth:`LiveQuery.reads`), schedule a drain."""
+        notified = [subscription.live.notify(url) for subscription in self._subscriptions.values()]
+        if any(notified):
             self._schedule_drain()
 
     def _schedule_drain(self) -> None:

@@ -112,7 +112,10 @@ class SolidBenchUniverse:
         """Union of *all* generated documents, with per-document graphs.
 
         Evaluating a query here gives the complete answer over the whole
-        universe — the completeness reference for LTQP executions.
+        universe — the completeness reference for LTQP executions.  Built
+        once and kept until the server accepts a write, so it always
+        answers over the pods as they are now, and a universe whose pods
+        are being edited does not keep a copy of every document resident.
         """
         if self._oracle is None:
             dataset = Dataset()
@@ -122,7 +125,13 @@ class SolidBenchUniverse:
                     for triple in document.triples:
                         dataset.add(Quad(triple.subject, triple.predicate, triple.object, graph))
             self._oracle = dataset
+            self.server.add_change_listener(self._forget_oracle)
         return self._oracle
+
+    def _forget_oracle(self, url: str) -> None:
+        """Server write listener: the cached oracle no longer holds."""
+        self._oracle = None
+        self.server.remove_change_listener(self._forget_oracle)
 
     # ------------------------------------------------------------------
     # statistics (bench E5)

@@ -594,3 +594,129 @@ class TestLiveQuery:
             assert [e.seq for e in live.events] == list(range(len(live.events)))
 
         asyncio.run(run())
+
+
+MOOD = "https://vocab.example/mood"
+MOOD_QUERY = f"SELECT ?s ?o WHERE {{ ?s <{MOOD}> ?o }}"
+
+
+async def put_document(universe, url: str, turtle: str) -> None:
+    server = universe.server
+    headers = {"content-type": "text/turtle", **server.login_owner(url[len(server.origin):])}
+    response = await universe.internet.dispatch(
+        Request("PUT", url, headers, turtle.encode("utf-8"))
+    )
+    assert response.status < 300, response.body
+
+
+class TestReadScope:
+    """A write is a standing query's business only inside the subweb its
+    traversal reached: ``LiveQuery.reads`` is the one rule, ``notify``
+    applies it, and an explicit ``refresh`` does not ask it."""
+
+    def test_a_notification_before_start_or_after_close_is_ignored(self, live_universe):
+        async def run():
+            pod = next(iter(live_universe.pods.values()))
+            live = LiveQuery(
+                live_universe.fast_engine(), name_query(pod), seeds=[pod.profile_url]
+            )
+            assert not live.reads(pod.profile_url)
+            assert live.notify(pod.profile_url) is False
+            await live.start()
+            assert live.pending == []
+            assert live.notify(pod.profile_url) is True
+            live.close()
+            assert live.notify(pod.profile_url) is False
+            assert await live.drain() == []
+
+        asyncio.run(run())
+
+    def test_a_write_to_another_pod_is_dropped_but_an_explicit_refresh_is_not(
+        self, live_universe
+    ):
+        async def run():
+            pod, other = list(live_universe.pods.values())[:2]
+            live = LiveQuery(
+                live_universe.fast_engine(), name_query(pod), seeds=[pod.profile_url]
+            )
+            await live.start()
+            foreign = other.profile_url + "#me"
+            assert not live.reads(foreign)
+            assert live.notify(foreign) is False and live.pending == []
+            assert await live.refresh(other.profile_url) == []  # nothing it reads changed
+            assert live.reads(other.profile_url)  # now held: a named graph
+
+        asyncio.run(run())
+
+    def test_a_seed_that_was_missing_is_refreshed_once_created(self, live_universe):
+        """Rule 1: the queue saw the seed (it 404'd); the PUT that creates
+        it is admitted and its rows appear, as in a fresh run."""
+        pod = next(iter(live_universe.pods.values()))
+        url = pod.base_url + "notes/late"
+
+        async def run():
+            live = LiveQuery(live_universe.fast_engine(), MOOD_QUERY, seeds=[url])
+            assert await live.start() == []
+            assert live.execution.stats.documents_fetched == 0
+            assert live.execution.hints.pod_count == 0
+            await put_document(live_universe, url, f'<{url}#it> <{MOOD}> "late" .')
+            assert live.notify(url)
+            events = await live.drain()
+            fresh = await live_universe.fast_engine().query(MOOD_QUERY, seeds=[url]).gather()
+            return live, events, fresh
+
+        live, events, fresh = asyncio.run(run())
+        assert [event.delta for event in events] == [1]
+        assert Counter(live.current_results()) == Counter(fresh.bindings)
+        assert len(fresh.bindings) == 1
+
+    def test_a_document_put_under_a_read_container_is_refreshed(self):
+        """Rule 2, on pods that publish no source index: the crawl read the
+        container, so a document created in it is admitted, and the
+        standing results equal a fresh run's."""
+        universe = build_universe(SolidBenchConfig(scale=0.005, seed=7, emit_hints=False))
+        pod = universe.pod_of(0)
+        url = pod.base_url + "noise/noise-late"
+
+        async def run():
+            live = LiveQuery(universe.fast_engine(), MOOD_QUERY, seeds=[pod.profile_url])
+            assert await live.start() == []
+            assert live.execution.hints.pod_count == 0
+            assert url not in live.execution.seen
+            await put_document(universe, url, f'<{url}#it> <{MOOD}> "late" .')
+            assert live.notify(url)
+            events = await live.drain()
+            fresh = await universe.fast_engine().query(
+                MOOD_QUERY, seeds=[pod.profile_url]
+            ).gather()
+            return live, events, fresh
+
+        live, events, fresh = asyncio.run(run())
+        assert [event.delta for event in events] == [1]
+        assert Counter(live.current_results()) == Counter(fresh.bindings)
+        assert len(fresh.bindings) == 1
+
+    def test_the_check_walks_the_path_not_the_held_documents(self, live_universe, monkeypatch):
+        from repro.rdf.dataset import Dataset
+
+        async def run():
+            pod, other = list(live_universe.pods.values())[:2]
+            live = LiveQuery(
+                live_universe.fast_engine(), name_query(pod), seeds=[pod.profile_url]
+            )
+            await live.start()
+            return live, other.base_url + "posts/a/b/c"
+
+        live, foreign = asyncio.run(run())
+        probes = []
+        original = Dataset.has_graph
+        monkeypatch.setattr(
+            Dataset, "has_graph", lambda self, name: probes.append(name) or original(self, name)
+        )
+        monkeypatch.setattr(Dataset, "graph_names", lambda self: pytest.fail("walked every graph"))
+        assert not live.reads(foreign)
+        # The document, then each ancestor container up to the origin's root.
+        parts = foreign.split("/")  # https:, "", host, pods, <pod>, posts, a, b, c
+        expected = [foreign] + ["/".join(parts[:n]) + "/" for n in range(len(parts) - 1, 2, -1)]
+        assert [name.value for name in probes] == expected
+        assert expected[-1] == "https://solidbench.example/"

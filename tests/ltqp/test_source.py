@@ -35,6 +35,18 @@ class TestGrowingTripleSource:
         source.add_document("https://h/doc", ParsedDocument([t(1)]))
         assert source.dataset.has_graph(NamedNode("https://h/doc"))
 
+    def test_a_refresh_retracts_a_shared_triple_from_the_union_with_its_last_holder(self):
+        source = GrowingTripleSource()
+        for url in ("https://h/a", "https://h/b"):
+            source.add_document(url, ParsedDocument([t(1), t(2)]))
+        union = source.dataset.union
+        assert source.update_document("https://h/a", ParsedDocument([t(2)])) == ([], [t(1)])
+        assert t(1) in union
+        assert source.update_document("https://h/b", ParsedDocument([t(2)])) == ([], [t(1)])
+        assert t(1) not in union and t(2) in union
+        assert source.update_document("https://h/a", ParsedDocument([t(1), t(2)])) == ([t(1)], [])
+        assert t(1) in union
+
 
 class TestIndexOnFirstRead:
     """What the ingest path and a plan's reads build — counts, not seconds."""

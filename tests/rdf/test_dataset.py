@@ -215,6 +215,37 @@ class TestSignedLog:
         assert ds.remove(self.quad("a", "b", g="doc2"))
         assert Triple(n("a"), n("p"), n("b")) not in ds.union
 
+    def test_the_union_counts_its_holders_through_every_write_path(self):
+        """Two graphs hold a triple: it stays in the union after one
+        removal, leaves after both, and comes back on re-add — whichever
+        of ``add`` / ``add_triples`` put it there."""
+        ds = Dataset()
+        triple = Triple(n("a"), n("p"), n("b"))
+        ds.add(self.quad("a", "b", g="doc1"))
+        ds.add_triples([triple, triple], n("doc2"))
+        ds.add_triples([triple], n("doc3"))
+        for last, graph in ((False, "doc2"), (False, "doc1"), (True, "doc3")):
+            assert ds.remove(self.quad("a", "b", g=graph))
+            assert not ds.remove(self.quad("a", "b", g=graph))  # once per holder
+            assert (triple in ds.union) is not last
+        ds.add_triples([triple], n("doc2"))
+        assert triple in ds.union
+        ds.add(self.quad("a", "b", g="doc1"))
+        assert ds.remove(self.quad("a", "b", g="doc2"))
+        assert triple in ds.union
+        assert ds.remove(self.quad("a", "b", g="doc1"))
+        assert triple not in ds.union
+
+    def test_a_retraction_asks_no_other_graph(self, monkeypatch):
+        ds = Dataset()
+        for index in range(50):
+            ds.add(self.quad("a", "b", g=f"doc{index}"))
+            ds.add(self.quad("c", str(index), g=f"doc{index}"))
+        monkeypatch.setattr(Graph, "__contains__", lambda *_: pytest.fail("scanned a graph"))
+        for index in range(50):
+            assert ds.remove(self.quad("a", "b", g=f"doc{index}"))
+            assert any(ds.union.match(n("a"), n("p"), n("b"))) is (index < 49)
+
     def test_signed_runs_groups_maximal_same_sign_windows(self):
         ds = Dataset()
         a, b, c = self.quad("a", "x"), self.quad("b", "x"), self.quad("c", "x")

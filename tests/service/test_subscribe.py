@@ -14,7 +14,8 @@ import pytest
 
 from repro.net import ConstantLatency, NoLatency
 from repro.net.message import Request
-from repro.rdf.terms import term_to_ntriples
+from repro.rdf.namespaces import SNVOC
+from repro.rdf.terms import NamedNode, term_to_ntriples
 from repro.service import (
     QueryService,
     ServiceSparqlApp,
@@ -57,6 +58,28 @@ def event_key(event) -> tuple:
 def universe():
     """Private per-test universe: these tests PATCH pod documents."""
     return build_universe(CONFIG)
+
+
+#: A standing query that matches every pod's messages, seeded at one pod
+#: whose traversal reaches no other: a write to another pod's message is
+#: out of its scope, though its pattern would match.
+SCOPE_CONFIG = SolidBenchConfig(scale=0.02, seed=42)
+CONTENT_QUERY = f"SELECT ?m ?c WHERE {{ ?m <{SNVOC.content.value}> ?c }}"
+
+
+def scope_scenario(universe):
+    """``(seed WebID, foreign document and its insert, own document and its edit)``."""
+    pods = {pod.base_url[-4:-1]: pod for pod in universe.pods.values()}
+    own, other = pods["002"], pods["009"]
+    foreign = other.base_url + "posts/2010-03-20"
+    mine = own.base_url + next(p for p in own.document_paths() if p.startswith("posts/"))
+    return (
+        own.webid,
+        foreign,
+        f'INSERT DATA {{ <{foreign}#x> <{SNVOC.content.value}> "foreign" }}',
+        mine,
+        f'INSERT DATA {{ <{mine}#x> <{SNVOC.content.value}> "mine" }}',
+    )
 
 
 class TestServiceSubscribe:
@@ -245,6 +268,31 @@ class TestSubscribeProtocol:
         )
 
 
+class TestWritesReachOnlyTheQueriesThatReadThem:
+    def test_a_write_outside_the_traversed_subweb_changes_nothing(self):
+        """The same-pattern write to a pod the query never reached: no
+        events, no named graph for it, and standing == a fresh run."""
+        universe = build_universe(SCOPE_CONFIG)
+        seed, foreign, insert, _, _ = scope_scenario(universe)
+
+        async def scenario():
+            service = make_service(universe)
+            standing = await service.subscribe(CONTENT_QUERY, seeds=[seed])
+            before = standing.current_results()
+            report = await service.apply_update(foreign, insert)
+            fresh = await service.run(CONTENT_QUERY, seeds=[seed])
+            return standing, before, report, fresh
+
+        standing, before, report, fresh = asyncio.run(scenario())
+        assert report["events"] == 0
+        assert standing.current_results() == before
+        assert standing.current_results() == {b: 1 for b in fresh.bindings}
+        assert len(fresh.bindings) == 77
+        dataset = standing.live.execution.source.dataset
+        assert not dataset.has_graph(NamedNode(foreign))
+        assert not standing.live.pending
+
+
 class TestShardedSubscribeParity:
     """Acceptance: sharded subscribe == unsharded subscribe, event for event."""
 
@@ -305,3 +353,34 @@ class TestShardedSubscribeParity:
         assert sharded_events == expected_events
         assert sharded_results == expected_results
         assert expected_events  # the comparison is not vacuous
+
+    def test_writes_are_scoped_the_same_sharded_or_not(self):
+        """Out-of-scope write: no events in either deployment; the in-scope
+        edit after it: the identical event stream."""
+        universe = build_universe(SCOPE_CONFIG)
+        seed, foreign, insert, mine, edit = scope_scenario(universe)
+
+        async def stream(service):
+            subscription = await service.subscribe(CONTENT_QUERY, seeds=[seed])
+            out_of_scope = await service.apply_update(foreign, insert)
+            in_scope = await service.apply_update(mine, edit)
+            events = [event_key(e) for e in subscription.events]
+            await subscription.close()
+            return out_of_scope["events"], in_scope["events"], events
+
+        async def unsharded():
+            return await stream(make_service(universe))
+
+        async def sharded():
+            service = ShardedQueryService(
+                ShardSpec(config=SCOPE_CONFIG, latency=NoLatency()), workers=2
+            )
+            await service.start()
+            try:
+                return await stream(service)
+            finally:
+                await service.stop()
+
+        expected = asyncio.run(unsharded())
+        assert expected[:2] == (0, 1)
+        assert asyncio.run(sharded()) == expected

@@ -2,8 +2,10 @@
 
 import asyncio
 
-from repro.net import NoLatency
+from repro.net import NoLatency, Request
 from repro.rdf import SNTAG
+from repro.rdf.terms import Literal, NamedNode, intern_iri, term_to_ntriples
+from repro.solidbench import build_universe
 from repro.solidbench.config import PAPER_SCALE_TARGETS, SolidBenchConfig
 
 
@@ -30,6 +32,30 @@ class TestUniverse:
 
     def test_oracle_is_cached(self, tiny_universe):
         assert tiny_universe.oracle_dataset() is tiny_universe.oracle_dataset()
+
+    def test_oracle_follows_writes_to_the_pods(self):
+        universe = build_universe(SolidBenchConfig(scale=0.005, seed=7))
+        webid = universe.webid(0)
+        name = NamedNode("http://xmlns.com/foaf/0.1/name")
+        stale = universe.oracle_dataset()
+        (old,) = [q.object for q in stale.match(intern_iri(webid), name, None)]
+        url = webid.split("#", 1)[0]
+        server = universe.server
+        headers = {"content-type": "application/sparql-update"}
+        headers.update(server.login_owner(url[len(server.origin):]))
+        update = (
+            f"DELETE DATA {{ <{webid}> <{name.value}> {term_to_ntriples(old)} }} ;\n"
+            f'INSERT DATA {{ <{webid}> <{name.value}> "Renamed" }}'
+        )
+        response = asyncio.run(
+            universe.internet.dispatch(Request("PATCH", url, headers, update.encode("utf-8")))
+        )
+        assert response.status < 300, response.body
+        fresh = universe.oracle_dataset()
+        assert fresh is not stale
+        assert [q.object for q in fresh.match(intern_iri(webid), name, None)] == [Literal("Renamed")]
+        # Built again, it is cached again until the next write.
+        assert universe.oracle_dataset() is fresh
 
     def test_statistics_ratios_close_to_paper(self, small_universe):
         # §4.2: 158,233 files / 1,531 pods and 3,556,159 triples / 158,233 files.
