@@ -50,7 +50,7 @@ from typing import Iterable, Optional
 from ..links import Link
 from ...net.message import split_url
 from ...rdf.document import ParsedDocument
-from ...rdf.terms import NamedNode, intern_iri
+from ...rdf.terms import NamedNode
 from ...solid.index import ADVERTISEMENT, is_index_document
 from .hints import CardinalityHints, container_relevant, query_scopes
 from .subweb import SubwebSpecification
@@ -271,4 +271,4 @@ class SourceSelector:
 
 def _predicates(iris: Iterable[str]) -> frozenset:
     """Predicate IRIs as the terms a document is bucketed by."""
-    return frozenset(intern_iri(iri) for iri in iris)
+    return frozenset(NamedNode(iri) for iri in iris)

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import heapq
 import time
+from array import array
 from dataclasses import dataclass, replace
-from typing import AbstractSet, Callable, Optional
+from typing import AbstractSet, Callable, Iterator, Optional, Sequence
 
 from ..net.message import split_url
 
@@ -22,6 +23,7 @@ __all__ = [
     "LinkProvenance",
     "LinkQueue",
     "QueueSample",
+    "QueueSamples",
     "QueuePolicyContext",
     "EXTRACTOR_RANK",
     "QUERY_MATCH_TIER",
@@ -153,6 +155,57 @@ class QueueSample:
     popped_total: int
 
 
+class QueueSamples(Sequence[QueueSample]):
+    """The queue's samples, one per push and pop, as flat typed arrays.
+
+    A crawl samples thousands of times; keeping each sample as an object
+    would leave thousands of small containers for the collector to trace
+    for as long as the statistics live.  The four columns are arrays of
+    machine numbers instead (timestamps as doubles, lengths and totals as
+    integers), and a :class:`QueueSample` is built only when one is read.
+    """
+
+    __slots__ = ("_timestamps", "_lengths", "_pushed", "_popped")
+
+    def __init__(self) -> None:
+        self._timestamps = array("d")
+        self._lengths = array("q")
+        self._pushed = array("q")
+        self._popped = array("q")
+
+    def record(
+        self, timestamp: float, queue_length: int, pushed_total: int, popped_total: int
+    ) -> None:
+        self._timestamps.append(timestamp)
+        self._lengths.append(queue_length)
+        self._pushed.append(pushed_total)
+        self._popped.append(popped_total)
+
+    def copy(self) -> "QueueSamples":
+        samples = QueueSamples()
+        samples._timestamps.extend(self._timestamps)
+        samples._lengths.extend(self._lengths)
+        samples._pushed.extend(self._pushed)
+        samples._popped.extend(self._popped)
+        return samples
+
+    def __len__(self) -> int:
+        return len(self._lengths)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[at] for at in range(*index.indices(len(self)))]
+        return QueueSample(
+            self._timestamps[index], self._lengths[index], self._pushed[index], self._popped[index]
+        )
+
+    def __iter__(self) -> Iterator[QueueSample]:
+        return map(QueueSample, self._timestamps, self._lengths, self._pushed, self._popped)
+
+    def __repr__(self) -> str:
+        return f"QueueSamples({len(self)} samples)"
+
+
 #: A queue discipline: maps an admitted link and its admission sequence
 #: number to a sortable key — smaller pops first, ties by sequence number.
 #: Called exactly once per admission, in admission order.
@@ -240,7 +293,7 @@ class LinkQueue:
         self._seen: set[str] = set()
         self._pushed = 0
         self._popped = 0
-        self._samples: list[QueueSample] = []
+        self._samples = QueueSamples()
         #: Timestamp source for samples and ``Link.enqueued_at`` stamps;
         #: the engine swaps in the tracer's clock on traced executions.
         self.clock: Callable[[], float] = time.monotonic
@@ -314,18 +367,12 @@ class LinkQueue:
         return self._popped
 
     @property
-    def samples(self) -> list[QueueSample]:
-        """Queue-length samples recorded at every push/pop."""
-        return list(self._samples)
+    def samples(self) -> QueueSamples:
+        """Queue-length samples recorded at every push/pop (a snapshot)."""
+        return self._samples.copy()
 
     def _sample(self) -> None:
-        sample = QueueSample(
-            timestamp=self.clock(),
-            queue_length=len(self),
-            pushed_total=self._pushed,
-            popped_total=self._popped,
-        )
-        self._samples.append(sample)
+        self._samples.record(self.clock(), len(self._heap), self._pushed, self._popped)
 
 
 #: Named queue disciplines selectable via ``TraversalPolicy.queue_policy``

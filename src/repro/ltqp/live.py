@@ -255,10 +255,13 @@ class LiveQuery(ChangeFeed):
         if url in seen:
             return True
         graphs = execution.source.dataset
-        # The document itself, then each ancestor container, innermost first.
+        # The document itself, then each ancestor container, innermost
+        # first.  The probe mints nothing: a prefix no live term names
+        # cannot name a held graph.
         cut = len(url)
         while True:
-            if graphs.has_graph(NamedNode(url[:cut])):
+            name = NamedNode.existing(url[:cut])
+            if name is not None and graphs.has_graph(name):
                 return True
             cut = url.rfind("/", 0, cut - 1) + 1
             if cut <= len("https://"):

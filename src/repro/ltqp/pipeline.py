@@ -78,6 +78,7 @@ import heapq
 from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
+from operator import attrgetter, methodcaller
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from ..rdf.dataset import Dataset
@@ -340,7 +341,7 @@ class _KeyedBag(dict):
     def __init__(self, tallied: bool = False) -> None:
         self._stride = 2 if tallied else 1
 
-    def add(self, key: tuple, binding: Binding, count: int, tally: int = 0) -> None:
+    def add(self, key: object, binding: Binding, count: int, tally: int = 0) -> None:
         stride = self._stride
         if count > 0:
             row = (binding,) if stride == 1 else (binding, tally)
@@ -496,11 +497,7 @@ class ScanNode(IncrementalNode):
     walk over the pattern.
     """
 
-    _GETTERS = (
-        lambda quad: quad.subject,
-        lambda quad: quad.predicate,
-        lambda quad: quad.object,
-    )
+    _GETTERS = (attrgetter("subject"), attrgetter("predicate"), attrgetter("object"))
 
     def __init__(self, pattern: TriplePattern, graph: Optional[Term] = None) -> None:
         variables = pattern.variables()
@@ -508,10 +505,13 @@ class ScanNode(IncrementalNode):
             variables = variables | {graph}
         super().__init__(frozenset(variables))
         self._pattern = pattern
-        #: Binding → number of matching quads (cross-graph duplicates give
-        #: multiplicity > 1).  A binding enters the output with its first
-        #: supporting quad and leaves only when its last one does.
-        self._support: dict[Binding, int] = {}
+        #: The held bindings, keyed by the tuple of their terms (hashed in
+        #: C; a binding's own hash is Python code).  A binding enters the
+        #: output with its first supporting quad and leaves only when its
+        #: last one does; ``_extra`` counts the supporting quads beyond the
+        #: first (cross-graph duplicates).
+        self._support: dict[tuple, Binding] = {}
+        self._extra: dict[tuple, int] = {}
 
         # Precomputed slot checks.
         def concrete(term: Optional[Term]) -> Optional[Term]:
@@ -536,7 +536,7 @@ class ScanNode(IncrementalNode):
 
     def rows(self) -> list[Change]:
         """The scan's output multiset so far: each binding it holds, once."""
-        return [(binding, 1) for binding in self._support]
+        return [(binding, 1) for binding in self._support.values()]
 
     def _changes(self, delta: DeltaBatch, dataset: Dataset) -> list[Change]:
         quads = delta.for_predicate(self._p) if self._p is not None else delta.quads
@@ -544,34 +544,39 @@ class ScanNode(IncrementalNode):
             return []
         sign = delta.sign
         changes: list[Change] = []
-        support = self._support
+        support, extra = self._support, self._extra
         graph_term = self._graph_concrete
         for quad in quads:
-            if graph_term is not None and quad.graph != graph_term:
+            if graph_term is not None and quad.graph is not graph_term:
                 continue
-            binding = self._match(quad)
-            if binding is None:
+            items = self._match(quad)
+            if items is None:
                 continue
+            key = tuple(items.values())
             if sign > 0:
-                count = support.get(binding, 0)
-                support[binding] = count + 1
-                if count == 0:
+                if key in support:
+                    extra[key] = extra.get(key, 0) + 1
+                else:
+                    binding = support[key] = Binding(items)
                     changes.append((binding, 1))
             else:
-                count = support[binding]
-                if count == 1:
-                    del support[binding]
+                binding = support[key]
+                more = extra.get(key)
+                if more is None:
+                    del support[key]
                     changes.append((binding, -1))
+                elif more == 1:
+                    del extra[key]
                 else:
-                    support[binding] = count - 1
+                    extra[key] = more - 1
         return changes
 
-    def _match(self, quad: Quad) -> Optional[Binding]:
-        if self._s is not None and quad.subject != self._s:
+    def _match(self, quad: Quad) -> Optional[dict[Variable, Term]]:
+        if self._s is not None and quad.subject is not self._s:
             return None
-        if self._p is not None and quad.predicate != self._p:
+        if self._p is not None and quad.predicate is not self._p:
             return None
-        if self._o is not None and quad.object != self._o:
+        if self._o is not None and quad.object is not self._o:
             return None
         items: dict[Variable, Term] = {}
         for variable, getter in self._var_slots:
@@ -579,14 +584,14 @@ class ScanNode(IncrementalNode):
             bound = items.get(variable)
             if bound is None:
                 items[variable] = term
-            elif bound != term:
+            elif bound is not term:
                 return None
         graph_variable = self._graph_variable
         if graph_variable is not None:
             if quad.graph is None:
                 return None
             items[graph_variable] = quad.graph
-        return Binding._adopt(items)
+        return items
 
 
 class PathScanNode(IncrementalNode):
@@ -693,11 +698,18 @@ class ValuesNode(IncrementalNode):
         return [(row, 1) for row in self._rows]
 
 
-def _join_key(left: IncrementalNode, right: IncrementalNode) -> tuple[Variable, ...]:
-    """The certainly-bound shared variables two join sides are keyed on."""
-    return tuple(
+def _join_key(
+    left: IncrementalNode, right: IncrementalNode
+) -> tuple[tuple[Variable, ...], Callable[[Binding], object]]:
+    """The certainly-bound shared variables two join sides are keyed on,
+    and what gives a row its bag key: on one variable the term itself
+    (a row costs no 1-tuple), otherwise the tuple of terms."""
+    variables = tuple(
         sorted(left.certain_variables & right.certain_variables, key=lambda v: v.value)
     )
+    if len(variables) == 1:
+        return variables, methodcaller("get", variables[0])
+    return variables, methodcaller("key", variables)
 
 
 class JoinNode(IncrementalNode):
@@ -715,7 +727,7 @@ class JoinNode(IncrementalNode):
 
     def __init__(self, left: IncrementalNode, right: IncrementalNode) -> None:
         super().__init__(left.certain_variables | right.certain_variables, left, right)
-        self._key_variables = _join_key(left, right)
+        self._key_variables, self._key_of = _join_key(left, right)
         self._lefts = _KeyedBag()
         self._rights = _KeyedBag()
 
@@ -736,17 +748,17 @@ class JoinNode(IncrementalNode):
         if not left and not right:
             return []
         changes: list[Change] = []
-        key_variables = self._key_variables
+        key_of = self._key_of
         lefts, rights = self._lefts, self._rights
         for binding, count in left:
-            key = binding.key(key_variables)
+            key = key_of(binding)
             for other in rights.get(key, ()):
                 merged = binding.merged(other)
                 if merged is not None:
                     changes.append((merged, count))
             lefts.add(key, binding, count)
         for binding, count in right:
-            key = binding.key(key_variables)
+            key = key_of(binding)
             for other in lefts.get(key, ()):
                 merged = other.merged(binding)
                 if merged is not None:
@@ -894,11 +906,11 @@ def _outer_changes(
     probe the right bag as it stood, then right changes probe every left
     row including this batch's: each new-new pair counts exactly once.
     """
-    key_variables, settled = node._key_variables, node.settled
+    key_of, settled = node._key_of, node.settled
     lefts, rights = node._lefts, node._rights
     changes: list[Change] = []
     for binding, count in left:
-        key = binding.key(key_variables)
+        key = key_of(binding)
         tally = 0
         for other in rights.get(key, ()):
             paired = pair(binding, other)
@@ -910,7 +922,7 @@ def _outer_changes(
             changes.append((binding, count))
         lefts.add(key, binding, count, tally)
     for binding, count in right:
-        key = binding.key(key_variables)
+        key = key_of(binding)
         bucket = lefts.get(key, ())
         for at in range(0, len(bucket), 2):  # binding at ``at``, its tally after
             paired = pair(bucket[at], binding)
@@ -949,7 +961,7 @@ class LeftJoinNode(IncrementalNode):
         super().__init__(left.certain_variables, left, right)
         self._expression = expression
         self._evaluator = evaluator
-        self._key_variables = _join_key(left, right)
+        self._key_variables, self._key_of = _join_key(left, right)
         #: Left rows tally their partners.
         self._lefts = _KeyedBag(tallied=True)
         self._rights = _KeyedBag()
@@ -990,7 +1002,7 @@ class MinusNode(IncrementalNode):
 
     def __init__(self, left: IncrementalNode, right: IncrementalNode) -> None:
         super().__init__(left.certain_variables, left, right)
-        self._key_variables = _join_key(left, right)
+        self._key_variables, self._key_of = _join_key(left, right)
         #: Left rows tally their excluders.
         self._lefts = _KeyedBag(tallied=True)
         self._rights = _KeyedBag()

@@ -14,7 +14,7 @@ from typing import Collection, Iterable, Optional
 
 from ..rdf.dataset import Dataset
 from ..rdf.document import ParsedDocument
-from ..rdf.terms import Term, intern_iri
+from ..rdf.terms import NamedNode, Term
 from ..rdf.triples import Quad, Triple
 
 __all__ = ["GrowingTripleSource"]
@@ -63,7 +63,7 @@ class GrowingTripleSource:
 
     def add_document(self, url: str, document: ParsedDocument) -> int:
         """Ingest one dereferenced document; returns #new quads stored."""
-        graph_name = intern_iri(url)
+        graph_name = NamedNode(url)
         if not self._dataset.has_graph(graph_name):
             self._triples_discovered += document.distinct
         self._document_count += 1
@@ -84,18 +84,22 @@ class GrowingTripleSource:
         it may *shrink* the store, so it must only run on executions whose
         pipeline understands signed deltas.
         """
-        graph_name = intern_iri(url)
-        graph = self._dataset.graph(graph_name)
+        graph_name = NamedNode(url)
+        # Looked up, not created: a document that is gone, and was never
+        # held, must not leave an empty graph behind for ``reads`` to find.
+        graph = self._dataset.get_graph(graph_name)
+        held = graph if graph is not None else ()
         new_triples = set(self._kept(document))
         # Sorted so the signed log (and every downstream event stream) is
         # deterministic regardless of set iteration order — sharded and
         # unsharded subscriptions must observe identical change sequences.
         sort_key = lambda t: (repr(t.subject), repr(t.predicate), repr(t.object))  # noqa: E731
-        removed = sorted((t for t in graph if t not in new_triples), key=sort_key)
-        added = sorted((t for t in new_triples if t not in graph), key=sort_key)
+        removed = sorted((t for t in held if t not in new_triples), key=sort_key)
+        added = sorted((t for t in new_triples if t not in held), key=sort_key)
         # Retractions first: an in-place mutation (same subject/predicate,
         # new object) then reads retract-then-insert, never both present.
         for triple in removed:
             self._dataset.remove(Quad(triple.subject, triple.predicate, triple.object, graph_name))
-        self._dataset.add_triples(added, graph_name)
+        if added:
+            self._dataset.add_triples(added, graph_name)
         return added, removed

@@ -19,7 +19,7 @@ missed".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 from .links import QueueSample
 
@@ -54,7 +54,9 @@ class ExecutionStats:
     triples_stored: int = 0
     links_queued: int = 0
     links_by_extractor: dict[str, int] = field(default_factory=dict)
-    queue_samples: list[QueueSample] = field(default_factory=list)
+    #: A :class:`~repro.ltqp.links.QueueSamples` after a run (flat arrays;
+    #: a sample is an object only once read).
+    queue_samples: Sequence[QueueSample] = field(default_factory=list)
     #: True when the compiled plan has no blocking operators — every result
     #: can stream during traversal instead of waiting for the finalize pass.
     streaming: bool = True

@@ -39,8 +39,6 @@ from .terms import (
     NamedNode,
     Term,
     Variable,
-    intern,
-    intern_iri,
     literal_from_python,
     term_to_ntriples,
 )
@@ -86,8 +84,6 @@ __all__ = [
     "NTriplesParseError",
     "TurtleWriter",
     "serialize_turtle",
-    "intern",
-    "intern_iri",
     "literal_from_python",
     "isomorphic",
     "find_bnode_bijection",

@@ -10,7 +10,7 @@ attribute or item access::
 
 from __future__ import annotations
 
-from .terms import NamedNode, intern_iri
+from .terms import NamedNode
 
 __all__ = [
     "Namespace",
@@ -36,7 +36,7 @@ class Namespace:
     """A factory for IRIs that share a common prefix.
 
     Minted nodes are cached as instance attributes, so ``FOAF.name`` pays
-    the ``__getattr__`` + intern cost only on first access — hot loops
+    the ``__getattr__`` + constructor cost only on first access — hot loops
     (extractors, serializers) that mention ``NS.term`` inline then hit a
     plain attribute lookup.
     """
@@ -51,14 +51,14 @@ class Namespace:
     def __getattr__(self, local: str) -> NamedNode:
         if local.startswith("_"):
             raise AttributeError(local)
-        node = intern_iri(self._base + local)
+        node = NamedNode(self._base + local)
         object.__setattr__(self, local, node)
         return node
 
     def __getitem__(self, local: str) -> NamedNode:
         node = self.__dict__.get(local)
         if node is None:
-            node = self.__dict__[local] = intern_iri(self._base + local)
+            node = self.__dict__[local] = NamedNode(self._base + local)
         return node
 
     def __contains__(self, node: object) -> bool:

@@ -6,11 +6,9 @@ import re
 from typing import Iterable, Iterator, Optional
 
 from .terms import (
-    XSD_STRING,
     BlankNode,
     Literal,
     NamedNode,
-    intern_iri,
     unescape_string_literal,
 )
 from .triples import ObjectTerm, Quad, SubjectTerm, Triple
@@ -54,7 +52,7 @@ def _parse_term(
         value = match.group(1)
         if "\\" in value:
             value = unescape_string_literal(value)
-        return intern_iri(value), match.end()
+        return NamedNode(value), match.end()
     if char == "_":
         match = _BNODE_RE.match(line, pos)
         if not match:
@@ -68,10 +66,10 @@ def _parse_term(
         language = match.group(2) or ""
         datatype = match.group(3) or ""
         if language:
-            return Literal(value, language=language), match.end()
+            return Literal(value, language), match.end()
         if datatype:
-            return Literal(value, datatype=datatype), match.end()
-        return Literal(value, datatype=XSD_STRING), match.end()
+            return Literal(value, "", datatype), match.end()
+        return Literal(value), match.end()
     raise NTriplesParseError(f"unexpected character {char!r}", line_number)
 
 
@@ -90,7 +88,7 @@ def _parse_line(
         match = _IRI_RE.match(rest)
         if not match:
             raise NTriplesParseError("malformed graph IRI", line_number)
-        graph = intern_iri(match.group(1))
+        graph = NamedNode(match.group(1))
         rest = rest[match.end():].strip()
     if rest != ".":
         raise NTriplesParseError("expected terminating '.'", line_number)

@@ -1,23 +1,29 @@
 """RDF term model.
 
-Immutable, hashable term classes following the RDF 1.1 abstract syntax:
+Immutable term classes following the RDF 1.1 abstract syntax:
 :class:`NamedNode` (IRIs), :class:`BlankNode`, :class:`Literal`, and the
-SPARQL-only :class:`Variable`.  Terms compare by value, are usable as
-dictionary keys, and render to their N-Triples / SPARQL surface syntax via
-:func:`term_to_ntriples`.
+SPARQL-only :class:`Variable`.  Terms render to their N-Triples / SPARQL
+surface syntax via :func:`term_to_ntriples`.
 
-Terms sit on the engine's hottest path: every triple insert hashes its
-three terms into the SPO/POS/OSP indexes, and every delta match hashes
-them again into bindings and join tables.  The classes here are therefore
-hand-rolled ``__slots__`` classes (not dataclasses) with the hash computed
-once at construction and stored, and with identity short-circuits in
-``__eq__``.  Nothing mutates a term after construction; treat them as
-frozen.
+Every term is *canonical*: a constructor returns the one live object for
+its value — an IRI, a blank-node label, a variable name, or a literal's
+lexical form, lowercased language tag and datatype.  Two terms are equal
+exactly when they are the same object, so the classes define no
+``__hash__`` / ``__eq__`` of their own: hashing and equality are
+``object``'s, C-level identity, in every set, index, join table and
+DISTINCT the engine builds.  Terms sit on the engine's hottest path (every
+stored triple is hashed into sets and indexes, every delta match into
+bindings and join bags), and none of that calls back into Python.
 
-:func:`intern_iri` / :func:`intern` provide a bounded intern pool so bulk
-producers (the Turtle/N-Triples parsers, the SolidBench generator, the
-namespace factories) share one object per distinct IRI instead of
-allocating millions of duplicates.
+The pools behind the constructors are weak-valued: an entry lives exactly
+as long as its term is referenced somewhere else, so memory is bounded by
+the live terms — a hostile stream of unique IRIs leaves nothing behind
+once the documents that carried it are dropped.  A hit is one dict probe
+and one weak-reference call; the miss path takes a lock, because the
+shard pipe unpickles terms in executor and reader threads.  Pickling and
+the service wire forms carry values and rebuild through the constructors,
+so a term that crosses a process boundary is the receiver's canonical
+object.  Nothing mutates a term after construction; treat them as frozen.
 
 The module also provides typed-literal helpers (:func:`literal_from_python`,
 :meth:`Literal.to_python`) covering the XSD types used by SolidBench data:
@@ -27,9 +33,13 @@ strings, booleans, integers/longs, decimals, doubles, dates and dateTimes.
 from __future__ import annotations
 
 import re
+import threading
 from datetime import date, datetime, timezone
 from decimal import Decimal
-from typing import Union
+from typing import Optional, Union
+from weakref import ref
+
+from _weakref import _remove_dead_weakref  # WeakValueDictionary's C-level pruner
 
 __all__ = [
     "Term",
@@ -51,8 +61,7 @@ __all__ = [
     "XSD_DATETIME",
     "intern",
     "intern_iri",
-    "intern_pool_stats",
-    "clear_intern_pools",
+    "term_pool_sizes",
     "literal_from_python",
     "term_to_ntriples",
     "escape_string_literal",
@@ -96,11 +105,69 @@ _NUMERIC_DATATYPES = frozenset(
 _INTEGER_DATATYPES = _NUMERIC_DATATYPES - {XSD_DECIMAL, XSD_DOUBLE, XSD_FLOAT}
 
 
-# Per-class hash salts keep equal-valued terms of different kinds (e.g.
-# NamedNode("x") vs BlankNode("x")) from landing in the same hash bucket.
-_NAMED_SALT = 0x5B1D_9E37
-_BLANK_SALT = 0x2F0C_63A5
-_VARIABLE_SALT = 0x7A3D_11C9
+# ---------------------------------------------------------------------------
+# canonical construction
+# ---------------------------------------------------------------------------
+
+#: Serialises the miss path of every pool.  The shard pipe unpickles terms
+#: in executor and reader threads, and two threads minting one value must
+#: come away with one object; a hit takes no lock.
+_MINT_LOCK = threading.Lock()
+
+
+class _Entry(ref):
+    """A pool entry: a weak reference to the live term that remembers its
+    key (built by ``ref``'s own C constructor; the key is set after)."""
+
+    __slots__ = ("key",)
+
+
+class _Pool(dict):
+    """A weak-valued pool: key → :class:`_Entry` for the live term.
+
+    ``forget`` is the entries' callback: it drops a dead term's entry, and
+    only while that entry is still the dead one (a term minted again under
+    the same key in the meantime stays)."""
+
+    __slots__ = ("forget",)
+
+    def __init__(self) -> None:
+        def forget(entry: _Entry, pool: _Pool = self, remove=_remove_dead_weakref) -> None:
+            remove(pool, entry.key)
+
+        self.forget = forget
+
+
+def _publish(pool: _Pool, key: object, term: "Term") -> "Term":
+    """The miss path: make ``term`` the live object for ``key`` — unless
+    another thread published one first, which is then returned instead."""
+    entry = _Entry(term, pool.forget)
+    entry.key = key
+    with _MINT_LOCK:
+        live = pool.get(key)
+        if live is not None:
+            live = live()
+            if live is not None:
+                return live
+        pool[key] = entry
+    return term
+
+
+_IRIS = _Pool()
+_LABELS = _Pool()
+_NAMES = _Pool()
+#: Literal pools keyed by lexical form alone, one per datatype this module
+#: names (the common ones, fixed: an unbounded stream of datatypes must not
+#: leave pools behind).  Any other literal — a language tag, or another
+#: datatype — is keyed ``(form, language, datatype)`` in ``_OTHER_LITERALS``.
+_TYPED = {
+    datatype: _Pool()
+    for datatype in (
+        XSD_STRING, XSD_BOOLEAN, XSD_INTEGER, XSD_LONG, XSD_INT, XSD_DECIMAL,
+        XSD_DOUBLE, XSD_FLOAT, XSD_DATE, XSD_DATETIME,
+    )
+}
+_OTHER_LITERALS = _Pool()
 
 
 class NamedNode:
@@ -110,21 +177,27 @@ class NamedNode:
     IRIs (relative resolution happens in the parsers).
     """
 
-    __slots__ = ("value", "_hash")
+    __slots__ = ("value", "__weakref__")
 
-    def __init__(self, value: str) -> None:
-        self.value = value
-        self._hash = hash(value) ^ _NAMED_SALT
+    def __new__(cls, value: str) -> "NamedNode":
+        entry = _IRIS.get(value)
+        if entry is not None:
+            node = entry()
+            if node is not None:
+                return node
+        node = object.__new__(cls)
+        node.value = value
+        return _publish(_IRIS, value, node)
 
-    def __hash__(self) -> int:
-        return self._hash
+    @staticmethod
+    def existing(value: str) -> Optional["NamedNode"]:
+        """The live node for ``value``, or ``None`` — creates nothing.
 
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is NamedNode:
-            return self.value == other.value  # type: ignore[attr-defined]
-        return NotImplemented
+        A value no live node names cannot be a key of any store, so a
+        membership probe can stop here without minting a term to throw
+        away."""
+        entry = _IRIS.get(value)
+        return None if entry is None else entry()
 
     def __str__(self) -> str:
         return f"<{self.value}>"
@@ -133,32 +206,25 @@ class NamedNode:
         return f"NamedNode({self.value!r})"
 
     def __reduce__(self):
-        # Pickle as a call to :func:`intern_iri`, never as raw state: the
-        # stored ``_hash`` is salted by the *sending* process's string
-        # hash randomization, so the receiving side must recompute it —
-        # and re-interning means every deserialized occurrence of an IRI
-        # shares one object in the receiver's pool.
-        return (intern_iri, (self.value,))
+        # Rebuilt through the constructor: the receiving process hands
+        # back its own live node for the IRI.
+        return (NamedNode, (self.value,))
 
 
 class BlankNode:
     """A blank node with a document/store-scoped label."""
 
-    __slots__ = ("value", "_hash")
+    __slots__ = ("value", "__weakref__")
 
-    def __init__(self, value: str) -> None:
-        self.value = value
-        self._hash = hash(value) ^ _BLANK_SALT
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is BlankNode:
-            return self.value == other.value  # type: ignore[attr-defined]
-        return NotImplemented
+    def __new__(cls, value: str) -> "BlankNode":
+        entry = _LABELS.get(value)
+        if entry is not None:
+            node = entry()
+            if node is not None:
+                return node
+        node = object.__new__(cls)
+        node.value = value
+        return _publish(_LABELS, value, node)
 
     def __str__(self) -> str:
         return f"_:{self.value}"
@@ -167,29 +233,23 @@ class BlankNode:
         return f"BlankNode({self.value!r})"
 
     def __reduce__(self):
-        # Reconstruct through __init__ so the hash is recomputed with the
-        # receiving process's string salt (see NamedNode.__reduce__).
         return (BlankNode, (self.value,))
 
 
 class Variable:
     """A SPARQL variable (``?name``); never appears in stored data."""
 
-    __slots__ = ("value", "_hash")
+    __slots__ = ("value", "__weakref__")
 
-    def __init__(self, value: str) -> None:
-        self.value = value
-        self._hash = hash(value) ^ _VARIABLE_SALT
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is Variable:
-            return self.value == other.value  # type: ignore[attr-defined]
-        return NotImplemented
+    def __new__(cls, value: str) -> "Variable":
+        entry = _NAMES.get(value)
+        if entry is not None:
+            variable = entry()
+            if variable is not None:
+                return variable
+        variable = object.__new__(cls)
+        variable.value = value
+        return _publish(_NAMES, value, variable)
 
     def __str__(self) -> str:
         return f"?{self.value}"
@@ -205,33 +265,35 @@ class Literal:
     """An RDF literal with lexical form, optional language tag and datatype.
 
     Plain literals default to ``xsd:string``; language-tagged literals get
-    ``rdf:langString`` per RDF 1.1.
+    ``rdf:langString`` per RDF 1.1.  A literal of a common XSD datatype is
+    found by its lexical form in its datatype's pool (no key object
+    built); any other by its form, lowercased language tag and datatype.
     """
 
-    __slots__ = ("value", "language", "datatype", "_hash")
+    __slots__ = ("value", "language", "datatype", "__weakref__")
 
-    def __init__(self, value: str, language: str = "", datatype: str = XSD_STRING) -> None:
-        self.value = value
+    def __new__(cls, value: str, language: str = "", datatype: str = XSD_STRING) -> "Literal":
+        key: object = value
         if language:
             language = language.lower()
             datatype = RDF_LANGSTRING
-        self.language = language
-        self.datatype = datatype
-        self._hash = hash((value, language, datatype))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is Literal:
-            return (
-                self.value == other.value  # type: ignore[attr-defined]
-                and self.language == other.language  # type: ignore[attr-defined]
-                and self.datatype == other.datatype  # type: ignore[attr-defined]
-            )
-        return NotImplemented
+            pool = _OTHER_LITERALS
+            key = (value, language, datatype)
+        else:
+            pool = _TYPED.get(datatype)
+            if pool is None:
+                pool = _OTHER_LITERALS
+                key = (value, language, datatype)
+        entry = pool.get(key)
+        if entry is not None:
+            literal = entry()
+            if literal is not None:
+                return literal
+        literal = object.__new__(cls)
+        literal.value = value
+        literal.language = language
+        literal.datatype = datatype
+        return _publish(pool, key, literal)
 
     @property
     def is_numeric(self) -> bool:
@@ -268,7 +330,7 @@ class Literal:
 
     def __reduce__(self):
         # ``language`` re-coerces the datatype to rdf:langString in
-        # __init__, so passing both back is lossless.
+        # the constructor, so passing both back is lossless.
         return (Literal, (self.value, self.language, self.datatype))
 
     def __str__(self) -> str:
@@ -285,62 +347,24 @@ class Literal:
 Term = Union[NamedNode, BlankNode, Literal, Variable]
 
 
-# ---------------------------------------------------------------------------
-# interning
-# ---------------------------------------------------------------------------
-
-#: Upper bound on each intern pool.  Past this the pools stop growing (new
-#: terms are still constructed, just not shared) — a safety valve for
-#: adversarial workloads with unbounded distinct IRIs.
-INTERN_POOL_LIMIT = 1 << 20
-
-_IRI_POOL: dict[str, NamedNode] = {}
-_TERM_POOL: dict[Term, Term] = {}
+def term_pool_sizes() -> dict[str, int]:
+    """How many live terms each pool holds (diagnostics and tests)."""
+    return {
+        "iris": len(_IRIS),
+        "blank_nodes": len(_LABELS),
+        "variables": len(_NAMES),
+        "literals": sum(map(len, _TYPED.values())) + len(_OTHER_LITERALS),
+    }
 
 
-def intern_iri(value: str) -> NamedNode:
-    """Return the canonical :class:`NamedNode` for ``value``.
-
-    Repeated calls with the same IRI string return the *same* object, so
-    equality checks short-circuit on identity and the hash is computed only
-    once per distinct IRI across the whole process.  The pool is bounded by
-    :data:`INTERN_POOL_LIMIT`.
-    """
-    node = _IRI_POOL.get(value)
-    if node is None:
-        node = NamedNode(value)
-        if len(_IRI_POOL) < INTERN_POOL_LIMIT:
-            _IRI_POOL[value] = node
-    return node
+#: Kept importable for callers that name it (the ledger's probe): the
+#: constructor is canonical, so this is the constructor.
+intern_iri = NamedNode
 
 
 def intern(term: Term) -> Term:
-    """Return the canonical instance of any term (value- and type-equal).
-
-    :class:`NamedNode` interning goes through the dedicated string-keyed
-    pool (cheaper lookups); other term kinds share a generic pool.  Interned
-    and non-interned terms compare and hash identically — interning is purely
-    a memory/speed optimisation.
-    """
-    if term.__class__ is NamedNode:
-        return intern_iri(term.value)
-    canonical = _TERM_POOL.get(term)
-    if canonical is None:
-        canonical = term
-        if len(_TERM_POOL) < INTERN_POOL_LIMIT:
-            _TERM_POOL[term] = term
-    return canonical
-
-
-def intern_pool_stats() -> dict[str, int]:
-    """Sizes of the intern pools (for diagnostics and benchmarks)."""
-    return {"iris": len(_IRI_POOL), "terms": len(_TERM_POOL), "limit": INTERN_POOL_LIMIT}
-
-
-def clear_intern_pools() -> None:
-    """Drop all interned terms (tests and memory-pressure escape hatch)."""
-    _IRI_POOL.clear()
-    _TERM_POOL.clear()
+    """``term`` itself: every term is already canonical."""
+    return term
 
 
 def _parse_datetime(lexical: str) -> datetime:

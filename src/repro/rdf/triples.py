@@ -1,11 +1,13 @@
 """Triples, quads, and triple patterns.
 
 :class:`Triple` and :class:`Quad` are hand-rolled ``__slots__`` classes with
-the hash computed once at construction (from the terms' own cached hashes),
+the hash computed once at construction (from the terms' identity hashes),
 because every insert into the dataset's triple sets (and whichever indexes
-reads have built) and every membership probe re-hashes the statement.  They are value-equal and must be treated as
-immutable.  :class:`TriplePattern` stays a frozen dataclass — patterns are
-built once per query, not per triple.
+reads have built) and every membership probe re-hashes the statement.
+They are value-equal — terms are canonical, so two statements are equal
+when they hold the same term objects — and must be treated as immutable.
+:class:`TriplePattern` stays a frozen dataclass — patterns are built once
+per query, not per triple.
 """
 
 from __future__ import annotations
@@ -41,9 +43,9 @@ class Triple:
             return True
         if other.__class__ is Triple:
             return (
-                self.subject == other.subject  # type: ignore[attr-defined]
-                and self.predicate == other.predicate  # type: ignore[attr-defined]
-                and self.object == other.object  # type: ignore[attr-defined]
+                self.subject is other.subject  # type: ignore[attr-defined]
+                and self.predicate is other.predicate  # type: ignore[attr-defined]
+                and self.object is other.object  # type: ignore[attr-defined]
             )
         return NotImplemented
 
@@ -98,10 +100,10 @@ class Quad:
             return True
         if other.__class__ is Quad:
             return (
-                self.subject == other.subject  # type: ignore[attr-defined]
-                and self.predicate == other.predicate  # type: ignore[attr-defined]
-                and self.object == other.object  # type: ignore[attr-defined]
-                and self.graph == other.graph  # type: ignore[attr-defined]
+                self.subject is other.subject  # type: ignore[attr-defined]
+                and self.predicate is other.predicate  # type: ignore[attr-defined]
+                and self.object is other.object  # type: ignore[attr-defined]
+                and self.graph is other.graph  # type: ignore[attr-defined]
             )
         return NotImplemented
 

@@ -43,7 +43,7 @@ from .terms import (
     XSD_INTEGER,
     BlankNode,
     Literal,
-    intern_iri,
+    NamedNode,
     unescape_string_literal,
 )
 from .triples import ObjectTerm, SubjectTerm, Triple
@@ -508,7 +508,7 @@ class TurtleParser:
         if first == '"' or first == "'":
             return self._literal(text, start)  # nearly all distinct
         if first == "<":
-            term = intern_iri(self._iri(text[1:-1]))
+            term = NamedNode(self._iri(text[1:-1]))
         elif first in "0123456789+-.":
             if "e" in text or "E" in text:
                 term = Literal(text, datatype=XSD_DOUBLE)
@@ -534,7 +534,7 @@ class TurtleParser:
                 self._fail(f"undefined prefix {prefix!r}", start + len(prefix) + 1)
             if "\\" in local:
                 local = _LOCAL_ESCAPE.sub(r"\1", local)
-            term = intern_iri(namespace + local)
+            term = NamedNode(namespace + local)
         terms = self._terms
         if len(terms) < _TERMS_LIMIT:
             terms[text] = term
@@ -565,10 +565,10 @@ class TurtleParser:
         if not suffix:
             return Literal(value)
         if suffix[0] == "@":
-            return Literal(value, language=suffix[1:])
+            return Literal(value, suffix[1:])
         datatype = suffix[2:]
         node = self._terms.get(datatype) or self._term(datatype, start + close + 3)
-        return Literal(value, datatype=node.value)
+        return Literal(value, "", node.value)
 
     def _fresh_bnode(self) -> BlankNode:
         self._bnode_counter += 1

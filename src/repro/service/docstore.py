@@ -81,7 +81,7 @@ def encode_stored_document(document: StoredDocument) -> bytes:
 
 
 def decode_stored_document(raw: bytes) -> StoredDocument:
-    """Rebuild a document, re-interning terms in this process.
+    """Rebuild a document over this process's canonical terms.
 
     Raises :class:`ValueError` on bytes in any other form — a store file
     written by an older build, a corrupt row — which the storage tier

@@ -19,7 +19,7 @@ queries with consistent hashing (:mod:`repro.service.router`):
   whole deployment.
 
 The data plane crosses process boundaries only in wire form
-(:mod:`repro.service.wire`): workers re-intern terms locally, result
+(:mod:`repro.service.wire`): each process rebuilds its own canonical terms, result
 rows stream back as compact term-table blocks, and a graceful
 drain-and-restart hands the outgoing worker's document store (validator
 keys intact) to its replacement so the new shard starts warm.
@@ -409,7 +409,7 @@ class _ShardWorker:
                 self._call_on_loop(self._lost, generation)
                 return
             if message[0] == "rows":
-                # Decode off the event loop: re-interning is GIL-safe and
+                # Decode off the event loop: term construction is thread-safe and
                 # keeps row decoding out of the front-end's latency path.
                 message = ("rows", message[1], decode_results(message[2]))
             elif message[0] == "events" and message[2] is not None:
@@ -846,7 +846,7 @@ class ShardedQueryService(_ServiceCore):
 
         The worker runs it to quiescence, keeps the live execution open,
         and streams every signed result-change event back over the wire
-        (rows carry their sign); the reader re-interns them into the
+        (rows carry their sign); the reader rebuilds them into the
         subscription's change feed, which replays the exact same event
         sequence an unsharded subscription would observe.
         """

@@ -28,16 +28,13 @@ that decoding parses no term text:
   ``xsd:string``, only when present);
 * a blank node is ``{"_": label}`` and a variable ``{"?": name}``.
 
-Decoding re-interns: IRIs come back through
-:func:`~repro.rdf.terms.intern_iri`, so within the receiving process
-every occurrence of an IRI is one object again (identity-shortcut
-equality, one cached hash) no matter how many messages mentioned it;
-a literal or blank node is one constructor call and one lookup in the
-generic pool, so a document decoded again shares its literals with the
-copy decoded before instead of adding objects for the collector to
-trace.  The slotted term classes' cached hashes are salted by
-per-process string hash randomization, which is exactly why the wire
-forms carry values, never raw object state.
+Decoding calls the term constructors, which are canonical
+(:mod:`repro.rdf.terms`): within the receiving process every occurrence
+of a term is one object again, no matter how many messages mentioned it,
+and a document decoded again shares its terms with the copy decoded
+before instead of adding objects for the collector to trace.  The forms
+carry values, never object state: a term's identity — and so its hash —
+is local to the process holding it.
 """
 
 from __future__ import annotations
@@ -55,8 +52,6 @@ from ..rdf.terms import (
     NamedNode,
     Term,
     Variable,
-    intern,
-    intern_iri,
     term_to_ntriples,
 )
 from ..rdf.triples import Triple
@@ -102,11 +97,11 @@ def _untagged(entry: object) -> Term:
     """The literal, blank node or variable of one table entry."""
     kind = entry.__class__
     if kind is list:
-        return intern(Literal(*entry))  # type: ignore[misc]
+        return Literal(*entry)  # type: ignore[misc]
     if kind is dict and len(entry) == 1:  # type: ignore[arg-type]
         ((tag, label),) = entry.items()  # type: ignore[union-attr]
         if tag == "_":
-            return intern(BlankNode(label))
+            return BlankNode(label)
         if tag == "?":
             return Variable(label)
     raise ValueError(f"not a term table entry: {entry!r}")
@@ -114,7 +109,7 @@ def _untagged(entry: object) -> Term:
 
 def _decode_terms(table: list) -> list[Term]:
     """A table's terms, in order; no term text is parsed."""
-    return [intern_iri(entry) if entry.__class__ is str else _untagged(entry) for entry in table]
+    return [NamedNode(entry) if entry.__class__ is str else _untagged(entry) for entry in table]
 
 
 class _TermTable:
@@ -161,13 +156,11 @@ class _RowPacker:
 
 
 def _unpack(block: dict) -> list[Binding]:
-    """A block's rows as bindings, re-interning every term."""
+    """A block's rows as bindings over canonical terms."""
     terms = _decode_terms(block["terms"])
     variables = [Variable(name) for name in block["vars"]]
     return [
-        Binding._adopt(
-            {variables[slot]: terms[index] for slot, index in enumerate(row) if index >= 0}
-        )
+        Binding({variables[slot]: terms[index] for slot, index in enumerate(row) if index >= 0})
         for row in block["rows"]
     ]
 
@@ -182,7 +175,7 @@ def encode_results(results: Iterable[TimedResult]) -> dict:
 
 
 def decode_results(block: dict) -> list[TimedResult]:
-    """Rebuild the result list, re-interning every term."""
+    """Rebuild the result list over this process's canonical terms."""
     return [
         TimedResult(binding=binding, elapsed=when)
         for binding, when in zip(_unpack(block), block["elapsed"])
@@ -220,7 +213,7 @@ def encode_events(events: Iterable[ResultChange]) -> dict:
 
 
 def decode_events(block: dict) -> list[ResultChange]:
-    """Rebuild the signed event list, re-interning every term."""
+    """Rebuild the signed event list over this process's canonical terms."""
     urls = block["urls"]
     return [
         ResultChange(seq=seq, binding=binding, delta=sign, url=urls[ref] if ref >= 0 else "")
@@ -249,7 +242,7 @@ def document_to_wire(stored: StoredDocument) -> dict:
 
 
 def document_from_wire(wire: dict, stored_at: Optional[float] = None) -> StoredDocument:
-    """Rebuild a stored document with terms interned in this process."""
+    """Rebuild a stored document over this process's canonical terms."""
     terms = _decode_terms(wire["terms"])
     indexes = iter(wire["triples"])
     triples = zip(indexes, indexes, indexes, strict=True)

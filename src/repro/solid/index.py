@@ -34,7 +34,7 @@ from typing import Iterable, Mapping, Optional
 
 from ..rdf.document import ParsedDocument
 from ..rdf.namespaces import RDF, SUBWEB
-from ..rdf.terms import Literal, NamedNode, intern_iri
+from ..rdf.terms import Literal, NamedNode
 from ..rdf.triples import Triple
 from .pod import Pod
 
@@ -193,7 +193,7 @@ class SourceIndex:
         for unit in self.containers:
             node = NamedNode(f"{document_url}#c-{unit.container[len(self.pod):]}")
             triples.append(Triple(index, SUBWEB.summarizes, node))
-            triples.append(Triple(node, SUBWEB.container, intern_iri(unit.container)))
+            triples.append(Triple(node, SUBWEB.container, NamedNode(unit.container)))
             triples += _objects(node, _CLASS, unit.classes)
             triples += _objects(node, SUBWEB.predicate, unit.predicates)
             triples.append(Triple(node, SUBWEB.documents, Literal(str(unit.documents))))
@@ -201,7 +201,7 @@ class SourceIndex:
             triples += _objects(node, SUBWEB.member, unit.members)
         for position, (predicate, classes) in enumerate(sorted(self.ranges.items())):
             node = NamedNode(f"{document_url}#r{position}")
-            triples.append(Triple(node, SUBWEB.rangeOf, intern_iri(predicate)))
+            triples.append(Triple(node, SUBWEB.rangeOf, NamedNode(predicate)))
             triples += _objects(node, SUBWEB.rangeClass, classes)
         return triples
 
@@ -307,7 +307,7 @@ class SourceIndex:
 
 
 def _objects(subject: NamedNode, predicate: NamedNode, iris: Iterable[str]) -> list[Triple]:
-    return [Triple(subject, predicate, intern_iri(iri)) for iri in sorted(iris)]
+    return [Triple(subject, predicate, NamedNode(iri)) for iri in sorted(iris)]
 
 
 def _inside(url: str, container: str) -> bool:

@@ -25,7 +25,7 @@ import random
 from typing import Iterable
 
 from ..rdf.namespaces import DBPEDIA, FOAF, RDF, SNTAG, SNVOC
-from ..rdf.terms import BlankNode, Literal, NamedNode, XSD_DATETIME, XSD_LONG, intern_iri
+from ..rdf.terms import BlankNode, Literal, NamedNode, XSD_DATETIME, XSD_LONG
 from ..rdf.triples import Triple
 from ..solid.index import ADVERTISEMENT, INDEX_PATH, SourceIndex, index_url
 from ..solid.pod import Pod
@@ -153,7 +153,7 @@ class PodFragmenter:
     # ------------------------------------------------------------------
 
     def _profile_triples(self, person: PersonData) -> list[Triple]:
-        me = intern_iri(self.webid(person.index))
+        me = NamedNode(self.webid(person.index))
         triples = [
             Triple(me, RDF.type, SNVOC.Person),
             Triple(me, SNVOC.id, _long_literal(person.ldbc_id)),
@@ -164,10 +164,10 @@ class PodFragmenter:
         ]
         if self._config.emit_hints:
             triples.append(
-                Triple(me, ADVERTISEMENT, intern_iri(index_url(self.pod_base(person))))
+                Triple(me, ADVERTISEMENT, NamedNode(index_url(self.pod_base(person))))
             )
         for friend_index in person.knows:
-            friend = intern_iri(self.webid(friend_index))
+            friend = NamedNode(self.webid(friend_index))
             triples.append(Triple(me, SNVOC.knows, friend))
             triples.append(Triple(me, FOAF.knows, friend))
         for position, like in enumerate(self._network.likes_of(person.index)):
@@ -175,7 +175,7 @@ class PodFragmenter:
             triples.append(Triple(me, SNVOC.likes, like_node))
             predicate = SNVOC.hasPost if like.message_kind == "post" else SNVOC.hasComment
             triples.append(
-                Triple(like_node, predicate, intern_iri(self.message_iri(like.message_id)))
+                Triple(like_node, predicate, NamedNode(self.message_iri(like.message_id)))
             )
             triples.append(
                 Triple(
@@ -187,8 +187,8 @@ class PodFragmenter:
         return triples
 
     def _message_triples(self, message: MessageData) -> list[Triple]:
-        iri = intern_iri(self.message_iri(message.message_id))
-        creator = intern_iri(self.webid(message.creator_index))
+        iri = NamedNode(self.message_iri(message.message_id))
+        creator = NamedNode(self.webid(message.creator_index))
         rdf_class = SNVOC.Post if message.kind == "post" else SNVOC.Comment
         triples = [
             Triple(iri, RDF.type, rdf_class),
@@ -208,10 +208,10 @@ class PodFragmenter:
             triples.append(Triple(iri, SNVOC.isLocatedIn, DBPEDIA[message.place]))
         if message.reply_of_id is not None:
             triples.append(
-                Triple(iri, SNVOC.replyOf, intern_iri(self.message_iri(message.reply_of_id)))
+                Triple(iri, SNVOC.replyOf, NamedNode(self.message_iri(message.reply_of_id)))
             )
         for reply_id in self._replies_by_target.get(message.message_id, ()):
-            triples.append(Triple(iri, SNVOC.hasReply, intern_iri(self.message_iri(reply_id))))
+            triples.append(Triple(iri, SNVOC.hasReply, NamedNode(self.message_iri(reply_id))))
         return triples
 
     def _add_message_documents(self, pod: Pod, person: PersonData) -> None:
@@ -226,16 +226,16 @@ class PodFragmenter:
 
     def _add_forum_documents(self, pod: Pod, person: PersonData) -> None:
         for forum in self._network.forums_of(person.index):
-            forum_node = intern_iri(self.forum_iri(forum.forum_id))
+            forum_node = NamedNode(self.forum_iri(forum.forum_id))
             triples = [
                 Triple(forum_node, RDF.type, SNVOC.Forum),
                 Triple(forum_node, SNVOC.id, _long_literal(forum.forum_id)),
                 Triple(forum_node, SNVOC.title, Literal(forum.title)),
-                Triple(forum_node, SNVOC.hasModerator, intern_iri(self.webid(person.index))),
+                Triple(forum_node, SNVOC.hasModerator, NamedNode(self.webid(person.index))),
             ]
             for message_id in forum.message_ids:
                 triples.append(
-                    Triple(forum_node, SNVOC.containerOf, intern_iri(self.message_iri(message_id)))
+                    Triple(forum_node, SNVOC.containerOf, NamedNode(self.message_iri(message_id)))
                 )
             pod.add_document(f"forums/{forum.forum_id}", triples)
 
@@ -249,7 +249,7 @@ class PodFragmenter:
             triples = []
             for triple_number in range(self._config.noise_triples_per_file):
                 subject = NamedNode(f"{document_iri}#entity{triple_number % 7}")
-                predicate = intern_iri(f"{noise_ns}p{rng.randrange(12)}")
+                predicate = NamedNode(f"{noise_ns}p{rng.randrange(12)}")
                 triples.append(
                     Triple(subject, predicate, Literal(f"noise-{rng.randrange(1_000_000)}"))
                 )

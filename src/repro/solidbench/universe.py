@@ -19,7 +19,7 @@ from ..net.resilience import NetworkPolicy
 from ..net.router import Internet, StaticApp
 from ..rdf.dataset import Dataset
 from ..rdf.namespaces import DBPEDIA, RDFS, SNTAG
-from ..rdf.terms import Literal, NamedNode, intern_iri
+from ..rdf.terms import Literal, NamedNode
 from ..rdf.triples import Quad, Triple
 from ..rdf.writer import serialize_turtle
 from ..solid.auth import IdentityProvider
@@ -121,7 +121,7 @@ class SolidBenchUniverse:
             dataset = Dataset()
             for pod in self.pods.values():
                 for document in pod.documents():
-                    graph = intern_iri(pod.document_url(document.path))
+                    graph = NamedNode(pod.document_url(document.path))
                     for triple in document.triples:
                         dataset.add(Quad(triple.subject, triple.predicate, triple.object, graph))
             self._oracle = dataset

@@ -2,56 +2,43 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Optional
 
 from ..rdf.terms import Term, Variable
 
 __all__ = ["Binding", "EMPTY_BINDING"]
 
+_set = dict.__setitem__
 
-class Binding(Mapping[Variable, Term]):
+
+def _immutable(self, *args, **kwargs):
+    raise TypeError("a Binding is immutable")
+
+
+class Binding(dict):
     """An immutable solution mapping from variables to RDF terms.
 
-    Hashable (usable in DISTINCT sets and hash-join tables) and cheap to
-    extend: :meth:`extended` shares nothing mutable with its parent.
+    One object per row: a ``dict`` subclass, so lookup, iteration and
+    equality are the dict's own C code (terms are canonical, so comparing
+    two rows compares term identities), and a row costs the collector one
+    container, not a wrapper around one.  ``Binding(mapping)`` copies
+    ``mapping``; the mutators raise.  Hashable (usable in DISTINCT sets and
+    as a multiset key), the hash computed on first use and kept.
     """
 
-    __slots__ = ("_items", "_hash")
+    __slots__ = ("_hash",)
 
-    def __init__(self, items: Optional[Mapping[Variable, Term]] = None) -> None:
-        self._items: dict[Variable, Term] = dict(items) if items else {}
-        self._hash: Optional[int] = None
-
-    @classmethod
-    def _adopt(cls, items: dict[Variable, Term]) -> "Binding":
-        """Wrap ``items`` without copying; the caller must not reuse it."""
-        binding = cls.__new__(cls)
-        binding._items = items
-        binding._hash = None
-        return binding
-
-    # -- Mapping interface --------------------------------------------------
-
-    def __getitem__(self, variable: Variable) -> Term:
-        return self._items[variable]
-
-    def __iter__(self) -> Iterator[Variable]:
-        return iter(self._items)
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __contains__(self, variable: object) -> bool:
-        return variable in self._items
+    __setitem__ = __delitem__ = __ior__ = _immutable
+    clear = pop = popitem = setdefault = update = _immutable
 
     # -- SPARQL semantics ----------------------------------------------------
 
     def compatible(self, other: "Binding") -> bool:
         """Two mappings are compatible when shared variables agree."""
         small, large = (self, other) if len(self) <= len(other) else (other, self)
-        for variable, term in small._items.items():
-            existing = large._items.get(variable)
-            if existing is not None and existing != term:
+        for variable, term in small.items():
+            existing = large.get(variable)
+            if existing is not None and existing is not term:
                 return False
         return True
 
@@ -63,60 +50,56 @@ class Binding(Mapping[Variable, Term]):
         collecting new pairs as it goes (the hash-join hot path calls this
         for every candidate pair).
         """
-        if not other._items:
+        if not other:
             return self
-        if not self._items:
+        if not self:
             return other
-        small, large = (self, other) if len(self._items) <= len(other._items) else (other, self)
-        combined = None  # copy of large's items, made lazily on first new pair
-        for variable, term in small._items.items():
-            existing = large._items.get(variable)
+        small, large = (self, other) if len(self) <= len(other) else (other, self)
+        combined = None  # copy of large, made lazily on first new pair
+        for variable, term in small.items():
+            existing = large.get(variable)
             if existing is None:
                 if combined is None:
-                    combined = dict(large._items)
-                combined[variable] = term
-            elif existing != term:
+                    combined = Binding(large)
+                _set(combined, variable, term)
+            elif existing is not term:
                 return None
         if combined is None:
             return large  # small is a sub-mapping of large
-        return Binding._adopt(combined)
+        return combined
 
     def extended(self, variable: Variable, term: Term) -> "Binding":
         """Return a new binding with one additional pair."""
-        combined = dict(self._items)
-        combined[variable] = term
-        return Binding._adopt(combined)
+        combined = Binding(self)
+        _set(combined, variable, term)
+        return combined
 
     def projected(self, variables: Iterable[Variable]) -> "Binding":
         """Restrict to the given variables (unbound ones are dropped)."""
-        items = self._items
-        return Binding._adopt({v: items[v] for v in variables if v in items})
+        return Binding({v: self[v] for v in variables if v in self})
 
     def key(self, variables: Iterable[Variable]) -> tuple:
         """Hashable join key over ``variables`` (None for unbound)."""
-        return tuple(self._items.get(v) for v in variables)
+        return tuple(map(self.get, variables))
 
     # -- identity -------------------------------------------------------------
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(frozenset(self._items.items()))
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Binding):
-            return self._items == other._items
-        return NotImplemented
+        value = getattr(self, "_hash", None)
+        if value is None:
+            value = self._hash = hash(frozenset(self.items()))
+        return value
 
     def __repr__(self) -> str:
-        body = ", ".join(f"?{v.value}={t}" for v, t in sorted(
-            self._items.items(), key=lambda item: item[0].value))
+        body = ", ".join(
+            f"?{v.value}={t}" for v, t in sorted(self.items(), key=lambda item: item[0].value)
+        )
         return f"{{{body}}}"
 
     def __reduce__(self):
-        # Slotted with a process-local cached hash — rebuild via __init__
-        # so the hash is recomputed on the receiving side.
-        return (Binding, (self._items,))
+        # The cached hash is process-local (term hashes are identities):
+        # rebuild from the pairs so the receiving side computes its own.
+        return (Binding, (dict(self),))
 
 
 EMPTY_BINDING = Binding()

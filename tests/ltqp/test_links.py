@@ -9,6 +9,7 @@ from repro.ltqp.links import (
     QUEUE_POLICIES,
     Link,
     LinkQueue,
+    QueueSample,
     QueuePolicyContext,
     build_queue,
     queue_factory_for,
@@ -67,6 +68,23 @@ class TestFifoQueue:
         assert len(samples) == 2
         assert samples[0].queue_length == 1
         assert samples[1].queue_length == 0
+
+    def test_samples_are_a_snapshot_read_as_queue_samples(self):
+        queue = make("fifo")
+        queue.push(Link("https://h/a"))
+        queue.push(Link("https://h/b"))
+        snapshot = queue.samples
+        queue.pop()
+        assert len(snapshot) == 2 and len(queue.samples) == 3
+        last = queue.samples[-1]
+        assert isinstance(last, QueueSample)
+        assert (last.queue_length, last.pushed_total, last.popped_total) == (1, 2, 1)
+        assert all(
+            type(value) is int
+            for sample in queue.samples
+            for value in (sample.queue_length, sample.pushed_total, sample.popped_total)
+        )
+        assert [s.queue_length for s in queue.samples[1:]] == [2, 1]
 
 
 class TestPriorityQueue:

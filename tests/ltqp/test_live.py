@@ -20,7 +20,7 @@ from repro.ltqp.live import LiveQuery, ResultChange
 from repro.ltqp.pipeline import compile_query_pipeline, total_work
 from repro.ltqp.source import GrowingTripleSource
 from repro.net.message import Request
-from repro.rdf import ParsedDocument, Triple, Variable
+from repro.rdf import NamedNode, ParsedDocument, Triple, Variable
 from repro.rdf.isomorphism import isomorphic
 from repro.rdf.turtle import parse_turtle
 from repro.solidbench import SolidBenchConfig, build_universe
@@ -709,14 +709,38 @@ class TestReadScope:
 
         live, foreign = asyncio.run(run())
         probes = []
-        original = Dataset.has_graph
+        original = NamedNode.existing
         monkeypatch.setattr(
-            Dataset, "has_graph", lambda self, name: probes.append(name) or original(self, name)
+            NamedNode,
+            "existing",
+            staticmethod(lambda value: probes.append(value) or original(value)),
         )
         monkeypatch.setattr(Dataset, "graph_names", lambda self: pytest.fail("walked every graph"))
         assert not live.reads(foreign)
-        # The document, then each ancestor container up to the origin's root.
+        # The document, then each ancestor container up to the origin's
+        # root: one lookup per path segment, and none of them mints a term.
         parts = foreign.split("/")  # https:, "", host, pods, <pod>, posts, a, b, c
         expected = [foreign] + ["/".join(parts[:n]) + "/" for n in range(len(parts) - 1, 2, -1)]
-        assert [name.value for name in probes] == expected
+        assert probes == expected
         assert expected[-1] == "https://solidbench.example/"
+        assert NamedNode.existing(foreign) is None
+
+    def test_a_refresh_of_a_url_that_never_existed_leaves_no_graph(self, live_universe):
+        """A gone document that was never held stores nothing: its refresh
+        leaves no empty named graph behind for ``reads`` to count as held."""
+
+        async def run():
+            pod, other = list(live_universe.pods.values())[:2]
+            live = LiveQuery(
+                live_universe.fast_engine(), name_query(pod), seeds=[pod.profile_url]
+            )
+            await live.start()
+            dataset = live.execution.source.dataset
+            before = len(list(dataset.graph_names()))
+            missing = other.base_url + "never/existed"
+            assert await live.refresh(missing) == []
+            return live, missing, before, len(list(dataset.graph_names()))
+
+        live, missing, before, after = asyncio.run(run())
+        assert after == before
+        assert not live.reads(missing)
