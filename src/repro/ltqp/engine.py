@@ -51,7 +51,7 @@ import dataclasses
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import AsyncIterator, Awaitable, Iterable, Optional, Union as TypingUnion
+from typing import AsyncIterator, Iterable, Optional, Union as TypingUnion
 
 from ..net.client import HttpClient
 from ..net.resilience import NetworkPolicy, ResilienceStats
@@ -228,11 +228,11 @@ class QueryExecution:
     link ``queue``, growing ``source``, ``pipeline``, guided ``selector``,
     origin budgets, clock, ``tracer`` and resilience counters.  What is
     shared with other executions (the engine and its ``dereferencer``, the
-    client under it) is handed this one's observers with each call
-    (:meth:`dereference`) and holds none.  Tear-down drops
-    the machinery; a ``live`` run keeps ``pipeline`` and ``source``, and
-    its read scope (``seen``, ``hints``), for its
-    :class:`~repro.ltqp.live.LiveQuery`.
+    client under it) is handed this one's observers with each call (in
+    :meth:`_visit`) and holds none.  Tear-down drops the machinery.  A
+    ``live`` run keeps all of it, and the link edges of the documents it
+    holds, until :meth:`close`: its :class:`~repro.ltqp.live.LiveQuery`
+    re-opens the traversal with :meth:`refresh`.
     """
 
     def __init__(
@@ -274,6 +274,12 @@ class QueryExecution:
         self.seen = self.hints = None
         self._context = None
         self._query_span = self._traversal_span = None
+        #: A live run's held documents: URL → (the link that fetched it, the
+        #: URLs it links to, fragments and all).  A redirect holds its target
+        #: under the link's URL too.  ``None`` for a one-shot run.
+        self._documents: Optional[dict[str, tuple[Link, set[str]]]] = None
+        # Set when a held document lost an out-link: the next quiescence re-marks.
+        self._remark_due = False
         self._budgets = _OriginBudgets()
         self._resilience = ResilienceStats()
         self._pending_quads = 0
@@ -291,6 +297,8 @@ class QueryExecution:
         # The traversal bound that stopped the run (``max-documents`` /
         # ``max-duration``), if one did: the links it left are its refusals.
         self._bound = ""
+        # Why the last refresh link failed ("" when it did not).
+        self._refresh_error = ""
         self._wake = asyncio.Event()  # consumer: new result / traversal over
         self._generator = self._stream()
 
@@ -332,27 +340,6 @@ class QueryExecution:
         """Blocking convenience: run the execution on a fresh event loop."""
         return asyncio.run(self.gather())
 
-    def dereference(
-        self, url: str, trace_parent=None, *, parent_url=None, provenance=None, revalidate=False
-    ) -> Awaitable[DereferenceResult]:
-        """Dereference ``url`` on this execution's behalf (await the result).
-
-        The one place its observers meet the shared layers: tracer,
-        resilience counters and parse cap travel with the call
-        down to ``HttpClient.fetch`` and are held by nobody on the way, so
-        executions sharing a service never see each other's spans or retries.
-        """
-        return self._engine.dereferencer.dereference(
-            url,
-            parent_url=parent_url,
-            trace_parent=trace_parent,
-            tracer=self.tracer,
-            revalidate=revalidate,
-            provenance=provenance,
-            resilience=self._resilience,
-            max_parse_bytes=self._policy.max_parse_bytes,
-        )
-
     # -- set-up ----------------------------------------------------------
 
     def _set_up(self) -> None:
@@ -387,6 +374,8 @@ class QueryExecution:
         self.pipeline = self._compile()
         # The source keeps what the plan can read and nothing else.
         self.source = GrowingTripleSource(self.pipeline.read_set)
+        if self._live:
+            self._documents = {}
 
     def _compile(self):
         """The query's incremental pipeline (and its ``plan`` span)."""
@@ -457,15 +446,17 @@ class QueryExecution:
             self._feed_error = error
             self._wake.set()
 
-    def _ingest(self, result: DereferenceResult) -> Optional[int]:
+    def _ingest(self, result: DereferenceResult, held: bool) -> Optional[int]:
         """Admit one dereferenced document into the source and pipeline:
         how many of its quads the plan reads and the source therefore
-        kept, or ``None`` when the hard document bound turns it away."""
+        kept, or ``None`` when the hard document bound turns it away.  A
+        ``held`` document (a refresh) is no new document: it is diffed in,
+        counted nowhere, and the refresh feeds its change."""
         stats, source = self.stats, self.source
         # Hard document bound: concurrent workers may all pass the pre-fetch
         # check, but only the first max_documents results are admitted.
         doc_limit = self._policy.max_documents
-        if doc_limit and source.document_count >= doc_limit:
+        if doc_limit and not held and stats.documents_fetched >= doc_limit:
             self._halt("max-documents")
             return None
         # Absorb declarations (hints, specs, admitted origins) *before* the
@@ -474,13 +465,15 @@ class QueryExecution:
         # wait it ends go back into the queue.
         for released in self.selector.absorb_document(result.url, result.document):
             self.queue.requeue(released)
-        kept = source.add_document(result.url, result.document)
+        kept = source.put_document(result.url, result.document)
+        if held:
+            return kept
         stats.triples_discovered = source.triples_discovered
         stats.triples_stored += kept
         stats.documents_fetched += 1
         if result.from_store:
             stats.documents_from_store += 1
-        if kept:
+        if kept and not self.done:  # after quiescence, a refresh feeds its change
             self._pending_quads += kept
             # Feed per document until the first result (TTFR protection) and
             # once a batch is full; otherwise once, before the loop next waits
@@ -551,17 +544,7 @@ class QueryExecution:
             self._feed.cancel()
             self._feed = None
         await self._reap(traversal)
-        if self._bound:
-            # What the bound left unfetched: queued, held for a slot, or
-            # parked for a source index.  Attribution only, like depth.
-            held = [link for links in self._held.values() for _, link in links]
-            for link in [*self.queue.pending(), *held, *self.selector.release_unjudged()]:
-                stats.note_refusal(self._bound, link.origin, document=False)
-        # Links still deferred at quiescence: their origins were never
-        # declared by any traversed document — pruned.
-        for parked in self.selector.drain_deferred():
-            stats.note_pruned("origin:undeclared", parked.origin)
-        stats.declarations_rejected = self.selector.declarations_rejected
+        self._quiesce()
         stats.finished_at = self._clock()
         stats.queue_samples = self.queue.samples
         stats.links_queued = self.queue.pushed_total
@@ -576,15 +559,91 @@ class QueryExecution:
             tracer.end(self._traversal_span, end=stats.finished_at)
             tracer.end(self._query_span, end=stats.finished_at, results=stats.result_count)
             tracer.close_open_spans(end=stats.finished_at)
-        # Finished handles outlive the run (a service registry keeps a window
-        # of them); the traversal machinery must not, nor — unless a
-        # LiveQuery is about to maintain them — the store, the operator
-        # state and the read scope.
-        self.queue = self.selector = self._extractors = None
+        if not self._live:  # a LiveQuery closes its own
+            self.close()
+
+    def _quiesce(self) -> None:
+        """What every quiescence settles: the links a bound left are its
+        refusals, the links still waiting for an origin are pruned, and —
+        when a held document lost an out-link — what the seeds still reach."""
+        stats = self.stats
+        if self._bound:
+            # What the bound left unfetched: queued, held for a slot, or
+            # parked for a source index.  Attribution only, like depth.
+            held = [link for links in self._held.values() for _, link in links]
+            for link in [*self.queue.drain(), *held, *self.selector.release_unjudged()]:
+                stats.note_refusal(self._bound, link.origin, document=False)
+            self._bound = ""
         self._held.clear()
         self._workers.clear()
-        if not self._live:
-            self.source = self.pipeline = self.seen = self.hints = None
+        # Links still deferred at quiescence: their origins were never
+        # declared by any traversed document — pruned.
+        for parked in self.selector.drain_deferred():
+            stats.note_pruned("origin:undeclared", parked.origin)
+        stats.declarations_rejected = self.selector.declarations_rejected
+        if self._remark_due:
+            self._remark()
+
+    def close(self) -> None:
+        """Drop the machinery.  Finished handles outlive the run (a service
+        registry keeps a window of them); the traversal machinery, the store,
+        the operator state and the read scope must not.  A one-shot run
+        closes at tear-down, a live one when its LiveQuery does."""
+        self.queue = self.selector = self._extractors = self._documents = None
+        self.source = self.pipeline = self.seen = self.hints = None
+
+    # -- live refresh ------------------------------------------------------
+
+    async def refresh(self, url: str) -> tuple[list, str]:
+        """Re-open a settled live traversal at ``url`` and run it to
+        quiescence again: ``(the signed result changes, why the refresh
+        failed or "")``.
+
+        A refresh is a link: it goes through the one path every link takes
+        (:meth:`_visit`), with a conditional request that bypasses
+        HTTP-cache freshness.  A held document bypasses the pop-time gates,
+        counts as no new document and is diffed in; anything else is an
+        ordinary link.  A 404/410 puts the document gone.  The links it
+        newly extracts meet every gate, and when it (or a gone document)
+        dropped an out-link, the held documents the seeds no longer reach
+        go too.  The signed log growth feeds the pipeline once, at the end.
+        """
+        tracer, documents, dataset = self.tracer, self._documents, self.source.dataset
+        span = tracer.begin("refresh", url=url) if tracer is not None else None
+        start, unseen = dataset.log_position, url not in self.seen
+        held = documents.get(url)
+        link = held[0] if held is not None else Link(url=url)
+        self._refresh_error = ""
+        self._stop.clear()
+        self._wake.clear()  # no consumer waits for rows after quiescence
+        self.queue.requeue(
+            Link(url, link.parent_url, link.depth, "refresh", provenance=link.provenance)
+        )
+        if span is not None:  # its dereferences and maintenance batches nest under it
+            self._traversal_span = span
+            self.pipeline.enable_tracing(tracer, span)
+        try:
+            # The refresh link first, then the pool for whatever it queued.
+            await self._process_link(self.queue.pop(), 1)
+            if not self.queue.empty:
+                await self._traverse()
+            if unseen and url not in documents:  # it widened the read scope by nothing
+                self.queue.forget((url,))
+            self._quiesce()
+            changes, error = self.pipeline.poll_changes(dataset), self._refresh_error
+            if span is not None:
+                grown, removed = dataset.log_position - start, dataset.retractions_since(start)
+                span.args.update(
+                    outcome="failed" if error else "changed" if grown else "unchanged",
+                    added=grown - removed,
+                    removed=removed,
+                    changes=len(changes),
+                    **({"error": error} if error else {}),
+                )
+            return changes, error
+        finally:
+            if span is not None:
+                tracer.end(span)
 
     # -- traversal ---------------------------------------------------------
 
@@ -697,8 +756,13 @@ class QueryExecution:
         """One popped link: admit → dereference → ingest → extract, and the
         single outcome of that stamped once on its ``dereference`` span."""
         policy, stats, tracer = self._policy, self.stats, self.tracer
+        refresh = link.via == "refresh"
+        # A held document's refresh meets no pop-time gate: it is no new document.
+        held = refresh and link.url in self._documents
         bound = ""
-        if policy.max_documents and stats.documents_fetched >= policy.max_documents:
+        if held:
+            pass
+        elif policy.max_documents and stats.documents_fetched >= policy.max_documents:
             bound = "max-documents"
         elif policy.max_duration and self._clock() - stats.started_at > policy.max_duration:
             bound = "max-duration"
@@ -708,7 +772,9 @@ class QueryExecution:
             return
         span = self._open_span(link, track) if tracer is not None else None
         try:
-            outcome, detail = await self._visit(link, span)
+            outcome, detail = await self._visit(link, span, held)
+            if refresh:
+                self._refresh_error = detail.get("error") or detail.get("refused") or ""
             if span is not None:
                 span.args["outcome"] = outcome
                 span.args.update(detail)
@@ -748,18 +814,29 @@ class QueryExecution:
         tracer.add("queue-wait", enqueued_at, popped_at, parent=span)
         return span
 
-    async def _visit(self, link: Link, span) -> tuple[str, dict]:
+    async def _visit(self, link: Link, span, held: bool) -> tuple[str, dict]:
         """What became of ``link``: ``(outcome, span detail)``, stats already noted."""
         policy, stats = self._policy, self.stats
         origin = link.origin  # stamped once, by the queue
         # The gates run after span creation, so every prune and refusal
         # leaves a ``dereference`` span with its outcome for the
         # trace/stats reconciliation to count.
-        turned_away = self._admit(link, origin)
+        turned_away = None if held else self._admit(link, origin)
         if turned_away is not None:
             return turned_away
-        result = await self.dereference(
-            link.url, span, parent_url=link.parent_url, provenance=link.provenance
+        # The one place this execution's observers meet the shared layers:
+        # tracer, resilience counters and parse cap travel with the call down
+        # to ``HttpClient.fetch`` and are held by nobody on the way, so
+        # executions sharing a service never see each other's spans or retries.
+        result = await self._engine.dereferencer.dereference(
+            link.url,
+            parent_url=link.parent_url,
+            trace_parent=span,
+            tracer=self.tracer,
+            revalidate=link.via == "refresh",
+            provenance=link.provenance,
+            resilience=self._resilience,
+            max_parse_bytes=policy.max_parse_bytes,
         )
         self._budgets.charge_bytes(origin, result.bytes_fetched)
         if result.refused:
@@ -768,8 +845,11 @@ class QueryExecution:
             stats.note_refusal(result.refused, origin)
             return "refused", {"refused": result.refused, "error": result.error}
         if not result.ok:
+            if link.via == "refresh" and result.status in (404, 410):
+                self._hold(link, result.url, None)
+                return "gone", {}
             return self._give_up(link, result), {"error": result.error}
-        kept = self._ingest(result)
+        kept = self._ingest(result, held)
         if kept is None:
             # Fetched by a concurrent worker while the document bound
             # filled: neither counted nor link-extracted.
@@ -777,14 +857,17 @@ class QueryExecution:
         detail = {"triples": len(result.document), "kept": kept}
         if result.from_store:
             detail["from_store"] = True
+        links: set[str] = set()
         if policy.max_depth and link.depth >= policy.max_depth:
             # Attribution only (``document=False``): the document itself was
             # taken, but its out-links are suppressed at the depth budget — the
             # completeness report says so without marking the run incomplete.
             stats.note_refusal("depth", origin, document=False)
         else:
-            self._extract(link, result, span)
-        return "ok", detail
+            links = self._extract(link, result, span)
+        if self._documents is not None:
+            self._hold(link, result.url, links)
+        return ("refreshed" if held else "ok"), detail
 
     def _admit(self, link: Link, origin: str) -> Optional[tuple[str, dict]]:
         """Source selection, then the origin budgets: the outcome that
@@ -828,17 +911,21 @@ class QueryExecution:
         stats.documents_abandoned += 1
         return "abandoned"
 
-    def _extract(self, link: Link, result: DereferenceResult, span) -> None:
-        """Run every extractor over the document and queue what is new."""
+    def _extract(self, link: Link, result: DereferenceResult, span) -> Optional[set[str]]:
+        """Run every extractor over the document and queue what is new; on a
+        live run, return the URLs it links to, seen or not."""
         queue, selector, stats, tracer = self.queue, self.selector, self.stats, self.tracer
         extract_started = self._clock() if tracer is not None else 0.0
         links_pushed = links_pruned = 0
         has_seen = queue.has_seen
+        edges = set() if self._documents is not None else None
         # Extractors may intern one LinkProvenance for many links; the
         # parent-depth-stamped variant is cached alongside.
         stamped: dict = {}
         for extractor in self._extractors:
             for url, provenance in extractor.discover(result.url, result.document, self._context):
+                if edges is not None:
+                    edges.add(url)
                 # Seen first: most candidates are URLs the queue already
                 # knows, and a duplicate is the dedup's business alone — it
                 # builds no Link, stamps no provenance, meets no selector.
@@ -883,6 +970,44 @@ class QueryExecution:
                 links=links_pushed,
                 **({"pruned": links_pruned} if links_pruned else {}),
             )
+        return edges
+
+    # -- what a live run holds ---------------------------------------------
+
+    def _hold(self, link: Link, url: str, edges: Optional[set[str]]) -> None:
+        """Record that the live run holds ``url`` (fetched by ``link``) and
+        what it links to — ``None``: it is gone, and so is its graph.  A
+        document that lost an out-link makes the next quiescence re-mark."""
+        documents = self._documents
+        previous = documents.pop(url, None)
+        if edges is None:
+            self.source.put_document(url, None)
+        else:
+            documents[url] = (link, edges)
+            if link.url != url:  # a redirect: the queue knows the target by the link's URL
+                documents[link.url] = (link, {url})
+        if previous is not None and not previous[1] <= (edges or set()):
+            self._remark_due = True
+
+    def _remark(self) -> None:
+        """Mark from the seeds over the held link edges; every held document
+        left unmarked is gone, and so is every URL the queue saw that no held
+        document links to any more (a later link to it is new again)."""
+        self._remark_due = False
+        documents = self._documents
+        marked: set[str] = set()
+        stack = [seed.partition("#")[0] for seed in self.seeds]
+        while stack:
+            url = stack.pop()
+            if url not in marked:
+                marked.add(url)
+                entry = documents.get(url)
+                if entry is not None:
+                    stack.extend(target.partition("#")[0] for target in entry[1])
+        for url in [url for url in documents if url not in marked]:
+            del documents[url]
+            self.source.put_document(url, None)
+        self.queue.forget(url for url in list(self.seen) if url not in marked)
 
 
 class LinkTraversalEngine:

@@ -41,7 +41,7 @@ from ..rdf.document import ParsedDocument
 from ..rdf.namespaces import LDP, PIM, RDF, SOLID
 from ..rdf.terms import NamedNode, Term, Variable
 from ..rdf.triples import Triple, TriplePattern
-from ..sparql.algebra import Operator, PathPattern, read_patterns
+from ..sparql.algebra import AlternativePath, Operator, PathPattern, PredicatePath, read_patterns
 from ..sparql.paths import path_predicates, path_reads
 
 __all__ = [
@@ -115,21 +115,30 @@ def build_query_context(where: Operator) -> QueryContext:
     :func:`~repro.sparql.algebra.read_patterns` names, EXISTS bodies
     included."""
     patterns: list[TriplePattern] = []
+    # The ends of paths whose members do not keep them: still query IRIs.
+    ends: list[TriplePattern] = []
     for pattern in read_patterns(where):
         if not isinstance(pattern, PathPattern):
             patterns.append(pattern)
         elif path_reads(pattern) is None:
             # A path that can match any quad matches like a variable predicate.
             patterns.append(TriplePattern(pattern.subject, None, pattern.object))
-        else:
+        elif _forward(pattern.path):
             # Its member predicates, as individual patterns for matching.
             for predicate in path_predicates(pattern.path):
                 patterns.append(TriplePattern(pattern.subject, predicate, pattern.object))
+        else:
+            # Inside a sequence, inverse or closure a member's triple need not
+            # touch the path's ends (``<a> p/q ?b``: the ``q`` triple's subject
+            # is no ``<a>``): members match any triple of their predicate.
+            ends.append(TriplePattern(pattern.subject, None, pattern.object))
+            for predicate in path_predicates(pattern.path):
+                patterns.append(TriplePattern(None, predicate, None))
     predicates: set[NamedNode] = set()
     classes: set[NamedNode] = set()
     iris: set[str] = set()
     entity_iris: set[str] = set()
-    for pattern in patterns:
+    for pattern in patterns + ends:
         for term in pattern:
             if isinstance(term, NamedNode):
                 iris.add(term.value)
@@ -149,6 +158,14 @@ def build_query_context(where: Operator) -> QueryContext:
         iris=frozenset(iris),
         entity_iris=frozenset(entity_iris),
     )
+
+
+def _forward(path) -> bool:
+    """A forward predicate, or an alternation of forward predicates: a
+    path whose every match is one triple running from end to end."""
+    if isinstance(path, AlternativePath):
+        return all(map(_forward, path.options))
+    return isinstance(path, PredicatePath)
 
 
 class LinkExtractor:

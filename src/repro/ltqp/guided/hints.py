@@ -62,6 +62,8 @@ class CardinalityHints:
     def __init__(self) -> None:
         self._pods: dict[str, SourceIndex] = {}
         self._by_source: dict[str, SourceIndex] = {}
+        #: Pod base → the URL its index was read from.
+        self._sources: dict[str, str] = {}
         #: Declarations turned away because the index document lies outside
         #: the pod it claims to describe.
         self.rejected = 0
@@ -82,6 +84,7 @@ class CardinalityHints:
         if pod is not None:
             self._pods[pod.pod] = pod
             self._by_source[url.split("#", 1)[0]] = pod
+            self._sources[pod.pod] = url.split("#", 1)[0]
         return pod
 
     def pod_by_source(self, url: str) -> Optional[SourceIndex]:
@@ -92,6 +95,11 @@ class CardinalityHints:
         """The absorbed pod ``url`` lies in — the innermost, when declared
         bases nest."""
         return innermost(self._pods, url)
+
+    def source_for(self, url: str) -> Optional[str]:
+        """The URL of the absorbed source index of the pod ``url`` lies in."""
+        pod = self.pod_for(url)
+        return None if pod is None else self._sources[pod.pod]
 
 
 # -- query subject groups ------------------------------------------------------

@@ -14,7 +14,7 @@ import heapq
 import time
 from array import array
 from dataclasses import dataclass, replace
-from typing import AbstractSet, Callable, Iterator, Optional, Sequence
+from typing import AbstractSet, Callable, Iterable, Iterator, Optional, Sequence
 
 from ..net.message import split_url
 
@@ -342,9 +342,15 @@ class LinkQueue:
         self._sample()
         return link
 
-    def pending(self) -> list[Link]:
-        """The links still queued, in no particular order."""
-        return [entry[2] for entry in self._heap]
+    def drain(self) -> list[Link]:
+        """Take every link still queued, in no particular order."""
+        links = [entry[2] for entry in self._heap]
+        self._heap.clear()
+        return links
+
+    def forget(self, urls: Iterable[str]) -> None:
+        """Un-see fragment-free ``urls``: a later push of one is new again."""
+        self._seen.difference_update(urls)
 
     def has_seen(self, url: str) -> bool:
         return _strip_fragment(url) in self._seen

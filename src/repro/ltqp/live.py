@@ -4,19 +4,19 @@ The demo scenario ends where real Solid apps begin: the result set a
 traversal produced is stale the moment a pod changes.  A
 :class:`LiveQuery` runs one ordinary link-traversal execution to
 quiescence — compiled ``live`` so every operator retains signed
-maintenance state — keeps that :class:`~repro.ltqp.engine.QueryExecution`
-(the one home of its pipeline, source, tracer and parse cap; nothing is
-copied out of it), and keeps the result multiset current:
+maintenance state — and keeps that
+:class:`~repro.ltqp.engine.QueryExecution` open: its queue, selector,
+extractors, growing source and pipeline (nothing is copied out of it).
 
-* :meth:`refresh` re-dereferences one document *through the execution*
-  (so the refetch and re-parse land in its tracer) with ``revalidate=True``
-  (a conditional request that bypasses HTTP-cache freshness), diffs the
-  part of the new parse the plan can read against the document's named
-  graph in the growing source (which holds nothing else: a standing
-  query keeps the quads its operators can match, not the pods it
-  crawled, and an edit that touches none of them appends nothing to the
-  signed log), and feeds the resulting *signed* delta through
-  :meth:`~repro.ltqp.pipeline.Pipeline.poll_changes`;
+* :meth:`refresh` is a link: the execution pushes one revalidating link
+  into its own queue and re-opens its traversal until quiescence, so the
+  refetch, the diff of the held document's graph, the links the new
+  version adds (under the same selector, spec and policies) and, when a
+  link went, the documents the seeds no longer reach all happen on the
+  one path every link takes; the signed log growth then feeds the
+  pipeline once (:meth:`~repro.ltqp.pipeline.Pipeline.poll_changes`).
+  A standing query therefore answers what a fresh run from the same
+  seeds answers, whether a write grows its subweb or shrinks it;
 * :meth:`notify` buffers change notifications (e.g. from a
   :class:`~repro.solid.server.SolidServer` change listener) that
   :meth:`drain` then turns into refreshes — for the documents
@@ -48,10 +48,6 @@ from ..sparql.bindings import Binding
 from .engine import LinkTraversalEngine, QueryExecution, TraversalPolicy
 
 __all__ = ["ResultChange", "ChangeFeed", "LiveQuery"]
-
-#: HTTP statuses meaning "the document is gone" — a refresh treats them
-#: as the document becoming empty rather than as a failed refresh.
-_GONE_STATUSES = frozenset({404, 410})
 
 
 @dataclass(slots=True, frozen=True)
@@ -163,14 +159,14 @@ class ChangeFeed:
 class LiveQuery(ChangeFeed):
     """One standing query: an execution that stays open past quiescence.
 
-    Its own :class:`ChangeFeed`: :meth:`close` ends the standing query
-    and subscribers see end-of-stream.
+    Its own :class:`ChangeFeed`: :meth:`close` ends the standing query,
+    subscribers see end-of-stream and the execution drops its machinery.
 
     Usage::
 
         live = LiveQuery(engine, "SELECT ...", seeds=[...])
         initial = await live.start()          # list[Binding], traversal done
-        events = await live.refresh(url)      # re-diff one document
+        events = await live.refresh(url)      # re-open the traversal at one document
         queue = live.subscribe()              # replayed + future events
         live.close()
 
@@ -196,10 +192,14 @@ class LiveQuery(ChangeFeed):
         )
         self._seq = 0
         self._started = False
-        #: Documents flagged by :meth:`notify`, awaiting :meth:`drain`.
+        #: Documents to refresh on the next :meth:`drain`.
         self._pending: dict[str, None] = {}
         #: Refreshes whose dereference failed (kept for observability).
         self.failed_refreshes: dict[str, str] = {}
+        # One refresh at a time: each re-opens the one traversal.
+        self._refreshing = asyncio.Lock()
+        # The feed's end of stream is the execution's: it drops its machinery.
+        self.add_listener(self._end)
 
     # -- live views ----------------------------------------------------
 
@@ -247,42 +247,55 @@ class LiveQuery(ChangeFeed):
         A few dictionary probes per path segment, however many documents
         the query holds.  Nothing is admitted before :meth:`start`.
         """
+        return bool(self._refreshes(url.split("#", 1)[0]))
+
+    def _refreshes(self, url: str) -> list[str]:
+        """What a write to ``url`` makes this query refresh (empty: the
+        write is not its business, see :meth:`reads`).  Under the first
+        rule, ``url`` itself.  Under the other two, the held documents those
+        rules name — the held containers above it and its pod's source index
+        — whose re-extracted links reach ``url`` only if a fresh run's would."""
         execution = self._execution
         seen = execution.seen
         if seen is None:
-            return False
-        url = url.split("#", 1)[0]
+            return []
         if url in seen:
-            return True
+            return [url]
         graphs = execution.source.dataset
         # The document itself, then each ancestor container, innermost
         # first.  The probe mints nothing: a prefix no live term names
         # cannot name a held graph.
+        held: list[str] = []
         cut = len(url)
         while True:
             name = NamedNode.existing(url[:cut])
             if name is not None and graphs.has_graph(name):
-                return True
+                if cut == len(url):
+                    return [url]
+                held.append(url[:cut])
             cut = url.rfind("/", 0, cut - 1) + 1
             if cut <= len("https://"):
                 break
-        return execution.hints.pod_for(url) is not None
+        index = execution.hints.source_for(url)
+        return held if index is None else [*held, index]
 
     def notify(self, url: str) -> bool:
-        """Flag ``url`` as changed if :meth:`reads` admits it; the next
-        :meth:`drain` refreshes it.  Returns whether it was flagged."""
-        url = url.split("#", 1)[0]
-        if self._closed or not self.reads(url):
+        """Flag what a write to ``url`` makes this query refresh, if
+        :meth:`reads` admits it; the next :meth:`drain` refreshes it.
+        Returns whether anything was flagged."""
+        if self._closed:
             return False
-        self._pending[url] = None
-        return True
+        refreshes = self._refreshes(url.split("#", 1)[0])
+        for target in refreshes:
+            self._pending[target] = None
+        return bool(refreshes)
 
     @property
     def pending(self) -> list[str]:
         return list(self._pending)
 
     async def drain(self) -> list[ResultChange]:
-        """Refresh every notified document, in notification order."""
+        """Refresh every flagged document, in notification order."""
         events: list[ResultChange] = []
         while self._pending:
             url = next(iter(self._pending))
@@ -291,60 +304,32 @@ class LiveQuery(ChangeFeed):
         return events
 
     async def refresh(self, url: str) -> list[ResultChange]:
-        """Re-dereference one document and maintain the result multiset.
+        """Re-open the traversal at one document and publish the signed
+        result changes (:meth:`QueryExecution.refresh`).
 
-        Forces a conditional request (``revalidate=True``): an unchanged
-        document costs a 304 and produces no events; a changed one is
-        re-parsed, the triples the plan reads are diffed against its named
-        graph in the growing source, and the signed delta is pushed
-        through the pipeline (``unchanged`` when the edit touched nothing
-        the plan reads).  A document
-        that has gone away (404/410) is treated as now-empty; any other
-        failure leaves the standing results untouched.
+        Forces a conditional request: an unchanged document costs a 304
+        and produces no events.  A document that has gone away (404/410)
+        is retracted; any other failure leaves the standing results
+        untouched and is kept in :attr:`failed_refreshes`.
         """
         if not self._started:
             raise RuntimeError("LiveQuery.refresh() before start()")
-        if self._closed:
-            return []
         url = url.split("#", 1)[0]
-        execution = self._execution
-        tracer = execution.tracer
-        refresh_started = tracer.clock() if tracer is not None else 0.0
-        span = (
-            tracer.begin("refresh", start=refresh_started, url=url)
-            if tracer is not None
-            else None
-        )
-        try:
-            result = await execution.dereference(url, span, revalidate=True)
-            if not result.ok and result.status not in _GONE_STATUSES:
-                self.failed_refreshes[url] = result.error or f"HTTP {result.status}"
-                if span is not None:
-                    span.args["outcome"] = "failed"
-                    span.args["error"] = result.error
+        async with self._refreshing:
+            if self._closed:
                 return []
-            # A document that is gone carries the empty document: now-empty.
-            added, removed = execution.source.update_document(url, result.document)
-            if span is not None:
-                span.args["added"] = len(added)
-                span.args["removed"] = len(removed)
-            if not added and not removed:
-                if span is not None:
-                    span.args["outcome"] = "unchanged"
-                return []
-            if span is not None:
-                # Maintenance batches nest under *this* refresh — the
-                # original query span closed at quiescence, and a span
-                # may not outlive its parent.
-                execution.pipeline.enable_tracing(tracer, span)
-            changes = execution.pipeline.poll_changes(execution.source.dataset)
-            if span is not None:
-                span.args["outcome"] = "changed"
-                span.args["changes"] = len(changes)
-            return self._publish(changes, url=url)
-        finally:
-            if span is not None:
-                tracer.end(span)
+            try:
+                changes, error = await self._execution.refresh(url)
+            finally:
+                if self._closed:  # closed while the traversal ran
+                    self._execution.close()
+        if error:
+            self.failed_refreshes[url] = error
+        return self._publish(changes, url=url)
+
+    def _end(self, events: Optional[list[ResultChange]]) -> None:
+        if events is None and not self._refreshing.locked():  # else the refresh closes it
+            self._execution.close()
 
     def _publish(
         self, changes: list[tuple[Binding, int]], url: str

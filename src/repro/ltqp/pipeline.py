@@ -601,48 +601,80 @@ class PathScanNode(IncrementalNode):
     retracted edge can sever arbitrarily many derived pairs), so a relevant
     delta of either sign re-evaluates the path over the current snapshot
     and diffs the endpoint pairs against what was previously emitted.
+    Under ``GRAPH ?g`` the path is evaluated per named graph and binds
+    ``?g``, as :class:`~repro.sparql.eval.SnapshotEvaluator` does: a delta
+    re-evaluates the graphs it touches, and quiescence the graphs no delta
+    reached (a zero-length path holds in every graph, an empty one too).
     """
 
     def __init__(self, pattern: PathPattern, graph: Optional[Term] = None) -> None:
-        super().__init__(frozenset(pattern.variables()))
+        variables = frozenset(pattern.variables())
+        if isinstance(graph, Variable):
+            variables = variables | {graph}
+        super().__init__(variables)
+        self._graph_variable = graph if isinstance(graph, Variable) else None
         self._pattern = pattern
         self._graph = graph if isinstance(graph, NamedNode) else None
         #: Predicates whose quads can change the answer; ``None`` = any quad.
         self.reads = path_reads(pattern)
-        self._emitted: dict[tuple[Term, Term], None] = {}
+        #: Graph evaluated (``None``: the one this scan reads, without
+        #: ``?g``) → the endpoint pairs emitted for it.
+        self._emitted: dict[Optional[Term], dict[tuple[Term, Term], None]] = {}
 
     @property
     def cardinality(self) -> int:
         """How many endpoint pairs the scan holds now."""
-        return len(self._emitted)
+        return sum(map(len, self._emitted.values()))
 
     def rows(self) -> list[Change]:
         """The scan's output multiset so far: each pair's binding, once."""
         return [
             (binding, 1)
-            for pair in self._emitted
-            if (binding := self._pair_binding(*pair)) is not None
+            for name, pairs in self._emitted.items()
+            for pair in pairs
+            if (binding := self._pair_binding(pair, name)) is not None
         ]
 
     def _changes(self, delta: DeltaBatch, dataset: Dataset) -> list[Change]:
+        reads = self.reads
         if delta is _QUIESCENT:
             # ``<a> p* ?y`` holds for ``?y = <a>`` over any graph, an empty
-            # one included: a scan that has emitted nothing may never have
+            # one included: a graph that has emitted nothing may never have
             # been handed a relevant quad to say so.
-            if self._emitted:
-                return []
-        elif not delta.quads or not (self.reads is None or delta.touches(self.reads)):
+            if self._graph_variable is None:
+                names = [] if self._emitted.get(None) else [None]
+            else:
+                names = [
+                    name for name in dataset.graph_names()
+                    if name is not None and name not in self._emitted
+                ]
+        elif not delta.quads or not (reads is None or delta.touches(reads)):
             return []
-        graph = dataset.union if self._graph is None else dataset.get_graph(self._graph)
-        if graph is None:
-            # No document has filled that named graph: no solutions (the
-            # snapshot evaluator agrees), and reading must not create it.
-            return []
+        elif self._graph_variable is None:
+            names = [None]
+        else:  # the graphs the delta's relevant quads fall in, in log order
+            names = list(dict.fromkeys(
+                quad.graph for quad in delta.quads if reads is None or quad.predicate in reads
+            ))
+        changes: list[Change] = []
+        for name in names:
+            changes += self._rediff(name, dataset, delta.sign)
+        return changes
+
+    def _rediff(self, name: Optional[Term], dataset: Dataset, sign: int) -> list[Change]:
+        """Re-evaluate the path over one graph and emit the pairs it gained
+        (and, on a retraction, the pairs it lost)."""
+        target = name if self._graph_variable is not None else self._graph
+        graph = dataset.union if target is None else dataset.get_graph(target)
         pattern = self._pattern
-        found = evaluate_path(graph, pattern.subject, pattern.path, pattern.object)
-        emitted = self._emitted
+        # A named graph no document fills (any more) has no solutions — the
+        # snapshot evaluator agrees — and reading must not create it.
+        found = () if graph is None else evaluate_path(
+            graph, pattern.subject, pattern.path, pattern.object
+        )
+        emitted = self._emitted.setdefault(name, {})
         signed: list[tuple[tuple[Term, Term], int]] = []
-        if delta.sign < 0:
+        if sign < 0:
             # Only a retraction can sever pairs (insertion just adds them).
             found = dict.fromkeys(found)
             for pair in [pair for pair in emitted if pair not in found]:
@@ -655,19 +687,16 @@ class PathScanNode(IncrementalNode):
         return [
             (binding, count)
             for pair, count in signed
-            if (binding := self._pair_binding(*pair)) is not None
+            if (binding := self._pair_binding(pair, name)) is not None
         ]
 
-    def _pair_binding(self, start: Term, end: Term) -> Optional[Binding]:
-        subject = self._pattern.subject
-        object_term = self._pattern.object
+    def _pair_binding(self, pair: tuple[Term, Term], name: Optional[Term]) -> Optional[Binding]:
         items: dict[Variable, Term] = {}
-        if isinstance(subject, Variable):
-            items[subject] = start
-        if isinstance(object_term, Variable):
-            if object_term in items and items[object_term] != end:
-                return None
-            items[object_term] = end
+        ends = (self._pattern.subject, pair[0]), (self._pattern.object, pair[1])
+        for term, value in (*ends, (self._graph_variable, name)):
+            if isinstance(term, Variable):
+                if items.setdefault(term, value) != value:
+                    return None
         return Binding(items)
 
 

@@ -23,9 +23,12 @@ __all__ = ["GrowingTripleSource"]
 class GrowingTripleSource:
     """The quad store one execution's dereferenced documents grow.
 
-    Producers call :meth:`add_document` (or :meth:`update_document` on a
-    live refresh); the engine then advances the pipeline over
-    :attr:`dataset`'s log.
+    Every document enters through :meth:`put_document`; the engine then
+    advances the pipeline over :attr:`dataset`'s log.  On a crawl a put is
+    a plain append.  A put of a URL the source already holds is a diff —
+    the live refresh of a standing query, or a document it no longer
+    reaches — so the store can also *shrink*, in signed ``-1`` log entries
+    only a ``live`` pipeline takes.
 
     The store is *plan-aware*: ``read_set`` is the compiled plan's
     :attr:`~repro.ltqp.pipeline.Pipeline.read_set` — the predicates of the
@@ -33,7 +36,7 @@ class GrowingTripleSource:
     any.  Only those triples are stored, logged and diffed — taken from
     the document by predicate bucket, so the rest of it (on a pod crawl,
     about 11 triples of 12) is never looked at here.  Every document still
-    gets its named graph, kept triples or not.
+    gets its named graph, kept triples or not; a gone one has none.
     """
 
     def __init__(self, read_set: Optional[Collection[Term]] = None) -> None:
@@ -48,6 +51,7 @@ class GrowingTripleSource:
 
     @property
     def document_count(self) -> int:
+        """Documents put so far (a URL put twice counts twice)."""
         return self._document_count
 
     @property
@@ -61,45 +65,41 @@ class GrowingTripleSource:
         read_set = self._read_set
         return document if read_set is None else document.select(read_set)
 
-    def add_document(self, url: str, document: ParsedDocument) -> int:
-        """Ingest one dereferenced document; returns #new quads stored."""
-        graph_name = NamedNode(url)
-        if not self._dataset.has_graph(graph_name):
-            self._triples_discovered += document.distinct
-        self._document_count += 1
-        return self._dataset.add_triples(self._kept(document), graph_name)
+    def put_document(self, url: str, document: Optional[ParsedDocument]) -> int:
+        """Make ``url``'s named graph hold ``document``'s kept triples —
+        ``None``: the document is gone, and so is its graph.  Returns how
+        many quads that logged.
 
-    def update_document(
-        self, url: str, document: ParsedDocument
-    ) -> tuple[list[Triple], list[Triple]]:
-        """Replace a document's graph with a new parse, minimally.
-
-        Diffs the triples of the new parse the plan can read against the
-        document's current named graph and applies only the difference:
-        removed triples are retracted (signed ``-1`` log entries), new ones
-        inserted.  Returns ``(added, removed)`` — empty/empty when nothing
-        the plan reads changed.
-
-        This is the live-refresh ingest path: unlike :meth:`add_document`
-        it may *shrink* the store, so it must only run on executions whose
-        pipeline understands signed deltas.
+        A URL the source does not hold is appended.  A held one is diffed
+        against its graph: retractions first (an in-place edit then reads
+        retract-then-insert, never both present), each side sorted so the
+        signed log — and every event stream downstream, sharded or not — is
+        the same whatever the set order.  An edit of nothing the plan reads
+        logs nothing.
         """
+        dataset = self._dataset
         graph_name = NamedNode(url)
-        # Looked up, not created: a document that is gone, and was never
-        # held, must not leave an empty graph behind for ``reads`` to find.
-        graph = self._dataset.get_graph(graph_name)
-        held = graph if graph is not None else ()
-        new_triples = set(self._kept(document))
-        # Sorted so the signed log (and every downstream event stream) is
-        # deterministic regardless of set iteration order — sharded and
-        # unsharded subscriptions must observe identical change sequences.
-        sort_key = lambda t: (repr(t.subject), repr(t.predicate), repr(t.object))  # noqa: E731
-        removed = sorted((t for t in held if t not in new_triples), key=sort_key)
-        added = sorted((t for t in new_triples if t not in held), key=sort_key)
-        # Retractions first: an in-place mutation (same subject/predicate,
-        # new object) then reads retract-then-insert, never both present.
-        for triple in removed:
-            self._dataset.remove(Quad(triple.subject, triple.predicate, triple.object, graph_name))
-        if added:
-            self._dataset.add_triples(added, graph_name)
-        return added, removed
+        # Looked up, not created: a gone document that was never held must
+        # not leave an empty graph behind for ``LiveQuery.reads`` to find.
+        graph = dataset.get_graph(graph_name)
+        if graph is None and document is None:
+            return 0
+        added = kept = self._kept(document) if document is not None else ()
+        removed: list[Triple] = []
+        if graph is None:
+            self._triples_discovered += document.distinct
+        else:
+            kept = set(kept)
+            removed = sorted((t for t in graph if t not in kept), key=_sort_key)
+            added = sorted((t for t in kept if t not in graph), key=_sort_key)
+            for triple in removed:
+                dataset.remove(Quad(triple.subject, triple.predicate, triple.object, graph_name))
+            if document is None:
+                dataset.drop_graph(graph_name)
+                return len(removed)
+        self._document_count += 1
+        return len(removed) + dataset.add_triples(added, graph_name)
+
+
+def _sort_key(triple: Triple) -> tuple[str, str, str]:
+    return repr(triple.subject), repr(triple.predicate), repr(triple.object)

@@ -185,9 +185,11 @@ def trace_execution_stats(tracer: Tracer) -> dict:
     Live (standing-query) executions add the maintenance books: every
     :meth:`~repro.ltqp.live.LiveQuery.refresh` leaves one ``refresh``
     span (outcome ``changed``/``unchanged``/``failed`` plus the diff
-    sizes) and each signed maintenance batch leaves an ``apply-batch``
-    span, so the counters here must reconcile with the standing query's
-    event history and ``failed_refreshes`` map.
+    sizes) with the ``dereference`` spans of the links it re-opened under
+    it, and each signed maintenance batch leaves an ``apply-batch`` span,
+    so the counters here must reconcile with the standing query's event
+    history and ``failed_refreshes`` map.  A held document's refetch
+    (``refreshed``) or a gone one (``gone``) is no fetched document.
     """
     documents_fetched = 0
     triples_stored = 0
@@ -239,8 +241,9 @@ def trace_execution_stats(tracer: Tracer) -> dict:
                 kind = span.args.get("refused") or "unknown"
                 refusals_by_kind[kind] = refusals_by_kind.get(kind, 0) + 1
             # Uncounted: in flight as max_documents filled; turned away or
-            # parked by source selection, which is scoping, not failure.
-            elif outcome not in ("over-bound", "pruned", "deferred"):
+            # parked by source selection, which is scoping, not failure; a
+            # live refresh of a held document, or of one that is gone.
+            elif outcome not in ("over-bound", "pruned", "deferred", "refreshed", "gone"):
                 documents_failed += 1
                 if outcome == "retried":
                     documents_retried += 1

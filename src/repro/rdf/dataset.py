@@ -279,6 +279,12 @@ class Dataset:
     def has_graph(self, name: Optional[NamedNode]) -> bool:
         return name in self._graphs
 
+    def drop_graph(self, name: Optional[NamedNode]) -> None:
+        """Forget an emptied named graph (a document that is gone)."""
+        if self._graphs.get(name):
+            raise ValueError(f"graph {name!r} still holds triples")
+        self._graphs.pop(name, None)
+
     def add(self, quad: Quad) -> bool:
         """Insert a quad; returns ``True`` when new *in its graph*.
 

@@ -213,7 +213,7 @@ class DocumentStore:
             "invalidations": self.invalidations,
             "parses": self.parses,
             # One per upstream edit the store noticed; the diff itself is
-            # ``GrowingTripleSource.update_document``'s, per plan read set.
+            # ``GrowingTripleSource.put_document``'s, per plan read set.
             "diffs": self.invalidations,
             "hit_rate": round(self.hit_rate, 4),
             "storage": self._tier.statistics(),

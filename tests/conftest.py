@@ -37,3 +37,16 @@ def paper_small_universe():
 @pytest.fixture()
 def fast_engine(tiny_universe):
     return tiny_universe.fast_engine()
+
+
+def put_diff(source, url, document):
+    """``source.put_document`` read back from the signed log it appended:
+    ``(added, removed)`` triples, each in log order."""
+    dataset = source.dataset
+    before = dataset.log_position
+    logged = source.put_document(url, document)
+    runs = dataset.signed_runs(before)
+    added = [quad.triple for sign, quads in runs if sign > 0 for quad in quads]
+    removed = [quad.triple for sign, quads in runs if sign < 0 for quad in quads]
+    assert logged == len(added) + len(removed)
+    return added, removed

@@ -128,6 +128,33 @@ class TestBuildQueryContext:
         assert SNVOC.hasPost in context.predicates
         assert SNVOC.hasComment in context.predicates
 
+    @pytest.mark.parametrize(
+        "path, link",
+        [
+            ("<http://x/p>/<http://x/q>", "https://h/b"),  # the q triple's object
+            ("^<http://x/q>", "https://h/g"),  # ?b q <a>: the subject
+            ("<http://x/q>*", "https://h/b"),  # a closure's later step
+        ],
+    )
+    def test_a_path_member_matches_off_the_path_ends(self, path, link):
+        """Only a forward predicate (or an alternation of them) keeps the
+        path's ends on its member patterns; in a sequence, inverse or
+        closure, cMatch follows a member's triple wherever it lies."""
+        query = parse_query(f"SELECT ?b WHERE {{ <https://h/a> {path} ?b }}")
+        context = build_query_context(query.where)
+        triples = [
+            Triple(n("https://h/a"), n("http://x/p"), n("https://h/g")),
+            Triple(n("https://h/g"), n("http://x/q"), n("https://h/b")),
+            Triple(n("https://h/g"), n("http://x/q"), n("https://h/a")),
+        ]
+        assert link in extract(MatchIriExtractor(), triples, context)
+        assert "https://h/a" in context.entity_iris  # still the query's seed
+
+    def test_a_forward_alternation_keeps_its_ends(self):
+        query = parse_query("SELECT ?b WHERE { <https://h/a> (<http://x/p>|<http://x/q>) ?b }")
+        context = build_query_context(query.where)
+        assert {pattern.subject for pattern in context.patterns} == {n("https://h/a")}
+
     def test_patterns_from_union_and_optional(self):
         query = parse_query(
             """SELECT ?x WHERE {

@@ -4,7 +4,7 @@ Two layers under test:
 
 * **pipeline units** — a live-compiled pipeline over a
   :class:`GrowingTripleSource` must maintain its result multiset under
-  signed document re-diffs (`update_document` → `poll_changes`) for every
+  signed document re-diffs (`put_document` → `poll_changes`) for every
   operator family, matching a fresh execution over the final state;
 * **LiveQuery** — the full loop over a simulated Solid pod: start →
   PATCH → refresh re-diffs the document → signed events, plus the
@@ -43,7 +43,7 @@ def start_live(query_text: str, docs: dict[str, str]):
     source = GrowingTripleSource()
     results = []
     for url, text in docs.items():
-        source.add_document(url, ParsedDocument(parse_turtle(text, base_iri=url)))
+        source.put_document(url, ParsedDocument(parse_turtle(text, base_iri=url)))
         results.extend(pipeline.advance(source.dataset))
     results.extend(pipeline.finalize(source.dataset))
     return pipeline, source, results
@@ -55,7 +55,7 @@ def fresh_results(query_text: str, docs: dict[str, str]):
     pipeline = compile_query_pipeline(query)
     source = GrowingTripleSource()
     for url, text in docs.items():
-        source.add_document(url, ParsedDocument(parse_turtle(text, base_iri=url)))
+        source.put_document(url, ParsedDocument(parse_turtle(text, base_iri=url)))
     results = list(pipeline.advance(source.dataset))
     results.extend(pipeline.finalize(source.dataset))
     return results
@@ -63,7 +63,7 @@ def fresh_results(query_text: str, docs: dict[str, str]):
 
 def apply_edit(pipeline, source, url: str, text: str):
     """One document rewrite -> the signed changes it causes."""
-    source.update_document(url, ParsedDocument(parse_turtle(text, base_iri=url)))
+    source.put_document(url, ParsedDocument(parse_turtle(text, base_iri=url)))
     return pipeline.poll_changes(source.dataset)
 
 
@@ -375,8 +375,9 @@ class TestLiveQuery:
     def test_traced_refresh_owns_its_fetch_and_parse(self, live_universe):
         """The refresh is handed the standing query's tracer with the call:
         its conditional refetch and re-parse nest under the ``refresh``
-        span instead of vanishing (or landing in whichever tracer some
-        other execution last left on the shared client)."""
+        span — inside the ``dereference`` span of the link it re-opened —
+        instead of vanishing (or landing in whichever tracer some other
+        execution last left on the shared client)."""
         from repro.obs import Tracer, check_trace_invariants
 
         async def run():
@@ -400,9 +401,43 @@ class TestLiveQuery:
         tracer = asyncio.run(run())
         (refresh,) = [span for span in tracer.spans if span.name == "refresh"]
         children = {child.name: child for child in refresh.children}
-        assert {"fetch", "parse", "apply-batch"} <= set(children)
-        assert [child.name for child in children["fetch"].children] == ["attempt"]
+        assert {"dereference", "apply-batch"} <= set(children)
+        assert children["dereference"].args["outcome"] == "refreshed"
+        grandchildren = {child.name: child for child in children["dereference"].children}
+        assert {"fetch", "parse"} <= set(grandchildren)
+        assert [child.name for child in grandchildren["fetch"].children] == ["attempt"]
         assert check_trace_invariants(tracer) == []
+
+    def test_concurrent_refreshes_take_turns(self, live_universe):
+        """Each refresh re-opens the one traversal, so two drains racing
+        over one standing query run their refreshes one after the other."""
+        from repro.obs import Tracer
+
+        tracer = Tracer()
+
+        async def run():
+            pod = next(iter(live_universe.pods.values()))
+            live = LiveQuery(
+                live_universe.fast_engine(), name_query(pod), seeds=[pod.profile_url],
+                tracer=tracer,
+            )
+            await live.start()
+            await patch_document(
+                live_universe, pod.profile_url, rename_update(pod.webid, pod.owner_name, "Raced")
+            )
+            batches = await asyncio.gather(
+                live.refresh(pod.profile_url), live.refresh(pod.profile_url)
+            )
+            fresh = await live_universe.fast_engine().query(
+                name_query(pod), seeds=[pod.profile_url]
+            ).gather()
+            return live, batches, fresh
+
+        live, batches, fresh = asyncio.run(run())
+        assert sorted(event.delta for batch in batches for event in batch) == [-1, 1]
+        assert Counter(live.current_results()) == Counter(fresh.bindings)
+        first, second = [span for span in tracer.spans if span.name == "refresh"]
+        assert first.end <= second.start
 
     def test_unchanged_refresh_is_silent(self, live_universe):
         async def run():
@@ -744,3 +779,60 @@ class TestReadScope:
         live, missing, before, after = asyncio.run(run())
         assert after == before
         assert not live.reads(missing)
+
+
+class TestReachability:
+    """A write can grow the subweb a standing query reads or shrink it: a
+    refresh is a link on the execution's one path, so the standing answer
+    is a fresh run's either way, and a bystander sees nothing of it."""
+
+    @staticmethod
+    def scenario(linked_at_start: bool):
+        """Pod 0's card links (or stops linking) to a document in pod 1
+        whose triple the query reads; returns (standing rows, fresh rows,
+        bystander events after the edit, whether the bystander was told)."""
+        universe = build_universe(SolidBenchConfig(scale=0.005, seed=7))
+        pod, other, third = universe.pod_of(0), universe.pod_of(1), universe.pod_of(2)
+        doc = other.base_url + "notes/mood"
+        link = f"{{ <{pod.webid}> <{MOOD}> <{doc}> }}"
+
+        async def run():
+            await put_document(universe, doc, f'<{doc}#it> <{MOOD}> "linked" .')
+            if linked_at_start:
+                await patch_document(universe, pod.profile_url, f"INSERT DATA {link}")
+            live = LiveQuery(universe.fast_engine(), MOOD_QUERY, seeds=[pod.profile_url])
+            bystander = LiveQuery(
+                universe.fast_engine(), name_query(third), seeds=[third.profile_url]
+            )
+            await live.start()
+            await bystander.start()
+            before = len(bystander.events)
+            edit = "DELETE DATA" if linked_at_start else "INSERT DATA"
+            await patch_document(universe, pod.profile_url, f"{edit} {link}")
+            assert live.notify(pod.profile_url)
+            told = bystander.notify(pod.profile_url)
+            await live.drain()
+            await bystander.drain()
+            fresh = await universe.fast_engine().query(
+                MOOD_QUERY, seeds=[pod.profile_url]
+            ).gather()
+            return live, fresh.bindings, bystander.events[before:], told
+
+        live, fresh, bystander_events, told = asyncio.run(run())
+        return Counter(live.current_results()), Counter(fresh), bystander_events, told, doc, live
+
+    def test_a_link_written_into_a_held_document_is_followed(self):
+        standing, fresh, bystander_events, told, doc, live = self.scenario(linked_at_start=False)
+        assert sum(standing.values()) == 2
+        assert standing == fresh
+        assert bystander_events == [] and not told
+        assert live.reads(doc)
+
+    def test_a_link_deleted_from_a_held_document_takes_what_only_it_reached(self):
+        standing, fresh, bystander_events, told, doc, live = self.scenario(linked_at_start=True)
+        assert sum(standing.values()) == 0
+        assert standing == fresh
+        assert bystander_events == [] and not told
+        # Out of the read scope: a write to it is no longer this query's.
+        assert not live.reads(doc)
+        assert not live.execution.source.dataset.has_graph(NamedNode(doc))

@@ -20,6 +20,7 @@ from repro.rdf import Dataset, Literal, NamedNode, Quad, Variable
 from repro.sparql import parse_query
 from repro.sparql.algebra import expression_contains_exists, operator_expressions
 from repro.sparql.bindings import Binding
+from repro.sparql.eval import SnapshotEvaluator
 
 EX = "PREFIX ex: <http://x/>\n"
 
@@ -196,6 +197,29 @@ class TestPathStreaming:
         pipeline, ds = make("SELECT ?y WHERE { ex:a ex:knows* ?y }")
         assert len(feed(pipeline, ds, [q(n("a"), n("knows"), n("b"))])) == 2
         assert pipeline.finalize(ds) == []
+
+    def test_a_path_under_a_graph_variable_binds_it_per_named_graph(self):
+        """``GRAPH ?g`` evaluates the path inside each named graph, as the
+        snapshot evaluator does: a chain split across two documents joins
+        in neither, and a zero-length path holds in every graph — one that
+        no relevant quad reached included, said at quiescence."""
+        pipeline, ds = make("SELECT ?g ?x WHERE { GRAPH ?g { ex:a ex:knows* ?x } }")
+        rows = feed(pipeline, ds, [
+            q(n("a"), n("knows"), n("b"), "https://h/d1"),
+            q(n("b"), n("knows"), n("c"), "https://h/d2"),
+            q(n("c"), n("likes"), n("d"), "https://h/d3"),
+        ])
+        rows += pipeline.finalize(ds)
+        pairs = {(b[Variable("g")].value, b[Variable("x")].value) for b in rows}
+        a, b = "http://x/a", "http://x/b"
+        assert pairs == {
+            ("https://h/d1", a), ("https://h/d1", b), ("https://h/d2", a), ("https://h/d3", a),
+        }
+        assert len(rows) == len(pairs)
+        oracle = SnapshotEvaluator(ds).select(
+            parse_query(EX + "SELECT ?g ?x WHERE { GRAPH ?g { ex:a ex:knows* ?x } }")
+        )
+        assert sorted(map(repr, rows)) == sorted(map(repr, oracle))
 
     def test_transitive_path_grows_with_data(self):
         pipeline, ds = make("SELECT ?x WHERE { ex:a ex:knows+ ?x }")

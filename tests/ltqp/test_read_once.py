@@ -174,7 +174,7 @@ class TestNobodyWalksADocument:
             assert CountingDocument.reader_walks == before + 1
         source = GrowingTripleSource(read_set=None)  # a plan that can match any predicate
         before = CountingDocument.reader_walks
-        source.add_document("https://h/doc", document)
+        source.put_document("https://h/doc", document)
         assert CountingDocument.reader_walks == before + 1
 
     SHIPPED = default_extractors() + [
@@ -212,8 +212,8 @@ class TestOneValue:
         assert {field.name for field in dataclasses.fields(StoredDocument)} == {
             "url", "validator", "document", "stored_at"
         }
-        for method in (GrowingTripleSource.add_document, GrowingTripleSource.update_document):
-            assert list(inspect.signature(method).parameters) == ["self", "url", "document"]
+        method = GrowingTripleSource.put_document
+        assert list(inspect.signature(method).parameters) == ["self", "url", "document"]
         assert list(inspect.signature(LinkExtractor.discover).parameters) == [
             "self", "document_url", "document", "context"
         ]

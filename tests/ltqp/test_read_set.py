@@ -203,7 +203,7 @@ class TestReadSetIsAFunctionOfTheQuery:
         triples = [Triple(node(f"n{i}"), node("p"), node("m")) for i in range(8)]
         triples += [Triple(node("m"), node("q"), node("k")), Triple(node("k"), node("r"), node("j"))]
         for index, triple in enumerate(triples):
-            source.add_document(f"https://h/doc{index}", ParsedDocument([triple]))
+            source.put_document(f"https://h/doc{index}", ParsedDocument([triple]))
             pipeline.advance(source.dataset)
         assert pipeline.replans > 0
         assert pipeline.read_set == before
@@ -239,7 +239,7 @@ def snapshot_over_fetched(universe, engine) -> SnapshotEvaluator:
     async def load() -> None:
         for url in fetched:
             result = await dereferencer.dereference(url)
-            source.add_document(result.url, result.document)
+            source.put_document(result.url, result.document)
 
     asyncio.run(load())
     return SnapshotEvaluator(source.dataset)

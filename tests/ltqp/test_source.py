@@ -12,6 +12,8 @@ from repro.rdf import NamedNode, ParsedDocument, Triple
 from repro.solidbench.queries import discover_query
 from repro.sparql import parse_query
 
+from ..conftest import put_diff
+
 
 def t(index: int) -> Triple:
     return Triple(NamedNode(f"http://x/s{index}"), NamedNode("http://x/p"), NamedNode("http://x/o"))
@@ -20,31 +22,31 @@ def t(index: int) -> Triple:
 class TestGrowingTripleSource:
     def test_add_document_counts_new_triples(self):
         source = GrowingTripleSource()
-        assert source.add_document("https://h/doc", ParsedDocument([t(1), t(2)])) == 2
-        assert source.add_document("https://h/doc2", ParsedDocument([t(1)])) == 1  # new in its graph
+        assert source.put_document("https://h/doc", ParsedDocument([t(1), t(2)])) == 2
+        assert source.put_document("https://h/doc2", ParsedDocument([t(1)])) == 1  # new in its graph
         assert source.document_count == 2
         assert len(source.dataset.union) == 2  # deduplicated in union
 
     def test_same_document_duplicates_skipped(self):
         source = GrowingTripleSource()
-        source.add_document("https://h/doc", ParsedDocument([t(1), t(1)]))
+        source.put_document("https://h/doc", ParsedDocument([t(1), t(1)]))
         assert source.dataset.log_position == 1
 
     def test_per_document_graphs(self):
         source = GrowingTripleSource()
-        source.add_document("https://h/doc", ParsedDocument([t(1)]))
+        source.put_document("https://h/doc", ParsedDocument([t(1)]))
         assert source.dataset.has_graph(NamedNode("https://h/doc"))
 
     def test_a_refresh_retracts_a_shared_triple_from_the_union_with_its_last_holder(self):
         source = GrowingTripleSource()
         for url in ("https://h/a", "https://h/b"):
-            source.add_document(url, ParsedDocument([t(1), t(2)]))
+            source.put_document(url, ParsedDocument([t(1), t(2)]))
         union = source.dataset.union
-        assert source.update_document("https://h/a", ParsedDocument([t(2)])) == ([], [t(1)])
+        assert put_diff(source, "https://h/a", ParsedDocument([t(2)])) == ([], [t(1)])
         assert t(1) in union
-        assert source.update_document("https://h/b", ParsedDocument([t(2)])) == ([], [t(1)])
+        assert put_diff(source, "https://h/b", ParsedDocument([t(2)])) == ([], [t(1)])
         assert t(1) not in union and t(2) in union
-        assert source.update_document("https://h/a", ParsedDocument([t(1), t(2)])) == ([t(1)], [])
+        assert put_diff(source, "https://h/a", ParsedDocument([t(1), t(2)])) == ([t(1)], [])
         assert t(1) in union
 
 
@@ -60,7 +62,7 @@ class TestIndexOnFirstRead:
         results = 0
         for pod in universe.pods.values():
             for document in pod.documents():
-                source.add_document(pod.document_url(document.path), ParsedDocument(document.triples))
+                source.put_document(pod.document_url(document.path), ParsedDocument(document.triples))
                 if source.document_count % documents_per_advance == 0:
                     results += len(pipeline.advance(source.dataset))
         results += len(pipeline.advance(source.dataset))
@@ -95,7 +97,7 @@ class TestIndexOnFirstRead:
         gc.disable()
         try:
             before = len(gc.get_objects())
-            added = sum(source.add_document(url, document) for url, document in documents)
+            added = sum(source.put_document(url, document) for url, document in documents)
             grown = len(gc.get_objects()) - before
         finally:
             if was_enabled:
@@ -118,49 +120,53 @@ class TestPlanAwareSource:
     def test_only_read_predicates_are_stored_and_every_triple_is_counted(self):
         source = GrowingTripleSource(self.READS)
         document = ParsedDocument([p(1, "p"), p(2, "noise"), p(2, "noise"), p(3, "p"), p(4, "other")])
-        assert source.add_document("https://h/doc", document) == 2
+        assert source.put_document("https://h/doc", document) == 2
         assert source.triples_discovered == 4  # distinct triples, kept or not
         assert [quad.triple for quad in source.dataset.quads()] == [p(1, "p"), p(3, "p")]
         # A document URL ingested twice counts once (two links, one redirect target).
-        assert source.add_document("https://h/doc", document) == 0
+        assert source.put_document("https://h/doc", document) == 0
         assert source.triples_discovered == 4 and source.document_count == 2
 
     def test_a_document_that_keeps_nothing_still_names_its_graph(self):
         source = GrowingTripleSource(self.READS)
-        assert source.add_document("https://h/noise", ParsedDocument([p(1, "noise")])) == 0
+        assert source.put_document("https://h/noise", ParsedDocument([p(1, "noise")])) == 0
         assert source.dataset.has_graph(NamedNode("https://h/noise"))
         assert source.dataset.log_position == 0
 
     def test_refresh_diffs_kept_triples_only(self):
         source = GrowingTripleSource(self.READS)
-        source.add_document("https://h/doc", ParsedDocument([p(1, "p"), p(2, "noise")]))
+        source.put_document("https://h/doc", ParsedDocument([p(1, "p"), p(2, "noise")]))
         # A noise-only edit appends nothing to the signed log…
         position = source.dataset.log_position
         noise_edit = ParsedDocument([p(1, "p"), p(9, "noise")])
-        assert source.update_document("https://h/doc", noise_edit) == ([], [])
+        assert put_diff(source, "https://h/doc", noise_edit) == ([], [])
         assert source.dataset.log_position == position
         # …an edit of something the plan reads is one retraction, one insertion.
         read_edit = ParsedDocument([p(5, "p"), p(9, "noise")])
-        added, removed = source.update_document("https://h/doc", read_edit)
+        added, removed = put_diff(source, "https://h/doc", read_edit)
         assert (added, removed) == ([p(5, "p")], [p(1, "p")])
         assert source.dataset.log_position == position + 2
 
     def test_no_read_set_keeps_everything(self):
         source = GrowingTripleSource()
-        assert source.add_document("https://h/doc", ParsedDocument([p(1, "p"), p(2, "noise")])) == 2
+        assert source.put_document("https://h/doc", ParsedDocument([p(1, "p"), p(2, "noise")])) == 2
         assert source.triples_discovered == 2
 
     def test_one_ingest_path(self):
-        """Filtered and wildcard plans run the same ``add_document`` /
-        ``update_document`` bodies: the read set is consulted in one helper
-        and every write goes through ``Dataset.add_triples`` / ``remove``."""
+        """Filtered and wildcard plans, crawls and refreshes run the one
+        ``put_document`` body: the read set is consulted in one helper and
+        every write goes through ``Dataset.add_triples`` / ``remove``."""
         whole = inspect.getsource(GrowingTripleSource)
         assert whole.count("self._read_set") == 2  # stored by __init__, read by _kept
-        for method in (GrowingTripleSource.add_document, GrowingTripleSource.update_document):
-            body = inspect.getsource(method)
-            assert body.count("self._kept(document)") == 1
-            assert body.count(".add_triples(") == 1
-            assert "read_set" not in body
+        methods = {
+            name for name, member in vars(GrowingTripleSource).items()
+            if inspect.isfunction(member) and not name.startswith("_")
+        }
+        assert methods == {"put_document"}
+        body = inspect.getsource(GrowingTripleSource.put_document)
+        assert body.count("self._kept(document)") == 1
+        assert body.count(".add_triples(") == 1
+        assert "read_set" not in body
 
     #: template → (documents fetched, triples discovered, triples stored) for
     #: variant 1 at scale 0.02 / seed 42, paper-shaped pods (the full crawl).

@@ -297,3 +297,58 @@ class TestLiveRun:
         for span in tracer.spans:
             if span.name == "apply-batch":
                 assert by_id[span.parent_id].name == "refresh"
+
+    def test_a_refresh_that_follows_a_new_link_reconciles(self):
+        """The link a refresh newly extracts is dereferenced on the
+        execution's one path: its ``dereference`` span nests under the
+        ``refresh`` span and both books count the same documents."""
+        import asyncio
+
+        from repro.ltqp.live import LiveQuery
+        from repro.net.message import Request
+        from repro.solidbench import SolidBenchConfig, build_universe
+
+        universe = build_universe(SolidBenchConfig(scale=0.005, seed=7))
+        pod, other = universe.pod_of(0), universe.pod_of(1)
+        mood = "https://vocab.example/mood"
+        doc = other.base_url + "notes/mood"
+        tracer = Tracer()
+
+        async def write(method, url, body, content_type):
+            server = universe.server
+            headers = {"content-type": content_type, **server.login_owner(url[len(server.origin):])}
+            response = await universe.internet.dispatch(
+                Request(method, url, headers, body.encode("utf-8"))
+            )
+            assert response.status < 300
+
+        async def scenario():
+            await write("PUT", doc, f'<{doc}#it> <{mood}> "linked" .', "text/turtle")
+            live = LiveQuery(
+                universe.fast_engine(),
+                f"SELECT ?s ?o WHERE {{ ?s <{mood}> ?o }}",
+                seeds=[pod.profile_url],
+                tracer=tracer,
+            )
+            await live.start()
+            await write(
+                "PATCH", pod.profile_url,
+                f"INSERT DATA {{ <{pod.webid}> <{mood}> <{doc}> }}", "application/sparql-update",
+            )
+            assert len(await live.refresh(pod.profile_url)) == 2
+            return live
+
+        live = asyncio.run(scenario())
+        assert check_trace_invariants(tracer) == []
+        (refresh,) = [span for span in tracer.spans if span.name == "refresh"]
+        assert refresh.args["outcome"] == "changed"
+        followed = [
+            span for span in tracer.spans
+            if span.name == "dereference" and span.args.get("url") == doc
+        ]
+        assert [span.args["outcome"] for span in followed] == ["ok"]
+        assert followed[0].parent_id == refresh.span_id
+        stats, derived = live.execution.stats, trace_execution_stats(tracer)
+        assert derived["documents_fetched"] == stats.documents_fetched
+        assert derived["triples_stored"] == stats.triples_stored
+        assert derived["documents_failed"] == stats.documents_failed

@@ -10,6 +10,12 @@ document), replaying the initial results plus every signed change batch
 from ``poll_changes`` yields exactly the multiset a
 :class:`SnapshotEvaluator` computes over the final document states.
 
+The last class holds a standing query to the same anchor one layer up,
+through a real traversal: owner PATCHes that add and remove cross-pod
+links (so a write grows or shrinks the subweb) and change ordinary
+triples, each routed through ``notify`` / ``drain``, after which the
+standing multiset must equal a fresh run from the same seeds.
+
 Determinism notes (same as the unified-pipeline suite):
 
 * ORDER BY covers every variable, so sort keys determine bindings;
@@ -20,9 +26,14 @@ Determinism notes (same as the unified-pipeline suite):
   have no canonical value after a rebuild.
 """
 
+import asyncio
 from collections import Counter
 
 from hypothesis import given, settings, strategies as st
+
+from repro.ltqp.live import LiveQuery
+from repro.net.message import Request
+from repro.solidbench import SolidBenchConfig, build_universe
 
 from repro.ltqp.pipeline import compile_pipeline
 from repro.ltqp.source import GrowingTripleSource
@@ -163,7 +174,7 @@ def _run_inserts(pipeline, source, docs, settle_after, rng=None) -> Counter:
             break
         if rng is not None and index < settle_after:
             rebuild_one_bgp(pipeline, rng)
-        source.add_document(_doc_url(index), ParsedDocument(docs[index]))
+        source.put_document(_doc_url(index), ParsedDocument(docs[index]))
         for binding, delta in pipeline.poll_changes(source.dataset):
             # Open nodes withhold whatever more data could retract.
             assert delta > 0 or index >= settle_after
@@ -180,7 +191,7 @@ def _check_maintenance(tree, docs, settle_after, edit_seq, rng=None) -> None:
     for doc_index, new_triples in edit_seq:
         index = doc_index % len(docs)
         state[index] = list(new_triples)
-        source.update_document(_doc_url(index), ParsedDocument(new_triples))
+        source.put_document(_doc_url(index), ParsedDocument(new_triples))
         for binding, delta in pipeline.poll_changes(source.dataset):
             maintained[_key(binding)] += delta
 
@@ -228,13 +239,102 @@ class TestLiveMaintenanceEquivalence:
         net: Counter = Counter()
         for doc_index, new_triples in edit_seq:
             index = doc_index % len(docs)
-            source.update_document(_doc_url(index), ParsedDocument(new_triples))
+            source.put_document(_doc_url(index), ParsedDocument(new_triples))
             for binding, delta in pipeline.poll_changes(source.dataset):
                 net[_key(binding)] += delta
         for index, doc in enumerate(docs):
-            source.update_document(_doc_url(index), ParsedDocument(doc))
+            source.put_document(_doc_url(index), ParsedDocument(doc))
             for binding, delta in pipeline.poll_changes(source.dataset):
                 net[_key(binding)] += delta
 
         assert {k: v for k, v in net.items() if v} == {}
         assert +(snapshot + net) == +snapshot
+
+
+# -- a standing query over a real traversal ---------------------------------
+
+MOOD = "https://vocab.example/mood"
+MOOD_QUERY = f"SELECT ?s ?o WHERE {{ ?s <{MOOD}> ?o }}"
+
+#: Documents the writes touch: 0 is pod 0's card (the seed), 1–4 notes in
+#: pods 0–3 — pod 0's is listed by the index the traversal reads, the
+#: others are reached only through links.
+NOTES = 4
+writes = st.lists(
+    st.tuples(
+        st.sampled_from(["link", "unlink", "value"]),
+        st.integers(0, NOTES),
+        st.integers(1, NOTES),
+        st.integers(0, 2),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+class _World:
+    """A private tiny universe, the documents the writes touch, and the
+    value each note holds."""
+
+    def __init__(self) -> None:
+        self.universe = build_universe(SolidBenchConfig(scale=0.005, seed=7))
+        card = self.universe.pod_of(0)
+        self.seed = card.profile_url
+        self.urls = [card.profile_url] + [
+            self.universe.pod_of(index).base_url + "notes/mood" for index in range(NOTES)
+        ]
+        self.subjects = [card.webid] + [url + "#it" for url in self.urls[1:]]
+        self.values = {index: 0 for index in range(1, NOTES + 1)}
+
+    async def send(self, method: str, url: str, body: str, content_type: str) -> None:
+        server = self.universe.server
+        headers = {"content-type": content_type, **server.login_owner(url[len(server.origin):])}
+        response = await self.universe.internet.dispatch(
+            Request(method, url, headers, body.encode("utf-8"))
+        )
+        assert response.status < 300, response.body
+
+    async def create_notes(self) -> None:
+        for index in range(1, NOTES + 1):
+            body = f'<{self.subjects[index]}> <{MOOD}> "v0" .'
+            await self.send("PUT", self.urls[index], body, "text/turtle")
+
+    async def write(self, kind: str, source: int, target: int, value: int) -> str:
+        """One owner PATCH; returns the written document's URL."""
+        source = max(source, 1) if kind == "value" else source  # the card holds no value
+        subject = f"<{self.subjects[source]}> <{MOOD}>"
+        if kind == "value":
+            old, self.values[source] = self.values[source], value
+            update = f'DELETE DATA {{ {subject} "v{old}" }} ;\nINSERT DATA {{ {subject} "v{value}" }}'
+        else:
+            verb = "INSERT DATA" if kind == "link" else "DELETE DATA"
+            update = f"{verb} {{ {subject} <{self.urls[target]}> }}"
+        url = self.urls[source]
+        await self.send("PATCH", url, update, "application/sparql-update")
+        return url
+
+
+class TestStandingTraversalEquivalence:
+    @given(writes)
+    @settings(max_examples=30, deadline=None)
+    def test_a_standing_query_answers_what_a_fresh_run_answers(self, steps):
+        """Any sequence of link additions, link removals and value edits
+        across pods ⇒ after each drain, the standing multiset is a fresh
+        run's from the same seed — whichever documents the writes brought
+        into reach or took out of it."""
+        world = _World()
+
+        async def run():
+            await world.create_notes()
+            live = LiveQuery(world.universe.fast_engine(), MOOD_QUERY, seeds=[world.seed])
+            await live.start()
+            for step in steps:
+                live.notify(await world.write(*step))
+                await live.drain()
+                fresh = await world.universe.fast_engine().query(
+                    MOOD_QUERY, seeds=[world.seed]
+                ).gather()
+                assert Counter(live.current_results()) == Counter(fresh.bindings), step
+            live.close()
+
+        asyncio.run(run())

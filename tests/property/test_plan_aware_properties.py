@@ -71,6 +71,7 @@ from repro.sparql.algebra import (
 )
 from repro.sparql.eval import SnapshotEvaluator
 
+from ..conftest import put_diff
 from .conftest import rebuild_one_bgp
 
 # A closed world smaller and denser than the sibling suites' (most patterns
@@ -124,9 +125,9 @@ def _doc_name(index: int) -> NamedNode:
 
 
 @st.composite
-def bgps(draw, with_paths=True):
+def bgps(draw):
     triple_patterns = draw(st.lists(patterns, min_size=0, max_size=2))
-    path_count = draw(st.sampled_from([0, 0, 1])) if with_paths else 0
+    path_count = draw(st.sampled_from([0, 0, 1]))
     if not triple_patterns and not path_count:
         triple_patterns = [draw(patterns)]
     return BGP(
@@ -145,9 +146,8 @@ def leaves(draw):
         return Join(ValuesOp((variable,), tuple((row,) for row in rows)), draw(bgps()))
     if kind == "graph-iri":
         return GraphOp(_doc_name(draw(st.integers(0, DOC_COUNT))), draw(bgps()))
-    # The path leaf evaluates over one named graph or the union, never per
-    # graph: GRAPH ?g ranges over plain patterns only.
-    return GraphOp(Variable("g"), draw(bgps(with_paths=False)))
+    # Paths included: under GRAPH ?g a path leaf is evaluated per named graph.
+    return GraphOp(Variable("g"), draw(bgps()))
 
 
 def _order_all_vars(op):
@@ -278,7 +278,7 @@ def _oracle(query: Query, state: dict) -> Counter:
     """The fresh answer over every document, nothing dropped."""
     whole = GrowingTripleSource()
     for index, doc in state.items():
-        whole.add_document(_doc_name(index).value, ParsedDocument(doc))
+        whole.put_document(_doc_name(index).value, ParsedDocument(doc))
     evaluator = SnapshotEvaluator(whole.dataset)
     if query.form in ("CONSTRUCT", "DESCRIBE"):
         triples = evaluator.construct(query) if query.form == "CONSTRUCT" else evaluator.describe(query)
@@ -310,7 +310,7 @@ class TestPlanAwareSourceEquivalence:
             if rebuild:
                 rebuild_one_bgp(pipeline, rng)
             for index in arrival[start : start + docs_per_advance]:
-                source.add_document(_doc_name(index).value, ParsedDocument(docs[index]))
+                source.put_document(_doc_name(index).value, ParsedDocument(docs[index]))
             produced.extend(pipeline.advance(source.dataset))
         if rebuild:
             rebuild_one_bgp(pipeline, rng)
@@ -336,14 +336,14 @@ class TestPlanAwareSourceEquivalence:
         state = dict(enumerate(docs))
         maintained: Counter = Counter()
         for index, doc in state.items():
-            source.add_document(_doc_name(index).value, ParsedDocument(doc))
+            source.put_document(_doc_name(index).value, ParsedDocument(doc))
         maintained.update(_key(b) for b in pipeline.finalize(source.dataset))
 
         for doc_index, new_triples in edit_seq:
             index = doc_index % len(docs)
             state[index] = list(new_triples)
             before = source.dataset.log_position
-            added, removed = source.update_document(_doc_name(index).value, ParsedDocument(new_triples))
+            added, removed = put_diff(source, _doc_name(index).value, ParsedDocument(new_triples))
             # Only what the plan reads is diffed, logged — or held at all.
             reads = pipeline.read_set
             assert all(reads is None or t.predicate in reads for t in added + removed)

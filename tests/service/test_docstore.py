@@ -8,6 +8,8 @@ from repro.rdf.triples import Triple
 from repro.ltqp.source import GrowingTripleSource
 from repro.service import DocumentStore
 
+from ..conftest import put_diff
+
 
 def triple(n: int) -> Triple:
     return Triple(
@@ -103,7 +105,7 @@ class TestPersistentRestartInvalidation:
     a new validator, drops the persisted stale parse and re-parses, while
     untouched documents keep answering parse-free.  The new parse differs
     from the one persisted before the restart by exactly the edit — what
-    the live path's one diff (``GrowingTripleSource.update_document``)
+    the live path's one diff (``GrowingTripleSource.put_document``)
     relies on.
     """
 
@@ -181,6 +183,6 @@ class TestPersistentRestartInvalidation:
         # Blank-node labels are stable across lifetimes, so one rename is
         # exactly one retraction plus one addition in the one diff there is.
         source = GrowingTripleSource()
-        source.add_document(changed_url, before_edit)
-        added, removed = source.update_document(changed_url, after_edit)
+        source.put_document(changed_url, before_edit)
+        added, removed = put_diff(source, changed_url, after_edit)
         assert (len(added), len(removed)) == (1, 1)
