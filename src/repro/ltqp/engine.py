@@ -282,7 +282,9 @@ class QueryExecution:
         self._remark_due = False
         self._budgets = _OriginBudgets()
         self._resilience = ResilienceStats()
-        self._pending_quads = 0
+        # When the current traversal episode began — the run, or a refresh
+        # re-opening it: ``max_duration`` bounds each episode.
+        self._episode_started = 0.0
         # The feed ``_ingest`` left for the loop's next turn, and what it raised.
         self._feed: Optional[asyncio.Handle] = None
         self._feed_error: Optional[Exception] = None
@@ -355,7 +357,7 @@ class QueryExecution:
         self.selector = SourceSelector(spec=policy.subweb, where=query.where, seeds=seeds)
         self.hints = self.selector.hints
         self._extractors = [HintDiscoveryExtractor(self.selector), *self._extractors]
-        stats.started_at = self._clock()
+        stats.started_at = self._episode_started = self._clock()
         if tracer is not None:
             self._query_span = tracer.begin(
                 "query", start=stats.started_at, form=query.form, seeds=len(seeds)
@@ -430,9 +432,8 @@ class QueryExecution:
             self._stop.set()
 
     def _flush(self) -> None:
-        if self._pending_quads == 0:
+        if not self.source.dataset.pending:
             return
-        self._pending_quads = 0
         for binding in self.pipeline.advance(self.source.dataset):
             self._emit(binding)
         if self.pipeline.complete:
@@ -474,13 +475,12 @@ class QueryExecution:
         if result.from_store:
             stats.documents_from_store += 1
         if kept and not self.done:  # after quiescence, a refresh feeds its change
-            self._pending_quads += kept
             # Feed per document until the first result (TTFR protection) and
             # once a batch is full; otherwise once, before the loop next waits
             # — the documents that land until then coalesce, and a row is
             # never held while the engine waits on the network.  A document
             # that kept nothing costs no pipeline pass either way.
-            if stats.result_count == 0 or self._pending_quads >= FEED_BATCH_QUADS:
+            if stats.result_count == 0 or source.dataset.pending >= FEED_BATCH_QUADS:
                 self._flush()
             elif self._feed is None:
                 self._feed = asyncio.get_running_loop().call_soon(self._scheduled_flush)
@@ -511,10 +511,8 @@ class QueryExecution:
             await traversal  # re-raise worker exceptions
             if self.tracer is not None:
                 self.tracer.end(self._traversal_span)
-            # Quiescence flush: feed whatever landed after the last feed (the
-            # cursor makes this exact), then release everything the blocking
-            # operators held back.
-            self._pending_quads = 0
+            # Quiescence flush: feed whatever is still pending, then release
+            # everything the blocking operators held back.
             for binding in self.pipeline.finalize(self.source.dataset):
                 self._emit(binding)
             for timed in results[delivered:]:
@@ -606,11 +604,14 @@ class QueryExecution:
         ordinary link.  A 404/410 puts the document gone.  The links it
         newly extracts meet every gate, and when it (or a gone document)
         dropped an out-link, the held documents the seeds no longer reach
-        go too.  The signed log growth feeds the pipeline once, at the end.
+        go too.  The changes it leaves in the dataset feed the pipeline
+        once, at the end.  ``max_duration`` bounds the refresh from its own
+        start, as it bounded the run from the run's.
         """
         tracer, documents, dataset = self.tracer, self._documents, self.source.dataset
         span = tracer.begin("refresh", url=url) if tracer is not None else None
-        start, unseen = dataset.log_position, url not in self.seen
+        unseen = url not in self.seen
+        self._episode_started = self._clock()
         held = documents.get(url)
         link = held[0] if held is not None else Link(url=url)
         self._refresh_error = ""
@@ -630,12 +631,14 @@ class QueryExecution:
             if unseen and url not in documents:  # it widened the read scope by nothing
                 self.queue.forget((url,))
             self._quiesce()
-            changes, error = self.pipeline.poll_changes(dataset), self._refresh_error
+            runs, error = dataset.take_changes(), self._refresh_error
+            changes = self.pipeline.feed(runs, dataset)
             if span is not None:
-                grown, removed = dataset.log_position - start, dataset.retractions_since(start)
+                added = sum(len(quads) for sign, quads in runs if sign > 0)
+                removed = sum(len(quads) for sign, quads in runs if sign < 0)
                 span.args.update(
-                    outcome="failed" if error else "changed" if grown else "unchanged",
-                    added=grown - removed,
+                    outcome="failed" if error else "changed" if runs else "unchanged",
+                    added=added,
                     removed=removed,
                     changes=len(changes),
                     **({"error": error} if error else {}),
@@ -764,7 +767,7 @@ class QueryExecution:
             pass
         elif policy.max_documents and stats.documents_fetched >= policy.max_documents:
             bound = "max-documents"
-        elif policy.max_duration and self._clock() - stats.started_at > policy.max_duration:
+        elif policy.max_duration and self._clock() - self._episode_started > policy.max_duration:
             bound = "max-duration"
         if bound:
             stats.note_refusal(bound, link.origin, document=False)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import heapq
 import time
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import AbstractSet, Callable, Iterable, Iterator, Optional, Sequence
 
 from ..net.message import split_url
@@ -328,7 +328,10 @@ class LinkQueue:
     def _admit(self, link: Link, url: str) -> None:
         self._seen.add(url)
         origin = link.origin or origin_of(url)  # a requeued link has its stamp
-        link = replace(link, url=url, enqueued_at=self.clock(), origin=origin)
+        link = Link(
+            url, link.parent_url, link.depth, link.via, link.attempts, self.clock(),
+            link.provenance, origin,
+        )
         self._seq += 1
         heapq.heappush(self._heap, (self._score(link, self._seq), self._seq, link))
         self._sample()

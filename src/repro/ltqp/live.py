@@ -13,8 +13,8 @@ extractors, growing source and pipeline (nothing is copied out of it).
   refetch, the diff of the held document's graph, the links the new
   version adds (under the same selector, spec and policies) and, when a
   link went, the documents the seeds no longer reach all happen on the
-  one path every link takes; the signed log growth then feeds the
-  pipeline once (:meth:`~repro.ltqp.pipeline.Pipeline.poll_changes`).
+  one path every link takes; the signed changes it leaves in the store
+  then feed the pipeline once (:meth:`~repro.ltqp.pipeline.Pipeline.feed`).
   A standing query therefore answers what a fresh run from the same
   seeds answers, whether a write grows its subweb or shrinks it;
 * :meth:`notify` buffers change notifications (e.g. from a

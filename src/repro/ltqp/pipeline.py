@@ -7,7 +7,9 @@ implementations of all monotonic SPARQL operators".  This module provides
 exactly that, plus incremental physical forms of the *non-monotonic*
 operators, so every query — OPTIONAL, MINUS, ORDER BY, GROUP BY, EXISTS,
 DESCRIBE and CONSTRUCT included — compiles into one operator tree fed by
-one stream of signed deltas.
+one stream of signed deltas: the changes the growing dataset hands off
+(:meth:`~repro.rdf.dataset.Dataset.take_changes`), fed as they are taken,
+so neither side keeps a history or a position in one.
 
 **One protocol.**  A node consumes signed :class:`DeltaBatch`es and
 returns ``list[Change]`` — ``(binding, ±n)`` adjustments to its output
@@ -176,8 +178,8 @@ class DeltaBatch:
     Batches carry a *polarity*: ``sign`` is ``+1`` for insertions (the
     only kind traversal produces) and ``-1`` for retractions (live
     refreshes of changed documents).  All quads in one batch share the
-    sign — the dataset's signed log is dispatched as maximal same-sign
-    runs (:meth:`repro.rdf.dataset.Dataset.signed_runs`).
+    sign — the dataset hands its changes off as maximal same-sign runs
+    (:meth:`repro.rdf.dataset.Dataset.take_changes`).
     """
 
     __slots__ = ("quads", "sign", "_routed", "_buckets")
@@ -652,7 +654,7 @@ class PathScanNode(IncrementalNode):
             return []
         elif self._graph_variable is None:
             names = [None]
-        else:  # the graphs the delta's relevant quads fall in, in log order
+        else:  # the graphs the delta's relevant quads fall in, in arrival order
             names = list(dict.fromkeys(
                 quad.graph for quad in delta.quads if reads is None or quad.predicate in reads
             ))
@@ -1693,16 +1695,18 @@ def _bindings(changes: list[Change]) -> list[Binding]:
 
 
 class Pipeline:
-    """A compiled incremental operator tree plus its feeding cursor.
+    """A compiled incremental operator tree and the one feed into it.
 
     Construction walks the tree once so every scan registers its predicate
     key with the pipeline's :class:`DeltaRouter`; each feed then buckets
     the delta once and dispatches only the matching slices.  There is one
-    feed — the dataset's signed log since the cursor, through
-    :meth:`IncrementalNode.apply` — and three views of it: :meth:`advance`
-    (the bindings an insert-only window adds), :meth:`poll_changes` (the
-    signed changes of any window) and :meth:`finalize` (the last advance
-    plus the quiescence release).  ``blocking_nodes`` lists the physical
+    feed — :meth:`feed`, signed runs through :meth:`IncrementalNode.apply`
+    — and the pipeline keeps no position in the dataset: what it feeds is
+    what it takes (:meth:`~repro.rdf.dataset.Dataset.take_changes`).
+    Three views take and feed: :meth:`poll_changes` (the signed changes
+    of whatever was pending), :meth:`advance` (the bindings an insert-only
+    change adds) and :meth:`finalize` (the last advance plus the
+    quiescence release).  ``blocking_nodes`` lists the physical
     operators that withhold output until :meth:`finalize` — empty means
     the whole plan streams.
 
@@ -1725,7 +1729,6 @@ class Pipeline:
         #: Live pipelines retain what retractions need (see the ``live``
         #: parameters of the nodes) and never terminate traversal early.
         self.live = live
-        self._cursor = 0
         self.router = DeltaRouter()
         root.register(self.router)
         self._exists = exists_context
@@ -1778,22 +1781,19 @@ class Pipeline:
         return isinstance(top, LimitNode) and top.satisfied
 
     def poll_changes(self, dataset: Dataset) -> list[Change]:
-        """Feed signed log growth since the last call through the tree.
+        """Take the dataset's pending changes and :meth:`feed` them."""
+        return self.feed(dataset.take_changes(), dataset)
 
-        The window is split into maximal same-sign runs so each
-        :class:`DeltaBatch` has a single polarity; the returned changes
-        are the net signed adjustments to the query's result multiset.
-        Absorbing retractions takes the retention of a ``live`` compile.
+    def feed(self, runs: list[tuple[int, list[Quad]]], dataset: Dataset) -> list[Change]:
+        """Feed signed runs ``[(sign, quads), ...]`` through the tree.
+
+        Each run becomes one :class:`DeltaBatch` of a single polarity; the
+        returned changes are the net signed adjustments to the query's
+        result multiset.  Absorbing retractions takes the retention of a
+        ``live`` compile.
         """
-        position = dataset.log_position
-        start = self._cursor
-        if position == start:
+        if not runs:
             return []
-        self._cursor = position
-        if dataset.retractions_since(start):
-            runs = dataset.signed_runs(start, position)
-        else:
-            runs = [(1, dataset.log_slice(start, position))]
         if self._exists is not None:
             self._exists.bind(dataset)
         changes: list[Change] = []
@@ -1863,15 +1863,15 @@ class Pipeline:
         self.replans += 1
 
     def advance(self, dataset: Dataset) -> list[Binding]:
-        """Feed all quads logged since the last call; return new solutions.
+        """Take and feed the dataset's pending changes; return new solutions.
 
-        The bindings view of :meth:`poll_changes` for insert-only windows
+        The bindings view of :meth:`poll_changes` for insert-only changes
         (all a traversal produces); a retraction surfacing here raises.
         """
         return _bindings(self.poll_changes(dataset))
 
     def finalize(self, dataset: Dataset) -> list[Binding]:
-        """Quiescence: drain the cursor, then release withheld output.
+        """Quiescence: take what is pending, then release withheld output.
 
         Returns the tail of the result stream — any solutions from the
         final delta plus everything the blocking operators withheld — and

@@ -2,10 +2,11 @@
 
 Dereferenced documents feed their triples — those the compiled plan can
 read — into one continuously growing store; query operators read from it
-*incrementally*: the pipeline is pushed the log window added since its
-last advance (:meth:`~repro.rdf.dataset.Dataset.log_slice`).  Per-document
-provenance is kept (named graphs keyed by document URL) so GRAPH queries
-work.
+*incrementally*: the store hands every change off, and the pipeline takes
+what has changed since it last took
+(:meth:`~repro.rdf.dataset.Dataset.take_changes`) — the store keeps no
+history.  Per-document provenance is kept (named graphs keyed by document
+URL) so GRAPH queries work.
 """
 
 from __future__ import annotations
@@ -24,16 +25,16 @@ class GrowingTripleSource:
     """The quad store one execution's dereferenced documents grow.
 
     Every document enters through :meth:`put_document`; the engine then
-    advances the pipeline over :attr:`dataset`'s log.  On a crawl a put is
-    a plain append.  A put of a URL the source already holds is a diff —
-    the live refresh of a standing query, or a document it no longer
-    reaches — so the store can also *shrink*, in signed ``-1`` log entries
-    only a ``live`` pipeline takes.
+    advances the pipeline over :attr:`dataset`'s pending changes.  On a
+    crawl a put is a plain append.  A put of a URL the source already
+    holds is a diff — the live refresh of a standing query, or a document
+    it no longer reaches — so the store can also *shrink*, in signed ``-1``
+    changes only a ``live`` pipeline takes.
 
     The store is *plan-aware*: ``read_set`` is the compiled plan's
     :attr:`~repro.ltqp.pipeline.Pipeline.read_set` — the predicates of the
     quads some operator can match, or ``None`` when one of them can match
-    any.  Only those triples are stored, logged and diffed — taken from
+    any.  Only those triples are stored, handed off and diffed — taken from
     the document by predicate bucket, so the rest of it (on a pod crawl,
     about 11 triples of 12) is never looked at here.  Every document still
     gets its named graph, kept triples or not; a gone one has none.
@@ -42,17 +43,11 @@ class GrowingTripleSource:
     def __init__(self, read_set: Optional[Collection[Term]] = None) -> None:
         self._dataset = Dataset()
         self._read_set = read_set
-        self._document_count = 0
         self._triples_discovered = 0
 
     @property
     def dataset(self) -> Dataset:
         return self._dataset
-
-    @property
-    def document_count(self) -> int:
-        """Documents put so far (a URL put twice counts twice)."""
-        return self._document_count
 
     @property
     def triples_discovered(self) -> int:
@@ -68,14 +63,14 @@ class GrowingTripleSource:
     def put_document(self, url: str, document: Optional[ParsedDocument]) -> int:
         """Make ``url``'s named graph hold ``document``'s kept triples —
         ``None``: the document is gone, and so is its graph.  Returns how
-        many quads that logged.
+        many quads that changed (each handed off by the dataset).
 
         A URL the source does not hold is appended.  A held one is diffed
         against its graph: retractions first (an in-place edit then reads
         retract-then-insert, never both present), each side sorted so the
-        signed log — and every event stream downstream, sharded or not — is
-        the same whatever the set order.  An edit of nothing the plan reads
-        logs nothing.
+        signed changes — and every event stream downstream, sharded or not —
+        are the same whatever the set order.  An edit of nothing the plan
+        reads changes nothing.
         """
         dataset = self._dataset
         graph_name = NamedNode(url)
@@ -97,7 +92,6 @@ class GrowingTripleSource:
             if document is None:
                 dataset.drop_graph(graph_name)
                 return len(removed)
-        self._document_count += 1
         return len(removed) + dataset.add_triples(added, graph_name)
 
 

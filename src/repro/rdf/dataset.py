@@ -9,9 +9,10 @@ Two stores are provided:
   else.
 * :class:`Dataset` — a set of quads (triple + source document IRI), built on
   per-graph :class:`Graph` instances plus a union graph.  This is the store
-  the LTQP engine's growing triple source builds on: every per-graph novelty
-  is appended to a signed log, and the pipeline reads the *log*
-  (:meth:`Dataset.log_slice` / :meth:`Dataset.signed_runs`), not the indexes.
+  the LTQP engine's growing triple source builds on: every per-graph change
+  is handed off as a signed :class:`Quad` to whoever takes the dataset's
+  pending changes (:meth:`Dataset.take_changes` — the pipeline), not kept,
+  and the pipeline reads those changes, not the indexes.
 """
 
 from __future__ import annotations
@@ -65,8 +66,8 @@ class Graph:
     needed it: that read builds it from the set in one pass, and ``add`` /
     ``discard`` keep every built family current from then on.  Most graphs
     in an LTQP run (one per dereferenced document, plus a union that a
-    BGP-only plan reads through the dataset log) are never pattern-matched
-    and so never build one.
+    BGP-only plan reads through the dataset's hand-off) are never
+    pattern-matched and so never build one.
     """
 
     __slots__ = ("_triples", "_indexes")
@@ -221,21 +222,18 @@ class Graph:
 class Dataset:
     """A quad store: named graphs keyed by document IRI plus a union view.
 
-    Every successfully inserted quad is recorded in an append-only log with a
-    monotonically increasing sequence number.  The LTQP pipeline remembers
-    the position it has consumed up to and is handed the window since
-    (:meth:`log_slice`), which is the mechanism behind its incremental,
-    push-driven scans.
-
-    The log is *signed*: every entry carries a polarity (``+1`` insertion,
-    ``-1`` retraction via :meth:`remove`).  During traversal the web only
-    grows, so the log is all-positive and :meth:`log_slice` is the whole
-    story; once documents start *changing* (live standing queries), signed
-    entries appear and :meth:`signed_runs` delivers them as maximal
-    same-polarity runs for incremental view maintenance.
+    The graphs are the store.  A change is *handed off*, not kept: every
+    per-graph novelty (:meth:`add`, :meth:`add_triples`) and every
+    retraction (:meth:`remove`) appends one :class:`Quad` to the pending
+    run of its sign — ``+1`` insertion, ``-1`` retraction — and
+    :meth:`take_changes` returns those maximal same-sign runs in arrival
+    order and forgets them.  The LTQP pipeline is the one taker: it feeds
+    each run as one signed delta batch.  During traversal the web only
+    grows, so what is pending is one ``+1`` run; once documents start
+    *changing* (live standing queries), ``-1`` runs appear between them.
     """
 
-    __slots__ = ("_graphs", "_union", "_shared", "_log", "_signs", "_retractions", "__weakref__")
+    __slots__ = ("_graphs", "_union", "_shared", "_runs", "__weakref__")
 
     def __init__(self) -> None:
         self._graphs: dict[Optional[NamedNode], Graph] = {}
@@ -244,10 +242,9 @@ class Dataset:
         #: triples more than one graph holds: a retraction asks this, not
         #: every graph, whether the union keeps the triple.
         self._shared: dict[Triple, int] = {}
-        self._log: list[Quad] = []
-        #: Parallel to ``_log``: +1 for insertions, -1 for retractions.
-        self._signs: list[int] = []
-        self._retractions = 0
+        #: The changes not taken yet: ``[(sign, quads), ...]``, each run
+        #: of the other sign than the one before it.
+        self._runs: list[tuple[int, list[Quad]]] = []
 
     @property
     def union(self) -> Graph:
@@ -255,9 +252,23 @@ class Dataset:
         return self._union
 
     @property
-    def log_position(self) -> int:
-        """Sequence number just past the most recent insertion."""
-        return len(self._log)
+    def pending(self) -> int:
+        """How many changed quads wait for :meth:`take_changes`."""
+        return sum(len(quads) for _, quads in self._runs)
+
+    def take_changes(self) -> list[tuple[int, list[Quad]]]:
+        """The pending changes as maximal same-sign runs
+        ``[(sign, quads), ...]`` in arrival order; the dataset forgets them."""
+        runs, self._runs = self._runs, []
+        return runs
+
+    def _hand_off(self, sign: int, quads: list[Quad]) -> None:
+        """Append ``quads`` to the pending run of ``sign`` (a change of sign opens one)."""
+        runs = self._runs
+        if runs and runs[-1][0] == sign:
+            runs[-1][1].extend(quads)
+        else:
+            runs.append((sign, quads))
 
     def graph(self, name: Optional[NamedNode] = None) -> Graph:
         """Get (creating if needed) the graph with the given name.
@@ -288,16 +299,15 @@ class Dataset:
     def add(self, quad: Quad) -> bool:
         """Insert a quad; returns ``True`` when new *in its graph*.
 
-        The union graph deduplicates across graphs, but the log records every
-        per-graph novelty so per-document provenance is never lost.
+        The union graph deduplicates across graphs, but every per-graph
+        novelty is handed off, so per-document provenance is never lost.
         """
         triple = quad.triple
         if not self.graph(quad.graph).add(triple):
             return False
         if not self._union.add(triple):
             self._shared[triple] = self._shared.get(triple, 0) + 1
-        self._log.append(quad)
-        self._signs.append(1)
+        self._hand_off(1, [quad])
         return True
 
     def remove(self, quad: Quad) -> bool:
@@ -305,8 +315,7 @@ class Dataset:
 
         The union graph only drops the triple when *no other* graph still
         holds it (cross-document duplicates keep the union entry alive).
-        The retraction is appended to the log with sign ``-1`` so signed
-        consumers (:meth:`signed_runs`) observe it in arrival order.
+        The retraction is handed off with sign ``-1``, in arrival order.
         """
         graph = self._graphs.get(quad.graph)
         if graph is None:
@@ -321,9 +330,7 @@ class Dataset:
             del self._shared[triple]
         else:
             self._shared[triple] = others - 1
-        self._log.append(quad)
-        self._signs.append(-1)
-        self._retractions += 1
+        self._hand_off(-1, [quad])
         return True
 
     def add_triples(self, triples: Iterable[Triple], graph: Optional[NamedNode] = None) -> int:
@@ -331,24 +338,22 @@ class Dataset:
 
         The ingest path for whole documents: the graph is looked up once,
         the caller's :class:`Triple` objects are stored as they are (in the
-        named graph and in the union), and one :class:`Quad` is logged per
-        per-graph novelty — duplicates within ``triples`` or against the
+        named graph and in the union), and one :class:`Quad` is handed off
+        per per-graph novelty — duplicates within ``triples`` or against the
         graph's current content add nothing.
         """
         add = self.graph(graph).add
         union_add = self._union.add
         shared = self._shared
-        log_append = self._log.append
-        signs_append = self._signs.append
-        added = 0
+        added: list[Quad] = []
         for triple in triples:
             if add(triple):
                 if not union_add(triple):
                     shared[triple] = shared.get(triple, 0) + 1
-                log_append(Quad(triple.subject, triple.predicate, triple.object, graph))
-                signs_append(1)
-                added += 1
-        return added
+                added.append(Quad(triple.subject, triple.predicate, triple.object, graph))
+        if added:
+            self._hand_off(1, added)
+        return len(added)
 
     def update(self, quads: Iterable[Quad]) -> int:
         return sum(1 for q in quads if self.add(q))
@@ -366,72 +371,18 @@ class Dataset:
             return iter(())
         return target.match(subject, predicate, object)
 
-    def log_slice(self, start: int, stop: Optional[int] = None) -> list[Quad]:
-        """The logged quads in ``[start, stop)`` — the delta between two
-        log positions, in insertion order.  One list slice, no filtering;
-        this is what the pipeline's :class:`~repro.ltqp.pipeline.DeltaRouter`
-        buckets per advance."""
-        if stop is None:
-            return self._log[start:]
-        return self._log[start:stop]
-
-    def retractions_since(self, start: int) -> int:
-        """Number of sign ``-1`` log entries at sequence >= ``start``.
-
-        Zero for the whole traversal phase; the pipeline uses this to tell
-        a plain additive advance from a window that needs signed dispatch.
-        """
-        if not self._retractions:
-            return 0
-        return sum(1 for sign in self._signs[start:] if sign < 0)
-
-    def signed_runs(self, start: int, stop: Optional[int] = None) -> list[tuple[int, list[Quad]]]:
-        """The log window ``[start, stop)`` as maximal same-sign runs.
-
-        Returns ``[(sign, quads), ...]`` in log order — the shape the live
-        pipeline dispatches: each run becomes one signed
-        :class:`~repro.ltqp.pipeline.DeltaBatch`.
-        """
-        end = len(self._log) if stop is None else stop
-        runs: list[tuple[int, list[Quad]]] = []
-        signs = self._signs
-        log = self._log
-        index = start
-        while index < end:
-            sign = signs[index]
-            run_end = index + 1
-            while run_end < end and signs[run_end] == sign:
-                run_end += 1
-            runs.append((sign, log[index:run_end]))
-            index = run_end
-        return runs
-
     def quads(self) -> Iterator[Quad]:
-        """The *live* quads in first-insertion order.
-
-        All-positive log: a plain log iteration.  After retractions, log
-        order is kept but dead entries are filtered out.
-        """
-        if not self._retractions:
-            return iter(self._log)
-        return self._live_quads()
-
-    def _live_quads(self) -> Iterator[Quad]:
-        emitted: set[Quad] = set()
-        for quad, sign in zip(self._log, self._signs):
-            if sign < 0 or quad in emitted:
-                continue
-            graph = self._graphs.get(quad.graph)
-            if graph is not None and quad.triple in graph:
-                emitted.add(quad)
-                yield quad
+        """The stored quads, graph by graph in creation order."""
+        for name, graph in self._graphs.items():
+            for triple in graph:
+                yield Quad(triple.subject, triple.predicate, triple.object, name)
 
     def __len__(self) -> int:
-        """Total number of *live* (triple, graph) pairs stored."""
-        return len(self._log) - 2 * self._retractions
+        """Total number of (triple, graph) pairs stored."""
+        return sum(len(graph) for graph in self._graphs.values())
 
     def __contains__(self, triple: object) -> bool:
         return triple in self._union
 
     def __repr__(self) -> str:
-        return f"<Dataset with {len(self._log)} quads in {len(self._graphs)} graphs>"
+        return f"<Dataset with {len(self)} quads in {len(self._graphs)} graphs>"

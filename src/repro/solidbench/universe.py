@@ -20,7 +20,7 @@ from ..net.router import Internet, StaticApp
 from ..rdf.dataset import Dataset
 from ..rdf.namespaces import DBPEDIA, RDFS, SNTAG
 from ..rdf.terms import Literal, NamedNode
-from ..rdf.triples import Quad, Triple
+from ..rdf.triples import Triple
 from ..rdf.writer import serialize_turtle
 from ..solid.auth import IdentityProvider
 from ..solid.pod import Pod
@@ -122,8 +122,8 @@ class SolidBenchUniverse:
             for pod in self.pods.values():
                 for document in pod.documents():
                     graph = NamedNode(pod.document_url(document.path))
-                    for triple in document.triples:
-                        dataset.add(Quad(triple.subject, triple.predicate, triple.object, graph))
+                    dataset.add_triples(document.triples, graph)
+            dataset.take_changes()  # no pipeline reads the oracle
             self._oracle = dataset
             self.server.add_change_listener(self._forget_oracle)
         return self._oracle

@@ -40,13 +40,13 @@ def fast_engine(tiny_universe):
 
 
 def put_diff(source, url, document):
-    """``source.put_document`` read back from the signed log it appended:
-    ``(added, removed)`` triples, each in log order."""
-    dataset = source.dataset
-    before = dataset.log_position
-    logged = source.put_document(url, document)
-    runs = dataset.signed_runs(before)
+    """``source.put_document`` read back from the signed changes it handed
+    off: ``(added, removed)`` triples, each in arrival order.  Takes (and
+    drops) whatever an earlier write left pending in the source's dataset."""
+    source.dataset.take_changes()
+    changed = source.put_document(url, document)
+    runs = source.dataset.take_changes()
     added = [quad.triple for sign, quads in runs if sign > 0 for quad in quads]
     removed = [quad.triple for sign, quads in runs if sign < 0 for quad in quads]
-    assert logged == len(added) + len(removed)
+    assert changed == len(added) + len(removed)
     return added, removed

@@ -12,6 +12,7 @@ Two layers under test:
 """
 
 import asyncio
+import gc
 from collections import Counter
 
 import pytest
@@ -20,7 +21,7 @@ from repro.ltqp.live import LiveQuery, ResultChange
 from repro.ltqp.pipeline import compile_query_pipeline, total_work
 from repro.ltqp.source import GrowingTripleSource
 from repro.net.message import Request
-from repro.rdf import NamedNode, ParsedDocument, Triple, Variable
+from repro.rdf import NamedNode, ParsedDocument, Quad, Triple, Variable
 from repro.rdf.isomorphism import isomorphic
 from repro.rdf.turtle import parse_turtle
 from repro.solidbench import SolidBenchConfig, build_universe
@@ -836,3 +837,84 @@ class TestReachability:
         # Out of the read scope: a write to it is no longer this query's.
         assert not live.reads(doc)
         assert not live.execution.source.dataset.has_graph(NamedNode(doc))
+
+
+class TestEpisodeBounds:
+    """``max_duration`` bounds each traversal episode — the run, then each
+    refresh from its own start — not the standing query's whole life."""
+
+    BOUND = 60.0  # clock seconds; the initial run takes well under one
+
+    def test_a_refresh_past_the_bound_still_follows_a_new_link(self):
+        from repro.ltqp import TraversalPolicy
+        from repro.obs import TickClock, Tracer
+
+        universe = build_universe(SolidBenchConfig(scale=0.005, seed=7))
+        pod, other = universe.pod_of(0), universe.pod_of(1)
+        doc = other.base_url + "notes/mood"
+        clock = TickClock()
+
+        async def run():
+            await put_document(universe, doc, f'<{doc}#it> <{MOOD}> "linked" .')
+            live = LiveQuery(
+                universe.fast_engine(), MOOD_QUERY, seeds=[pod.profile_url],
+                tracer=Tracer(clock=clock), traversal=TraversalPolicy(max_duration=self.BOUND),
+            )
+            await live.start()
+            assert live.execution.stats.completeness()["complete"]
+            clock.now += 2 * self.BOUND  # the standing query has outlived the bound
+            await patch_document(
+                universe, pod.profile_url, f"INSERT DATA {{ <{pod.webid}> <{MOOD}> <{doc}> }}"
+            )
+            assert live.notify(pod.profile_url)
+            await live.drain()
+            fresh = await universe.fast_engine().query(
+                MOOD_QUERY, seeds=[pod.profile_url]
+            ).gather()
+            return live, fresh
+
+        live, fresh = asyncio.run(run())
+        assert Counter(live.current_results()) == Counter(fresh.bindings)
+        assert sum(Counter(fresh.bindings).values()) == 2
+        assert live.failed_refreshes == {}
+
+
+class TestSoak:
+    """A standing query's store follows its live state, not its edit
+    history: under steady edits the live ``Quad`` objects stop growing, and
+    every refresh leaves nothing pending in the dataset."""
+
+    EDITS = 20
+
+    @staticmethod
+    def live_quads() -> int:
+        gc.collect()
+        return sum(1 for item in gc.get_objects() if type(item) is Quad)
+
+    def test_live_quads_stay_flat_under_steady_edits(self, live_universe):
+        pod = next(iter(live_universe.pods.values()))
+
+        async def run():
+            live = LiveQuery(
+                live_universe.fast_engine(), name_query(pod), seeds=[pod.profile_url]
+            )
+            await live.start()
+            dataset = live.execution.source.dataset
+            name, counts = pod.owner_name, []
+            for edit in range(1, 2 * self.EDITS + 1):
+                new = f"Renamed {edit}"
+                await patch_document(
+                    live_universe, pod.profile_url, rename_update(pod.webid, name, new)
+                )
+                name = new
+                assert sorted(e.delta for e in await live.refresh(pod.profile_url)) == [-1, 1]
+                assert dataset.pending == 0
+                if edit % self.EDITS == 0:
+                    counts.append(self.live_quads())
+            live.close()
+            return counts
+
+        after_k, after_2k = asyncio.run(run())
+        # Each edit is one retraction and one insertion: a store that kept
+        # its history would hold 2 * EDITS more quads here.
+        assert after_2k - after_k <= 2

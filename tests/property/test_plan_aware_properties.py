@@ -71,7 +71,6 @@ from repro.sparql.algebra import (
 )
 from repro.sparql.eval import SnapshotEvaluator
 
-from ..conftest import put_diff
 from .conftest import rebuild_one_bgp
 
 # A closed world smaller and denser than the sibling suites' (most patterns
@@ -342,13 +341,13 @@ class TestPlanAwareSourceEquivalence:
         for doc_index, new_triples in edit_seq:
             index = doc_index % len(docs)
             state[index] = list(new_triples)
-            before = source.dataset.log_position
-            added, removed = put_diff(source, _doc_name(index).value, ParsedDocument(new_triples))
-            # Only what the plan reads is diffed, logged — or held at all.
+            changed = source.put_document(_doc_name(index).value, ParsedDocument(new_triples))
+            runs = source.dataset.take_changes()
+            # Only what the plan reads is diffed, handed off — or held at all.
             reads = pipeline.read_set
-            assert all(reads is None or t.predicate in reads for t in added + removed)
-            assert source.dataset.log_position - before == len(added) + len(removed)
-            for binding, delta in pipeline.poll_changes(source.dataset):
+            assert all(reads is None or q.predicate in reads for _, run in runs for q in run)
+            assert sum(len(run) for _, run in runs) == changed
+            for binding, delta in pipeline.feed(runs, source.dataset):
                 maintained[_key(binding)] += delta
 
         assert +maintained == _oracle(query, state)

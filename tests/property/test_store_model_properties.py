@@ -155,5 +155,7 @@ class TestDatasetModel:
             assert set(dataset.get_graph(graph_name)) == expected
         live = {Quad(*triple, name) for name, graph in reference.items() for triple in graph}
         assert set(dataset.quads()) == live and len(dataset) == len(live)
-        signed = [(sign, quad) for sign, run in dataset.signed_runs(0) for quad in run]
-        assert signed == log
+        runs = dataset.take_changes()
+        assert all(a[0] != b[0] for a, b in zip(runs, runs[1:]))  # maximal runs
+        assert [(sign, quad) for sign, run in runs for quad in run] == log
+        assert dataset.pending == 0 and dataset.take_changes() == []

@@ -126,22 +126,25 @@ class TestDataset:
         assert list(ds.match(graph=n("g1"))) == [Triple(n("a"), n("p"), n("b"))]
         assert list(ds.match(graph=n("missing"))) == []
 
-    def test_log_positions_are_monotonic(self):
+    def test_pending_counts_each_novelty_until_taken(self):
         ds = Dataset()
-        assert ds.log_position == 0
+        assert ds.pending == 0
         ds.add(Quad(n("a"), n("p"), n("b"), None))
-        position = ds.log_position
+        ds.add(Quad(n("a"), n("p"), n("b"), None))  # no novelty, nothing pending
         ds.add(Quad(n("a"), n("p"), n("c"), None))
-        assert ds.log_position == position + 1
+        assert ds.pending == 2
+        ds.take_changes()
+        assert ds.pending == 0 and len(ds) == 2
 
-    def test_log_slice_returns_only_new_quads(self):
+    def test_take_changes_returns_only_what_the_last_take_left(self):
         ds = Dataset()
         ds.add(Quad(n("a"), n("p"), n("b"), None))
-        cursor = ds.log_position
+        ds.take_changes()
         ds.add(Quad(n("a"), n("p"), n("c"), None))
         ds.add(Quad(n("x"), n("q"), n("y"), None))
-        assert [q.object for q in ds.log_slice(cursor)] == [n("c"), n("y")]
-        assert [q.object for q in ds.log_slice(cursor, cursor + 1)] == [n("c")]
+        ((sign, quads),) = ds.take_changes()
+        assert sign == 1 and [q.object for q in quads] == [n("c"), n("y")]
+        assert ds.take_changes() == []
 
     def test_add_triples_helper(self):
         ds = Dataset()
@@ -157,11 +160,10 @@ class TestDataset:
         # No re-allocation: the parsed objects themselves are what is stored.
         for stored in (*ds.match(graph=n("doc")), *ds.union):
             assert stored is first or stored is second
-        assert ds.log_slice(0) == [
+        assert ds.take_changes() == [(1, [
             Quad(n("a"), n("p"), n("b"), n("doc")),
             Quad(n("a"), n("p"), n("c"), n("doc")),
-        ]
-        assert ds.signed_runs(0) == [(1, ds.log_slice(0))]
+        ])]
 
     def test_add_triples_again_adds_and_logs_nothing(self):
         ds = Dataset()
@@ -169,11 +171,12 @@ class TestDataset:
         assert ds.add_triples(triples, graph=n("doc")) == 2
         assert ds.add_triples(triples, graph=n("doc")) == 0
         assert ds.add_triples([triples[0], triples[0]], graph=n("doc")) == 0
-        assert ds.log_position == 2 and len(ds) == 2
-        # The same triples in another document are novelties *there*: logged
-        # per graph, deduplicated in the union.
+        assert ds.pending == 2 and len(ds) == 2
+        # The same triples in another document are novelties *there*: handed
+        # off per graph, deduplicated in the union.
         assert ds.add_triples(triples, graph=n("other")) == 2
-        assert ds.log_position == 4 and len(ds.union) == 2
+        assert ds.pending == 4 and len(ds.union) == 2
+        assert len(ds.take_changes()) == 1  # one run of four
 
     def test_get_graph_reads_without_creating(self):
         ds = Dataset()
@@ -184,7 +187,7 @@ class TestDataset:
 
 
 class TestSignedLog:
-    """The signed append-only log behind live standing queries."""
+    """The signed changes a dataset hands off to live standing queries."""
 
     def quad(self, s, o, g="doc"):
         return Quad(n(s), n("p"), n(o), n(g))
@@ -196,14 +199,13 @@ class TestSignedLog:
         assert ds.remove(quad)
         assert quad.triple not in ds.union
         assert len(ds) == 0
-        assert ds.signed_runs(0) == [(1, [quad]), (-1, [quad])]
+        assert ds.take_changes() == [(1, [quad]), (-1, [quad])]
 
     def test_remove_absent_quad_is_a_noop(self):
         ds = Dataset()
         assert not ds.remove(self.quad("a", "b"))
         assert not ds.remove(self.quad("a", "b", g="never-created"))
-        assert ds.log_position == 0
-        assert ds.retractions_since(0) == 0
+        assert ds.pending == 0 and ds.take_changes() == []
 
     def test_union_survives_while_another_graph_holds_the_triple(self):
         ds = Dataset()
@@ -254,34 +256,33 @@ class TestSignedLog:
         ds.remove(a)
         ds.remove(b)
         ds.add(a)
-        runs = ds.signed_runs(0)
+        runs = ds.take_changes()
         assert [(sign, len(quads)) for sign, quads in runs] == [(1, 3), (-1, 2), (1, 1)]
         assert runs[1][1] == [a, b]
-        # A window can start mid-run: only entries >= start appear.
-        assert ds.signed_runs(4) == [(-1, [b]), (1, [a])]
-        assert ds.signed_runs(0, stop=3) == [(1, [a, b, c])]
 
-    def test_retractions_since_counts_only_the_window(self):
+    def test_a_take_starts_a_new_run_and_keeps_no_history(self):
         ds = Dataset()
         a, b = self.quad("a", "x"), self.quad("b", "x")
         ds.add(a)
         ds.add(b)
-        assert ds.retractions_since(0) == 0
         ds.remove(a)
-        cursor = ds.log_position
+        assert ds.take_changes() == [(1, [a, b]), (-1, [a])]
+        # The next change starts a run of its own, whatever the last sign.
         ds.remove(b)
-        assert ds.retractions_since(0) == 2
-        assert ds.retractions_since(cursor) == 1
+        assert ds.take_changes() == [(-1, [b])]
+        assert ds.pending == 0 and len(ds) == 0
 
-    def test_quads_filters_dead_entries_in_first_insertion_order(self):
+    def test_quads_are_the_live_quads_graph_by_graph(self):
         ds = Dataset()
         a, b, c = self.quad("a", "x"), self.quad("b", "x"), self.quad("c", "x")
-        for quad in (a, b, c):
+        d = self.quad("d", "x", g="later")
+        for quad in (a, d, b, c):
             ds.add(quad)
         ds.remove(b)
-        assert list(ds.quads()) == [a, c]
-        # Re-adding after retraction: live again at its *first-insertion*
-        # position, with no duplicate emission.
+        assert set(ds.quads()) == {a, c, d}
+        # Re-adding after retraction: live again, with no duplicate emission;
+        # each graph's quads come together, in graph creation order.
         ds.add(b)
-        assert list(ds.quads()) == [a, b, c]
-        assert len(ds) == 3
+        quads = list(ds.quads())
+        assert set(quads[:3]) == {a, b, c} and quads[3:] == [d]
+        assert len(ds) == 4
