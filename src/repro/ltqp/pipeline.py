@@ -80,7 +80,7 @@ import heapq
 from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
-from operator import attrgetter, methodcaller
+from operator import methodcaller
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from ..rdf.dataset import Dataset
@@ -499,8 +499,6 @@ class ScanNode(IncrementalNode):
     walk over the pattern.
     """
 
-    _GETTERS = (attrgetter("subject"), attrgetter("predicate"), attrgetter("object"))
-
     def __init__(self, pattern: TriplePattern, graph: Optional[Term] = None) -> None:
         variables = pattern.variables()
         if isinstance(graph, Variable):
@@ -523,8 +521,8 @@ class ScanNode(IncrementalNode):
         self._p = concrete(pattern.predicate)
         self.reads = None if self._p is None else (self._p,)
         self._o = concrete(pattern.object)
-        self._var_slots: tuple[tuple[Variable, object], ...] = tuple(
-            (term, self._GETTERS[position])
+        self._var_slots: tuple[tuple[Variable, int], ...] = tuple(
+            (term, position)
             for position, term in enumerate(pattern)
             if isinstance(term, Variable)
         )
@@ -581,8 +579,8 @@ class ScanNode(IncrementalNode):
         if self._o is not None and quad.object is not self._o:
             return None
         items: dict[Variable, Term] = {}
-        for variable, getter in self._var_slots:
-            term = getter(quad)
+        for variable, position in self._var_slots:
+            term = quad[position]
             bound = items.get(variable)
             if bound is None:
                 items[variable] = term

@@ -88,7 +88,7 @@ class GrowingTripleSource:
             removed = sorted((t for t in graph if t not in kept), key=_sort_key)
             added = sorted((t for t in kept if t not in graph), key=_sort_key)
             for triple in removed:
-                dataset.remove(Quad(triple.subject, triple.predicate, triple.object, graph_name))
+                dataset.remove(Quad(*triple, graph_name))
             if document is None:
                 dataset.drop_graph(graph_name)
                 return len(removed)
@@ -96,4 +96,4 @@ class GrowingTripleSource:
 
 
 def _sort_key(triple: Triple) -> tuple[str, str, str]:
-    return repr(triple.subject), repr(triple.predicate), repr(triple.object)
+    return tuple(map(repr, triple))

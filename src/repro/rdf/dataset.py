@@ -17,7 +17,7 @@ Two stores are provided:
 
 from __future__ import annotations
 
-from operator import attrgetter
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
 from .terms import NamedNode, Term, Variable
@@ -28,11 +28,7 @@ __all__ = ["Graph", "Dataset"]
 _Index = dict[Term, dict[Term, set[Term]]]
 
 #: Index family → how it nests a triple: (outer key, inner key, bucket member).
-_FAMILIES = {
-    "spo": attrgetter("subject", "predicate", "object"),
-    "pos": attrgetter("predicate", "object", "subject"),
-    "osp": attrgetter("object", "subject", "predicate"),
-}
+_FAMILIES = {"spo": itemgetter(0, 1, 2), "pos": itemgetter(1, 2, 0), "osp": itemgetter(2, 0, 1)}
 
 
 def _is_concrete(term: Optional[Term]) -> bool:
@@ -350,7 +346,7 @@ class Dataset:
             if add(triple):
                 if not union_add(triple):
                     shared[triple] = shared.get(triple, 0) + 1
-                added.append(Quad(triple.subject, triple.predicate, triple.object, graph))
+                added.append(Quad(*triple, graph))
         if added:
             self._hand_off(1, added)
         return len(added)
@@ -375,7 +371,7 @@ class Dataset:
         """The stored quads, graph by graph in creation order."""
         for name, graph in self._graphs.items():
             for triple in graph:
-                yield Quad(triple.subject, triple.predicate, triple.object, name)
+                yield Quad(*triple, name)
 
     def __len__(self) -> int:
         """Total number of (triple, graph) pairs stored."""

@@ -34,7 +34,7 @@ class TriGParser(TurtleParser):
         quads: list[Quad] = []
         begin, graph = 0, None
         for end, following in self._graph_starts + [(len(triples), None)]:
-            quads.extend(Quad(t.subject, t.predicate, t.object, graph) for t in triples[begin:end])
+            quads.extend(Quad(*t, graph) for t in triples[begin:end])
             begin, graph = end, following
         return quads
 

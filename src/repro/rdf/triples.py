@@ -1,19 +1,27 @@
 """Triples, quads, and triple patterns.
 
-:class:`Triple` and :class:`Quad` are hand-rolled ``__slots__`` classes with
-the hash computed once at construction (from the terms' identity hashes),
-because every insert into the dataset's triple sets (and whichever indexes
-reads have built) and every membership probe re-hashes the statement.
-They are value-equal — terms are canonical, so two statements are equal
-when they hold the same term objects — and must be treated as immutable.
-:class:`TriplePattern` stays a frozen dataclass — patterns are built once
-per query, not per triple.
+A statement is a tuple of terms: :class:`Triple`, :class:`Quad` and
+:class:`TriplePattern` are ``NamedTuple`` classes, so hashing, equality,
+iteration, unpacking and pickling are the tuple's, in C.  Terms are
+canonical and hash by identity, so a statement hashes and compares its
+terms without calling back into Python — every insert into the dataset's
+triple sets (and whichever indexes reads have built) and every membership
+probe re-hashes the statement.  Being tuples, they are immutable.
+
+Two consequences of being a tuple:
+
+* a :class:`Quad` iterates and unpacks as its four fields
+  ``subject, predicate, object, graph`` (``quad.triple`` is the first three);
+* a statement equals any tuple of the same terms — a :class:`Triple` equals
+  a fully concrete :class:`TriplePattern` over them, but never a
+  :class:`Quad`, which has four.
+
+:class:`TriplePattern` positions may hold a :class:`Variable` or ``None``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .terms import BlankNode, Literal, NamedNode, Term, Variable, term_to_ntriples
 
@@ -24,120 +32,41 @@ PredicateTerm = NamedNode
 ObjectTerm = Union[NamedNode, BlankNode, Literal]
 
 
-class Triple:
+class Triple(NamedTuple):
     """An RDF triple (subject, predicate, object)."""
 
-    __slots__ = ("subject", "predicate", "object", "_hash")
-
-    def __init__(self, subject: SubjectTerm, predicate: PredicateTerm, object: ObjectTerm) -> None:
-        self.subject = subject
-        self.predicate = predicate
-        self.object = object
-        self._hash = hash((subject, predicate, object))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is Triple:
-            return (
-                self.subject is other.subject  # type: ignore[attr-defined]
-                and self.predicate is other.predicate  # type: ignore[attr-defined]
-                and self.object is other.object  # type: ignore[attr-defined]
-            )
-        return NotImplemented
-
-    def __iter__(self) -> Iterator[Term]:
-        yield self.subject
-        yield self.predicate
-        yield self.object
+    subject: SubjectTerm
+    predicate: PredicateTerm
+    object: ObjectTerm
 
     def to_ntriples(self) -> str:
-        return (
-            f"{term_to_ntriples(self.subject)} "
-            f"{term_to_ntriples(self.predicate)} "
-            f"{term_to_ntriples(self.object)} ."
-        )
+        return " ".join(map(term_to_ntriples, self)) + " ."
 
     def __str__(self) -> str:
         return self.to_ntriples()
 
-    def __repr__(self) -> str:
-        return f"Triple({self.subject!r}, {self.predicate!r}, {self.object!r})"
 
-    def __reduce__(self):
-        # Rebuild through __init__: the cached hash is process-local (it
-        # derives from salted string hashes), so it must be recomputed on
-        # the receiving side rather than carried across as state.
-        return (Triple, (self.subject, self.predicate, self.object))
-
-
-class Quad:
+class Quad(NamedTuple):
     """An RDF quad: a triple plus the graph (document IRI) it came from."""
 
-    __slots__ = ("subject", "predicate", "object", "graph", "_hash")
-
-    def __init__(
-        self,
-        subject: SubjectTerm,
-        predicate: PredicateTerm,
-        object: ObjectTerm,
-        graph: Optional[NamedNode] = None,
-    ) -> None:
-        self.subject = subject
-        self.predicate = predicate
-        self.object = object
-        self.graph = graph
-        self._hash = hash((subject, predicate, object, graph))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is Quad:
-            return (
-                self.subject is other.subject  # type: ignore[attr-defined]
-                and self.predicate is other.predicate  # type: ignore[attr-defined]
-                and self.object is other.object  # type: ignore[attr-defined]
-                and self.graph is other.graph  # type: ignore[attr-defined]
-            )
-        return NotImplemented
+    subject: SubjectTerm
+    predicate: PredicateTerm
+    object: ObjectTerm
+    graph: Optional[NamedNode] = None
 
     @property
     def triple(self) -> Triple:
-        return Triple(self.subject, self.predicate, self.object)
-
-    def __iter__(self) -> Iterator[Term]:
-        yield self.subject
-        yield self.predicate
-        yield self.object
+        return Triple(*self[:3])
 
     def to_nquads(self) -> str:
-        parts = [
-            term_to_ntriples(self.subject),
-            term_to_ntriples(self.predicate),
-            term_to_ntriples(self.object),
-        ]
-        if self.graph is not None:
-            parts.append(term_to_ntriples(self.graph))
-        return " ".join(parts) + " ."
+        terms = self if self.graph is not None else self[:3]
+        return " ".join(map(term_to_ntriples, terms)) + " ."
 
     def __str__(self) -> str:
         return self.to_nquads()
 
-    def __repr__(self) -> str:
-        return f"Quad({self.subject!r}, {self.predicate!r}, {self.object!r}, {self.graph!r})"
 
-    def __reduce__(self):
-        return (Quad, (self.subject, self.predicate, self.object, self.graph))
-
-
-@dataclass(frozen=True, slots=True)
-class TriplePattern:
+class TriplePattern(NamedTuple):
     """A triple pattern: any position may be a :class:`Variable` or ``None``
     (wildcard).  Used both by the SPARQL algebra (variables) and by the
     dataset match API (``None`` wildcards)."""
@@ -147,7 +76,7 @@ class TriplePattern:
     object: Optional[Term]
 
     def variables(self) -> set[Variable]:
-        return {t for t in (self.subject, self.predicate, self.object) if isinstance(t, Variable)}
+        return {term for term in self if isinstance(term, Variable)}
 
     def matches(self, triple: Triple) -> bool:
         """Positional match, treating variables and ``None`` as wildcards."""
@@ -162,13 +91,5 @@ class TriplePattern:
             return False
         return True
 
-    def __iter__(self) -> Iterator[Optional[Term]]:
-        yield self.subject
-        yield self.predicate
-        yield self.object
-
     def __str__(self) -> str:
-        def render(term: Optional[Term]) -> str:
-            return "_" if term is None else term_to_ntriples(term)
-
-        return f"{render(self.subject)} {render(self.predicate)} {render(self.object)}"
+        return " ".join("_" if term is None else term_to_ntriples(term) for term in self)

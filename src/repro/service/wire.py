@@ -232,7 +232,7 @@ def document_to_wire(stored: StoredDocument) -> dict:
     add = table.add
     triples = []
     for triple in stored.document.triples:
-        triples += (add(triple.subject), add(triple.predicate), add(triple.object))
+        triples += map(add, triple)
     return {
         "url": stored.url,
         "validator": stored.validator,

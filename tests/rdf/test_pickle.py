@@ -1,11 +1,11 @@
-"""Pickle round-trips for slotted terms (the sharded service's data plane).
+"""Pickle round-trips for terms and statements (the sharded service's data plane).
 
-The slotted term classes cache their hash at construction, salted with
-the *current* process's string hash.  Shipping a term to another process
-(shard workers do this for every result row that bypasses the wire
-codec, and for ShardSpec contents) must therefore rebuild the term via
-``__init__`` — carrying the cached ``_hash`` across would poison every
-dict and set on the receiving side whenever hash randomization differs.
+Terms hash by identity and statements are tuples of terms, so a hash is
+only meaningful inside one process.  Shipping a term or a statement to
+another process (shard workers do this for every result row that bypasses
+the wire codec, and for ShardSpec contents) must therefore rebuild each
+term through its constructor: the receiver gets its own canonical terms,
+and every dict and set there finds them.
 """
 
 import os
@@ -23,7 +23,7 @@ from repro.rdf.terms import (
     Variable,
     intern_iri,
 )
-from repro.rdf.triples import Quad, Triple
+from repro.rdf.triples import Quad, Triple, TriplePattern
 from repro.sparql.bindings import Binding
 
 _values = st.text(min_size=1, max_size=30)
@@ -107,6 +107,13 @@ class TestCrossProcess:
                     NamedNode("https://a.example/p"),
                     Literal("x"),
                 ),
+                "quad": Quad(
+                    NamedNode("https://a.example/s"),
+                    NamedNode("https://a.example/p"),
+                    Literal("x"),
+                    NamedNode("https://a.example/g"),
+                ),
+                "pattern": TriplePattern(Variable("s"), NamedNode("https://a.example/p"), None),
                 "binding": Binding(((Variable("v"), NamedNode("https://a.example/s")),)),
             }
         )
@@ -116,7 +123,7 @@ class TestCrossProcess:
             """
             import pickle, sys
             from repro.rdf.terms import NamedNode, Literal, Variable, intern_iri
-            from repro.rdf.triples import Triple
+            from repro.rdf.triples import Quad, Triple, TriplePattern
             from repro.sparql.bindings import Binding
             data = pickle.loads(open(sys.argv[1], 'rb').read())
             local = {
@@ -127,6 +134,13 @@ class TestCrossProcess:
                     NamedNode("https://a.example/p"),
                     Literal("x"),
                 ),
+                "quad": Quad(
+                    NamedNode("https://a.example/s"),
+                    NamedNode("https://a.example/p"),
+                    Literal("x"),
+                    NamedNode("https://a.example/g"),
+                ),
+                "pattern": TriplePattern(Variable("s"), NamedNode("https://a.example/p"), None),
                 "binding": Binding(((Variable("v"), NamedNode("https://a.example/s")),)),
             }
             for key, value in data.items():
@@ -135,6 +149,11 @@ class TestCrossProcess:
                 assert value in {local[key]}, key
             # Unpickled IRIs re-intern into *this* process's pool.
             assert data["named"] is intern_iri("https://pods.example/pods/alice/profile")
+            # A statement carries its terms, rebuilt as this process's own.
+            for key in ("triple", "quad", "pattern"):
+                assert type(data[key]) is type(local[key]), key
+                for got, want in zip(data[key], local[key], strict=True):
+                    assert got is want, key
             print("OK")
             """
         )

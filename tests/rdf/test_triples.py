@@ -1,6 +1,8 @@
 """Unit tests for Triple, Quad, and TriplePattern."""
 
-from repro.rdf import Literal, NamedNode, Quad, Triple, TriplePattern, Variable
+import pytest
+
+from repro.rdf import BlankNode, Literal, NamedNode, Quad, Triple, TriplePattern, Variable
 
 
 def n(suffix: str) -> NamedNode:
@@ -24,6 +26,18 @@ class TestQuad:
     def test_triple_projection(self):
         q = Quad(n("s"), n("p"), n("o"), n("g"))
         assert q.triple == Triple(n("s"), n("p"), n("o"))
+        assert q.triple == Triple(*q[:3])
+
+    def test_unpacks_as_its_four_fields(self):
+        s, p, o, g = Quad(n("s"), n("p"), n("o"), n("g"))
+        assert (s, p, o, g) == (n("s"), n("p"), n("o"), n("g"))
+        assert list(Quad(n("s"), n("p"), n("o"))) == [n("s"), n("p"), n("o"), None]
+
+    def test_a_triple_never_equals_a_quad(self):
+        triple = Triple(n("s"), n("p"), n("o"))
+        assert triple != Quad(*triple)
+        assert triple != Quad(*triple, n("g"))
+        assert len({triple, Quad(*triple)}) == 2
 
     def test_nquads_rendering_with_and_without_graph(self):
         with_graph = Quad(n("s"), n("p"), n("o"), n("g"))
@@ -50,3 +64,18 @@ class TestTriplePattern:
     def test_str_rendering(self):
         p = TriplePattern(None, n("p"), Variable("o"))
         assert str(p) == "_ <http://x/p> ?o"
+
+
+class TestHashedInC:
+    """Statements and terms hash, compare and iterate without calling back
+    into Python: statements are tuples, terms compare by identity."""
+
+    @pytest.mark.parametrize("statement", [Triple, Quad, TriplePattern])
+    @pytest.mark.parametrize("method", ["__hash__", "__eq__", "__iter__"])
+    def test_statements_inherit_from_tuple(self, statement, method):
+        assert getattr(statement, method) is getattr(tuple, method)
+
+    @pytest.mark.parametrize("term", [NamedNode, BlankNode, Literal, Variable])
+    @pytest.mark.parametrize("method", ["__hash__", "__eq__"])
+    def test_terms_inherit_from_object(self, term, method):
+        assert getattr(term, method) is getattr(object, method)
