@@ -29,6 +29,7 @@ from ..sparql.algebra import (
     operator_children,
 )
 from ..sparql.planner import pattern_score
+from .engine import LinkTraversalEngine
 from .extractors import LinkExtractor, build_query_context
 from .pipeline import (
     ConstructNode,
@@ -82,7 +83,7 @@ _ALGEBRA_LABELS = {
     Project: lambda op: "Project [" + " ".join(f"?{v.value}" for v in op.variables) + "]",
     Slice: lambda op: f"Slice offset={op.offset} limit={op.limit}",
     OrderBy: lambda op: f"OrderBy ({len(op.conditions)} keys)",
-    GroupBy: lambda op: f"GroupBy ({len(op.keys)} keys, {len(op.bindings)} aggregates)",
+    GroupBy: lambda op: f"GroupBy ({len(op.keys)} keys, {len(op.aggregates)} aggregates)",
 }
 
 
@@ -107,7 +108,7 @@ _PHYSICAL_LABELS = {
     FilterNode: lambda n: "Filter",
     ExistsFilterNode: lambda n: "ExistsFilter (streaming)",
     GroupAggregateNode: lambda n: (
-        f"GroupAggregate ({len(n._op.keys)} keys, {len(n._aggregates)} aggregates)"
+        f"GroupAggregate ({len(n._op.keys)} keys, {len(n._op.aggregates)} aggregates)"
     ),
     OrderSliceNode: lambda n: (
         f"OrderSlice ({len(n._conditions)} keys, offset={n._offset}, limit={n._limit})"
@@ -166,7 +167,7 @@ def explain_plan(
 ) -> str:
     """Full engine-level explanation for a parsed query."""
     context = build_query_context(query.where)
-    seed_list = list(seeds) or sorted(context.entity_iris)
+    seed_list = list(seeds) or LinkTraversalEngine.seeds_from_query(query)
     sections: list[str] = []
 
     sections.append(f"query form: {query.form}")
@@ -209,7 +210,7 @@ def explain_plan(
     for seed in seed_list:
         sections.append(f"  {seed}")
     if not seed_list:
-        sections.append("  (none — query mentions no entity IRIs)")
+        sections.append("  (none — query mentions no dereferenceable entity IRIs)")
 
     if extractors is not None:
         sections.append("extractors: " + ", ".join(e.name for e in extractors))

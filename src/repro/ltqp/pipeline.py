@@ -86,15 +86,9 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 from ..rdf.dataset import Dataset
 from ..rdf.terms import BlankNode, Literal, NamedNode, Term, Variable
 from ..rdf.triples import Quad, Triple, TriplePattern
-from ..sparql.aggregates import (
-    AggregateState,
-    collect_aggregates,
-    evaluate_with_states,
-    having_with_states,
-)
+from ..sparql.aggregates import AggregateState, group_key
 from ..sparql.algebra import (
     BGP,
-    AggregateExpr,
     And,
     Distinct,
     ExistsExpr,
@@ -122,6 +116,7 @@ from ..sparql.algebra import (
     exists_patterns,
     expression_contains_exists,
     is_monotonic,
+    key_variable,
     operator_expressions,
     operator_variables,
     read_patterns,
@@ -1056,10 +1051,12 @@ class GroupAggregateNode(IncrementalNode):
 
     Each change folds member solutions into (or, where the aggregate can
     un-apply, out of) per-group :class:`AggregateState` accumulators, so a
-    group's output row is evaluated from its states in O(1), never
-    re-scanning members.  Rows are withheld while open — any member can
-    still change them — and once settled each touched group swaps its old
-    row for its new one.  ``live`` retains every group's member multiset,
+    group's row — its key binding plus each aggregate's result under the
+    variable the :class:`GroupBy` binds it to — is read off its states,
+    never re-scanning members; HAVING, SELECT expressions and ORDER BY are
+    the ordinary nodes above.  Rows are withheld while open — any member
+    can still change them — and once settled each touched group swaps its
+    old row for its new one.  ``live`` retains every group's member multiset,
     so a retraction no :meth:`AggregateState.retract` can absorb (DISTINCT,
     MIN/MAX, …) rebuilds the states from the survivors.
     """
@@ -1073,22 +1070,14 @@ class GroupAggregateNode(IncrementalNode):
         evaluator: ExpressionEvaluator,
         live: bool = False,
     ) -> None:
-        certain = set()
-        for expression, alias in op.keys:
-            if (
-                isinstance(expression, VariableExpr)
-                and expression.variable in input_node.certain_variables
-            ):
-                certain.add(alias if alias is not None else expression.variable)
-        super().__init__(frozenset(certain), input_node)
+        certain = frozenset(
+            key_variable(key)
+            for key in op.keys
+            if isinstance(key[0], VariableExpr) and key[0].variable in input_node.certain_variables
+        )
+        super().__init__(certain, input_node)
         self._op = op
         self._evaluator = evaluator
-        aggregates: list[AggregateExpr] = []
-        for _, expression in op.bindings:
-            collect_aggregates(expression, aggregates)
-        for condition in op.having:
-            collect_aggregates(condition, aggregates)
-        self._aggregates = tuple(aggregates)
         #: Group key → mutable ``[key binding, aggregate states, member
         #: count]``; aggregates over no keys make one row of zero members.
         self._groups: dict[tuple, list] = (
@@ -1097,31 +1086,11 @@ class GroupAggregateNode(IncrementalNode):
         self._live = live
         #: Live only: group key → its member multiset (the rebuild source).
         self._members: dict[tuple, dict[Binding, int]] = {}
-        #: Group key → its currently-emitted output row (HAVING-passing).
+        #: Group key → its currently-emitted output row.
         self._rows: dict[tuple, Binding] = {}
 
-    def _new_states(self) -> dict:
-        return {aggregate: AggregateState(aggregate) for aggregate in self._aggregates}
-
-    def _key_of(self, member: Binding) -> tuple[tuple, Binding]:
-        """The group key and key binding one member falls into."""
-        op = self._op
-        if not op.keys:
-            return (), EMPTY_BINDING
-        key_terms: list[Optional[Term]] = []
-        items: dict[Variable, Term] = {}
-        for expression, alias in op.keys:
-            try:
-                value: Optional[Term] = self._evaluator.evaluate(expression, member)
-            except ExpressionError:
-                value = None
-            key_terms.append(value)
-            if value is not None:
-                if alias is not None:
-                    items[alias] = value
-                elif isinstance(expression, VariableExpr):
-                    items[expression.variable] = value
-        return tuple(key_terms), Binding(items)
+    def _new_states(self) -> dict[Variable, AggregateState]:
+        return {variable: AggregateState(aggregate) for variable, aggregate in self._op.aggregates}
 
     def _changes(self, delta: DeltaBatch, dataset: Dataset, changes: list[Change]) -> list[Change]:
         # A dict, not a set: change order stays deterministic across processes.
@@ -1148,7 +1117,7 @@ class GroupAggregateNode(IncrementalNode):
 
     def _fold(self, member: Binding, count: int) -> tuple:
         """Fold one signed member change into its group; returns the key."""
-        key, key_binding = self._key_of(member)
+        key, key_binding = group_key(self._op.keys, member, self._evaluator)
         group = self._groups.get(key)
         if group is None:
             group = self._groups[key] = [key_binding, self._new_states(), 0]
@@ -1188,26 +1157,18 @@ class GroupAggregateNode(IncrementalNode):
         self._groups[key][1] = states
 
     def _group_row(self, key: tuple) -> Optional[Binding]:
-        """One group's output row from its running states; ``None`` when
-        HAVING rejects it (or the group no longer exists)."""
+        """One group's output row from its running states (``None`` once
+        the group no longer exists)."""
         group = self._groups.get(key)
         if group is None:
             return None
-        key_binding, states, _ = group
-        result = dict(key_binding)
-        for variable, expression in self._op.bindings:
+        row = dict(group[0])
+        for variable, state in group[1].items():
             try:
-                value = evaluate_with_states(expression, states, key_binding, self._evaluator)
+                row[variable] = state.result()
             except ExpressionError:
-                continue  # aggregate error leaves the variable unbound
-            result[variable] = value
-        result_binding = Binding(result)
-        if all(
-            having_with_states(condition, states, result_binding, self._evaluator)
-            for condition in self._op.having
-        ):
-            return result_binding
-        return None
+                pass  # an aggregate error leaves its variable unbound
+        return Binding(row)
 
 
 class OrderSliceNode(IncrementalNode):
@@ -1488,7 +1449,7 @@ class ConstructNode(IncrementalNode):
         for binding, count in changes:
             scopes = self._scopes.setdefault(binding, [])
             for _ in range(count):
-                scopes.append(list(construct_triples(self._template, binding, self._made)))
+                scopes.append(list(construct_triples(self._template, binding, f"c{self._made}")))
                 self._made += 1
                 for triple in scopes[-1]:
                     if _bump(support, triple, 1) == 1:

@@ -1,15 +1,18 @@
-"""Grouping and aggregate computation for GROUP BY queries.
+"""Grouping and aggregate values for GROUP BY queries.
 
-Two consumption styles share one semantics:
+A :class:`~repro.sparql.algebra.GroupBy` partitions solutions by their
+key (:func:`group_key`) and binds each of its aggregates to a variable of
+the group's row; HAVING, the SELECT expressions and ORDER BY are then the
+ordinary Filter, Extend and OrderBy over those rows, so nothing here
+evaluates an expression that holds an aggregate.  The values are computed
+twice, independently, so the oracle still checks the pipeline:
 
-* **batch** — :func:`group_solutions` / :func:`compute_aggregates` /
-  :func:`evaluate_having` partition a materialized solution list (the
-  snapshot evaluator's path);
+* **batch** — :func:`group_solutions` / :func:`compute_aggregates` fold a
+  materialized solution list (the snapshot evaluator's path);
 * **incremental** — :class:`AggregateState` accumulates one member at a
-  time and :func:`evaluate_with_states` / :func:`having_with_states`
-  resolve the same output expressions from running states (the unified
-  pipeline's ``GroupAggregateNode``), so a group's aggregates finalize in
-  O(result) at traversal quiescence instead of re-scanning members.
+  time (the unified pipeline's ``GroupAggregateNode``), so a group's
+  values finalize in O(result) at traversal quiescence instead of
+  re-scanning members.
 """
 
 from __future__ import annotations
@@ -18,135 +21,72 @@ from decimal import Decimal
 from typing import Optional, Sequence
 
 from ..rdf.terms import Literal, Term, Variable, XSD_INTEGER
-from .algebra import (
-    AggregateExpr,
-    And,
-    Arithmetic,
-    Compare,
-    Expression,
-    FunctionCall,
-    InExpr,
-    Not,
-    Or,
-    TermExpr,
-    UnaryMinus,
-    UnaryPlus,
-    VariableExpr,
-)
-from .bindings import Binding
+from .algebra import AggregateExpr, Expression, key_variable
+from .bindings import EMPTY_BINDING, Binding
 from .expr import ExpressionError, ExpressionEvaluator, compare_terms
 
 __all__ = [
+    "group_key",
     "group_solutions",
     "compute_aggregates",
-    "evaluate_having",
     "AggregateState",
-    "collect_aggregates",
-    "evaluate_with_states",
-    "having_with_states",
 ]
+
+GroupKeys = Sequence[tuple[Expression, Optional[Variable]]]
+
+
+def group_key(
+    keys: GroupKeys, solution: Binding, expressions: ExpressionEvaluator
+) -> tuple[tuple, Binding]:
+    """The key of the group ``solution`` falls into, and the binding of
+    the variables the keys bind (:func:`~repro.sparql.algebra.key_variable`);
+    a key whose expression errors is unbound."""
+    terms: list[Optional[Term]] = []
+    items: dict[Variable, Term] = {}
+    for key in keys:
+        try:
+            value: Optional[Term] = expressions.evaluate(key[0], solution)
+        except ExpressionError:
+            value = None
+        terms.append(value)
+        variable = key_variable(key)
+        if value is not None and variable is not None:
+            items[variable] = value
+    return tuple(terms), Binding(items)
 
 
 def group_solutions(
-    solutions: list[Binding],
-    keys: Sequence[tuple[Expression, Optional[Variable]]],
-    expressions: ExpressionEvaluator,
+    solutions: list[Binding], keys: GroupKeys, expressions: ExpressionEvaluator
 ) -> list[tuple[Binding, list[Binding]]]:
-    """Partition solutions into groups keyed by the GROUP BY expressions.
+    """Partition solutions into ``(key binding, members)`` groups.
 
-    Returns ``(key_binding, members)`` pairs; ``key_binding`` carries the
-    grouped variables (and aliases) so they survive into the output.  With
-    no keys, all solutions form one implicit group (even when empty, per the
-    spec's single-empty-group rule for aggregate-only queries).
+    With no keys, all solutions form one implicit group (even when empty,
+    per the spec's single-empty-group rule for aggregate-only queries).
     """
     if not keys:
-        return [(Binding(), solutions)]
-
+        return [(EMPTY_BINDING, solutions)]
     groups: dict[tuple, tuple[Binding, list[Binding]]] = {}
     for solution in solutions:
-        key_terms: list[Optional[Term]] = []
-        items: dict[Variable, Term] = {}
-        for expression, alias in keys:
-            try:
-                value: Optional[Term] = expressions.evaluate(expression, solution)
-            except ExpressionError:
-                value = None
-            key_terms.append(value)
-            if value is not None:
-                if alias is not None:
-                    items[alias] = value
-                elif isinstance(expression, VariableExpr):
-                    items[expression.variable] = value
-        key = tuple(key_terms)
-        if key not in groups:
-            groups[key] = (Binding(items), [])
-        groups[key][1].append(solution)
+        key, key_binding = group_key(keys, solution, expressions)
+        groups.setdefault(key, (key_binding, []))[1].append(solution)
     return list(groups.values())
 
 
 def compute_aggregates(
     key_binding: Binding,
     members: list[Binding],
-    bindings: Sequence[tuple[Variable, Expression]],
+    aggregates: Sequence[tuple[Variable, AggregateExpr]],
     expressions: ExpressionEvaluator,
-) -> Optional[Binding]:
-    """Evaluate aggregate output bindings for one group."""
-    result = dict(key_binding)
-    for variable, expression in bindings:
+) -> Binding:
+    """One group's row: its key binding plus each aggregate's value (an
+    aggregate that errors leaves its variable unbound)."""
+    row = dict(key_binding)
+    for variable, aggregate in aggregates:
         try:
-            value = _evaluate_with_aggregates(expression, members, key_binding, expressions)
+            row[variable] = _compute_aggregate(aggregate, members, expressions)
         except ExpressionError:
-            continue  # aggregate error leaves the variable unbound
-        result[variable] = value
-    return Binding(result)
-
-
-def evaluate_having(
-    expression: Expression,
-    members: list[Binding],
-    result_binding: Binding,
-    expressions: ExpressionEvaluator,
-) -> bool:
-    """HAVING semantics: aggregate-aware EBV; errors count as false."""
-    from .expr import effective_boolean_value
-
-    try:
-        value = _evaluate_with_aggregates(expression, members, result_binding, expressions)
-        return effective_boolean_value(value)
-    except ExpressionError:
-        return False
-
-
-def _evaluate_with_aggregates(
-    expression: Expression,
-    members: list[Binding],
-    key_binding: Binding,
-    expressions: ExpressionEvaluator,
-) -> Term:
-    if isinstance(expression, AggregateExpr):
-        return _compute_aggregate(expression, members, expressions)
-    if isinstance(expression, (TermExpr, VariableExpr)):
-        return expressions.evaluate(expression, key_binding)
-    if isinstance(expression, Arithmetic):
-        left = _evaluate_with_aggregates(expression.left, members, key_binding, expressions)
-        right = _evaluate_with_aggregates(expression.right, members, key_binding, expressions)
-        return expressions.evaluate(
-            Arithmetic(expression.operator, TermExpr(left), TermExpr(right)), key_binding
-        )
-    if isinstance(expression, Compare):
-        left = _evaluate_with_aggregates(expression.left, members, key_binding, expressions)
-        right = _evaluate_with_aggregates(expression.right, members, key_binding, expressions)
-        return expressions.evaluate(
-            Compare(expression.operator, TermExpr(left), TermExpr(right)), key_binding
-        )
-    if isinstance(expression, FunctionCall):
-        evaluated_args = tuple(
-            TermExpr(_evaluate_with_aggregates(argument, members, key_binding, expressions))
-            for argument in expression.args
-        )
-        return expressions.evaluate(FunctionCall(expression.name, evaluated_args), key_binding)
-    # And/Or/Not etc. with aggregates inside are rare; evaluate per key binding.
-    return expressions.evaluate(expression, key_binding)
+            pass
+    return Binding(row)
 
 
 def _compute_aggregate(
@@ -243,30 +183,6 @@ def _to_literal(value) -> Literal:
 # ---------------------------------------------------------------------------
 # Incremental aggregation (one member at a time)
 # ---------------------------------------------------------------------------
-
-
-def collect_aggregates(expression: Expression, found: list[AggregateExpr]) -> None:
-    """Append every distinct :class:`AggregateExpr` in the tree to ``found``.
-
-    Nested aggregates are illegal in SPARQL, so the walk does not descend
-    into aggregate operands.
-    """
-    if isinstance(expression, AggregateExpr):
-        if expression not in found:
-            found.append(expression)
-        return
-    if isinstance(expression, (And, Or, Compare, Arithmetic)):
-        collect_aggregates(expression.left, found)
-        collect_aggregates(expression.right, found)
-    elif isinstance(expression, (Not, UnaryMinus, UnaryPlus)):
-        collect_aggregates(expression.operand, found)
-    elif isinstance(expression, FunctionCall):
-        for argument in expression.args:
-            collect_aggregates(argument, found)
-    elif isinstance(expression, InExpr):
-        collect_aggregates(expression.operand, found)
-        for choice in expression.choices:
-            collect_aggregates(choice, found)
 
 
 class AggregateState:
@@ -433,53 +349,3 @@ class AggregateState:
                 average = Decimal(total) / Decimal(self._count)
             return _to_literal(average)
         raise ExpressionError(f"unknown aggregate {name!r}")
-
-
-def evaluate_with_states(
-    expression: Expression,
-    states: dict[AggregateExpr, AggregateState],
-    key_binding: Binding,
-    expressions: ExpressionEvaluator,
-) -> Term:
-    """Like :func:`_evaluate_with_aggregates`, but aggregates resolve from
-    running :class:`AggregateState` values instead of a member list."""
-    if isinstance(expression, AggregateExpr):
-        return states[expression].result()
-    if isinstance(expression, (TermExpr, VariableExpr)):
-        return expressions.evaluate(expression, key_binding)
-    if isinstance(expression, Arithmetic):
-        left = evaluate_with_states(expression.left, states, key_binding, expressions)
-        right = evaluate_with_states(expression.right, states, key_binding, expressions)
-        return expressions.evaluate(
-            Arithmetic(expression.operator, TermExpr(left), TermExpr(right)), key_binding
-        )
-    if isinstance(expression, Compare):
-        left = evaluate_with_states(expression.left, states, key_binding, expressions)
-        right = evaluate_with_states(expression.right, states, key_binding, expressions)
-        return expressions.evaluate(
-            Compare(expression.operator, TermExpr(left), TermExpr(right)), key_binding
-        )
-    if isinstance(expression, FunctionCall):
-        evaluated_args = tuple(
-            TermExpr(evaluate_with_states(argument, states, key_binding, expressions))
-            for argument in expression.args
-        )
-        return expressions.evaluate(FunctionCall(expression.name, evaluated_args), key_binding)
-    # And/Or/Not etc. with aggregates inside are rare; evaluate per key binding.
-    return expressions.evaluate(expression, key_binding)
-
-
-def having_with_states(
-    expression: Expression,
-    states: dict[AggregateExpr, AggregateState],
-    result_binding: Binding,
-    expressions: ExpressionEvaluator,
-) -> bool:
-    """HAVING over running states: aggregate-aware EBV; errors are false."""
-    from .expr import effective_boolean_value
-
-    try:
-        value = evaluate_with_states(expression, states, result_binding, expressions)
-        return effective_boolean_value(value)
-    except ExpressionError:
-        return False

@@ -10,8 +10,8 @@ representation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence, Union
+from dataclasses import dataclass, field, fields, replace
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from ..rdf.terms import NamedNode, Term, Variable  # noqa: F401 (Term used in Query)
 from ..rdf.triples import TriplePattern
@@ -66,7 +66,10 @@ __all__ = [
     "TRIPLE_COLUMNS",
     "is_monotonic",
     "exists_patterns",
+    "expression_children",
     "expression_contains_exists",
+    "key_variable",
+    "map_children",
     "operator_children",
     "operator_expressions",
     "operator_variables",
@@ -370,17 +373,20 @@ class OrderBy(Operator):
 
 @dataclass(frozen=True, slots=True)
 class GroupBy(Operator):
-    """Grouping plus aggregate bindings plus HAVING filters.
+    """Grouping: one row per group, binding its keys and its aggregates.
 
-    ``bindings`` maps output variables to expressions that may contain
-    :class:`AggregateExpr` nodes; ``keys`` are the GROUP BY expressions
-    (paired with an optional output variable for ``GROUP BY (expr AS ?v)``).
+    ``keys`` are the GROUP BY expressions, each paired with an optional
+    output variable for ``GROUP BY (expr AS ?v)``; no keys is the one
+    implicit group.  ``aggregates`` binds each :class:`AggregateExpr` to a
+    variable of the group's row — the parser lifts every aggregate of the
+    SELECT expressions, HAVING and ORDER BY into a hidden ``?__aggN`` —
+    so those clauses are the ordinary :class:`Extend`, :class:`Filter` and
+    :class:`OrderBy` over the rows.
     """
 
     input: Operator
     keys: tuple[tuple[Expression, Optional[Variable]], ...]
-    bindings: tuple[tuple[Variable, Expression], ...]
-    having: tuple[Expression, ...] = ()
+    aggregates: tuple[tuple[Variable, AggregateExpr], ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -460,6 +466,35 @@ def is_monotonic(op: Operator) -> bool:
     )
 
 
+def _child_fields(expression: Expression) -> Iterator[tuple[str, object]]:
+    """Each field of ``expression`` that holds sub-expressions, with its
+    value: one expression, or a tuple of them (call arguments, IN choices).
+    An EXISTS pattern is an operator, not a sub-expression."""
+    for name in (f.name for f in fields(expression)):
+        value = getattr(expression, name)
+        if isinstance(value, (Expression, tuple)):
+            yield name, value
+
+
+def expression_children(expression: Expression) -> tuple[Expression, ...]:
+    """The direct sub-expressions of ``expression``, in field order."""
+    children: list[Expression] = []
+    for _, value in _child_fields(expression):
+        children.extend(value if isinstance(value, tuple) else (value,))
+    return tuple(children)
+
+
+def map_children(
+    expression: Expression, function: Callable[[Expression], Expression]
+) -> Expression:
+    """``expression`` with ``function`` applied to each direct sub-expression."""
+    changes = {
+        name: tuple(map(function, value)) if isinstance(value, tuple) else function(value)
+        for name, value in _child_fields(expression)
+    }
+    return replace(expression, **changes) if changes else expression
+
+
 def exists_patterns(expression: Optional[Expression]) -> Iterator[Operator]:
     """The pattern of every ``EXISTS`` / ``NOT EXISTS`` in ``expression``.
 
@@ -468,18 +503,9 @@ def exists_patterns(expression: Optional[Expression]) -> Iterator[Operator]:
     """
     if isinstance(expression, ExistsExpr):
         yield expression.pattern
-    elif isinstance(expression, (And, Or, Compare, Arithmetic)):
-        yield from exists_patterns(expression.left)
-        yield from exists_patterns(expression.right)
-    elif isinstance(expression, (Not, UnaryMinus, UnaryPlus, AggregateExpr)):
-        yield from exists_patterns(expression.operand)
-    elif isinstance(expression, FunctionCall):
-        for argument in expression.args:
-            yield from exists_patterns(argument)
-    elif isinstance(expression, InExpr):
-        yield from exists_patterns(expression.operand)
-        for choice in expression.choices:
-            yield from exists_patterns(choice)
+    elif expression is not None:
+        for child in expression_children(expression):
+            yield from exists_patterns(child)
 
 
 def expression_contains_exists(expression: Expression) -> bool:
@@ -519,8 +545,7 @@ def operator_expressions(op: Operator) -> tuple[Expression, ...]:
     if isinstance(op, GroupBy):
         return (
             *(expression for expression, _ in op.keys),
-            *(expression for _, expression in op.bindings),
-            *op.having,
+            *(aggregate for _, aggregate in op.aggregates),
         )
     return ()
 
@@ -531,7 +556,7 @@ def read_patterns(op: Operator) -> Iterator[TriplePattern | PathPattern]:
     BGP patterns come in tree order (left before right, triple patterns
     before path patterns); after an operator's children come the patterns
     of each EXISTS its expressions evaluate — in FILTER, BIND, OPTIONAL's
-    ON, GROUP BY / HAVING or ORDER BY, nested EXISTS included.  This is
+    ON, GROUP BY or ORDER BY, nested EXISTS included.  This is
     the one answer to "what does this query read": link extraction, source
     selection and the pipeline's read set all derive theirs from it.
     """
@@ -544,6 +569,15 @@ def read_patterns(op: Operator) -> Iterator[TriplePattern | PathPattern]:
     for expression in operator_expressions(op):
         for pattern in exists_patterns(expression):
             yield from read_patterns(pattern)
+
+
+def key_variable(key: tuple[Expression, Optional[Variable]]) -> Optional[Variable]:
+    """The variable a GROUP BY key binds in its group's row: the alias,
+    else the variable the key is, else none."""
+    expression, alias = key
+    if alias is None and isinstance(expression, VariableExpr):
+        return expression.variable
+    return alias
 
 
 def operator_variables(op: Operator) -> set[Variable]:
@@ -571,11 +605,8 @@ def operator_variables(op: Operator) -> set[Variable]:
     if isinstance(op, (Distinct, Reduced, Slice, OrderBy)):
         return operator_variables(op.input)
     if isinstance(op, GroupBy):
-        result = {var for _, var in op.keys if var is not None}
-        for expression, _ in ((k, v) for k, v in op.keys):
-            if isinstance(expression, VariableExpr):
-                result.add(expression.variable)
-        result |= {var for var, _ in op.bindings}
+        result = {variable for variable, _ in op.aggregates}
+        result.update(filter(None, map(key_variable, op.keys)))
         return result
     if isinstance(op, SubSelect):
         return set(op.query.variables())

@@ -11,8 +11,8 @@ This evaluator plays three roles in the reproduction:
   checks the incremental pipeline against it;
 * a library of building blocks reused by the unified incremental pipeline
   (:mod:`repro.ltqp.pipeline`): ``EXISTS`` evaluation for
-  ``ExistsFilterNode``, sort keys for ``OrderSliceNode``, the aggregate
-  machinery in :mod:`repro.sparql.aggregates` for ``GroupAggregateNode``;
+  ``ExistsFilterNode``, sort keys for ``OrderSliceNode``, template
+  instantiation for ``ConstructNode``;
 * a standalone local query engine over any parsed RDF document (and the
   federation/update endpoints).
 
@@ -22,7 +22,7 @@ Generator-based: every operator yields :class:`Binding` solutions lazily.
 from __future__ import annotations
 
 import weakref
-from dataclasses import fields, replace
+from dataclasses import replace
 from typing import Iterable, Iterator, Optional, Union as TypingUnion
 
 from ..rdf.dataset import Dataset, Graph
@@ -52,10 +52,11 @@ from .algebra import (
     Union,
     ValuesOp,
     VariableExpr,
+    map_children,
 )
 from .bindings import EMPTY_BINDING, Binding
 from .expr import DescendingKey, ExpressionError, ExpressionEvaluator, order_key
-from .aggregates import compute_aggregates, evaluate_having, group_solutions
+from .aggregates import compute_aggregates, group_solutions
 from .paths import evaluate_path
 from .planner import plan_bgp_order
 
@@ -153,7 +154,7 @@ class SnapshotEvaluator:
         """Evaluate a CONSTRUCT query, instantiating the template."""
         emitted: set[Triple] = set()
         for index, binding in enumerate(self.evaluate(query.where)):
-            for triple in construct_triples(query.construct_template, binding, index):
+            for triple in construct_triples(query.construct_template, binding, f"c{index}"):
                 if triple not in emitted:
                     emitted.add(triple)
                     yield triple
@@ -433,18 +434,8 @@ class SnapshotEvaluator:
 
     def _eval_group(self, op: GroupBy, graph: Graph) -> Iterator[Binding]:
         solutions = list(self._eval(op.input, graph))
-        groups = group_solutions(solutions, op.keys, self._expressions)
-        for key_binding, members in groups:
-            result = compute_aggregates(key_binding, members, op.bindings, self._expressions)
-            if result is None:
-                continue
-            keep = True
-            for having in op.having:
-                if not evaluate_having(having, members, result, self._expressions):
-                    keep = False
-                    break
-            if keep:
-                yield result
+        for key_binding, members in group_solutions(solutions, op.keys, self._expressions):
+            yield compute_aggregates(key_binding, members, op.aggregates, self._expressions)
 
     # ------------------------------------------------------------------
 
@@ -586,10 +577,9 @@ def substitute_operator(op: Operator, binding: Binding) -> Operator:
             inner,
             tuple((substitute_expression(key, binding), alias) for key, alias in op.keys),
             tuple(
-                (variable, substitute_expression(expression, binding))
-                for variable, expression in op.bindings
+                (variable, substitute_expression(aggregate, binding))
+                for variable, aggregate in op.aggregates
             ),
-            tuple(substitute_expression(having, binding) for having in op.having),
         )
     return replace(op, input=inner)  # Project, Distinct, Reduced, Slice
 
@@ -602,48 +592,37 @@ def substitute_expression(expression: Expression, binding: Binding) -> Expressio
         return expression if term is None else TermExpr(term)
     if isinstance(expression, ExistsExpr):
         return replace(expression, pattern=substitute_operator(expression.pattern, binding))
-    changes = {}
-    for name in (f.name for f in fields(expression)):
-        value = getattr(expression, name)
-        if isinstance(value, Expression):
-            changes[name] = substitute_expression(value, binding)
-        elif isinstance(value, tuple):  # FunctionCall.args, InExpr.choices
-            changes[name] = tuple(substitute_expression(item, binding) for item in value)
-    return replace(expression, **changes)
+    return map_children(expression, lambda child: substitute_expression(child, binding))
 
 
 def construct_triples(
-    template: tuple[TriplePattern, ...], binding: Binding, solution_index: int
+    template: tuple[TriplePattern, ...], binding: Binding, scope: Optional[str]
 ) -> Iterator[Triple]:
-    """Instantiate a CONSTRUCT template for one solution.
+    """Instantiate a template for one solution.
 
-    Query blank-node variables (``?__bn...``) get fresh blank nodes scoped
-    per solution, per the CONSTRUCT semantics.
+    A triple holding a variable the solution leaves unbound, or that is no
+    RDF triple (a literal subject, a non-IRI predicate), is skipped.  With
+    a ``scope``, each query blank-node variable (``?__bn...``) becomes a
+    blank node fresh to this solution, labelled ``{scope}_{k}`` — the
+    CONSTRUCT and INSERT template semantics; without one it is looked up
+    like any variable (what a DELETE template removes).
     """
-    bnode_scope: dict[Variable, BlankNode] = {}
+    fresh: dict[Variable, BlankNode] = {}
     for pattern in template:
-        terms = []
-        valid = True
-        for position, term in enumerate(pattern):
+        terms: list[Term] = []
+        for term in pattern:
             if isinstance(term, Variable):
-                if term.value.startswith("__bn"):
-                    if term not in bnode_scope:
-                        bnode_scope[term] = BlankNode(f"c{solution_index}_{len(bnode_scope)}")
-                    value: Optional[Term] = bnode_scope[term]
-                else:
-                    value = binding.get(term)
-                if value is None:
-                    valid = False
+                if scope is not None and term.value.startswith("__bn"):
+                    if term not in fresh:
+                        fresh[term] = BlankNode(f"{scope}_{len(fresh)}")
+                    term = fresh[term]
+                elif (term := binding.get(term)) is None:
                     break
-                terms.append(value)
-            else:
-                terms.append(term)
-        if not valid:
-            continue
-        subject, predicate, object_term = terms
-        if isinstance(subject, Literal) or not isinstance(predicate, NamedNode):
-            continue
-        yield Triple(subject, predicate, object_term)
+            terms.append(term)
+        else:
+            subject, predicate, object_term = terms
+            if not isinstance(subject, Literal) and isinstance(predicate, NamedNode):
+                yield Triple(subject, predicate, object_term)
 
 
 def evaluate_query(

@@ -5,8 +5,9 @@ Parses SELECT / ASK / CONSTRUCT queries into the algebra of
 group graph patterns become joins, ``OPTIONAL`` becomes ``LeftJoin`` (pulling
 an inner top-level ``FILTER`` into the join condition), ``FILTER``s are
 collected per group and applied at group end, and solution modifiers wrap the
-WHERE tree (GroupBy → Having → Extend(select exprs) → OrderBy → Project →
-Distinct/Reduced → Slice).
+WHERE tree (GroupBy → Extend(select exprs) → Filter(HAVING) → OrderBy →
+Project → Distinct/Reduced → Slice).  Each aggregate is lifted into the
+GroupBy under a hidden ``?__aggN`` variable, which the clauses read.
 
 Blank nodes in query patterns (labels and ``[...]``) are replaced by
 non-projectable internal variables (``?__bnN``/``?__bn_label``) per the
@@ -75,6 +76,7 @@ from .algebra import (
     VariableExpr,
     ZeroOrMorePath,
     ZeroOrOnePath,
+    map_children,
 )
 from .tokens import Token, TokenizeError, tokenize
 
@@ -347,29 +349,30 @@ class _Parser:
                 break
 
         # -- assemble tree ---------------------------------------------------
-        has_aggregates = any(
-            expression is not None and _contains_aggregate(expression)
-            for _, expression in projections
-        ) or bool(group_keys) or any(_contains_aggregate(h) for h in having)
+        # Every aggregate becomes a hidden variable its GroupBy binds, so the
+        # clauses that read aggregates are the same nodes as without them.
+        lifted: dict[AggregateExpr, Variable] = {}
+        projections = [
+            (variable, None if expression is None else _lift_aggregates(expression, lifted))
+            for variable, expression in projections
+        ]
+        having = [_lift_aggregates(condition, lifted) for condition in having]
+        order_conditions = [
+            dataclasses.replace(condition, expression=_lift_aggregates(condition.expression, lifted))
+            for condition in order_conditions
+        ]
+        for key, _ in group_keys:
+            _lift_aggregates(key, lifted, illegal_in="GROUP BY")
 
         node: Operator = group
-        if has_aggregates:
-            bindings = tuple(
-                (variable, expression)
-                for variable, expression in projections
-                if expression is not None
-            )
-            node = GroupBy(
-                input=node,
-                keys=tuple(group_keys),
-                bindings=bindings,
-                having=tuple(having),
-            )
-        else:
-            for variable, expression in projections:
-                if expression is not None:
-                    node = Extend(node, variable, expression)
-
+        if group_keys or lifted:
+            aggregates = tuple((variable, aggregate) for aggregate, variable in lifted.items())
+            node = GroupBy(node, tuple(group_keys), aggregates)
+        for variable, expression in projections:
+            if expression is not None:
+                node = Extend(node, variable, expression)
+        for condition in having:
+            node = Filter(condition, node)
         if order_conditions:
             node = OrderBy(node, tuple(order_conditions))
 
@@ -1044,20 +1047,23 @@ def _number_literal(lexical: str) -> Literal:
     return Literal(lexical, datatype=XSD_INTEGER)
 
 
-def _contains_aggregate(expression: Expression) -> bool:
+def _lift_aggregates(
+    expression: Expression, lifted: dict[AggregateExpr, Variable], illegal_in: str = ""
+) -> Expression:
+    """``expression`` with each aggregate replaced by the hidden variable
+    (``?__agg0``, …) ``lifted`` maps it to, one per distinct aggregate.
+
+    An aggregate nested in another one, or anywhere ``illegal_in`` names,
+    is a parse error.
+    """
     if isinstance(expression, AggregateExpr):
-        return True
-    if isinstance(expression, (And, Or, Compare, Arithmetic)):
-        return _contains_aggregate(expression.left) or _contains_aggregate(expression.right)
-    if isinstance(expression, (Not, UnaryMinus, UnaryPlus)):
-        return _contains_aggregate(expression.operand)
-    if isinstance(expression, FunctionCall):
-        return any(_contains_aggregate(a) for a in expression.args)
-    if isinstance(expression, InExpr):
-        return _contains_aggregate(expression.operand) or any(
-            _contains_aggregate(c) for c in expression.choices
-        )
-    return False
+        if illegal_in:
+            raise SparqlParseError(f"aggregate {expression.name} not allowed in {illegal_in}")
+        if expression.operand is not None:
+            _lift_aggregates(expression.operand, lifted, illegal_in=f"{expression.name}(...)")
+        variable = lifted.setdefault(expression, Variable(f"__agg{len(lifted)}"))
+        return VariableExpr(variable)
+    return map_children(expression, lambda child: _lift_aggregates(child, lifted, illegal_in))
 
 
 def parse_query(text: str) -> Query:

@@ -18,14 +18,14 @@ apply to a :class:`~repro.rdf.dataset.Graph` via :func:`apply_update`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from itertools import count
+from typing import Iterator, Union
 
 from ..rdf.dataset import Graph
-from ..rdf.terms import BlankNode, Literal, NamedNode, Term, Variable
+from ..rdf.terms import BlankNode, Literal, NamedNode, Variable
 from ..rdf.triples import Triple, TriplePattern
 from .algebra import BGP
-from .bindings import Binding
-from .eval import SnapshotEvaluator
+from .eval import SnapshotEvaluator, construct_triples
 from .parser import SparqlParseError, _Parser
 
 __all__ = [
@@ -151,22 +151,18 @@ def parse_update(text: str) -> list[UpdateOperation]:
     return _UpdateParser(text).parse_update()
 
 
-def _instantiate(template: tuple[TriplePattern, ...], binding: Binding) -> list[Triple]:
-    triples: list[Triple] = []
-    for pattern in template:
-        terms: list[Optional[Term]] = []
-        for term in pattern:
-            if isinstance(term, Variable):
-                terms.append(binding.get(term))
-            else:
-                terms.append(term)
-        if any(t is None for t in terms):
-            continue
-        subject, predicate, object_term = terms
-        if isinstance(subject, Literal) or not isinstance(predicate, NamedNode):
-            continue
-        triples.append(Triple(subject, predicate, object_term))
-    return triples
+def _fresh_scopes(graph: Graph) -> Iterator[str]:
+    """Blank-node scopes ``u0``, ``u1``, … for INSERT templates, skipping
+    every scope a blank node of ``graph`` already labels (``u{n}_{k}``):
+    the new nodes are new to the graph — also after an earlier update made
+    some — and their labels depend only on the graph and the update."""
+    taken = {
+        term.value.rpartition("_")[0]
+        for triple in graph
+        for term in triple
+        if isinstance(term, BlankNode)
+    }
+    return (scope for scope in map("u{}".format, count()) if scope not in taken)
 
 
 def apply_update(graph: Graph, operations: Union[UpdateOperation, list[UpdateOperation]]) -> dict:
@@ -190,7 +186,7 @@ def apply_update(graph: Graph, operations: Union[UpdateOperation, list[UpdateOpe
             evaluator = SnapshotEvaluator(graph)
             solutions = list(evaluator.evaluate(BGP(operation.patterns)))
             for binding in solutions:
-                for triple in _instantiate(operation.patterns, binding):
+                for triple in construct_triples(operation.patterns, binding, None):
                     if graph.discard(triple):
                         removed += 1
         elif isinstance(operation, Modify):
@@ -198,9 +194,10 @@ def apply_update(graph: Graph, operations: Union[UpdateOperation, list[UpdateOpe
             solutions = list(evaluator.evaluate(BGP(operation.where)))
             to_remove: list[Triple] = []
             to_add: list[Triple] = []
+            scopes = _fresh_scopes(graph)
             for binding in solutions:
-                to_remove.extend(_instantiate(operation.delete_template, binding))
-                to_add.extend(_instantiate(operation.insert_template, binding))
+                to_remove.extend(construct_triples(operation.delete_template, binding, None))
+                to_add.extend(construct_triples(operation.insert_template, binding, next(scopes)))
             for triple in to_remove:
                 if graph.discard(triple):
                     removed += 1

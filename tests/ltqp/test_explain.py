@@ -1,6 +1,8 @@
 """Tests for query plan explanation."""
 
-from repro.ltqp import default_extractors, explain_algebra, explain_plan
+import pytest
+
+from repro.ltqp import LinkTraversalEngine, default_extractors, explain_algebra, explain_plan
 from repro.sparql import parse_query
 
 EX = "PREFIX ex: <http://x/>\n"
@@ -86,6 +88,25 @@ class TestExplainPlan:
     def test_no_seed_query(self):
         query = parse_query(EX + "SELECT ?a WHERE { ?a ex:p ?b }")
         assert "(none" in explain_plan(query)
+
+    @pytest.mark.parametrize(
+        "text,seeds",
+        [
+            (
+                "DESCRIBE <https://solidbench.example/pods/0/profile/card#me>",
+                ["https://solidbench.example/pods/0/profile/card#me"],
+            ),
+            ("SELECT * WHERE { <urn:x:1> <http://p> ?o }", []),
+        ],
+    )
+    def test_the_listed_seeds_are_the_ones_the_engine_uses(self, text, seeds):
+        query = parse_query(text)
+        assert LinkTraversalEngine.seeds_from_query(query) == seeds
+        listed = explain_plan(query).split("seeds:\n")[1].split("\n\n")[0].splitlines()
+        assert listed == (
+            [f"  {seed}" for seed in seeds]
+            or ["  (none — query mentions no dereferenceable entity IRIs)"]
+        )
 
     def test_explicit_seeds_override(self):
         text = explain_plan(self.make_query(), seeds=["https://other.example/seed"])

@@ -356,9 +356,15 @@ class TestExistsIsDecidedAtCompileTime:
                 "OPTIONAL { ?b ex:r ?d FILTER EXISTS { ?d ex:q ?c } } }",
                 LeftJoinNode,
             ),
+            # HAVING is a FILTER over the group rows.
             (
                 "SELECT ?a (COUNT(?b) AS ?n) WHERE { ?a ex:p ?b } "
-                "GROUP BY ?a HAVING (EXISTS { ?a ex:q ?c })",
+                "GROUP BY ?a HAVING (NOT EXISTS { ?a ex:q ?c })",
+                FilterNode,
+            ),
+            (
+                "SELECT ?e (COUNT(?b) AS ?n) WHERE { ?a ex:p ?b } "
+                "GROUP BY (EXISTS { ?a ex:q ?c } AS ?e)",
                 GroupAggregateNode,
             ),
             (

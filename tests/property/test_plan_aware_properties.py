@@ -71,7 +71,7 @@ from repro.sparql.algebra import (
 )
 from repro.sparql.eval import SnapshotEvaluator
 
-from .conftest import rebuild_one_bgp
+from .conftest import COUNTED, over_group_rows, rebuild_one_bgp
 
 # A closed world smaller and denser than the sibling suites' (most patterns
 # match something, so most answers are non-empty and a dropped quad shows),
@@ -233,9 +233,10 @@ def operator_trees(draw, kinds=KINDS, leaf=leaves()):
         keys = tuple((VariableExpr(var), None) for var in in_scope[:1])
         operand = draw(st.sampled_from([None] + [VariableExpr(var) for var in in_scope]))
         distinct = operand is not None and draw(st.booleans())
-        bindings = ((Variable("n"), AggregateExpr("COUNT", operand, distinct)),)
-        having = (draw(exists_expressions(in_scope[:1])),) if kind.endswith("exists") else ()
-        return GroupBy(base, keys, bindings, having)
+        group = GroupBy(base, keys, ((COUNTED.variable, AggregateExpr("COUNT", operand, distinct)),))
+        if kind.endswith("exists"):
+            return Filter(draw(exists_expressions(in_scope[:1])), group)
+        return draw(over_group_rows(group))
     if kind == "order-slice":
         return Slice(_order_all_vars(base), draw(st.integers(0, 2)), draw(st.sampled_from([None, 1, 3])))
     # ORDER BY (EXISTS {…}) and then every variable: still a total order —

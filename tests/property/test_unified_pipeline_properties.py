@@ -44,7 +44,7 @@ from repro.sparql.algebra import (
 )
 from repro.sparql.eval import SnapshotEvaluator
 
-from .conftest import rebuild_one_bgp
+from .conftest import COUNTED, over_group_rows, rebuild_one_bgp
 
 # Same tiny closed world as the other property suites: dense joins, few names.
 nodes = st.sampled_from([NamedNode(f"http://x/n{i}") for i in range(6)])
@@ -105,8 +105,8 @@ def operator_trees(draw):
             )
         )
         distinct = operand is not None and draw(st.booleans())
-        bindings = ((Variable("n"), AggregateExpr("COUNT", operand, distinct)),)
-        return GroupBy(base, keys, bindings, ())
+        aggregates = ((COUNTED.variable, AggregateExpr("COUNT", operand, distinct)),)
+        return draw(over_group_rows(GroupBy(base, keys, aggregates)))
     if kind == "order-slice":
         offset = draw(st.integers(0, 2))
         limit = draw(st.sampled_from([None, 0, 1, 3, 10]))

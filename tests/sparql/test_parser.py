@@ -1,5 +1,8 @@
 """Unit tests for the SPARQL parser and algebra translation."""
 
+import dataclasses
+import importlib
+
 import pytest
 
 from repro.rdf import Literal, NamedNode, Variable
@@ -9,7 +12,9 @@ from repro.sparql.algebra import (
     AggregateExpr,
     AlternativePath,
     BGP,
+    Compare,
     Distinct,
+    Expression,
     Extend,
     Filter,
     GraphOp,
@@ -25,10 +30,13 @@ from repro.sparql.algebra import (
     SequencePath,
     Slice,
     SubSelect,
+    TermExpr,
     Union,
     ValuesOp,
+    VariableExpr,
     ZeroOrMorePath,
     is_monotonic,
+    operator_children,
 )
 
 EX = "PREFIX ex: <http://x/>\n"
@@ -204,14 +212,21 @@ class TestSolutionModifiers:
         q = parse_query(EX + "SELECT ?a (COUNT(?b) AS ?c) WHERE { ?a ex:p ?b } GROUP BY ?a")
         project = q.where
         assert isinstance(project, Project)
-        group = project.input
+        assert project.variables == (Variable("a"), Variable("c"))
+        extend = project.input
+        assert isinstance(extend, Extend)
+        assert extend.variable == Variable("c")
+        assert extend.expression == VariableExpr(Variable("__agg0"))
+        group = extend.input
         assert isinstance(group, GroupBy)
-        assert group.bindings[0][0] == Variable("c")
-        assert isinstance(group.bindings[0][1], AggregateExpr)
+        assert group.keys == ((VariableExpr(Variable("a")), None),)
+        assert group.aggregates == (
+            (Variable("__agg0"), AggregateExpr("COUNT", VariableExpr(Variable("b")))),
+        )
 
     def test_aggregate_without_group_by(self):
         q = parse_query(EX + "SELECT (COUNT(*) AS ?n) WHERE { ?a ex:p ?b }")
-        group = q.where.input
+        group = q.where.input.input
         assert isinstance(group, GroupBy)
         assert group.keys == ()
 
@@ -219,14 +234,94 @@ class TestSolutionModifiers:
         q = parse_query(
             EX + "SELECT ?a (COUNT(?b) AS ?c) WHERE { ?a ex:p ?b } GROUP BY ?a HAVING (COUNT(?b) > 2)"
         )
-        group = q.where.input
-        assert isinstance(group, GroupBy)
-        assert len(group.having) == 1
+        having = q.where.input
+        assert isinstance(having, Filter)
+        # The same aggregate is lifted once: HAVING reads the variable SELECT does.
+        assert having.expression == Compare(
+            ">", VariableExpr(Variable("__agg0")), TermExpr(Literal("2", datatype=XSD_INTEGER))
+        )
+        assert isinstance(having.input, Extend)
+        assert len(having.input.input.aggregates) == 1
+
+    def test_aggregates_anywhere_imply_the_implicit_group(self):
+        for text in (
+            "SELECT ?a WHERE { ?a ex:p ?b } HAVING (COUNT(?b) > 2)",
+            "SELECT ?a WHERE { ?a ex:p ?b } ORDER BY DESC(MAX(?b))",
+        ):
+            group = unwrap(parse_query(EX + text).where, Project, OrderBy, Filter)
+            assert isinstance(group, GroupBy) and group.keys == (), text
+            assert [v for v, _ in group.aggregates] == [Variable("__agg0")]
+
+    def test_order_by_an_aggregate_reads_its_variable(self):
+        q = parse_query(
+            EX + "SELECT ?a WHERE { ?a ex:p ?b } GROUP BY ?a ORDER BY DESC(COUNT(?b)) ?a"
+        )
+        order = q.where.input
+        assert isinstance(order, OrderBy)
+        assert order.conditions[0].expression == VariableExpr(Variable("__agg0"))
+        assert order.conditions[0].descending
+        assert q.variables() == (Variable("a"),)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "SELECT (SUM(COUNT(?b)) AS ?n) WHERE { ?a ex:p ?b }",
+            "SELECT ?a WHERE { ?a ex:p ?b } GROUP BY ?a HAVING (MAX(MIN(?b)) > 1)",
+            "SELECT (COUNT(?a) AS ?n) WHERE { ?a ex:p ?b } GROUP BY (COUNT(?b))",
+        ],
+    )
+    def test_nested_aggregate_or_aggregate_key_is_a_parse_error(self, text):
+        with pytest.raises(SparqlParseError):
+            parse_query(EX + text)
 
     def test_select_expression_becomes_extend(self):
         q = parse_query(EX + "SELECT (?b + 1 AS ?c) WHERE { ?a ex:p ?b }")
         assert isinstance(q.where, Project)
         assert isinstance(q.where.input, Extend)
+
+
+class TestGroupByBindsOnlyAggregates:
+    """A GroupBy binds its keys and its aggregates, and nothing else: HAVING,
+    SELECT expressions and ORDER BY are the ordinary operators above it, so
+    no grouping code evaluates an expression that holds an aggregate."""
+
+    def test_group_by_has_no_expression_fields(self):
+        assert {field.name for field in dataclasses.fields(GroupBy)} == {
+            "input",
+            "keys",
+            "aggregates",
+        }
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "SELECT ?a (COUNT(?b) AS ?c) WHERE { ?a ex:p ?b } GROUP BY ?a HAVING (SUM(?b) > 2)",
+            "SELECT (MAX(?b) - MIN(?b) AS ?r) WHERE { ?a ex:p ?b } ORDER BY DESC(AVG(?b))",
+            "SELECT ?a WHERE { { SELECT ?a (COUNT(*) AS ?n) WHERE { ?a ex:p ?b } GROUP BY ?a } }",
+        ],
+    )
+    def test_every_aggregate_is_a_variable_bound_to_one_aggregate(self, text):
+        def groups(node):
+            if isinstance(node, GroupBy):
+                yield node
+            for child in operator_children(node):
+                yield from groups(child)
+
+        found = list(groups(parse_query(EX + text).where))
+        assert found
+        for group in found:
+            for variable, aggregate in group.aggregates:
+                assert isinstance(variable, Variable)
+                assert isinstance(aggregate, AggregateExpr)
+
+    def test_the_aggregates_module_knows_no_other_expression_class(self):
+        module = importlib.import_module("repro.sparql.aggregates")
+        known = {
+            name
+            for name, value in vars(module).items()
+            if isinstance(value, type) and issubclass(value, Expression)
+        }
+        assert known <= {"AggregateExpr", "Expression"}
 
 
 class TestMonotonicity:

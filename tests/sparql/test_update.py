@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.rdf import Graph, Literal, NamedNode, Triple, parse_turtle
+from repro.rdf import BlankNode, Graph, Literal, NamedNode, Triple, parse_turtle
+from repro.rdf.terms import XSD_INTEGER
 from repro.sparql.parser import SparqlParseError
 from repro.sparql.update import (
     DeleteData,
@@ -129,3 +130,38 @@ class TestApplication:
         counts = apply_update(graph, updates)
         assert counts == {"added": 1, "removed": 1}
         assert Triple(n("t"), n("p"), n("u")) not in graph
+
+
+class TestTemplateBlankNodes:
+    """An INSERT template's blank nodes are fresh per solution, new to the
+    graph, and labelled the same way on every run."""
+
+    UPDATE = EX + "INSERT { ?s ex:has [ ex:r 1 ] } WHERE { ?s ex:p ?o }"
+
+    def made(self, graph):
+        return sorted(graph.objects(None, n("has")), key=lambda node: node.value)
+
+    def test_each_solution_gets_its_own_blank_node(self, graph):
+        counts = apply_update(graph, parse_update(self.UPDATE))
+        assert counts == {"added": 4, "removed": 0}  # two solutions, two triples each
+        made = self.made(graph)
+        assert len(made) == 2 and all(isinstance(node, BlankNode) for node in made)
+        assert [graph.value(node, n("r"), None) for node in made] == [Literal("1", datatype=XSD_INTEGER)] * 2
+        assert {graph.value(None, n("has"), node) for node in made} == {n("a"), n("b")}
+
+    def test_a_second_update_does_not_merge_with_the_first(self, graph):
+        apply_update(graph, parse_update(self.UPDATE))
+        assert apply_update(graph, parse_update(self.UPDATE))["added"] == 4
+        assert len(self.made(graph)) == 4
+
+    def test_labels_avoid_the_graph_and_do_not_depend_on_the_run(self, graph):
+        graph.add(Triple(BlankNode("u0_0"), n("q"), Literal("taken")))
+        twin = graph.copy()
+        apply_update(graph, parse_update(self.UPDATE))
+        apply_update(twin, parse_update(self.UPDATE))
+        assert BlankNode("u0_0") not in self.made(graph)
+        assert set(graph) == set(twin)
+
+    def test_delete_templates_still_match_the_where_blank_nodes(self, graph):
+        counts = apply_update(graph, parse_update(EX + "DELETE WHERE { ?s ex:p [] }"))
+        assert counts["removed"] == 2
